@@ -1,7 +1,7 @@
 # Tier-1 gate: what CI runs on every PR.
 .PHONY: check build test fmt verify verify-protocol verify-continuous \
 	sanitize-smoke bench-smoke churn-smoke native-smoke model-check \
-	model-check-negative race-check fsm-check clean
+	model-check-negative race-check fsm-check perf-smoke clean
 
 check: build test fmt verify
 
@@ -182,6 +182,14 @@ churn-smoke: build
 native-smoke: build
 	dune exec bin/newtos_sim.exe -- native --domains 2 --seconds 1 \
 	    --skip-unsupported --json
+
+# Benchmark smoke: every perfbench workload once, for one second and
+# untraced. Each run's last JSON line must report `correct` and zero
+# failed operations, and the churn workload must peak below 200 MB of
+# heap (pool slots and socket buffers are allocated on first use; when
+# they were allocated up front it peaked at 1.5 GB).
+perf-smoke: build
+	python3 bench/perf_smoke.py
 
 clean:
 	dune clean

@@ -7,6 +7,10 @@ type t = {
   id : int;
   slot_size : int;
   data : Bytes.t array;
+      (* A slot's storage is created by its first [alloc] ([Bytes.empty]
+         until then). The free list is LIFO, so only the high-water mark
+         of slots in use is ever resident. *)
+  mutable resident : int;
   gens : int array;
   free_list : int Stack.t;
   live : bool array;
@@ -65,7 +69,8 @@ let create ~id ~slots ~slot_size =
   {
     id;
     slot_size;
-    data = Array.init slots (fun _ -> Bytes.create slot_size);
+    data = Array.make slots Bytes.empty;
+    resident = 0;
     gens = Array.make slots 0;
     free_list;
     live = Array.make slots false;
@@ -78,6 +83,7 @@ let slot_size t = t.slot_size
 let total_slots t = Array.length t.data
 let free_slots t = Stack.length t.free_list
 let in_use t = total_slots t - free_slots t
+let resident_slots t = t.resident
 
 let alloc t ~len =
   if len > t.slot_size then
@@ -87,6 +93,13 @@ let alloc t ~len =
   match Stack.pop_opt t.free_list with
   | None -> raise Pool_exhausted
   | Some slot ->
+      (* Materialised under the lock, before the pointer exists: any
+         domain that later receives the pointer through a ring's
+         release/acquire publication also sees the storage. *)
+      if Bytes.length t.data.(slot) = 0 then begin
+        t.data.(slot) <- Bytes.create t.slot_size;
+        t.resident <- t.resident + 1
+      end;
       t.live.(slot) <- true;
       if Hook.enabled () then
         Hook.emit (Hook.Pool_alloc { pool = t.id; slot; gen = t.gens.(slot) });

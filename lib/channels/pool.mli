@@ -12,7 +12,14 @@
     instead of returning reused bytes. This is what makes the zero-copy
     crash-recovery protocol of Section V-D testable: after a component
     restart, the surviving components' re-issued requests either refer
-    to still-live data or fail loudly. *)
+    to still-live data or fail loudly.
+
+    The slot count is the contract: {!alloc} fails with
+    {!Pool_exhausted} exactly when [total_slots] slots are in use.
+    Resident storage grows on use: a slot's bytes are created by its
+    first {!alloc}, and the free list is LIFO, so only as many slots as
+    were ever in use at once ({!resident_slots}) occupy memory.
+    {!free_all} keeps the storage that exists. *)
 
 type t
 
@@ -36,13 +43,16 @@ val set_default_threadsafe : bool -> unit
     mutex so allocation and free may come from different domains (the
     native runtime's driver fills a pool the IP server frees). Slot
     payloads stay lock-free: slots are owner-disjoint and hand-off is
-    ordered by the SPSC ring publication. Default [false] — simulated
+    ordered by the SPSC ring publication. A slot's storage is created
+    inside the locked {!alloc}, before its pointer can be published, so
+    a reader on another domain always sees it. Default [false] — simulated
     runs are single-threaded. *)
 
 val create : id:int -> slots:int -> slot_size:int -> t
 (** [create ~id ~slots ~slot_size] makes a pool of [slots] buffers of
-    [slot_size] bytes each. Ids must be unique per pool universe
-    (machine); use {!fresh_id} unless reproducing a specific id. *)
+    [slot_size] bytes each, none of them resident yet. Ids must be
+    unique per pool universe (machine); use {!fresh_id} unless
+    reproducing a specific id. *)
 
 val fresh_id : unit -> int
 (** A process-wide unique pool identifier. *)
@@ -52,6 +62,10 @@ val slot_size : t -> int
 val total_slots : t -> int
 val free_slots : t -> int
 val in_use : t -> int
+
+val resident_slots : t -> int
+(** Slots whose storage has been created: the high-water mark of
+    {!in_use} over the pool's lifetime. *)
 
 val alloc : t -> len:int -> Rich_ptr.t
 (** Owner side: allocate a slot and return a pointer covering its first
@@ -84,4 +98,5 @@ val free : t -> Rich_ptr.t -> unit
 
 val free_all : t -> unit
 (** Owner side: release every slot (used when the owner restarts and
-    reinitializes its pool, Section V-D). *)
+    reinitializes its pool, Section V-D). Generations advance for the
+    slots that were live; resident storage is kept for reuse. *)

@@ -31,6 +31,14 @@ let proc t = t.proc
 let costs t = Machine.costs (Component.machine t.comp)
 
 let outstanding_calls t = Hashtbl.length t.reqs
+let socket_count t = Hashtbl.length t.sockets
+
+(* Socket-id order, so what a restart re-issues (and in which order)
+   does not depend on the table's history. *)
+let sockets_by_id t =
+  List.sort
+    (fun (a, _) (b, _) -> compare a b)
+    (Hashtbl.fold (fun id entry acc -> (id, entry) :: acc) t.sockets [])
 
 let chans_for t transport =
   match transport with `Tcp -> t.to_tcp | `Udp -> t.to_udp
@@ -163,8 +171,14 @@ let handle_msg t msg =
               match Hashtbl.find_opt t.sockets sock_id with
               | None -> ()
               | Some entry ->
+                  let closed =
+                    match entry.last_op with
+                    | Some (_, Msg.Call_close) -> true
+                    | Some _ | None -> false
+                  in
                   entry.last_op <- None;
-                  deliver_to_app t entry result) ))
+                  deliver_to_app t entry result;
+                  if closed then Hashtbl.remove t.sockets sock_id) ))
   | Msg.Sock_event _ -> (100, fun () -> ())
   | Msg.Tx_ip _ | Msg.Tx_ip_confirm _ | Msg.Filter_req _ | Msg.Filter_verdict _
   | Msg.Drv_tx _ | Msg.Drv_tx_confirm _ | Msg.Drv_tx_confirm_batch _
@@ -190,9 +204,9 @@ let create comp () =
      as applications retry (Section V-B: restarting the SYSCALL server
      is trivial). *)
   Component.on_crash comp (fun () ->
-      Hashtbl.iter
-        (fun _ entry -> deliver_to_app t entry (Msg.Err "syscall server restarted"))
-        t.sockets;
+      List.iter
+        (fun (_, entry) -> deliver_to_app t entry (Msg.Err "syscall server restarted"))
+        (sockets_by_id t);
       Hashtbl.reset t.reqs);
   t
 
@@ -218,8 +232,8 @@ let on_transport_restart ?shard t ~transport =
      [shard] is given, only that instance restarted — sockets on the
      other shards never lost anything. *)
   Proc.exec t.proc ~cost:(dispatch_cost t) (fun () ->
-      Hashtbl.iter
-        (fun sock_id entry ->
+      List.iter
+        (fun (sock_id, entry) ->
           if
             entry.transport = transport
             && (match shard with None -> true | Some s -> entry.shard = s)
@@ -227,4 +241,4 @@ let on_transport_restart ?shard t ~transport =
             match entry.last_op with
             | Some (req_id, call) -> forward t sock_id entry req_id call
             | None -> ())
-        t.sockets)
+        (sockets_by_id t))

@@ -68,7 +68,11 @@ val call :
 
 val on_transport_restart : ?shard:int -> t -> transport:[ `Tcp | `Udp ] -> unit
 (** Re-issue the last unfinished operation of every socket belonging to
-    the restarted transport; with [?shard], only that instance's
-    sockets (the others never lost anything). *)
+    the restarted transport, in socket-id order; with [?shard], only
+    that instance's sockets (the others never lost anything). *)
 
 val outstanding_calls : t -> int
+
+val socket_count : t -> int
+(** Sockets in the table. A socket leaves it once the reply to its
+    close has been delivered. *)

@@ -431,6 +431,9 @@ let handle_call t s req (call : Msg.sock_call) =
       | None -> ());
       (match s.pcb with Some pcb -> Tcp.close pcb | None -> ());
       s.dead <- true;
+      (* The connection finishes closing in the engine; the socket is
+         gone for the application, so its entry goes too. *)
+      Hashtbl.remove t.sockets s.sock_id;
       reply t req Msg.Ok_unit
 
 (* {2 Message handlers} *)
@@ -621,5 +624,7 @@ let on_ip_restart t =
         pkts)
 
 let repersist t = persist_listeners t
+
+let socket_count t = Hashtbl.length t.sockets
 
 let listen_overflows t = Stats.get (Proc.stats t.proc) "listen_overflows"

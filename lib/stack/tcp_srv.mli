@@ -96,6 +96,10 @@ val total_bytes_out : t -> int
 (** Lifetime totals: the live engine's counters plus those banked from
     incarnations that died — what per-shard stats should report. *)
 
+val socket_count : t -> int
+(** Sockets in this server's table: listeners and sockets not yet
+    closed. A [Call_close] removes its socket. *)
+
 val listen_overflows : t -> int
 (** Connections refused (RST) because their listener's accept queue
     was at its backlog cap when the handshake completed. *)

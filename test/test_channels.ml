@@ -219,6 +219,54 @@ let test_pool_free_all () =
   Alcotest.(check int) "all free" 3 (Pool.free_slots p);
   Alcotest.(check bool) "old pointer dead" false (Pool.live p a)
 
+let test_pool_free_all_keeps_storage () =
+  let p = Pool.create ~id:22 ~slots:8 ~slot_size:16 in
+  Alcotest.(check int) "nothing resident at create" 0 (Pool.resident_slots p);
+  let a = Pool.alloc p ~len:4 in
+  let b = Pool.alloc p ~len:4 in
+  let _c = Pool.alloc p ~len:4 in
+  Pool.free p b;
+  Alcotest.(check int) "three materialised" 3 (Pool.resident_slots p);
+  Pool.free_all p;
+  Alcotest.(check int) "storage kept across free_all" 3 (Pool.resident_slots p);
+  Alcotest.(check int) "every slot free" 8 (Pool.free_slots p);
+  (* Generations survive too: slot 0 went live once, so it comes back
+     one generation on, and the pre-reclaim pointer stays dead. *)
+  let a' = Pool.alloc p ~len:4 in
+  Alcotest.(check int) "same slot reused first" a.Rich_ptr.slot a'.Rich_ptr.slot;
+  Alcotest.(check int) "generation advanced" (a.Rich_ptr.gen + 1) a'.Rich_ptr.gen;
+  Alcotest.(check bool) "old pointer dead" false (Pool.live p a);
+  ignore (Pool.alloc p ~len:4);
+  ignore (Pool.alloc p ~len:4);
+  Alcotest.(check int) "reuse allocates nothing new" 3 (Pool.resident_slots p);
+  ignore (Pool.alloc p ~len:4);
+  Alcotest.(check int) "a fourth live slot materialises" 4 (Pool.resident_slots p)
+
+let test_pool_never_allocated_slot () =
+  (* Slots that never held storage still fail loudly, never with an
+     index error on the empty storage. *)
+  let p = Pool.create ~id:23 ~slots:4 ~slot_size:16 in
+  let ghost = { Rich_ptr.pool = 23; slot = 3; off = 0; len = 4; gen = 0 } in
+  Alcotest.check_raises "read" (Pool.Stale_pointer ghost) (fun () ->
+      ignore (Pool.read p ghost));
+  Alcotest.check_raises "blit" (Pool.Stale_pointer ghost) (fun () ->
+      Pool.blit p ghost ~dst:(Bytes.create 4) ~dst_off:0);
+  Alcotest.check_raises "write" (Pool.Stale_pointer ghost) (fun () ->
+      Pool.write p ghost ~src:(Bytes.create 4) ~src_off:0);
+  Alcotest.check_raises "free" (Pool.Stale_pointer ghost) (fun () ->
+      Pool.free p ghost);
+  let before = { ghost with Rich_ptr.gen = -1 } in
+  Alcotest.check_raises "free one generation back" (Pool.Stale_pointer before)
+    (fun () -> Pool.free p before);
+  Alcotest.(check int) "no storage created by failures" 0 (Pool.resident_slots p);
+  Alcotest.(check int) "free list intact" 4 (Pool.free_slots p);
+  (* The first allocation of a fresh slot double-frees like any other. *)
+  let ptr = Pool.alloc p ~len:4 in
+  Pool.free p ptr;
+  Alcotest.check_raises "double free" (Pool.Double_free ptr) (fun () ->
+      Pool.free p ptr);
+  Alcotest.(check int) "free list not corrupted" 4 (Pool.free_slots p)
+
 let test_chain_len () =
   let mk len = { Rich_ptr.pool = 0; slot = 0; off = 0; len; gen = 0 } in
   Alcotest.(check int) "chain length" 60 (Rich_ptr.chain_len [ mk 14; mk 40; mk 6 ]);
@@ -568,6 +616,46 @@ let test_pool_invariants =
         ops;
       !ok)
 
+let test_pool_resident_high_water =
+  (* Storage is created on a slot's first allocation and the free list
+     is LIFO, so resident slots track the high-water mark of live
+     slots — across frees, reuse and wholesale reclaims — and live
+     chunks keep their bytes. *)
+  qtest "pool storage never exceeds the high-water mark"
+    QCheck2.Gen.(list_size (int_range 1 300) (int_range 0 99))
+    (fun ops ->
+      let slots = 16 in
+      let p = Pool.create ~id:12346 ~slots ~slot_size:32 in
+      let live = ref [] in
+      let high = ref 0 in
+      let ok = ref (Pool.resident_slots p = 0) in
+      List.iter
+        (fun op ->
+          if op < 50 || !live = [] then begin
+            match Pool.alloc p ~len:8 with
+            | ptr ->
+                Pool.write p ptr ~src:(Bytes.make 8 (Char.chr op)) ~src_off:0;
+                live := (ptr, op) :: !live
+            | exception Pool.Pool_exhausted -> ()
+          end
+          else if op < 97 then begin
+            let i = op mod List.length !live in
+            Pool.free p (fst (List.nth !live i));
+            live := List.filteri (fun j _ -> j <> i) !live
+          end
+          else begin
+            Pool.free_all p;
+            live := []
+          end;
+          high := max !high (Pool.in_use p);
+          if Pool.resident_slots p <> !high then ok := false;
+          List.iter
+            (fun (ptr, op) ->
+              if Pool.read p ptr <> Bytes.make 8 (Char.chr op) then ok := false)
+            !live)
+        ops;
+      !ok)
+
 let test_request_db_invariants =
   qtest "request db submit/complete/abort sequences"
     QCheck2.Gen.(list_size (int_range 1 150) (tup2 (int_range 0 2) (int_range 0 4)))
@@ -623,6 +711,10 @@ let suite =
     ("pool exhaustion raises", `Quick, test_pool_exhaustion);
     ("pool sub pointers", `Quick, test_pool_sub_ptr);
     ("pool free_all", `Quick, test_pool_free_all);
+    ("pool free_all keeps storage and generations", `Quick,
+      test_pool_free_all_keeps_storage);
+    ("pool never-allocated slots still fail loudly", `Quick,
+      test_pool_never_allocated_slot);
     ("rich pointer chain length", `Quick, test_chain_len);
     ("request db matches replies", `Quick, test_request_db_match);
     ("request db abort actions on peer crash", `Quick, test_request_db_abort_actions);
@@ -650,5 +742,6 @@ let suite =
     ("sim channel notifies on empty enqueue", `Quick, test_sim_chan_notify_on_empty_enqueue);
     ("sim channel teardown and revive", `Quick, test_sim_chan_teardown_revive);
     test_pool_invariants;
+    test_pool_resident_high_water;
     test_request_db_invariants;
   ]

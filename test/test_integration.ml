@@ -924,6 +924,33 @@ let test_multi_nic_host () =
         true (totals.(i) > 10_000_000))
     iperfs
 
+let test_closed_sockets_retired () =
+  (* Per-connection state must not grow with every connection ever
+     opened: after 200 short RPCs, the TCP server's socket table holds
+     exactly the listener and the one live bulk socket. The SYSCALL
+     server's also holds the socket id its pending accept() reserved. *)
+  let h = make_host () in
+  Apps.Echo_listener.start (Host.sc h) ~app:(Host.app h) ~port:22;
+  let peer = Host.sink h 0 in
+  Sink.serve_tcp_echo peer ~port:7;
+  Sink.sink_tcp peer ~port:5001 ~on_bytes:(fun ~at:_ _ -> ());
+  let _ =
+    Apps.Iperf.start (Host.machine h) ~sc:(Host.sc h) ~app:(Host.app h)
+      ~dst:(Host.sink_addr h 0) ~port:5001 ~until:(sec 2.0) ()
+  in
+  let churn =
+    Apps.Rpc_churn.start (Host.machine h) ~sc:(Host.sc h) ~app:(Host.app h)
+      ~dst:(Host.sink_addr h 0) ~port:7 ~pace:(sec 0.0005) ~until:(sec 0.1) ()
+  in
+  Host.run h ~until:(sec 0.6);
+  Alcotest.(check int) "200 RPCs started" 200 (Apps.Rpc_churn.started churn);
+  Alcotest.(check int) "all completed" 200 (Apps.Rpc_churn.completed churn);
+  Alcotest.(check int) "none outstanding" 0 (Apps.Rpc_churn.outstanding churn);
+  Alcotest.(check int) "syscall table: listener + reserved accept + bulk" 3
+    (Newt_stack.Syscall_srv.socket_count (Host.sc h));
+  Alcotest.(check int) "tcp table: listener + bulk" 2
+    (Newt_stack.Tcp_srv.socket_count (Host.tcp_srv h))
+
 let suite =
   [
     ("bulk TCP reaches gigabit wire speed", `Quick, test_bulk_throughput_near_wire);
@@ -989,5 +1016,7 @@ let suite =
     ("half-close request/response", `Quick, test_half_close_request_response);
     ("inbound bulk at wire speed", `Quick, test_inbound_bulk_throughput);
     ("same seed, bit-identical runs", `Quick, test_determinism);
+    ("closed sockets leave the syscall and tcp tables", `Quick,
+      test_closed_sockets_retired);
     ("channel directory + trace log", `Quick, test_channel_directory);
   ]

@@ -515,6 +515,127 @@ let test_bytebuf_bounds () =
   Alcotest.check_raises "drop oob" (Invalid_argument "Bytebuf.drop") (fun () ->
       Bytebuf.drop b 3)
 
+(* Model test against a reference FIFO (a string). Operation arguments
+   are drawn raw and scaled to the buffer's state when applied, so
+   every generated sequence is legal and shrinks to a legal one. Pushed
+   bytes number the stream (mod 251), so any misordering across growth
+   or wrap-around changes what a peek sees. *)
+type bytebuf_op =
+  | Push of int
+  | Peek of int * int
+  | Drop of int
+  | Pop of int
+  | Clear
+
+let show_bytebuf_op = function
+  | Push n -> Printf.sprintf "push %d" n
+  | Peek (o, l) -> Printf.sprintf "peek %d %d" o l
+  | Drop n -> Printf.sprintf "drop %d" n
+  | Pop n -> Printf.sprintf "pop %d" n
+  | Clear -> "clear"
+
+let test_bytebuf_model =
+  let gen =
+    QCheck2.Gen.(
+      let* cap = oneof [ int_range 1 16; int_range 1 4096 ] in
+      let arg = int_range 0 (2 * cap) in
+      let op =
+        frequency
+          [
+            (4, map (fun n -> Push n) arg);
+            (2, map2 (fun o l -> Peek (o, l)) arg arg);
+            (2, map (fun n -> Drop n) arg);
+            (2, map (fun n -> Pop n) arg);
+            (1, pure Clear);
+          ]
+      in
+      pair (pure cap) (list_size (int_range 1 80) op))
+  in
+  let print (cap, ops) =
+    Printf.sprintf "capacity %d: %s" cap (String.concat "; " (List.map show_bytebuf_op ops))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"bytebuf matches a reference fifo" ~print gen
+       (fun (cap, ops) ->
+         let b = Bytebuf.create ~capacity:cap in
+         let model = ref "" in
+         let next = ref 0 in
+         let fresh n =
+           Bytes.init n (fun i -> Char.chr ((!next + i) mod 251))
+         in
+         let take n =
+           let s = String.sub !model 0 n in
+           model := String.sub !model n (String.length !model - n);
+           s
+         in
+         let step op =
+           let len = String.length !model in
+           (match op with
+           | Push n ->
+               let expect = min n (cap - len) in
+               let pushed = Bytebuf.push b (fresh n) ~off:0 ~len:n in
+               if pushed <> expect then
+                 QCheck2.Test.fail_reportf "push %d accepted %d, expected %d" n pushed expect;
+               model := !model ^ Bytes.sub_string (fresh n) 0 pushed;
+               next := !next + pushed
+           | Peek (o, l) ->
+               let off = o mod (len + 1) in
+               let l = l mod (len - off + 1) in
+               let got = Bytes.to_string (Bytebuf.peek b ~off ~len:l) in
+               if got <> String.sub !model off l then
+                 QCheck2.Test.fail_reportf "peek %d %d returned wrong bytes" off l
+           | Drop n ->
+               let n = n mod (len + 1) in
+               Bytebuf.drop b n;
+               ignore (take n)
+           | Pop n ->
+               let got = Bytes.to_string (Bytebuf.pop b ~max:n) in
+               if got <> take (min n len) then
+                 QCheck2.Test.fail_reportf "pop %d returned wrong bytes" n
+           | Clear ->
+               Bytebuf.clear b;
+               model := "");
+           let len = String.length !model in
+           if Bytebuf.length b <> len then
+             QCheck2.Test.fail_reportf "length %d, model %d" (Bytebuf.length b) len;
+           if Bytebuf.available b <> cap - len then
+             QCheck2.Test.fail_reportf "available %d <> capacity - length" (Bytebuf.available b);
+           if Bytebuf.capacity b <> cap then QCheck2.Test.fail_report "capacity changed";
+           if Bytebuf.resident b > cap || Bytebuf.resident b < len then
+             QCheck2.Test.fail_reportf "resident %d outside [%d, %d]" (Bytebuf.resident b) len cap
+         in
+         List.iter step ops;
+         (* Whatever is left drains in stream order. *)
+         Bytes.to_string (Bytebuf.pop b ~max:cap) = !model))
+
+let test_bytebuf_no_storage () =
+  (* Zero-length operations on a buffer that has never held a byte:
+     nothing may index (or take a modulus of) the empty storage. *)
+  let b = Bytebuf.create ~capacity:16 in
+  Alcotest.(check int) "no storage yet" 0 (Bytebuf.resident b);
+  Alcotest.(check int) "empty push accepts nothing" 0
+    (Bytebuf.push b Bytes.empty ~off:0 ~len:0);
+  Alcotest.(check int) "still no storage" 0 (Bytebuf.resident b);
+  Alcotest.(check int) "empty peek" 0 (Bytes.length (Bytebuf.peek b ~off:0 ~len:0));
+  Bytebuf.drop b 0;
+  Alcotest.(check int) "empty pop" 0 (Bytes.length (Bytebuf.pop b ~max:8));
+  Alcotest.(check int) "full window advertised" 16 (Bytebuf.available b);
+  Alcotest.(check int) "still no storage after all that" 0 (Bytebuf.resident b)
+
+let test_bytebuf_grows_on_use () =
+  (* A 256 KiB socket buffer that carries one short RPC costs the RPC,
+     not the capacity; filling it doubles up to, never past, the cap. *)
+  let cap = 256 * 1024 in
+  let b = Bytebuf.create ~capacity:cap in
+  ignore (Bytebuf.push b (Bytes.make 256 'r') ~off:0 ~len:256);
+  Alcotest.(check int) "sized to the first push" 256 (Bytebuf.resident b);
+  ignore (Bytebuf.push b (Bytes.make 100 'r') ~off:0 ~len:100);
+  Alcotest.(check int) "doubled" 512 (Bytebuf.resident b);
+  Alcotest.(check int) "available is the contract" (cap - 356) (Bytebuf.available b);
+  let big = Bytes.make cap 'x' in
+  Alcotest.(check int) "fills to capacity" (cap - 356) (Bytebuf.push b big ~off:0 ~len:cap);
+  Alcotest.(check int) "clamped at capacity" cap (Bytebuf.resident b)
+
 let suite =
   [
     ("ipv4 address parse/print", `Quick, test_ipv4_roundtrip);
@@ -555,4 +676,7 @@ let suite =
     ("bytebuf fifo with wraparound", `Quick, test_bytebuf_fifo);
     test_bytebuf_stress;
     ("bytebuf bounds checking", `Quick, test_bytebuf_bounds);
+    test_bytebuf_model;
+    ("bytebuf zero-length ops before any storage", `Quick, test_bytebuf_no_storage);
+    ("bytebuf storage grows on use, capped", `Quick, test_bytebuf_grows_on_use);
   ]

@@ -5,6 +5,7 @@
 
 module Hook = Newt_channels.Hook
 module Spsc = Newt_channels.Spsc_queue
+module Pool = Newt_channels.Pool
 module Race = Newt_verify.Race
 module Report = Newt_verify.Report
 module Time = Newt_sim.Time
@@ -177,6 +178,58 @@ let test_dynamic_lock_orders_accesses () =
   Alcotest.(check bool) "lock-ordered writes accepted" true
     (Race.Dynamic.ok o)
 
+let test_dynamic_pool_first_use_published () =
+  (* A threadsafe pool's slots get their storage on first [alloc], on
+     the allocating domain. The pointer then crosses to the other
+     domain through a ring, which reads the chunk and frees it back —
+     the driver-fills, IP-frees pattern of the native runtime. The
+     storage is created under the pool lock before the pointer is
+     published, so the detector must stay silent and every byte must
+     arrive. *)
+  Race.Dynamic.arm ();
+  Pool.set_default_threadsafe true;
+  let pool =
+    Fun.protect
+      ~finally:(fun () -> Pool.set_default_threadsafe false)
+      (fun () -> Pool.create ~id:(Pool.fresh_id ()) ~slots:32 ~slot_size:64)
+  in
+  let q = Spsc.create ~id:11 ~capacity:16 () in
+  Race.Dynamic.fence ();
+  let n = 2000 in
+  let producer =
+    Domain.spawn (fun () ->
+        for i = 1 to n do
+          let rec alloc () =
+            match Pool.alloc pool ~len:8 with
+            | ptr -> ptr
+            | exception Pool.Pool_exhausted ->
+                Domain.cpu_relax ();
+                alloc ()
+          in
+          let ptr = alloc () in
+          Pool.write pool ptr ~src:(Bytes.make 8 (Char.chr (i land 0xff))) ~src_off:0;
+          while not (Spsc.try_push q (i, ptr)) do
+            Domain.cpu_relax ()
+          done
+        done)
+  in
+  let got = ref 0 and intact = ref true in
+  while !got < n do
+    match Spsc.try_pop q with
+    | Some (i, ptr) ->
+        incr got;
+        if Pool.read pool ptr <> Bytes.make 8 (Char.chr (i land 0xff)) then
+          intact := false;
+        Pool.free pool ptr
+    | None -> Domain.cpu_relax ()
+  done;
+  Domain.join producer;
+  let o = Race.Dynamic.disarm () in
+  Alcotest.(check bool) "every chunk arrived intact" true !intact;
+  Alcotest.(check bool) "storage materialised on use" true
+    (Pool.resident_slots pool > 0 && Pool.resident_slots pool <= 32);
+  Alcotest.(check int) "zero races" 0 (List.length o.Race.Dynamic.races)
+
 (* {2 Loop: the post-vs-park lost-wakeup stress} *)
 
 let test_loop_post_vs_park_stress () =
@@ -235,6 +288,8 @@ let suite =
       test_dynamic_unfenced_counter);
     ("dynamic: lock-ordered writes accepted", `Quick,
       test_dynamic_lock_orders_accesses);
+    ("dynamic: pool slot materialised on one domain, read on the other",
+      `Quick, test_dynamic_pool_first_use_published);
     ("loop: 1M post-vs-park stress, no lost wakeup", `Slow,
       test_loop_post_vs_park_stress);
   ]
