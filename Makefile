@@ -1,7 +1,7 @@
 # Tier-1 gate: what CI runs on every PR.
 .PHONY: check build test fmt verify verify-protocol verify-continuous \
 	sanitize-smoke bench-smoke churn-smoke native-smoke model-check \
-	model-check-negative race-check fsm-check perf-smoke clean
+	model-check-negative race-check fsm-check perf-smoke profile clean
 
 check: build test fmt verify
 
@@ -150,6 +150,7 @@ bench-smoke: build
 	grep -q '"segments":[1-9]' _bench_fsm.json
 	rm -f _bench_fsm.json
 	dune exec bench/main.exe -- micro-spsc | grep -q '"spsc_cross_domain"'
+	dune exec bench/main.exe -- profile | grep -q '"frames":\[{"frame":'
 
 # Churn smoke: short flow-churn runs with the continuous checker
 # attached. Asserts the streaming-histogram percentile block is in the
@@ -190,6 +191,13 @@ native-smoke: build
 # they were allocated up front it peaked at 1.5 GB).
 perf-smoke: build
 	python3 bench/perf_smoke.py
+
+# Where a bulk run's host CPU goes: a SIGPROF call-stack sampler
+# (ITIMER_PROF, 1 ms of process CPU per sample) around the split Host
+# with five saturated 1 Gbps NICs. Prints the top inclusive frames as
+# one JSON line.
+profile: build
+	dune exec bench/main.exe -- profile
 
 clean:
 	dune clean

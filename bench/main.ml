@@ -16,7 +16,7 @@
       prints paper-vs-measured, plus an ablation of the design choices.
 
    Run everything: dune exec bench/main.exe
-   One piece:      dune exec bench/main.exe -- [micro|table2|campaign|fig4|fig5|coalesce|ablate|scaling|churn] *)
+   One piece:      dune exec bench/main.exe -- [micro|table2|campaign|fig4|fig5|coalesce|ablate|scaling|churn|profile] *)
 
 module E = Newt_core.Experiments
 module V = Newt_verify
@@ -592,6 +592,68 @@ let print_churn () =
   print_endline " reduced offered rate; percentiles from streaming histograms)";
   print_newline ()
 
+(* {1 profile: where the host CPU of a bulk run goes}
+
+   A call-stack sampler for machines without [perf]: ITIMER_PROF
+   delivers SIGPROF every millisecond of process CPU time, and the
+   handler records the OCaml call stack it interrupted. A frame's
+   share is the fraction of samples it appears in at least once
+   (inclusive time). The run is the benchmark's bulk shape: the split
+   Host, five 1 Gbps NICs, one saturating iperf per NIC, 0.3 s
+   simulated. This file's own frames (the sampler and the driver) are
+   left out. *)
+let print_profile () =
+  let module Host = Newt_core.Host in
+  let module Sink = Newt_stack.Sink in
+  let nics = 5 and port = 5001 and until = Newt_sim.Time.of_seconds 0.3 in
+  let h = Host.create ~config:{ Host.default_config with Host.nics; app_cores = nics } () in
+  for i = 0 to nics - 1 do
+    Sink.sink_tcp (Host.sink h i) ~port ~on_bytes:(fun ~at:_ _ -> ());
+    ignore
+      (Newt_sockets.Apps.Iperf.start (Host.machine h) ~sc:(Host.sc h) ~app:(Host.app h)
+         ~dst:(Host.sink_addr h i) ~port ~until ())
+  done;
+  let hits = Hashtbl.create 512 and samples = ref 0 in
+  let frame slot =
+    match (Printexc.Slot.name slot, Printexc.Slot.location slot) with
+    | Some name, _ -> Some name
+    | None, Some l -> Some (Printf.sprintf "%s:%d" l.Printexc.filename l.Printexc.line_number)
+    | None, None -> None
+  in
+  let sample _ =
+    incr samples;
+    let seen = Hashtbl.create 64 in
+    let count slot =
+      match frame slot with
+      | Some f when not (Hashtbl.mem seen f || String.starts_with ~prefix:"Dune__exe" f) ->
+          Hashtbl.replace seen f ();
+          Hashtbl.replace hits f (1 + Option.value ~default:0 (Hashtbl.find_opt hits f))
+      | Some _ | None -> ()
+    in
+    Option.iter (Array.iter count) (Printexc.backtrace_slots (Printexc.get_callstack 256))
+  in
+  let timer s =
+    ignore (Unix.setitimer Unix.ITIMER_PROF { Unix.it_interval = s; it_value = s })
+  in
+  Sys.set_signal Sys.sigprof (Sys.Signal_handle sample);
+  timer 0.001;
+  Host.run h ~until;
+  timer 0.0;
+  Sys.set_signal Sys.sigprof Sys.Signal_default;
+  let top =
+    Hashtbl.fold (fun f n acc -> (f, n) :: acc) hits []
+    |> List.sort (fun (fa, a) (fb, b) -> if a <> b then compare b a else compare fa fb)
+    |> List.filteri (fun i _ -> i < 30)
+  in
+  let frame_json (f, n) =
+    Printf.sprintf "{\"frame\":%S,\"inclusive\":%.3f}" f
+      (float_of_int n /. float_of_int (max 1 !samples))
+  in
+  Printf.printf
+    "{\"profile\":{\"workload\":\"bulk\",\"interval_ms\":1,\"samples\":%d,\"frames\":[%s]}}\n"
+    !samples
+    (String.concat "," (List.map frame_json top))
+
 let () =
   let what = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
   match what with
@@ -609,6 +671,7 @@ let () =
   | "ablate" -> print_ablation ()
   | "scaling" -> print_scaling ()
   | "churn" -> print_churn ()
+  | "profile" -> print_profile ()
   | "all" ->
       print_table2 ();
       print_fig4 ();
@@ -623,6 +686,6 @@ let () =
   | other ->
       Printf.eprintf
         "unknown benchmark %S (use \
-         micro|micro-spsc|micro-hook|table2|campaign|fig4|fig5|coalesce|ablate|scaling|churn|all)\n"
+         micro|micro-spsc|micro-hook|table2|campaign|fig4|fig5|coalesce|ablate|scaling|churn|profile|all)\n"
         other;
       exit 1

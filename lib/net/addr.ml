@@ -54,6 +54,8 @@ module Mac = struct
         Char.chr arr.(i))
 
   let to_octets t = Array.init 6 (fun i -> Char.code t.[i])
+  let write t b ~off = Bytes.blit_string t 0 b off 6
+  let read b ~off = Bytes.sub_string b off 6
   let broadcast = String.make 6 '\xff'
   let equal = String.equal
 

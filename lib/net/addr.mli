@@ -38,6 +38,13 @@ module Mac : sig
   (** Six octets. *)
 
   val to_octets : t -> int array
+
+  val write : t -> Bytes.t -> off:int -> unit
+  (** Store the six octets at [off], in wire order. *)
+
+  val read : Bytes.t -> off:int -> t
+  (** The address stored at [off] (the inverse of {!write}). *)
+
   val broadcast : t
   val equal : t -> t -> bool
   val pp : Format.formatter -> t -> unit

@@ -16,15 +16,6 @@ let put_u16 b off v =
 
 let get_u16 b off = (Char.code (Bytes.get b off) lsl 8) lor Char.code (Bytes.get b (off + 1))
 
-let put_mac b off mac =
-  let o = Addr.Mac.to_octets mac in
-  for i = 0 to 5 do
-    Bytes.set b (off + i) (Char.chr o.(i))
-  done
-
-let get_mac b off =
-  Addr.Mac.of_octets (Array.init 6 (fun i -> Char.code (Bytes.get b (off + i))))
-
 let put_ip b off ip =
   let v = Addr.Ipv4.to_int32 ip in
   for i = 0 to 3 do
@@ -48,9 +39,9 @@ let encode p =
   Bytes.set b 4 '\006' (* hlen *);
   Bytes.set b 5 '\004' (* plen *);
   put_u16 b 6 (match p.op with Request -> 1 | Reply -> 2);
-  put_mac b 8 p.sender_mac;
+  Addr.Mac.write p.sender_mac b ~off:8;
   put_ip b 14 p.sender_ip;
-  put_mac b 18 p.target_mac;
+  Addr.Mac.write p.target_mac b ~off:18;
   put_ip b 24 p.target_ip;
   b
 
@@ -65,9 +56,9 @@ let decode b =
         Some
           {
             op;
-            sender_mac = get_mac b 8;
+            sender_mac = Addr.Mac.read b ~off:8;
             sender_ip = get_ip b 14;
-            target_mac = get_mac b 18;
+            target_mac = Addr.Mac.read b ~off:18;
             target_ip = get_ip b 24;
           }
 

@@ -14,17 +14,9 @@ let ethertype_of_code = function
   | 0x0806 -> Arp
   | c -> Unknown c
 
-let put_mac b off mac =
-  let o = Addr.Mac.to_octets mac in
-  for i = 0 to 5 do
-    Bytes.set b (off + i) (Char.chr o.(i))
-  done
-
-let get_mac b off = Addr.Mac.of_octets (Array.init 6 (fun i -> Char.code (Bytes.get b (off + i))))
-
 let encode_header h b ~off =
-  put_mac b off h.dst;
-  put_mac b (off + 6) h.src;
+  Addr.Mac.write h.dst b ~off;
+  Addr.Mac.write h.src b ~off:(off + 6);
   let code = ethertype_code h.ethertype in
   Bytes.set b (off + 12) (Char.chr (code lsr 8));
   Bytes.set b (off + 13) (Char.chr (code land 0xff))
@@ -32,8 +24,8 @@ let encode_header h b ~off =
 let decode_header b ~off =
   if Bytes.length b - off < header_size then None
   else
-    let dst = get_mac b off in
-    let src = get_mac b (off + 6) in
+    let dst = Addr.Mac.read b ~off in
+    let src = Addr.Mac.read b ~off:(off + 6) in
     let code = (Char.code (Bytes.get b (off + 12)) lsl 8) lor Char.code (Bytes.get b (off + 13)) in
     Some { dst; src; ethertype = ethertype_of_code code }
 

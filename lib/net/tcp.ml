@@ -630,12 +630,12 @@ let abort pcb =
     teardown ~cause:Hook.T_api pcb
   end
 
-let send pcb data =
+let send pcb data ~off ~len =
   match pcb.state with
   | Established | Close_wait ->
       if pcb.close_pending then 0
       else begin
-        let n = Bytebuf.push pcb.sndbuf data ~off:0 ~len:(Bytes.length data) in
+        let n = Bytebuf.push pcb.sndbuf data ~off ~len in
         if n > 0 then output pcb;
         n
       end

@@ -127,8 +127,10 @@ val abort : pcb -> unit
 
 (** {1 Data transfer} *)
 
-val send : pcb -> Bytes.t -> int
-(** Queue bytes; returns how many fit in the send buffer. *)
+val send : pcb -> Bytes.t -> off:int -> len:int -> int
+(** Queue up to [len] bytes of [data] starting at [off] (the window
+    {!Bytebuf.push} takes); returns how many fit in the send buffer.
+    The bytes are copied in, so the caller may reuse or share [data]. *)
 
 val recv : pcb -> max:int -> Bytes.t
 (** Drain up to [max] bytes of in-order received data. *)

@@ -24,7 +24,7 @@ module Iperf = struct
     app : Sc.app;
     dst : Addr.Ipv4.t;
     port : int;
-    write_size : int;
+    write_buf : Bytes.t;
     pace : Time.cycles;
     until : Time.cycles;
     mutable bytes_sent : int;
@@ -54,8 +54,7 @@ module Iperf = struct
   and pump t conn =
     if now t >= t.until then Socket_api.close conn (fun () -> t.running <- false)
     else begin
-      let data = Bytes.make t.write_size 'i' in
-      Socket_api.send conn data (fun result ->
+      Socket_api.send conn t.write_buf (fun result ->
           match result with
           | `Sent n ->
               t.bytes_sent <- t.bytes_sent + n;
@@ -79,7 +78,8 @@ module Iperf = struct
         app;
         dst;
         port;
-        write_size;
+        (* Allocated once and never mutated: every write shares it. *)
+        write_buf = Bytes.make write_size 'i';
         pace;
         until;
         bytes_sent = 0;

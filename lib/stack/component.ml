@@ -232,5 +232,3 @@ let archive_add t key n =
 
 let archived t key =
   match Hashtbl.find_opt t.archive key with Some v -> v | None -> 0
-
-let lifetime t key = archived t key + Stats.get (Proc.stats t.proc) key

@@ -24,8 +24,8 @@
     The component also keeps a per-incarnation counter archive: crash
     hooks may bank counters from state that dies with the incarnation
     (e.g. a TCP engine's segment counts) with [archive_add], and
-    readers use [archived]/[lifetime] to see totals that neither
-    double-count nor vanish across restarts. *)
+    readers add [archived] to the live counter to see totals that
+    neither double-count nor vanish across restarts. *)
 
 module Time = Newt_sim.Time
 module Stats = Newt_sim.Stats
@@ -222,7 +222,3 @@ val archive_add : t -> string -> int -> unit
 
 val archived : t -> string -> int
 (** Total banked across all dead incarnations. *)
-
-val lifetime : t -> string -> int
-(** [archived t key] plus the live counter of the same name in
-    [stats t]: a total that survives restarts without double-counting. *)

@@ -95,7 +95,8 @@ type t = {
   mutable pf : pf_set option;
   mutable to_tcp : fanout option;
   mutable to_udp : fanout option;
-  held_bufs : (Rich_ptr.t, [ `Tcp | `Udp ] * int) Hashtbl.t;
+  held_bufs : (int, Rich_ptr.t * ([ `Tcp | `Udp ] * int)) Hashtbl.t;
+      (* Receive-pool frames lent to a transport shard, by slot. *)
   mutable resubmit_pf : pending list;
   mutable resubmit_drv : pending list;
   mutable ident : int;
@@ -342,10 +343,10 @@ let deliver t ~fanout:fan ~tag ~buf ~l4_off ~l4_len ~src ~dst ~sport ~dport =
       | Some chan -> (
           match Pool.sub_ptr buf ~off:l4_off ~len:l4_len with
           | sub ->
-              Hashtbl.replace t.held_bufs buf (tag, shard);
+              Hashtbl.replace t.held_bufs buf.Rich_ptr.slot (buf, (tag, shard));
               if not (Proc.send t.proc chan (Msg.Rx_deliver { buf = sub; src; dst }))
               then begin
-                Hashtbl.remove t.held_bufs buf;
+                Hashtbl.remove t.held_bufs buf.Rich_ptr.slot;
                 free_rx t buf
               end
           | exception Invalid_argument _ -> free_rx t buf))
@@ -491,21 +492,14 @@ let complete_drv_confirm t id ok =
 
 (* Release the whole receive-pool frame backing [buf] (a sub-pointer a
    transport was handed and is now done with). *)
-let release_held t buf =
-  let found = ref None in
-  Hashtbl.iter
-    (fun (b : Rich_ptr.t) _ ->
-      if b.Rich_ptr.pool = buf.Rich_ptr.pool
-         && b.Rich_ptr.slot = buf.Rich_ptr.slot
-         && b.Rich_ptr.gen = buf.Rich_ptr.gen
-      then found := Some b)
-    t.held_bufs;
-  match !found with
-  | Some b ->
-      Hashtbl.remove t.held_bufs b;
+let release_held t (buf : Rich_ptr.t) =
+  match Hashtbl.find_opt t.held_bufs buf.slot with
+  | Some (b, _) when b.Rich_ptr.pool = buf.pool && b.Rich_ptr.gen = buf.gen ->
+      Hashtbl.remove t.held_bufs buf.slot;
       free_rx t b
-  | None ->
-      (* Unknown buffer — a stale free from before our restart. *)
+  | Some _ | None ->
+      (* Unknown buffer — a stale free from before our restart, or from
+         an earlier owner of a slot since freed and reallocated. *)
       ()
 
 (* [source] identifies which channel a message arrived on — each
@@ -815,12 +809,12 @@ let on_drv_restart t ~iface:i =
 let free_held t ~keep =
   let doomed =
     Hashtbl.fold
-      (fun b owner acc -> if not (keep owner) then b :: acc else acc)
+      (fun slot (b, owner) acc -> if not (keep owner) then (slot, b) :: acc else acc)
       t.held_bufs []
   in
   List.iter
-    (fun b ->
-      Hashtbl.remove t.held_bufs b;
+    (fun (slot, b) ->
+      Hashtbl.remove t.held_bufs slot;
       free_rx t b)
     doomed
 

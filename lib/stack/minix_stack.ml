@@ -221,7 +221,7 @@ let start_iperf t ~dst ~port ~until =
           Cpu.exec t.core ~proc:inet_pid
             ~cost:(Costs.copy_cost c t.write_size)
             (fun () ->
-              let accepted = Tcp.send pcb (Bytes.make t.write_size 'm') in
+              let accepted = Tcp.send pcb (Bytes.make t.write_size 'm') ~off:0 ~len:t.write_size in
               t.bytes_sent <- t.bytes_sent + accepted;
               if accepted > 0 then pump ()
               (* Buffer full: the app blocks until space frees. *)))

@@ -83,17 +83,3 @@ let protocol = function
   | Sock_req _ | Sock_reply _ | Sock_event _ ->
       `Other
 
-let describe = function
-  | Tx_ip _ -> "tx_ip"
-  | Tx_ip_confirm _ -> "tx_ip_confirm"
-  | Filter_req _ -> "filter_req"
-  | Filter_verdict _ -> "filter_verdict"
-  | Drv_tx _ -> "drv_tx"
-  | Drv_tx_confirm _ -> "drv_tx_confirm"
-  | Drv_tx_confirm_batch _ -> "drv_tx_confirm_batch"
-  | Rx_frame _ -> "rx_frame"
-  | Rx_deliver _ -> "rx_deliver"
-  | Rx_done _ -> "rx_done"
-  | Sock_req _ -> "sock_req"
-  | Sock_reply _ -> "sock_reply"
-  | Sock_event _ -> "sock_event"

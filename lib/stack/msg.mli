@@ -109,9 +109,6 @@ type t =
   (* Transport -> SYSCALL: unsolicited events (accepted conn, data). *)
   | Sock_event of { sock : socket_id; event : [ `Readable | `Writable | `Closed ] }
 
-val describe : t -> string
-(** Short tag for traces. *)
-
 val protocol : t -> [ `Req of int | `Conf of int list | `Other ]
 (** Classify a message for the dynamic protocol checker: [`Req id] if
     it carries a request-database id that expects a confirm, [`Conf

@@ -144,7 +144,6 @@ let rec drain t =
     match find [] t.rx with
     | None -> t.draining <- false
     | Some (chan, msg, handler) ->
-        Stats.incr t.stats ("rx." ^ Msg.describe msg);
         if Hook.enabled () then
           Hook.with_actor ~epoch:t.incarnation t.name (fun () ->
               emit_transfers chan msg (fun ~chan ~ptr ->
@@ -209,7 +208,6 @@ let set_send_overhead f = send_overhead := f
 
 let send t chan msg =
   (match !send_overhead with Some f -> f () | None -> ());
-  Stats.incr t.stats ("tx." ^ Msg.describe msg);
   emit_transfers chan msg (fun ~chan ~ptr -> Hook.Chan_handoff { chan; ptr });
   emit_protocol chan msg `Sent;
   let ok = Sim_chan.send chan msg in

@@ -211,7 +211,7 @@ let progress t s =
       | Some pcb ->
           let remaining = Bytes.length data - ps.off in
           if remaining > 0 then
-            ps.off <- ps.off + Tcp.send pcb (Bytes.sub data ps.off remaining);
+            ps.off <- ps.off + Tcp.send pcb data ~off:ps.off ~len:remaining;
           if ps.off >= Bytes.length data then begin
             s.op <- P_none;
             reply t req (Msg.Ok_sent ps.off)

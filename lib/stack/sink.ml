@@ -237,7 +237,8 @@ let serve_tcp_echo t ~port =
           match ev with
           | Tcp.Readable ->
               let data = Tcp.recv pcb ~max:1_000_000 in
-              if Bytes.length data > 0 then ignore (Tcp.send pcb data);
+              if Bytes.length data > 0 then
+                ignore (Tcp.send pcb data ~off:0 ~len:(Bytes.length data));
               if Tcp.recv_eof pcb then Tcp.close pcb
           | Tcp.Connected | Tcp.Accepted | Tcp.Writable | Tcp.Closed_normally
           | Tcp.Reset ->

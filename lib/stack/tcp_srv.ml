@@ -146,7 +146,7 @@ let emit_segment t ~src ~dst (hdr : Tcp_wire.header) ~payload =
                       free_chain t acc;
                       None
                   | ptr ->
-                      Pool.write t.pool ptr ~src:(Bytes.sub payload off len) ~src_off:0;
+                      Pool.write t.pool ptr ~src:payload ~src_off:off;
                       chunks (off + len) (ptr :: acc)
               in
               chunks 0 []
@@ -287,12 +287,8 @@ let rec progress t s =
       match s.pcb with
       | Some pcb ->
           let remaining = Bytes.length data - ps.off in
-          if remaining > 0 then begin
-            let accepted =
-              Tcp.send pcb (Bytes.sub data ps.off remaining)
-            in
-            ps.off <- ps.off + accepted
-          end;
+          if remaining > 0 then
+            ps.off <- ps.off + Tcp.send pcb data ~off:ps.off ~len:remaining;
           if ps.off >= Bytes.length data then begin
             s.op <- P_none;
             reply t req (Msg.Ok_sent ps.off)

@@ -176,7 +176,7 @@ let send_datagram ?to_ t s data =
       (* Zero-copy split: 8-byte header chunk + payload chunk. *)
       let alloc_write b off len =
         let ptr = Pool.alloc t.pool ~len in
-        Pool.write t.pool ptr ~src:(Bytes.sub b off len) ~src_off:0;
+        Pool.write t.pool ptr ~src:b ~src_off:off;
         ptr
       in
       match alloc_write dg 0 Udp.header_size with

@@ -46,7 +46,7 @@ let test_inbound_accept_and_echo () =
   let pcb = Sink.connect peer ~dst:(Host.local_addr h 0) ~dst_port:22 in
   Tcp.set_handler pcb (fun ev ->
       match ev with
-      | Tcp.Connected -> ignore (Tcp.send pcb (Bytes.of_string "hello newtos"))
+      | Tcp.Connected -> ignore (Tcp.send pcb (Bytes.of_string "hello newtos") ~off:0 ~len:12)
       | Tcp.Readable -> got_echo := Bytes.to_string (Tcp.recv pcb ~max:100)
       | _ -> ());
   Host.run h ~until:(sec 1.0);
@@ -723,7 +723,9 @@ let test_half_close_request_response () =
           | Tcp.Readable ->
               total_in := !total_in + Bytes.length (Tcp.recv pcb ~max:1_000_000);
               if Tcp.recv_eof pcb then begin
-                ignore (Tcp.send pcb (Bytes.of_string (string_of_int !total_in)));
+                ignore
+                  (Tcp.send pcb (Bytes.of_string (string_of_int !total_in)) ~off:0
+                     ~len:(String.length (string_of_int !total_in)));
                 Tcp.close pcb
               end
           | _ -> ()));
@@ -793,7 +795,7 @@ let test_inbound_bulk_throughput () =
   let pump pcb =
     let continue = ref true in
     while !continue && Newt_sim.Engine.now (Host.engine h) < sec 1.1 do
-      let n = Tcp.send pcb (Bytes.make 8192 'z') in
+      let n = Tcp.send pcb (Bytes.make 8192 'z') ~off:0 ~len:8192 in
       sent := !sent + n;
       if n = 0 then continue := false
     done
@@ -951,6 +953,60 @@ let test_closed_sockets_retired () =
   Alcotest.(check int) "tcp table: listener + bulk" 2
     (Newt_stack.Tcp_srv.socket_count (Host.tcp_srv h))
 
+(* One application write larger than the socket's send buffer: the
+   TCP server accepts it piece by piece, on the Writable events that
+   ACKs produce, and must hand the peer every byte exactly once. *)
+let test_tcp_srv_write_spans_writable_events () =
+  let tcp_config = { Tcp.default_config with Tcp.snd_buf = 2048 } in
+  let h =
+    Host.create ~config:{ Host.default_config with Host.seed = 42; tcp_config = Some tcp_config } ()
+  in
+  let received = Buffer.create 8192 in
+  Tcp.listen (Sink.tcp (Host.sink h 0)) ~port:5003 ~on_accept:(fun pcb ->
+      Tcp.set_handler pcb (fun ev ->
+          if ev = Tcp.Readable then Buffer.add_bytes received (Tcp.recv pcb ~max:1_000_000)));
+  let data = Bytes.init 8192 (fun i -> Char.chr (((i * 7) + (i / 256)) land 0xff)) in
+  let result = ref None in
+  Socket_api.tcp_socket (Host.sc h) (Host.app h) (fun conn ->
+      Socket_api.connect conn ~dst:(Host.sink_addr h 0) ~port:5003 (function
+        | `Ok -> Socket_api.send conn data (fun r -> result := Some r)
+        | `Error e -> Alcotest.fail e));
+  Host.run h ~until:(sec 0.5);
+  (match !result with
+  | Some (`Sent n) -> Alcotest.(check int) "the whole write accepted" 8192 n
+  | Some (`Error e) -> Alcotest.fail e
+  | None -> Alcotest.fail "the write never completed");
+  Alcotest.(check int) "each byte once" 8192 (Buffer.length received);
+  Alcotest.(check bool) "in order" true
+    (String.equal (Buffer.contents received) (Bytes.to_string data))
+
+(* The data path forwards payload without re-copying it into fresh
+   heap blocks: iperf shares one write buffer, TCP queues windows of
+   it, and segments are written into pool slots straight from the send
+   buffer. Blocks too large for the minor heap (an 8 KiB copy of a
+   write, say) go straight to the major heap; over a bulk run they
+   must stay below one word per payload word delivered. *)
+let test_bulk_allocates_no_payload_copies () =
+  let h = make_host () in
+  let received = ref 0 in
+  Sink.sink_tcp (Host.sink h 0) ~port:5001 ~on_bytes:(fun ~at:_ n -> received := !received + n);
+  let _ =
+    Apps.Iperf.start (Host.machine h) ~sc:(Host.sc h) ~app:(Host.app h)
+      ~dst:(Host.sink_addr h 0) ~port:5001 ~until:(sec 0.05) ()
+  in
+  let before = Gc.quick_stat () in
+  Host.run h ~until:(sec 0.05);
+  let after = Gc.quick_stat () in
+  let direct =
+    after.Gc.major_words -. before.Gc.major_words
+    -. (after.Gc.promoted_words -. before.Gc.promoted_words)
+  in
+  let payload_words = float_of_int !received /. float_of_int (Sys.word_size / 8) in
+  Alcotest.(check bool) "payload delivered" true (!received > 1_000_000);
+  Alcotest.(check bool)
+    (Printf.sprintf "direct major words per payload word < 1 (got %.2f)" (direct /. payload_words))
+    true (direct < payload_words)
+
 let suite =
   [
     ("bulk TCP reaches gigabit wire speed", `Quick, test_bulk_throughput_near_wire);
@@ -1019,4 +1075,8 @@ let suite =
     ("closed sockets leave the syscall and tcp tables", `Quick,
       test_closed_sockets_retired);
     ("channel directory + trace log", `Quick, test_channel_directory);
+    ("tcp server takes a write across writable events", `Quick,
+      test_tcp_srv_write_spans_writable_events);
+    ("bulk data path allocates no payload copies", `Quick,
+      test_bulk_allocates_no_payload_copies);
   ]

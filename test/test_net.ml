@@ -636,6 +636,66 @@ let test_bytebuf_grows_on_use () =
   Alcotest.(check int) "fills to capacity" (cap - 356) (Bytebuf.push b big ~off:0 ~len:cap);
   Alcotest.(check int) "clamped at capacity" cap (Bytebuf.resident b)
 
+(* {2 Header codecs against the octet reference}
+
+   Ethernet and ARP write MAC addresses with [Addr.Mac.write]/[read].
+   The reference is the octet view: every MAC field on the wire must
+   hold [Addr.Mac.to_octets] of the address, and decoding must give
+   back addresses whose octets are the ones generated. *)
+
+let gen_octets = QCheck2.Gen.(array_size (return 6) (int_bound 255))
+
+let octets_at b off = Array.init 6 (fun i -> Char.code (Bytes.get b (off + i)))
+
+let test_ethernet_header_codec =
+  qtest "ethernet header matches the octet reference"
+    QCheck2.Gen.(quad gen_octets gen_octets (int_bound 0xffff) (int_bound 20))
+    (fun (dst, src, code, off) ->
+      let h =
+        {
+          Ethernet.dst = Addr.Mac.of_octets dst;
+          src = Addr.Mac.of_octets src;
+          ethertype = Ethernet.Unknown code;
+        }
+      in
+      let b = Bytes.make (off + Ethernet.header_size) '\x5a' in
+      Ethernet.encode_header h b ~off;
+      octets_at b off = dst
+      && octets_at b (off + 6) = src
+      &&
+      match Ethernet.decode_header b ~off with
+      | Some h' ->
+          Addr.Mac.to_octets h'.Ethernet.dst = dst
+          && Addr.Mac.to_octets h'.Ethernet.src = src
+          && Ethernet.ethertype_code h'.Ethernet.ethertype = code
+      | None -> false)
+
+let test_arp_packet_codec =
+  qtest "arp packet matches the octet reference"
+    QCheck2.Gen.(quad bool gen_octets gen_octets (pair int32 int32))
+    (fun (request, sender, target, (sip, tip)) ->
+      let p =
+        {
+          Arp.op = (if request then Arp.Request else Arp.Reply);
+          sender_mac = Addr.Mac.of_octets sender;
+          sender_ip = Addr.Ipv4.of_int32 sip;
+          target_mac = Addr.Mac.of_octets target;
+          target_ip = Addr.Ipv4.of_int32 tip;
+        }
+      in
+      let b = Arp.encode p in
+      octets_at b 8 = sender
+      && octets_at b 18 = target
+      &&
+      match Arp.decode b with
+      | Some p' ->
+          p'.Arp.op = p.Arp.op
+          && Addr.Mac.to_octets p'.Arp.sender_mac = sender
+          && Addr.Mac.to_octets p'.Arp.target_mac = target
+          && Addr.Ipv4.equal p'.Arp.sender_ip p.Arp.sender_ip
+          && Addr.Ipv4.equal p'.Arp.target_ip p.Arp.target_ip
+      | None -> false)
+
 let suite =
   [
     ("ipv4 address parse/print", `Quick, test_ipv4_roundtrip);
@@ -647,6 +707,8 @@ let suite =
     ("ethernet frame roundtrip", `Quick, test_ethernet_roundtrip);
     ("ethernet runt frame rejected", `Quick, test_ethernet_runt);
     ("arp packet roundtrip", `Quick, test_arp_roundtrip);
+    test_ethernet_header_codec;
+    test_arp_packet_codec;
     ("arp cache resolves with callbacks", `Quick, test_arp_cache_resolution);
     ("arp cache answers requests for our ip", `Quick, test_arp_cache_answers_requests);
     ("arp pending queue is bounded", `Quick, test_arp_pending_overflow_drops);

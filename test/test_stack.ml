@@ -187,6 +187,175 @@ let test_capacity_cost_sensitivity () =
   in
   Alcotest.(check bool) "expensive IPC slows the split stack" true (slow < fast *. 0.7)
 
+
+(* {2 IP server: receive frames lent to transport shards}
+
+   The test is IP's driver and both transport shards. [inject ~sport]
+   DMA-writes a TCP frame into a fresh receive-pool slot and hands it
+   to IP; IP lends it to shard [sport mod 2] as a sub-pointer to the
+   TCP segment, which [lent] collects. A transport returns a frame
+   with [Rx_done] on its own channel. *)
+
+module Ip_srv = Newt_stack.Ip_srv
+module Component = Newt_stack.Component
+module Registry = Newt_channels.Registry
+module Rich_ptr = Newt_channels.Rich_ptr
+module Pool = Newt_channels.Pool
+module Addr = Newt_net.Addr
+
+type ip_rig = {
+  ip : Ip_srv.t;
+  registry : Registry.t;
+  inject : sport:int -> Rich_ptr.t;  (* the frame's whole-slot pointer *)
+  lent : shard:int -> Rich_ptr.t list;  (* newest first *)
+  rx_done : shard:int -> Rich_ptr.t -> unit;
+}
+
+let make_ip_rig () =
+  let engine, m = make_world () in
+  let comp = Component.create m ~name:"ip" ~core:(Machine.add_dedicated_core m) () in
+  let registry = Registry.create () in
+  let store = Hashtbl.create 4 in
+  let ip =
+    Ip_srv.create comp ~registry ~save:(Hashtbl.replace store) ~load:(Hashtbl.find_opt store) ()
+  in
+  let next_id = ref 9000 in
+  let chan () =
+    incr next_id;
+    Sim_chan.create ~capacity:64 ~id:!next_id ()
+  in
+  let dma = ref None in
+  let hooks =
+    {
+      Ip_srv.drv_connect = (fun ~rx_from_ip:_ ~tx_to_ip:_ -> ());
+      drv_grant_rx_pool = (fun ~alloc ~write -> dma := Some (alloc, write));
+      drv_on_ip_crash = ignore;
+      drv_on_ip_restart = ignore;
+    }
+  in
+  let local = Addr.Ipv4.v 10 0 0 1 and peer = Addr.Ipv4.v 10 0 0 2 in
+  let rx_chan = chan () in
+  ignore
+    (Ip_srv.add_iface_custom ip
+       { Ip_srv.addr = local; netmask_bits = 24; mac = Addr.Mac.of_index 1 }
+       ~hooks ~tx_chan:(chan ()) ~rx_chan);
+  let pairs = Array.init 2 (fun _ -> (chan (), chan ())) in
+  Ip_srv.connect_transport_sharded ip ~proto:`Tcp
+    ~steer:(fun ~src:_ ~sport ~dst:_ ~dport:_ -> sport mod 2)
+    ~pairs;
+  let lent = Array.make 2 [] in
+  let settle () =
+    Engine.run engine;
+    Array.iteri
+      (fun i (_, to_transport) ->
+        let rec drain () =
+          match Sim_chan.recv to_transport with
+          | Some (Msg.Rx_deliver { buf; _ }) ->
+              lent.(i) <- buf :: lent.(i);
+              drain ()
+          | Some _ -> drain ()
+          | None -> ()
+        in
+        drain ())
+      pairs
+  in
+  let inject ~sport =
+    let alloc, write = Option.get !dma in
+    let seg =
+      Newt_net.Tcp_wire.encode ~src:peer ~dst:local
+        {
+          Newt_net.Tcp_wire.src_port = sport;
+          dst_port = 80;
+          seq = 1;
+          ack = 1;
+          flags = Newt_net.Tcp_wire.flag_ack;
+          window = 1000;
+          mss = None;
+          wscale = None;
+        }
+        ~payload:(Bytes.make 100 'x')
+    in
+    let pkt =
+      Newt_net.Ipv4.packet
+        {
+          Newt_net.Ipv4.src = peer;
+          dst = local;
+          protocol = Newt_net.Ipv4.Tcp;
+          ttl = 64;
+          ident = 0;
+          total_len = 0;
+        }
+        ~payload:seg
+    in
+    let frame =
+      Newt_net.Ethernet.frame
+        {
+          Newt_net.Ethernet.dst = Addr.Mac.of_index 1;
+          src = Addr.Mac.of_index 2;
+          ethertype = Newt_net.Ethernet.Ipv4;
+        }
+        ~payload:pkt
+    in
+    let buf = Option.get (alloc ()) in
+    write buf frame;
+    assert (Sim_chan.send rx_chan (Msg.Rx_frame { buf; len = Bytes.length frame }));
+    settle ();
+    buf
+  in
+  let rx_done ~shard buf =
+    assert (Sim_chan.send (fst pairs.(shard)) (Msg.Rx_done { buf }));
+    settle ()
+  in
+  { ip; registry; inject; lent = (fun ~shard -> lent.(shard)); rx_done }
+
+let live rig ptr =
+  match Registry.read rig.registry ptr with
+  | _ -> true
+  | exception (Pool.Stale_pointer _ | Registry.Unknown_pool _) -> false
+
+let test_ip_rx_done_frees_exactly_its_frame () =
+  let rig = make_ip_rig () in
+  let frame_a = rig.inject ~sport:1000 and frame_b = rig.inject ~sport:1002 in
+  let sub_b, sub_a =
+    match rig.lent ~shard:0 with
+    | [ b; a ] -> (b, a)
+    | _ -> Alcotest.fail "two frames lent to shard 0"
+  in
+  Alcotest.(check bool) "a sub-pointer, not the whole frame" true (sub_a.Rich_ptr.off > 0);
+  Alcotest.(check int) "both frames held" 2 (Ip_srv.rx_pool_in_use rig.ip);
+  rig.rx_done ~shard:0 sub_a;
+  Alcotest.(check int) "one frame freed" 1 (Ip_srv.rx_pool_in_use rig.ip);
+  Alcotest.(check bool) "its frame is gone" false (live rig frame_a);
+  Alcotest.(check bool) "the other frame is untouched" true (live rig sub_b && live rig frame_b)
+
+let test_ip_stale_rx_done_ignored () =
+  (* A slot freed and reallocated to a new frame: an Rx_done carrying
+     the old generation must not free the new owner's frame. *)
+  let rig = make_ip_rig () in
+  let old_frame = rig.inject ~sport:1000 in
+  let old_sub = List.hd (rig.lent ~shard:0) in
+  rig.rx_done ~shard:0 old_sub;
+  let new_frame = rig.inject ~sport:1000 in
+  let new_sub = List.hd (rig.lent ~shard:0) in
+  Alcotest.(check int) "the slot was reused" old_frame.Rich_ptr.slot new_frame.Rich_ptr.slot;
+  Alcotest.(check bool) "under a new generation" true
+    (new_frame.Rich_ptr.gen <> old_frame.Rich_ptr.gen);
+  rig.rx_done ~shard:0 old_sub;
+  Alcotest.(check int) "the new frame is still held" 1 (Ip_srv.rx_pool_in_use rig.ip);
+  Alcotest.(check bool) "and still readable" true (live rig new_sub);
+  rig.rx_done ~shard:0 new_sub;
+  Alcotest.(check int) "the current generation frees it" 0 (Ip_srv.rx_pool_in_use rig.ip)
+
+let test_ip_shard_crash_frees_only_its_frames () =
+  let rig = make_ip_rig () in
+  List.iter (fun sport -> ignore (rig.inject ~sport)) [ 1000; 1001; 1002; 1003; 1005 ];
+  Alcotest.(check (pair int int)) "frames split across the shards" (2, 3)
+    (List.length (rig.lent ~shard:0), List.length (rig.lent ~shard:1));
+  Ip_srv.on_transport_shard_crash rig.ip ~proto:`Tcp ~shard:1;
+  Alcotest.(check int) "shard 1's frames freed" 2 (Ip_srv.rx_pool_in_use rig.ip);
+  Alcotest.(check bool) "shard 0's frames live" true (List.for_all (live rig) (rig.lent ~shard:0));
+  Alcotest.(check bool) "shard 1's frames dead" false (List.exists (live rig) (rig.lent ~shard:1))
+
 let suite =
   [
     ("proc drains channel messages", `Quick, test_proc_drains_messages);
@@ -202,4 +371,7 @@ let suite =
     ("table II split bottleneck is TCP, not IP", `Quick, test_table2_split_bottleneck_is_tcp);
     ("wire goodput accounting", `Quick, test_wire_goodput);
     ("capacity model reacts to IPC cost", `Quick, test_capacity_cost_sensitivity);
+    ("ip rx_done frees exactly its frame", `Quick, test_ip_rx_done_frees_exactly_its_frame);
+    ("ip ignores a stale-generation rx_done", `Quick, test_ip_stale_rx_done_ignored);
+    ("ip shard crash frees only its frames", `Quick, test_ip_shard_crash_frees_only_its_frames);
   ]

@@ -124,7 +124,7 @@ let source_app w ~port ~total =
     while !sent < total && !continue do
       let n = min 8192 (total - !sent) in
       let chunk = Bytes.init n (fun i -> pattern (!sent + i)) in
-      let accepted = Tcp.send pcb chunk in
+      let accepted = Tcp.send pcb chunk ~off:0 ~len:n in
       sent := !sent + accepted;
       if accepted < n then continue := false
     done;
@@ -284,7 +284,7 @@ let test_bidirectional_transfer () =
       let pump pcb =
         while !to_send > 0 && Tcp.send_space pcb > 0 do
           let n = min 4096 !to_send in
-          let accepted = Tcp.send pcb (Bytes.make n 'S') in
+          let accepted = Tcp.send pcb (Bytes.make n 'S') ~off:0 ~len:n in
           to_send := !to_send - accepted;
           if accepted = 0 then to_send := max !to_send 1 (* break below *)
         done
@@ -301,7 +301,7 @@ let test_bidirectional_transfer () =
     let progress = ref true in
     while !to_send > 0 && !progress do
       let n = min 4096 !to_send in
-      let accepted = Tcp.send pcb (Bytes.make n 'C') in
+      let accepted = Tcp.send pcb (Bytes.make n 'C') ~off:0 ~len:n in
       to_send := !to_send - accepted;
       if accepted = 0 then progress := false
     done
@@ -535,6 +535,46 @@ let test_combined_hostile_wire =
       Engine.run ~until:(Time.of_seconds 240.0) w.engine;
       !sent = total && String.equal (Buffer.contents received) (expected_stream total))
 
+(* {2 Send windows}
+
+   [Tcp.send] queues a window of the caller's buffer. Sending windows
+   of one shared buffer must put the same bytes on the wire as sending
+   a fresh copy of each window. *)
+
+(* Stream [windows] of [buf] in order, resuming a partly accepted
+   window on the next Writable event; returns what the peer received.
+   The 4 KiB send buffer splits most windows across several events. *)
+let window_transfer ~send buf windows =
+  let w = make_world ~config_a:{ Tcp.default_config with Tcp.snd_buf = 4096 } () in
+  let received, _eof = sink_app w ~port:80 in
+  let pcb = Tcp.connect w.tcp_a ~src:ip_a ~dst:ip_b ~dst_port:80 () in
+  let pending = ref windows and closed = ref false in
+  let rec pump () =
+    match !pending with
+    | [] -> if not !closed then (closed := true; Tcp.close pcb)
+    | (off, len) :: rest ->
+        let n = send pcb buf ~off ~len in
+        if n = len then (pending := rest; pump ())
+        else pending := (off + n, len - n) :: rest
+  in
+  Tcp.set_handler pcb (fun ev -> if ev = Tcp.Connected || ev = Tcp.Writable then pump ());
+  Engine.run ~until:(Time.of_seconds 30.0) w.engine;
+  Buffer.contents received
+
+let test_send_windows_match_copies =
+  let size = 16384 in
+  qtest "send windows deliver what sending copies delivers"
+    QCheck2.Gen.(list_size (int_range 1 40) (pair (int_bound (size - 1)) (int_bound size)))
+    (fun raw ->
+      let buf = Bytes.init size (fun i -> Char.chr (((i * 13) + (i / 97)) land 0xff)) in
+      let windows = List.map (fun (off, len) -> (off, min len (size - off))) raw in
+      let expected =
+        String.concat "" (List.map (fun (off, len) -> Bytes.sub_string buf off len) windows)
+      in
+      let copy pcb b ~off ~len = Tcp.send pcb (Bytes.sub b off len) ~off:0 ~len in
+      String.equal (window_transfer ~send:Tcp.send buf windows) expected
+      && String.equal (window_transfer ~send:copy buf windows) expected)
+
 let test_simultaneous_close () =
   (* Both ends close at the same moment: FIN crosses FIN; both sides
      traverse CLOSING and reach CLOSED. *)
@@ -573,7 +613,7 @@ let test_half_close_data_after_fin () =
   (match !b_pcb with
   | Some sp ->
       Alcotest.(check bool) "server in CLOSE_WAIT" true (Tcp.state sp = Tcp.Close_wait);
-      ignore (Tcp.send sp (Bytes.of_string "after-your-fin"));
+      ignore (Tcp.send sp (Bytes.of_string "after-your-fin") ~off:0 ~len:14);
       Tcp.close sp
   | None -> Alcotest.fail "not accepted");
   Engine.run ~until:(Time.of_seconds 10.0) w.engine;
@@ -847,4 +887,5 @@ let suite =
     test_random_reordering;
     test_random_duplication;
     test_combined_hostile_wire;
+    test_send_windows_match_copies;
   ]
