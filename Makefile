@@ -56,9 +56,12 @@ model-check-negative: build
 # Race checking, static + dynamic. Static: the native pinning plan
 # must lint clean (every cross-domain edge on a sanctioned primitive)
 # and each planted sabotage must be flagged. Dynamic: a short native
-# run with the vector-clock detector armed must report zero races, and
-# each --break-race mode must exit 1 through the detector with a
-# trace-carrying counterexample. --allow-oversubscribe keeps the gate
+# run with the vector-clock detector armed must report zero races,
+# also sampled at 1/16 with the TCP checker alongside (sampling may
+# hide a violation but must never invent one), and each --break-race
+# mode must exit 1 through the detector with a trace-carrying
+# counterexample (unsampled). The hook micro-benchmark must show its
+# sampled run keeping some accesses but not all. --allow-oversubscribe keeps the gate
 # meaningful on 1-core CI boxes: the detector checks ordering, not
 # parallelism, so time-sliced domains are fine.
 race-check: build
@@ -75,6 +78,11 @@ race-check: build
 	dune exec bin/newtos_sim.exe -- native --domains 2 --seconds 0.6 \
 	    --allow-oversubscribe --race --json > _race_run.json
 	grep -q '"races":0' _race_run.json
+	dune exec bin/newtos_sim.exe -- native --domains 2 --seconds 0.6 \
+	    --allow-oversubscribe --race --tcp-fsm --verify-sample 16 --json \
+	    > _race_run.json
+	grep -q '"races":0' _race_run.json
+	grep -q '"tcpfsm":{"component":"tcp-fsm","ok":true' _race_run.json
 	! dune exec bin/newtos_sim.exe -- native --domains 2 --seconds 0.6 \
 	    --allow-oversubscribe --break-race spsc:two-producers --json \
 	    > _race_run.json
@@ -85,7 +93,9 @@ race-check: build
 	    > _race_run.json
 	grep -q '"ok":false' _race_run.json
 	rm -f _race_run.json
-	dune exec bench/main.exe -- micro-hook | grep -q '"hook_native"'
+	dune exec bench/main.exe -- micro-hook | python3 -c 'import json, sys; \
+	    h = [json.loads(l)["hook_native"] for l in sys.stdin if l.startswith("{")][0]; \
+	    assert 0 < h["accesses_kept"] < h["accesses_seen"], h'
 
 # TCP conformance checking, both polarities. Positive: the rule table
 # lints total/deterministic/no-dead-rules, and the fig4/fig5 crash

@@ -514,10 +514,11 @@ let print_scaling () =
 
    The sampled-instrumentation budget of the race detector: what one
    [Hook.native_access] costs disarmed (the production no-op), armed
-   at sample 1 (every access delivered) and armed at sample 256 (one
-   atomic add + mask test on the skip path), plus one delivered sync
-   event. The JSON line feeds the bench-smoke gate and the overhead
-   table in EXPERIMENTS.md. *)
+   at sample 1 (every access delivered) and armed at sample 256 (the
+   location hash and mask test on the skip path), plus one delivered
+   sync event. Every access names a distinct location, so sample 256
+   keeps about one in 256 of them. The JSON line feeds the race-check
+   gate and the overhead table in EXPERIMENTS.md. *)
 let print_micro_hook () =
   let module Hook = Newt_channels.Hook in
   let n = 2_000_000 in
@@ -527,27 +528,26 @@ let print_micro_hook () =
     (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int n
   in
   let accesses n =
-    for _ = 1 to n do
-      Hook.native_access Hook.N_counter ~id:1 ~sub:0 ~write:true
+    for i = 1 to n do
+      Hook.native_access Hook.N_counter ~id:1 ~sub:i ~write:true
     done
   in
   let sink = ref 0 in
+  let armed sample f =
+    Hook.set_sample sample;
+    let tok = Hook.native_add (fun _ -> incr sink) in
+    Fun.protect ~finally:(fun () -> Hook.remove tok) (fun () -> time_ns f)
+  in
   let disarmed = time_ns accesses in
-  Hook.set_native ~sample:1 (fun _ -> incr sink);
-  let every = time_ns accesses in
-  Hook.clear_native ();
-  Hook.set_native ~sample:256 (fun _ -> incr sink);
-  let sampled = time_ns accesses in
-  let seen, kept = Hook.native_access_counts () in
-  Hook.clear_native ();
-  Hook.set_native ~sample:1 (fun _ -> incr sink);
+  let every = armed 1 accesses in
+  let sampled = armed 256 accesses in
+  let seen, kept = Hook.counts Hook.Native in
   let sync =
-    time_ns (fun n ->
+    armed 1 (fun n ->
         for _ = 1 to n do
           Hook.native_emit (Hook.N_post { loop = 0 })
         done)
   in
-  Hook.clear_native ();
   print_endline "micro-hook — native race hook, cost per operation";
   print_endline "=================================================";
   Printf.printf "  access, disarmed:       %6.1f ns\n" disarmed;

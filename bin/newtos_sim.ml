@@ -84,19 +84,15 @@ let with_tcpfsm ?(quiet = false) enabled f =
     if not (V.Report.ok report) then exit 1
   end
 
-(* Run [f] with the simulator's verification hooks sampled one subject
-   in [n] (pool slots, request ids, TCP connections; clock-critical
-   events are never sampled out), restoring full fidelity after. *)
+(* Run [f] with the verification hooks sampled one subject in [n]
+   (pool slots, request ids, native locations, TCP connections;
+   clock-critical events are never sampled out), restoring full
+   fidelity after. *)
 let with_sample n f =
   if n <= 1 then f ()
   else begin
-    Newt_channels.Hook.set_sim_sample n;
-    Newt_channels.Hook.set_tcp_sample n;
-    Fun.protect
-      ~finally:(fun () ->
-        Newt_channels.Hook.set_sim_sample 1;
-        Newt_channels.Hook.set_tcp_sample 1)
-      f
+    Newt_channels.Hook.set_sample n;
+    Fun.protect ~finally:(fun () -> Newt_channels.Hook.set_sample 1) f
   end
 
 (* Run [f] with a continuous-verification aggregator when requested:
@@ -612,8 +608,8 @@ let print_native_result (r : R.Native.result) =
     r.R.Native.loops
 
 let run_native domains seconds seed json skip_unsupported allow_oversub
-    write_size spin_budget never_park confirm_batch overhead race race_sample
-    break_race tcp_fsm break_tcp =
+    write_size spin_budget never_park confirm_batch overhead race break_race
+    tcp_fsm break_tcp sample =
   let recommended = Domain.recommended_domain_count () in
   match
     R.Native.validate ~recommended ~allow_oversubscribe:allow_oversub ~domains
@@ -638,13 +634,12 @@ let run_native domains seconds seed json skip_unsupported allow_oversub
           confirm_batch;
           overhead;
           race;
-          race_sample;
           break_race;
           tcp_fsm;
           break_tcp;
         }
       in
-      let r = R.Native.run cfg in
+      let r = with_sample sample (fun () -> R.Native.run cfg) in
       if json then print_endline (R.Native.json_of_result r)
       else print_native_result r;
       (* The checker verdicts decide the exit code (JSON already
@@ -748,10 +743,10 @@ let tcp_fsm_flag =
 let verify_sample =
   let doc =
     "Sample the verification hooks one subject in N (rounded up to a power \
-     of two; 1 checks everything): whole pool slots, request conversations \
-     and TCP connections are kept or dropped together, and clock- and \
-     ownership-critical events are never sampled out — sampling can hide a \
-     violation but never invent one."
+     of two; 1 checks everything): whole pool slots, request conversations, \
+     native memory locations and TCP connections are kept or dropped \
+     together, and clock- and ownership-critical events are never sampled \
+     out — sampling can hide a violation but never invent one."
   in
   Arg.(value & opt int 1 & info [ "verify-sample" ] ~docv:"N" ~doc)
 
@@ -1199,14 +1194,6 @@ let native_cmd =
     in
     Arg.(value & flag & info [ "race" ] ~doc)
   in
-  let race_sample =
-    let doc =
-      "Detector sampling period (rounded up to a power of two; 1 checks \
-       every access). Only the access checks are sampled — clock joins \
-       never are, so sampling can hide a race but never invent one."
-    in
-    Arg.(value & opt int 1 & info [ "race-sample" ] ~docv:"N" ~doc)
-  in
   Cmd.v
     (Cmd.info "native"
        ~doc:
@@ -1222,8 +1209,8 @@ let native_cmd =
     Term.(
       const run_native $ native_domains $ native_seconds $ seed $ native_json
       $ skip_unsupported $ allow_oversubscribe $ write_size $ spin_budget
-      $ never_park $ confirm_batch $ overhead $ race $ race_sample
-      $ break_race_arg $ tcp_fsm_flag $ break_tcp_arg)
+      $ never_park $ confirm_batch $ overhead $ race $ break_race_arg
+      $ tcp_fsm_flag $ break_tcp_arg $ verify_sample)
 
 let crossval_cmd =
   Cmd.v

@@ -24,136 +24,6 @@ type event =
 type listener = actor:string option -> event -> unit
 type token = int
 
-(* The chain is an assoc list keyed by token, newest first. Kept as an
-   immutable list so emission iterates a stable snapshot even if a
-   listener adds or removes mid-event. *)
-let chain : (token * listener) list ref = ref []
-let next_token = ref 0
-let current : string option ref = ref None
-let current_epoch : int ref = ref 0
-
-let add f =
-  incr next_token;
-  let tok = !next_token in
-  chain := (tok, f) :: !chain;
-  tok
-
-let remove tok = chain := List.filter (fun (t, _) -> t <> tok) !chain
-
-(* Deprecated one-slot facade: [install] manages a single legacy
-   registration so existing install/uninstall pairs keep working
-   without silently clobbering chain listeners. *)
-let legacy : token option ref = ref None
-
-let install f =
-  (match !legacy with Some tok -> remove tok | None -> ());
-  legacy := Some (add f)
-
-let uninstall () =
-  match !legacy with
-  | Some tok ->
-      remove tok;
-      legacy := None
-  | None -> ()
-
-let enabled () = !chain <> []
-
-(* ------------------------------------------------------------------ *)
-(* Simulator-side sampling.                                           *)
-(*                                                                    *)
-(* The native family below samples by event count; the sim checkers   *)
-(* (sanitizer slot state machines, per-id protocol conversations)     *)
-(* would be incoherent under that — seeing an alloc but not the free  *)
-(* reads as a leak. So the sim samples by {e subject}: a slot or a    *)
-(* request id is either fully observed or fully invisible, decided by *)
-(* its hash. Dropping a whole subject can only hide a violation,      *)
-(* never invent one. Table-wide and violation events are never        *)
-(* sampled: they reset or condemn state the kept subjects share.      *)
-(* ------------------------------------------------------------------ *)
-
-let sim_sample_mask = ref 0
-let sim_seen = ref 0
-let sim_kept = ref 0
-
-let pow2_mask sample =
-  let sample = max 1 sample in
-  let rec pow2 p = if p >= sample then p else pow2 (p * 2) in
-  pow2 1 - 1
-
-let set_sim_sample sample =
-  sim_sample_mask := pow2_mask sample;
-  sim_seen := 0;
-  sim_kept := 0
-
-let sim_sample () = !sim_sample_mask + 1
-let sim_sample_counts () = (!sim_seen, !sim_kept)
-
-(* The subject hash, or [None] for events that must always be
-   delivered: ownership declarations and wholesale resets
-   (clock-critical — they scope every kept subject) and the
-   already-detected violations (sampling out a detection would be
-   absurd). Request/confirm events key on the id alone so the submit,
-   the wire messages and the confirm of one conversation stand or
-   fall together even across db/chan instances. *)
-let subject_hash = function
-  | Pool_own _ | Pool_grant _ | Pool_free_all _ | Req_reset _
-  | Pool_double_free _ | Pool_stale _ ->
-      None
-  | Pool_alloc { pool; slot; _ }
-  | Pool_write { pool; slot; _ }
-  | Pool_read { pool; slot; _ }
-  | Pool_free { pool; slot; _ } ->
-      Some (Hashtbl.hash (pool, slot))
-  | Chan_handoff { ptr; _ } | Chan_receive { ptr; _ } | Chan_dropped { ptr; _ }
-    ->
-      Some (Hashtbl.hash (ptr.Rich_ptr.pool, ptr.Rich_ptr.slot))
-  | Req_submit { id; _ } | Req_confirm { id; _ } | Req_abort { id; _ }
-  | Msg_req { id; _ } | Msg_conf { id; _ } ->
-      Some (Hashtbl.hash id)
-
-let emit ev =
-  match !chain with
-  | [] -> ()
-  | listeners ->
-      let keep =
-        if !sim_sample_mask = 0 then true
-        else
-          match subject_hash ev with
-          | None -> true
-          | Some h ->
-              incr sim_seen;
-              if h land !sim_sample_mask = 0 then begin
-                incr sim_kept;
-                true
-              end
-              else false
-      in
-      if keep then List.iter (fun (_, f) -> f ~actor:!current ev) listeners
-
-let actor () = !current
-let epoch () = !current_epoch
-
-let with_actor ?epoch name f =
-  let prev = !current and prev_epoch = !current_epoch in
-  current := Some name;
-  (match epoch with Some e -> current_epoch := e | None -> ());
-  Fun.protect
-    ~finally:(fun () ->
-      current := prev;
-      current_epoch := prev_epoch)
-    f
-
-(* ------------------------------------------------------------------ *)
-(* Native event family.                                               *)
-(*                                                                    *)
-(* The sim chain above is single-threaded state (plain refs, an       *)
-(* actor stack); native domains must never touch it. The native       *)
-(* family is a separate, thread-safe hook: exactly one listener held  *)
-(* in an Atomic, no actor attribution (the emitting domain IS the     *)
-(* actor), and a sampled access path so a race detector can ride long *)
-(* runs at a stated fraction of full cost.                            *)
-(* ------------------------------------------------------------------ *)
-
 type nkind = N_pool_slot | N_counter
 
 type nevent =
@@ -168,61 +38,6 @@ type nevent =
   | N_spawn_fence
   | N_lock of { lock : int; acquire : bool }
   | N_access of { kind : nkind; id : int; sub : int; write : bool }
-
-let native_listener : (nevent -> unit) option Atomic.t = Atomic.make None
-
-(* [sample_mask + 1] is the sampling period, always a power of two so
-   the keep/skip decision is one AND. Mask 0 = keep everything. *)
-let native_sample_mask = Atomic.make 0
-let native_seen = Atomic.make 0
-let native_kept = Atomic.make 0
-
-let set_native ?(sample = 1) f =
-  let sample = max 1 sample in
-  let rec pow2 p = if p >= sample then p else pow2 (p * 2) in
-  Atomic.set native_sample_mask (pow2 1 - 1);
-  Atomic.set native_seen 0;
-  Atomic.set native_kept 0;
-  Atomic.set native_listener (Some f)
-
-let clear_native () = Atomic.set native_listener None
-let native_enabled () = Atomic.get native_listener <> None
-let native_sample () = Atomic.get native_sample_mask + 1
-
-let native_emit ev =
-  match Atomic.get native_listener with None -> () | Some f -> f ev
-
-(* Sampling drops only plain accesses: synchronisation events
-   (ring push/pop, post/park/wake, lock) must always reach the
-   listener or a happens-before checker would see false races, so
-   those go through [native_emit] unconditionally. Dropping an access
-   can only hide a race, never invent one. *)
-let native_access kind ~id ~sub ~write =
-  match Atomic.get native_listener with
-  | None -> ()
-  | Some f ->
-      let n = Atomic.fetch_and_add native_seen 1 in
-      if n land Atomic.get native_sample_mask = 0 then begin
-        Atomic.incr native_kept;
-        f (N_access { kind; id; sub; write })
-      end
-
-let native_access_counts () =
-  (Atomic.get native_seen, Atomic.get native_kept)
-
-(* ------------------------------------------------------------------ *)
-(* TCP event family.                                                  *)
-(*                                                                    *)
-(* The FSM conformance checker (Newt_verify.Tcpfsm) needs to see      *)
-(* every PCB state transition and every segment a TCP engine sends or *)
-(* receives, in both worlds: the single-threaded simulator (fig4/5,   *)
-(* sharded stack, churn) and the native runtime where the TCP server  *)
-(* and the peer host live on different domains. Events carry only     *)
-(* integers (no Newt_net types — this library sits below the net      *)
-(* layer) and are always local-oriented: [lip]/[lport] name the       *)
-(* emitting engine's end of the connection regardless of direction,   *)
-(* so a checker can key its shadow PCB table uniformly.               *)
-(* ------------------------------------------------------------------ *)
 
 type tcp_flags = { syn : bool; ack : bool; fin : bool; rst : bool; data : bool }
 
@@ -258,70 +73,191 @@ type tcp_event =
       flags : tcp_flags;
     }
 
-(* Sim listeners are a chain like the main family; the native side is
-   one listener in an Atomic. [tcp_emit] feeds both — a sim engine
-   only ever sees the chain populated, a native engine only the
-   Atomic, so the benign cross-domain read of the (empty) chain ref
-   costs nothing and races with nobody. *)
-let tcp_chain : (token * (tcp_event -> unit)) list ref = ref []
+(* {1 The chain}
 
-let tcp_add f =
-  incr next_token;
-  let tok = !next_token in
-  tcp_chain := (tok, f) :: !tcp_chain;
+   One listener list per family, held immutable in an Atomic and
+   replaced by compare-and-set, so emission iterates a stable snapshot
+   (a listener may add or remove mid-event) and registration is safe
+   from any domain. Tokens come from one counter, so [remove] can try
+   every family. Each chain carries its family's sampling counters. *)
+
+type 'f chain = {
+  listeners : (token * 'f) list Atomic.t;
+  seen : int Atomic.t;
+  kept : int Atomic.t;
+}
+
+let chain () =
+  { listeners = Atomic.make []; seen = Atomic.make 0; kept = Atomic.make 0 }
+
+let sim : listener chain = chain ()
+let native : (nevent -> unit) chain = chain ()
+let tcp : (tcp_event -> unit) chain = chain ()
+let next_token = Atomic.make 0
+
+let rec update c f =
+  let old = Atomic.get c.listeners in
+  if not (Atomic.compare_and_set c.listeners old (f old)) then update c f
+
+let register c f =
+  let tok = Atomic.fetch_and_add next_token 1 in
+  update c (fun l -> (tok, f) :: l);
   tok
 
-let tcp_remove tok = tcp_chain := List.filter (fun (t, _) -> t <> tok) !tcp_chain
+let unregister c tok =
+  if List.mem_assoc tok (Atomic.get c.listeners) then
+    update c (List.filter (fun (t, _) -> t <> tok))
 
-let tcp_native : (tcp_event -> unit) option Atomic.t = Atomic.make None
-let set_tcp_native f = Atomic.set tcp_native (Some f)
-let clear_tcp_native () = Atomic.set tcp_native None
-let tcp_enabled () = !tcp_chain <> [] || Atomic.get tcp_native <> None
+let add f = register sim f
+let native_add f = register native f
+let tcp_add f = register tcp f
 
-(* Sampling is per {e connection}, not per event: the checker's shadow
-   state machine for a 4-tuple is only sound if it sees either the
-   whole segment/transition stream of that connection or none of it.
-   The keep decision hashes the 4-tuple, so it is stable across the
-   connection's lifetime and across both directions. *)
-let tcp_sample_mask = Atomic.make 0
-let tcp_seen = Atomic.make 0
-let tcp_kept = Atomic.make 0
+let remove tok =
+  unregister sim tok;
+  unregister native tok;
+  unregister tcp tok
 
-let set_tcp_sample sample =
-  Atomic.set tcp_sample_mask (pow2_mask sample);
-  Atomic.set tcp_seen 0;
-  Atomic.set tcp_kept 0
+let armed c = match Atomic.get c.listeners with [] -> false | _ -> true
+let enabled () = armed sim
+let native_enabled () = armed native
+let tcp_enabled () = armed tcp
 
-let tcp_sample () = Atomic.get tcp_sample_mask + 1
+(* A closure over [ev] would allocate on every delivery. *)
+let rec deliver ev = function
+  | [] -> ()
+  | (_, f) :: rest ->
+      f ev;
+      deliver ev rest
 
-let tcp_conn_hash ev =
-  let lip, lport, rip, rport =
-    match ev with
-    | T_state_change { lip; lport; rip; rport; _ }
-    | T_seg_tx { lip; lport; rip; rport; _ }
-    | T_seg_rx { lip; lport; rip; rport; _ } ->
-        (lip, lport, rip, rport)
+(* {1 The sampler}
+
+   One process-wide period for every family. A subject is kept or
+   dropped whole, by its hash, so a checker sees either its complete
+   event stream or none of it: dropping a subject can hide a violation
+   but never invent one. [mask + 1] is the period, a power of two so
+   the verdict is one AND; mask 0 keeps everything and counts
+   nothing. *)
+
+let sample_mask = Atomic.make 0
+
+let set_sample n =
+  let n = max 1 n in
+  let rec pow2 p = if p >= n then p else pow2 (p * 2) in
+  Atomic.set sample_mask (pow2 1 - 1);
+  let reset c =
+    Atomic.set c.seen 0;
+    Atomic.set c.kept 0
   in
-  Hashtbl.hash (lip, lport, rip, rport)
+  reset sim;
+  reset native;
+  reset tcp
+
+let sample () = Atomic.get sample_mask + 1
+let subject_kept h = h land Atomic.get sample_mask = 0
+
+(* The counted verdict on a sampleable emission, [mask] non-zero. *)
+let keep c h mask =
+  Atomic.incr c.seen;
+  h land mask = 0
+  && begin
+       Atomic.incr c.kept;
+       true
+     end
+
+type family = Sim | Native | Tcp
+
+let counts fam =
+  let read c = (Atomic.get c.seen, Atomic.get c.kept) in
+  match fam with Sim -> read sim | Native -> read native | Tcp -> read tcp
+
+(* {1 Simulator events} *)
+
+let current : string option ref = ref None
+let current_epoch : int ref = ref 0
+
+(* The subject hash, or [None] for events that must always be
+   delivered: ownership declarations and wholesale resets (they scope
+   every kept subject) and the already-detected violations. A pool
+   slot is one subject across its lifecycle and channel hand-offs; a
+   request id is one across submit, wire messages and confirm, even
+   across db/chan instances. *)
+let subject_hash = function
+  | Pool_own _ | Pool_grant _ | Pool_free_all _ | Req_reset _
+  | Pool_double_free _ | Pool_stale _ ->
+      None
+  | Pool_alloc { pool; slot; _ }
+  | Pool_write { pool; slot; _ }
+  | Pool_read { pool; slot; _ }
+  | Pool_free { pool; slot; _ } ->
+      Some (Hashtbl.hash (pool, slot))
+  | Chan_handoff { ptr; _ } | Chan_receive { ptr; _ } | Chan_dropped { ptr; _ }
+    ->
+      Some (Hashtbl.hash (ptr.Rich_ptr.pool, ptr.Rich_ptr.slot))
+  | Req_submit { id; _ } | Req_confirm { id; _ } | Req_abort { id; _ }
+  | Msg_req { id; _ } | Msg_conf { id; _ } ->
+      Some (Hashtbl.hash id)
+
+let emit ev =
+  match Atomic.get sim.listeners with
+  | [] -> ()
+  | listeners ->
+      let mask = Atomic.get sample_mask in
+      if
+        mask = 0
+        ||
+        match subject_hash ev with None -> true | Some h -> keep sim h mask
+      then List.iter (fun (_, f) -> f ~actor:!current ev) listeners
+
+let actor () = !current
+let epoch () = !current_epoch
+
+let with_actor ?epoch name f =
+  let prev = !current and prev_epoch = !current_epoch in
+  current := Some name;
+  (match epoch with Some e -> current_epoch := e | None -> ());
+  Fun.protect
+    ~finally:(fun () ->
+      current := prev;
+      current_epoch := prev_epoch)
+    f
+
+(* {1 Native events} *)
+
+let native_emit ev =
+  match Atomic.get native.listeners with
+  | [] -> ()
+  | listeners -> deliver ev listeners
+
+(* The subject of an access is its location. An integer mix (murmur3's
+   finalizer, constants cut to 62 bits) rather than [Hashtbl.hash]:
+   this runs on every shared access of every domain and must not
+   allocate. *)
+let location_hash kind id sub =
+  let tag = match kind with N_pool_slot -> 1 | N_counter -> 2 in
+  let h = (((tag * 0x9E3779B1) + id) * 0x85EBCA6B) + sub in
+  let h = (h lxor (h lsr 33)) * 0x3F51AFD7ED558CCD in
+  let h = (h lxor (h lsr 33)) * 0x04CEB9FE1A85EC53 in
+  h lxor (h lsr 33)
+
+let native_access kind ~id ~sub ~write =
+  match Atomic.get native.listeners with
+  | [] -> ()
+  | listeners ->
+      let mask = Atomic.get sample_mask in
+      if mask = 0 || keep native (location_hash kind id sub) mask then
+        deliver (N_access { kind; id; sub; write }) listeners
+
+(* {1 TCP events} *)
+
+let tcp_conn_hash = function
+  | T_state_change { lip; lport; rip; rport; _ }
+  | T_seg_tx { lip; lport; rip; rport; _ }
+  | T_seg_rx { lip; lport; rip; rport; _ } ->
+      Hashtbl.hash (lip, lport, rip, rport)
 
 let tcp_emit ev =
-  let deliver =
-    let mask = Atomic.get tcp_sample_mask in
-    if mask = 0 then true
-    else begin
-      ignore (Atomic.fetch_and_add tcp_seen 1);
-      if tcp_conn_hash ev land mask = 0 then begin
-        Atomic.incr tcp_kept;
-        true
-      end
-      else false
-    end
-  in
-  if deliver then begin
-    (match !tcp_chain with
-    | [] -> ()
-    | listeners -> List.iter (fun (_, f) -> f ev) listeners);
-    match Atomic.get tcp_native with None -> () | Some f -> f ev
-  end
-
-let tcp_sample_counts () = (Atomic.get tcp_seen, Atomic.get tcp_kept)
+  match Atomic.get tcp.listeners with
+  | [] -> ()
+  | listeners ->
+      let mask = Atomic.get sample_mask in
+      if mask = 0 || keep tcp (tcp_conn_hash ev) mask then deliver ev listeners

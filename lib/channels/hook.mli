@@ -6,27 +6,45 @@
     and every slot is reclaimed exactly once — also across crashes,
     where reincarnation reclaims wholesale (Sections V-C/V-D). This
     module is the instrumentation point that makes the discipline
-    observable: {!Pool}, {!Request_db} and the server runtime above
-    emit lifecycle events through a process-wide hook, and checkers
-    such as [Newt_verify.Sanitizer] (slot state machine) and
-    [Newt_verify.Protocol] (per-message-id request/confirm pairing)
-    register listeners to replay them and flag violations with the
-    culprit's identity.
+    observable: {!Pool}, {!Request_db}, the server runtime, the native
+    loops and the TCP engines emit events through a process-wide hook,
+    and checkers such as [Newt_verify.Sanitizer] (slot state machine),
+    [Newt_verify.Protocol] (per-message-id request/confirm pairing),
+    [Newt_verify.Race] (happens-before) and [Newt_verify.Tcpfsm]
+    (RFC-793 conformance) register listeners to replay them and flag
+    violations with the culprit's identity.
 
-    When no listener is registered every emission is a cheap no-op, so
-    production runs pay (almost) nothing.
+    {b Three event families, one registry.} Simulator events
+    ({!event}), native synchronisation and access events ({!nevent})
+    and TCP events ({!tcp_event}) each have a listener chain: {!add},
+    {!native_add} and {!tcp_add} register a listener and return a
+    token, and {!remove} unregisters a token of any family. A chain is
+    an immutable list in an [Atomic] replaced by compare-and-set, so
+    registration is safe from any domain and emission iterates a
+    stable snapshot. Every registered listener sees every delivered
+    event of its family, in unspecified relative order. When a chain is
+    empty its emissions are one load and one compare, so production
+    runs pay (almost) nothing.
 
-    {b Listener chain.} Several checkers run simultaneously, so the
-    hook keeps a chain of listeners: {!add} registers one and returns a
-    token, {!remove} unregisters it. Every registered listener sees
-    every event, in unspecified relative order. The old one-slot
-    {!install}/{!uninstall} pair remains as a deprecated facade over a
-    single legacy chain entry.
+    {b One sampler.} {!set_sample} sets one process-wide period for
+    all three families. Sampling keeps or drops whole {e subjects} by
+    hash: a pool slot or a request id (simulator), a location
+    (native accesses), a connection 4-tuple (TCP). A kept subject's
+    events are all delivered and a dropped subject's none, so every
+    checker's per-subject state stays coherent; dropping a subject can
+    hide a violation but never invent one. Events that scope or order
+    every subject are never sampled: pool ownership and grants,
+    wholesale frees and database resets, already-detected violations,
+    and every native synchronisation event.
 
     {b Actors.} Attribution needs to know {e who} performed an
     operation. The server runtime brackets all work it runs on behalf
-    of a component with {!with_actor}; emissions made outside any
-    bracket (device DMA, test harness code) carry no actor. *)
+    of a component with {!with_actor}; simulator emissions made outside
+    any bracket (device DMA, test harness code) carry no actor. Native
+    and TCP listeners get no actor: the emitting domain identifies
+    itself. *)
+
+(** {1 Simulator events} *)
 
 type op = [ `Read | `Write | `Free | `Check ]
 (** What a failed dereference was attempting. *)
@@ -86,87 +104,14 @@ type event =
       (** A confirm-bearing message for request [id] was sent, received
           or dropped. Batched confirms emit one event per id. *)
 
-type listener = actor:string option -> event -> unit
+(** {1 Native events}
 
-type token
-(** Handle identifying one registered listener. *)
-
-val add : listener -> token
-(** Register a listener on the chain; it sees every subsequent event
-    until {!remove}d. *)
-
-val remove : token -> unit
-(** Unregister; unknown or already-removed tokens are a no-op. *)
-
-val install : listener -> unit
-(** Deprecated one-slot facade: (re)binds a single legacy chain slot.
-    Kept so existing single-checker call sites work unchanged; new code
-    should use {!add}/{!remove}. *)
-
-val uninstall : unit -> unit
-(** Remove the legacy slot listener bound by {!install}, if any.
-    Listeners registered with {!add} are unaffected. *)
-
-val enabled : unit -> bool
-(** Whether any listener is registered — use to skip costly event
-    construction. *)
-
-val emit : event -> unit
-(** Deliver an event (with the current actor) to every registered
-    listener. Subject to simulator-side sampling (see
-    {!set_sim_sample}): when a sampling period is set, events whose
-    subject's hash misses the mask are dropped before delivery. *)
-
-val set_sim_sample : int -> unit
-(** Sample the simulator event chain by {e subject}: keep one in
-    [sample] subjects (rounded up to a power of two; 1 = keep all),
-    where a subject is a pool slot for the pool/channel lifecycle
-    events and a request id for the request/confirm family. A kept
-    subject's events are all delivered, a dropped subject's none — so
-    the sanitizer's slot state machines and the protocol checker's
-    per-id conversations stay coherent under sampling; dropping a
-    subject can hide a violation but never invent one. Clock-critical
-    events (pool ownership/grant, wholesale frees, database resets)
-    and already-detected violations are never sampled out. Resets the
-    sampling counters. *)
-
-val sim_sample : unit -> int
-(** The effective (power-of-two) simulator sampling period. *)
-
-val sim_sample_counts : unit -> int * int
-(** [(seen, kept)] sampleable emissions since {!set_sim_sample} —
-    events bypassing sampling (no listener, clock-critical) are not
-    counted. *)
-
-val actor : unit -> string option
-(** The identity currently being charged, if inside {!with_actor}. *)
-
-val epoch : unit -> int
-(** The restart epoch (the actor's incarnation number) the current
-    bracket was opened with; 0 outside any bracket or when the bracket
-    did not stamp one. Listeners use it to tell incarnation [k] of a
-    server from incarnation [k+1] of the same name. *)
-
-val with_actor : ?epoch:int -> string -> (unit -> 'a) -> 'a
-(** [with_actor name f] runs [f] with emissions attributed to [name];
-    the previous attribution is restored afterwards, also on
-    exceptions. [epoch] additionally stamps the actor's incarnation
-    number into the bracket (the server runtime passes its restart
-    counter), readable by listeners via {!epoch}. *)
-
-(** {1 Native event family}
-
-    The listener chain above is single-threaded simulator state and
-    must never be touched from a spawned domain. The native family is
-    the thread-safe counterpart used by the real runtime: one listener
-    held in an [Atomic], events carrying only integers (the emitting
-    domain identifies itself with [Domain.self] inside the listener),
-    and a sampled access path with a stated cost model so the
-    happens-before race detector ([Newt_verify.Race]) can stay armed
-    on long runs. *)
+    Emitted by the native runtime from any domain, carrying only
+    integers (a listener identifies the emitting domain with
+    [Domain.self]). *)
 
 type nkind = N_pool_slot | N_counter
-(** What a sampled {!N_access} touched: a pool slot ([id] = pool,
+(** What an {!N_access} touched: a pool slot ([id] = pool,
     [sub] = slot) or a named shared counter ([id] = counter id). *)
 
 type nevent =
@@ -210,49 +155,17 @@ type nevent =
       (** A plain (unsynchronised-by-construction) access to a shared
           location, subject to sampling. *)
 
-val set_native : ?sample:int -> (nevent -> unit) -> unit
-(** Arm the native hook. [sample] (default 1) keeps one in [sample]
-    {!native_access} emissions, rounded up to a power of two;
-    synchronisation events are never sampled out (dropping one could
-    invent a false race — dropping an access only hides one). Resets
-    the access counters. *)
-
-val clear_native : unit -> unit
-(** Disarm. Emissions race benignly with disarming: an in-flight event
-    may still be delivered. *)
-
-val native_enabled : unit -> bool
-(** Whether a native listener is armed — use to skip event
-    construction on the fast path. *)
-
-val native_sample : unit -> int
-(** The effective (power-of-two) sampling period. *)
-
-val native_emit : nevent -> unit
-(** Deliver a synchronisation event to the armed listener, if any. *)
-
-val native_access : nkind -> id:int -> sub:int -> write:bool -> unit
-(** Deliver a sampled {!N_access}; one in {!native_sample} emissions
-    is kept. *)
-
-val native_access_counts : unit -> int * int
-(** [(seen, kept)] access emissions since the hook was last armed —
-    the overhead accounting the bench and campaign JSON report. *)
-
-(** {1 TCP event family}
+(** {1 TCP events}
 
     The feed for the TCP state-machine conformance checker
     ([Newt_verify.Tcpfsm]). TCP engines mirror every PCB state
-    transition and every segment sent/received through these events.
-    They carry only integers — this library sits below [Newt_net], so
-    states travel as codes ([Newt_net.Tcp.state_code]) and addresses
-    as raw [int32]s — and are always {e local-oriented}: [lip]/[lport]
-    is the emitting engine's own end of the connection for both
-    directions, so a checker keys its shadow PCB table uniformly.
-
-    Like the families above, the sim side is a listener chain
-    (single-threaded) and the native side one listener in an
-    [Atomic]; {!tcp_emit} feeds both. *)
+    transition and every segment sent/received through these events,
+    in the simulator and on the native runtime alike. They carry only
+    integers — this library sits below [Newt_net], so states travel as
+    codes ([Newt_net.Tcp.state_code]) and addresses as raw [int32]s —
+    and are always {e local-oriented}: [lip]/[lport] is the emitting
+    engine's own end of the connection for both directions, so a
+    checker keys its shadow PCB table uniformly. *)
 
 type tcp_flags = { syn : bool; ack : bool; fin : bool; rst : bool; data : bool }
 (** Header flags of a segment; [data] is payload-length > 0. *)
@@ -298,39 +211,89 @@ type tcp_event =
     }
       (** The engine accepted a segment for demultiplexing. *)
 
+(** {1 Registry} *)
+
+type listener = actor:string option -> event -> unit
+
+type token
+(** Handle identifying one registered listener, of any family. *)
+
+val add : listener -> token
+(** Register a simulator-event listener; it sees every subsequent
+    delivered event until {!remove}d. *)
+
+val native_add : (nevent -> unit) -> token
+(** Register a native-event listener. It runs on whichever domain
+    emits, so it must be thread-safe. *)
+
 val tcp_add : (tcp_event -> unit) -> token
-(** Register a simulator-side TCP listener; returns a token for
-    {!tcp_remove}. *)
+(** Register a TCP-event listener. Native TCP engines emit from their
+    own domains, so a listener used there must be thread-safe. *)
 
-val tcp_remove : token -> unit
-(** Unregister a simulator-side TCP listener. *)
+val remove : token -> unit
+(** Unregister the listener a token names, whatever its family;
+    unknown or already-removed tokens are a no-op. An event already
+    being delivered may still reach it. *)
 
-val set_tcp_native : (tcp_event -> unit) -> unit
-(** Arm the (single) native TCP listener. The listener runs on
-    whichever domain emits — it must be thread-safe. *)
+val enabled : unit -> bool
+(** Whether any simulator listener is registered — use to skip costly
+    event construction. *)
 
-val clear_tcp_native : unit -> unit
-(** Disarm the native TCP listener. *)
-
+val native_enabled : unit -> bool
 val tcp_enabled : unit -> bool
-(** Whether any TCP listener (sim or native) is armed — engines use
-    this to skip event construction entirely on the fast path. *)
 
-val set_tcp_sample : int -> unit
-(** Sample TCP events by {e connection}: keep one in [sample] 4-tuples
-    (rounded up to a power of two; 1 = keep all). A kept connection
-    delivers its entire transition/segment stream; a dropped one
-    nothing — the shadow state machine for any observed connection
-    stays complete, so sampling hides violations on unobserved
-    connections but never fabricates one. Resets the counters. *)
+(** {1 Sampling} *)
 
-val tcp_sample : unit -> int
-(** The effective (power-of-two) TCP sampling period. *)
+val set_sample : int -> unit
+(** Keep one in [n] subjects of every family (rounded up to a power
+    of two; 1 keeps everything) and reset the counters. *)
+
+val sample : unit -> int
+(** The effective (power-of-two) period. *)
+
+val subject_kept : int -> bool
+(** The sampler's verdict on a subject hash under the current period.
+    For checkers that sample subjects of their own (the race
+    detector's ring elements), so that one period governs them too.
+    Counts nothing. *)
+
+type family = Sim | Native | Tcp
+
+val counts : family -> int * int
+(** [(seen, kept)] sampleable emissions of a family that reached a
+    registered listener since {!set_sample}. Counted only while the
+    period is above 1. *)
+
+(** {1 Emission} *)
+
+val emit : event -> unit
+(** Deliver a simulator event, with the current actor, to every
+    simulator listener, unless its subject is sampled out. *)
+
+val actor : unit -> string option
+(** The identity currently being charged, if inside {!with_actor}. *)
+
+val epoch : unit -> int
+(** The restart epoch (the actor's incarnation number) the current
+    bracket was opened with; 0 outside any bracket or when the bracket
+    did not stamp one. Listeners use it to tell incarnation [k] of a
+    server from incarnation [k+1] of the same name. *)
+
+val with_actor : ?epoch:int -> string -> (unit -> 'a) -> 'a
+(** [with_actor name f] runs [f] with emissions attributed to [name];
+    the previous attribution is restored afterwards, also on
+    exceptions. [epoch] additionally stamps the actor's incarnation
+    number into the bracket (the server runtime passes its restart
+    counter), readable by listeners via {!epoch}. *)
+
+val native_emit : nevent -> unit
+(** Deliver a synchronisation event to every native listener. Never
+    sampled: dropping one could invent a false race. *)
+
+val native_access : nkind -> id:int -> sub:int -> write:bool -> unit
+(** Deliver an {!N_access}, unless its location [(kind, id, sub)] is
+    sampled out. *)
 
 val tcp_emit : tcp_event -> unit
-(** Deliver a TCP event to the sim chain and the native listener,
-    subject to per-connection sampling. *)
-
-val tcp_sample_counts : unit -> int * int
-(** [(seen, kept)] TCP emissions since {!set_tcp_sample}; only counted
-    while a sampling period > 1 is in force. *)
+(** Deliver a TCP event to every TCP listener, unless its connection
+    is sampled out. *)

@@ -56,7 +56,6 @@ type config = {
   ping_period : float;  (** Seconds between ICMP echo probes. *)
   port : int;
   race : bool;  (** Arm the happens-before race detector. *)
-  race_sample : int;  (** Detector sampling period (1 = every access). *)
   break_race : break_race option;  (** Inject a deliberate race. *)
   tcp_fsm : bool;  (** Arm the TCP conformance checker. *)
   break_tcp : Tcp.sabotage option;  (** Inject a deliberate TCP bug. *)
@@ -76,7 +75,6 @@ let default_config =
     ping_period = 0.002;
     port = 5001;
     race = false;
-    race_sample = 1;
     break_race = None;
     tcp_fsm = false;
     break_tcp = None;
@@ -121,7 +119,14 @@ let validate ~recommended ?(allow_oversubscribe = false) ~domains () =
    Kept textually adjacent to [run] so a wiring change that adds a
    structure is a one-screen diff away from declaring it. *)
 
+(* Pipeline-depth order, round-robin over the domains: slot i lands on
+   domain (i mod domains), so the hot TX path (tcp -> ip -> pf -> drv)
+   spreads across domains first. [run] creates the model cores in this
+   order too, so core id = slot index. *)
 let slots_order = [ "tcp"; "ip"; "pf"; "drv0"; "sc"; "app"; "udp"; "peer" ]
+
+let slots_on ~domains d =
+  List.filteri (fun i _ -> i mod domains = d) slots_order
 
 (* Sentinel loop id the --break-race saboteur registers under, so its
    counterexamples read "saboteur" rather than "domain#N". *)
@@ -129,8 +134,7 @@ let saboteur_loop_id = 1000
 
 let ownership_plan ?break_race ~domains () : Race.Plan.t =
   let open Race.Plan in
-  (* Same round-robin as [run]: slot i lands on domain (i mod domains).
-     "main" is the spawning thread — alive and concurrent with every
+  (* "main" is the spawning thread — alive and concurrent with every
      loop, so it gets its own pseudo-domain index; "wiring" marks
      writes made before Domain.spawn publishes them. *)
   let placement =
@@ -173,9 +177,7 @@ let ownership_plan ?break_race ~domains () : Race.Plan.t =
         | _ -> []);
     ]
   in
-  let comps_on d =
-    List.filteri (fun i _ -> i mod domains = d) slots_order
-  in
+  let comps_on d = slots_on ~domains d in
   let inboxes =
     List.init domains (fun d ->
         {
@@ -385,15 +387,16 @@ let run (cfg : config) : result =
         Loop.create ~index ~now ~spin_budget:cfg.spin_budget
           ~never_park:cfg.never_park ())
   in
-  (* Placement: pipeline-depth order, round-robin over the domains, so
-     the hot TX path (tcp -> ip -> pf -> drv) spreads across domains
-     first. Core ids are assigned below in slot order. *)
-  let slots = [| "tcp"; "ip"; "pf"; "drv0"; "sc"; "app"; "udp"; "peer" |] in
-  let loop_of_slot = Array.mapi (fun i _ -> loops.(i mod n_domains)) slots in
-  Array.iteri (fun i name -> Loop.add_name loop_of_slot.(i) name) slots;
+  let loop_of_slot =
+    Array.of_list (List.mapi (fun i _ -> loops.(i mod n_domains)) slots_order)
+  in
+  List.iteri (fun i name -> Loop.add_name loop_of_slot.(i) name) slots_order;
   let slot_index name =
-    let rec find i = if slots.(i) = name then i else find (i + 1) in
-    find 0
+    let rec find i = function
+      | n :: rest -> if n = name then i else find (i + 1) rest
+      | [] -> invalid_arg name
+    in
+    find 0 slots_order
   in
   let peer_loop = loop_of_slot.(slot_index "peer") in
   (* {3 Race detector arming}
@@ -407,12 +410,10 @@ let run (cfg : config) : result =
     let loop_label i =
       if i = saboteur_loop_id then "saboteur"
       else
-        let names =
-          List.filteri (fun j _ -> j mod n_domains = i) slots_order
-        in
-        Printf.sprintf "loop%d(%s)" i (String.concat "+" names)
+        Printf.sprintf "loop%d(%s)" i
+          (String.concat "+" (slots_on ~domains:n_domains i))
     in
-    Race.Dynamic.arm ~sample:cfg.race_sample
+    Race.Dynamic.arm
       ~labels:
         {
           Race.Dynamic.ring_name =
@@ -435,7 +436,7 @@ let run (cfg : config) : result =
      judged; events arrive from the tcp and peer domains and are
      serialized on the checker's own mutex. *)
   let fsm_wanted = cfg.tcp_fsm || cfg.break_tcp <> None in
-  if fsm_wanted then Tcpfsm.install_native ();
+  if fsm_wanted then Tcpfsm.install ();
   (* Model-core id -> loop. Cores are created in slot order (minus the
      peer, which is not a machine core), so core id = slot index. *)
   let core_loop core = loop_of_slot.(core) in
@@ -451,9 +452,10 @@ let run (cfg : config) : result =
   Pool.set_default_threadsafe true;
   Fun.protect ~finally:(fun () ->
       Pool.set_default_threadsafe false;
-      (* Harmless if [disarm] already ran; vital if a domain died. *)
-      Hook.clear_native ();
-      Tcpfsm.uninstall_native ();
+      (* Harmless if the checkers were already disarmed; vital if a
+         domain died. *)
+      if race_wanted then ignore (Race.Dynamic.disarm ());
+      if fsm_wanted then Tcpfsm.uninstall ();
       Proc.set_send_overhead None)
   @@ fun () ->
   (match cfg.overhead with
@@ -855,7 +857,7 @@ let run (cfg : config) : result =
     if fsm_wanted then begin
       let ok = Tcpfsm.violations () = [] in
       let js = Tcpfsm.verdict_json () in
-      Tcpfsm.uninstall_native ();
+      Tcpfsm.uninstall ();
       Some (ok, js)
     end
     else None

@@ -37,13 +37,13 @@ type config = {
   overhead : overhead;  (** Channel-cost ablation (cross-validation). *)
   ping_period : float;  (** Seconds between ICMP echo probes. *)
   port : int;
-  race : bool;  (** Arm {!Newt_verify.Race.Dynamic} around the run. *)
-  race_sample : int;
-      (** Detector sampling period (power of two; 1 = check every
-          access). Clock joins are never sampled out. *)
+  race : bool;
+      (** Arm {!Newt_verify.Race.Dynamic} around the run. It checks the
+          locations the hook's sampling period keeps
+          ({!Newt_channels.Hook.set_sample}). *)
   break_race : break_race option;
   tcp_fsm : bool;
-      (** Arm {!Newt_verify.Tcpfsm} as the native TCP-hook listener for
+      (** Arm {!Newt_verify.Tcpfsm} as a TCP-hook listener for
           the run; the peer then also probes a closed port so the
           RST-from-Closed contract is exercised, not just vacuously
           satisfied. *)

@@ -232,8 +232,8 @@ module Dynamic = struct
     mutable n_races : int;
     mutable suppressed : int;
     mutable events : int;
-    mutable ring_checks : int;
-    ring_mask : int;  (* sample the slot checks, never the clocks *)
+    mutable accesses : int;  (* N_access events delivered *)
+    base : int * int;  (* the hook's native (seen, kept) at arming *)
     max_reports : int;
     sample : int;
     trace : (int * int * Hook.nevent) array;  (* ring buffer *)
@@ -245,7 +245,7 @@ module Dynamic = struct
 
   let dummy_event = Hook.N_spawn_fence
 
-  let make_state ~sample ~max_reports ~labels =
+  let make_state ~max_reports ~labels =
     {
       mu = Mutex.create ();
       labels;
@@ -261,10 +261,10 @@ module Dynamic = struct
       n_races = 0;
       suppressed = 0;
       events = 0;
-      ring_checks = 0;
-      ring_mask = sample - 1;
+      accesses = 0;
+      base = Hook.counts Hook.Native;
       max_reports;
-      sample;
+      sample = Hook.sample ();
       trace = Array.make trace_cap (0, 0, dummy_event);
       trace_n = 0;
     }
@@ -422,10 +422,10 @@ module Dynamic = struct
           end
     end
 
-  let sampled_ring_check s =
-    let n = s.ring_checks in
-    s.ring_checks <- n + 1;
-    n land s.ring_mask = 0
+  (* Ring elements are sampled like every other location: the push
+     and the pop of a kept element are both checked. Clock joins are
+     never sampled. *)
+  let element_kept ring index = Hook.subject_kept (Hashtbl.hash (ring, index))
 
   let on_event s ev =
     Mutex.lock s.mu;
@@ -442,13 +442,13 @@ module Dynamic = struct
               store happens after the slot write. *)
            acquire s tid (S_head ring);
            check_producer s tid ring;
-           if sampled_ring_check s then
+           if element_kept ring index then
              check_access s tid (L_ring (ring, index)) ~write:true;
            release s tid (S_tail ring)
        | Hook.N_ring_pop { ring; index } ->
            acquire s tid (S_tail ring);
            check_consumer s tid ring;
-           if sampled_ring_check s then
+           if element_kept ring index then
              check_access s tid (L_ring (ring, index)) ~write:false;
            release s tid (S_head ring)
        | Hook.N_post { loop } -> release s tid (S_inbox loop)
@@ -466,6 +466,7 @@ module Dynamic = struct
            if acq then acquire s tid (S_lock lock)
            else release s tid (S_lock lock)
        | Hook.N_access { kind; id; sub; write } ->
+           s.accesses <- s.accesses + 1;
            let loc =
              match kind with
              | Hook.N_pool_slot -> L_pool (id, sub)
@@ -477,17 +478,20 @@ module Dynamic = struct
        raise e);
     Mutex.unlock s.mu
 
-  let arm ?(sample = 1) ?(max_reports = 16) ?(labels = default_labels) () =
-    let rec pow2 p n = if p >= n then p else pow2 (p * 2) n in
-    let sample = pow2 1 (max 1 sample) in
-    let s = make_state ~sample ~max_reports ~labels in
+  let token : Hook.token option ref = ref None
+
+  let arm ?(max_reports = 16) ?(labels = default_labels) () =
+    Option.iter Hook.remove !token;
+    let s = make_state ~max_reports ~labels in
     st := Some s;
     (* Register the arming thread as tid 0 = "main". *)
     Mutex.lock s.mu;
     ignore (tid_of s);
     Mutex.unlock s.mu;
-    Hook.set_native ~sample (fun ev ->
-        match !st with Some s -> on_event s ev | None -> ())
+    token :=
+      Some
+        (Hook.native_add (fun ev ->
+             match !st with Some s -> on_event s ev | None -> ()))
 
   let armed () = !st <> None
   let fence () = Hook.native_emit Hook.N_spawn_fence
@@ -614,7 +618,8 @@ module Dynamic = struct
     }
 
   let disarm () =
-    Hook.clear_native ();
+    Option.iter Hook.remove !token;
+    token := None;
     match !st with
     | None ->
         {
@@ -631,8 +636,15 @@ module Dynamic = struct
         }
     | Some s ->
         st := None;
-        let seen, kept = Hook.native_access_counts () in
         Mutex.lock s.mu;
+        (* The hook counts only while a period above 1 is set; at 1
+           every access is delivered. *)
+        let seen, kept =
+          if s.sample = 1 then (s.accesses, s.accesses)
+          else
+            let seen, kept = Hook.counts Hook.Native in
+            (seen - fst s.base, kept - snd s.base)
+        in
         let races = List.rev_map (view_race s) s.races in
         let out =
           {

@@ -120,9 +120,10 @@ module Dynamic : sig
     suppressed : int;
         (** Races beyond the report cap, counted but not recorded. *)
     events : int;  (** Sync + access events processed. *)
-    accesses_seen : int;  (** {!Newt_channels.Hook.native_access} calls. *)
+    accesses_seen : int;
+        (** {!Newt_channels.Hook.native_access} calls while armed. *)
     accesses_kept : int;  (** … of which survived sampling. *)
-    sample : int;  (** Effective power-of-two sampling period. *)
+    sample : int;  (** The hook's sampling period at arming. *)
     domains_seen : int;
     locations : int;  (** Distinct locations tracked. *)
     sync_objects : int;  (** Distinct clocks (rings ×2, inboxes, locks). *)
@@ -131,12 +132,13 @@ module Dynamic : sig
             [Sanitizer.overhead_cycles]. *)
   }
 
-  val arm : ?sample:int -> ?max_reports:int -> ?labels:labels -> unit -> unit
-  (** Install the detector as the native hook listener and reset all
-      state. [sample] (default 1, rounded up to a power of two)
-      additionally samples the detector's own ring-slot checks; clock
-      joins are never sampled (sampling can hide a race, never invent
-      one). Call from the spawning thread before wiring. *)
+  val arm : ?max_reports:int -> ?labels:labels -> unit -> unit
+  (** Register the detector as a native hook listener (replacing its
+      previous registration, if any) and reset all state. The hook's
+      sampling period ({!Newt_channels.Hook.set_sample}) governs which
+      locations are checked, ring elements included; clock joins are
+      never sampled (sampling can hide a race, never invent one). Call
+      from the spawning thread before wiring. *)
 
   val armed : unit -> bool
 
@@ -145,7 +147,7 @@ module Dynamic : sig
       Ring ownership claims start after this point. *)
 
   val disarm : unit -> outcome
-  (** Uninstall the listener and return everything found. *)
+  (** Unregister the listener and return everything found. *)
 
   val ok : outcome -> bool
 

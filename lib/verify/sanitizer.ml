@@ -47,7 +47,7 @@ let allocs = ref 0
 let frees = ref 0
 let handoffs = ref 0
 let events = ref 0
-let running = ref false
+let token : Hook.token option ref = ref None
 
 (* What one shadow update costs in model cycles had the hook run
    inline in the stack proper (a hash probe or two): the accounting
@@ -147,16 +147,16 @@ let on_event ~actor ev =
       (* Protocol-level events belong to Verify.Protocol. *)
       ()
 
-let install () =
-  clear ();
-  running := true;
-  Hook.install on_event
-
 let uninstall () =
-  running := false;
-  Hook.uninstall ()
+  Option.iter Hook.remove !token;
+  token := None
 
-let active () = !running
+let install () =
+  uninstall ();
+  clear ();
+  token := Some (Hook.add on_event)
+
+let active () = !token <> None
 let reset () = clear ()
 let violations () = List.rev !viols
 let stale_count () = !stales

@@ -65,8 +65,8 @@ type leak = {
 }
 
 val install : unit -> unit
-(** Install on the global hook (replacing any previous listener) and
-    reset all shadow state. *)
+(** Register on the hook chain (replacing this checker's previous
+    registration, if any) and reset all shadow state. *)
 
 val uninstall : unit -> unit
 val active : unit -> bool

@@ -516,8 +516,7 @@ let viols : Report.violation list ref = ref []
 let seg_events = ref 0
 let trans_events = ref 0
 let lock = Mutex.create ()
-let sim_token : Hook.token option ref = ref None
-let native_armed = ref false
+let token : Hook.token option ref = ref None
 
 (* Model-cycle cost of one checker step (hash probe + first-match
    scan), for the overhead accounting next to the sanitizer's 40 and
@@ -642,34 +641,16 @@ let clear () =
   ring_next := 0
 
 let install () =
-  if !sim_token = None then begin
+  if !token = None then begin
     clear ();
-    sim_token := Some (Hook.tcp_add on_event)
+    token := Some (Hook.tcp_add on_event)
   end
 
 let uninstall () =
-  match !sim_token with
-  | Some tok ->
-      Hook.tcp_remove tok;
-      sim_token := None
-  | None -> ()
+  Option.iter Hook.remove !token;
+  token := None
 
-let install_native ?(sample = 1) () =
-  if not !native_armed then begin
-    clear ();
-    Hook.set_tcp_sample sample;
-    Hook.set_tcp_native on_event;
-    native_armed := true
-  end
-
-let uninstall_native () =
-  if !native_armed then begin
-    Hook.clear_tcp_native ();
-    Hook.set_tcp_sample 1;
-    native_armed := false
-  end
-
-let active () = !sim_token <> None || !native_armed
+let active () = !token <> None
 let reset () = clear ()
 
 let with_lock f =

@@ -19,9 +19,9 @@
     Events arrive through the [Newt_channels.Hook] TCP family, which
     both the simulated engines and the native runtime's servers
     mirror, so the same checker rides fig4/fig5, the sharded stack,
-    the churn workload and real multi-domain runs ({!install_native}
-    takes a mutex per event; per-connection sampling keeps long runs
-    cheap).
+    the churn workload and real multi-domain runs (the checker takes a
+    mutex per event; the hook's per-connection sampling keeps long
+    runs cheap).
 
     The {b static lint} ({!lint_table}) proves the tables before any
     packet flows: totality (every cell has a first match), no dead
@@ -62,20 +62,12 @@ val lint_dropping : int -> Report.t
 (** {1 The runtime checker} *)
 
 val install : unit -> unit
-(** Arm on the simulator's TCP hook chain (idempotent); clears all
-    checker state first. *)
+(** Register on the hook's TCP chain (idempotent); clears all checker
+    state first. Events may arrive from any domain: the checker
+    serializes them on an internal mutex, so one registration serves
+    the simulator and the native runtime alike. *)
 
 val uninstall : unit -> unit
-
-val install_native : ?sample:int -> unit -> unit
-(** Arm as the native TCP listener (events arrive from any domain; the
-    checker serializes them on an internal mutex). [sample] keeps one
-    in [sample] {e connections} (power-of-two rounding) — a kept
-    connection's event stream is complete, so sampling hides whole
-    connections but never truncates one. *)
-
-val uninstall_native : unit -> unit
-(** Disarm the native listener and reset the sampling period. *)
 
 val active : unit -> bool
 val reset : unit -> unit

@@ -413,29 +413,147 @@ let test_hook_listener_chain () =
       Alcotest.(check int) "double remove harmless" 3 !b);
   Alcotest.(check bool) "chain restored" before (Hook.enabled ())
 
-let test_hook_install_facade_coexists () =
-  (* The deprecated one-slot [install] must neither displace nor be
-     displaced by chain listeners: both checkers see every event. *)
-  let legacy = ref 0 and chained = ref 0 in
-  let tok = Hook.add (fun ~actor:_ _ -> incr chained) in
+let test_hook_sampler_keeps_whole_subjects () =
+  (* One period samples all three families by subject: 64 subjects per
+     family, two events each, period 4. Each family must keep a strict,
+     non-empty subset of its subjects, each kept subject whole, and
+     account for every emission in its (seen, kept) counters; the
+     events that order or scope every subject are always delivered. *)
+  let sim_hits = Hashtbl.create 64 and native_hits = Hashtbl.create 64 in
+  let tcp_hits = Hashtbl.create 64 and unsampled = ref 0 in
+  let hit tbl k =
+    Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k))
+  in
+  let toks =
+    [
+      Hook.add (fun ~actor:_ -> function
+        | Hook.Pool_alloc { slot; _ } | Hook.Pool_free { slot; _ } ->
+            hit sim_hits slot
+        | Hook.Pool_own _ | Hook.Req_reset _ -> incr unsampled
+        | _ -> ());
+      Hook.native_add (function
+        | Hook.N_access { sub; _ } -> hit native_hits sub
+        | _ -> incr unsampled);
+      Hook.tcp_add (function
+        | Hook.T_seg_tx { rport; _ } | Hook.T_seg_rx { rport; _ } ->
+            hit tcp_hits rport
+        | Hook.T_state_change _ -> ());
+    ]
+  in
   Fun.protect
     ~finally:(fun () ->
-      Hook.remove tok;
-      Hook.uninstall ())
-    (fun () ->
-      Hook.install (fun ~actor:_ _ -> incr legacy);
-      Hook.emit (Hook.Req_reset { db = 7 });
-      Alcotest.(check int) "legacy slot fed" 1 !legacy;
-      Alcotest.(check int) "chain listener fed" 1 !chained;
-      (* A second install rebinds the single slot; it does not stack. *)
-      Hook.install (fun ~actor:_ _ -> legacy := !legacy + 100);
-      Hook.emit (Hook.Req_reset { db = 7 });
-      Alcotest.(check int) "install rebinds, not stacks" 101 !legacy;
-      Alcotest.(check int) "chain unaffected by rebinding" 2 !chained;
-      Hook.uninstall ();
-      Hook.emit (Hook.Req_reset { db = 7 });
-      Alcotest.(check int) "legacy slot gone" 101 !legacy;
-      Alcotest.(check int) "chain survives uninstall" 3 !chained)
+      List.iter Hook.remove toks;
+      Hook.set_sample 1)
+  @@ fun () ->
+  Hook.set_sample 3;
+  Alcotest.(check int) "period rounded up to a power of two" 4 (Hook.sample ());
+  let flags =
+    { Hook.syn = false; ack = true; fin = false; rst = false; data = true }
+  in
+  for i = 0 to 63 do
+    Hook.emit (Hook.Pool_alloc { pool = 9; slot = i; gen = 1 });
+    Hook.emit (Hook.Pool_free { pool = 9; slot = i; gen = 1 });
+    Hook.emit (Hook.Pool_own { pool = 9; owner = "ip" });
+    Hook.emit (Hook.Req_reset { db = 9 });
+    Hook.native_access Hook.N_pool_slot ~id:9 ~sub:i ~write:true;
+    Hook.native_access Hook.N_pool_slot ~id:9 ~sub:i ~write:false;
+    Hook.native_emit (Hook.N_ring_push { ring = 9; index = i });
+    Hook.native_emit (Hook.N_post { loop = 0 });
+    Hook.native_emit (Hook.N_lock { lock = 9; acquire = true });
+    Hook.tcp_emit
+      (Hook.T_seg_tx { lip = 1l; lport = 80; rip = 2l; rport = i; flags });
+    Hook.tcp_emit
+      (Hook.T_seg_rx { lip = 1l; lport = 80; rip = 2l; rport = i; flags })
+  done;
+  Alcotest.(check int) "unsampled events all delivered" (64 * 5) !unsampled;
+  List.iter
+    (fun (name, fam, hits) ->
+      let kept_subjects = Hashtbl.length hits in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: strict non-empty subset (%d/64)" name
+           kept_subjects)
+        true
+        (kept_subjects > 0 && kept_subjects < 64);
+      Hashtbl.iter
+        (fun k n ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s: subject %d whole" name k)
+            2 n)
+        hits;
+      Alcotest.(check (pair int int))
+        (name ^ ": (seen, kept) accounts for every emission")
+        (128, 2 * kept_subjects) (Hook.counts fam))
+    [
+      ("sim", Hook.Sim, sim_hits);
+      ("native", Hook.Native, native_hits);
+      ("tcp", Hook.Tcp, tcp_hits);
+    ]
+
+let test_hook_registry_spans_domains () =
+  let flags =
+    { Hook.syn = true; ack = false; fin = false; rst = false; data = false }
+  in
+  let tcp_ev =
+    Hook.T_seg_tx { lip = 1l; lport = 1; rip = 2l; rport = 2; flags }
+  in
+  let emit_elsewhere () =
+    Domain.join
+      (Domain.spawn (fun () ->
+           Hook.tcp_emit tcp_ev;
+           Hook.native_emit (Hook.N_post { loop = 0 })))
+  in
+  (* Listeners registered here receive events emitted on another
+     domain ... *)
+  let tcp_n = Atomic.make 0 and native_n = Atomic.make 0 in
+  let sim_n = ref 0 in
+  let tt = Hook.tcp_add (fun _ -> Atomic.incr tcp_n) in
+  let tn = Hook.native_add (fun _ -> Atomic.incr native_n) in
+  let ts = Hook.add (fun ~actor:_ _ -> incr sim_n) in
+  emit_elsewhere ();
+  Alcotest.(check int) "tcp listener fed across domains" 1 (Atomic.get tcp_n);
+  Alcotest.(check int) "native listener fed across domains" 1
+    (Atomic.get native_n);
+  (* ... and [remove] stops delivery whatever the token's family. *)
+  List.iter Hook.remove [ tt; tn; ts ];
+  emit_elsewhere ();
+  Hook.emit (Hook.Req_reset { db = 1 });
+  Alcotest.(check (list int)) "every family's token removed" [ 1; 1; 0 ]
+    [ Atomic.get tcp_n; Atomic.get native_n; !sim_n ];
+  (* Concurrent registration from two domains while a third emits:
+     compare-and-set must lose no add and no remove. Each registrar
+     keeps every other listener; a probe event then counts the
+     survivors. *)
+  let probe = Hook.N_loop_stop { loop = 424242 } in
+  let live = Atomic.make 0 and stop = Atomic.make false in
+  let emitter =
+    Domain.spawn (fun () ->
+        while not (Atomic.get stop) do
+          Hook.native_emit (Hook.N_post { loop = 0 })
+        done)
+  in
+  let registrar () =
+    let toks =
+      List.init 1000 (fun _ ->
+          Hook.native_add (fun ev -> if ev = probe then Atomic.incr live))
+    in
+    List.filteri
+      (fun i tok ->
+        if i mod 2 = 0 then begin
+          Hook.remove tok;
+          false
+        end
+        else true)
+      toks
+  in
+  let other = Domain.spawn registrar in
+  let mine = registrar () in
+  let theirs = Domain.join other in
+  Atomic.set stop true;
+  Domain.join emitter;
+  Hook.native_emit probe;
+  Alcotest.(check int) "no registration lost" 1000 (Atomic.get live);
+  List.iter Hook.remove (mine @ theirs);
+  Alcotest.(check bool) "chain empty again" false (Hook.native_enabled ())
 
 let test_hook_actor_epoch_bracket () =
   let seen = ref [] in
@@ -728,8 +846,9 @@ let suite =
     ("request db cyclic aborts hit the depth cap", `Quick,
       test_request_db_abort_cycle_capped);
     ("hook listener chain add/remove", `Quick, test_hook_listener_chain);
-    ("hook legacy install coexists with the chain", `Quick,
-      test_hook_install_facade_coexists);
+    ("hook sampler keeps whole subjects", `Quick,
+      test_hook_sampler_keeps_whole_subjects);
+    ("hook registry spans domains", `Quick, test_hook_registry_spans_domains);
     ("hook actor/epoch bracket", `Quick, test_hook_actor_epoch_bracket);
     ("pubsub publish/subscribe", `Quick, test_pubsub_basic);
     ("pubsub replays to late subscriber", `Quick, test_pubsub_replay_to_late_subscriber);

@@ -55,22 +55,6 @@ let test_plan_flags_unfenced_counter () =
   Alcotest.(check bool) "sabotaged plan rejected" false (Report.ok r);
   Alcotest.(check bool) "cross-domain fired" true (has_check r "cross-domain")
 
-(* {2 Hook sampling} *)
-
-let test_hook_sampling_deterministic () =
-  (* Power-of-two mask sampling: exactly one in N access emissions is
-     kept, and the (seen, kept) counters account for every call. *)
-  let delivered = ref 0 in
-  Hook.set_native ~sample:16 (fun _ -> incr delivered);
-  for _ = 1 to 1600 do
-    Hook.native_access Hook.N_counter ~id:9 ~sub:0 ~write:true
-  done;
-  let seen, kept = Hook.native_access_counts () in
-  Hook.clear_native ();
-  Alcotest.(check int) "every access counted" 1600 seen;
-  Alcotest.(check int) "one in 16 kept" 100 kept;
-  Alcotest.(check int) "kept accesses delivered" 100 !delivered
-
 (* {2 Dynamic layer} *)
 
 let races_with (o : Race.Dynamic.outcome) name =
@@ -278,8 +262,6 @@ let suite =
       test_plan_flags_two_producers);
     ("plan: unfenced counter flagged", `Quick,
       test_plan_flags_unfenced_counter);
-    ("hook: sampling is deterministic and accounted", `Quick,
-      test_hook_sampling_deterministic);
     ("dynamic: clean SPSC ring, 1M messages, zero races", `Slow,
       test_dynamic_clean_spsc);
     ("dynamic: two producers on one ring rejected", `Quick,

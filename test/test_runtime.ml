@@ -5,6 +5,7 @@
 module Time = Newt_sim.Time
 module Loop = Newt_runtime.Loop
 module Native = Newt_runtime.Native
+module Race = Newt_verify.Race
 
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
@@ -119,6 +120,34 @@ let test_native_bounded_run () =
         (Printf.sprintf "ring %s dropped nothing" s.Native.ring)
         0 s.Native.dropped)
     r.Native.rings;
+  (* The wiring matches the ownership plan the race lint proves: each
+     loop runs exactly the components the plan places on its domain,
+     and the run creates exactly the plan's rings. *)
+  let plan = Native.ownership_plan ~domains:2 () in
+  List.iter
+    (fun (s : Loop.stats) ->
+      let planned =
+        List.filter_map
+          (fun (name, d) -> if d = s.Loop.index then Some name else None)
+          plan.Race.Plan.placement
+      in
+      Alcotest.(check (list string))
+        (Printf.sprintf "loop %d pinned as planned" s.Loop.index)
+        (List.sort compare planned)
+        (List.sort compare s.Loop.pinned))
+    r.Native.loops;
+  let planned_rings =
+    List.filter_map
+      (fun (res : Race.Plan.resource) ->
+        if res.Race.Plan.kind = Race.Plan.Ring_buf then Some res.Race.Plan.res
+        else None)
+      plan.Race.Plan.resources
+  in
+  Alcotest.(check (list string)) "rings are the plan's rings"
+    (List.sort compare planned_rings)
+    (List.sort compare
+       (List.map (fun (s : Native.ring_stat) -> "ring " ^ s.Native.ring)
+          r.Native.rings));
   (* The JSON emitter covers every ring and loop. *)
   let json = Native.json_of_result r in
   Alcotest.(check bool) "json mentions goodput" true

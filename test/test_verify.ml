@@ -908,9 +908,9 @@ let test_tcpfsm_sampling_keeps_whole_connections () =
   Fun.protect
     ~finally:(fun () ->
       Tcpfsm.uninstall ();
-      Hook.set_tcp_sample 1)
+      Hook.set_sample 1)
   @@ fun () ->
-  Hook.set_tcp_sample 4;
+  Hook.set_sample 4;
   let syn_sent_cause = Hook.T_api in
   for rport = 1000 to 1063 do
     Hook.tcp_emit
@@ -939,7 +939,7 @@ let test_tcpfsm_sampling_keeps_whole_connections () =
                  data = false };
          })
   done;
-  let seen, kept = Hook.tcp_sample_counts () in
+  let seen, kept = Hook.counts Hook.Tcp in
   Alcotest.(check int) "every emission was counted" 128 seen;
   Alcotest.(check bool)
     (Printf.sprintf "a strict nonempty subset was kept (%d/%d)" kept seen)
