@@ -1,7 +1,8 @@
 # Tier-1 gate: what CI runs on every PR.
 .PHONY: check build test fmt verify verify-protocol verify-continuous \
 	sanitize-smoke bench-smoke churn-smoke native-smoke model-check \
-	model-check-negative race-check fsm-check perf-smoke profile clean
+	model-check-negative race-check fsm-check perf-smoke profile \
+	golden-check clean
 
 check: build test fmt verify
 
@@ -13,6 +14,18 @@ test:
 
 fmt:
 	dune build @fmt
+
+# Golden outputs: four seeded runs (~8 s) whose output must equal, byte
+# for byte, the files under test/golden/. A change that is meant to keep
+# the simulated numbers passes as is; one that changes them on purpose
+# regenerates the files with the same commands and says why.
+SIM = dune exec bin/newtos_sim.exe --
+golden-check: build
+	$(SIM) table2 | diff -u test/golden/table2.txt -
+	$(SIM) scaling --duration 0.1 | diff -u test/golden/scaling.txt -
+	$(SIM) campaign --runs 20 --json | diff -u test/golden/campaign.json -
+	$(SIM) churn --scenario listen-pressure \
+	    | diff -u test/golden/churn-listen-pressure.txt -
 
 # Static channel-graph verification over every shipped configuration
 # (split stack plus all shard/replica combinations): SPSC discipline,

@@ -90,13 +90,13 @@ let test_request_db =
          ignore (Request_db.complete db id)))
 
 let test_eventq =
-  let q = Eventq.create () in
+  let q = Eventq.create ~dummy:() () in
   let t = ref 0 in
   Bechamel.Test.make ~name:"event queue push+pop"
     (Bechamel.Staged.stage (fun () ->
          incr t;
-         Eventq.push q !t ();
-         ignore (Eventq.pop q)))
+         ignore (Eventq.push q !t () : unit Eventq.entry);
+         Eventq.pop q))
 
 let test_tso_split =
   let frame =

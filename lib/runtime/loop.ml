@@ -1,4 +1,5 @@
 module Time = Newt_sim.Time
+module Eventq = Newt_sim.Eventq
 module Hook = Newt_channels.Hook
 
 (* One event loop per OCaml domain. Work arrives three ways:
@@ -8,7 +9,9 @@ module Hook = Newt_channels.Hook
    - the inbox (cross-domain posts: channel doorbells, IPIs, app
      wake-ups), a mutex-protected queue with a condition variable;
    - timers (retransmission, pacing, sweeps), armed only by code
-     already running on this domain, so the list is domain-local.
+     already running on this domain, so their heap is domain-local.
+     Timers due at the same time fire in arming order, as in the
+     simulator.
 
    Idle discipline is the paper's MONITOR/MWAIT debate made concrete:
    spin for [spin_budget] iterations watching the inbox (polling —
@@ -41,7 +44,7 @@ type t = {
   inbox_size : int Atomic.t;
   mutable parked : bool; (* under [mutex] *)
   stop : bool Atomic.t;
-  mutable timers : (Time.cycles * (unit -> unit) * bool ref) list;
+  timers : (unit -> unit) Eventq.t;
   mutable domain_id : int; (* -1 until [run] starts *)
   mutable failure : exn option;
   posts_remote : int Atomic.t;
@@ -66,7 +69,7 @@ let create ~index ~now ?(spin_budget = 2_000) ?(never_park = false) () =
     inbox_size = Atomic.make 0;
     parked = false;
     stop = Atomic.make false;
-    timers = [];
+    timers = Eventq.create ~dummy:ignore ();
     domain_id = -1;
     failure = None;
     posts_remote = Atomic.make 0;
@@ -106,37 +109,37 @@ let post t k =
    themselves) — or, before the loop has started, from the wiring
    thread, in which case the insert travels through the inbox and runs
    as the loop's first work. The cancel thunk must likewise only be
-   called from the owning domain. *)
+   called from the owning domain; a timer cancelled before its insert
+   ran is never inserted. *)
 let schedule t delay k =
-  let cancelled = ref false in
   let fire_at = t.now () + max 0 delay in
-  let insert () = t.timers <- (fire_at, k, cancelled) :: t.timers in
-  if on_own_domain t then insert () else post t insert;
-  fun () -> cancelled := true
+  if on_own_domain t then begin
+    let e = Eventq.push t.timers fire_at k in
+    fun () -> Eventq.remove e
+  end
+  else begin
+    let cancelled = ref false and entry = ref None in
+    post t (fun () ->
+        if not !cancelled then entry := Some (Eventq.push t.timers fire_at k));
+    fun () ->
+      cancelled := true;
+      Option.iter Eventq.remove !entry
+  end
 
 let next_deadline t =
-  List.fold_left
-    (fun acc (at, _, cancelled) ->
-      if !cancelled then acc
-      else match acc with None -> Some at | Some b -> Some (min b at))
-    None t.timers
+  if Eventq.is_empty t.timers then None else Some (Eventq.min_time t.timers)
 
 let fire_due t =
-  match t.timers with
-  | [] -> false
-  | _ ->
-      let now = t.now () in
-      let due, rest =
-        List.partition (fun (at, _, c) -> (not !c) && at <= now) t.timers
-      in
-      t.timers <- List.filter (fun (_, _, c) -> not !c) rest;
-      let due = List.sort (fun (a, _, _) (b, _, _) -> compare a b) due in
-      List.iter
-        (fun (_, k, _) ->
-          t.timer_fires <- t.timer_fires + 1;
-          Queue.push k t.run)
-        due;
-      due <> []
+  (not (Eventq.is_empty t.timers))
+  &&
+  let now = t.now () in
+  let due () = (not (Eventq.is_empty t.timers)) && Eventq.min_time t.timers <= now in
+  let fired = due () in
+  while due () do
+    t.timer_fires <- t.timer_fires + 1;
+    Queue.push (Eventq.pop t.timers) t.run
+  done;
+  fired
 
 let take_inbox t =
   if Atomic.get t.inbox_size > 0 then begin

@@ -4,7 +4,7 @@
     it: a domain-local run queue (self-posts, no synchronization), a
     mutex-protected inbox for cross-domain posts with a
     spin-then-park doorbell (the futex-style stand-in for the paper's
-    MONITOR/MWAIT), and a domain-local timer list. *)
+    MONITOR/MWAIT), and a domain-local timer heap. *)
 
 type t
 
@@ -43,7 +43,8 @@ val post : t -> (unit -> unit) -> unit
 
 val schedule : t -> Newt_sim.Time.cycles -> (unit -> unit) -> unit -> unit
 (** [schedule t delay k] arms a timer; returns a cancel thunk. Arm and
-    cancel only from the owning domain (or before the loop starts). *)
+    cancel only from the owning domain (or before the loop starts).
+    Timers due at the same time fire in arming order. *)
 
 val run : t -> unit
 (** The loop body — call from the domain that owns the loop. Returns

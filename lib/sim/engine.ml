@@ -1,64 +1,42 @@
-type handle = { mutable live : bool; thunk : unit -> unit; counter : int ref }
+type handle = (unit -> unit) Eventq.entry
 
 type t = {
   mutable clock : Time.cycles;
-  queue : handle Eventq.t;
+  queue : (unit -> unit) Eventq.t;
   root_rng : Rng.t;
-  live_events : int ref;
 }
 
 let create ?(seed = 42) () =
-  { clock = 0; queue = Eventq.create (); root_rng = Rng.create seed; live_events = ref 0 }
+  { clock = 0; queue = Eventq.create ~dummy:ignore (); root_rng = Rng.create seed }
 
 let now t = t.clock
 let rng t = t.root_rng
 
 let schedule_at t at f =
   assert (at >= t.clock);
-  let h = { live = true; thunk = f; counter = t.live_events } in
-  Eventq.push t.queue at h;
-  incr t.live_events;
-  h
+  Eventq.push t.queue at f
 
 let schedule t delay f =
   assert (delay >= 0);
   schedule_at t (t.clock + delay) f
 
-let cancel h =
-  if h.live then begin
-    h.live <- false;
-    decr h.counter
+let cancel = Eventq.remove
+let pending t = Eventq.length t.queue
+
+let step t =
+  if Eventq.is_empty t.queue then false
+  else begin
+    t.clock <- Eventq.min_time t.queue;
+    (Eventq.pop t.queue) ();
+    true
   end
 
-let pending t = !(t.live_events)
-
-let rec step t =
-  match Eventq.pop t.queue with
-  | None -> false
-  | Some (at, h) ->
-      if h.live then begin
-        h.live <- false;
-        decr h.counter;
-        t.clock <- at;
-        h.thunk ();
-        true
-      end
-      else step t
-
-let run ?until ?max_events t =
+let run ?until ?(max_events = max_int) t =
+  let stop = Option.value until ~default:max_int in
+  let due () = (not (Eventq.is_empty t.queue)) && Eventq.min_time t.queue <= stop in
   let fired = ref 0 in
-  let continue () = match max_events with Some m -> !fired < m | None -> true in
-  let rec loop () =
-    if continue () then
-      match Eventq.peek_time t.queue with
-      | None -> ()
-      | Some at -> (
-          match until with
-          | Some stop when at > stop -> t.clock <- max t.clock stop
-          | _ ->
-              if step t then begin
-                incr fired;
-                loop ()
-              end)
-  in
-  loop ()
+  while !fired < max_events && due () do
+    ignore (step t : bool);
+    incr fired
+  done;
+  if until <> None && not (due ()) then t.clock <- max t.clock stop

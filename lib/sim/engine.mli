@@ -4,7 +4,9 @@
     components of the simulated machine schedule work on a shared engine;
     running the engine advances time to each event in order and executes
     it. Cancellation is supported through handles because timers (e.g. TCP
-    retransmission, heartbeats) are frequently re-armed. *)
+    retransmission, heartbeats) are frequently re-armed: a cancelled
+    event leaves the queue at once, so the queue only ever holds events
+    that will fire. *)
 
 type t
 (** An engine instance. *)
@@ -30,17 +32,20 @@ val schedule_at : t -> Time.cycles -> (unit -> unit) -> handle
 (** [schedule_at t at f] runs [f] at absolute time [at >= now t]. *)
 
 val cancel : handle -> unit
-(** Cancel a scheduled event. Cancelling a fired or already-cancelled
-    event is a no-op. *)
+(** Cancel a scheduled event, removing it from the queue in
+    O(log [pending]). Cancelling a fired or already-cancelled event is a
+    no-op. *)
 
 val pending : t -> int
 (** Number of scheduled (uncancelled) events. *)
 
 val run : ?until:Time.cycles -> ?max_events:int -> t -> unit
-(** [run t] executes events until the queue is empty, time [until] is
-    reached (events at later times remain queued and the clock stops at
-    [until]), or [max_events] events have fired. *)
+(** [run t] executes events in (time, scheduling order) until the queue
+    is empty, the next event lies past [until], or [max_events] events
+    have fired. Events later than [until] remain queued. Unless
+    [max_events] left an event at or before [until] unfired, a run with
+    [until] leaves the clock at [max (now t) until]. *)
 
 val step : t -> bool
 (** Execute the single earliest event. Returns [false] when the queue was
-    empty. Cancelled events are skipped without counting as a step. *)
+    empty. *)

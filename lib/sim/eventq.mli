@@ -1,24 +1,38 @@
 (** Priority queue of timed events.
 
-    A classic binary min-heap keyed by (time, sequence number). The
-    sequence number makes the order of simultaneous events deterministic:
-    events scheduled first fire first. *)
+    An indexed binary min-heap keyed by (time, sequence number). The
+    sequence number is assigned at {!push} and makes the order of
+    simultaneous events deterministic: events pushed first pop first.
+    Each queued entry knows its heap slot, so {!remove} takes it out in
+    O(log n) and the heap holds only entries that are still due: a
+    removed or popped entry leaves no slot behind, and the queue keeps
+    no reference to its value. *)
 
 type 'a t
-(** Heap of events carrying payloads of type ['a]. *)
+(** Heap of events carrying values of type ['a]. *)
 
-val create : unit -> 'a t
-(** An empty queue. *)
+type 'a entry
+(** One pushed event, queued until it is popped or removed. *)
+
+val create : dummy:'a -> unit -> 'a t
+(** An empty queue. [dummy] fills vacated slots, so that a popped or
+    removed value is not kept reachable by the heap. *)
 
 val is_empty : 'a t -> bool
 
 val length : 'a t -> int
+(** Number of queued entries. *)
 
-val push : 'a t -> Time.cycles -> 'a -> unit
-(** [push q at payload] schedules [payload] at absolute time [at]. *)
+val push : 'a t -> Time.cycles -> 'a -> 'a entry
+(** [push q at v] queues [v] at absolute time [at]. *)
 
-val pop : 'a t -> (Time.cycles * 'a) option
-(** Remove and return the earliest event, if any. *)
+val remove : 'a entry -> unit
+(** Take the entry out of its queue. A no-op if it was already popped
+    or removed. *)
 
-val peek_time : 'a t -> Time.cycles option
-(** Time of the earliest event without removing it. *)
+val min_time : 'a t -> Time.cycles
+(** Time of the earliest entry. Raises [Invalid_argument] when empty. *)
+
+val pop : 'a t -> 'a
+(** Remove the earliest entry and return its value. Raises
+    [Invalid_argument] when empty. *)

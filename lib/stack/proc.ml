@@ -18,7 +18,7 @@ type t = {
   mutable core : Cpu.t;
   stats : Stats.t;
   trace : Trace.t option;
-  mutable rx : (Msg.t Sim_chan.t * handler ref) list;  (* oldest first *)
+  mutable rx : (Msg.t Sim_chan.t * handler ref) array;  (* service order *)
   mutable alive : bool;
   mutable hung : bool;
   mutable updating : bool;
@@ -44,7 +44,7 @@ let create machine ~name ~core ?trace () =
     core;
     stats = Stats.create ();
     trace;
-    rx = [];
+    rx = [||];
     alive = true;
     hung = false;
     updating = false;
@@ -128,41 +128,43 @@ let recv_cost c =
 
 let rec drain t =
   if t.alive && (not t.hung) && not t.updating then begin
-    (* Round-robin: find the first channel with a message, rotate it to
-       the back so no channel starves. *)
-    let rec find seen = function
-      | [] ->
-          t.rx <- List.rev seen;
-          None
-      | ((chan, handler) as entry) :: rest -> (
-          match Sim_chan.recv chan with
-          | Some msg ->
-              t.rx <- List.rev_append seen rest @ [ entry ];
-              Some (chan, msg, !handler)
-          | None -> find (entry :: seen) rest)
+    (* Round-robin: serve the first channel with a message and move it
+       to the back, in place, so no channel starves. *)
+    let rx = t.rx in
+    let n = Array.length rx in
+    let rec find i =
+      if i = n then t.draining <- false
+      else
+        let ((chan, handler) as entry) = rx.(i) in
+        match Sim_chan.recv chan with
+        | Some msg ->
+            Array.blit rx (i + 1) rx i (n - 1 - i);
+            rx.(n - 1) <- entry;
+            serve t chan msg !handler
+        | None -> find (i + 1)
     in
-    match find [] t.rx with
-    | None -> t.draining <- false
-    | Some (chan, msg, handler) ->
-        if Hook.enabled () then
-          Hook.with_actor ~epoch:t.incarnation t.name (fun () ->
-              emit_transfers chan msg (fun ~chan ~ptr ->
-                  Hook.Chan_receive { chan; ptr });
-              emit_protocol chan msg `Received);
-        let costs = Machine.costs t.machine in
-        let work_cost, effect =
-          with_actor ~epoch:t.incarnation t.name (fun () -> handler msg)
-        in
-        Cpu.exec t.core ~proc:t.pid
-          ~cost:(recv_cost costs + work_cost)
-          (let inc = t.incarnation in
-           fun () ->
-             if t.alive && (not t.hung) && t.incarnation = inc then begin
-               with_actor ~epoch:inc t.name effect;
-               drain t
-             end)
+    find 0
   end
   else t.draining <- false
+
+and serve t chan msg handler =
+  if Hook.enabled () then
+    Hook.with_actor ~epoch:t.incarnation t.name (fun () ->
+        emit_transfers chan msg (fun ~chan ~ptr ->
+            Hook.Chan_receive { chan; ptr });
+        emit_protocol chan msg `Received);
+  let costs = Machine.costs t.machine in
+  let work_cost, effect =
+    with_actor ~epoch:t.incarnation t.name (fun () -> handler msg)
+  in
+  Cpu.exec t.core ~proc:t.pid
+    ~cost:(recv_cost costs + work_cost)
+    (let inc = t.incarnation in
+     fun () ->
+       if t.alive && (not t.hung) && t.incarnation = inc then begin
+         with_actor ~epoch:inc t.name effect;
+         drain t
+       end)
 
 let wake t =
   if t.alive && (not t.hung) && (not t.updating) && not t.draining then begin
@@ -187,10 +189,10 @@ let notify t =
   else wake t
 
 let add_rx t chan handler =
-  (match List.assq_opt chan t.rx with
-  | Some href -> href := handler
+  (match Array.find_opt (fun (c, _) -> c == chan) t.rx with
+  | Some (_, href) -> href := handler
   | None ->
-      t.rx <- t.rx @ [ (chan, ref handler) ];
+      t.rx <- Array.append t.rx [| (chan, ref handler) |];
       Sim_chan.set_notify chan (fun () -> notify t));
   if not (Sim_chan.is_empty chan) then notify t
 

@@ -90,6 +90,31 @@ let test_loop_post_schedule_cancel_stop () =
   let s = Loop.stats loop in
   Alcotest.(check int) "one timer fire counted" 1 s.Loop.timer_fires
 
+let test_loop_timer_ties_fire_in_arming_order () =
+  (* With a constant clock both timers fall due at the same instant;
+     like the simulator's engine, the loop fires them oldest first. The
+     third is cancelled before the loop starts and never fires. *)
+  let loop = Loop.create ~index:0 ~now:(fun () -> 1000) () in
+  let order = ref [] in
+  let arm name = Loop.schedule loop 0 (fun () -> order := name :: !order) in
+  ignore (arm "first" : unit -> unit);
+  ignore (arm "second" : unit -> unit);
+  (arm "cancelled") ();
+  Loop.post loop (fun () ->
+      (* On the owning domain now: arm two more at the same deadline. *)
+      ignore (arm "third" : unit -> unit);
+      ignore (arm "fourth" : unit -> unit));
+  let d = Domain.spawn (fun () -> Loop.run loop) in
+  let deadline = Unix.gettimeofday () +. 5. in
+  while List.length !order < 4 && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.001
+  done;
+  Loop.request_stop loop;
+  Domain.join d;
+  Alcotest.(check bool) "no failure" true (Loop.failure loop = None);
+  Alcotest.(check (list string))
+    "arming order" [ "first"; "second"; "third"; "fourth" ] (List.rev !order)
+
 let test_loop_failure_captured () =
   let loop = Loop.create ~index:1 ~now:(fun () -> 0) () in
   Loop.post loop (fun () -> failwith "boom");
@@ -160,6 +185,8 @@ let suite =
       test_validate_error_names_the_remedy);
     ("loop: post/schedule/cancel/stop", `Quick,
       test_loop_post_schedule_cancel_stop);
+    ("loop: timer ties fire in arming order", `Quick,
+      test_loop_timer_ties_fire_in_arming_order);
     ("loop: failure captured, not swallowed", `Quick,
       test_loop_failure_captured);
     ("native: bounded 2-domain run", `Slow, test_native_bounded_run);

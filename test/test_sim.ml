@@ -8,49 +8,55 @@ module Stats = Newt_sim.Stats
 module Series = Newt_sim.Series
 
 let test_eventq_order () =
-  let q = Eventq.create () in
-  Eventq.push q 30 "c";
-  Eventq.push q 10 "a";
-  Eventq.push q 20 "b";
-  let pop () = match Eventq.pop q with Some (_, x) -> x | None -> "?" in
-  Alcotest.(check string) "first" "a" (pop ());
-  Alcotest.(check string) "second" "b" (pop ());
-  Alcotest.(check string) "third" "c" (pop ());
+  let q = Eventq.create ~dummy:"" () in
+  List.iter (fun (at, v) -> ignore (Eventq.push q at v : string Eventq.entry))
+    [ (30, "c"); (10, "a"); (20, "b") ];
+  Alcotest.(check string) "first" "a" (Eventq.pop q);
+  Alcotest.(check string) "second" "b" (Eventq.pop q);
+  Alcotest.(check string) "third" "c" (Eventq.pop q);
   Alcotest.(check bool) "empty" true (Eventq.is_empty q)
 
 let test_eventq_fifo_ties () =
-  let q = Eventq.create () in
+  let q = Eventq.create ~dummy:(-1) () in
   for i = 0 to 99 do
-    Eventq.push q 5 i
+    ignore (Eventq.push q 5 i : int Eventq.entry)
   done;
   for i = 0 to 99 do
-    match Eventq.pop q with
-    | Some (at, v) ->
-        Alcotest.(check int) "time" 5 at;
-        Alcotest.(check int) "fifo order among ties" i v
-    | None -> Alcotest.fail "queue exhausted early"
-  done
+    Alcotest.(check int) "time" 5 (Eventq.min_time q);
+    Alcotest.(check int) "fifo order among ties" i (Eventq.pop q)
+  done;
+  Alcotest.(check bool) "exhausted" true (Eventq.is_empty q)
 
 let test_eventq_many () =
-  let q = Eventq.create () in
+  let q = Eventq.create ~dummy:0 () in
   let rng = Rng.create 7 in
   let n = 2000 in
-  for _ = 1 to n do
-    Eventq.push q (Rng.int rng 100000) ()
-  done;
+  let entries =
+    Array.init n (fun _ ->
+        let at = Rng.int rng 100000 in
+        Eventq.push q at at)
+  in
+  (* Remove every third entry from wherever it sits in the heap. *)
+  Array.iteri (fun i e -> if i mod 3 = 0 then Eventq.remove e) entries;
+  let kept = n - ((n + 2) / 3) in
+  Alcotest.(check int) "removed entries leave" kept (Eventq.length q);
+  Array.iteri (fun i e -> if i mod 3 = 0 then Eventq.remove e) entries;
+  Alcotest.(check int) "removing twice is a no-op" kept (Eventq.length q);
   let last = ref (-1) in
   let count = ref 0 in
-  let rec drain () =
-    match Eventq.pop q with
-    | None -> ()
-    | Some (at, ()) ->
-        Alcotest.(check bool) "non-decreasing" true (at >= !last);
-        last := at;
-        incr count;
-        drain ()
-  in
-  drain ();
-  Alcotest.(check int) "all popped" n !count
+  while not (Eventq.is_empty q) do
+    let at = Eventq.min_time q in
+    Alcotest.(check int) "value is its time" at (Eventq.pop q);
+    Alcotest.(check bool) "non-decreasing" true (at >= !last);
+    last := at;
+    incr count
+  done;
+  Alcotest.(check int) "all popped" kept !count;
+  let fresh = Eventq.push q 1 1 in
+  Array.iter Eventq.remove entries;
+  Alcotest.(check int) "removing popped entries is a no-op" 1 (Eventq.length q);
+  Eventq.remove fresh;
+  Alcotest.(check bool) "empty" true (Eventq.is_empty q)
 
 let test_engine_runs_in_order () =
   let e = Engine.create () in
@@ -82,6 +88,167 @@ let test_engine_until () =
   Alcotest.(check int) "clock stopped at until" 450 (Engine.now e);
   Engine.run e;
   Alcotest.(check int) "remaining events fire" 10 !count
+
+let test_engine_until_skips_cancelled () =
+  (* A cancelled event at or before [until] must not let the run fire
+     the next live event past [until]. *)
+  let e = Engine.create () in
+  let fired = ref false in
+  Engine.cancel (Engine.schedule e 10 ignore);
+  ignore (Engine.schedule e 100 (fun () -> fired := true) : Engine.handle);
+  Engine.run ~until:50 e;
+  Alcotest.(check bool) "event past until did not fire" false !fired;
+  Alcotest.(check int) "clock at until" 50 (Engine.now e);
+  Alcotest.(check int) "later event still pending" 1 (Engine.pending e)
+
+let test_engine_until_clock () =
+  (* The clock ends at [until] whatever the queue holds. *)
+  let e = Engine.create () in
+  Engine.run ~until:1000 e;
+  Alcotest.(check int) "empty queue: clock at until" 1000 (Engine.now e);
+  let e = Engine.create () in
+  Engine.cancel (Engine.schedule e 5000 ignore);
+  Engine.run ~until:1000 e;
+  Alcotest.(check int) "cancelled entry: clock at until" 1000 (Engine.now e);
+  Engine.run ~until:500 e;
+  Alcotest.(check int) "clock never goes back" 1000 (Engine.now e)
+
+(* Model test: random interleavings of schedule, cancel and step against
+   a reference list of live events ordered by (time, scheduling order).
+   Thunks may cancel themselves (a no-op: they already fired), cancel
+   another event (possibly due at the same time, or already gone), or
+   schedule a new event. *)
+type action = Quiet | Cancel_self | Cancel_other of int | Spawn of int
+
+type op = Schedule of int * action | Cancel of int | Step
+
+let gen_op =
+  QCheck2.Gen.(
+    let action =
+      oneof
+        [
+          pure Quiet;
+          pure Cancel_self;
+          map (fun k -> Cancel_other k) (int_range 0 63);
+          map (fun d -> Spawn d) (int_range 0 3);
+        ]
+    in
+    frequency
+      [
+        (4, map2 (fun d a -> Schedule (d, a)) (int_range 0 3) action);
+        (2, map (fun k -> Cancel k) (int_range 0 63));
+        (3, pure Step);
+      ])
+
+let print_op = function
+  | Schedule (d, a) ->
+      Printf.sprintf "Schedule(%d,%s)" d
+        (match a with
+        | Quiet -> "quiet"
+        | Cancel_self -> "cancel-self"
+        | Cancel_other k -> Printf.sprintf "cancel %d" k
+        | Spawn d -> Printf.sprintf "spawn %d" d)
+  | Cancel k -> Printf.sprintf "Cancel %d" k
+  | Step -> "Step"
+
+let engine_matches_model ops =
+  let e = Engine.create () in
+  (* Engine side: every handle ever made, and the ids that fired. *)
+  let handles = ref [||] in
+  let fired = ref [] in
+  let rec schedule delay action =
+    let id = Array.length !handles in
+    let h =
+      Engine.schedule e delay (fun () ->
+          fired := id :: !fired;
+          match action with
+          | Quiet -> ()
+          | Cancel_self -> Engine.cancel !handles.(id)
+          | Cancel_other k -> Engine.cancel !handles.(k mod Array.length !handles)
+          | Spawn d -> schedule d Quiet)
+    in
+    handles := Array.append !handles [| h |]
+  in
+  (* Model side: live (time, id) in firing order, the clock, the ids
+     fired, and each id's action. *)
+  let live = ref [] and clock = ref 0 and model_fired = ref [] in
+  let actions = ref [||] in
+  let model_schedule at action =
+    live := List.merge compare !live [ (at, Array.length !actions) ];
+    actions := Array.append !actions [| action |]
+  in
+  let model_cancel k =
+    let id = k mod Array.length !actions in
+    live := List.filter (fun (_, i) -> i <> id) !live
+  in
+  let model_step () =
+    match !live with
+    | [] -> false
+    | (at, id) :: rest ->
+        live := rest;
+        clock := at;
+        model_fired := id :: !model_fired;
+        (match !actions.(id) with
+        | Quiet | Cancel_self -> ()
+        | Cancel_other k -> model_cancel k
+        | Spawn d -> model_schedule (at + d) Quiet);
+        true
+  in
+  List.for_all
+    (fun op ->
+      let agree =
+        match op with
+        | Schedule (d, a) ->
+            schedule d a;
+            model_schedule (!clock + d) a;
+            true
+        | Cancel k ->
+            if !actions <> [||] then begin
+              Engine.cancel !handles.(k mod Array.length !handles);
+              model_cancel k
+            end;
+            true
+        | Step -> Engine.step e = model_step ()
+      in
+      agree
+      && Engine.pending e = List.length !live
+      && Engine.now e = !clock
+      && !fired = !model_fired)
+    ops
+  && begin
+       (* Drain both: the rest fires in the same order. *)
+       Engine.run e;
+       while model_step () do
+         ()
+       done;
+       !fired = !model_fired && Engine.now e = !clock && Engine.pending e = 0
+     end
+
+let test_engine_model =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"engine agrees with a sorted-list model"
+       ~print:(fun ops -> String.concat "; " (List.map print_op ops))
+       QCheck2.Gen.(list_size (int_range 1 120) gen_op)
+       engine_matches_model)
+
+let test_engine_cancelled_thunk_collectable () =
+  (* A cancelled event leaves the queue: nothing in the engine keeps its
+     thunk, or what the thunk captures, reachable. The same holds for a
+     fired one. *)
+  let e = Engine.create () in
+  let collected = ref 0 in
+  let arm delay =
+    let captured = ref delay in
+    Gc.finalise (fun _ -> incr collected) captured;
+    Engine.schedule e delay (fun () -> incr captured)
+  in
+  Engine.cancel (arm 1_000_000);
+  ignore (arm 10 : Engine.handle);
+  ignore (Engine.schedule e 2_000_000 ignore : Engine.handle);
+  Engine.run ~until:100 e;
+  Gc.full_major ();
+  Alcotest.(check int) "cancelled and fired thunks collected" 2 !collected;
+  Alcotest.(check int) "later event still pending" 1 (Engine.pending e)
 
 let test_engine_nested_schedule () =
   let e = Engine.create () in
@@ -309,6 +476,14 @@ let suite =
     ("engine runs events in order", `Quick, test_engine_runs_in_order);
     ("engine cancel suppresses events", `Quick, test_engine_cancel);
     ("engine run ~until stops the clock", `Quick, test_engine_until);
+    ( "engine run ~until ignores cancelled events",
+      `Quick,
+      test_engine_until_skips_cancelled );
+    ("engine run ~until leaves the clock at until", `Quick, test_engine_until_clock);
+    test_engine_model;
+    ( "engine cancelled and fired thunks are collectable",
+      `Quick,
+      test_engine_cancelled_thunk_collectable );
     ("engine nested scheduling", `Quick, test_engine_nested_schedule);
     ("rng is deterministic per seed", `Quick, test_rng_deterministic);
     ("rng split gives independent stream", `Quick, test_rng_split_independent);

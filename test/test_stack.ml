@@ -58,6 +58,38 @@ let test_proc_round_robin_fairness () =
     (Printf.sprintf "alternates rather than starving (%s)" s)
     true alternates
 
+let test_proc_service_order_three_channels () =
+  (* The served channel moves to the back; the channels before it keep
+     their places ahead of those after it. [a] starts empty and gets a
+     message from [b]'s first handler, so after serving [b] the order is
+     a, c, b (a rotation would give c, a, b and serve c next). *)
+  let e, m = make_world () in
+  let core = Machine.add_dedicated_core m in
+  let p = Proc.create m ~name:"srv" ~core () in
+  let a = Sim_chan.create ~id:1 ()
+  and b = Sim_chan.create ~id:2 ()
+  and c = Sim_chan.create ~id:3 () in
+  let order = ref [] in
+  let served name effect _ =
+    (10, fun () -> order := name :: !order; effect ())
+  in
+  let b_first = ref true in
+  Proc.add_rx p a (served "a" ignore);
+  Proc.add_rx p b
+    (served "b" (fun () ->
+         if !b_first then begin
+           b_first := false;
+           ignore (Sim_chan.send a dummy_msg : bool)
+         end));
+  Proc.add_rx p c (served "c" ignore);
+  for _ = 1 to 2 do
+    ignore (Sim_chan.send b dummy_msg : bool);
+    ignore (Sim_chan.send c dummy_msg : bool)
+  done;
+  Engine.run e;
+  Alcotest.(check (list string)) "service sequence" [ "b"; "a"; "c"; "b"; "c" ]
+    (List.rev !order)
+
 let test_proc_crash_drops_work () =
   let e, m = make_world () in
   let core = Machine.add_dedicated_core m in
@@ -360,6 +392,9 @@ let suite =
   [
     ("proc drains channel messages", `Quick, test_proc_drains_messages);
     ("proc round-robins channels", `Quick, test_proc_round_robin_fairness);
+    ( "proc serves three channels in move-to-back order",
+      `Quick,
+      test_proc_service_order_three_channels );
     ("proc crash drops in-flight work", `Quick, test_proc_crash_drops_work);
     ("proc restart bumps incarnation", `Quick, test_proc_restart_bumps_incarnation);
     ("proc hang stops progress", `Quick, test_proc_hang_stops_progress);
