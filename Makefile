@@ -15,7 +15,7 @@ test:
 fmt:
 	dune build @fmt
 
-# Golden outputs: four seeded runs (~8 s) whose output must equal, byte
+# Golden outputs: five seeded runs (~20 s) whose output must equal, byte
 # for byte, the files under test/golden/. A change that is meant to keep
 # the simulated numbers passes as is; one that changes them on purpose
 # regenerates the files with the same commands and says why.
@@ -26,6 +26,7 @@ golden-check: build
 	$(SIM) campaign --runs 20 --json | diff -u test/golden/campaign.json -
 	$(SIM) churn --scenario listen-pressure \
 	    | diff -u test/golden/churn-listen-pressure.txt -
+	$(SIM) fig4 | diff -u test/golden/fig4.txt -
 
 # Static channel-graph verification over every shipped configuration
 # (split stack plus all shard/replica combinations): SPSC discipline,
@@ -173,7 +174,9 @@ bench-smoke: build
 	grep -q '"segments":[1-9]' _bench_fsm.json
 	rm -f _bench_fsm.json
 	dune exec bench/main.exe -- micro-spsc | grep -q '"spsc_cross_domain"'
-	dune exec bench/main.exe -- profile | grep -q '"frames":\[{"frame":'
+	dune exec bench/main.exe -- profile | python3 -c 'import json, sys; \
+	    p = json.loads(sys.stdin.read())["profile"]; \
+	    assert p["frames"] and p["self"], p'
 
 # Churn smoke: short flow-churn runs with the continuous checker
 # attached. Asserts the streaming-histogram percentile block is in the
@@ -217,8 +220,9 @@ perf-smoke: build
 
 # Where a bulk run's host CPU goes: a SIGPROF call-stack sampler
 # (ITIMER_PROF, 1 ms of process CPU per sample) around the split Host
-# with five saturated 1 Gbps NICs. Prints the top inclusive frames as
-# one JSON line.
+# with five saturated 1 Gbps NICs. Prints the top inclusive frames and
+# the top self frames (innermost OCaml frame per sample) as one JSON
+# line.
 profile: build
 	dune exec bench/main.exe -- profile
 

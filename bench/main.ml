@@ -597,11 +597,14 @@ let print_churn () =
    A call-stack sampler for machines without [perf]: ITIMER_PROF
    delivers SIGPROF every millisecond of process CPU time, and the
    handler records the OCaml call stack it interrupted. A frame's
-   share is the fraction of samples it appears in at least once
-   (inclusive time). The run is the benchmark's bulk shape: the split
-   Host, five 1 Gbps NICs, one saturating iperf per NIC, 0.3 s
-   simulated. This file's own frames (the sampler and the driver) are
-   left out. *)
+   share in "frames" is the fraction of samples it appears in at least
+   once (inclusive time). "self" charges each sample to its innermost
+   OCaml frame only. OCaml takes the signal at its own safe points, so
+   time spent in the GC or in C code is charged to the OCaml frame
+   that called it, not listed on its own. The run is the benchmark's
+   bulk shape: the split Host, five 1 Gbps NICs, one saturating iperf
+   per NIC, 0.3 s simulated. This file's own frames (the sampler and
+   the driver) are left out. *)
 let print_profile () =
   let module Host = Newt_core.Host in
   let module Sink = Newt_stack.Sink in
@@ -613,7 +616,8 @@ let print_profile () =
       (Newt_sockets.Apps.Iperf.start (Host.machine h) ~sc:(Host.sc h) ~app:(Host.app h)
          ~dst:(Host.sink_addr h i) ~port ~until ())
   done;
-  let hits = Hashtbl.create 512 and samples = ref 0 in
+  let hits = Hashtbl.create 512 and self = Hashtbl.create 512 and samples = ref 0 in
+  let bump tbl f = Hashtbl.replace tbl f (1 + Option.value ~default:0 (Hashtbl.find_opt tbl f)) in
   let frame slot =
     match (Printexc.Slot.name slot, Printexc.Slot.location slot) with
     | Some name, _ -> Some name
@@ -626,8 +630,10 @@ let print_profile () =
     let count slot =
       match frame slot with
       | Some f when not (Hashtbl.mem seen f || String.starts_with ~prefix:"Dune__exe" f) ->
+          (* Slots run innermost first: the first one kept is self. *)
+          if Hashtbl.length seen = 0 then bump self f;
           Hashtbl.replace seen f ();
-          Hashtbl.replace hits f (1 + Option.value ~default:0 (Hashtbl.find_opt hits f))
+          bump hits f
       | Some _ | None -> ()
     in
     Option.iter (Array.iter count) (Printexc.backtrace_slots (Printexc.get_callstack 256))
@@ -640,19 +646,18 @@ let print_profile () =
   Host.run h ~until;
   timer 0.0;
   Sys.set_signal Sys.sigprof Sys.Signal_default;
-  let top =
-    Hashtbl.fold (fun f n acc -> (f, n) :: acc) hits []
+  let top tbl key =
+    Hashtbl.fold (fun f n acc -> (f, n) :: acc) tbl []
     |> List.sort (fun (fa, a) (fb, b) -> if a <> b then compare b a else compare fa fb)
     |> List.filteri (fun i _ -> i < 30)
-  in
-  let frame_json (f, n) =
-    Printf.sprintf "{\"frame\":%S,\"inclusive\":%.3f}" f
-      (float_of_int n /. float_of_int (max 1 !samples))
+    |> List.map (fun (f, n) ->
+           Printf.sprintf "{\"frame\":%S,\"%s\":%.3f}" f key
+             (float_of_int n /. float_of_int (max 1 !samples)))
+    |> String.concat ","
   in
   Printf.printf
-    "{\"profile\":{\"workload\":\"bulk\",\"interval_ms\":1,\"samples\":%d,\"frames\":[%s]}}\n"
-    !samples
-    (String.concat "," (List.map frame_json top))
+    "{\"profile\":{\"workload\":\"bulk\",\"interval_ms\":1,\"samples\":%d,\"frames\":[%s],\"self\":[%s]}}\n"
+    !samples (top hits "inclusive") (top self "self")
 
 let () =
   let what = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in

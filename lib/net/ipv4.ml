@@ -55,12 +55,15 @@ let packet h ~payload =
   Bytes.blit payload 0 b header_size (Bytes.length payload);
   b
 
-let payload b =
-  match decode_header b ~off:0 with
+let payload_at b ~off =
+  match decode_header b ~off with
   | None -> None
   | Some h ->
-      let len = min (Bytes.length b) h.total_len - header_size in
-      if len < 0 then None else Some (h, Bytes.sub b header_size len)
+      let len = min (Bytes.length b - off) h.total_len - header_size in
+      if len < 0 then None else Some (h, off + header_size, len)
+
+let payload b =
+  Option.map (fun (h, off, len) -> (h, Bytes.sub b off len)) (payload_at b ~off:0)
 
 module Route = struct
   type entry = {

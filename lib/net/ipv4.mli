@@ -31,8 +31,13 @@ val decode_header : Bytes.t -> off:int -> header option
 val packet : header -> payload:Bytes.t -> Bytes.t
 (** Assemble a full packet; [total_len] is taken from the payload. *)
 
+val payload_at : Bytes.t -> off:int -> (header * int * int) option
+(** The validated header of the packet at [off], which runs at most to
+    the end of the buffer, with the offset and length of its payload.
+    Nothing is copied. *)
+
 val payload : Bytes.t -> (header * Bytes.t) option
-(** Split a packet into a validated header and its payload. *)
+(** {!payload_at} [~off:0], returning a copy of the payload. *)
 
 (** The routing table: longest-prefix match over static routes. *)
 module Route : sig

@@ -768,11 +768,13 @@ let update_snd_wnd pcb (hdr : Tcp_wire.header) =
 
 (* {2 Receive-side reassembly} *)
 
-let insert_ooo pcb seq data =
+let insert_ooo pcb seq payload ~off ~len =
   (* Keep a bounded, sorted out-of-order list; overlaps are resolved by
-     preferring already-stored segments (peer retransmits will fill). *)
-  if List.length pcb.ooo < 64 && Bytes.length data > 0 then begin
-    let entry = (seq, data) in
+     preferring already-stored segments (peer retransmits will fill).
+     The payload window belongs to the caller, so a stashed segment
+     takes its own copy. *)
+  if List.length pcb.ooo < 64 && len > 0 then begin
+    let entry = (seq, Bytes.sub payload off len) in
     let rec ins = function
       | [] -> [ entry ]
       | (s, d) :: rest as l ->
@@ -799,8 +801,7 @@ let rec drain_ooo pcb =
       drain_ooo pcb
   | _ -> ()
 
-let rec process_payload pcb (hdr : Tcp_wire.header) payload =
-  let len = Bytes.length payload in
+let rec process_payload pcb (hdr : Tcp_wire.header) payload ~off ~len =
   let seg_seq = hdr.Tcp_wire.seq in
   let fin = hdr.Tcp_wire.flags.Tcp_wire.fin in
   if len = 0 && not fin then ()
@@ -814,7 +815,7 @@ let rec process_payload pcb (hdr : Tcp_wire.header) payload =
     end
     else if Seq32.gt seg_seq pcb.rcv_nxt then begin
       (* A hole: stash and send an immediate duplicate ACK. *)
-      insert_ooo pcb seg_seq payload;
+      insert_ooo pcb seg_seq payload ~off ~len;
       ack_now pcb
     end
     else begin
@@ -823,7 +824,7 @@ let rec process_payload pcb (hdr : Tcp_wire.header) payload =
       let fresh = len - skip in
       let had_data = fresh > 0 in
       if had_data then begin
-        let pushed = Bytebuf.push pcb.rcvbuf payload ~off:skip ~len:fresh in
+        let pushed = Bytebuf.push pcb.rcvbuf payload ~off:(off + skip) ~len:fresh in
         pcb.rcv_nxt <- Seq32.add pcb.rcv_nxt pushed
       end;
       drain_ooo pcb;
@@ -957,10 +958,8 @@ let handle_listener t listener ~src ~dst (hdr : Tcp_wire.header) =
       ~ack:(Seq32.add hdr.Tcp_wire.seq 1)
       ~with_ack:(not hdr.Tcp_wire.flags.Tcp_wire.ack)
 
-let handle_synchronized pcb (hdr : Tcp_wire.header) payload =
-  let rx =
-    Hook.T_rx (hook_flags hdr.Tcp_wire.flags ~payload_len:(Bytes.length payload))
-  in
+let handle_synchronized pcb (hdr : Tcp_wire.header) payload ~off ~len =
+  let rx = Hook.T_rx (hook_flags hdr.Tcp_wire.flags ~payload_len:len) in
   if hdr.Tcp_wire.flags.Tcp_wire.rst then begin
     pcb.t.stats.rsts_in <- pcb.t.stats.rsts_in + 1;
     let h = pcb.handler in
@@ -993,7 +992,7 @@ let handle_synchronized pcb (hdr : Tcp_wire.header) payload =
           let fin_was_acked () =
             pcb.fin_sent && Seq32.ge pcb.snd_una (Seq32.add pcb.fin_seq 1)
           in
-          process_ack pcb hdr ~payload_len:(Bytes.length payload);
+          process_ack pcb hdr ~payload_len:len;
           update_snd_wnd pcb hdr;
           (* FIN-progress state transitions. *)
           (match pcb.state with
@@ -1007,7 +1006,7 @@ let handle_synchronized pcb (hdr : Tcp_wire.header) payload =
           | Last_ack | Syn_received | Syn_sent | Listen | Time_wait | Closed ->
               ());
           if pcb.state <> Closed then begin
-            process_payload pcb hdr payload;
+            process_payload pcb hdr payload ~off ~len;
             output pcb
           end
         end
@@ -1020,11 +1019,13 @@ let handle_synchronized pcb (hdr : Tcp_wire.header) payload =
     | Syn_received | Syn_sent | Listen | Closed -> ()
   end
 
-let input t ~src ~dst (hdr : Tcp_wire.header) ~payload =
+let input t ~src ~dst (hdr : Tcp_wire.header) ~payload ~off ~len =
+  if off < 0 || len < 0 || off > Bytes.length payload - len then
+    invalid_arg "Tcp.input";
   t.stats.segs_in <- t.stats.segs_in + 1;
   hook_seg ~tx:false ~lip:dst ~lport:hdr.Tcp_wire.dst_port ~rip:src
     ~rport:hdr.Tcp_wire.src_port
-    (hook_flags hdr.Tcp_wire.flags ~payload_len:(Bytes.length payload));
+    (hook_flags hdr.Tcp_wire.flags ~payload_len:len);
   let key = (dst, hdr.Tcp_wire.dst_port, src, hdr.Tcp_wire.src_port) in
   match Hashtbl.find_opt t.conns key with
   | Some pcb -> (
@@ -1033,7 +1034,7 @@ let input t ~src ~dst (hdr : Tcp_wire.header) ~payload =
       | Listen | Closed -> ()
       | Syn_received | Established | Fin_wait_1 | Fin_wait_2 | Close_wait
       | Closing | Last_ack | Time_wait ->
-          handle_synchronized pcb hdr payload)
+          handle_synchronized pcb hdr payload ~off ~len)
   | None -> (
       match Hashtbl.find_opt t.listeners hdr.Tcp_wire.dst_port with
       | Some listener -> handle_listener t listener ~src ~dst hdr
@@ -1041,7 +1042,7 @@ let input t ~src ~dst (hdr : Tcp_wire.header) ~payload =
           if not hdr.Tcp_wire.flags.Tcp_wire.rst then begin
             (* SYN and FIN each occupy one sequence number. *)
             let seg_len =
-              Bytes.length payload
+              len
               + (if hdr.Tcp_wire.flags.Tcp_wire.syn then 1 else 0)
               + if hdr.Tcp_wire.flags.Tcp_wire.fin then 1 else 0
             in
@@ -1080,6 +1081,13 @@ let input t ~src ~dst (hdr : Tcp_wire.header) ~payload =
                   ~ack:(Seq32.add hdr.Tcp_wire.seq seg_len)
                   ~with_ack:(not hdr.Tcp_wire.flags.Tcp_wire.ack)
           end)
+
+let input_segment t ~src ~dst b ~off ~len =
+  match Tcp_wire.decode_at ~src ~dst b ~off ~len with
+  | Some (hdr, pay) ->
+      input t ~src ~dst hdr ~payload:b ~off:pay ~len:(off + len - pay);
+      true
+  | None -> false
 
 (* {2 Introspection and crash support} *)
 

@@ -144,10 +144,30 @@ val recv_available : pcb -> int
 (** {1 Input from the network} *)
 
 val input :
-  t -> src:Addr.Ipv4.t -> dst:Addr.Ipv4.t -> Tcp_wire.header -> payload:Bytes.t -> unit
+  t ->
+  src:Addr.Ipv4.t ->
+  dst:Addr.Ipv4.t ->
+  Tcp_wire.header ->
+  payload:Bytes.t ->
+  off:int ->
+  len:int ->
+  unit
 (** Deliver a received segment (already checksum-validated by the
-    caller). Segments that match no connection are answered with RST,
-    per RFC 793. *)
+    caller) whose payload is the [len] bytes of [payload] at [off] —
+    typically a window into the received frame. The engine keeps no
+    reference to the window after returning: in-order bytes are copied
+    into the receive buffer and an out-of-order segment is stashed as
+    its own copy. Segments that match no connection are answered with
+    RST, per RFC 793.
+    @raise Invalid_argument if [off] and [len] do not name a region of
+    [payload]. *)
+
+val input_segment :
+  t -> src:Addr.Ipv4.t -> dst:Addr.Ipv4.t -> Bytes.t -> off:int -> len:int -> bool
+(** Decode the [len]-byte segment at [off] in place
+    ({!Tcp_wire.decode_at}) and deliver it with {!input}, its payload a
+    window into the same buffer. [false] (and nothing delivered) when
+    the checksum or header is bad. *)
 
 (** {1 Inspection} *)
 

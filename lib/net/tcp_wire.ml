@@ -98,50 +98,58 @@ let finalize_csum b =
   in
   Wire.put_u16 b 16 sum
 
-let decode_options b hsize =
+let decode_options b ~off hsize =
   let mss = ref None and wscale = ref None in
-  let off = ref 20 in
+  let stop = off + hsize in
+  let o = ref (off + 20) in
   (try
-     while !off < hsize do
-       match Wire.get_u8 b !off with
+     while !o < stop do
+       match Wire.get_u8 b !o with
        | 0 -> raise Exit (* end of options *)
-       | 1 -> incr off (* NOP *)
-       | 2 when !off + 4 <= hsize ->
-           mss := Some (Wire.get_u16 b (!off + 2));
-           off := !off + 4
-       | 3 when !off + 3 <= hsize ->
-           wscale := Some (Wire.get_u8 b (!off + 2));
-           off := !off + 3
+       | 1 -> incr o (* NOP *)
+       | 2 when !o + 4 <= stop ->
+           mss := Some (Wire.get_u16 b (!o + 2));
+           o := !o + 4
+       | 3 when !o + 3 <= stop ->
+           wscale := Some (Wire.get_u8 b (!o + 2));
+           o := !o + 3
        | _ ->
            (* Unknown option: skip by its length byte, bail on nonsense. *)
-           if !off + 1 >= hsize then raise Exit
+           if !o + 1 >= stop then raise Exit
            else
-             let l = Wire.get_u8 b (!off + 1) in
-             if l < 2 then raise Exit else off := !off + l
+             let l = Wire.get_u8 b (!o + 1) in
+             if l < 2 then raise Exit else o := !o + l
      done
    with Exit -> ());
   (!mss, !wscale)
 
-let decode ~src ~dst b =
-  let len = Bytes.length b in
+let decode_at ~src ~dst b ~off ~len =
+  if off < 0 || len < 0 || off > Bytes.length b - len then
+    invalid_arg "Tcp_wire.decode_at";
   if len < 20 then None
   else
     let pseudo = Udp.pseudo_header_sum ~src ~dst ~proto:6 ~len in
-    if Checksum.finish (Checksum.add_bytes pseudo b ~off:0 ~len) <> 0 then None
+    if Checksum.finish (Checksum.add_bytes pseudo b ~off ~len) <> 0 then None
     else
-      let hsize = (Wire.get_u8 b 12 lsr 4) * 4 in
+      let hsize = (Wire.get_u8 b (off + 12) lsr 4) * 4 in
       if hsize < 20 || hsize > len then None
       else
-        let mss, wscale = decode_options b hsize in
+        let mss, wscale = decode_options b ~off hsize in
         Some
           ( {
-              src_port = Wire.get_u16 b 0;
-              dst_port = Wire.get_u16 b 2;
-              seq = Wire.get_u32 b 4;
-              ack = Wire.get_u32 b 8;
-              flags = flags_of_byte (Wire.get_u8 b 13);
-              window = Wire.get_u16 b 14;
+              src_port = Wire.get_u16 b off;
+              dst_port = Wire.get_u16 b (off + 2);
+              seq = Wire.get_u32 b (off + 4);
+              ack = Wire.get_u32 b (off + 8);
+              flags = flags_of_byte (Wire.get_u8 b (off + 13));
+              window = Wire.get_u16 b (off + 14);
               mss;
               wscale;
             },
-            Bytes.sub b hsize (len - hsize) )
+            off + hsize )
+
+let decode ~src ~dst b =
+  let len = Bytes.length b in
+  Option.map
+    (fun (h, pay) -> (h, Bytes.sub b pay (len - pay)))
+    (decode_at ~src ~dst b ~off:0 ~len)

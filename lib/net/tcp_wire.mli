@@ -40,6 +40,20 @@ val encode :
 val finalize_csum : Bytes.t -> unit
 (** Finish a partial checksum in place (the offload engine). *)
 
+val decode_at :
+  src:Addr.Ipv4.t ->
+  dst:Addr.Ipv4.t ->
+  Bytes.t ->
+  off:int ->
+  len:int ->
+  (header * int) option
+(** Validate the checksum of the [len]-byte segment at [off] of the
+    buffer and return its header and the offset of its payload, which
+    runs to [off + len]. Nothing is copied.
+    @raise Invalid_argument if [off] and [len] do not name a region of
+    the buffer. *)
+
 val decode :
   src:Addr.Ipv4.t -> dst:Addr.Ipv4.t -> Bytes.t -> (header * Bytes.t) option
-(** Validate the checksum and return header and payload. *)
+(** {!decode_at} over the whole buffer, returning a copy of the
+    payload. *)

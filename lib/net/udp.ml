@@ -50,9 +50,14 @@ let decode ~src ~dst b =
     let len = Wire.get_u16 b 4 in
     if len < header_size || len > Bytes.length b then None
     else
+      (* A transmitted checksum of 0 means the sender computed none
+         (RFC 768; RFC 1122 §4.1.3.4): accept without verifying. *)
+      let unchecked = Wire.get_u16 b 6 = 0 in
       let pseudo = pseudo_header_sum ~src ~dst ~proto:17 ~len in
-      let sum = Checksum.finish (Checksum.add_bytes pseudo b ~off:0 ~len) in
-      if sum <> 0 then None
+      if
+        (not unchecked)
+        && Checksum.finish (Checksum.add_bytes pseudo b ~off:0 ~len) <> 0
+      then None
       else
         Some
           ( { src_port = Wire.get_u16 b 0; dst_port = Wire.get_u16 b 2 },

@@ -22,7 +22,9 @@ val finalize_csum : Bytes.t -> unit
 
 val decode :
   src:Addr.Ipv4.t -> dst:Addr.Ipv4.t -> Bytes.t -> (header * Bytes.t) option
-(** Validate the checksum and split header from payload. *)
+(** Validate the checksum and split header from payload. A transmitted
+    checksum of 0 means the sender computed none (RFC 768), so the
+    datagram is accepted unverified. *)
 
 val pseudo_header_sum :
   src:Addr.Ipv4.t -> dst:Addr.Ipv4.t -> proto:int -> len:int -> Checksum.partial

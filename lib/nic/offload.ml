@@ -36,7 +36,9 @@ let finalize_l4_checksum frame =
   | None -> false
   | Some csum_off ->
       let len = l4_len frame in
-      if l4_off + len > Bytes.length frame then false
+      (* The IP total length must cover the checksum field and fit the
+         frame; a corrupt one is refused, not summed. *)
+      if csum_off + 2 > l4_off + len || l4_off + len > Bytes.length frame then false
       else begin
         Wire.put_u16 frame csum_off 0;
         let sum =

@@ -14,7 +14,9 @@ val l4_csum_offset : Bytes.t -> int option
 val finalize_l4_checksum : Bytes.t -> bool
 (** Complete, in place, a partial L4 checksum left by the transport
     layer ({!Newt_net.Tcp_wire.encode} with [~partial_csum:true]).
-    Returns [false] when the frame is not IPv4 TCP/UDP. *)
+    Returns [false] when the frame is not IPv4 TCP/UDP, or when its IP
+    total length does not cover the L4 checksum field or overruns the
+    frame. *)
 
 val tso_split : Bytes.t -> mss:int -> Bytes.t list
 (** Split an oversized IPv4/TCP frame into MTU-sized frames: sequence

@@ -136,10 +136,10 @@ let on_rx t frame =
           Cpu.exec t.core ~proc:inet_pid
             ~cost:(c.Costs.tcp_ack_work * inet_legacy_factor)
             (fun () ->
-              match (Ethernet.decode_header frame ~off:0, Ethernet.payload frame) with
-              | Some { Ethernet.ethertype = Ethernet.Arp; _ }, Some arp_bytes -> (
+              match Ethernet.decode_header frame ~off:0 with
+              | Some { Ethernet.ethertype = Ethernet.Arp; _ } -> (
                   (* INET answers ARP for its address. *)
-                  match Newt_net.Arp.decode arp_bytes with
+                  match Option.bind (Ethernet.payload frame) Newt_net.Arp.decode with
                   | Some req
                     when req.Newt_net.Arp.op = Newt_net.Arp.Request
                          && Addr.Ipv4.equal req.Newt_net.Arp.target_ip t.addr ->
@@ -161,19 +161,17 @@ let on_rx t frame =
                            }
                            ~payload:(Newt_net.Arp.encode reply))
                   | Some _ | None -> ())
-              | Some { Ethernet.ethertype = Ethernet.Ipv4; _ }, Some pkt -> (
-                  match Ipv4.payload pkt with
-                  | Some (ih, l4) when Addr.Ipv4.equal ih.Ipv4.dst t.addr -> (
+              | Some { Ethernet.ethertype = Ethernet.Ipv4; _ } -> (
+                  match Ipv4.payload_at frame ~off:Ethernet.header_size with
+                  | Some (ih, off, len) when Addr.Ipv4.equal ih.Ipv4.dst t.addr -> (
                       match ih.Ipv4.protocol with
-                      | Ipv4.Tcp -> (
-                          match Tcp_wire.decode ~src:ih.Ipv4.src ~dst:ih.Ipv4.dst l4 with
-                          | Some (hdr, payload) ->
-                              Tcp.input t.tcp ~src:ih.Ipv4.src ~dst:ih.Ipv4.dst hdr
-                                ~payload
-                          | None -> ())
+                      | Ipv4.Tcp ->
+                          ignore
+                            (Tcp.input_segment t.tcp ~src:ih.Ipv4.src ~dst:ih.Ipv4.dst
+                               frame ~off ~len)
                       | Ipv4.Udp | Ipv4.Icmp | Ipv4.Unknown _ -> ())
                   | Some _ | None -> ())
-              | (Some _ | None), _ -> ())))
+              | Some { Ethernet.ethertype = Ethernet.Unknown _; _ } | None -> ())))
 
 let create machine ~link ~addr ~peer_mac ?(write_size = 8192) () =
   let core = Machine.add_timeshared_core machine in

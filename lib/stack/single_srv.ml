@@ -262,10 +262,10 @@ let handle_rx t ~iface:i ~buf ~len =
   (match Pool.read t.rx_pool { buf with Rich_ptr.len } with
   | exception Pool.Stale_pointer _ -> ()
   | frame -> (
-      match (Ethernet.decode_header frame ~off:0, Ethernet.payload frame) with
-      | Some { Ethernet.ethertype = Ethernet.Arp; _ }, Some arp_bytes -> (
+      match Ethernet.decode_header frame ~off:0 with
+      | Some { Ethernet.ethertype = Ethernet.Arp; _ } -> (
           let ifc = iface t i in
-          match Arp.decode arp_bytes with
+          match Option.bind (Ethernet.payload frame) Arp.decode with
           | Some p -> (
               match Arp.Cache.input ifc.arp p with
               | Some arp_reply ->
@@ -277,18 +277,17 @@ let handle_rx t ~iface:i ~buf ~len =
                   transmit_frame t ~iface:i f ~tso:false
               | None -> ())
           | None -> ())
-      | Some { Ethernet.ethertype = Ethernet.Ipv4; _ }, Some pkt -> (
-          match Ipv4.payload pkt with
-          | Some (ih, l4) -> (
+      | Some { Ethernet.ethertype = Ethernet.Ipv4; _ } -> (
+          match Ipv4.payload_at frame ~off:Ethernet.header_size with
+          | Some (ih, off, len) -> (
               match ih.Ipv4.protocol with
-              | Ipv4.Tcp -> (
-                  match Tcp_wire.decode ~src:ih.Ipv4.src ~dst:ih.Ipv4.dst l4 with
-                  | Some (hdr, payload) ->
-                      Tcp.input t.tcp ~src:ih.Ipv4.src ~dst:ih.Ipv4.dst hdr ~payload
-                  | None -> ())
+              | Ipv4.Tcp ->
+                  ignore
+                    (Tcp.input_segment t.tcp ~src:ih.Ipv4.src ~dst:ih.Ipv4.dst frame ~off
+                       ~len)
               | Ipv4.Udp | Ipv4.Icmp | Ipv4.Unknown _ -> ())
           | None -> ())
-      | (Some _ | None), _ -> ()));
+      | Some { Ethernet.ethertype = Ethernet.Unknown _; _ } | None -> ()));
   (* In-process: free the receive buffer directly, no Rx_done hop. *)
   try Pool.free t.rx_pool buf with Pool.Stale_pointer _ -> ()
 

@@ -86,18 +86,23 @@ let make_tcp t tcp_config =
       random = t.io.io_random;
     }
 
-let handle_ipv4 t pkt =
-  match Ipv4.payload pkt with
+(* The IPv4 packet at [off] of a received frame. TCP segments are
+   decoded in place and handed to the engine as a window into the
+   frame; UDP and ICMP take a copy for their decoders. *)
+let handle_ipv4 t frame ~off =
+  match Ipv4.payload_at frame ~off with
   | None -> t.csum_failures <- t.csum_failures + 1
-  | Some (ih, l4) -> (
+  | Some (ih, l4_off, l4_len) -> (
       if Addr.Ipv4.equal ih.Ipv4.dst t.addr then
         match ih.Ipv4.protocol with
-        | Ipv4.Tcp -> (
-            match Tcp_wire.decode ~src:ih.Ipv4.src ~dst:ih.Ipv4.dst l4 with
-            | Some (hdr, payload) ->
-                Tcp.input t.tcp ~src:ih.Ipv4.src ~dst:ih.Ipv4.dst hdr ~payload
-            | None -> t.csum_failures <- t.csum_failures + 1)
+        | Ipv4.Tcp ->
+            if
+              not
+                (Tcp.input_segment t.tcp ~src:ih.Ipv4.src ~dst:ih.Ipv4.dst frame
+                   ~off:l4_off ~len:l4_len)
+            then t.csum_failures <- t.csum_failures + 1
         | Ipv4.Udp -> (
+            let l4 = Bytes.sub frame l4_off l4_len in
             match Udp.decode ~src:ih.Ipv4.src ~dst:ih.Ipv4.dst l4 with
             | Some (uh, payload) -> (
                 match Hashtbl.find_opt t.udp_services uh.Udp.dst_port with
@@ -116,7 +121,7 @@ let handle_ipv4 t pkt =
                 | None -> ())
             | None -> t.csum_failures <- t.csum_failures + 1)
         | Ipv4.Icmp -> (
-            match Icmp.decode l4 with
+            match Icmp.decode (Bytes.sub frame l4_off l4_len) with
             | Some msg -> (
                 match msg with
                 | Icmp.Echo_reply { seq; _ } -> (
@@ -139,9 +144,9 @@ let handle_frame t frame =
   match Ethernet.decode_header frame ~off:0 with
   | None -> ()
   | Some eh -> (
-      match (eh.Ethernet.ethertype, Ethernet.payload frame) with
-      | Ethernet.Arp, Some payload -> (
-          match Arp.decode payload with
+      match eh.Ethernet.ethertype with
+      | Ethernet.Arp -> (
+          match Option.bind (Ethernet.payload frame) Arp.decode with
           | Some arp_pkt -> (
               match Arp.Cache.input t.arp arp_pkt with
               | Some reply ->
@@ -149,8 +154,8 @@ let handle_frame t frame =
                     ~payload:(Arp.encode reply) ~ethertype:Ethernet.Arp
               | None -> ())
           | None -> ())
-      | Ethernet.Ipv4, Some payload -> handle_ipv4 t payload
-      | (Ethernet.Unknown _ | Ethernet.Arp | Ethernet.Ipv4), _ -> ())
+      | Ethernet.Ipv4 -> handle_ipv4 t frame ~off:Ethernet.header_size
+      | Ethernet.Unknown _ -> ())
 
 let create_io io ~addr ~mac ?tcp_config () =
   let tcp_config =

@@ -462,9 +462,8 @@ let handle_msg t msg =
         fun () ->
           (match seg_bytes with
           | Some b -> (
-              match Tcp_wire.decode ~src ~dst b with
-              | Some (hdr, payload) -> Tcp.input t.engine ~src ~dst hdr ~payload
-              | None -> Stats.incr (Proc.stats t.proc) "bad_checksum")
+              if not (Tcp.input_segment t.engine ~src ~dst b ~off:0 ~len:(Bytes.length b))
+              then Stats.incr (Proc.stats t.proc) "bad_checksum")
           | None -> ());
           (* Return the buffer to IP. *)
           Option.iter

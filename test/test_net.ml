@@ -74,6 +74,80 @@ let test_checksum_odd_length () =
   (* sum = 0x0102 + 0x0300 = 0x0402; csum = ~0x0402 = 0xfbfd. *)
   Alcotest.(check int) "odd length pads" 0xfbfd (Checksum.bytes b ~off:0 ~len:3)
 
+(* The reference: RFC 1071 one byte at a time, even bytes high. *)
+let ref_add acc b ~off ~len =
+  let acc = ref acc in
+  for i = 0 to len - 1 do
+    let c = Char.code (Bytes.get b (off + i)) in
+    acc := !acc + if i land 1 = 0 then c lsl 8 else c
+  done;
+  !acc
+
+let rec ref_fold x = if x lsr 16 = 0 then x else ref_fold ((x land 0xffff) + (x lsr 16))
+let ref_finish x = lnot (ref_fold x) land 0xffff
+
+(* Bytes that are often 0xff, so the carries the word-wide kernel folds
+   late are exercised hard. *)
+let csum_char = QCheck2.Gen.(frequency [ (3, char); (1, return '\255') ])
+
+let test_checksum_matches_reference =
+  qtest "word-wide checksum equals the byte-at-a-time reference"
+    QCheck2.Gen.(
+      let* off = int_range 0 15 in
+      let* len = int_range 0 2048 in
+      let* pad = int_range 0 7 in
+      let+ s = string_size ~gen:csum_char (return (off + len + pad)) in
+      (off, len, s))
+    (fun (off, len, s) ->
+      let b = Bytes.of_string s in
+      let p = Checksum.add_bytes Checksum.zero b ~off ~len in
+      let r = ref_add 0 b ~off ~len in
+      Checksum.fold p = ref_fold r
+      && Checksum.finish p = ref_finish r
+      && Checksum.bytes b ~off ~len = ref_finish r)
+
+let test_checksum_chained_partials =
+  qtest "chained partials equal the reference"
+    QCheck2.Gen.(
+      let* regions = list_size (int_range 0 4) (pair (int_range 0 15) (int_range 0 400)) in
+      let* last = pair (int_range 0 15) (int_range 0 1500) in
+      let* w = int_range 0 0xffff in
+      let* a = int_range 0 0xffffffff in
+      let+ s = string_size ~gen:csum_char (return 1600) in
+      (List.map (fun (o, l) -> (o, 2 * l)) regions, last, w, a, s))
+    (fun (regions, (lo, ll), w, a, s) ->
+      let b = Bytes.of_string s in
+      let src = Addr.Ipv4.of_int32 (Int32.of_int a) and dst = ip 10 0 0 2 in
+      let ph = Bytes.create 12 in
+      Newt_net.Wire.put_ip ph 0 src;
+      Newt_net.Wire.put_ip ph 4 dst;
+      Newt_net.Wire.put_u16 ph 8 17;
+      Newt_net.Wire.put_u16 ph 10 ll;
+      let p = Checksum.add_int16 (Udp.pseudo_header_sum ~src ~dst ~proto:17 ~len:ll) w in
+      let r = ref_add 0 ph ~off:0 ~len:12 + w in
+      let p, r =
+        List.fold_left
+          (fun (p, r) (off, len) ->
+            (Checksum.add_bytes p b ~off ~len, ref_add r b ~off ~len))
+          (p, r) regions
+      in
+      let p = Checksum.add_bytes p b ~off:lo ~len:ll in
+      let r = ref_add r b ~off:lo ~len:ll in
+      Checksum.fold p = ref_fold r && Checksum.finish p = ref_finish r)
+
+(* The kernel's loads are unchecked: its one range check must refuse
+   every region that is not inside the buffer, also with -noassert. *)
+let test_checksum_range_checked () =
+  let b = Bytes.create 64 in
+  List.iter
+    (fun (off, len) ->
+      Alcotest.check_raises
+        (Printf.sprintf "off=%d len=%d" off len)
+        (Invalid_argument "Checksum.add_bytes")
+        (fun () -> ignore (Checksum.add_bytes Checksum.zero b ~off ~len)))
+    [ (-1, 8); (0, -1); (0, 65); (57, 8); (64, 1); (65, 0); (1, max_int); (max_int, 1) ];
+  Alcotest.(check int) "empty region at the end" 0xffff (Checksum.bytes b ~off:64 ~len:0)
+
 (* {2 Ethernet} *)
 
 let test_ethernet_roundtrip () =
@@ -291,6 +365,18 @@ let test_udp_wrong_pseudo_header_rejected () =
   (* Same bytes validated against different addresses must fail. *)
   Alcotest.(check bool) "rejected" true (Udp.decode ~src:(ip 9 9 9 9) ~dst dg = None)
 
+(* RFC 768 / RFC 1122 §4.1.3.4: a transmitted checksum of 0 means the
+   sender computed none, and the datagram must be accepted. *)
+let test_udp_zero_checksum_accepted () =
+  let src = ip 10 0 0 1 and dst = ip 10 0 0 2 in
+  let dg = Udp.encode ~src ~dst { Udp.src_port = 53; dst_port = 4242 } ~payload:(Bytes.of_string "dns?") in
+  Newt_net.Wire.put_u16 dg 6 0;
+  match Udp.decode ~src ~dst dg with
+  | Some (h, p) ->
+      Alcotest.(check int) "dst port" 4242 h.Udp.dst_port;
+      Alcotest.(check string) "payload" "dns?" (Bytes.to_string p)
+  | None -> Alcotest.fail "datagram without a checksum rejected"
+
 let test_udp_offload_finalize () =
   let src = ip 172 16 0 1 and dst = ip 172 16 0 2 in
   let partial =
@@ -394,6 +480,69 @@ let test_tcp_wire_corruption_rejected =
       let b = Tcp_wire.encode ~src ~dst h ~payload:(Bytes.of_string "abcd") in
       Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x40));
       Tcp_wire.decode ~src ~dst b = None)
+
+(* [decode_at] on a segment placed inside a larger buffer agrees with
+   [decode] on a copy of it: valid segments with and without options,
+   a corrupted byte, and a data offset past the segment's end (with a
+   checksum fixed up so only that check can refuse it). *)
+let test_tcp_decode_at_agrees =
+  qtest "decode_at in place agrees with decode on a copy"
+    QCheck2.Gen.(
+      let* payload = string_size ~gen:char (int_range 0 1460) in
+      let* syn = bool in
+      let* prefix = int_range 0 40 and* suffix = int_range 0 40 in
+      let* damage = int_range 0 2 in
+      let* pos = int_range 0 10_000 in
+      let+ junk = char in
+      (payload, syn, prefix, suffix, damage, pos, junk))
+    (fun (payload, syn, prefix, suffix, damage, pos, junk) ->
+      let src = ip 10 0 0 1 and dst = ip 10 0 0 2 in
+      let h =
+        {
+          Tcp_wire.src_port = 5001;
+          dst_port = 80;
+          seq = 0xfffffff0;
+          ack = 77;
+          flags = (if syn then Tcp_wire.flag_syn_ack else Tcp_wire.flag_ack);
+          window = 1234;
+          mss = (if syn then Some 1460 else None);
+          wscale = (if syn then Some 7 else None);
+        }
+      in
+      let seg = Tcp_wire.encode ~src ~dst h ~payload:(Bytes.of_string payload) in
+      let len = Bytes.length seg in
+      (match damage with
+      | 1 ->
+          let i = pos mod len in
+          Bytes.set seg i (Char.chr (Char.code (Bytes.get seg i) lxor 0x10))
+      | 2 ->
+          (* Data offset 60 > len for short segments; refresh the sum. *)
+          Bytes.set seg 12 '\xf0';
+          Newt_net.Wire.put_u16 seg 16 0;
+          let pseudo = Udp.pseudo_header_sum ~src ~dst ~proto:6 ~len in
+          Newt_net.Wire.put_u16 seg 16
+            (Checksum.finish (Checksum.add_bytes pseudo seg ~off:0 ~len))
+      | _ -> ());
+      let b = Bytes.make (prefix + len + suffix) junk in
+      Bytes.blit seg 0 b prefix len;
+      let in_place =
+        Option.map
+          (fun (h, off) -> (h, Bytes.sub b off (prefix + len - off)))
+          (Tcp_wire.decode_at ~src ~dst b ~off:prefix ~len)
+      in
+      let copied = Tcp_wire.decode ~src ~dst seg in
+      in_place = copied && (damage <> 0 || copied <> None))
+
+let test_tcp_decode_at_range_checked () =
+  let b = Bytes.create 40 in
+  let src = ip 10 0 0 1 and dst = ip 10 0 0 2 in
+  List.iter
+    (fun (off, len) ->
+      Alcotest.check_raises
+        (Printf.sprintf "off=%d len=%d" off len)
+        (Invalid_argument "Tcp_wire.decode_at")
+        (fun () -> ignore (Tcp_wire.decode_at ~src ~dst b ~off ~len)))
+    [ (-1, 20); (0, -1); (21, 20); (0, 41); (max_int, 1) ]
 
 (* {2 DNS} *)
 
@@ -704,6 +853,9 @@ let suite =
     ("checksum RFC 1071 vector", `Quick, test_checksum_known_vector);
     test_checksum_self_validates;
     ("checksum odd length", `Quick, test_checksum_odd_length);
+    test_checksum_matches_reference;
+    test_checksum_chained_partials;
+    ("checksum range checked", `Quick, test_checksum_range_checked);
     ("ethernet frame roundtrip", `Quick, test_ethernet_roundtrip);
     ("ethernet runt frame rejected", `Quick, test_ethernet_runt);
     ("arp packet roundtrip", `Quick, test_arp_roundtrip);
@@ -722,11 +874,14 @@ let suite =
     ("icmp corrupt rejected", `Quick, test_icmp_bad_checksum);
     ("udp datagram roundtrip", `Quick, test_udp_roundtrip);
     ("udp pseudo-header mismatch rejected", `Quick, test_udp_wrong_pseudo_header_rejected);
+    ("udp zero checksum means none", `Quick, test_udp_zero_checksum_accepted);
     ("udp checksum offload finalize", `Quick, test_udp_offload_finalize);
     test_tcp_wire_roundtrip;
     ("tcp options mss+wscale", `Quick, test_tcp_wire_options);
     ("tcp partial checksum offload", `Quick, test_tcp_wire_partial_csum);
     test_tcp_wire_corruption_rejected;
+    test_tcp_decode_at_agrees;
+    ("tcp decode_at range checked", `Quick, test_tcp_decode_at_range_checked);
     ("dns query roundtrip", `Quick, test_dns_query_roundtrip);
     ("dns response roundtrip", `Quick, test_dns_response_roundtrip);
     ("dns nxdomain", `Quick, test_dns_nxdomain);

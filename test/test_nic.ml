@@ -373,6 +373,26 @@ let post_frame w bytes =
   Alcotest.(check bool) "posted" true ok;
   E1000.doorbell_tx w.dev
 
+(* A corrupt IP total length (10, below the IP header's own 20 bytes)
+   made the L4 length negative, and the checksum sum raised out of the
+   device's TX pump. The frame must be refused and still leave the
+   wire unchanged. *)
+let test_offload_rejects_short_total_length () =
+  let frame, _, _, _, _ = make_tcp_frame () in
+  Newt_net.Wire.put_u16 frame (Ethernet.header_size + 2) 10;
+  let sent = Bytes.copy frame in
+  Alcotest.(check bool) "not finalized" false (Offload.finalize_l4_checksum frame);
+  Alcotest.(check bytes) "frame untouched" sent frame;
+  let w = make_dev_world () in
+  let ptr = Pool.alloc w.pool ~len:(Bytes.length frame) in
+  Pool.write w.pool ptr ~src:frame ~src_off:0;
+  ignore
+    (E1000.post_tx w.dev
+       { E1000.chain = [ ptr ]; csum_offload = true; tso = false; tso_mss = 1460; tx_cookie = 1 });
+  E1000.doorbell_tx w.dev;
+  Engine.run w.engine;
+  Alcotest.(check (list bytes)) "sent as is" [ sent ] !(w.received_frames)
+
 let test_e1000_tx_path () =
   let w = make_dev_world () in
   post_frame w (Bytes.of_string "a frame on the wire");
@@ -567,6 +587,7 @@ let suite =
     ("link is full duplex", `Quick, test_link_full_duplex);
     ("offload finalizes tcp checksum", `Quick, test_offload_finalizes_tcp_csum);
     ("offload rejects non-ip frames", `Quick, test_offload_rejects_non_ip);
+    ("offload rejects a short ip total length", `Quick, test_offload_rejects_short_total_length);
     test_tso_split_validates;
     ("tso keeps PSH only on last piece", `Quick, test_tso_flags_only_on_last);
     ("tso passthrough for small frames", `Quick, test_tso_small_frame_passthrough);

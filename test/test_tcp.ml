@@ -53,9 +53,10 @@ let make_world ?(latency_us = 50.0) ?config_a ?config_b () =
                    (fun () ->
                      (* A corrupted segment fails its checksum and is
                         dropped, as a real NIC/stack would. *)
-                     match Tcp_wire.decode ~src ~dst raw with
-                     | Some (hdr', payload') ->
-                         peer_input ~src ~dst hdr' ~payload:payload'
+                     let len = Bytes.length raw in
+                     match Tcp_wire.decode_at ~src ~dst raw ~off:0 ~len with
+                     | Some (hdr', off) ->
+                         peer_input ~src ~dst hdr' ~payload:raw ~off ~len:(len - off)
                      | None -> ()))
             in
             deliver ();
@@ -68,14 +69,14 @@ let make_world ?(latency_us = 50.0) ?config_a ?config_b () =
   let tcp_a =
     Tcp.create
       ?config:config_a
-      (env ~me:`A ~peer_input:(fun ~src ~dst hdr ~payload ->
-           Tcp.input (Option.get !tcp_b_cell) ~src ~dst hdr ~payload))
+      (env ~me:`A ~peer_input:(fun ~src ~dst hdr ~payload ~off ~len ->
+           Tcp.input (Option.get !tcp_b_cell) ~src ~dst hdr ~payload ~off ~len))
   in
   let tcp_b =
     Tcp.create
       ?config:config_b
-      (env ~me:`B ~peer_input:(fun ~src ~dst hdr ~payload ->
-           Tcp.input tcp_a ~src ~dst hdr ~payload))
+      (env ~me:`B ~peer_input:(fun ~src ~dst hdr ~payload ~off ~len ->
+           Tcp.input tcp_a ~src ~dst hdr ~payload ~off ~len))
   in
   tcp_b_cell := Some tcp_b;
   let w =
@@ -816,7 +817,7 @@ let test_fsm_rst_in_time_wait () =
       wscale = None;
     }
   in
-  Tcp.input w.tcp_a ~src:ip_b ~dst:ip_a rst ~payload:Bytes.empty;
+  Tcp.input w.tcp_a ~src:ip_b ~dst:ip_a rst ~payload:Bytes.empty ~off:0 ~len:0;
   Alcotest.(check bool) "TIME_WAIT assassinated immediately" true
     (Tcp.state pcb = Tcp.Closed);
   Alcotest.(check int) "corpse gone from the table" 0
@@ -844,6 +845,41 @@ let test_fsm_flags_resurrected_pcb () =
     (List.mem "illegal-transition" (fsm_checks ()));
   Alcotest.(check bool) "a counterexample trace is attached" true
     (Tcpfsm.trace () <> [])
+
+(* [Tcp.input]'s payload is a window the caller still owns: an
+   out-of-order segment must be stashed as a copy, so overwriting the
+   caller's buffer before the hole fills cannot change the bytes
+   delivered. *)
+let test_input_window_ownership () =
+  let w = make_world () in
+  let server = ref None in
+  Tcp.listen w.tcp_b ~port:80 ~on_accept:(fun pcb -> server := Some pcb);
+  let client = Tcp.connect w.tcp_a ~src:ip_a ~dst:ip_b ~dst_port:80 () in
+  Engine.run ~until:(Time.of_seconds 1.0) w.engine;
+  let pcb = Option.get !server in
+  let _, client_port = Tcp.local_addr client in
+  let seg ~seq =
+    {
+      Tcp_wire.src_port = client_port;
+      dst_port = 80;
+      seq;
+      ack = Tcp.snd_next pcb;
+      flags = Tcp_wire.flag_ack;
+      window = 65535;
+      mss = None;
+      wscale = None;
+    }
+  in
+  let base = Tcp.rcv_next pcb in
+  let frame = Bytes.of_string "world" in
+  Tcp.input w.tcp_b ~src:ip_a ~dst:ip_b (seg ~seq:(Newt_net.Seq32.add base 5)) ~payload:frame ~off:0 ~len:5;
+  Alcotest.(check int) "stashed out of order" 1 (Tcp.ooo_count pcb);
+  Bytes.fill frame 0 (Bytes.length frame) 'Z';
+  let frame = Bytes.of_string "..hello.." in
+  Tcp.input w.tcp_b ~src:ip_a ~dst:ip_b (seg ~seq:base) ~payload:frame ~off:2 ~len:5;
+  Bytes.fill frame 0 (Bytes.length frame) 'Z';
+  Alcotest.(check string) "the original bytes, in order" "helloworld"
+    (Bytes.to_string (Tcp.recv pcb ~max:100))
 
 let suite =
   [
@@ -888,4 +924,5 @@ let suite =
     test_random_duplication;
     test_combined_hostile_wire;
     test_send_windows_match_copies;
+    ("input window: the stash owns its copy", `Quick, test_input_window_ownership);
   ]
