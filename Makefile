@@ -15,8 +15,12 @@ test:
 fmt:
 	dune build @fmt
 
-# Golden outputs: five seeded runs (~20 s) whose output must equal, byte
-# for byte, the files under test/golden/. A change that is meant to keep
+# Golden outputs: eight seeded runs (~30 s) whose output must equal,
+# byte for byte, the files under test/golden/. Besides the paper's
+# tables they pin the wiring paths of every stack shape: the channel
+# graph of every shipped configuration (verify), the split host with a
+# sharded filter (campaign --pf-shards 2), and the 8x4x2 sharded stack
+# through a shard crash (crash-during-churn). A change that is meant to keep
 # the simulated numbers passes as is; one that changes them on purpose
 # regenerates the files with the same commands and says why.
 SIM = dune exec bin/newtos_sim.exe --
@@ -27,6 +31,11 @@ golden-check: build
 	$(SIM) churn --scenario listen-pressure \
 	    | diff -u test/golden/churn-listen-pressure.txt -
 	$(SIM) fig4 | diff -u test/golden/fig4.txt -
+	$(SIM) verify --json | diff -u test/golden/verify.json -
+	$(SIM) campaign --runs 4 --pf-shards 2 --json \
+	    | diff -u test/golden/campaign-pf2.json -
+	$(SIM) churn --scenario crash-during-churn --duration 0.25 --rate 4000 \
+	    --json | diff -u test/golden/churn-crash-during-churn.json -
 
 # Static channel-graph verification over every shipped configuration
 # (split stack plus all shard/replica combinations): SPSC discipline,
@@ -182,7 +191,9 @@ bench-smoke: build
 # attached. Asserts the streaming-histogram percentile block is in the
 # JSON, that the SYN flood forces half-open (never established)
 # conntrack evictions, that listen-queue pressure trips the backlog
-# cap, and that a shard crash mid-churn recovers cleanly.
+# cap, and that a shard crash mid-churn recovers cleanly. Out-of-range
+# arguments (a zero rate, empty planes) must be usage errors: exit 2
+# with a message, never a hang or an uncaught exception.
 churn-smoke: build
 	dune exec bin/newtos_sim.exe -- churn --duration 0.25 --rate 4000 \
 	    --json --verify-continuous > _churn.json
@@ -200,6 +211,15 @@ churn-smoke: build
 	    --duration 0.3 --rate 3000 --json --verify-continuous > _churn.json
 	grep -q '"shard_restarts":1' _churn.json
 	rm -f _churn.json
+	$(SIM) churn --rate 0 --duration 0.01 2> _churn.err; test $$? -eq 2
+	grep -q '^newtos_sim churn: ' _churn.err
+	$(SIM) churn --shards 0 2> _churn.err; test $$? -eq 2
+	grep -q '^newtos_sim churn: ' _churn.err
+	$(SIM) scaling --ip-replicas 0 2> _churn.err; test $$? -eq 2
+	grep -q '^newtos_sim scaling: ' _churn.err
+	$(SIM) campaign --pf-shards 0 2> _churn.err; test $$? -eq 2
+	grep -q '^newtos_sim campaign: ' _churn.err
+	rm -f _churn.err
 
 # A bounded run of the native runtime: the component servers on two
 # real OCaml domains over real SPSC rings, iperf bulk + split-stack

@@ -84,6 +84,14 @@ let with_tcpfsm ?(quiet = false) enabled f =
     if not (V.Report.ok report) then exit 1
   end
 
+(* An argument cmdliner accepted but the run cannot: name the command,
+   say why, exit 2 (a usage error, never an uncaught exception). *)
+let refuse cmd msg =
+  prerr_endline ("newtos_sim " ^ cmd ^ ": " ^ msg);
+  exit 2
+
+let check_sizes cmd = function Ok () -> () | Error msg -> refuse cmd msg
+
 (* Run [f] with the verification hooks sampled one subject in [n]
    (pool slots, request ids, native locations, TCP connections;
    clock-critical events are never sampled out), restoring full
@@ -207,6 +215,7 @@ let print_campaign_tables runs c =
 
 let print_campaign runs seed sanitize protocol verify_continuous break_recovery
     pf_shards json sample =
+  check_sizes "campaign" (Newt_scale.Topology.validate ~pf_shards ());
   with_sample sample @@ fun () ->
   with_sanitizer ~quiet:json sanitize @@ fun () ->
   (* Not [~drained]: a campaign world can end frozen (reboot cases), so
@@ -258,6 +267,16 @@ let print_coalesce () =
   print_newline ()
 
 let print_scaling ?verify shard_counts ip_replicas pf_shards flows duration =
+  (* The sizes each point builds: replicas and PF shards capped at the
+     point's shard count, no filter when [pf_shards = 0]. *)
+  List.iter
+    (fun n ->
+      check_sizes "scaling"
+        (Newt_scale.Topology.validate ~shards:n
+           ~ip_replicas:(min ip_replicas n)
+           ~pf_shards:(max 1 (min pf_shards n))
+           ()))
+    shard_counts;
   print_endline "Scaling — N transport shards behind a multi-queue NIC";
   print_endline "------------------------------------------------------";
   let r =
@@ -362,12 +381,19 @@ let print_churn scenario rate duration shards ip_replicas pf_shards bulk_flows
       match Ch.scenario_of_name scenario with
       | Some s -> [ s ]
       | None ->
-          Printf.eprintf
-            "unknown scenario %S (baseline, syn-flood, crash-during-churn, \
-             listen-pressure, all)\n"
-            scenario;
-          exit 2
+          refuse "churn"
+            (Printf.sprintf
+               "unknown scenario %S (baseline, syn-flood, crash-during-churn, \
+                listen-pressure, all)"
+               scenario)
   in
+  if rate <= 0. then
+    refuse "churn" (Printf.sprintf "--rate must be positive (got %g)" rate);
+  (* The sharded scenarios cap replicas and PF shards at the shard
+     count. *)
+  check_sizes "churn"
+    (Newt_scale.Topology.validate ~shards ~ip_replicas:(min ip_replicas shards)
+       ~pf_shards:(min pf_shards shards) ());
   if not json then begin
     print_endline
       "Churn — short-RPC flows through the sharded stack, tail latency";
@@ -618,9 +644,7 @@ let run_native domains seconds seed json skip_unsupported allow_oversub
   | Error msg when skip_unsupported ->
       Printf.printf "SKIP: %s\n" msg;
       exit 0
-  | Error msg ->
-      prerr_endline ("newtos_sim native: " ^ msg);
-      exit 2
+  | Error msg -> refuse "native" msg
   | Ok () ->
       let cfg =
         {
@@ -670,9 +694,7 @@ let print_crossval domains seconds json skip_unsupported allow_oversub =
   | Error msg when skip_unsupported ->
       Printf.printf "SKIP: %s\n" msg;
       exit 0
-  | Error msg ->
-      prerr_endline ("newtos_sim crossval: " ^ msg);
-      exit 2
+  | Error msg -> refuse "crossval" msg
   | Ok () ->
       let r = R.Crossval.run ~domains ~seconds () in
       if json then print_endline (R.Crossval.to_json r)

@@ -130,8 +130,8 @@ let single_server_event_sim ?(nics = 5) ?(duration = 1.0) () =
     Sim_chan.create ~capacity:8192 ~id:!chan_id ()
   in
   let ch_sc_to_stk = chan () and ch_stk_to_sc = chan () in
-  Sc.connect_transport sc ~transport:`Tcp ~to_transport:ch_sc_to_stk
-    ~from_transport:ch_stk_to_sc;
+  Sc.connect_transport_sharded sc ~transport:`Tcp
+    ~pairs:[| (ch_sc_to_stk, ch_stk_to_sc) |];
   Single.connect_sc stk ~from_sc:ch_sc_to_stk ~to_sc:ch_stk_to_sc;
   let totals = Array.make nics 0 in
   let sinks =
@@ -639,24 +639,25 @@ let driver_coalescing ?(costs = Costs.default) () =
 
 let sharded_spec s =
   let module S = Newt_scale.Sharded_stack in
-  let module Sim_chan = Newt_channels.Sim_chan in
-  let module Component = Newt_stack.Component in
-  let cfg = S.config s in
-  let chans = S.tcp_channels s in
+  let module T = Newt_scale.Topology in
+  let topo = S.topology s in
+  let id producer consumer =
+    Newt_channels.Sim_chan.id (S.channel s (T.key topo ~producer ~consumer))
+  in
+  let owner i = topo.T.ip.(T.owner topo i) in
+  let matrix f = Array.map (fun ip -> Array.map (f ip) topo.T.pf) topo.T.ip in
   {
-    Newt_verify.Static.shards = cfg.S.shards;
-    replicas = cfg.S.ip_replicas;
+    Newt_verify.Static.shards = Array.length topo.T.tcp;
+    replicas = Array.length topo.T.ip;
     rss_table = Newt_nic.Rss.table (Newt_scale.Shard_map.rss (S.shard_map s));
-    shard_to_ip = Array.map (fun (c, _) -> Sim_chan.id c) chans;
-    ip_to_shard = Array.map (fun (_, c) -> Sim_chan.id c) chans;
-    replica_names = Array.map Component.name (S.ip_components s);
-    shard_names = Array.map Component.name (S.tcp_components s);
-    pf_shards = S.pf_shard_count s;
-    pf_names = Array.map Component.name (S.pf_components s);
-    ip_to_pf =
-      Array.map (Array.map (fun (c, _) -> Sim_chan.id c)) (S.pf_channels s);
-    pf_to_ip =
-      Array.map (Array.map (fun (_, c) -> Sim_chan.id c)) (S.pf_channels s);
+    shard_to_ip = Array.mapi (fun i tcp -> id tcp (owner i)) topo.T.tcp;
+    ip_to_shard = Array.mapi (fun i tcp -> id (owner i) tcp) topo.T.tcp;
+    replica_names = topo.T.ip;
+    shard_names = topo.T.tcp;
+    pf_shards = Array.length topo.T.pf;
+    pf_names = topo.T.pf;
+    ip_to_pf = matrix (fun ip pf -> id ip pf);
+    pf_to_ip = matrix (fun ip pf -> id pf ip);
   }
 
 type scaling_point = {

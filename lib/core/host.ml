@@ -11,7 +11,6 @@ module E1000 = Newt_nic.E1000
 module Rule = Newt_pf.Rule
 module Proc = Newt_stack.Proc
 module Component = Newt_stack.Component
-module Msg = Newt_stack.Msg
 module Drv_srv = Newt_stack.Drv_srv
 module Ip_srv = Newt_stack.Ip_srv
 module Pf_srv = Newt_stack.Pf_srv
@@ -21,6 +20,7 @@ module Syscall_srv = Newt_stack.Syscall_srv
 module Sink = Newt_stack.Sink
 module Storage = Newt_reliability.Storage
 module Reincarnation = Newt_reliability.Reincarnation
+module Topology = Newt_scale.Topology
 module Fault_inject = Newt_reliability.Fault_inject
 
 type component = C_tcp | C_udp | C_ip | C_pf | C_drv of int
@@ -62,10 +62,9 @@ let default_config =
   }
 
 type t = {
-  config : config;
+  topology : Topology.t;
   engine : Engine.t;
   machine : Machine.t;
-  registry : Registry.t;
   trace : Trace.t;
   directory : Newt_channels.Pubsub.t;
   storage : Storage.t;
@@ -76,7 +75,6 @@ type t = {
   ip : Ip_srv.t;
   pfs : Pf_srv.t array;
   pf_comps : Component.t array;
-  drvs : Drv_srv.t array;
   nics : E1000.t array;
   links : Link.t array;
   sinks : Sink.t array;
@@ -91,6 +89,7 @@ type t = {
   mutable broken_next_restart : component list;
 }
 
+let topology t = t.topology
 let engine t = t.engine
 let machine t = t.machine
 let sc t = t.sc
@@ -148,47 +147,20 @@ let chan_ids = ref 0
 (* Queue slots are cheap shared memory; size them so a full multi-flow
    congestion-window burst (5 links x ~256 KiB of 1460-byte segments)
    never overflows a channel — a drop costs the flow an RTO. *)
-let chan () =
+let chan _key =
   incr chan_ids;
   Sim_chan.create ~capacity:8192 ~id:!chan_ids ()
 
 let create ?(config = default_config) () =
-  if config.pf_shards < 1 then invalid_arg "Host.create: pf_shards < 1";
-  let np = config.pf_shards in
-  let pf_name j = if np = 1 then "pf" else Printf.sprintf "pf%d" j in
+  (match Topology.validate ~pf_shards:config.pf_shards () with
+  | Ok () -> ()
+  | Error msg -> invalid_arg ("Host.create: " ^ msg));
   let engine = Engine.create ~seed:config.seed () in
   let machine = Machine.create ~costs:config.costs engine in
   let registry = Registry.create () in
   let trace = Trace.create () in
   let directory = Newt_channels.Pubsub.create () in
   let storage = Storage.create () in
-  (* Cores: one dedicated per OS component (Figure 1). *)
-  let sc_core = Machine.add_dedicated_core machine in
-  let tcp_core = Machine.add_dedicated_core machine in
-  let udp_core = Machine.add_dedicated_core machine in
-  let ip_core = Machine.add_dedicated_core machine in
-  let pf_cores = Array.init np (fun _ -> Machine.add_dedicated_core machine) in
-  let drv_cores =
-    if config.coalesce_drivers then begin
-      let shared = Machine.add_dedicated_core machine in
-      Array.make config.nics shared
-    end
-    else Array.init config.nics (fun _ -> Machine.add_dedicated_core machine)
-  in
-  let app_cores = Array.init config.app_cores (fun _ -> Machine.add_timeshared_core machine) in
-  (* Components: the generic server core, one per OS server. *)
-  let mkcomp name core =
-    Component.create machine ~name ~core ~directory ~trace ()
-  in
-  let sc_comp = mkcomp "sc" sc_core in
-  let tcp_comp = mkcomp "tcp" tcp_core in
-  let udp_comp = mkcomp "udp" udp_core in
-  let ip_comp = mkcomp "ip" ip_core in
-  let pf_comps = Array.init np (fun j -> mkcomp (pf_name j) pf_cores.(j)) in
-  let drv_comps =
-    Array.init config.nics (fun i ->
-        mkcomp (Printf.sprintf "drv%d" i) drv_cores.(i))
-  in
   (* Devices, links and remote peers. *)
   let links =
     Array.init config.nics (fun _ -> Link.create engine ())
@@ -206,108 +178,50 @@ let create ?(config = default_config) () =
           ~mac:(Addr.Mac.of_index (200 + i))
           ())
   in
-  (* Servers: pure message handlers on top of their component. *)
-  let view name = Storage.owner_view storage ~owner:name in
-  let save_ip, load_ip = view "ip" in
-  let save_tcp, load_tcp = view "tcp" in
-  let save_udp, load_udp = view "udp" in
-  let sc_srv = Syscall_srv.create sc_comp () in
-  let tcp_srv =
-    Tcp_srv.create tcp_comp ~registry ~local_addr:(Addr.Ipv4.v 10 0 0 1)
-      ?tcp_config:config.tcp_config ~save:save_tcp ~load:load_tcp ()
+  (* The split stack of Figure 3: one server per layer, one driver per
+     NIC. One PF shard keeps the singleton filter's name "pf". *)
+  let topo =
+    {
+      Topology.tcp = [| "tcp" |];
+      udp = [| "udp" |];
+      ip = [| "ip" |];
+      pf = Topology.members "pf" config.pf_shards;
+      drv = Topology.indexed "drv" config.nics;
+    }
   in
-  let udp_srv =
-    Udp_srv.create udp_comp ~registry ~local_addr:(Addr.Ipv4.v 10 0 0 1)
-      ~save:save_udp ~load:load_udp ()
+  (* Cores: one dedicated per OS component (Figure 1), or one shared by
+     every driver. *)
+  let drv_core = lazy (Machine.add_dedicated_core machine) in
+  let core name =
+    if config.coalesce_drivers && Array.mem name topo.Topology.drv then
+      Lazy.force drv_core
+    else Machine.add_dedicated_core machine
   in
-  let ip_srv =
-    Ip_srv.create ip_comp ~registry ~save:save_ip ~load:load_ip ()
+  let driver i comp =
+    let drv = Drv_srv.create comp ~nic:nics.(i) () in
+    fun ~ip:_ ->
+      {
+        Topology.iface =
+          { Ip_srv.addr = Addr.Ipv4.v 10 0 i 1; netmask_bits = 24; mac = E1000.mac nics.(i) };
+        hooks = Ip_srv.hooks_of_drv drv;
+        peer = (Addr.Ipv4.v 10 0 i 2, Addr.Mac.of_index (200 + i));
+      }
   in
-  (* PF shards partition the conntrack table by the same symmetric flow
-     hash that steers packets to them; one shard keeps the seed stack's
-     exact behaviour (name "pf", default table size, owns everything). *)
-  let pf_map = Newt_scale.Shard_map.create ~seed:config.seed ~shards:np () in
-  let pf_steer ~src ~sport ~dst ~dport =
-    Newt_scale.Shard_map.shard_of pf_map ~src ~sport ~dst ~dport
+  let pf_map =
+    Newt_scale.Shard_map.create ~seed:config.seed ~shards:config.pf_shards ()
   in
-  let pf_srvs =
-    Array.init np (fun j ->
-        let save_pf, load_pf = view (pf_name j) in
-        let owns (f : Newt_pf.Conntrack.flow) =
-          np <= 1
-          || pf_steer ~src:f.Newt_pf.Conntrack.local_ip
-               ~sport:f.Newt_pf.Conntrack.local_port
-               ~dst:f.Newt_pf.Conntrack.remote_ip
-               ~dport:f.Newt_pf.Conntrack.remote_port
-             = j
-        in
-        Pf_srv.create pf_comps.(j) ~save:save_pf ~load:load_pf
-          ~max_entries:(max 1 (65536 / np))
-          ~owns ())
+  let stack =
+    Topology.build topo machine ~registry ~directory ~trace ~core
+      ~store:(fun name -> Storage.owner_view storage ~owner:name)
+      ~local_addr:(Addr.Ipv4.v 10 0 0 1) ?tcp_config:config.tcp_config
+      ~steer_pf:(Newt_scale.Shard_map.shard_of pf_map)
+      ~chan ~driver ()
   in
-  let drvs =
-    Array.init config.nics (fun i ->
-        Drv_srv.create drv_comps.(i) ~nic:nics.(i) ())
-  in
-  (* Channels, per Figure 3, exported through the consuming component
-     so they are published in the directory under meaningful keys
-     (Section IV-C) and republished after every restart of their
-     consumer (Section IV-D). *)
-  let export comp key c =
-    Component.export comp ~key c;
-    c
-  in
-  (* With one shard the keys stay exactly "ip.to_pf"/"pf.to_ip". *)
-  let pf_pairs =
-    Array.init np (fun j ->
-        let to_pf =
-          export pf_comps.(j) (Printf.sprintf "ip.to_%s" (pf_name j)) (chan ())
-        and from_pf =
-          export ip_comp (Printf.sprintf "%s.to_ip" (pf_name j)) (chan ())
-        in
-        Pf_srv.connect_ip pf_srvs.(j) ~from_ip:to_pf ~to_ip:from_pf;
-        (to_pf, from_pf))
-  in
-  Ip_srv.connect_pf_sharded ip_srv ~steer:pf_steer ~pairs:pf_pairs;
-  let ch_tcp_to_ip = export ip_comp "tcp.to_ip" (chan ())
-  and ch_ip_to_tcp = export tcp_comp "ip.to_tcp" (chan ()) in
-  Ip_srv.connect_transport ip_srv ~proto:`Tcp ~from_transport:ch_tcp_to_ip
-    ~to_transport:ch_ip_to_tcp;
-  Tcp_srv.connect_ip tcp_srv ~to_ip:ch_tcp_to_ip ~from_ip:ch_ip_to_tcp;
-  let ch_udp_to_ip = export ip_comp "udp.to_ip" (chan ())
-  and ch_ip_to_udp = export udp_comp "ip.to_udp" (chan ()) in
-  Ip_srv.connect_transport ip_srv ~proto:`Udp ~from_transport:ch_udp_to_ip
-    ~to_transport:ch_ip_to_udp;
-  Udp_srv.connect_ip udp_srv ~to_ip:ch_udp_to_ip ~from_ip:ch_ip_to_udp;
-  let ch_sc_to_tcp = export tcp_comp "sc.to_tcp" (chan ())
-  and ch_tcp_to_sc = export sc_comp "tcp.to_sc" (chan ()) in
-  Syscall_srv.connect_transport sc_srv ~transport:`Tcp ~to_transport:ch_sc_to_tcp
-    ~from_transport:ch_tcp_to_sc;
-  Tcp_srv.connect_sc tcp_srv ~from_sc:ch_sc_to_tcp ~to_sc:ch_tcp_to_sc;
-  let ch_sc_to_udp = export udp_comp "sc.to_udp" (chan ())
-  and ch_udp_to_sc = export sc_comp "udp.to_sc" (chan ()) in
-  Syscall_srv.connect_transport sc_srv ~transport:`Udp ~to_transport:ch_sc_to_udp
-    ~from_transport:ch_udp_to_sc;
-  Udp_srv.connect_sc udp_srv ~from_sc:ch_sc_to_udp ~to_sc:ch_udp_to_sc;
-  (* Interfaces, addresses, routes, static neighbours. *)
-  Array.iteri
-    (fun i drv ->
-      let tx_chan = export drv_comps.(i) (Printf.sprintf "ip.to_drv%d" i) (chan ())
-      and rx_chan = export ip_comp (Printf.sprintf "drv%d.to_ip" i) (chan ()) in
-      let iface =
-        Ip_srv.add_iface ip_srv
-          {
-            Ip_srv.addr = Addr.Ipv4.v 10 0 i 1;
-            netmask_bits = 24;
-            mac = E1000.mac nics.(i);
-          }
-          ~drv ~tx_chan ~rx_chan
-      in
-      Ip_srv.add_route ip_srv ~prefix:(Addr.Ipv4.v 10 0 i 0) ~bits:24 ~iface
-        ~gateway:None;
-      Ip_srv.add_neighbor ip_srv ~iface (Addr.Ipv4.v 10 0 i 2)
-        (Addr.Mac.of_index (200 + i)))
-    drvs;
+  let app_cores = Array.init config.app_cores (fun _ -> Machine.add_timeshared_core machine) in
+  let tcp_srv = stack.Topology.tcps.(0)
+  and udp_srv = stack.Topology.udps.(0)
+  and ip_srv = stack.Topology.ips.(0)
+  and pf_srvs = stack.Topology.pfs in
   (* Multihoming: transports pick the source address of the interface
      the route uses. *)
   let src_select dst =
@@ -325,34 +239,33 @@ let create ?(config = default_config) () =
         ~tcp:(fun () -> Tcp_srv.conntrack_flows tcp_srv)
         ~udp:(fun () -> Udp_srv.conntrack_flows udp_srv))
     pf_srvs;
+  let drv_comps = stack.Topology.drvs in
   let t =
     {
-      config;
+      topology = topo;
       engine;
       machine;
-      registry;
       trace;
       directory;
       storage;
       rs = Reincarnation.create machine ~heartbeat_period:config.heartbeat_period
           ~restart_delay:config.restart_delay ();
-      sc = sc_srv;
+      sc = stack.Topology.sc;
       tcp = tcp_srv;
       udp = udp_srv;
       ip = ip_srv;
       pfs = pf_srvs;
-      pf_comps;
-      drvs;
+      pf_comps = Array.map Pf_srv.comp pf_srvs;
       nics;
       links;
       sinks;
-      sc_comp;
+      sc_comp = Syscall_srv.comp stack.Topology.sc;
       comps =
         [
-          (C_tcp, tcp_comp);
-          (C_udp, udp_comp);
-          (C_ip, ip_comp);
-          (C_pf, pf_comps.(0));
+          (C_tcp, Tcp_srv.comp tcp_srv);
+          (C_udp, Udp_srv.comp udp_srv);
+          (C_ip, Ip_srv.comp ip_srv);
+          (C_pf, Pf_srv.comp pf_srvs.(0));
         ]
         @ Array.to_list (Array.mapi (fun i c -> (C_drv i, c)) drv_comps);
       app_cores;
@@ -374,50 +287,20 @@ let create ?(config = default_config) () =
      component comes up, but its restored state is bad — Section VI-B's
      manual-restart cases). Hook registration order guarantees this:
      the servers registered their recovery at [create]. *)
-  Component.on_restart tcp_comp (fun ~fresh:_ ->
+  Component.on_restart (Tcp_srv.comp tcp_srv) (fun ~fresh:_ ->
       if broken C_tcp then begin
         let eng = Tcp_srv.engine tcp_srv in
         List.iter (fun port -> Tcp.unlisten eng ~port) (Tcp.listening_ports eng)
       end);
-  Component.on_restart ip_comp (fun ~fresh:_ ->
+  Component.on_restart (Ip_srv.comp ip_srv) (fun ~fresh:_ ->
       if broken C_ip then Ip_srv.clear_routes ip_srv);
   Array.iteri
-    (fun i _drv ->
-      Component.on_restart drv_comps.(i) (fun ~fresh:_ ->
-          if broken (C_drv i) then E1000.misconfigure nics.(i)))
-    drvs;
-  (* Supervision with neighbour notifications (Section IV-D). *)
-  Reincarnation.watch t.rs tcp_comp
-    ~notify_crash:[ (fun () -> Ip_srv.on_transport_crash ip_srv ~proto:`Tcp) ]
-    ~notify_restart:[ (fun () -> Syscall_srv.on_transport_restart sc_srv ~transport:`Tcp) ]
-    ();
-  Reincarnation.watch t.rs udp_comp
-    ~notify_crash:[ (fun () -> Ip_srv.on_transport_crash ip_srv ~proto:`Udp) ]
-    ~notify_restart:[ (fun () -> Syscall_srv.on_transport_restart sc_srv ~transport:`Udp) ]
-    ();
-  Reincarnation.watch t.rs ip_comp
-    ~notify_crash:
-      [ (fun () -> Tcp_srv.on_ip_crash tcp_srv); (fun () -> Udp_srv.on_ip_crash udp_srv) ]
-    ~notify_restart:
-      [
-        (fun () -> Tcp_srv.on_ip_restart tcp_srv);
-        (fun () -> Udp_srv.on_ip_restart udp_srv);
-      ]
-    ();
-  Array.iteri
-    (fun j c ->
-      Reincarnation.watch t.rs c
-        ~notify_crash:[ (fun () -> Ip_srv.on_pf_crash ~shard:j ip_srv) ]
-        ~notify_restart:[ (fun () -> Ip_srv.on_pf_restart ~shard:j ip_srv) ]
-        ())
-    pf_comps;
-  Array.iteri
     (fun i c ->
-      Reincarnation.watch t.rs c
-        ~notify_crash:[ (fun () -> Ip_srv.on_drv_crash ip_srv ~iface:i) ]
-        ~notify_restart:[ (fun () -> Ip_srv.on_drv_restart ip_srv ~iface:i) ]
-        ())
+      Component.on_restart c (fun ~fresh:_ ->
+          if broken (C_drv i) then E1000.misconfigure nics.(i)))
     drv_comps;
+  (* Supervision with neighbour notifications (Section IV-D). *)
+  Topology.supervise stack t.rs;
   Reincarnation.start t.rs;
   t
 
@@ -485,14 +368,9 @@ let crash_storage t =
   Tcp_srv.repersist t.tcp;
   Udp_srv.repersist t.udp
 
-let manual_restart t comp =
-  (match comp with
-  | C_drv i ->
-      (* Restarting the driver resets the device, which also clears a
-         misconfiguration (Section VI-B). *)
-      ignore i
-  | C_tcp | C_udp | C_ip | C_pf -> ());
-  kill_component t comp
+(* Restarting a driver resets its device, which also clears a
+   misconfiguration (Section VI-B). *)
+let manual_restart t comp = kill_component t comp
 
 let inject t (inj : Fault_inject.injection) =
   let comp = component_of_target inj.Fault_inject.target in

@@ -56,6 +56,11 @@ val create : ?config:config -> unit -> t
 
 (** {1 Access} *)
 
+val topology : t -> Newt_scale.Topology.t
+(** The stack's declared graph: ["tcp"], ["udp"], ["ip"], the PF
+    shards (["pf"] alone, or [pf0..]) and one driver per NIC
+    ([drv0..]). *)
+
 val engine : t -> Newt_sim.Engine.t
 val machine : t -> Newt_hw.Machine.t
 val sc : t -> Newt_stack.Syscall_srv.t

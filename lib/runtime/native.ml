@@ -25,6 +25,7 @@ module Hook = Newt_channels.Hook
 module Race = Newt_verify.Race
 module Tcp = Newt_net.Tcp
 module Tcpfsm = Newt_verify.Tcpfsm
+module Topology = Newt_scale.Topology
 
 type overhead = No_overhead | Kipc_trap | Copy_per_hop
 
@@ -119,6 +120,17 @@ let validate ~recommended ?(allow_oversubscribe = false) ~domains () =
    Kept textually adjacent to [run] so a wiring change that adds a
    structure is a one-screen diff away from declaring it. *)
 
+(* The split stack with one NIC — the graph [run] builds and the plan
+   below lints. *)
+let topology =
+  {
+    Topology.tcp = [| "tcp" |];
+    udp = [| "udp" |];
+    ip = [| "ip" |];
+    pf = [| "pf" |];
+    drv = [| "drv0" |];
+  }
+
 (* Pipeline-depth order, round-robin over the domains: slot i lands on
    domain (i mod domains), so the hot TX path (tcp -> ip -> pf -> drv)
    spreads across domains first. [run] creates the model cores in this
@@ -157,25 +169,16 @@ let ownership_plan ?break_race ~domains () : Race.Plan.t =
     }
   in
   let rings =
-    [
-      ring "ip.to_pf" "ip" "pf" [];
-      ring "pf.to_ip" "pf" "ip" [];
-      ring "tcp.to_ip" "tcp" "ip" [];
-      ring "ip.to_tcp" "ip" "tcp" [];
-      ring "udp.to_ip" "udp" "ip" [];
-      ring "ip.to_udp" "ip" "udp" [];
-      ring "sc.to_tcp" "sc" "tcp" [];
-      ring "tcp.to_sc" "tcp" "sc" [];
-      ring "sc.to_udp" "sc" "udp" [];
-      ring "udp.to_sc" "udp" "sc" [];
-      ring "ip.to_drv0" "ip" "drv0" [];
-      ring "drv0.to_ip" "drv0" "ip" [];
-      ring "drv0.wire_tx" "drv0" "peer" [];
-      ring "drv0.wire_rx" "peer" "drv0"
-        (match break_race with
-        | Some Spsc_two_producers -> [ "saboteur" ]
-        | _ -> []);
-    ]
+    List.map
+      (fun (c : Topology.spec) -> ring c.key c.producer c.consumer [])
+      (Topology.channels topology)
+    @ [
+        ring "drv0.wire_tx" "drv0" "peer" [];
+        ring "drv0.wire_rx" "peer" "drv0"
+          (match break_race with
+          | Some Spsc_two_producers -> [ "saboteur" ]
+          | _ -> []);
+      ]
   in
   let comps_on d = slots_on ~domains d in
   let inboxes =
@@ -479,49 +482,19 @@ let run (cfg : config) : result =
            (fun () ->
              Bytes.blit src 0 dst 0 1460;
              Bytes.blit dst 0 src 0 1460)));
-  let tcp_core = Machine.add_dedicated_core machine in
-  let ip_core = Machine.add_dedicated_core machine in
-  let pf_core = Machine.add_dedicated_core machine in
-  let drv_core = Machine.add_dedicated_core machine in
-  let sc_core = Machine.add_dedicated_core machine in
-  let app_core = Machine.add_timeshared_core machine in
-  let udp_core = Machine.add_dedicated_core machine in
-  assert (Cpu.id tcp_core = slot_index "tcp");
-  assert (Cpu.id app_core = slot_index "app");
-  let registry = Registry.create () in
-  (* Each server gets its own storage instance: state saves happen on
-     the server's domain, and nothing may share a hashtable across
-     domains. *)
-  let view name =
-    Storage.owner_view (Storage.create ()) ~owner:name
+  let cores =
+    List.filter_map
+      (function
+        | "peer" -> None
+        | "app" as name -> Some (name, Machine.add_timeshared_core machine)
+        | name -> Some (name, Machine.add_dedicated_core machine))
+      slots_order
   in
-  let mkcomp name core = Component.create machine ~name ~core () in
-  let sc_comp = mkcomp "sc" sc_core in
-  let tcp_comp = mkcomp "tcp" tcp_core in
-  let udp_comp = mkcomp "udp" udp_core in
-  let ip_comp = mkcomp "ip" ip_core in
-  let pf_comp = mkcomp "pf" pf_core in
-  let drv_comp = mkcomp "drv0" drv_core in
-  let save_ip, load_ip = view "ip" in
-  let save_pf, load_pf = view "pf" in
-  let save_tcp, load_tcp = view "tcp" in
-  let save_udp, load_udp = view "udp" in
+  List.iter (fun (name, core) -> assert (Cpu.id core = slot_index name)) cores;
+  let app_core = List.assoc "app" cores in
+  let registry = Registry.create () in
   let host_addr = Addr.Ipv4.v 10 0 0 1 in
   let peer_addr = Addr.Ipv4.v 10 0 0 2 in
-  let sc_srv = Syscall_srv.create sc_comp () in
-  let tcp_srv =
-    Tcp_srv.create tcp_comp ~registry ~local_addr:host_addr ~save:save_tcp
-      ~load:load_tcp ()
-  in
-  (* Sabotage: Ack_from_closed plants the engine-level bug now; the
-     Stale_established crash-and-resurrect is scheduled below. *)
-  Tcp_srv.set_break_tcp tcp_srv cfg.break_tcp;
-  let udp_srv =
-    Udp_srv.create udp_comp ~registry ~local_addr:host_addr ~save:save_udp
-      ~load:load_udp ()
-  in
-  let ip_srv = Ip_srv.create ip_comp ~registry ~save:save_ip ~load:load_ip () in
-  let pf_srv = Pf_srv.create pf_comp ~save:save_pf ~load:load_pf () in
   (* Channels: real SPSC rings. *)
   let chan_ids = ref 0 in
   (* Stat readers, not the channels themselves: message rings and the
@@ -546,25 +519,6 @@ let run (cfg : config) : result =
         ];
     c
   in
-  let ch_ip_to_pf = chan "ip.to_pf" and ch_pf_to_ip = chan "pf.to_ip" in
-  Ip_srv.connect_pf ip_srv ~to_pf:ch_ip_to_pf ~from_pf:ch_pf_to_ip;
-  Pf_srv.connect_ip pf_srv ~from_ip:ch_ip_to_pf ~to_ip:ch_pf_to_ip;
-  let ch_tcp_to_ip = chan "tcp.to_ip" and ch_ip_to_tcp = chan "ip.to_tcp" in
-  Ip_srv.connect_transport ip_srv ~proto:`Tcp ~from_transport:ch_tcp_to_ip
-    ~to_transport:ch_ip_to_tcp;
-  Tcp_srv.connect_ip tcp_srv ~to_ip:ch_tcp_to_ip ~from_ip:ch_ip_to_tcp;
-  let ch_udp_to_ip = chan "udp.to_ip" and ch_ip_to_udp = chan "ip.to_udp" in
-  Ip_srv.connect_transport ip_srv ~proto:`Udp ~from_transport:ch_udp_to_ip
-    ~to_transport:ch_ip_to_udp;
-  Udp_srv.connect_ip udp_srv ~to_ip:ch_udp_to_ip ~from_ip:ch_ip_to_udp;
-  let ch_sc_to_tcp = chan "sc.to_tcp" and ch_tcp_to_sc = chan "tcp.to_sc" in
-  Syscall_srv.connect_transport sc_srv ~transport:`Tcp
-    ~to_transport:ch_sc_to_tcp ~from_transport:ch_tcp_to_sc;
-  Tcp_srv.connect_sc tcp_srv ~from_sc:ch_sc_to_tcp ~to_sc:ch_tcp_to_sc;
-  let ch_sc_to_udp = chan "sc.to_udp" and ch_udp_to_sc = chan "udp.to_sc" in
-  Syscall_srv.connect_transport sc_srv ~transport:`Udp
-    ~to_transport:ch_sc_to_udp ~from_transport:ch_udp_to_sc;
-  Udp_srv.connect_sc udp_srv ~from_sc:ch_sc_to_udp ~to_sc:ch_udp_to_sc;
   (* The wire: raw Ethernet frames on two more SPSC rings, driver on
      one side, the ideal peer host on the other. *)
   let wire_to_peer = chan ~capacity:4096 "drv0.wire_tx" in
@@ -576,86 +530,126 @@ let run (cfg : config) : result =
      the same offload engines the simulated NIC uses) and pushes them
      onto the wire; drains the inbound wire into granted RX-pool
      buffers and hands them up as [Rx_frame]. *)
-  let drv_proc = Component.proc drv_comp in
+  let drv_loop = loop_of_slot.(slot_index "drv0") in
   let frames_to_peer = ref 0 in
   let frames_from_peer = ref 0 in
   let rx_no_buffer = ref 0 in
-  let rx_alloc = ref (fun () -> None) in
-  let rx_write = ref (fun _ _ -> ()) in
-  let drv_tx_to_ip = ref None in
-  let pending_confirms = ref [] in
-  let flush_confirms () =
-    match (!pending_confirms, !drv_tx_to_ip) with
-    | [], _ | _, None -> ()
-    | [ id ], Some chan ->
-        pending_confirms := [];
-        ignore (Proc.send drv_proc chan (Msg.Drv_tx_confirm { id; ok = true }))
-    | ids, Some chan ->
-        pending_confirms := [];
-        ignore
-          (Proc.send drv_proc chan
-             (Msg.Drv_tx_confirm_batch { ids = List.rev ids; ok = true }))
-  in
-  let handle_drv_msg msg =
-    match msg with
-    | Msg.Drv_tx { id; chain; csum_offload; tso; tso_mss; queue = _ } ->
-        ( 0,
-          fun () ->
-            let frames =
-              match Registry.gather registry chain with
-              | frame ->
-                  if tso then Offload.tso_split frame ~mss:tso_mss
-                  else begin
-                    if csum_offload then
-                      ignore (Offload.finalize_l4_checksum frame);
-                    [ frame ]
-                  end
-              | exception
-                  ( Registry.Unknown_pool _
-                  | Newt_channels.Pool.Stale_pointer _ ) ->
-                  []
-            in
-            List.iter
-              (fun frame ->
-                if Sim_chan.send wire_to_peer frame then incr frames_to_peer)
-              frames;
-            pending_confirms := id :: !pending_confirms;
-            if List.length !pending_confirms >= cfg.confirm_batch then
-              flush_confirms () )
-    | _ -> (0, fun () -> ())
-  in
-  let rec arm_confirm_flush () =
-    Proc.after drv_proc (Time.of_micros 500.) ~cost:0 (fun () ->
-        flush_confirms ();
-        arm_confirm_flush ())
-  in
-  let hooks =
-    {
-      Ip_srv.drv_connect =
-        (fun ~rx_from_ip ~tx_to_ip ->
-          drv_tx_to_ip := Some tx_to_ip;
-          Component.produce drv_comp tx_to_ip;
-          Component.consume drv_comp rx_from_ip handle_drv_msg);
-      drv_grant_rx_pool =
-        (fun ~alloc ~write ->
-          rx_alloc := alloc;
-          rx_write := write);
-      drv_on_ip_crash = (fun () -> ());
-      drv_on_ip_restart = (fun () -> ());
-    }
-  in
-  let iface =
-    Ip_srv.add_iface_custom ip_srv
+  let arm_confirm_flush = ref ignore in
+  let driver _ drv_comp =
+    let drv_proc = Component.proc drv_comp in
+    let rx_alloc = ref (fun () -> None) in
+    let rx_write = ref (fun _ _ -> ()) in
+    let drv_tx_to_ip = ref None in
+    let pending_confirms = ref [] in
+    let flush_confirms () =
+      match (!pending_confirms, !drv_tx_to_ip) with
+      | [], _ | _, None -> ()
+      | [ id ], Some chan ->
+          pending_confirms := [];
+          ignore (Proc.send drv_proc chan (Msg.Drv_tx_confirm { id; ok = true }))
+      | ids, Some chan ->
+          pending_confirms := [];
+          ignore
+            (Proc.send drv_proc chan
+               (Msg.Drv_tx_confirm_batch { ids = List.rev ids; ok = true }))
+    in
+    let handle_drv_msg msg =
+      match msg with
+      | Msg.Drv_tx { id; chain; csum_offload; tso; tso_mss; queue = _ } ->
+          ( 0,
+            fun () ->
+              let frames =
+                match Registry.gather registry chain with
+                | frame ->
+                    if tso then Offload.tso_split frame ~mss:tso_mss
+                    else begin
+                      if csum_offload then
+                        ignore (Offload.finalize_l4_checksum frame);
+                      [ frame ]
+                    end
+                | exception
+                    ( Registry.Unknown_pool _
+                    | Newt_channels.Pool.Stale_pointer _ ) ->
+                    []
+              in
+              List.iter
+                (fun frame ->
+                  if Sim_chan.send wire_to_peer frame then incr frames_to_peer)
+                frames;
+              pending_confirms := id :: !pending_confirms;
+              if List.length !pending_confirms >= cfg.confirm_batch then
+                flush_confirms () )
+      | _ -> (0, fun () -> ())
+    in
+    let rec arm () =
+      Proc.after drv_proc (Time.of_micros 500.) ~cost:0 (fun () ->
+          flush_confirms ();
+          arm ())
+    in
+    arm_confirm_flush := arm;
+    (* Inbound wire -> driver. *)
+    let drain_wire_rx () =
+      let rec go () =
+        match Sim_chan.recv wire_to_host with
+        | None -> ()
+        | Some frame -> (
+            incr frames_from_peer;
+            match !rx_alloc () with
+            | None -> incr rx_no_buffer
+            | Some buf ->
+                !rx_write buf frame;
+                (match !drv_tx_to_ip with
+                | Some chan ->
+                    ignore
+                      (Proc.send drv_proc chan
+                         (Msg.Rx_frame { buf; len = Bytes.length frame }))
+                | None -> ());
+                go ())
+      in
+      go ()
+    in
+    Sim_chan.set_notify wire_to_host (doorbell drv_loop drain_wire_rx);
+    let hooks =
       {
-        Ip_srv.addr = host_addr;
-        netmask_bits = 24;
-        mac = Addr.Mac.of_index 100;
+        Ip_srv.drv_connect =
+          (fun ~rx_from_ip ~tx_to_ip ->
+            drv_tx_to_ip := Some tx_to_ip;
+            Component.produce drv_comp tx_to_ip;
+            Component.consume drv_comp rx_from_ip handle_drv_msg);
+        drv_grant_rx_pool =
+          (fun ~alloc ~write ->
+            rx_alloc := alloc;
+            rx_write := write);
+        drv_on_ip_crash = (fun () -> ());
+        drv_on_ip_restart = (fun () -> ());
       }
-      ~hooks ~tx_chan:(chan "ip.to_drv0") ~rx_chan:(chan "drv0.to_ip")
+    in
+    fun ~ip:_ ->
+      {
+        Topology.iface =
+          { Ip_srv.addr = host_addr; netmask_bits = 24; mac = Addr.Mac.of_index 100 };
+        hooks;
+        peer = (peer_addr, Addr.Mac.of_index 200);
+      }
   in
-  Ip_srv.add_route ip_srv ~prefix:(Addr.Ipv4.v 10 0 0 0) ~bits:24 ~iface
-    ~gateway:None;
-  Ip_srv.add_neighbor ip_srv ~iface peer_addr (Addr.Mac.of_index 200);
+  (* The servers, on the cores above. Each gets its own storage
+     instance: state saves happen on the server's domain, and nothing
+     may share a hashtable across domains. *)
+  let stack =
+    Topology.build topology machine ~registry
+      ~core:(fun name -> List.assoc name cores)
+      ~store:(fun name -> Storage.owner_view (Storage.create ()) ~owner:name)
+      ~local_addr:host_addr
+      ~chan:(fun key -> chan key)
+      ~driver ()
+  in
+  let sc_srv = stack.Topology.sc
+  and tcp_srv = stack.Topology.tcps.(0)
+  and udp_srv = stack.Topology.udps.(0)
+  and ip_srv = stack.Topology.ips.(0) in
+  (* Sabotage: Ack_from_closed plants the engine-level bug now; the
+     Stale_established crash-and-resurrect is scheduled below. *)
+  Tcp_srv.set_break_tcp tcp_srv cfg.break_tcp;
   let src_select dst =
     match Ip_srv.src_addr_for ip_srv dst with
     | Some a -> a
@@ -663,33 +657,9 @@ let run (cfg : config) : result =
   in
   Tcp_srv.set_src_select tcp_srv src_select;
   Udp_srv.set_src_select udp_srv src_select;
-  Pf_srv.set_rules pf_srv [ Rule.pass_all ];
   (* Conntrack snapshots would read the transports' tables from the
      PF domain; natively the sweep runs with no sources instead. *)
-  Pf_srv.set_conntrack_sources pf_srv ~tcp:(fun () -> []) ~udp:(fun () -> []);
-  (* Inbound wire -> driver. *)
-  let drv_loop = loop_of_slot.(slot_index "drv0") in
-  let drain_wire_rx () =
-    let rec go () =
-      match Sim_chan.recv wire_to_host with
-      | None -> ()
-      | Some frame -> (
-          incr frames_from_peer;
-          match !rx_alloc () with
-          | None -> incr rx_no_buffer
-          | Some buf ->
-              !rx_write buf frame;
-              (match !drv_tx_to_ip with
-              | Some chan ->
-                  ignore
-                    (Proc.send drv_proc chan
-                       (Msg.Rx_frame { buf; len = Bytes.length frame }))
-              | None -> ());
-              go ())
-    in
-    go ()
-  in
-  Sim_chan.set_notify wire_to_host (doorbell drv_loop drain_wire_rx);
+  Pf_srv.set_rules stack.Topology.pfs.(0) [ Rule.pass_all ];
   (* {3 The peer host} *)
   let peer_rng = Rng.split (Engine.rng engine) in
   let peer_io =
@@ -773,7 +743,7 @@ let run (cfg : config) : result =
              Tcp.resurrect engine tuples)
           : unit -> unit)
   | Some Tcp.Ack_from_closed | None -> ());
-  Loop.post drv_loop arm_confirm_flush;
+  Loop.post drv_loop !arm_confirm_flush;
   (* {3 Sabotage: deliberate races that must fail through the detector} *)
   let unfenced_counter = ref 0 in
   (match cfg.break_race with

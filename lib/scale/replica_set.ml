@@ -1,61 +1,24 @@
-module Machine = Newt_hw.Machine
-module Trace = Newt_sim.Trace
-module Pubsub = Newt_channels.Pubsub
 module Component = Newt_stack.Component
-module Storage = Newt_reliability.Storage
 module Reincarnation = Newt_reliability.Reincarnation
 
 type 'srv t = {
   set_name : string;
-  names : string array;
   comps : Component.t array;
   servers : 'srv array;
   mutable rs : Reincarnation.t option;
   mutable load_of : ('srv -> float) option;
 }
 
-let create machine ~name ?names ~members ~directory ~trace ~storage ~make () =
-  if members <= 0 then invalid_arg "Replica_set: members must be positive";
-  let name_of =
-    match names with
-    | Some f -> f
-    | None ->
-        fun i -> if members = 1 then name else Printf.sprintf "%s%d" name i
-  in
-  let names = Array.init members name_of in
-  let comps =
-    Array.map
-      (fun n ->
-        Component.create machine ~name:n
-          ~core:(Machine.add_dedicated_core machine)
-          ~directory ~trace ())
-      names
-  in
-  let servers =
-    Array.mapi
-      (fun i comp ->
-        let save, load = Storage.owner_view storage ~owner:names.(i) in
-        make i comp ~save ~load)
-      comps
-  in
-  { set_name = name; names; comps; servers; rs = None; load_of = None }
+let of_servers ~name ~comp servers =
+  { set_name = name; comps = Array.map comp servers; servers; rs = None; load_of = None }
 
 let size t = Array.length t.comps
-let set_name t = t.set_name
-let name t i = t.names.(i)
 let comp t i = t.comps.(i)
 let srv t i = t.servers.(i)
 let comps t = t.comps
 let servers t = t.servers
-let owner t i = i mod size t
 
-let supervise t rs ~notify_crash ~notify_restart =
-  t.rs <- Some rs;
-  Array.iteri
-    (fun i comp ->
-      Reincarnation.watch rs comp ~notify_crash:(notify_crash i)
-        ~notify_restart:(notify_restart i) ())
-    t.comps
+let attach t rs = t.rs <- Some rs
 
 let kill t i =
   match t.rs with

@@ -8,78 +8,44 @@
     a per-member load so imbalance is observable (and rebalanceable)
     for {e every} plane, not just the transport one.
 
-    A [Replica_set] owns exactly that machinery once. The server module
-    stays ordinary ({!Newt_stack.Tcp_srv}, {!Newt_stack.Pf_srv}, ...);
-    the supervisor instantiates a set with a [make] callback and a
-    partition convention: member [m] of an [M]-member set serves the
-    transport shards [i] with [i mod M = m] (the IP-replica rule of
-    PR 2, now shared by all planes), or — for the PF plane — the flows
-    [f] with [shard_of f mod M = m]. *)
+    The members are built and supervised by {!Topology}; a
+    [Replica_set] wraps one plane's servers for fault injection and
+    load accounting. The partition convention: member [m] of an
+    [M]-member set serves the transport shards [i] with [i mod M = m],
+    or — for the PF plane — the flows [f] with [shard_of f mod M = m]. *)
 
 type 'srv t
 
-val create :
-  Newt_hw.Machine.t ->
-  name:string ->
-  ?names:(int -> string) ->
-  members:int ->
-  directory:Newt_channels.Pubsub.t ->
-  trace:Newt_sim.Trace.t ->
-  storage:Newt_reliability.Storage.t ->
-  make:
-    (int ->
-    Newt_stack.Component.t ->
-    save:(string -> string -> unit) ->
-    load:(string -> string option) ->
-    'srv) ->
-  unit ->
-  'srv t
-(** [members] component servers, each created on a fresh dedicated
-    core and handed its own storage namespace (its member name).
-    Default naming: the bare [name] when [members = 1] (so a 1-member
-    set is wire-compatible with the unreplicated stack — same channel
-    keys, same storage owner), ["<name><i>"] otherwise; [?names]
-    overrides (the transport planes always index). *)
+val of_servers :
+  name:string -> comp:('srv -> Newt_stack.Component.t) -> 'srv array -> 'srv t
+(** The set of already built servers, one per member; [comp] gives
+    each server's component. Member names are the components'
+    names. *)
 
 val size : 'srv t -> int
-val set_name : 'srv t -> string
-val name : 'srv t -> int -> string
 val comp : 'srv t -> int -> Newt_stack.Component.t
 val srv : 'srv t -> int -> 'srv
 val comps : 'srv t -> Newt_stack.Component.t array
 val servers : 'srv t -> 'srv array
 
-val owner : 'srv t -> int -> int
-(** The member serving partition index [i]: [i mod size]. This is THE
-    partition function — the IP replica of transport shard [i], the PF
-    shard of a flow's [Shard_map.shard_of] value. *)
-
 (** {1 Supervision} *)
 
-val supervise :
-  'srv t ->
-  Newt_reliability.Reincarnation.t ->
-  notify_crash:(int -> (unit -> unit) list) ->
-  notify_restart:(int -> (unit -> unit) list) ->
-  unit
-(** Watch every member independently: member [m]'s crash runs
-    [notify_crash m] (neighbours abort/fence exactly that member's
-    work), its completed recovery runs [notify_restart m]. *)
+val attach : 'srv t -> Newt_reliability.Reincarnation.t -> unit
+(** The reincarnation server that supervises the members (see
+    {!Topology.supervise}); {!kill} and {!restarts} go through it. *)
 
 val kill : 'srv t -> int -> unit
 (** Crash member [i] (fault injection); the reincarnation server
-    recovers it. Raises if the set was never supervised. *)
+    recovers it. Raises if no reincarnation server was attached. *)
 
 val restarts : 'srv t -> int -> int
-(** Restarts of member [i] so far (0 when unsupervised). *)
+(** Restarts of member [i] so far (0 when none is attached). *)
 
 (** {1 Load, imbalance, rebalancing} *)
 
 val set_load : 'srv t -> ('srv -> float) -> unit
 (** How much work a member has done (bytes out, verdicts issued, ...)
     — the per-plane load metric. *)
-
-val loads : 'srv t -> float array
 
 type plane = {
   plane_name : string;

@@ -15,7 +15,6 @@ module Rule = Newt_pf.Rule
 module Pf_engine = Newt_pf.Pf_engine
 module Conntrack = Newt_pf.Conntrack
 module Component = Newt_stack.Component
-module Msg = Newt_stack.Msg
 module Mq_drv_srv = Newt_stack.Mq_drv_srv
 module Ip_srv = Newt_stack.Ip_srv
 module Pf_srv = Newt_stack.Pf_srv
@@ -94,30 +93,21 @@ type t = {
   config : config;
   engine : Engine.t;
   machine : Machine.t;
-  registry : Registry.t;
-  trace : Trace.t;
   directory : Pubsub.t;
-  storage : Storage.t;
   rs : Reincarnation.t;
   sm : Shard_map.t;
-  sc_set : Syscall_srv.t Replica_set.t;
+  stack : Topology.stack;
   tcp_set : Tcp_srv.t Replica_set.t;
   udp_set : Udp_srv.t Replica_set.t;
   ip_set : Ip_srv.t Replica_set.t;
   pf_set : Pf_srv.t Replica_set.t option;
-  drv_set : Mq_drv_srv.t Replica_set.t;
   nic : Mq.t;
   link : Link.t;
   sink : Sink.t;
-  tcp_to_ip : Msg.t Sim_chan.t array;
-  ip_to_tcp : Msg.t Sim_chan.t array;
-  (* [pf_chans.(k).(j)] is IP replica [k]'s (to_pf, from_pf) pair with
-     PF shard [j]. *)
-  pf_chans : (Msg.t Sim_chan.t * Msg.t Sim_chan.t) array array;
   publish_pf_rules : Rule.t list -> unit;
-  (* IP's half of the affinity journal (the NIC keeps its own) —
-     shared by all replicas: shard affinity implies replica affinity. *)
-  steer_journal : (flow_key, int) Hashtbl.t;
+  (* Violations seen by IP's half of the affinity journal (the NIC keeps
+     its own) — one journal for all replicas: shard affinity implies
+     replica affinity. *)
   ip_violations : int ref;
   mutable next_app_pid : int;
 }
@@ -125,7 +115,7 @@ type t = {
 let engine t = t.engine
 let machine t = t.machine
 let config t = t.config
-let sc t = Replica_set.srv t.sc_set 0
+let sc t = t.stack.Topology.sc
 let tcp_shard t i = Replica_set.srv t.tcp_set i
 let udp_shard t i = Replica_set.srv t.udp_set i
 let ip_srv t = Replica_set.srv t.ip_set 0
@@ -136,6 +126,8 @@ let link t = t.link
 let sink t = t.sink
 let shard_map t = t.sm
 let directory t = t.directory
+let topology t = t.stack.Topology.topology
+let channel t key = Topology.chan t.stack key
 let tcp_components t = Replica_set.comps t.tcp_set
 let ip_components t = Replica_set.comps t.ip_set
 let pf_components t =
@@ -150,19 +142,14 @@ let pf_of t =
   | None -> invalid_arg "Sharded_stack: no packet filter configured"
 
 let pf_shard t j = Replica_set.srv (pf_of t) j
-let pf_channels t = t.pf_chans
 let set_pf_rules t rules = t.publish_pf_rules rules
 
 let components t =
-  (Replica_set.comp t.sc_set 0 :: Array.to_list (pf_components t))
-  @ [ Replica_set.comp t.drv_set 0 ]
+  (Syscall_srv.comp (sc t) :: Array.to_list (pf_components t))
+  @ Array.to_list t.stack.Topology.drvs
   @ Array.to_list (Replica_set.comps t.tcp_set)
   @ Array.to_list (Replica_set.comps t.udp_set)
   @ Array.to_list (Replica_set.comps t.ip_set)
-
-let tcp_channels t =
-  Array.init (Array.length t.tcp_to_ip) (fun i ->
-      (t.tcp_to_ip.(i), t.ip_to_tcp.(i)))
 
 let local_addr _t = Addr.Ipv4.v 10 0 0 1
 let sink_addr _t = Addr.Ipv4.v 10 0 0 2
@@ -197,6 +184,13 @@ type shard_stats = {
   restarts : int;
 }
 
+(* The IP→shard channel of transport shard [i]. *)
+let delivery_key t i =
+  let topo = topology t in
+  Topology.key topo
+    ~producer:topo.Topology.ip.(Topology.owner topo i)
+    ~consumer:topo.Topology.tcp.(i)
+
 let shard_stats t =
   let now = Engine.now t.engine in
   Array.mapi
@@ -208,7 +202,7 @@ let shard_stats t =
            so a reincarnated shard neither double-counts nor resets. *)
         segs_out = Tcp_srv.total_segs_out srv;
         bytes_out = Tcp_srv.total_bytes_out srv;
-        queue_depth = Sim_chan.length t.ip_to_tcp.(i);
+        queue_depth = Sim_chan.length (channel t (delivery_key t i));
         core_util = Cpu.utilization (Component.core (Replica_set.comp t.tcp_set i)) ~now;
         restarts = shard_restarts t i;
       })
@@ -274,14 +268,25 @@ let rebalance t =
 
 (* {2 Construction} *)
 
+let topology_of config =
+  {
+    Topology.tcp = Topology.indexed "tcp" config.shards;
+    udp = Topology.indexed "udp" config.udp_shards;
+    ip = Topology.members "ip" config.ip_replicas;
+    pf =
+      (match config.pf_rules with
+      | None -> [||]
+      | Some _ -> Topology.members "pf" config.pf_shards);
+    drv = [| "mqdrv" |];
+  }
+
 let create ?(config = default_config) () =
-  if config.shards <= 0 then invalid_arg "Sharded_stack: shards must be positive";
-  if config.udp_shards <= 0 then
-    invalid_arg "Sharded_stack: udp_shards must be positive";
-  if config.ip_replicas <= 0 || config.ip_replicas > config.shards then
-    invalid_arg "Sharded_stack: need 1 <= ip_replicas <= shards";
-  if config.pf_shards <= 0 || config.pf_shards > config.shards then
-    invalid_arg "Sharded_stack: need 1 <= pf_shards <= shards";
+  (match
+     Topology.validate ~shards:config.shards ~udp_shards:config.udp_shards
+       ~ip_replicas:config.ip_replicas ~pf_shards:config.pf_shards ()
+   with
+  | Ok () -> ()
+  | Error msg -> invalid_arg ("Sharded_stack: " ^ msg));
   let engine = Engine.create ~seed:config.seed () in
   let machine = Machine.create ~costs:config.costs engine in
   let registry = Registry.create () in
@@ -290,8 +295,8 @@ let create ?(config = default_config) () =
   let storage = Storage.create () in
   let n = config.shards
   and nu = config.udp_shards
-  and r = config.ip_replicas
-  and np = config.pf_shards in
+  and r = config.ip_replicas in
+  let topo = topology_of config in
   let sm = Shard_map.create ~seed:config.seed ~shards:n () in
   (* One fat wire, a multi-queue device on our side, an ideal peer on
      the other. *)
@@ -299,50 +304,6 @@ let create ?(config = default_config) () =
     Link.create engine
       ~bandwidth_bps:(int_of_float (config.link_gbps *. 1e9))
       ~queue_frames:1024 ()
-  in
-  (* Every component server of the stack is a replica set — most of
-     them 1-member sets ("sc", "mqdrv"), which is exactly the point:
-     one replication mechanism, configured per plane. Each set gives
-     its members a dedicated core and a storage namespace. *)
-  let mkset name ?names members make =
-    Replica_set.create machine ~name ?names ~members ~directory ~trace ~storage
-      ~make ()
-  in
-  let sc_set =
-    mkset "sc" 1 (fun _ comp ~save:_ ~load:_ -> Syscall_srv.create comp ())
-  in
-  let ip_set =
-    mkset "ip" r (fun _ comp ~save ~load ->
-        Ip_srv.create comp ~registry ~save ~load ())
-  in
-  (* The shared flow hash, reduced to each plane's member count: the
-     partition functions of the transport, IP and PF planes all divide
-     the same [Shard_map] value, so every layer agrees where a flow
-     lives. *)
-  let pf_steer ~src ~sport ~dst ~dport =
-    Shard_map.shard_of sm ~src ~sport ~dst ~dport mod np
-  in
-  let pf_shared_save, pf_shared_load = Storage.owner_view storage ~owner:"pf" in
-  let pf_set =
-    match config.pf_rules with
-    | None -> None
-    | Some _ ->
-        Some
-          (mkset "pf" np (fun j comp ~save ~load ->
-               (* The ruleset is one shared configuration blob; the
-                  conntrack snapshot is per shard. *)
-               let save k v = if k = "rules" then pf_shared_save k v else save k v
-               and load k = if k = "rules" then pf_shared_load k else load k in
-               let owns f =
-                 np <= 1
-                 || pf_steer ~src:f.Conntrack.local_ip
-                      ~sport:f.Conntrack.local_port ~dst:f.Conntrack.remote_ip
-                      ~dport:f.Conntrack.remote_port
-                    = j
-               in
-               Pf_srv.create comp ~save ~load
-                 ~max_entries:(max 1 (config.conntrack_total / np))
-                 ~owns ()))
   in
   let nic =
     Mq.create engine ~registry ~link ~side:Link.Left
@@ -353,38 +314,91 @@ let create ?(config = default_config) () =
     Sink.create engine ~link ~side:Link.Right ~addr:(Addr.Ipv4.v 10 0 0 2)
       ~mac:(Addr.Mac.of_index 200) ()
   in
-  let drv_set =
-    mkset "mqdrv" 1 (fun _ comp ~save:_ ~load:_ -> Mq_drv_srv.create comp ~nic ())
+  (* Every member gets a storage namespace of its own; the PF ruleset is
+     one shared configuration blob, the conntrack snapshot is per
+     shard. *)
+  let pf_shared_save, pf_shared_load = Storage.owner_view storage ~owner:"pf" in
+  let store name =
+    let save, load = Storage.owner_view storage ~owner:name in
+    if Array.mem name topo.Topology.pf then
+      ( (fun k v -> if k = "rules" then pf_shared_save k v else save k v),
+        fun k -> if k = "rules" then pf_shared_load k else load k )
+    else (save, load)
   in
-  let tcp_set =
-    mkset "tcp"
-      ~names:(Printf.sprintf "tcp%d")
-      n
-      (fun _ comp ~save ~load ->
-        Tcp_srv.create comp ~registry
-          ~local_addr:(Addr.Ipv4.v 10 0 0 1)
-          ?tcp_config:config.tcp_config ~save ~load ())
+  (* The shared steering function, with IP's half of the affinity
+     journal wrapped around it. The partition functions of the
+     transport, IP and PF planes all divide the same [Shard_map] value,
+     so every layer agrees where a flow lives. *)
+  let steer_journal : (flow_key, int) Hashtbl.t = Hashtbl.create 64 in
+  let ip_violations = ref 0 in
+  let steer_tcp ~src ~sport ~dst ~dport =
+    let s = Shard_map.shard_of sm ~src ~sport ~dst ~dport in
+    let key = flow_key src sport dst dport in
+    (match Hashtbl.find_opt steer_journal key with
+    | None -> Hashtbl.replace steer_journal key s
+    | Some s' when s' = s -> ()
+    | Some _ ->
+        incr ip_violations;
+        Hashtbl.replace steer_journal key s);
+    s
   in
+  let steer_udp ~src ~sport ~dst ~dport =
+    Shard_map.shard_of sm ~src ~sport ~dst ~dport mod nu
+  in
+  let chan_ids = ref 0 in
+  let chan _key =
+    incr chan_ids;
+    Sim_chan.create ~capacity:8192 ~id:!chan_ids ()
+  in
+  (* The interface: one MQ driver serving all queues, fanning RX
+     completions out to the replica that owns each queue (queue [q]
+     belongs to replica [q mod r]). With a single instance the whole
+     device belongs to it, and a crash resets the device as before;
+     with replicas a crash fences only the dead replica's queues. *)
+  let driver _ comp =
+    let drv = Mq_drv_srv.create comp ~nic () in
+    if r > 1 then Mq_drv_srv.set_replicas drv r;
+    fun ~ip:k ->
+      {
+        Topology.iface =
+          { Ip_srv.addr = Addr.Ipv4.v 10 0 0 1; netmask_bits = 24; mac = Mq.mac nic };
+        peer = (Addr.Ipv4.v 10 0 0 2, Addr.Mac.of_index 200);
+        hooks =
+          {
+            Ip_srv.drv_connect = Mq_drv_srv.connect_ip_replica drv ~replica:k;
+            drv_grant_rx_pool = Mq_drv_srv.grant_rx_pool_replica drv ~replica:k;
+            drv_on_ip_crash =
+              (fun () ->
+                if r = 1 then Mq_drv_srv.on_ip_crash drv
+                else Mq_drv_srv.on_ip_replica_crash drv ~replica:k);
+            drv_on_ip_restart =
+              (fun () ->
+                if r = 1 then Mq_drv_srv.on_ip_restart drv
+                else Mq_drv_srv.on_ip_replica_restart drv ~replica:k);
+          };
+      }
+  in
+  let stack =
+    Topology.build topo machine ~registry ~directory ~trace ~store
+      ~local_addr:(Addr.Ipv4.v 10 0 0 1) ?tcp_config:config.tcp_config
+      ~conntrack_total:config.conntrack_total ~steer_tcp ~steer_udp
+      ~steer_pf:(Shard_map.shard_of sm) ~order:[ `Sc; `Ip; `Pf; `Drv; `Tcp; `Udp ]
+      ~chan ~driver ()
+  in
+  let sc_srv = stack.Topology.sc in
+  let tcps = stack.Topology.tcps in
+  let ips = stack.Topology.ips in
+  let tcp_set = Replica_set.of_servers ~name:"tcp" ~comp:Tcp_srv.comp tcps in
   let udp_set =
-    mkset "udp"
-      ~names:(Printf.sprintf "udp%d")
-      nu
-      (fun _ comp ~save ~load ->
-        Udp_srv.create comp ~registry
-          ~local_addr:(Addr.Ipv4.v 10 0 0 1)
-          ~save ~load ())
+    Replica_set.of_servers ~name:"udp" ~comp:Udp_srv.comp stack.Topology.udps
   in
-  let sc_srv = Replica_set.srv sc_set 0 in
-  let sc_comp = Replica_set.comp sc_set 0 in
-  let drv = Replica_set.srv drv_set 0 in
-  let drv_comp = Replica_set.comp drv_set 0 in
-  let tcps = Replica_set.servers tcp_set in
-  let udps = Replica_set.servers udp_set in
-  let ips = Replica_set.servers ip_set in
-  let tcp_comps = Replica_set.comps tcp_set in
-  let udp_comps = Replica_set.comps udp_set in
-  let ip_comps = Replica_set.comps ip_set in
-  let ip_name = Replica_set.name ip_set in
+  let ip_set = Replica_set.of_servers ~name:"ip" ~comp:Ip_srv.comp ips in
+  let pf_set =
+    match config.pf_rules with
+    | None -> None
+    | Some _ ->
+        Some (Replica_set.of_servers ~name:"pf" ~comp:Pf_srv.comp stack.Topology.pfs)
+  in
   (* Per-plane load metrics, for whole-stack imbalance accounting. *)
   Replica_set.set_load tcp_set (fun srv ->
       float_of_int (Tcp_srv.total_bytes_out srv));
@@ -397,70 +411,13 @@ let create ?(config = default_config) () =
       Replica_set.set_load pfs (fun srv ->
           float_of_int (Pf_srv.verdicts_issued srv)))
     pf_set;
-  (* Channels (Figure 3, replicated per shard and per IP replica).
-     [Component.export] publishes each one under its key in the
-     directory and re-publishes it when the consuming component is
-     reincarnated — the export belongs to the consumer. *)
-  let chan_ids = ref 0 in
-  let chan () =
-    incr chan_ids;
-    Sim_chan.create ~capacity:8192 ~id:!chan_ids ()
-  in
-  let export comp key c =
-    Component.export comp ~key c;
-    c
-  in
-  (* The shared steering function, with IP's half of the affinity
-     journal wrapped around it. *)
-  let steer_journal = Hashtbl.create 64 in
-  let ip_violations = ref 0 in
-  let journal_steer shard_of ~src ~sport ~dst ~dport =
-    let s = shard_of ~src ~sport ~dst ~dport in
-    let key = flow_key src sport dst dport in
-    (match Hashtbl.find_opt steer_journal key with
-    | None -> Hashtbl.replace steer_journal key s
-    | Some s' when s' = s -> ()
-    | Some _ ->
-        incr ip_violations;
-        Hashtbl.replace steer_journal key s);
-    s
-  in
-  let tcp_steer =
-    journal_steer (fun ~src ~sport ~dst ~dport ->
-        Shard_map.shard_of sm ~src ~sport ~dst ~dport)
-  in
-  let udp_steer ~src ~sport ~dst ~dport =
-    Shard_map.shard_of sm ~src ~sport ~dst ~dport mod nu
-  in
-  (* IP <-> PF: the filter plane is [np] shards, each owning the flows
-     the shared hash maps to it. Every IP replica keeps a channel pair
-     to every shard (the reply comes back to whoever asked), and every
-     shard serves every replica. Conntrack recovery reads the union of
-     the transports' connection tables, filtered by each shard's
-     ownership predicate. *)
-  let pf_chans =
-    match pf_set with
-    | None -> [||]
-    | Some pfs ->
-        Array.init r (fun k ->
-            Array.init np (fun j ->
-                let pf_name = Replica_set.name pfs j in
-                let to_pf =
-                  export (Replica_set.comp pfs j)
-                    (Printf.sprintf "%s.to_%s" (ip_name k) pf_name)
-                    (chan ())
-                and from_pf =
-                  export ip_comps.(k)
-                    (Printf.sprintf "%s.to_%s" pf_name (ip_name k))
-                    (chan ())
-                in
-                (to_pf, from_pf)))
-  in
   (* PF rules ride the channel directory as a versioned broadcast: the
      blob is saved once in the shared namespace, every shard applies it
      on publish, and a reincarnated shard replays the publication (its
      own restore-state hook reads the same shared blob, so the replay
-     is the belt to that suspender). *)
+     is the belt to that suspender). Conntrack recovery reads the union
+     of the transports' connection tables, filtered by each shard's
+     ownership predicate. *)
   let pf_rule_version = ref 0 in
   let publish_pf_rules rules =
     pf_shared_save "rules" (Marshal.to_string (rules : Rule.t list) []);
@@ -468,111 +425,26 @@ let create ?(config = default_config) () =
     Pubsub.publish directory ~key:pf_rules_key ~creator:(-1)
       ~chan_id:!pf_rule_version
   in
-  (match (pf_set, config.pf_rules) with
-  | Some pfs, Some rules ->
-      Array.iteri
-        (fun k ip ->
-          Ip_srv.connect_pf_sharded ip
-            ~steer:(fun ~src ~sport ~dst ~dport ->
-              Shard_map.shard_of sm ~src ~sport ~dst ~dport)
-            ~pairs:pf_chans.(k))
-        ips;
-      Array.iteri
-        (fun j pf ->
-          Array.iter
-            (fun row ->
-              let to_pf, from_pf = row.(j) in
-              Pf_srv.connect_ip pf ~from_ip:to_pf ~to_ip:from_pf)
-            pf_chans;
-          Pf_srv.set_conntrack_sources pf
-            ~tcp:(fun () ->
-              Array.to_list tcps |> List.concat_map Tcp_srv.conntrack_flows)
-            ~udp:(fun () ->
-              Array.to_list udps |> List.concat_map Udp_srv.conntrack_flows);
-          let apply = function
-            | `Published _ -> (
-                match pf_shared_load "rules" with
-                | Some blob ->
-                    Pf_engine.set_rules (Pf_srv.engine_of pf)
-                      (Marshal.from_string blob 0 : Rule.t list)
-                | None -> ())
-            | `Gone -> ()
-          in
-          Pubsub.subscribe_prefix directory ~prefix:pf_rules_key apply;
-          Component.on_restart (Replica_set.comp pfs j) ~step:"replay-rules"
-            (fun ~fresh:_ ->
-              Pubsub.replay_prefix directory ~prefix:pf_rules_key apply))
-        (Replica_set.servers pfs);
-      publish_pf_rules rules
-  | _ -> ());
-  (* IP <-> transport shards. TCP shard [i]'s requests are served by
-     replica [i mod r]; every replica keeps the complete fan-out array
-     so a received frame can steer to any shard. *)
-  let tcp_to_ip =
-    Array.init n (fun i ->
-        export ip_comps.(Replica_set.owner ip_set i)
-          (Printf.sprintf "tcp%d.to_ip" i) (chan ()))
-  in
-  let ip_to_tcp =
-    Array.init n (fun i ->
-        export tcp_comps.(i) (Printf.sprintf "ip.to_tcp%d" i) (chan ()))
-  in
-  Array.iteri
-    (fun k ip ->
-      Ip_srv.connect_transport_sharded
-        ~mine:(fun i -> Replica_set.owner ip_set i = k)
-        ip ~proto:`Tcp ~steer:tcp_steer
-        ~pairs:(Array.init n (fun i -> (tcp_to_ip.(i), ip_to_tcp.(i)))))
-    ips;
-  Array.iteri
-    (fun i srv -> Tcp_srv.connect_ip srv ~to_ip:tcp_to_ip.(i) ~from_ip:ip_to_tcp.(i))
-    tcps;
-  let udp_to_ip =
-    Array.init nu (fun i ->
-        export ip_comps.(Replica_set.owner ip_set i)
-          (Printf.sprintf "udp%d.to_ip" i) (chan ()))
-  in
-  let ip_to_udp =
-    Array.init nu (fun i ->
-        export udp_comps.(i) (Printf.sprintf "ip.to_udp%d" i) (chan ()))
-  in
-  Array.iteri
-    (fun k ip ->
-      Ip_srv.connect_transport_sharded
-        ~mine:(fun i -> Replica_set.owner ip_set i = k)
-        ip ~proto:`Udp ~steer:udp_steer
-        ~pairs:(Array.init nu (fun i -> (udp_to_ip.(i), ip_to_udp.(i)))))
-    ips;
-  Array.iteri
-    (fun i srv -> Udp_srv.connect_ip srv ~to_ip:udp_to_ip.(i) ~from_ip:ip_to_udp.(i))
-    udps;
-  (* SYSCALL <-> transport shards. *)
-  let sc_to_tcp =
-    Array.init n (fun i ->
-        export tcp_comps.(i) (Printf.sprintf "sc.to_tcp%d" i) (chan ()))
-  in
-  let tcp_to_sc =
-    Array.init n (fun i ->
-        export sc_comp (Printf.sprintf "tcp%d.to_sc" i) (chan ()))
-  in
-  Syscall_srv.connect_transport_sharded sc_srv ~transport:`Tcp
-    ~pairs:(Array.init n (fun i -> (sc_to_tcp.(i), tcp_to_sc.(i))));
-  Array.iteri
-    (fun i srv -> Tcp_srv.connect_sc srv ~from_sc:sc_to_tcp.(i) ~to_sc:tcp_to_sc.(i))
-    tcps;
-  let sc_to_udp =
-    Array.init nu (fun i ->
-        export udp_comps.(i) (Printf.sprintf "sc.to_udp%d" i) (chan ()))
-  in
-  let udp_to_sc =
-    Array.init nu (fun i ->
-        export sc_comp (Printf.sprintf "udp%d.to_sc" i) (chan ()))
-  in
-  Syscall_srv.connect_transport_sharded sc_srv ~transport:`Udp
-    ~pairs:(Array.init nu (fun i -> (sc_to_udp.(i), udp_to_sc.(i))));
-  Array.iteri
-    (fun i srv -> Udp_srv.connect_sc srv ~from_sc:sc_to_udp.(i) ~to_sc:udp_to_sc.(i))
-    udps;
+  Array.iter
+    (fun pf ->
+      Pf_srv.set_conntrack_sources pf
+        ~tcp:(fun () -> Array.to_list tcps |> List.concat_map Tcp_srv.conntrack_flows)
+        ~udp:(fun () ->
+          Array.to_list stack.Topology.udps |> List.concat_map Udp_srv.conntrack_flows);
+      let apply = function
+        | `Published _ -> (
+            match pf_shared_load "rules" with
+            | Some blob ->
+                Pf_engine.set_rules (Pf_srv.engine_of pf)
+                  (Marshal.from_string blob 0 : Rule.t list)
+            | None -> ())
+        | `Gone -> ()
+      in
+      Pubsub.subscribe_prefix directory ~prefix:pf_rules_key apply;
+      Component.on_restart (Pf_srv.comp pf) ~step:"replay-rules" (fun ~fresh:_ ->
+          Pubsub.replay_prefix directory ~prefix:pf_rules_key apply))
+    stack.Topology.pfs;
+  Option.iter publish_pf_rules config.pf_rules;
   (* New sockets round-robin over the shards; the chosen shard then
      picks a source port that hashes back to itself, so any placement
      preserves flow affinity. *)
@@ -604,57 +476,9 @@ let create ?(config = default_config) () =
           | Ok p -> `Port p
           | Error `Exhausted -> `Exhausted))
     tcps;
-  (* The interface: one MQ driver serving all queues, fanning RX
-     completions out to the replica that owns each queue (queue [q]
-     belongs to replica [q mod r]). With a single instance the whole
-     device belongs to it, and a crash resets the device as before;
-     with replicas a crash fences only the dead replica's queues. *)
-  let hooks_for k =
-    if r = 1 then
-      {
-        Ip_srv.drv_connect =
-          (fun ~rx_from_ip ~tx_to_ip ->
-            Mq_drv_srv.connect_ip drv ~rx_from_ip ~tx_to_ip);
-        drv_grant_rx_pool =
-          (fun ~alloc ~write -> Mq_drv_srv.grant_rx_pool drv ~alloc ~write);
-        drv_on_ip_crash = (fun () -> Mq_drv_srv.on_ip_crash drv);
-        drv_on_ip_restart = (fun () -> Mq_drv_srv.on_ip_restart drv);
-      }
-    else
-      {
-        Ip_srv.drv_connect =
-          (fun ~rx_from_ip ~tx_to_ip ->
-            Mq_drv_srv.connect_ip_replica drv ~replica:k ~rx_from_ip ~tx_to_ip);
-        drv_grant_rx_pool =
-          (fun ~alloc ~write ->
-            Mq_drv_srv.grant_rx_pool_replica drv ~replica:k ~alloc ~write);
-        drv_on_ip_crash = (fun () -> Mq_drv_srv.on_ip_replica_crash drv ~replica:k);
-        drv_on_ip_restart =
-          (fun () -> Mq_drv_srv.on_ip_replica_restart drv ~replica:k);
-      }
-  in
-  if r > 1 then Mq_drv_srv.set_replicas drv r;
-  let ifaces =
-    Array.init r (fun k ->
-        let tx_chan =
-          export drv_comp (Printf.sprintf "%s.to_mqdrv" (ip_name k)) (chan ())
-        and rx_chan =
-          export ip_comps.(k) (Printf.sprintf "mqdrv.to_%s" (ip_name k)) (chan ())
-        in
-        let iface =
-          Ip_srv.add_iface_custom ips.(k)
-            { Ip_srv.addr = Addr.Ipv4.v 10 0 0 1; netmask_bits = 24; mac = Mq.mac nic }
-            ~hooks:(hooks_for k) ~tx_chan ~rx_chan
-        in
-        (* Self-originated frames (ARP, ICMP) go out on one of this
-           replica's own queues, so the TX confirm returns here. *)
-        Ip_srv.set_local_queue ips.(k) k;
-        Ip_srv.add_route ips.(k) ~prefix:(Addr.Ipv4.v 10 0 0 0) ~bits:24 ~iface
-          ~gateway:None;
-        Ip_srv.add_neighbor ips.(k) ~iface (Addr.Ipv4.v 10 0 0 2)
-          (Addr.Mac.of_index 200);
-        iface)
-  in
+  (* Self-originated frames (ARP, ICMP) go out on one of each replica's
+     own queues, so the TX confirm returns there. *)
+  Array.iteri (fun k ip -> Ip_srv.set_local_queue ip k) ips;
   (* ARP learn-broadcast (replicated IP only): whichever replica's
      queue a reply or request lands on announces the binding in the
      channel directory; every replica — including a later restarted
@@ -686,7 +510,7 @@ let create ?(config = default_config) () =
         Pubsub.subscribe_prefix directory ~prefix:"arp." (learn k);
         (* A reincarnated replica comes up with a flushed cache; the
            directory still holds everything the group has learned. *)
-        Component.on_restart ip_comps.(k) ~step:"replay-arp" (fun ~fresh:_ ->
+        Component.on_restart (Ip_srv.comp ip) ~step:"replay-arp" (fun ~fresh:_ ->
             Pubsub.replay_prefix directory ~prefix:"arp." (learn k)))
       ips
   end;
@@ -701,94 +525,33 @@ let create ?(config = default_config) () =
       ips
   in
   Array.iter (fun ip -> Ip_srv.set_buf_return ip return_buf) ips;
-  (* Supervision: every plane's members recover independently. A
-     transport shard crash reclaims only that shard's receive buffers
-     (held by the replica that owns its queue for TCP, by any replica
-     for UDP); an IP replica crash aborts only the in-flight requests
-     of the shards it serves; a PF shard crash holds only its own
-     flows' packets — the other shards' traffic never stops. *)
+  (* Supervision: every plane's members recover independently. *)
   let rs =
     Reincarnation.create machine ~heartbeat_period:config.heartbeat_period
       ~restart_delay:config.restart_delay ()
   in
-  Replica_set.supervise tcp_set rs
-    ~notify_crash:(fun i ->
-      [
-        (fun () ->
-          Ip_srv.on_transport_shard_crash
-            ips.(Replica_set.owner ip_set i)
-            ~proto:`Tcp ~shard:i);
-      ])
-    ~notify_restart:(fun i ->
-      [ (fun () -> Syscall_srv.on_transport_restart ~shard:i sc_srv ~transport:`Tcp) ]);
-  Replica_set.supervise udp_set rs
-    ~notify_crash:(fun i ->
-      Array.to_list
-        (Array.map
-           (fun ip () -> Ip_srv.on_transport_shard_crash ip ~proto:`Udp ~shard:i)
-           ips))
-    ~notify_restart:(fun i ->
-      [ (fun () -> Syscall_srv.on_transport_restart ~shard:i sc_srv ~transport:`Udp) ]);
-  Replica_set.supervise ip_set rs
-    ~notify_crash:(fun k ->
-      (* Only the shards this replica serves lose their channel. *)
-      let my_tcps =
-        List.filteri (fun i _ -> Replica_set.owner ip_set i = k) (Array.to_list tcps)
-      and my_udps =
-        List.filteri (fun i _ -> Replica_set.owner ip_set i = k) (Array.to_list udps)
-      in
-      List.map (fun srv () -> Tcp_srv.on_ip_crash srv) my_tcps
-      @ List.map (fun srv () -> Udp_srv.on_ip_crash srv) my_udps)
-    ~notify_restart:(fun k ->
-      let my_tcps =
-        List.filteri (fun i _ -> Replica_set.owner ip_set i = k) (Array.to_list tcps)
-      and my_udps =
-        List.filteri (fun i _ -> Replica_set.owner ip_set i = k) (Array.to_list udps)
-      in
-      List.map (fun srv () -> Tcp_srv.on_ip_restart srv) my_tcps
-      @ List.map (fun srv () -> Udp_srv.on_ip_restart srv) my_udps);
-  Option.iter
-    (fun pfs ->
-      Replica_set.supervise pfs rs
-        ~notify_crash:(fun j ->
-          Array.to_list
-            (Array.map (fun ip () -> Ip_srv.on_pf_crash ~shard:j ip) ips))
-        ~notify_restart:(fun j ->
-          Array.to_list
-            (Array.map (fun ip () -> Ip_srv.on_pf_restart ~shard:j ip) ips)))
-    pf_set;
-  Replica_set.supervise drv_set rs
-    ~notify_crash:(fun _ ->
-      Array.to_list
-        (Array.mapi (fun k ip () -> Ip_srv.on_drv_crash ip ~iface:ifaces.(k)) ips))
-    ~notify_restart:(fun _ ->
-      Array.to_list
-        (Array.mapi (fun k ip () -> Ip_srv.on_drv_restart ip ~iface:ifaces.(k)) ips));
+  Topology.supervise stack rs;
+  Replica_set.attach tcp_set rs;
+  Replica_set.attach udp_set rs;
+  Replica_set.attach ip_set rs;
+  Option.iter (fun pfs -> Replica_set.attach pfs rs) pf_set;
   Reincarnation.start rs;
   {
     config;
     engine;
     machine;
-    registry;
-    trace;
     directory;
-    storage;
     rs;
     sm;
-    sc_set;
+    stack;
     tcp_set;
     udp_set;
     ip_set;
     pf_set;
-    drv_set;
     nic;
     link;
     sink;
-    tcp_to_ip;
-    ip_to_tcp;
-    pf_chans;
     publish_pf_rules;
-    steer_journal;
     ip_violations;
     next_app_pid = 10_000;
   }

@@ -1,4 +1,4 @@
-(** A NewtOS host whose every layer is a {!Replica_set}.
+(** A NewtOS host whose every layer can be replicated.
 
     The single-instance {!Newt_core.Host} tops out at one TCP server's
     worth of cycles per segment (Table II). This composition implements
@@ -11,10 +11,11 @@
     flow traverses exactly one shard} — the affinity invariant
     {!steering_violations} counts violations of.
 
-    Every component server is a member of a {!Replica_set} — most of
-    them 1-member sets — so transport shards, IP replicas and PF shards
-    are three configurations of one replication mechanism, not three
-    mechanisms. Each member is supervised by the reincarnation server
+    The stack is a lowering of {!Topology}: transport shards, IP
+    replicas and PF shards are member counts of one declared graph,
+    built and supervised by one builder, and each replicated plane is
+    wrapped in a {!Replica_set} for fault injection and load
+    accounting. Each member is supervised by the reincarnation server
     independently: killing one TCP shard ({!kill_shard}) loses only that
     shard's connections; the other shards' flows keep running without
     losing a segment.
@@ -126,19 +127,13 @@ val ip_components : t -> Newt_stack.Component.t array
 val pf_components : t -> Newt_stack.Component.t array
 (** Empty when the stack runs without a filter. *)
 
-val tcp_channels :
-  t -> (Newt_stack.Msg.t Newt_channels.Sim_chan.t * Newt_stack.Msg.t Newt_channels.Sim_chan.t) array
-(** Per TCP shard [i], its [(to_ip, from_ip)] channel pair — the
-    request channel its replica consumes and the delivery channel it
-    consumes. *)
+val topology : t -> Topology.t
+(** The stack's declared graph: [tcp0..], [udp0..], the IP replicas
+    (["ip"] alone when unreplicated), the PF shards (none without a
+    filter) and the one ["mqdrv"] driver. *)
 
-val pf_channels :
-  t ->
-  (Newt_stack.Msg.t Newt_channels.Sim_chan.t * Newt_stack.Msg.t Newt_channels.Sim_chan.t)
-  array
-  array
-(** [pf_channels t .(k).(j)] is IP replica [k]'s [(to_pf, from_pf)]
-    channel pair with PF shard [j] (empty without a filter). *)
+val channel : t -> string -> Newt_stack.Msg.t Newt_channels.Sim_chan.t
+(** The channel made for a {!Topology.channels} key. *)
 
 val local_addr : t -> Newt_net.Addr.Ipv4.t
 val sink_addr : t -> Newt_net.Addr.Ipv4.t

@@ -284,6 +284,9 @@ module Rpc_churn = struct
 
   let start machine ~sc ~app ~dst ~port ~pace ?(payload = 256)
       ?(max_outstanding = 256) ~until () =
+    (* A zero pace would reschedule the tick at the same instant
+       forever, and simulated time would never reach [until]. *)
+    if pace <= 0 then invalid_arg "Rpc_churn.start: pace must be positive";
     let t =
       {
         machine;

@@ -82,7 +82,8 @@ module Rpc_churn : sig
       cycle against [dst:port], regardless of how earlier RPCs are
       faring — so stack-side queueing shows up as tail latency, not as
       a reduced offered rate. Starts are shed (and counted) only past
-      [max_outstanding] (default 256) concurrent RPCs. *)
+      [max_outstanding] (default 256) concurrent RPCs. Raises
+      [Invalid_argument] unless [pace > 0]. *)
 
   val started : t -> int
   val completed : t -> int

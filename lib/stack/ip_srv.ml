@@ -664,7 +664,7 @@ let set_local_queue t q = t.local_queue <- q
 let set_arp_announce t f = t.arp_announce <- Some f
 let set_buf_return t f = t.buf_return <- Some f
 
-let add_iface_custom t cfg ~hooks ~tx_chan ~rx_chan =
+let add_iface t cfg ~hooks ~tx_chan ~rx_chan =
   let i = iface_count t in
   let ifc =
     {
@@ -692,9 +692,6 @@ let hooks_of_drv drv =
     drv_on_ip_restart = (fun () -> Drv_srv.on_ip_restart drv);
   }
 
-let add_iface t cfg ~drv ~tx_chan ~rx_chan =
-  add_iface_custom t cfg ~hooks:(hooks_of_drv drv) ~tx_chan ~rx_chan
-
 let connect_pf_sharded t ~steer ~pairs =
   t.pf <-
     Some
@@ -708,11 +705,6 @@ let connect_pf_sharded t ~steer ~pairs =
       Component.produce t.comp to_pf;
       consume t from_pf)
     pairs
-
-let connect_pf t ~to_pf ~from_pf =
-  connect_pf_sharded t
-    ~steer:(fun ~src:_ ~sport:_ ~dst:_ ~dport:_ -> 0)
-    ~pairs:[| (to_pf, from_pf) |]
 
 let connect_transport_sharded ?(mine = fun _ -> true) t ~proto ~steer ~pairs =
   let fan = { chans = Array.map snd pairs; steer } in
@@ -729,11 +721,6 @@ let connect_transport_sharded ?(mine = fun _ -> true) t ~proto ~steer ~pairs =
       Component.produce t.comp ~shared:(not (mine i)) to_transport;
       if mine i then consume ~source:(Src_transport (proto, i)) t from_transport)
     pairs
-
-let connect_transport t ~proto ~from_transport ~to_transport =
-  connect_transport_sharded t ~proto
-    ~steer:(fun ~src:_ ~sport:_ ~dst:_ ~dport:_ -> 0)
-    ~pairs:[| (from_transport, to_transport) |]
 
 let add_route t ~prefix ~bits ~iface ~gateway =
   Ipv4.Route.add t.route_table { Ipv4.Route.prefix; bits; iface; gateway };
@@ -764,25 +751,18 @@ let resubmit_pf_all t =
 
 let repersist t = persist_routes t
 
-let on_pf_crash ?shard t =
+let on_pf_crash t ~shard:j =
   match t.pf with
   | None -> ()
   | Some pf ->
-      let fence j =
-        pf.pf_up.(j) <- false;
-        ignore (Component.Db.abort_peer t.db ~peer:(pf_peer j))
-      in
-      (match shard with
-      | Some j -> fence j
-      | None -> Array.iteri (fun j _ -> fence j) pf.pf_up)
+      pf.pf_up.(j) <- false;
+      ignore (Component.Db.abort_peer t.db ~peer:(pf_peer j))
 
-let on_pf_restart ?shard t =
+let on_pf_restart t ~shard:j =
   match t.pf with
   | None -> ()
   | Some pf ->
-      (match shard with
-      | Some j -> pf.pf_up.(j) <- true
-      | None -> Array.iteri (fun j _ -> pf.pf_up.(j) <- true) pf.pf_up);
+      pf.pf_up.(j) <- true;
       Proc.exec t.proc ~cost:(costs t).Costs.ip_tx_work (fun () -> resubmit_pf_all t)
 
 let on_drv_crash t ~iface:i =
@@ -817,10 +797,6 @@ let free_held t ~keep =
       Hashtbl.remove t.held_bufs slot;
       free_rx t b)
     doomed
-
-let on_transport_crash t ~proto =
-  let tag = match proto with `Tcp -> `Tcp | `Udp -> `Udp in
-  free_held t ~keep:(fun (owner, _) -> owner <> tag)
 
 let on_transport_shard_crash t ~proto ~shard =
   (* Only the crashed shard's buffers die; the other shards' flows keep

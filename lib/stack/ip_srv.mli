@@ -46,11 +46,6 @@ val proc : t -> Proc.t
 
 (** {1 Wiring} *)
 
-val add_iface : t -> iface_config -> drv:Drv_srv.t -> tx_chan:Msg.t Newt_channels.Sim_chan.t -> rx_chan:Msg.t Newt_channels.Sim_chan.t -> int
-(** Register interface [i] served by [drv]; returns the interface
-    index. [tx_chan] carries IP→driver messages, [rx_chan]
-    driver→IP. Grants the driver the receive-pool capability. *)
-
 (** What IP needs from a driver, abstracted so a multi-queue driver
     ({!Mq_drv_srv}) can serve an interface just like {!Drv_srv}. *)
 type driver_hooks = {
@@ -66,21 +61,20 @@ type driver_hooks = {
   drv_on_ip_restart : unit -> unit;
 }
 
-val add_iface_custom :
+val hooks_of_drv : Drv_srv.t -> driver_hooks
+(** The hooks of a single-queue {!Drv_srv}. *)
+
+val add_iface :
   t ->
   iface_config ->
   hooks:driver_hooks ->
   tx_chan:Msg.t Newt_channels.Sim_chan.t ->
   rx_chan:Msg.t Newt_channels.Sim_chan.t ->
   int
-
-val connect_pf :
-  t ->
-  to_pf:Msg.t Newt_channels.Sim_chan.t ->
-  from_pf:Msg.t Newt_channels.Sim_chan.t ->
-  unit
-(** One filter instance (the 1-shard special case of
-    {!connect_pf_sharded}). *)
+(** Register the next interface, served by the driver behind [hooks];
+    returns the interface index. [tx_chan] carries IP→driver messages,
+    [rx_chan] driver→IP. Grants the driver the receive-pool
+    capability. *)
 
 val connect_pf_sharded :
   t ->
@@ -100,13 +94,6 @@ val connect_pf_sharded :
     endpoints and must agree with the PF shards' own ownership
     predicate. Replaces any previous filter wiring. *)
 
-val connect_transport :
-  t ->
-  proto:[ `Tcp | `Udp ] ->
-  from_transport:Msg.t Newt_channels.Sim_chan.t ->
-  to_transport:Msg.t Newt_channels.Sim_chan.t ->
-  unit
-
 val connect_transport_sharded :
   ?mine:(int -> bool) ->
   t ->
@@ -123,8 +110,7 @@ val connect_transport_sharded :
     (from_transport, to_transport) channel pair. Received segments are
     fanned out to shard [steer ~src ~sport ~dst ~dport]; [steer] must
     agree with the NIC's RSS steering for the flow→shard affinity
-    invariant to hold. Replaces any previous wiring for [proto]
-    ({!connect_transport} is the 1-shard special case).
+    invariant to hold. Replaces any previous wiring for [proto].
 
     [?mine] (default: everything) restricts which shards' request
     channels this instance consumes — an IP replica serves only its own
@@ -169,24 +155,20 @@ val set_buf_return : t -> (Newt_channels.Rich_ptr.t -> unit) -> unit
 
 (** {1 Recovery notifications (called by the reincarnation layer)} *)
 
-val on_pf_crash : ?shard:int -> t -> unit
-(** Abort the pending filter requests of PF shard [shard] (default:
-    every shard); they are resubmitted when the filter returns. With a
-    sharded filter the other shards' traffic keeps flowing — only the
-    dead shard's packets are held. *)
+val on_pf_crash : t -> shard:int -> unit
+(** Abort the pending filter requests of PF shard [shard]; they are
+    resubmitted when the filter returns. With a sharded filter the
+    other shards' traffic keeps flowing — only the dead shard's packets
+    are held. *)
 
-val on_pf_restart : ?shard:int -> t -> unit
+val on_pf_restart : t -> shard:int -> unit
 
 val on_drv_crash : t -> iface:int -> unit
 val on_drv_restart : t -> iface:int -> unit
 
-val on_transport_crash : t -> proto:[ `Tcp | `Udp ] -> unit
-(** Reclaim receive buffers the dead transport still held. *)
-
 val on_transport_shard_crash : t -> proto:[ `Tcp | `Udp ] -> shard:int -> unit
-(** Like {!on_transport_crash} but for one shard of a sharded
-    transport: only that shard's held buffers are reclaimed, the other
-    shards' flows are untouched. *)
+(** Reclaim the receive buffers transport shard [shard] still held;
+    the other shards' flows keep theirs. *)
 
 val release_held : t -> Newt_channels.Rich_ptr.t -> unit
 (** Free the receive-pool frame backing [buf] (the target of a

@@ -208,11 +208,6 @@ let on_ip_replica_restart t ~replica =
 
 (* {2 Singleton-IP attachment (one replica owning every queue)} *)
 
-let connect_ip t ~rx_from_ip ~tx_to_ip =
-  connect_ip_replica t ~replica:0 ~rx_from_ip ~tx_to_ip
-
-let grant_rx_pool t ~alloc ~write = grant_rx_pool_replica t ~replica:0 ~alloc ~write
-
 let on_ip_crash t =
   let r = t.replicas.(0) in
   r.r_alloc <- None;

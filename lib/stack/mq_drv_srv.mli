@@ -64,23 +64,11 @@ val on_ip_replica_restart : t -> replica:int -> unit
 (** Reprogram the replica's queues without a link bounce; the replica
     re-grants its pool right after, which re-arms RX. *)
 
-(** {1 Singleton-IP attachment}
+(** {1 Singleton IP}
 
-    The PR-1 wiring: one IP server owning every queue. [on_ip_crash]
-    marks the whole device unsafe and [on_ip_restart] performs the full
+    One IP server (replica 0) owning every queue: [on_ip_crash] marks
+    the whole device unsafe and [on_ip_restart] performs the full
     link-bouncing reset, as the real adapter would. *)
-
-val connect_ip :
-  t ->
-  rx_from_ip:Msg.t Newt_channels.Sim_chan.t ->
-  tx_to_ip:Msg.t Newt_channels.Sim_chan.t ->
-  unit
-
-val grant_rx_pool :
-  t ->
-  alloc:(unit -> Newt_channels.Rich_ptr.t option) ->
-  write:(Newt_channels.Rich_ptr.t -> Bytes.t -> unit) ->
-  unit
 
 val on_ip_crash : t -> unit
 val on_ip_restart : t -> unit

@@ -220,24 +220,18 @@ let connect_transport_sharded t ~transport ~pairs =
       Component.consume t.comp from_transport (handle_msg t))
     pairs
 
-let connect_transport t ~transport ~to_transport ~from_transport =
-  connect_transport_sharded t ~transport ~pairs:[| (to_transport, from_transport) |]
-
 let set_placement t f = t.place <- f
 
-let on_transport_restart ?shard t ~transport =
+let on_transport_restart t ~transport ~shard =
   (* Re-issue every unfinished operation against the fresh instance
      (Section V-D). The request keeps its id: the old instance never
-     answered it, and ids are unique per SYSCALL incarnation. When
-     [shard] is given, only that instance restarted — sockets on the
-     other shards never lost anything. *)
+     answered it, and ids are unique per SYSCALL incarnation. Only that
+     instance restarted — sockets on the other shards never lost
+     anything. *)
   Proc.exec t.proc ~cost:(dispatch_cost t) (fun () ->
       List.iter
         (fun (sock_id, entry) ->
-          if
-            entry.transport = transport
-            && (match shard with None -> true | Some s -> entry.shard = s)
-          then
+          if entry.transport = transport && entry.shard = shard then
             match entry.last_op with
             | Some (req_id, call) -> forward t sock_id entry req_id call
             | None -> ())

@@ -28,13 +28,6 @@ val create : Component.t -> unit -> t
 val comp : t -> Component.t
 val proc : t -> Proc.t
 
-val connect_transport :
-  t ->
-  transport:[ `Tcp | `Udp ] ->
-  to_transport:Msg.t Newt_channels.Sim_chan.t ->
-  from_transport:Msg.t Newt_channels.Sim_chan.t ->
-  unit
-
 val connect_transport_sharded :
   t ->
   transport:[ `Tcp | `Udp ] ->
@@ -66,10 +59,10 @@ val call :
 
 (** {1 Recovery} *)
 
-val on_transport_restart : ?shard:int -> t -> transport:[ `Tcp | `Udp ] -> unit
-(** Re-issue the last unfinished operation of every socket belonging to
-    the restarted transport, in socket-id order; with [?shard], only
-    that instance's sockets (the others never lost anything). *)
+val on_transport_restart : t -> transport:[ `Tcp | `Udp ] -> shard:int -> unit
+(** Re-issue the last unfinished operation of every socket on the
+    restarted transport shard, in socket-id order (the other shards'
+    sockets never lost anything). *)
 
 val outstanding_calls : t -> int
 

@@ -953,6 +953,16 @@ let test_closed_sockets_retired () =
   Alcotest.(check int) "tcp table: listener + bulk" 2
     (Newt_stack.Tcp_srv.socket_count (Host.tcp_srv h))
 
+let test_rpc_churn_rejects_zero_pace () =
+  (* A zero pace would re-arm the tick at the same instant forever:
+     simulated time never advances and the run never returns. *)
+  let h = make_host () in
+  Alcotest.check_raises "pace 0 is refused"
+    (Invalid_argument "Rpc_churn.start: pace must be positive") (fun () ->
+      ignore
+        (Apps.Rpc_churn.start (Host.machine h) ~sc:(Host.sc h) ~app:(Host.app h)
+           ~dst:(Host.sink_addr h 0) ~port:7 ~pace:0 ~until:(sec 0.01) ()))
+
 (* One application write larger than the socket's send buffer: the
    TCP server accepts it piece by piece, on the Writable events that
    ACKs produce, and must hand the peer every byte exactly once. *)
@@ -1050,6 +1060,7 @@ let suite =
     ( "listen backlog refuses overflow and survives restart",
       `Quick,
       test_listen_backlog_refuses_overflow );
+    ("churn: a zero pace is refused", `Quick, test_rpc_churn_rejects_zero_pace);
     ( "churn: flood cannot evict established flows",
       `Quick,
       test_churn_flood_keeps_established_flows );

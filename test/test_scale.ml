@@ -489,6 +489,98 @@ let test_pf_shard_crash_isolation () =
   check_partition 0;
   check_partition 1
 
+(* {2 Topology: the declared graph is the wired graph} *)
+
+module Topology = Newt_scale.Topology
+module Component = Newt_stack.Component
+module Sim_chan = Newt_channels.Sim_chan
+module Host = Newt_core.Host
+
+(* Every key the components export, with its exporting (consuming)
+   component, is exactly the declared matrix — nothing missing, extra
+   or duplicated — and every declared producer holds the channel as an
+   outbound endpoint. *)
+let check_contract label topo comps =
+  let specs = Topology.channels topo in
+  let exported =
+    List.concat_map
+      (fun c ->
+        List.map (fun (key, ch) -> (key, Component.name c, ch)) (Component.exports c))
+      comps
+  in
+  let pairs l = List.sort compare l in
+  Alcotest.(check (list (pair string string)))
+    (label ^ ": exports are the channel matrix")
+    (pairs (List.map (fun (sp : Topology.spec) -> (sp.key, sp.consumer)) specs))
+    (pairs (List.map (fun (key, name, _) -> (key, name)) exported));
+  Alcotest.(check int)
+    (label ^ ": no key declared twice")
+    (List.length specs)
+    (List.length
+       (List.sort_uniq compare (List.map (fun (sp : Topology.spec) -> sp.key) specs)));
+  List.iter
+    (fun (sp : Topology.spec) ->
+      let _, _, ch = List.find (fun (key, _, _) -> key = sp.key) exported in
+      let producer = List.find (fun c -> Component.name c = sp.producer) comps in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %s produces %s" label sp.producer sp.key)
+        true
+        (List.exists
+           (fun (c, _, _) -> Sim_chan.id c = Sim_chan.id ch)
+           (Component.produced producer)))
+    specs
+
+let test_topology_contract_host () =
+  let h =
+    Host.create
+      ~config:{ Host.default_config with Host.nics = 5; pf_shards = 2 }
+      ()
+  in
+  let topo = Host.topology h in
+  Alcotest.(check (array string)) "one driver per NIC"
+    [| "drv0"; "drv1"; "drv2"; "drv3"; "drv4" |] topo.Topology.drv;
+  check_contract "host" topo (Host.components h)
+
+let test_topology_contract_sharded () =
+  List.iter
+    (fun (label, pf_rules) ->
+      let s =
+        S.create
+          ~config:
+            { S.default_config with S.shards = 4; ip_replicas = 2; pf_shards = 2; pf_rules }
+          ()
+      in
+      check_contract label (S.topology s) (S.components s))
+    [ ("sharded 4x2x2", Some [ Rule.pass_all ]); ("sharded 4x2, no PF", None) ]
+
+let test_topology_validate () =
+  let rejected label r =
+    Alcotest.(check bool) (label ^ " is rejected") true (Result.is_error r)
+  in
+  (* The sizes [scaling --ip-replicas 0], [churn --shards 0] and
+     [campaign --pf-shards 0] would build. *)
+  rejected "no IP replica" (Topology.validate ~shards:1 ~ip_replicas:0 ~pf_shards:1 ());
+  rejected "no TCP shard" (Topology.validate ~shards:0 ~ip_replicas:0 ~pf_shards:0 ());
+  rejected "no PF shard" (Topology.validate ~pf_shards:0 ());
+  rejected "no UDP shard" (Topology.validate ~shards:2 ~udp_shards:0 ~pf_shards:1 ());
+  rejected "more IP replicas than shards"
+    (Topology.validate ~shards:2 ~ip_replicas:3 ~pf_shards:1 ());
+  rejected "more PF shards than shards"
+    (Topology.validate ~shards:2 ~pf_shards:3 ());
+  Alcotest.(check bool) "host with a sharded filter is fine" true
+    (Result.is_ok (Topology.validate ~pf_shards:2 ()));
+  Alcotest.(check bool) "8x4x2 is fine" true
+    (Result.is_ok (Topology.validate ~shards:8 ~ip_replicas:4 ~pf_shards:2 ()));
+  let raises label f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" label
+  in
+  raises "Host.create" (fun () ->
+      ignore (Host.create ~config:{ Host.default_config with Host.pf_shards = 0 } ()));
+  raises "Sharded_stack.create" (fun () ->
+      ignore (S.create ~config:{ S.default_config with S.shards = 0 } ()))
+
 let suite =
   [
     ( "shard map is deterministic and symmetric",
@@ -509,4 +601,7 @@ let suite =
     ("every replica set reports as a plane", `Quick, test_planes_cover_every_replica_set);
     ("sharded PF lifts the single-PF plateau", `Slow, test_pf_sharding_lifts_plateau);
     ("one PF shard crashes, conntrack partitions survive", `Slow, test_pf_shard_crash_isolation);
+    ("topology: host exports are the channel matrix", `Quick, test_topology_contract_host);
+    ("topology: sharded exports are the channel matrix", `Quick, test_topology_contract_sharded);
+    ("topology: out-of-range plane sizes are rejected", `Quick, test_topology_validate);
   ]

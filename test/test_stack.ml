@@ -268,7 +268,7 @@ let make_ip_rig () =
   let local = Addr.Ipv4.v 10 0 0 1 and peer = Addr.Ipv4.v 10 0 0 2 in
   let rx_chan = chan () in
   ignore
-    (Ip_srv.add_iface_custom ip
+    (Ip_srv.add_iface ip
        { Ip_srv.addr = local; netmask_bits = 24; mac = Addr.Mac.of_index 1 }
        ~hooks ~tx_chan:(chan ()) ~rx_chan);
   let pairs = Array.init 2 (fun _ -> (chan (), chan ())) in
