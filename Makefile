@@ -24,6 +24,8 @@ fmt:
 # the simulated numbers passes as is; one that changes them on purpose
 # regenerates the files with the same commands and says why.
 SIM = dune exec bin/newtos_sim.exe --
+# Assert fields of a JSON output: GATE FILE EXPR... (FILE - for stdin).
+GATE = python3 bench/json_gate.py
 golden-check: build
 	$(SIM) table2 | diff -u test/golden/table2.txt -
 	$(SIM) scaling --duration 0.1 | diff -u test/golden/scaling.txt -
@@ -69,11 +71,13 @@ model-check: build
 model-check-negative: build
 	! dune exec bin/newtos_sim.exe -- mcheck --config split \
 	    --break-recovery ip:wrong-core --json > _mcheck_negative.json
-	grep -q '"trace":\["' _mcheck_negative.json
+	$(GATE) _mcheck_negative.json \
+	    'any(c["trace"] for o in j for c in o["counterexamples"])'
 	rm -f _mcheck_negative.json
 	! dune exec bin/newtos_sim.exe -- mcheck --config sharded \
 	    --break-recovery pf:wrong-core --json > _mcheck_negative_pf.json
-	grep -q '"converged":false' _mcheck_negative_pf.json
+	$(GATE) _mcheck_negative_pf.json \
+	    'any(not v["converged"] for o in j for v in o["verdicts"])'
 	rm -f _mcheck_negative_pf.json
 
 # Race checking, static + dynamic. Static: the native pinning plan
@@ -89,36 +93,36 @@ model-check-negative: build
 # parallelism, so time-sliced domains are fine.
 race-check: build
 	dune exec bin/newtos_sim.exe -- verify --native-ownership --json \
-	    | grep -q '"ok":true'
+	    | $(GATE) - 'j["ok"] is True'
 	! dune exec bin/newtos_sim.exe -- verify --native-ownership \
 	    --break-race spsc:two-producers --json > _race_lint.json
-	grep -q '"ok":false' _race_lint.json
-	grep -q '"ring-spsc"' _race_lint.json
+	$(GATE) _race_lint.json 'j["ok"] is False' \
+	    'any(v["check"] == "ring-spsc" for v in j["violations"])'
 	! dune exec bin/newtos_sim.exe -- verify --native-ownership \
 	    --break-race loop:unfenced-counter --json > _race_lint.json
-	grep -q '"cross-domain"' _race_lint.json
+	$(GATE) _race_lint.json \
+	    'any(v["check"] == "cross-domain" for v in j["violations"])'
 	rm -f _race_lint.json
 	dune exec bin/newtos_sim.exe -- native --domains 2 --seconds 0.6 \
 	    --allow-oversubscribe --race --json > _race_run.json
-	grep -q '"races":0' _race_run.json
+	$(GATE) _race_run.json 'j["race"]["races"] == 0'
 	dune exec bin/newtos_sim.exe -- native --domains 2 --seconds 0.6 \
 	    --allow-oversubscribe --race --tcp-fsm --verify-sample 16 --json \
 	    > _race_run.json
-	grep -q '"races":0' _race_run.json
-	grep -q '"tcpfsm":{"component":"tcp-fsm","ok":true' _race_run.json
+	$(GATE) _race_run.json 'j["race"]["races"] == 0' \
+	    'j["tcpfsm"]["component"] == "tcp-fsm"' 'j["tcpfsm"]["ok"] is True'
 	! dune exec bin/newtos_sim.exe -- native --domains 2 --seconds 0.6 \
 	    --allow-oversubscribe --break-race spsc:two-producers --json \
 	    > _race_run.json
-	grep -q '"ok":false' _race_run.json
-	grep -q '"trace":\["' _race_run.json
+	$(GATE) _race_run.json 'j["race"]["ok"] is False' \
+	    'any(c["trace"] for c in j["race"]["counterexamples"])'
 	! dune exec bin/newtos_sim.exe -- native --domains 2 --seconds 0.6 \
 	    --allow-oversubscribe --break-race loop:unfenced-counter --json \
 	    > _race_run.json
-	grep -q '"ok":false' _race_run.json
+	$(GATE) _race_run.json 'j["race"]["ok"] is False'
 	rm -f _race_run.json
-	dune exec bench/main.exe -- micro-hook | python3 -c 'import json, sys; \
-	    h = [json.loads(l)["hook_native"] for l in sys.stdin if l.startswith("{")][0]; \
-	    assert 0 < h["accesses_kept"] < h["accesses_seen"], h'
+	dune exec bench/main.exe -- micro-hook | $(GATE) - \
+	    '0 < j[0]["hook_native"]["accesses_kept"] < j[0]["hook_native"]["accesses_seen"]'
 
 # TCP conformance checking, both polarities. Positive: the rule table
 # lints total/deterministic/no-dead-rules, and the fig4/fig5 crash
@@ -133,26 +137,27 @@ fsm-check: build
 	! dune exec bin/newtos_sim.exe -- churn --scenario crash-during-churn \
 	    --break-tcp stale-established --duration 0.4 --rate 2000 \
 	    --shards 4 --json > _fsm.json
-	grep -q '"ok":false' _fsm.json
-	grep -q '"trace":\["' _fsm.json
+	$(GATE) _fsm.json 'j[0]["tcpfsm"]["ok"] is False' 'j[0]["tcpfsm"]["trace"]'
 	! dune exec bin/newtos_sim.exe -- churn --scenario syn-flood \
 	    --break-tcp ack-from-closed --duration 0.4 --rate 2000 \
 	    --shards 4 --json > _fsm.json
-	grep -q '"ack-from-wrong-state"' _fsm.json
-	grep -q '"trace":\["' _fsm.json
+	$(GATE) _fsm.json \
+	    'any(v["check"] == "ack-from-wrong-state" for v in j[0]["tcpfsm"]["violations"])' \
+	    'j[0]["tcpfsm"]["trace"]'
 	dune exec bin/newtos_sim.exe -- native --domains 2 --seconds 1 \
 	    --allow-oversubscribe --tcp-fsm --json > _fsm.json
-	grep -q '"tcpfsm":{"component":"tcp-fsm","ok":true' _fsm.json
+	$(GATE) _fsm.json 'j["tcpfsm"]["component"] == "tcp-fsm"' \
+	    'j["tcpfsm"]["ok"] is True'
 	! dune exec bin/newtos_sim.exe -- native --domains 2 --seconds 1 \
 	    --allow-oversubscribe --break-tcp ack-from-closed --json \
 	    > _fsm.json
-	grep -q '"ok":false' _fsm.json
-	grep -q '"trace":\["' _fsm.json
+	$(GATE) _fsm.json 'j["tcpfsm"]["ok"] is False' 'j["tcpfsm"]["trace"]'
 	! dune exec bin/newtos_sim.exe -- native --domains 2 --seconds 1 \
 	    --allow-oversubscribe --break-tcp stale-established --json \
 	    > _fsm.json
-	grep -q '"illegal-transition"' _fsm.json
-	grep -q '"trace":\["' _fsm.json
+	$(GATE) _fsm.json \
+	    'any(v["check"] == "illegal-transition" for v in j["tcpfsm"]["violations"])' \
+	    'j["tcpfsm"]["trace"]'
 	rm -f _fsm.json
 
 # Continuous verification: a sanitized fault campaign that re-runs the
@@ -175,17 +180,19 @@ sanitize-smoke: build
 bench-smoke: build
 	dune exec bin/newtos_sim.exe -- scaling --shards 2 --ip-replicas 2 --flows 2 --duration 0.05
 	dune exec bin/newtos_sim.exe -- scaling --shards 2 --ip-replicas 2 --pf-shards 2 --flows 2 --duration 0.05
-	dune exec bin/newtos_sim.exe -- campaign --runs 2 --sanitize --verify-continuous --json | grep -q '"counters"'
-	dune exec bin/newtos_sim.exe -- campaign --runs 2 --pf-shards 2 --json | grep -q '"pf_shards":\[{"shard":0,'
+	dune exec bin/newtos_sim.exe -- campaign --runs 2 --sanitize --verify-continuous --json \
+	    | $(GATE) - 'j["counters"]["re_checks"] >= 1' 'len(j["run_counters"]) == 2'
+	dune exec bin/newtos_sim.exe -- campaign --runs 2 --pf-shards 2 --json \
+	    | $(GATE) - '[p["shard"] for p in j["pf_shards"]] == [0, 1]'
 	dune exec bin/newtos_sim.exe -- churn --duration 0.25 --rate 4000 \
 	    --tcp-fsm --json > _bench_fsm.json
-	grep -q '"tcpfsm":{"component":"tcp-fsm","ok":true' _bench_fsm.json
-	grep -q '"segments":[1-9]' _bench_fsm.json
+	$(GATE) _bench_fsm.json 'j[0]["tcpfsm"]["component"] == "tcp-fsm"' \
+	    'j[0]["tcpfsm"]["ok"] is True' 'j[0]["tcpfsm"]["segments"] >= 1'
 	rm -f _bench_fsm.json
-	dune exec bench/main.exe -- micro-spsc | grep -q '"spsc_cross_domain"'
-	dune exec bench/main.exe -- profile | python3 -c 'import json, sys; \
-	    p = json.loads(sys.stdin.read())["profile"]; \
-	    assert p["frames"] and p["self"], p'
+	dune exec bench/main.exe -- micro-spsc \
+	    | $(GATE) - 'j[0]["spsc_cross_domain"]["messages"] > 0'
+	dune exec bench/main.exe -- profile \
+	    | $(GATE) - 'j["profile"]["frames"]' 'j["profile"]["self"]'
 
 # Churn smoke: short flow-churn runs with the continuous checker
 # attached. Asserts the streaming-histogram percentile block is in the
@@ -197,19 +204,20 @@ bench-smoke: build
 churn-smoke: build
 	dune exec bin/newtos_sim.exe -- churn --duration 0.25 --rate 4000 \
 	    --json --verify-continuous > _churn.json
-	grep -q '"p99_us"' _churn.json
-	grep -q '"p999_us"' _churn.json
+	$(GATE) _churn.json \
+	    'all(j[0][t]["p99_us"] > 0 for t in ("connect", "request"))' \
+	    'all(j[0][t]["p999_us"] >= j[0][t]["p99_us"] for t in ("connect", "request"))'
 	dune exec bin/newtos_sim.exe -- churn --scenario syn-flood \
 	    --duration 0.25 --rate 4000 --flood-rate 15000 \
 	    --conntrack-total 1024 --json --verify-continuous > _churn.json
-	grep -q '"evicted_half_open":[1-9]' _churn.json
-	grep -q '"evicted_established":0' _churn.json
+	$(GATE) _churn.json 'j[0]["conntrack"]["evicted_half_open"] >= 1' \
+	    'j[0]["conntrack"]["evicted_established"] == 0'
 	dune exec bin/newtos_sim.exe -- churn --scenario listen-pressure \
 	    --duration 0.25 --json --verify-continuous > _churn.json
-	grep -q '"listen_overflows":[1-9]' _churn.json
+	$(GATE) _churn.json 'j[0]["listen_overflows"] >= 1'
 	dune exec bin/newtos_sim.exe -- churn --scenario crash-during-churn \
 	    --duration 0.3 --rate 3000 --json --verify-continuous > _churn.json
-	grep -q '"shard_restarts":1' _churn.json
+	$(GATE) _churn.json 'j[0]["shard_restarts"] == 1'
 	rm -f _churn.json
 	$(SIM) churn --rate 0 --duration 0.01 2> _churn.err; test $$? -eq 2
 	grep -q '^newtos_sim churn: ' _churn.err

@@ -29,6 +29,9 @@ module Checksum = Newt_net.Checksum
 module Tcp_wire = Newt_net.Tcp_wire
 module Addr = Newt_net.Addr
 module Eventq = Newt_sim.Eventq
+module Json = Newt_sim.Json
+
+let print_json v = print_endline (Json.to_string v)
 
 (* {1 Bechamel micro suite} *)
 
@@ -221,18 +224,19 @@ let measure_spsc_cross_domain ~n () =
   let m_msg_per_s = float_of_int n /. dt /. 1e6 in
   (ns_per_msg, m_msg_per_s)
 
-let spsc_cross_domain_json ~n ~ns_per_msg ~m_msg_per_s =
-  Printf.sprintf
-    "{\"spsc_cross_domain\":{\"messages\":%d,\"capacity\":%d,\"domains\":2,\"ns_per_msg\":%.1f,\"m_msg_per_s\":%.2f}}"
-    n spsc_capacity ns_per_msg m_msg_per_s
-
 let print_spsc_cross_domain ?(n = 2_000_000) () =
   let ns_per_msg, m_msg_per_s = measure_spsc_cross_domain ~n () in
   Printf.printf "%-45s %10.1f ns/msg (%.1f M msg/s, 2 domains)\n"
     "spsc cross-domain transfer" ns_per_msg m_msg_per_s;
   Printf.printf
     "(paper's point of comparison: ~30 cycles/enqueue vs 150 hot / 3000 cold per SYSCALL trap)\n";
-  print_endline (spsc_cross_domain_json ~n ~ns_per_msg ~m_msg_per_s);
+  print_json
+    (Obj
+       [ ( "spsc_cross_domain",
+           Obj
+             [ ("messages", Int n); ("capacity", Int spsc_capacity);
+               ("domains", Int 2); ("ns_per_msg", Fixed (1, ns_per_msg));
+               ("m_msg_per_s", Fixed (2, m_msg_per_s)) ] ) ]);
   print_newline ()
 
 let run_bechamel () =
@@ -312,9 +316,9 @@ let print_fig5 () =
 
 (* Run [f] under the sanitizer and the channel-protocol checker with a
    continuous-verification aggregator, then emit the counter block as
-   one JSON line (what CI's bench smoke greps for) and fail on any
-   violation or leak.  The aggregator's per-run accounting folds the
-   protocol counters into the same block. *)
+   one JSON line and fail on any violation or leak.  The aggregator's
+   per-run accounting folds the protocol counters into the same
+   block. *)
 let with_verify f =
   V.Sanitizer.install ();
   V.Protocol.install ();
@@ -324,7 +328,8 @@ let with_verify f =
       V.Protocol.uninstall ();
       V.Sanitizer.uninstall ())
     (fun () -> f v);
-  Printf.printf "{%s}\n\n" (V.Continuous.json v);
+  print_json (Obj (V.Continuous.json v));
+  print_newline ();
   if not (V.Continuous.ok v) then exit 1
 
 let print_campaign () =
@@ -556,9 +561,15 @@ let print_micro_hook () =
   Printf.printf "  access, sample 256:     %6.1f ns (%d of %d delivered)\n"
     sampled kept seen;
   Printf.printf "  sync event, delivered:  %6.1f ns\n" sync;
-  Printf.printf
-    "{\"hook_native\":{\"ns_per_access_disarmed\":%.1f,\"ns_per_access_sample1\":%.1f,\"ns_per_access_sample256\":%.1f,\"ns_per_sync_event\":%.1f,\"accesses_seen\":%d,\"accesses_kept\":%d}}\n"
-    disarmed every sampled sync seen kept;
+  print_json
+    (Obj
+       [ ( "hook_native",
+           Obj
+             [ ("ns_per_access_disarmed", Fixed (1, disarmed));
+               ("ns_per_access_sample1", Fixed (1, every));
+               ("ns_per_access_sample256", Fixed (1, sampled));
+               ("ns_per_sync_event", Fixed (1, sync)); ("accesses_seen", Int seen);
+               ("accesses_kept", Int kept) ] ) ]);
   print_newline ()
 
 let print_churn () =
@@ -651,13 +662,17 @@ let print_profile () =
     |> List.sort (fun (fa, a) (fb, b) -> if a <> b then compare b a else compare fa fb)
     |> List.filteri (fun i _ -> i < 30)
     |> List.map (fun (f, n) ->
-           Printf.sprintf "{\"frame\":%S,\"%s\":%.3f}" f key
-             (float_of_int n /. float_of_int (max 1 !samples)))
-    |> String.concat ","
+           Json.Obj
+             [ ("frame", String f);
+               (key, Fixed (3, float_of_int n /. float_of_int (max 1 !samples))) ])
   in
-  Printf.printf
-    "{\"profile\":{\"workload\":\"bulk\",\"interval_ms\":1,\"samples\":%d,\"frames\":[%s],\"self\":[%s]}}\n"
-    !samples (top hits "inclusive") (top self "self")
+  print_json
+    (Obj
+       [ ( "profile",
+           Obj
+             [ ("workload", String "bulk"); ("interval_ms", Int 1);
+               ("samples", Int !samples); ("frames", List (top hits "inclusive"));
+               ("self", List (top self "self")) ] ) ])
 
 let () =
   let what = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in

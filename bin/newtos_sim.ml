@@ -5,6 +5,9 @@ module E = Newt_core.Experiments
 module F = Newt_reliability.Fault_inject
 module C = Newt_stack.Capacity
 module V = Newt_verify
+module Json = Newt_sim.Json
+
+let print_json v = print_endline (Json.to_string v)
 
 let print_table2 costs =
   ignore costs;
@@ -152,35 +155,24 @@ let print_fig5 seed sanitize protocol verify_continuous tcp_fsm sample =
                           "paper: crashes almost not noticeable, no packets lost, 1024 rules recovered")))))
 
 let campaign_json runs (c : E.campaign) verify =
-  let b = Buffer.create 512 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"runs\":%d,\"crashes\":{\"tcp\":%d,\"udp\":%d,\"ip\":%d,\"pf\":%d,\"drv\":%d},"
-       runs c.E.crashes_tcp c.E.crashes_udp c.E.crashes_ip c.E.crashes_pf
-       c.E.crashes_drv);
-  Buffer.add_string b
-    (Printf.sprintf
-       "\"consequences\":{\"fully_transparent\":%d,\"reachable\":%d,\"manually_fixed\":%d,\"broke_tcp\":%d,\"transparent_udp\":%d,\"reboots\":%d}"
-       c.E.fully_transparent c.E.reachable c.E.manually_fixed c.E.broke_tcp
-       c.E.transparent_udp c.E.reboots);
-  Buffer.add_string b
-    (Printf.sprintf ",\"pf_shards\":[%s]"
-       (String.concat ","
-          (Array.to_list
-             (Array.map
-                (fun (p : E.pf_shard_totals) ->
-                  Printf.sprintf
-                    "{\"shard\":%d,\"verdicts\":%d,\"blocked\":%d,\"expired\":%d}"
-                    p.E.pf_shard p.E.verdicts p.E.blocked_packets
-                    p.E.conntrack_expired)
-                c.E.pf_counters))));
-  (match verify with
-  | Some v ->
-      Buffer.add_char b ',';
-      Buffer.add_string b (V.Continuous.json v)
-  | None -> ());
-  Buffer.add_char b '}';
-  Buffer.contents b
+  let pf_shard (p : E.pf_shard_totals) =
+    Json.ints
+      [ ("shard", p.E.pf_shard); ("verdicts", p.E.verdicts);
+        ("blocked", p.E.blocked_packets); ("expired", p.E.conntrack_expired) ]
+  in
+  Json.Obj
+    ([ ("runs", Json.Int runs);
+       ( "crashes",
+         Json.ints
+           [ ("tcp", c.E.crashes_tcp); ("udp", c.E.crashes_udp); ("ip", c.E.crashes_ip);
+             ("pf", c.E.crashes_pf); ("drv", c.E.crashes_drv) ] );
+       ( "consequences",
+         Json.ints
+           [ ("fully_transparent", c.E.fully_transparent); ("reachable", c.E.reachable);
+             ("manually_fixed", c.E.manually_fixed); ("broke_tcp", c.E.broke_tcp);
+             ("transparent_udp", c.E.transparent_udp); ("reboots", c.E.reboots) ] );
+       ("pf_shards", List (Array.to_list (Array.map pf_shard c.E.pf_counters))) ]
+    @ Option.fold ~none:[] ~some:V.Continuous.json verify)
 
 let print_campaign_tables runs c =
   print_endline "Table III — distribution of crashes in the stack";
@@ -224,7 +216,7 @@ let print_campaign runs seed sanitize protocol verify_continuous break_recovery
   with_protocol ~quiet:json protocol @@ fun () ->
   with_continuous ~quiet:json verify_continuous @@ fun verify ->
   let c = E.fault_campaign ~runs ~seed ?verify ?break_recovery ~pf_shards () in
-  if json then print_endline (campaign_json runs c verify)
+  if json then print_json (campaign_json runs c verify)
   else print_campaign_tables runs c
 
 let print_crosscheck () =
@@ -314,30 +306,35 @@ let print_scaling ?verify shard_counts ip_replicas pf_shards flows duration =
 module Ch = Newt_core.Churn
 
 let churn_tail_json (t : Ch.tail) =
-  Printf.sprintf
-    "{\"samples\":%d,\"mean_us\":%.1f,\"p50_us\":%.1f,\"p99_us\":%.1f,\"p999_us\":%.1f}"
-    t.Ch.samples t.Ch.mean_us t.Ch.p50_us t.Ch.p99_us t.Ch.p999_us
+  Json.Obj
+    [ ("samples", Int t.Ch.samples); ("mean_us", Fixed (1, t.Ch.mean_us));
+      ("p50_us", Fixed (1, t.Ch.p50_us)); ("p99_us", Fixed (1, t.Ch.p99_us));
+      ("p999_us", Fixed (1, t.Ch.p999_us)) ]
 
-let churn_json (r : Ch.result) =
-  Printf.sprintf
-    "{\"scenario\":\"%s\",\"offered_rate\":%.0f,\"duration_s\":%.2f,\"started\":%d,\
-     \"completed\":%d,\"rpc_errors\":%d,\"shed\":%d,\"completed_rate\":%.0f,\
-     \"connect\":%s,\"request\":%s,\"bulk_goodput_gbps\":%.3f,\
-     \"listen_overflows\":%d,\"accepted\":%d,\"client_resets\":%d,\
-     \"flood_syns\":%d,\"conntrack\":{\"entries\":%d,\"half_open\":%d,\
-     \"evicted_half_open\":%d,\"evicted_established\":%d},\
-     \"conns_at_kill\":%d,\"shard_restarts\":%d,\"steering_violations\":%d,\
-     \"checksum_failures\":%d}"
-    (Ch.scenario_name r.Ch.scenario)
-    r.Ch.offered_rate r.Ch.duration_s r.Ch.started r.Ch.completed
-    r.Ch.rpc_errors r.Ch.shed r.Ch.completed_rate
-    (churn_tail_json r.Ch.connect)
-    (churn_tail_json r.Ch.request)
-    r.Ch.bulk_goodput_gbps r.Ch.listen_overflows r.Ch.accepted
-    r.Ch.client_resets r.Ch.flood_syns r.Ch.conntrack_entries
-    r.Ch.conntrack_half_open r.Ch.evicted_half_open r.Ch.evicted_established
-    r.Ch.conns_at_kill r.Ch.shard_restarts r.Ch.steering_violations
-    r.Ch.checksum_failures
+(* One run's object; the TCP checker's verdict, when it rode the run,
+   is its last field. *)
+let churn_json ((r : Ch.result), fsm) =
+  Json.Obj
+    ([ ("scenario", Json.String (Ch.scenario_name r.Ch.scenario));
+       ("offered_rate", Fixed (0, r.Ch.offered_rate));
+       ("duration_s", Fixed (2, r.Ch.duration_s)); ("started", Int r.Ch.started);
+       ("completed", Int r.Ch.completed); ("rpc_errors", Int r.Ch.rpc_errors);
+       ("shed", Int r.Ch.shed); ("completed_rate", Fixed (0, r.Ch.completed_rate));
+       ("connect", churn_tail_json r.Ch.connect);
+       ("request", churn_tail_json r.Ch.request);
+       ("bulk_goodput_gbps", Fixed (3, r.Ch.bulk_goodput_gbps));
+       ("listen_overflows", Int r.Ch.listen_overflows); ("accepted", Int r.Ch.accepted);
+       ("client_resets", Int r.Ch.client_resets); ("flood_syns", Int r.Ch.flood_syns);
+       ( "conntrack",
+         Json.ints
+           [ ("entries", r.Ch.conntrack_entries); ("half_open", r.Ch.conntrack_half_open);
+             ("evicted_half_open", r.Ch.evicted_half_open);
+             ("evicted_established", r.Ch.evicted_established) ] );
+       ("conns_at_kill", Int r.Ch.conns_at_kill);
+       ("shard_restarts", Int r.Ch.shard_restarts);
+       ("steering_violations", Int r.Ch.steering_violations);
+       ("checksum_failures", Int r.Ch.checksum_failures) ]
+    @ Option.fold ~none:[] ~some:(fun (_, v) -> [ ("tcpfsm", v) ]) fsm)
 
 let churn_print_human (r : Ch.result) =
   Printf.printf "churn %s — %.0f conn/s offered for %.2f s\n"
@@ -435,20 +432,7 @@ let print_churn scenario rate duration shards ip_replicas pf_shards bulk_flows
       scenarios
   in
   if fsm_wanted then V.Tcpfsm.uninstall ();
-  if json then
-    print_endline
-      (Printf.sprintf "[%s]"
-         (String.concat ","
-            (List.map
-               (fun (r, fsm) ->
-                 let obj = churn_json r in
-                 match fsm with
-                 | None -> obj
-                 | Some (_, js) ->
-                     (* Splice the verdict into the run's object. *)
-                     String.sub obj 0 (String.length obj - 1)
-                     ^ ",\"tcpfsm\":" ^ js ^ "}")
-               results)))
+  if json then print_json (List (List.map churn_json results))
   else
     List.iter
       (fun (r, fsm) ->
@@ -468,6 +452,19 @@ let print_churn scenario rate duration shards ip_replicas pf_shards bulk_flows
         fsm)
     results
 
+(* A merged verifier verdict: as JSON, or [human] followed by the
+   verdict line. Violations exit 1. *)
+let print_verdict json combined human =
+  if json then print_json (V.Report.to_json combined)
+  else begin
+    human ();
+    Printf.printf "\n%s\n"
+      (if V.Report.ok combined then "VERDICT: OK (no violations)"
+       else "VERDICT: FAILED")
+  end;
+  let code = V.Report.exit_code combined in
+  if code <> 0 then exit code
+
 (* verify --protocol: replay the request/confirm contract over the two
    figure fault runs (an IP crash, a double PF crash) and demand a
    clean close — every obligation confirmed or aborted, stale confirms
@@ -478,20 +475,14 @@ let print_verify_protocol json =
   let combined =
     V.Report.merge ~title:"dynamic channel-protocol contract" [ r_ip; r_pf ]
   in
-  if json then print_endline (V.Report.to_json combined)
-  else begin
-    print_endline "Stack verifier — dynamic channel-protocol contract";
-    print_endline "---------------------------------------------------";
-    print_endline "rules (first match wins):";
-    List.iter (fun l -> Printf.printf "  %s\n" l) (V.Protocol.describe_rules ());
-    print_newline ();
-    print_string (V.Report.to_string r_ip);
-    print_string (V.Report.to_string r_pf);
-    Printf.printf "\n%s\n"
-      (if V.Report.ok combined then "VERDICT: OK (no violations)"
-       else "VERDICT: FAILED")
-  end;
-  if not (V.Report.ok combined) then exit 1
+  print_verdict json combined (fun () ->
+      print_endline "Stack verifier — dynamic channel-protocol contract";
+      print_endline "---------------------------------------------------";
+      print_endline "rules (first match wins):";
+      List.iter (fun l -> Printf.printf "  %s\n" l) (V.Protocol.describe_rules ());
+      print_newline ();
+      print_string (V.Report.to_string r_ip);
+      print_string (V.Report.to_string r_pf))
 
 (* verify --tcp-fsm: first prove the rule tables themselves (totality,
    determinism, no dead rules, liveness of the transition relation),
@@ -527,41 +518,28 @@ let print_verify_tcpfsm json =
   let combined =
     V.Report.merge ~title:"tcp conformance" [ lint; r_fig4; r_fig5; r_churn ]
   in
-  if json then print_endline (V.Report.to_json combined)
-  else begin
-    print_endline "Stack verifier — TCP state-machine conformance";
-    print_endline "-----------------------------------------------";
-    print_endline "segment rules (first match wins):";
-    List.iter (fun l -> Printf.printf "  %s\n" l) (V.Tcpfsm.describe_rules ());
-    print_endline "transition relation:";
-    List.iter
-      (fun l -> Printf.printf "  %s\n" l)
-      (V.Tcpfsm.describe_transitions ());
-    print_newline ();
-    print_string (V.Report.to_string lint);
-    print_string (V.Report.to_string r_fig4);
-    print_string (V.Report.to_string r_fig5);
-    print_string (V.Report.to_string r_churn);
-    Printf.printf "\n%s\n"
-      (if V.Report.ok combined then "VERDICT: OK (no violations)"
-       else "VERDICT: FAILED")
-  end;
-  let code = V.Report.exit_code combined in
-  if code <> 0 then exit code
+  print_verdict json combined (fun () ->
+      print_endline "Stack verifier — TCP state-machine conformance";
+      print_endline "-----------------------------------------------";
+      print_endline "segment rules (first match wins):";
+      List.iter (fun l -> Printf.printf "  %s\n" l) (V.Tcpfsm.describe_rules ());
+      print_endline "transition relation:";
+      List.iter
+        (fun l -> Printf.printf "  %s\n" l)
+        (V.Tcpfsm.describe_transitions ());
+      print_newline ();
+      print_string (V.Report.to_string lint);
+      print_string (V.Report.to_string r_fig4);
+      print_string (V.Report.to_string r_fig5);
+      print_string (V.Report.to_string r_churn))
 
 let print_verify_static json max_shards =
   let reports = E.verify_configs ~max_shards () in
   let combined = V.Report.merge ~title:"all stack configurations" reports in
-  if json then print_endline (V.Report.to_json combined)
-  else begin
-    print_endline "Stack verifier — static channel-graph checks";
-    print_endline "---------------------------------------------";
-    List.iter (fun r -> print_string (V.Report.to_string r)) reports;
-    Printf.printf "\n%s\n"
-      (if V.Report.ok combined then "VERDICT: OK (no violations)"
-       else "VERDICT: FAILED")
-  end;
-  if not (V.Report.ok combined) then exit 1
+  print_verdict json combined (fun () ->
+      print_endline "Stack verifier — static channel-graph checks";
+      print_endline "---------------------------------------------";
+      List.iter (fun r -> print_string (V.Report.to_string r)) reports)
 
 (* The native runtime: the same servers on real OCaml 5 domains.
    Unsupported configurations must error (or, with --skip-unsupported,
@@ -586,17 +564,10 @@ let print_verify_native_ownership json break_race domains_opt =
       domain_counts
   in
   let combined = V.Report.merge ~title:"native domain-ownership lint" reports in
-  if json then print_endline (V.Report.to_json combined)
-  else begin
-    print_endline "Stack verifier — native domain-ownership lint";
-    print_endline "----------------------------------------------";
-    List.iter (fun r -> print_string (V.Report.to_string r)) reports;
-    Printf.printf "\n%s\n"
-      (if V.Report.ok combined then "VERDICT: OK (no violations)"
-       else "VERDICT: FAILED")
-  end;
-  let code = V.Report.exit_code combined in
-  if code <> 0 then exit code
+  print_verdict json combined (fun () ->
+      print_endline "Stack verifier — native domain-ownership lint";
+      print_endline "----------------------------------------------";
+      List.iter (fun r -> print_string (V.Report.to_string r)) reports)
 
 let print_verify json protocol native_ownership tcp_fsm break_race domains_opt
     max_shards =
@@ -664,7 +635,7 @@ let run_native domains seconds seed json skip_unsupported allow_oversub
         }
       in
       let r = with_sample sample (fun () -> R.Native.run cfg) in
-      if json then print_endline (R.Native.json_of_result r)
+      if json then print_json (R.Native.json_of_result r)
       else print_native_result r;
       (* The checker verdicts decide the exit code (JSON already
          carries the full "tcpfsm"/"race" blocks inside
@@ -673,9 +644,10 @@ let run_native domains seconds seed json skip_unsupported allow_oversub
       | None -> ()
       | Some (true, _) ->
           if not json then print_endline "tcp-fsm conformance: OK"
-      | Some (false, js) ->
+      | Some (false, verdict) ->
           if not json then
-            print_endline ("tcp-fsm conformance FAILED: " ^ js);
+            print_endline
+              ("tcp-fsm conformance FAILED: " ^ Json.to_string verdict);
           exit 1);
       match r.R.Native.race with
       | None -> ()
@@ -697,7 +669,7 @@ let print_crossval domains seconds json skip_unsupported allow_oversub =
   | Error msg -> refuse "crossval" msg
   | Ok () ->
       let r = R.Crossval.run ~domains ~seconds () in
-      if json then print_endline (R.Crossval.to_json r)
+      if json then print_json (R.Crossval.to_json r)
       else print_string (R.Crossval.to_string r)
 
 (* The mcheck subcommand: exhaustive (component × labeled recovery
@@ -712,10 +684,7 @@ let print_mcheck json config budget seed break_recovery =
       [ ("sharded N=2 r=2 pf=2", E.mcheck_sharded ?budget ?break_recovery ()) ]
   in
   if json then
-    print_endline
-      (Printf.sprintf "[%s]"
-         (String.concat ","
-            (List.map (fun (t, o) -> V.Mcheck.to_json ~title:t o) outcomes)))
+    print_json (List (List.map (fun (t, o) -> V.Mcheck.to_json ~title:t o) outcomes))
   else
     List.iter
       (fun (t, o) ->

@@ -193,34 +193,21 @@ let to_string t =
   Buffer.contents b
 
 let to_json t =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"domains\":%d,\"recommended\":%d,\"seconds_per_run\":%.2f" t.domains
-       t.recommended t.seconds_per_run);
-  let assoc_list key unit l =
-    Buffer.add_string b (Printf.sprintf ",\"%s\":{" key);
-    List.iteri
-      (fun i (name, v) ->
-        if i > 0 then Buffer.add_char b ',';
-        Buffer.add_string b (Printf.sprintf "\"%s\":%.3f" name v))
-      l;
-    Buffer.add_char b '}';
-    ignore unit
+  let module Json = Newt_sim.Json in
+  let assoc_list key l =
+    (key, Json.Obj (List.map (fun (name, v) -> (name, Json.Fixed (3, v))) l))
   in
-  assoc_list "sim_goodput_gbps" () t.sim_goodput_gbps;
-  assoc_list "native_goodput_mbps" () t.native_goodput_mbps;
-  assoc_list "sim_rtt_us" () t.sim_rtt_us;
-  assoc_list "native_rtt_us" () t.native_rtt_us;
-  Buffer.add_string b ",\"checks\":[";
-  List.iteri
-    (fun i c ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"check\":\"%s\",\"sim_hi\":%.3f,\"sim_lo\":%.3f,\
-            \"native_hi\":%.3f,\"native_lo\":%.3f,\"verdict\":\"%s\"}"
-           c.check c.sim_hi c.sim_lo c.native_hi c.native_lo c.verdict))
-    t.checks;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let check c =
+    Json.Obj
+      [ ("check", String c.check); ("sim_hi", Fixed (3, c.sim_hi));
+        ("sim_lo", Fixed (3, c.sim_lo)); ("native_hi", Fixed (3, c.native_hi));
+        ("native_lo", Fixed (3, c.native_lo)); ("verdict", String c.verdict) ]
+  in
+  Json.Obj
+    [ ("domains", Int t.domains); ("recommended", Int t.recommended);
+      ("seconds_per_run", Fixed (2, t.seconds_per_run));
+      assoc_list "sim_goodput_gbps" t.sim_goodput_gbps;
+      assoc_list "native_goodput_mbps" t.native_goodput_mbps;
+      assoc_list "sim_rtt_us" t.sim_rtt_us;
+      assoc_list "native_rtt_us" t.native_rtt_us;
+      ("checks", List (List.map check t.checks)) ]

@@ -34,4 +34,4 @@ val run : ?seed:int -> domains:int -> seconds:float -> unit -> t
     the capacity-model and latency-ablation evaluations. *)
 
 val to_string : t -> string
-val to_json : t -> string
+val to_json : t -> Newt_sim.Json.t

@@ -26,6 +26,7 @@ module Race = Newt_verify.Race
 module Tcp = Newt_net.Tcp
 module Tcpfsm = Newt_verify.Tcpfsm
 module Topology = Newt_scale.Topology
+module Json = Newt_sim.Json
 
 type overhead = No_overhead | Kipc_trap | Copy_per_hop
 
@@ -306,61 +307,43 @@ type result = {
   rings : ring_stat list;
   loops : Loop.stats list;
   race : Race.Dynamic.outcome option;
-  tcpfsm : (bool * string) option;
-      (** Conformance verdict: [ok] flag plus the mcheck-shaped JSON. *)
+  tcpfsm : (bool * Json.t) option;
+      (** Conformance verdict: [ok] flag plus the mcheck-shaped value. *)
 }
 
 let json_of_result (r : result) =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"mode\":\"native\",\"domains\":%d,\"seconds\":%.3f,\
-        \"goodput_mbps\":%.3f,\"tcp_bytes\":%d,\"iperf_bytes_sent\":%d,\
-        \"frames_to_peer\":%d,\"frames_from_peer\":%d,\"rx_no_buffer\":%d,\
-        \"icmp_echoes\":%d,\"ping_count\":%d,\"ping_rtt_us_mean\":%.2f,\
-        \"ping_rtt_us_p99\":%.2f,\"checksum_failures\":%d"
-       r.domains_used r.seconds_run r.goodput_mbps r.tcp_bytes
-       r.iperf_bytes_sent r.frames_to_peer r.frames_from_peer r.rx_no_buffer
-       r.icmp_echoes r.ping_count r.ping_rtt_us_mean r.ping_rtt_us_p99
-       r.checksum_failures);
-  Buffer.add_string b ",\"rings\":[";
-  List.iteri
-    (fun i (s : ring_stat) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"ring\":\"%s\",\"sent\":%d,\"dropped\":%d,\
-            \"max_occupancy\":%d,\"capacity\":%d}"
-           s.ring s.sent s.dropped s.max_occupancy s.ring_capacity))
-    r.rings;
-  Buffer.add_string b "],\"loops\":[";
-  List.iteri
-    (fun i (s : Loop.stats) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"domain\":%d,\"pinned\":[%s],\"parks\":%d,\"wakes\":%d,\
-            \"posts_remote\":%d,\"posts_self\":%d,\"timer_fires\":%d,\
-            \"executed\":%d}"
-           s.Loop.index
-           (String.concat ","
-              (List.map (fun n -> "\"" ^ n ^ "\"") s.Loop.pinned))
-           s.Loop.parks s.Loop.wakes s.Loop.posts_remote s.Loop.posts_self
-           s.Loop.timer_fires s.Loop.executed))
-    r.loops;
-  Buffer.add_string b "]";
-  (match r.race with
-  | None -> ()
-  | Some o ->
-      Buffer.add_string b ",\"race\":";
-      Buffer.add_string b (Race.Dynamic.to_json ~title:"native race detector" o));
-  (match r.tcpfsm with
-  | None -> ()
-  | Some (_, js) ->
-      Buffer.add_string b ",\"tcpfsm\":";
-      Buffer.add_string b js);
-  Buffer.add_string b "}";
-  Buffer.contents b
+  let ring (s : ring_stat) =
+    Json.Obj
+      [ ("ring", String s.ring); ("sent", Int s.sent);
+        ("dropped", Int s.dropped); ("max_occupancy", Int s.max_occupancy);
+        ("capacity", Int s.ring_capacity) ]
+  in
+  let loop (s : Loop.stats) =
+    Json.Obj
+      [ ("domain", Int s.Loop.index); ("pinned", Json.strings s.Loop.pinned);
+        ("parks", Int s.Loop.parks); ("wakes", Int s.Loop.wakes);
+        ("posts_remote", Int s.Loop.posts_remote);
+        ("posts_self", Int s.Loop.posts_self);
+        ("timer_fires", Int s.Loop.timer_fires);
+        ("executed", Int s.Loop.executed) ]
+  in
+  let opt key f = function None -> [] | Some x -> [ (key, f x) ] in
+  Json.Obj
+    ([ ("mode", Json.String "native"); ("domains", Int r.domains_used);
+       ("seconds", Fixed (3, r.seconds_run));
+       ("goodput_mbps", Fixed (3, r.goodput_mbps)); ("tcp_bytes", Int r.tcp_bytes);
+       ("iperf_bytes_sent", Int r.iperf_bytes_sent);
+       ("frames_to_peer", Int r.frames_to_peer);
+       ("frames_from_peer", Int r.frames_from_peer);
+       ("rx_no_buffer", Int r.rx_no_buffer); ("icmp_echoes", Int r.icmp_echoes);
+       ("ping_count", Int r.ping_count);
+       ("ping_rtt_us_mean", Fixed (2, r.ping_rtt_us_mean));
+       ("ping_rtt_us_p99", Fixed (2, r.ping_rtt_us_p99));
+       ("checksum_failures", Int r.checksum_failures);
+       ("rings", List (List.map ring r.rings));
+       ("loops", List (List.map loop r.loops)) ]
+    @ opt "race" (Race.Dynamic.to_json ~title:"native race detector") r.race
+    @ opt "tcpfsm" snd r.tcpfsm)
 
 (* {2 Doorbells}
 
@@ -826,9 +809,9 @@ let run (cfg : config) : result =
   let fsm_outcome =
     if fsm_wanted then begin
       let ok = Tcpfsm.violations () = [] in
-      let js = Tcpfsm.verdict_json () in
+      let verdict = Tcpfsm.verdict_json () in
       Tcpfsm.uninstall ();
-      Some (ok, js)
+      Some (ok, verdict)
     end
     else None
   in

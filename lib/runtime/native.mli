@@ -107,14 +107,14 @@ type result = {
       (** Present when the run was raced ([config.race] or a
           [break_race] mode); the JSON carries it as a ["race"] block
           in the unified verifier shape. *)
-  tcpfsm : (bool * string) option;
+  tcpfsm : (bool * Newt_sim.Json.t) option;
       (** Present when the conformance checker rode the run
           ([config.tcp_fsm] or a [break_tcp] mode): the ok flag plus
-          {!Newt_verify.Tcpfsm.verdict_json}, carried as a ["tcpfsm"]
-          block in the JSON. *)
+          the verdict value {!Newt_verify.Tcpfsm.verdict_json}, which
+          {!json_of_result} places as the ["tcpfsm"] field. *)
 }
 
-val json_of_result : result -> string
+val json_of_result : result -> Newt_sim.Json.t
 
 val run : config -> result
 (** Wire the stack, spawn [config.domains] domains, drive an

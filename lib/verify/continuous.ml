@@ -197,16 +197,23 @@ let report ~title t =
   }
 
 let counters_json c =
-  Printf.sprintf
-    "{\"re_checks\":%d,\"static_violations\":%d,\"sanitizer_violations\":%d,\"leaks\":%d,\"stale_derefs\":%d,\"allocs\":%d,\"frees\":%d,\"handoffs\":%d,\"hook_events\":%d,\"hook_overhead_cycles\":%d,\"protocol_violations\":%d,\"protocol_requests\":%d,\"protocol_confirms\":%d,\"protocol_aborts\":%d,\"protocol_stale_confirms\":%d,\"protocol_events\":%d,\"tcpfsm_violations\":%d,\"tcpfsm_segments\":%d,\"tcpfsm_transitions\":%d,\"tcpfsm_overhead_cycles\":%d}"
-    c.re_checks c.static_violations c.sanitizer_violations c.leaks
-    c.stale_derefs c.allocs c.frees c.handoffs c.hook_events
-    c.hook_overhead_cycles c.protocol_violations c.protocol_requests
-    c.protocol_confirms c.protocol_aborts c.protocol_stale_confirms
-    c.protocol_events c.tcpfsm_violations c.tcpfsm_segments
-    c.tcpfsm_transitions c.tcpfsm_overhead_cycles
+  Newt_sim.Json.ints
+    [ ("re_checks", c.re_checks); ("static_violations", c.static_violations);
+      ("sanitizer_violations", c.sanitizer_violations); ("leaks", c.leaks);
+      ("stale_derefs", c.stale_derefs); ("allocs", c.allocs); ("frees", c.frees);
+      ("handoffs", c.handoffs); ("hook_events", c.hook_events);
+      ("hook_overhead_cycles", c.hook_overhead_cycles);
+      ("protocol_violations", c.protocol_violations);
+      ("protocol_requests", c.protocol_requests);
+      ("protocol_confirms", c.protocol_confirms);
+      ("protocol_aborts", c.protocol_aborts);
+      ("protocol_stale_confirms", c.protocol_stale_confirms);
+      ("protocol_events", c.protocol_events);
+      ("tcpfsm_violations", c.tcpfsm_violations);
+      ("tcpfsm_segments", c.tcpfsm_segments);
+      ("tcpfsm_transitions", c.tcpfsm_transitions);
+      ("tcpfsm_overhead_cycles", c.tcpfsm_overhead_cycles) ]
 
 let json t =
-  Printf.sprintf "\"counters\":%s,\"run_counters\":[%s]"
-    (counters_json (totals t))
-    (String.concat "," (List.map counters_json t.runs))
+  [ ("counters", counters_json (totals t));
+    ("run_counters", Newt_sim.Json.List (List.map counters_json t.runs)) ]

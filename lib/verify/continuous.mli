@@ -83,9 +83,6 @@ val ok : t -> bool
 val report : title:string -> t -> Report.t
 (** Everything collected, as a standard verifier report. *)
 
-val counters_json : counters -> string
-(** One counter block as a JSON object. *)
-
-val json : t -> string
-(** The fragment ["counters":{…},"run_counters":[…]] (no braces), for
-    embedding in a larger JSON object. *)
+val json : t -> (string * Newt_sim.Json.t) list
+(** The fields ["counters"] (totals) and ["run_counters"] (one block
+    per run), for the caller to place in its own object. *)

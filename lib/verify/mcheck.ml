@@ -82,39 +82,28 @@ let report ~title o =
         ces;
   }
 
+module Json = Newt_sim.Json
+
+let case_fields c =
+  [ ("component", Json.String c.component); ("step", String c.step) ]
+
 let verdict_json v =
-  let e = Report.json_escape in
-  Printf.sprintf
-    "{\"component\":\"%s\",\"step\":\"%s\",\"converged\":%b,\"violations\":[%s],\"trace\":[%s]}"
-    (e v.case.component) (e v.case.step) v.converged
-    (String.concat ","
-       (List.map
-          (fun (viol : Report.violation) ->
-            Printf.sprintf
-              "{\"check\":\"%s\",\"subject\":\"%s\",\"culprit\":\"%s\",\"detail\":\"%s\"}"
-              (e viol.Report.check) (e viol.Report.subject)
-              (e viol.Report.culprit) (e viol.Report.detail))
-          v.violations))
-    (String.concat "," (List.map (fun l -> "\"" ^ e l ^ "\"") v.trace))
+  Json.Obj
+    (case_fields v.case
+    @ [ ("converged", Bool v.converged);
+        ("violations", List (List.map Report.violation_json v.violations));
+        ("trace", Json.strings v.trace) ])
 
 let to_json ~title o =
-  Printf.sprintf
-    "{\"title\":\"%s\",\"ok\":%b,\"crash_points\":%d,\"converged\":%d,\"counterexamples\":[%s],\"skipped\":[%s],\"elapsed_s\":%.2f,\"verdicts\":[%s]}"
-    (Report.json_escape title) (ok o) (List.length o.verdicts)
-    (List.length o.verdicts - List.length (counterexamples o))
-    (String.concat "," (List.map verdict_json (counterexamples o)))
-    (String.concat ","
-       (List.map
-          (fun c ->
-            Printf.sprintf "{\"component\":\"%s\",\"step\":\"%s\"}"
-              (Report.json_escape c.component) (Report.json_escape c.step))
-          o.skipped))
-    o.elapsed
-    (String.concat ","
-       (List.map
-          (fun v ->
-            Printf.sprintf
-              "{\"component\":\"%s\",\"step\":\"%s\",\"converged\":%b}"
-              (Report.json_escape v.case.component)
-              (Report.json_escape v.case.step) v.converged)
-          o.verdicts))
+  let ces = counterexamples o in
+  let n = List.length o.verdicts in
+  let point v =
+    Json.Obj (case_fields v.case @ [ ("converged", Bool v.converged) ])
+  in
+  Json.Obj
+    [ ("title", String title); ("ok", Bool (ces = [])); ("crash_points", Int n);
+      ("converged", Int (n - List.length ces));
+      ("counterexamples", List (List.map verdict_json ces));
+      ("skipped", List (List.map (fun c -> Json.Obj (case_fields c)) o.skipped));
+      ("elapsed_s", Fixed (2, o.elapsed));
+      ("verdicts", List (List.map point o.verdicts)) ]

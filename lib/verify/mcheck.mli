@@ -57,7 +57,7 @@ val report : title:string -> outcome -> Report.t
 (** Counterexamples as standard violations, crash-point subjects
     included. *)
 
-val to_json : title:string -> outcome -> string
+val to_json : title:string -> outcome -> Newt_sim.Json.t
 (** Full machine verdict: every crash point with its convergence flag,
     counterexamples with violations and event traces, skipped cases,
     elapsed time. *)

@@ -713,59 +713,42 @@ module Dynamic = struct
     }
 
   let to_json ~title (o : outcome) =
-    let b = Buffer.create 4096 in
-    let esc = Report.json_escape in
-    Buffer.add_string b
-      (Printf.sprintf "{\"title\":\"%s\",\"ok\":%b" (esc title) (ok o));
-    Buffer.add_string b
-      (Printf.sprintf
-         ",\"checks\":{\"hb-race\":%d,\"ring-owner\":%d,\"sampled-access\":%d}"
-         o.locations o.sync_objects o.accesses_kept);
+    let module Json = Newt_sim.Json in
     (* The unified violations shape shared with Report.to_json. *)
-    Buffer.add_string b ",\"violations\":[";
-    List.iteri
-      (fun i r ->
-        if i > 0 then Buffer.add_char b ',';
-        Buffer.add_string b
-          (Printf.sprintf
-             "{\"check\":\"%s\",\"subject\":\"%s\",\"culprit\":\"%s\",\"detail\":\"%s\"}"
-             (esc r.check) (esc r.loc)
-             (esc (Printf.sprintf "%s vs %s" r.first.who r.second.who))
-             (esc
-                (Printf.sprintf "%s (#%d) unordered with %s (#%d)" r.first.what
-                   r.first.seq r.second.what r.second.seq))))
-      o.races;
-    Buffer.add_string b "]";
-    (* The mcheck-style counterexamples: full stacks + replayable trace. *)
-    let access_json a =
-      Printf.sprintf
-        "{\"who\":\"%s\",\"what\":\"%s\",\"seq\":%d,\"stack\":[%s]}" (esc a.who)
-        (esc a.what) a.seq
-        (String.concat ","
-           (List.map (fun l -> Printf.sprintf "\"%s\"" (esc l)) a.stack))
+    let violation r =
+      Report.violation_json
+        { Report.check = r.check; subject = r.loc;
+          culprit = Printf.sprintf "%s vs %s" r.first.who r.second.who;
+          detail =
+            Printf.sprintf "%s (#%d) unordered with %s (#%d)" r.first.what
+              r.first.seq r.second.what r.second.seq }
     in
-    Buffer.add_string b ",\"counterexamples\":[";
-    List.iteri
-      (fun i r ->
-        if i > 0 then Buffer.add_char b ',';
-        Buffer.add_string b
-          (Printf.sprintf
-             "{\"check\":\"%s\",\"loc\":\"%s\",\"first\":%s,\"second\":%s,\"trace\":[%s]}"
-             (esc r.check) (esc r.loc) (access_json r.first)
-             (access_json r.second)
-             (String.concat ","
-                (List.map
-                   (fun l -> Printf.sprintf "\"%s\"" (esc l))
-                   r.trace))))
-      o.races;
-    Buffer.add_string b "]";
-    Buffer.add_string b
-      (Printf.sprintf
-         ",\"counters\":{\"events\":%d,\"accesses_seen\":%d,\"accesses_kept\":%d,\"sample\":%d,\"domains\":%d,\"locations\":%d,\"sync_objects\":%d,\"hook_overhead_cycles\":%d}"
-         o.events o.accesses_seen o.accesses_kept o.sample o.domains_seen
-         o.locations o.sync_objects o.overhead_cycles);
-    Buffer.add_string b
-      (Printf.sprintf ",\"races\":%d,\"suppressed\":%d}" (List.length o.races)
-         o.suppressed);
-    Buffer.contents b
+    (* The mcheck-style counterexamples: full stacks + replayable trace. *)
+    let access a =
+      Json.Obj
+        [ ("who", String a.who); ("what", String a.what); ("seq", Int a.seq);
+          ("stack", Json.strings a.stack) ]
+    in
+    let counterexample r =
+      Json.Obj
+        [ ("check", String r.check); ("loc", String r.loc);
+          ("first", access r.first); ("second", access r.second);
+          ("trace", Json.strings r.trace) ]
+    in
+    Json.Obj
+      [ ("title", String title); ("ok", Bool (ok o));
+        ( "checks",
+          Json.ints
+            [ ("hb-race", o.locations); ("ring-owner", o.sync_objects);
+              ("sampled-access", o.accesses_kept) ] );
+        ("violations", List (List.map violation o.races));
+        ("counterexamples", List (List.map counterexample o.races));
+        ( "counters",
+          Json.ints
+            [ ("events", o.events); ("accesses_seen", o.accesses_seen);
+              ("accesses_kept", o.accesses_kept); ("sample", o.sample);
+              ("domains", o.domains_seen); ("locations", o.locations);
+              ("sync_objects", o.sync_objects);
+              ("hook_overhead_cycles", o.overhead_cycles) ] );
+        ("races", Int (List.length o.races)); ("suppressed", Int o.suppressed) ]
 end

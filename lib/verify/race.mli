@@ -155,9 +155,10 @@ module Dynamic : sig
   (** The unified verifier shape: one violation per race, culprit =
       the two domains, detail carries both (truncated) stacks. *)
 
-  val to_json : title:string -> outcome -> string
-  (** Machine shape shared with verify/mcheck: top-level
-      ["ok"]/["checks"]/["violations"] as in {!Report.to_json}, plus
+  val to_json : title:string -> outcome -> Newt_sim.Json.t
+  (** The verdict as a JSON value, in the shape verify/mcheck share:
+      top-level ["ok"]/["checks"]/["violations"] as in
+      {!Report.to_json} (one {!Report.violation_json} per race), plus
       ["counterexamples"] carrying full stacks and the event trace
       (mcheck-style) and a ["counters"] block with the sampling and
       overhead accounting. *)

@@ -57,42 +57,15 @@ let pp fmt t =
 
 let to_string t = Format.asprintf "%a" pp t
 
-(* Hand-rolled JSON: the string set is small and we must not pull in a
-   json dependency for it. *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module Json = Newt_sim.Json
+
+let violation_json v =
+  Json.Obj
+    [ ("check", String v.check); ("subject", String v.subject);
+      ("culprit", String v.culprit); ("detail", String v.detail) ]
 
 let to_json t =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\"title\":\"%s\",\"ok\":%b,\"checks\":{"
-       (json_escape t.title) (ok t));
-  List.iteri
-    (fun i (name, n) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\"%s\":%d" (json_escape name) n))
-    t.checks;
-  Buffer.add_string buf "},\"violations\":[";
-  List.iteri
-    (fun i v ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"check\":\"%s\",\"subject\":\"%s\",\"culprit\":\"%s\",\"detail\":\"%s\"}"
-           (json_escape v.check) (json_escape v.subject) (json_escape v.culprit)
-           (json_escape v.detail)))
-    t.violations;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  Json.Obj
+    [ ("title", String t.title); ("ok", Bool (ok t));
+      ("checks", Json.ints t.checks);
+      ("violations", List (List.map violation_json t.violations)) ]

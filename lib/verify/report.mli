@@ -4,8 +4,8 @@
     checker and the dynamic pool-ownership sanitizer — speak this one
     result type: a list of checks with how many subjects each examined,
     and a list of violations, each attributed to a culprit component.
-    The report renders human-readable (for the CLI) and as JSON (for
-    CI). *)
+    The report renders human-readable (for the CLI) and as a
+    {!Newt_sim.Json.t} value (for CI). *)
 
 type violation = {
   check : string;  (** Which rule fired, e.g. ["spsc"] or ["double-free"]. *)
@@ -40,10 +40,10 @@ val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
 
-val to_json : t -> string
+val violation_json : violation -> Newt_sim.Json.t
+(** [{"check":…,"subject":…,"culprit":…,"detail":…}]: the one violation
+    object every checker's JSON verdict carries. *)
+
+val to_json : t -> Newt_sim.Json.t
 (** Machine-readable verdict:
     [{"title":…,"ok":…,"checks":{…},"violations":[…]}]. *)
-
-val json_escape : string -> string
-(** Escape a string for embedding in the hand-rolled JSON (also used
-    by the model checker's counterexample traces). *)

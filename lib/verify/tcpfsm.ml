@@ -721,32 +721,14 @@ let report ?(title = "tcp-fsm conformance") () =
       })
 
 (* Mcheck-shaped machine-readable verdict: same fields the recovery
-   model checker emits per crash point, so the CI greps
-   ("trace":[...]) work across checkers. *)
+   model checker emits per crash point, so one gate reads every
+   checker's counterexample trace. Violations are listed newest
+   first. *)
 let verdict_json () =
   with_lock (fun () ->
-      let vs =
-        List.rev_map
-          (fun (v : Report.violation) ->
-            Printf.sprintf
-              {|{"check":"%s","subject":"%s","culprit":"%s","detail":"%s"}|}
-              (Report.json_escape v.Report.check)
-              (Report.json_escape v.Report.subject)
-              (Report.json_escape v.Report.culprit)
-              (Report.json_escape v.Report.detail))
-          !viols
-        |> List.rev
-      in
-      let trace_lines =
-        let n = min !ring_next ring_size in
-        let start = !ring_next - n in
-        List.filter_map
-          (fun i -> ring.((start + i) mod ring_size))
-          (List.init n Fun.id)
-        |> List.map (fun l -> "\"" ^ Report.json_escape l ^ "\"")
-      in
-      Printf.sprintf
-        {|{"component":"tcp-fsm","ok":%b,"segments":%d,"transitions":%d,"tracked":%d,"violations":[%s],"trace":[%s]}|}
-        (!viols = []) !seg_events !trans_events (Hashtbl.length shadow)
-        (String.concat "," vs)
-        (String.concat "," trace_lines))
+      Newt_sim.Json.Obj
+        [ ("component", String "tcp-fsm"); ("ok", Bool (!viols = []));
+          ("segments", Int !seg_events); ("transitions", Int !trans_events);
+          ("tracked", Int (Hashtbl.length shadow));
+          ("violations", List (List.map Report.violation_json !viols));
+          ("trace", Newt_sim.Json.strings (trace ())) ])

@@ -107,8 +107,8 @@ val crosscheck_conntrack : where:string -> Newt_pf.Conntrack.t -> unit
 
 val report : ?title:string -> unit -> Report.t
 
-val verdict_json : unit -> string
+val verdict_json : unit -> Newt_sim.Json.t
 (** Mcheck-shaped verdict: [{"component":"tcp-fsm","ok":…,
     "violations":[…],"trace":[…]}] — the same trace-carrying
     counterexample schema the recovery model checker and race
-    detector emit, so CI greps are uniform. *)
+    detector emit, so one gate reads all three. *)

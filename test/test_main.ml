@@ -2,6 +2,7 @@ let () =
   Alcotest.run "newtos"
     [
       ("sim", Test_sim.suite);
+      ("json", Test_json.suite);
       ("hw", Test_hw.suite);
       ("channels", Test_channels.suite);
       ("net", Test_net.suite);

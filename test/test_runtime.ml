@@ -6,6 +6,7 @@ module Time = Newt_sim.Time
 module Loop = Newt_runtime.Loop
 module Native = Newt_runtime.Native
 module Race = Newt_verify.Race
+module Json = Newt_sim.Json
 
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
@@ -174,9 +175,21 @@ let test_native_bounded_run () =
        (List.map (fun (s : Native.ring_stat) -> "ring " ^ s.Native.ring)
           r.Native.rings));
   (* The JSON emitter covers every ring and loop. *)
-  let json = Native.json_of_result r in
-  Alcotest.(check bool) "json mentions goodput" true
-    (contains json "goodput_mbps")
+  match Native.json_of_result r with
+  | Json.Obj fields ->
+      Alcotest.(check bool) "json carries goodput" true
+        (List.assoc_opt "goodput_mbps" fields
+        = Some (Json.Fixed (3, r.Native.goodput_mbps)));
+      let count key =
+        match List.assoc_opt key fields with
+        | Some (Json.List l) -> List.length l
+        | _ -> -1
+      in
+      Alcotest.(check int) "one entry per ring" (List.length r.Native.rings)
+        (count "rings");
+      Alcotest.(check int) "one entry per loop" (List.length r.Native.loops)
+        (count "loops")
+  | _ -> Alcotest.fail "result is not a JSON object"
 
 let suite =
   [

@@ -18,6 +18,7 @@ module Static = Newt_verify.Static
 module Sanitizer = Newt_verify.Sanitizer
 module Protocol = Newt_verify.Protocol
 module Mcheck = Newt_verify.Mcheck
+module Json = Newt_sim.Json
 
 (* A little world builder: components on dedicated cores, wired by
    hand into whatever (broken) topology a test needs. *)
@@ -60,16 +61,11 @@ let test_all_configs_verify_clean () =
   let merged = E.verify_all () in
   Alcotest.(check bool) "merged verdict ok" true (Report.ok merged);
   (* The machine-readable verdict agrees. *)
-  let json = Report.to_json merged in
-  Alcotest.(check bool) "json says ok" true
-    (String.length json > 0
-    &&
-    let contains s sub =
-      let n = String.length sub in
-      let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
-      go 0
-    in
-    contains json "\"ok\": true" || contains json "\"ok\":true")
+  match Report.to_json merged with
+  | Json.Obj fields ->
+      Alcotest.(check bool) "json says ok" true
+        (List.assoc_opt "ok" fields = Some (Json.Bool true))
+  | _ -> Alcotest.fail "verdict is not a JSON object"
 
 (* --- static checker: seeded violations ---------------------------- *)
 
@@ -730,18 +726,22 @@ let test_mcheck_search_and_counterexamples () =
       Alcotest.(check string) "crash point in the subject"
         "b crashed after step s1" v.Report.subject
   | vs -> Alcotest.failf "expected 1 no-convergence, got %d" (List.length vs));
-  let json = Mcheck.to_json ~title:"synthetic" o in
-  let contains s sub =
-    let n = String.length sub in
-    let rec go i =
-      i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
-    in
-    go 0
-  in
-  Alcotest.(check bool) "json verdict is not ok" true
-    (contains json "\"ok\":false");
-  Alcotest.(check bool) "json carries the trace" true
-    (contains json "submit id 1")
+  match Mcheck.to_json ~title:"synthetic" o with
+  | Json.Obj fields ->
+      Alcotest.(check bool) "json verdict is not ok" true
+        (List.assoc_opt "ok" fields = Some (Json.Bool false));
+      let traces =
+        match List.assoc_opt "counterexamples" fields with
+        | Some (Json.List ces) ->
+            List.filter_map
+              (function
+                | Json.Obj ce -> List.assoc_opt "trace" ce | _ -> None)
+              ces
+        | _ -> []
+      in
+      Alcotest.(check bool) "json carries the trace" true
+        (traces = [ Json.strings [ "b: submit id 1 (db 1, to peer 2)" ] ])
+  | _ -> Alcotest.fail "verdict is not a JSON object"
 
 let test_mcheck_budget_skips_never_drops () =
   let cases = Mcheck.enumerate [ ("a", [ "s1"; "s2"; "s3" ]) ] in
