@@ -15,12 +15,13 @@ test:
 fmt:
 	dune build @fmt
 
-# Golden outputs: eight seeded runs (~30 s) whose output must equal,
+# Golden outputs: eleven seeded runs (~50 s) whose output must equal,
 # byte for byte, the files under test/golden/. Besides the paper's
-# tables they pin the wiring paths of every stack shape: the channel
-# graph of every shipped configuration (verify), the split host with a
-# sharded filter (campaign --pf-shards 2), and the 8x4x2 sharded stack
-# through a shard crash (crash-during-churn). A change that is meant to keep
+# tables, ablations and cross-checks they pin the wiring paths of every
+# stack shape: the channel graph of every shipped configuration
+# (verify), the split host with a sharded filter (campaign --pf-shards
+# 2), and the 8x4x2 sharded stack through a shard crash
+# (crash-during-churn). A change that is meant to keep
 # the simulated numbers passes as is; one that changes them on purpose
 # regenerates the files with the same commands and says why.
 SIM = dune exec bin/newtos_sim.exe --
@@ -28,6 +29,9 @@ SIM = dune exec bin/newtos_sim.exe --
 GATE = python3 bench/json_gate.py
 golden-check: build
 	$(SIM) table2 | diff -u test/golden/table2.txt -
+	$(SIM) ablate | diff -u test/golden/ablate.txt -
+	$(SIM) coalesce | diff -u test/golden/coalesce.txt -
+	$(SIM) crosscheck | diff -u test/golden/crosscheck.txt -
 	$(SIM) scaling --duration 0.1 | diff -u test/golden/scaling.txt -
 	$(SIM) campaign --runs 20 --json | diff -u test/golden/campaign.json -
 	$(SIM) churn --scenario listen-pressure \
@@ -174,12 +178,17 @@ sanitize-smoke: build
 # One fast scaling iteration (single point, short duration): catches a
 # wiring regression in the sharded/replicated stack without the cost of
 # the full curve — one point with the sharded packet filter on the path
-# (pf_shards=2). Also asserts the verifier counter block and the
-# per-PF-shard counter block are present in the machine-readable
-# campaign output.
+# (pf_shards=2). One scaling point and one churn run go with the
+# sanitizer, the protocol checker and the continuous checker armed,
+# which must all stay clean. Also asserts the verifier counter block
+# and the per-PF-shard counter block are present in the
+# machine-readable campaign output.
 bench-smoke: build
 	dune exec bin/newtos_sim.exe -- scaling --shards 2 --ip-replicas 2 --flows 2 --duration 0.05
 	dune exec bin/newtos_sim.exe -- scaling --shards 2 --ip-replicas 2 --pf-shards 2 --flows 2 --duration 0.05
+	dune exec bin/newtos_sim.exe -- scaling --shards 2 --ip-replicas 2 --flows 2 --duration 0.05 \
+	    --sanitize --protocol --verify-continuous
+	dune exec bin/newtos_sim.exe -- churn --duration 0.1 --sanitize --protocol --verify-continuous
 	dune exec bin/newtos_sim.exe -- campaign --runs 2 --sanitize --verify-continuous --json \
 	    | $(GATE) - 'j["counters"]["re_checks"] >= 1' 'len(j["run_counters"]) == 2'
 	dune exec bin/newtos_sim.exe -- campaign --runs 2 --pf-shards 2 --json \

@@ -1,27 +1,23 @@
-(* The benchmark harness.
+(* Host microbenchmarks: what the paper's building blocks cost on
+   this machine.
 
-   Two halves:
+   - micro (the default): Bechamel microbenchmarks of the real data
+     structures behind the paper's micro-claims (Section IV): the
+     lock-free SPSC channel enqueue (paper: ~30 cycles between cores,
+     vs ~150/3000 for a SYSCALL), the wire codecs, pools and the
+     request database, then a cross-domain SPSC transfer. These run
+     natively, so absolute numbers differ from the 1.9 GHz Opteron;
+     the point is the relative cheapness of the channel operations.
+   - micro-spsc: the cross-domain SPSC transfer alone, sized for CI.
+   - micro-hook: the race hook's cost per access.
+   - profile: a call-stack profile of a bulk run's host CPU.
 
-   1. Bechamel microbenchmarks of the real data structures behind the
-      paper's micro-claims (Section IV): the lock-free SPSC channel
-      enqueue (paper: ~30 cycles between cores, vs ~150/3000 for a
-      SYSCALL), the wire codecs, pools and the request database. These
-      run natively on this machine, so absolute numbers differ from the
-      1.9 GHz Opteron; the point is the relative cheapness of the
-      channel operations.
+   Usage: dune exec bench/main.exe -- [micro|micro-spsc|micro-hook|profile]
 
-   2. The evaluation harness: regenerates every table and figure of the
-      paper (Table II, Table III, Table IV, Figure 4, Figure 5, the
-      driver-coalescing claim of Section VI-A) from the simulator and
-      prints paper-vs-measured, plus an ablation of the design choices.
+   The paper's tables and figures are printed by the simulator CLI,
+   one subcommand per experiment: dune exec bin/newtos_sim.exe -- all *)
 
-   Run everything: dune exec bench/main.exe
-   One piece:      dune exec bench/main.exe -- [micro|table2|campaign|fig4|fig5|coalesce|ablate|scaling|churn|profile] *)
-
-module E = Newt_core.Experiments
-module V = Newt_verify
 module C = Newt_stack.Capacity
-module Costs = Newt_hw.Costs
 module Spsc = Newt_channels.Spsc_queue
 module Pool = Newt_channels.Pool
 module Request_db = Newt_channels.Request_db
@@ -274,247 +270,6 @@ let run_bechamel () =
     ];
   print_spsc_cross_domain ()
 
-(* {1 The evaluation harness} *)
-
-let print_table2 () =
-  print_endline "Table II — peak performance of outgoing TCP in various setups";
-  print_endline "===============================================================";
-  Printf.printf "%-62s %7s %9s\n" "configuration" "paper" "measured";
-  List.iter
-    (fun (r : E.table2_row) ->
-      Printf.printf "%-62s %7s %6.2f Gbps   [bottleneck: %s]\n" r.E.label r.E.paper_gbps
-        r.E.measured_gbps r.E.bottleneck)
-    (E.table_ii ());
-  print_newline ()
-
-let sparkline points =
-  Array.iter
-    (fun (time, mbps) ->
-      if int_of_float (time *. 10.0) mod 5 = 0 then
-        Printf.printf "%6.1fs %8.1f Mbps |%s\n" time mbps
-          (String.make (int_of_float (mbps /. 25.0)) '#'))
-    points
-
-let print_fig4 () =
-  print_endline "Figure 4 — IP crash (paper: ~2s gap, one retransmission, full recovery)";
-  print_endline "=========================================================================";
-  let t = E.figure_ip_crash () in
-  sparkline t.E.points;
-  Printf.printf
-    "receiver duplicates: %d; sender retransmits: %d; lost segments: %d; ip restarts: %d\n\n"
-    t.E.duplicate_segments t.E.sender_retransmits t.E.lost_segments t.E.component_restarts
-
-let print_fig5 () =
-  print_endline
-    "Figure 5 — PF crashes (paper: almost invisible, no loss, 1024 rules recovered)";
-  print_endline "================================================================================";
-  let t = E.figure_pf_crash () in
-  sparkline t.E.points;
-  Printf.printf
-    "receiver duplicates: %d; sender retransmits: %d; lost segments: %d; pf restarts: %d\n\n"
-    t.E.duplicate_segments t.E.sender_retransmits t.E.lost_segments t.E.component_restarts
-
-(* Run [f] under the sanitizer and the channel-protocol checker with a
-   continuous-verification aggregator, then emit the counter block as
-   one JSON line and fail on any violation or leak.  The aggregator's
-   per-run accounting folds the protocol counters into the same
-   block. *)
-let with_verify f =
-  V.Sanitizer.install ();
-  V.Protocol.install ();
-  let v = V.Continuous.create () in
-  Fun.protect
-    ~finally:(fun () ->
-      V.Protocol.uninstall ();
-      V.Sanitizer.uninstall ())
-    (fun () -> f v);
-  print_json (Obj (V.Continuous.json v));
-  print_newline ();
-  if not (V.Continuous.ok v) then exit 1
-
-let print_campaign () =
-  print_endline "Tables III and IV — fault-injection campaign (100 runs)";
-  print_endline "=========================================================";
-  with_verify @@ fun verify ->
-  let c = E.fault_campaign ~verify () in
-  Printf.printf "Table III %24s %6s %6s\n" "" "paper" "ours";
-  List.iter
-    (fun (name, paper, ours) -> Printf.printf "  %-30s %6d %6d\n" name paper ours)
-    [
-      ("Total", 100, List.length c.E.runs);
-      ("TCP", 25, c.E.crashes_tcp);
-      ("UDP", 10, c.E.crashes_udp);
-      ("IP", 24, c.E.crashes_ip);
-      ("PF", 25, c.E.crashes_pf);
-      ("Driver", 16, c.E.crashes_drv);
-    ];
-  Printf.printf "Table IV %37s %6s %6s\n" "" "paper" "ours";
-  List.iter
-    (fun (name, paper, ours) -> Printf.printf "  %-42s %6s %6s\n" name paper ours)
-    [
-      ("Fully transparent crashes", "70", string_of_int c.E.fully_transparent);
-      ( "Reachable from outside (+ manually fixed)",
-        "90+6",
-        Printf.sprintf "%d+%d" c.E.reachable c.E.manually_fixed );
-      ("Crash broke TCP connections", "30", string_of_int c.E.broke_tcp);
-      ("Transparent to UDP", "95", string_of_int c.E.transparent_udp);
-      ("Reboot necessary", "3", string_of_int c.E.reboots);
-    ];
-  print_newline ()
-
-let print_coalesce () =
-  print_endline "Driver coalescing (Section VI-A)";
-  print_endline "=================================";
-  List.iter
-    (fun (r : E.coalescing_result) ->
-      Printf.printf "%d driver(s): busiest driver core %4.1f%% utilized at full 5-NIC TSO rate -> %s\n"
-        r.E.drivers
-        (100.0 *. r.E.driver_core_utilization)
-        (if r.E.sustainable then "OK" else "overloaded"))
-    (E.driver_coalescing ());
-  (* And at packet level: all five drivers timeshare one core. *)
-  let normal = E.split_peak_event_sim ~duration:0.5 () in
-  let coalesced = E.split_peak_event_sim ~duration:0.5 ~coalesce_drivers:true () in
-  Printf.printf
-    "packet level: separate driver cores %.2f Gbps vs one shared driver core %.2f      Gbps (drv core %.0f%%)\n"
-    normal.E.goodput_gbps coalesced.E.goodput_gbps
-    (100. *. coalesced.E.drv_util);
-  print_endline
-    "(\"coalescing the drivers into one still does not lead to an overload\")";
-  print_newline ()
-
-let print_crosscheck () =
-  print_endline "Cross-validation — packet-level simulation vs capacity model (5 NICs)";
-  print_endline "=======================================================================";
-  let r = E.split_peak_event_sim () in
-  Printf.printf "event simulation:   %.2f Gbps (per link:%s Mbps)\n" r.E.goodput_gbps
-    (String.concat ""
-       (List.map (fun m -> Printf.sprintf " %.0f" m) r.E.per_link_mbps));
-  Printf.printf "capacity model:     %.2f Gbps\n" r.E.capacity_prediction_gbps;
-  Printf.printf
-    "core utilization:   tcp %.0f%% (the bottleneck)  ip %.0f%%  pf %.0f%%  drv %.0f%%\n"
-    (100. *. r.E.tcp_util) (100. *. r.E.ip_util) (100. *. r.E.pf_util)
-    (100. *. r.E.drv_util);
-  print_endline
-    "(the paper's claims hold emergently: TCP saturates first; IP is not the";
-  print_endline
-    " bottleneck despite triple handling; the drivers' work is extremely small)";
-  let single_gbps, single_util = E.single_server_event_sim () in
-  Printf.printf
-    "\nsingle-server topology, packet level: %.2f Gbps at %.0f%% stack-core \
-     utilization\n"
-    single_gbps (100. *. single_util);
-  Printf.printf
-    "(beats the split stack's %.2f Gbps by %.0f%%%% — the paper's line 3 vs line 4 \
-     ordering, emergent)\n"
-    r.E.goodput_gbps
-    (100. *. (single_gbps -. r.E.goodput_gbps) /. r.E.goodput_gbps);
-  let m = E.minix_event_sim () in
-  Printf.printf
-    "\nMinix baseline, packet level: %.0f Mbps (paper: 120); %.0fk sync kernel \
-     IPCs/s; lossless: %b\n"
-    m.E.minix_mbps
-    (m.E.sync_ipcs_per_sec /. 1000.0)
-    m.E.minix_lossless;
-  print_endline
-    "(one timeshared core, cold traps + context switch on every synchronous hop)";
-  print_newline ()
-
-let print_ablation () =
-  print_endline "Ablation — design choices under the capacity model (split stack + SC)";
-  print_endline "=======================================================================";
-  let base = Costs.default in
-  let eval name costs config =
-    let r = C.evaluate ~costs config in
-    Printf.printf "%-58s %6.2f Gbps\n" name r.C.goodput_gbps
-  in
-  eval "baseline (fast-path channels, zero copy, batching)" base C.Split_dedicated_sc;
-  eval "channels replaced by kernel IPC (trap per message)"
-    {
-      base with
-      Costs.channel_enqueue = base.Costs.trap_hot + base.Costs.kipc_kernel_work;
-      channel_dequeue = base.Costs.trap_hot;
-    }
-    C.Split_dedicated_sc;
-  eval "cold-cache traps on every kernel entry"
-    {
-      base with
-      Costs.channel_enqueue = base.Costs.trap_cold + base.Costs.kipc_kernel_work;
-      channel_dequeue = base.Costs.trap_cold;
-    }
-    C.Split_dedicated_sc;
-  eval "zero copy disabled (payload copied at each hop)"
-    {
-      base with
-      (* Two extra 1460-byte copies per segment: transport->IP and
-         IP->driver, charged via the per-hop marshal cost. *)
-      Costs.channel_marshal = base.Costs.channel_marshal + (2 * Costs.copy_cost base 1460);
-    }
-    C.Split_dedicated_sc;
-  eval "no TX-completion batching (confirm per descriptor)"
-    { base with Costs.confirm_batch = 1 }
-    C.Single_server_sc;
-  eval "TSO on (line 6: wire becomes the bottleneck)" base C.Split_dedicated_sc_tso;
-  (let r = C.evaluate ~costs:base ~mss:8960 C.Split_dedicated_sc in
-   Printf.printf "%-58s %6.2f Gbps\n"
-     "jumbo frames (9000-byte MTU; paper: reduces internal request rate)"
-     r.C.goodput_gbps);
-  print_newline ();
-  print_endline "NIC reset time vs Figure 4 outage (\"restart-aware hardware\", Section V-D):";
-  List.iter
-    (fun (p : E.reset_sweep_point) ->
-      Printf.printf "  device reset %5.2f s -> outage %5.2f s (%d duplicate segments)\n"
-        p.E.reset_time_s p.E.outage_s p.E.duplicates)
-    (E.nic_reset_sweep ());
-  print_newline ();
-  print_endline "MWAIT wake-up vs polling (Section IV-B), ICMP RTT through the idle stack:";
-  List.iter
-    (fun (p : E.latency_point) ->
-      Printf.printf
-        "  poll window %7.1f us -> mean RTT %5.1f us; OS cores awake %5.2f%% of the \
-         time (%d pings)\n"
-        p.E.poll_window_us p.E.mean_rtt_us
-        (100. *. p.E.awake_fraction)
-        p.E.pings)
-    (E.mwait_latency_ablation ());
-  print_endline
-    "  (halting on every idle gap costs several MWAIT wake-ups per round trip;";
-  print_endline "   polling absorbs them — the latency/energy trade-off of Section IV-B)";
-  print_newline ()
-
-let print_scaling () =
-  print_endline "Scaling — N transport shards behind a multi-queue NIC";
-  print_endline "======================================================";
-  with_verify @@ fun verify ->
-  let r = E.scaling_curve ~verify () in
-  Printf.printf "single-instance Table II ceiling: %.2f Gbps\n"
-    r.E.single_instance_gbps;
-  let print_point (p : E.scaling_point) =
-    Printf.printf
-      "  %d shard(s), %d IP, %d PF: %6.2f Gbps aggregate (%.2fx ceiling); \
-       imbalance %.2f; affinity violations %d\n"
-      p.E.shards p.E.ip_replicas p.E.pf_shards p.E.goodput_gbps
-      (p.E.goodput_gbps /. r.E.single_instance_gbps)
-      p.E.imbalance p.E.violations;
-    Array.iter
-      (fun (s : Newt_scale.Sharded_stack.pf_shard_stats) ->
-        Printf.printf "      pf shard %d: %d verdicts, %d tracked, %d expired\n"
-          s.Newt_scale.Sharded_stack.pf_shard s.verdicts s.entries s.expired)
-      p.E.per_pf_shard
-  in
-  List.iter print_point r.E.points;
-  (* The PF-sharded extension: the filter on the path, conntrack
-     partitioned two ways by the same flow hash. *)
-  let rpf =
-    E.scaling_curve ~shard_counts:[ 8 ] ~ip_replicas:2 ~pf_shards:2 ~verify ()
-  in
-  List.iter print_point rpf.E.points;
-  print_endline
-    "(one Shard_map drives NIC RSS, IP fan-out and SYSCALL routing; every flow";
-  print_endline
-    " stays on one TCP shard — and meets one PF conntrack partition)";
-  print_newline ()
-
 (* {1 micro-hook: the native race hook's per-access cost}
 
    The sampled-instrumentation budget of the race detector: what one
@@ -570,37 +325,6 @@ let print_micro_hook () =
                ("ns_per_access_sample256", Fixed (1, sampled));
                ("ns_per_sync_event", Fixed (1, sync)); ("accesses_seen", Int seen);
                ("accesses_kept", Int kept) ] ) ]);
-  print_newline ()
-
-let print_churn () =
-  let module Ch = Newt_core.Churn in
-  print_endline "Churn — short-RPC tail latency through the sharded stack";
-  print_endline "=========================================================";
-  with_verify @@ fun verify ->
-  let results =
-    List.map
-      (fun scenario -> Ch.run ~scenario ~duration:0.5 ~verify ())
-      Ch.all_scenarios
-  in
-  List.iter
-    (fun (r : Ch.result) ->
-      Printf.printf
-        "  %-18s %6d/%-6d RPCs; connect p99 %8.1f p999 %8.1f µs; request p99 \
-         %8.1f p999 %8.1f µs; bulk %5.2f Gbps\n"
-        (Ch.scenario_name r.Ch.scenario)
-        r.Ch.completed r.Ch.started r.Ch.connect.Ch.p99_us
-        r.Ch.connect.Ch.p999_us r.Ch.request.Ch.p99_us r.Ch.request.Ch.p999_us
-        r.Ch.bulk_goodput_gbps;
-      if r.Ch.flood_syns > 0 || r.Ch.listen_overflows > 0 then
-        Printf.printf
-        "      overflows %d; conntrack %d entries (%d half-open); evicted %d \
-         half-open / %d established; restarts %d\n"
-          r.Ch.listen_overflows r.Ch.conntrack_entries r.Ch.conntrack_half_open
-          r.Ch.evicted_half_open r.Ch.evicted_established r.Ch.shard_restarts)
-    results;
-  print_endline
-    "(open-loop workers: stack-side queueing shows up in the tail, not as a";
-  print_endline " reduced offered rate; percentiles from streaming histograms)";
   print_newline ()
 
 (* {1 profile: where the host CPU of a bulk run goes}
@@ -675,37 +399,17 @@ let print_profile () =
                ("self", List (top self "self")) ] ) ])
 
 let () =
-  let what = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
+  let what = if Array.length Sys.argv > 1 then Sys.argv.(1) else "micro" in
   match what with
   | "micro" -> run_bechamel ()
   | "micro-hook" -> print_micro_hook ()
   | "micro-spsc" ->
       (* The cross-domain SPSC measurement alone, sized for CI smoke. *)
       print_spsc_cross_domain ~n:500_000 ()
-  | "table2" -> print_table2 ()
-  | "campaign" | "table3" | "table4" -> print_campaign ()
-  | "fig4" -> print_fig4 ()
-  | "fig5" -> print_fig5 ()
-  | "coalesce" -> print_coalesce ()
-  | "crosscheck" -> print_crosscheck ()
-  | "ablate" -> print_ablation ()
-  | "scaling" -> print_scaling ()
-  | "churn" -> print_churn ()
   | "profile" -> print_profile ()
-  | "all" ->
-      print_table2 ();
-      print_fig4 ();
-      print_fig5 ();
-      print_campaign ();
-      print_crosscheck ();
-      print_coalesce ();
-      print_ablation ();
-      print_scaling ();
-      print_churn ();
-      run_bechamel ()
   | other ->
       Printf.eprintf
-        "unknown benchmark %S (use \
-         micro|micro-spsc|micro-hook|table2|campaign|fig4|fig5|coalesce|ablate|scaling|churn|profile|all)\n"
+        "unknown benchmark %S (use micro|micro-spsc|micro-hook|profile; the \
+         paper's tables and figures are newtos_sim subcommands)\n"
         other;
       exit 1

@@ -2,15 +2,14 @@
    evaluation and print it in the paper's format. *)
 
 module E = Newt_core.Experiments
-module F = Newt_reliability.Fault_inject
 module C = Newt_stack.Capacity
+module Costs = Newt_hw.Costs
 module V = Newt_verify
 module Json = Newt_sim.Json
 
 let print_json v = print_endline (Json.to_string v)
 
-let print_table2 costs =
-  ignore costs;
+let print_table2 () =
   print_endline "Table II — peak performance of outgoing TCP in various setups";
   print_endline "--------------------------------------------------------------";
   Printf.printf "%-62s %7s %9s\n" "configuration" "paper" "measured";
@@ -226,6 +225,8 @@ let print_crosscheck () =
   Printf.printf "split stack:   %.2f Gbps (model %.2f); tcp %.0f%%, ip %.0f%%, pf %.0f%%, drv %.0f%%\n"
     r.E.goodput_gbps r.E.capacity_prediction_gbps (100. *. r.E.tcp_util)
     (100. *. r.E.ip_util) (100. *. r.E.pf_util) (100. *. r.E.drv_util);
+  Printf.printf "  per link:    %s Mbps\n"
+    (String.concat " " (List.map (Printf.sprintf "%.0f") r.E.per_link_mbps));
   let single_gbps, single_util = E.single_server_event_sim () in
   Printf.printf "single server: %.2f Gbps (core %.0f%%)\n" single_gbps (100. *. single_util);
   let m = E.minix_event_sim () in
@@ -256,9 +257,71 @@ let print_coalesce () =
          else "OVERLOADED");
       ())
     (E.driver_coalescing ());
+  (* The same claim at packet level: all five drivers timeshare one core. *)
+  let separate = E.split_peak_event_sim ~duration:0.5 () in
+  let shared = E.split_peak_event_sim ~duration:0.5 ~coalesce_drivers:true () in
+  Printf.printf
+    "packet level: separate driver cores %.2f Gbps, one shared driver core %.2f \
+     Gbps (that core %.0f%% utilized)\n"
+    separate.E.goodput_gbps shared.E.goodput_gbps (100. *. shared.E.drv_util);
+  print_endline
+    "(paper: \"coalescing the drivers into one still does not lead to an overload\")";
   print_newline ()
 
-let print_scaling ?verify shard_counts ip_replicas pf_shards flows duration =
+(* The design choices the paper argues for, each undone in turn under
+   the capacity model, then Section IV-B's halt-or-poll trade-off. *)
+let print_ablate () =
+  print_endline "Ablation — design choices under the capacity model (split stack + SC)";
+  print_endline "----------------------------------------------------------------------";
+  let base = Costs.default in
+  let row ?(costs = base) ?mss name config =
+    Printf.printf "%-58s %6.2f Gbps\n" name
+      (C.evaluate ~costs ?mss config).C.goodput_gbps
+  in
+  let trap_per_message trap =
+    {
+      base with
+      Costs.channel_enqueue = trap + base.Costs.kipc_kernel_work;
+      channel_dequeue = trap;
+    }
+  in
+  row "baseline (fast-path channels, zero copy, batching)" C.Split_dedicated_sc;
+  row "channels replaced by kernel IPC (trap per message)"
+    ~costs:(trap_per_message base.Costs.trap_hot) C.Split_dedicated_sc;
+  row "cold-cache traps on every kernel entry"
+    ~costs:(trap_per_message base.Costs.trap_cold) C.Split_dedicated_sc;
+  (* Two extra 1460-byte copies per segment, transport->IP and
+     IP->driver, charged via the per-hop marshal cost. *)
+  row "zero copy disabled (payload copied at each hop)"
+    ~costs:
+      {
+        base with
+        Costs.channel_marshal =
+          base.Costs.channel_marshal + (2 * Costs.copy_cost base 1460);
+      }
+    C.Split_dedicated_sc;
+  row "no TX-completion batching (single server + SC)"
+    ~costs:{ base with Costs.confirm_batch = 1 } C.Single_server_sc;
+  row "TSO on (line 6: the wire becomes the bottleneck)" C.Split_dedicated_sc_tso;
+  row "jumbo frames (9000-byte MTU: fewer internal requests)" ~mss:8960
+    C.Split_dedicated_sc;
+  print_newline ();
+  print_endline "Section IV-B — MWAIT wake-up vs polling, ICMP RTT through the idle stack";
+  print_endline "-------------------------------------------------------------------------";
+  List.iter
+    (fun (p : E.latency_point) ->
+      Printf.printf
+        "poll window %7.1f us -> mean RTT %5.1f us; OS cores awake %5.2f%% of \
+         the time (%d pings)\n"
+        p.E.poll_window_us p.E.mean_rtt_us (100. *. p.E.awake_fraction) p.E.pings)
+    (E.mwait_latency_ablation ());
+  print_endline
+    "(halting on every idle gap costs several MWAIT wake-ups per round trip;";
+  print_endline " polling absorbs them: the latency/energy trade-off)";
+  print_newline ()
+
+let print_scaling sanitize protocol verify_continuous shard_counts ip_replicas
+    pf_shards flows duration =
   (* The sizes each point builds: replicas and PF shards capped at the
      point's shard count, no filter when [pf_shards = 0]. *)
   List.iter
@@ -269,6 +332,9 @@ let print_scaling ?verify shard_counts ip_replicas pf_shards flows duration =
            ~pf_shards:(max 1 (min pf_shards n))
            ()))
     shard_counts;
+  with_sanitizer sanitize @@ fun () ->
+  with_protocol protocol @@ fun () ->
+  with_continuous verify_continuous @@ fun verify ->
   print_endline "Scaling — N transport shards behind a multi-queue NIC";
   print_endline "------------------------------------------------------";
   let r =
@@ -370,8 +436,8 @@ let churn_print_human (r : Ch.result) =
     r.Ch.steering_violations r.Ch.checksum_failures
 
 let print_churn scenario rate duration shards ip_replicas pf_shards bulk_flows
-    workers payload flood_rate conntrack_total backlog seed json
-    verify_continuous tcp_fsm break_tcp sample =
+    workers payload flood_rate conntrack_total backlog seed json sanitize
+    protocol verify_continuous tcp_fsm break_tcp sample =
   let scenarios =
     if scenario = "all" then Ch.all_scenarios
     else
@@ -401,6 +467,8 @@ let print_churn scenario rate duration shards ip_replicas pf_shards bulk_flows
      would be a silently green sabotage run. *)
   let fsm_wanted = tcp_fsm || break_tcp <> None in
   with_sample sample @@ fun () ->
+  with_sanitizer ~quiet:json sanitize @@ fun () ->
+  with_protocol ~quiet:json protocol @@ fun () ->
   with_continuous ~quiet:json verify_continuous @@ fun verify ->
   let results =
     List.map
@@ -962,8 +1030,18 @@ let verify_cmd =
       $ break_race_arg $ lint_domains $ max_shards)
 
 let coalesce_cmd =
-  Cmd.v (Cmd.info "coalesce" ~doc:"Driver coalescing analysis (Section VI-A)")
+  Cmd.v
+    (Cmd.info "coalesce"
+       ~doc:"Driver coalescing (Section VI-A): capacity model and packet level")
     Term.(const print_coalesce $ const ())
+
+let ablate_cmd =
+  Cmd.v
+    (Cmd.info "ablate"
+       ~doc:
+         "Ablations: the design choices undone under the capacity model, \
+          and MWAIT wake-up vs polling (Section IV-B)")
+    Term.(const print_ablate $ const ())
 
 let crosscheck_cmd =
   Cmd.v
@@ -1004,10 +1082,8 @@ let scaling_cmd =
     (Cmd.info "scaling"
        ~doc:"Goodput vs number of TCP shards (multi-queue NIC + sharded stack)")
     Term.(
-      const (fun vc sc ir pf f d ->
-          with_continuous vc (fun verify -> print_scaling ?verify sc ir pf f d))
-      $ verify_continuous $ shard_counts $ ip_replicas $ pf_shards $ flows
-      $ duration)
+      const print_scaling $ sanitize $ protocol_flag $ verify_continuous
+      $ shard_counts $ ip_replicas $ pf_shards $ flows $ duration)
 
 let churn_cmd =
   let scenario =
@@ -1074,8 +1150,8 @@ let churn_cmd =
     Term.(
       const print_churn $ scenario $ rate $ duration $ shards $ ip_replicas
       $ pf_shards $ bulk_flows $ workers $ payload $ flood_rate
-      $ conntrack_total $ backlog $ seed $ json $ verify_continuous
-      $ tcp_fsm_flag $ break_tcp_arg $ verify_sample)
+      $ conntrack_total $ backlog $ seed $ json $ sanitize $ protocol_flag
+      $ verify_continuous $ tcp_fsm_flag $ break_tcp_arg $ verify_sample)
 
 let mcheck_cmd =
   let json =
@@ -1215,37 +1291,55 @@ let crossval_cmd =
       const print_crossval $ native_domains $ native_seconds $ native_json
       $ skip_unsupported $ allow_oversubscribe)
 
+let info = Cmd.info "newtos_sim" ~doc:"NewtOS 'Keep Net Working' reproduction"
+
+let commands =
+  [
+    table2_cmd;
+    fig4_cmd;
+    fig5_cmd;
+    campaign_cmd;
+    crosscheck_cmd;
+    coalesce_cmd;
+    ablate_cmd;
+    sweep_cmd;
+    scaling_cmd;
+    churn_cmd;
+    verify_cmd;
+    mcheck_cmd;
+    native_cmd;
+    crossval_cmd;
+  ]
+
+(* The complete evaluation: each experiment printed exactly as its own
+   subcommand prints it. *)
 let all_cmd =
+  let runs =
+    [
+      [ "table2" ];
+      [ "fig4" ];
+      [ "fig5" ];
+      [ "campaign" ];
+      [ "crosscheck" ];
+      [ "coalesce" ];
+      [ "ablate" ];
+      [ "sweep" ];
+      [ "scaling" ];
+      [ "scaling"; "--shards"; "8"; "--ip-replicas"; "2" ];
+      [ "scaling"; "--shards"; "8"; "--ip-replicas"; "2"; "--pf-shards"; "2" ];
+      [ "churn"; "--scenario"; "all"; "--duration"; "0.5" ];
+    ]
+  in
   let run () =
-    print_table2 ();
-    print_fig4 42 false false false false 1;
-    print_fig5 42 false false false false 1;
-    print_campaign 100 2 false false false None 1 false 1;
-    print_crosscheck ();
-    print_coalesce ();
-    print_sweep ();
-    print_scaling [ 1; 2; 4; 8 ] 1 0 8 0.5;
-    print_scaling [ 8 ] 2 0 8 0.5;
-    print_scaling [ 8 ] 2 2 8 0.5
+    let group = Cmd.group info commands in
+    List.iter
+      (fun args ->
+        let code = Cmd.eval ~argv:(Array.of_list ("newtos_sim" :: args)) group in
+        if code <> 0 then exit code)
+      runs
   in
   Cmd.v (Cmd.info "all" ~doc:"Run the complete evaluation") Term.(const run $ const ())
 
 let () =
   let default = Term.(ret (const (`Help (`Pager, None)))) in
-  let info = Cmd.info "newtos_sim" ~doc:"NewtOS 'Keep Net Working' reproduction" in
-  exit (Cmd.eval (Cmd.group ~default info [
-          table2_cmd;
-          fig4_cmd;
-          fig5_cmd;
-          campaign_cmd;
-          crosscheck_cmd;
-          coalesce_cmd;
-          sweep_cmd;
-          scaling_cmd;
-          churn_cmd;
-          verify_cmd;
-          mcheck_cmd;
-          native_cmd;
-          crossval_cmd;
-          all_cmd;
-        ]))
+  exit (Cmd.eval (Cmd.group ~default info (commands @ [ all_cmd ])))

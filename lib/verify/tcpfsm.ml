@@ -722,13 +722,13 @@ let report ?(title = "tcp-fsm conformance") () =
 
 (* Mcheck-shaped machine-readable verdict: same fields the recovery
    model checker emits per crash point, so one gate reads every
-   checker's counterexample trace. Violations are listed newest
-   first. *)
+   checker's counterexample trace. Violations are listed oldest
+   first, as in {!report}. *)
 let verdict_json () =
   with_lock (fun () ->
       Newt_sim.Json.Obj
         [ ("component", String "tcp-fsm"); ("ok", Bool (!viols = []));
           ("segments", Int !seg_events); ("transitions", Int !trans_events);
           ("tracked", Int (Hashtbl.length shadow));
-          ("violations", List (List.map Report.violation_json !viols));
+          ("violations", List (List.rev_map Report.violation_json !viols));
           ("trace", Newt_sim.Json.strings (trace ())) ])

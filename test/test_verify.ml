@@ -952,6 +952,55 @@ let test_tcpfsm_sampling_keeps_whole_connections () =
   Alcotest.(check int) "sampling produced no violations" 0
     (List.length (Tcpfsm.violations ()))
 
+let test_tcpfsm_verdict_order_matches_report () =
+  (* Two bare ACKs from Closed, on two connections: the JSON verdict
+     and the human report must list the violations in the same order,
+     oldest first. *)
+  Tcpfsm.install ();
+  Tcpfsm.reset ();
+  Fun.protect ~finally:Tcpfsm.uninstall @@ fun () ->
+  List.iter
+    (fun rport ->
+      Hook.tcp_emit
+        (Hook.T_seg_tx
+           {
+             lip = Addr.Ipv4.to_int32 drift_lip;
+             lport = 80;
+             rip = Addr.Ipv4.to_int32 drift_rip;
+             rport;
+             flags =
+               { Hook.syn = false; ack = true; fin = false; rst = false;
+                 data = false };
+           }))
+    [ 1111; 2222 ];
+  let reported =
+    List.map
+      (fun (v : Report.violation) -> v.Report.subject)
+      (Tcpfsm.report ()).Report.violations
+  in
+  let in_json =
+    match Tcpfsm.verdict_json () with
+    | Json.Obj fields -> (
+        match List.assoc_opt "violations" fields with
+        | Some (Json.List vs) ->
+            List.filter_map
+              (function
+                | Json.Obj v -> (
+                    match List.assoc_opt "subject" v with
+                    | Some (Json.String s) -> Some s
+                    | _ -> None)
+                | _ -> None)
+              vs
+        | _ -> [])
+    | _ -> []
+  in
+  Alcotest.(check (list string))
+    "report lists the first segment first"
+    [ "10.9.0.1:80 <-> 10.9.0.2:1111"; "10.9.0.1:80 <-> 10.9.0.2:2222" ]
+    reported;
+  Alcotest.(check (list string)) "JSON verdict uses the report's order"
+    reported in_json
+
 let suite =
   [
     ("all shipped configurations verify", `Quick, test_all_configs_verify_clean);
@@ -1021,4 +1070,6 @@ let suite =
       test_tcpfsm_conntrack_agreement_clean);
     ("tcp-fsm: sampling keeps whole connections", `Quick,
       test_tcpfsm_sampling_keeps_whole_connections);
+    ("tcp-fsm: JSON verdict lists violations oldest first", `Quick,
+      test_tcpfsm_verdict_order_matches_report);
   ]
