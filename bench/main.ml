@@ -97,6 +97,27 @@ let test_eventq =
          ignore (Eventq.push q !t () : unit Eventq.entry);
          Eventq.pop q))
 
+(* The same push+pop with [live] entries already queued, as in a
+   running simulation: 200 and 1000 are the recovery and churn
+   workloads' mean pending counts, so each sift runs about log2(live)
+   levels. *)
+let test_eventq_live live =
+  let q = Eventq.create ~dummy:() () in
+  let clock = ref 0 and rng = ref 1 in
+  let later () =
+    rng := ((!rng * 1103515245) + 12345) land 0x3FFFFFFF;
+    !clock + 1 + ((!rng lsr 4) mod (4 * live))
+  in
+  for _ = 1 to live do
+    ignore (Eventq.push q (later ()) () : unit Eventq.entry)
+  done;
+  Bechamel.Test.make
+    ~name:(Printf.sprintf "event queue push+pop (%d live)" live)
+    (Bechamel.Staged.stage (fun () ->
+         ignore (Eventq.push q (later ()) () : unit Eventq.entry);
+         clock := Eventq.min_time q;
+         Eventq.pop q))
+
 let test_tso_split =
   let frame =
     let seg =
@@ -263,6 +284,8 @@ let run_bechamel () =
       test_pool_cycle;
       test_request_db;
       test_eventq;
+      test_eventq_live 200;
+      test_eventq_live 1000;
       test_tso_split;
       test_dns_codec;
       test_pf_1024;

@@ -7,9 +7,9 @@ let other = function Left -> Right | Right -> Left
 
 type direction = {
   mutable busy_until : Time.cycles;
-  mutable queued : int;
   mutable tx_frames : int;
   mutable receiver : Bytes.t -> unit;
+  wire : Engine.lane;  (* the frames in flight, delivered in FIFO order *)
 }
 
 type t = {
@@ -23,9 +23,6 @@ type t = {
   mutable taps : (at:Time.cycles -> dir:side -> Bytes.t -> unit) list;
   mutable dropped : int;
   mutable bytes_carried : int;
-  mutable epoch : int;
-      (* Bumped when the link goes down: deliveries scheduled in an
-         older epoch are suppressed (flushed queues). *)
 }
 
 let create engine ?(bandwidth_bps = 1_000_000_000) ?propagation ?(queue_frames = 256) () =
@@ -33,7 +30,12 @@ let create engine ?(bandwidth_bps = 1_000_000_000) ?propagation ?(queue_frames =
     match propagation with Some p -> p | None -> Time.of_micros 2.0
   in
   let mk () =
-    { busy_until = 0; queued = 0; tx_frames = 0; receiver = (fun _ -> ()) }
+    {
+      busy_until = 0;
+      tx_frames = 0;
+      receiver = (fun _ -> ());
+      wire = Engine.lane engine;
+    }
   in
   {
     engine;
@@ -47,7 +49,6 @@ let create engine ?(bandwidth_bps = 1_000_000_000) ?propagation ?(queue_frames =
     taps = [];
     dropped = 0;
     bytes_carried = 0;
-    epoch = 0;
   }
 
 let dir t = function Left -> t.left_to_right | Right -> t.right_to_left
@@ -63,7 +64,7 @@ let transmit t ~from frame =
   end
   else begin
     let d = dir t from in
-    if d.queued >= t.queue_frames then begin
+    if Engine.lane_length d.wire >= t.queue_frames then begin
       t.dropped <- t.dropped + 1;
       false
     end
@@ -76,20 +77,13 @@ let transmit t ~from frame =
       let start = max now d.busy_until in
       let done_at = start + serialization in
       d.busy_until <- done_at;
-      d.queued <- d.queued + 1;
-      let epoch = t.epoch in
-      ignore
-        (Engine.schedule_at t.engine (done_at + t.propagation) (fun () ->
-             d.queued <- d.queued - 1;
-             if t.up && epoch = t.epoch then begin
-               d.tx_frames <- d.tx_frames + 1;
-               t.bytes_carried <- t.bytes_carried + len;
-               List.iter
-                 (fun tap -> tap ~at:(Engine.now t.engine) ~dir:from frame)
-                 t.taps;
-               d.receiver frame
-             end
-             else t.dropped <- t.dropped + 1));
+      (* Delivery times never decrease: [busy_until] only grows while
+         the link is up, and going down empties the lane. *)
+      Engine.schedule_lane d.wire (done_at + t.propagation) (fun () ->
+          d.tx_frames <- d.tx_frames + 1;
+          t.bytes_carried <- t.bytes_carried + len;
+          List.iter (fun tap -> tap ~at:(Engine.now t.engine) ~dir:from frame) t.taps;
+          d.receiver frame);
       true
     end
   end
@@ -98,10 +92,13 @@ let tap t f = t.taps <- t.taps @ [ f ]
 
 let set_up t up =
   if t.up && not up then begin
-    t.epoch <- t.epoch + 1;
     let now = Engine.now t.engine in
-    t.left_to_right.busy_until <- now;
-    t.right_to_left.busy_until <- now
+    let flush d =
+      t.dropped <- t.dropped + Engine.clear_lane d.wire;
+      d.busy_until <- now
+    in
+    flush t.left_to_right;
+    flush t.right_to_left
   end;
   t.up <- up
 

@@ -37,7 +37,37 @@ val cancel : handle -> unit
     no-op. *)
 
 val pending : t -> int
-(** Number of scheduled (uncancelled) events. *)
+(** Number of scheduled (uncancelled) events, lane events included. *)
+
+(** {1 Lanes}
+
+    A lane carries events whose times never decrease, such as the
+    frames one direction of a link delivers in FIFO order. Only the
+    lane's earliest event sits in the engine's queue; the rest wait in
+    a ring behind it. Each event reserves its sequence number when it
+    is scheduled, so it fires at exactly the point in the (time,
+    scheduling order) sequence that {!schedule_at} would have given
+    it, and each is still one {!step}. *)
+
+type lane
+
+val lane : t -> lane
+(** A new, empty lane on the engine. *)
+
+val schedule_lane : lane -> Time.cycles -> (unit -> unit) -> unit
+(** [schedule_lane l at f] runs [f] at absolute time [at >= now t].
+    Raises [Invalid_argument] if [at] is earlier than the time of the
+    lane's previous event since it was created or last cleared. Lane
+    events cannot be cancelled one by one. *)
+
+val lane_length : lane -> int
+(** Number of events still queued on the lane. An event leaves it just
+    before its thunk runs. *)
+
+val clear_lane : lane -> int
+(** Drop every event still queued on the lane and return how many
+    there were. Their thunks are released, and the next event may be
+    at any time [>= now t]. *)
 
 val run : ?until:Time.cycles -> ?max_events:int -> t -> unit
 (** [run t] executes events in (time, scheduling order) until the queue

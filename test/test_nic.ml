@@ -133,6 +133,57 @@ let test_rss_indirection_table () =
   Alcotest.(check bool) "set_bucket validates too" true
     (rejects (fun () -> Newt_nic.Rss.set_bucket rss ~bucket:0 ~queue:9))
 
+(* The bitwise Toeplitz hash, bit by bit as the RSS spec states it:
+   the oracle the table-driven [Rss.hash] must equal. The key stream is
+   the one [Rss.create] derives from its seed. *)
+let reference_rss_hash ~seed ~src ~sport ~dst ~dport =
+  let s = ref (0x9E3779B9 lxor ((seed + 1) * 0x01000193)) in
+  let key =
+    Array.init 16 (fun _ ->
+        let x = !s in
+        let x = x lxor (x lsl 13) in
+        let x = x lxor (x lsr 7) in
+        let x = x lxor (x lsl 17) in
+        s := x land 0x3FFFFFFFFFFFFFF;
+        !s land 0xff)
+  in
+  let ip_int a = Int32.to_int (Addr.Ipv4.to_int32 a) land 0xFFFFFFFF in
+  let a = (ip_int src, sport land 0xffff) and b = (ip_int dst, dport land 0xffff) in
+  let (ip1, p1), (ip2, p2) = if a <= b then (a, b) else (b, a) in
+  let input = Array.make 12 0 in
+  let put off len v =
+    for k = 0 to len - 1 do
+      input.(off + k) <- (v lsr (8 * (len - 1 - k))) land 0xff
+    done
+  in
+  put 0 4 ip1;
+  put 4 4 ip2;
+  put 8 2 p1;
+  put 10 2 p2;
+  let key_bit j = (key.(j / 8) lsr (7 - (j mod 8))) land 1 in
+  let window = ref 0 in
+  for j = 0 to 31 do
+    window := (!window lsl 1) lor key_bit j
+  done;
+  let result = ref 0 in
+  for i = 0 to 95 do
+    if (input.(i / 8) lsr (7 - (i mod 8))) land 1 = 1 then result := !result lxor !window;
+    window := ((!window lsl 1) land 0xFFFFFFFF) lor key_bit (i + 32)
+  done;
+  !result
+
+let test_rss_matches_reference =
+  let addr = QCheck2.Gen.(map Addr.Ipv4.of_int32 int32) in
+  let port = QCheck2.Gen.(oneof [ int_range 0 65535; int_range (-200_000) 200_000 ]) in
+  qtest "rss table hash equals the bitwise Toeplitz hash"
+    QCheck2.Gen.(tup4 (int_range 0 0xFFFFFF) (tup2 addr port) (tup2 addr port) bool)
+    (fun (seed, (src, sport), (dst, dport), same_addr) ->
+      let dst = if same_addr then src else dst in
+      let rss = Newt_nic.Rss.create ~seed ~queues:4 () in
+      let expected = reference_rss_hash ~seed ~src ~sport ~dst ~dport in
+      Newt_nic.Rss.hash rss ~src ~sport ~dst ~dport = expected
+      && Newt_nic.Rss.hash rss ~src:dst ~sport:dport ~dst:src ~dport:sport = expected)
+
 (* {2 Link} *)
 
 let test_link_delivers_in_order () =
@@ -182,6 +233,30 @@ let test_link_down_flushes_in_flight () =
   ignore (Engine.schedule e 100 (fun () -> Link.set_up l false));
   Engine.run e;
   Alcotest.(check int) "in-flight frame lost" 0 !got
+
+let test_link_down_frees_queue () =
+  (* Going down flushes the transmit queue at once: a link that comes
+     back up before the flushed frames would have landed accepts
+     frames again, and no stale delivery is left in the engine. *)
+  let e = Engine.create () in
+  let l = Link.create e ~queue_frames:2 () in
+  let got = ref 0 in
+  Link.attach l Link.Right (fun _ -> incr got);
+  Alcotest.(check bool) "1" true (Link.transmit l ~from:Link.Left (Bytes.create 1500));
+  Alcotest.(check bool) "2" true (Link.transmit l ~from:Link.Left (Bytes.create 1500));
+  let accepted = ref false in
+  ignore (Engine.schedule_at e 100 (fun () -> Link.set_up l false) : Engine.handle);
+  ignore (Engine.schedule_at e 200 (fun () -> Link.set_up l true) : Engine.handle);
+  ignore
+    (Engine.schedule_at e 300 (fun () ->
+         accepted := Link.transmit l ~from:Link.Left (Bytes.create 64))
+      : Engine.handle);
+  Engine.run ~until:300 e;
+  Alcotest.(check bool) "queue free after the link came back up" true !accepted;
+  Alcotest.(check int) "flushed frames counted" 2 (Link.dropped l);
+  Alcotest.(check int) "only the new frame is pending" 1 (Engine.pending e);
+  Engine.run e;
+  Alcotest.(check int) "only the new frame delivered" 1 !got
 
 let test_link_queue_overflow () =
   let e = Engine.create () in
@@ -579,10 +654,12 @@ let suite =
       test_ring_reap_after_complete_across_wrap );
     ("rss deterministic and symmetric", `Quick, test_rss_deterministic_and_symmetric);
     ("rss indirection table programming", `Quick, test_rss_indirection_table);
+    test_rss_matches_reference;
     ("link delivers frames in order", `Quick, test_link_delivers_in_order);
     ("link 1Gbps serialization time", `Quick, test_link_serialization_time);
     ("link down drops frames", `Quick, test_link_down_drops);
     ("link down flushes in-flight frames", `Quick, test_link_down_flushes_in_flight);
+    ("link down frees its transmit queue", `Quick, test_link_down_frees_queue);
     ("link queue overflow", `Quick, test_link_queue_overflow);
     ("link is full duplex", `Quick, test_link_full_duplex);
     ("offload finalizes tcp checksum", `Quick, test_offload_finalizes_tcp_csum);

@@ -115,15 +115,32 @@ let test_engine_until_clock () =
 
 (* Model test: random interleavings of schedule, cancel and step against
    a reference list of live events ordered by (time, scheduling order).
-   Thunks may cancel themselves (a no-op: they already fired), cancel
-   another event (possibly due at the same time, or already gone), or
-   schedule a new event. *)
-type action = Quiet | Cancel_self | Cancel_other of int | Spawn of int
+   Events go either straight into the queue or onto one of two lanes,
+   at a time no earlier than the lane's last, so lane events tie with
+   each other and with plain events. Thunks may cancel themselves (a
+   no-op: they already fired), cancel another event (possibly due at
+   the same time, or already gone; a lane event cannot be cancelled),
+   schedule a new event, or clear a lane. *)
+type action =
+  | Quiet
+  | Cancel_self
+  | Cancel_other of int
+  | Spawn of int
+  | Spawn_lane of int * int
+  | Clear of int
 
-type op = Schedule of int * action | Cancel of int | Step
+type op =
+  | Schedule of int * action
+  | Schedule_lane of int * int * action
+  | Clear_lane of int
+  | Cancel of int
+  | Step
+
+let lanes = 2
 
 let gen_op =
   QCheck2.Gen.(
+    let lane = int_range 0 (lanes - 1) in
     let action =
       oneof
         [
@@ -131,55 +148,98 @@ let gen_op =
           pure Cancel_self;
           map (fun k -> Cancel_other k) (int_range 0 63);
           map (fun d -> Spawn d) (int_range 0 3);
+          map2 (fun l d -> Spawn_lane (l, d)) lane (int_range 0 2);
+          map (fun l -> Clear l) lane;
         ]
     in
     frequency
       [
         (4, map2 (fun d a -> Schedule (d, a)) (int_range 0 3) action);
+        (4, map3 (fun l d a -> Schedule_lane (l, d, a)) lane (int_range 0 2) action);
+        (1, map (fun l -> Clear_lane l) lane);
         (2, map (fun k -> Cancel k) (int_range 0 63));
         (3, pure Step);
       ])
 
-let print_op = function
-  | Schedule (d, a) ->
-      Printf.sprintf "Schedule(%d,%s)" d
-        (match a with
-        | Quiet -> "quiet"
-        | Cancel_self -> "cancel-self"
-        | Cancel_other k -> Printf.sprintf "cancel %d" k
-        | Spawn d -> Printf.sprintf "spawn %d" d)
+let print_op =
+  let action = function
+    | Quiet -> "quiet"
+    | Cancel_self -> "cancel-self"
+    | Cancel_other k -> Printf.sprintf "cancel %d" k
+    | Spawn d -> Printf.sprintf "spawn %d" d
+    | Spawn_lane (l, d) -> Printf.sprintf "spawn lane %d +%d" l d
+    | Clear l -> Printf.sprintf "clear lane %d" l
+  in
+  function
+  | Schedule (d, a) -> Printf.sprintf "Schedule(%d,%s)" d (action a)
+  | Schedule_lane (l, d, a) -> Printf.sprintf "Schedule_lane(%d,%d,%s)" l d (action a)
+  | Clear_lane l -> Printf.sprintf "Clear_lane %d" l
   | Cancel k -> Printf.sprintf "Cancel %d" k
   | Step -> "Step"
 
+(* A lane event's time: [d] past the later of the clock and the lane's
+   last time, so a lane's times never decrease. *)
+let lane_time ~clock ~last d = max clock last + d
+
 let engine_matches_model ops =
   let e = Engine.create () in
-  (* Engine side: every handle ever made, and the ids that fired. *)
+  (* Engine side: every event's handle ([None] on a lane), each lane's
+     last time, and the ids that fired. *)
   let handles = ref [||] in
+  let lane = Array.init lanes (fun _ -> Engine.lane e) in
+  let last = Array.make lanes 0 in
   let fired = ref [] in
-  let rec schedule delay action =
+  let cleared = ref [] in
+  let rec run_action id = function
+    | Quiet -> ()
+    | Cancel_self -> Option.iter Engine.cancel !handles.(id)
+    | Cancel_other k -> Option.iter Engine.cancel !handles.(k mod Array.length !handles)
+    | Spawn d -> schedule d Quiet
+    | Spawn_lane (l, d) -> schedule_lane l d Quiet
+    | Clear l -> clear l
+  and thunk id action () =
+    fired := id :: !fired;
+    run_action id action
+  and schedule delay action =
     let id = Array.length !handles in
-    let h =
-      Engine.schedule e delay (fun () ->
-          fired := id :: !fired;
-          match action with
-          | Quiet -> ()
-          | Cancel_self -> Engine.cancel !handles.(id)
-          | Cancel_other k -> Engine.cancel !handles.(k mod Array.length !handles)
-          | Spawn d -> schedule d Quiet)
-    in
-    handles := Array.append !handles [| h |]
+    let h = Engine.schedule e delay (thunk id action) in
+    handles := Array.append !handles [| Some h |]
+  and schedule_lane l d action =
+    let id = Array.length !handles in
+    let at = lane_time ~clock:(Engine.now e) ~last:last.(l) d in
+    last.(l) <- at;
+    Engine.schedule_lane lane.(l) at (thunk id action);
+    handles := Array.append !handles [| None |]
+  and clear l =
+    cleared := Engine.clear_lane lane.(l) :: !cleared;
+    last.(l) <- 0
   in
   (* Model side: live (time, id) in firing order, the clock, the ids
-     fired, and each id's action. *)
+     fired, each id's action and lane, and each lane's last time. *)
   let live = ref [] and clock = ref 0 and model_fired = ref [] in
-  let actions = ref [||] in
-  let model_schedule at action =
+  let model_cleared = ref [] in
+  let actions = ref [||] and lane_of = ref [||] in
+  let model_last = Array.make lanes 0 in
+  let model_add at action l =
     live := List.merge compare !live [ (at, Array.length !actions) ];
-    actions := Array.append !actions [| action |]
+    actions := Array.append !actions [| action |];
+    lane_of := Array.append !lane_of [| l |]
+  in
+  let model_schedule at action = model_add at action None in
+  let model_schedule_lane l d action =
+    let at = lane_time ~clock:!clock ~last:model_last.(l) d in
+    model_last.(l) <- at;
+    model_add at action (Some l)
   in
   let model_cancel k =
     let id = k mod Array.length !actions in
-    live := List.filter (fun (_, i) -> i <> id) !live
+    if !lane_of.(id) = None then live := List.filter (fun (_, i) -> i <> id) !live
+  in
+  let model_clear l =
+    let on_lane, rest = List.partition (fun (_, i) -> !lane_of.(i) = Some l) !live in
+    live := rest;
+    model_cleared := List.length on_lane :: !model_cleared;
+    model_last.(l) <- 0
   in
   let model_step () =
     match !live with
@@ -191,29 +251,42 @@ let engine_matches_model ops =
         (match !actions.(id) with
         | Quiet | Cancel_self -> ()
         | Cancel_other k -> model_cancel k
-        | Spawn d -> model_schedule (at + d) Quiet);
+        | Spawn d -> model_schedule (at + d) Quiet
+        | Spawn_lane (l, d) -> model_schedule_lane l d Quiet
+        | Clear l -> model_clear l);
         true
+  in
+  let agree () =
+    Engine.pending e = List.length !live
+    && Engine.now e = !clock
+    && !fired = !model_fired
+    && !cleared = !model_cleared
   in
   List.for_all
     (fun op ->
-      let agree =
+      let ok =
         match op with
         | Schedule (d, a) ->
             schedule d a;
             model_schedule (!clock + d) a;
             true
+        | Schedule_lane (l, d, a) ->
+            schedule_lane l d a;
+            model_schedule_lane l d a;
+            true
+        | Clear_lane l ->
+            clear l;
+            model_clear l;
+            true
         | Cancel k ->
             if !actions <> [||] then begin
-              Engine.cancel !handles.(k mod Array.length !handles);
+              Option.iter Engine.cancel !handles.(k mod Array.length !handles);
               model_cancel k
             end;
             true
         | Step -> Engine.step e = model_step ()
       in
-      agree
-      && Engine.pending e = List.length !live
-      && Engine.now e = !clock
-      && !fired = !model_fired)
+      ok && agree ())
     ops
   && begin
        (* Drain both: the rest fires in the same order. *)
@@ -221,7 +294,7 @@ let engine_matches_model ops =
        while model_step () do
          ()
        done;
-       !fired = !model_fired && Engine.now e = !clock && Engine.pending e = 0
+       agree () && Engine.pending e = 0
      end
 
 let test_engine_model =
@@ -234,21 +307,41 @@ let test_engine_model =
 let test_engine_cancelled_thunk_collectable () =
   (* A cancelled event leaves the queue: nothing in the engine keeps its
      thunk, or what the thunk captures, reachable. The same holds for a
-     fired one. *)
+     fired one, and for lane events fired or cleared. *)
   let e = Engine.create () in
   let collected = ref 0 in
-  let arm delay =
+  let thunk delay =
     let captured = ref delay in
     Gc.finalise (fun _ -> incr collected) captured;
-    Engine.schedule e delay (fun () -> incr captured)
+    fun () -> incr captured
   in
+  let arm delay = Engine.schedule e delay (thunk delay) in
   Engine.cancel (arm 1_000_000);
   ignore (arm 10 : Engine.handle);
+  let fired = Engine.lane e and cleared = Engine.lane e in
+  Engine.schedule_lane fired 20 (thunk 20);
+  Engine.schedule_lane fired 30 (thunk 30);
+  Engine.schedule_lane cleared 3_000_000 (thunk 3_000_000);
+  Engine.schedule_lane cleared 4_000_000 (thunk 4_000_000);
   ignore (Engine.schedule e 2_000_000 ignore : Engine.handle);
   Engine.run ~until:100 e;
+  Alcotest.(check int) "two lane events cleared" 2 (Engine.clear_lane cleared);
   Gc.full_major ();
-  Alcotest.(check int) "cancelled and fired thunks collected" 2 !collected;
+  Alcotest.(check int) "cancelled, fired and cleared thunks collected" 6 !collected;
   Alcotest.(check int) "later event still pending" 1 (Engine.pending e)
+
+let test_engine_lane_rejects_earlier_time () =
+  let e = Engine.create () in
+  let l = Engine.lane e in
+  Engine.schedule_lane l 50 ignore;
+  Engine.schedule_lane l 50 ignore;
+  Alcotest.check_raises "earlier than the lane's last"
+    (Invalid_argument "Engine.schedule_lane: time earlier than the lane's last")
+    (fun () -> Engine.schedule_lane l 49 ignore);
+  Alcotest.(check int) "rejected event not queued" 2 (Engine.pending e);
+  ignore (Engine.clear_lane l : int);
+  Engine.schedule_lane l 10 ignore;
+  Alcotest.(check int) "a cleared lane starts afresh" 1 (Engine.pending e)
 
 let test_engine_nested_schedule () =
   let e = Engine.create () in
@@ -484,6 +577,9 @@ let suite =
     ( "engine cancelled and fired thunks are collectable",
       `Quick,
       test_engine_cancelled_thunk_collectable );
+    ( "engine lane rejects a time earlier than its last",
+      `Quick,
+      test_engine_lane_rejects_earlier_time );
     ("engine nested scheduling", `Quick, test_engine_nested_schedule);
     ("rng is deterministic per seed", `Quick, test_rng_deterministic);
     ("rng split gives independent stream", `Quick, test_rng_split_independent);
