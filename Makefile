@@ -2,7 +2,7 @@
 .PHONY: check build test fmt verify verify-protocol verify-continuous \
 	sanitize-smoke bench-smoke churn-smoke native-smoke model-check \
 	model-check-negative race-check fsm-check perf-smoke profile \
-	golden-check clean
+	golden-check golden-update clean
 
 check: build test fmt verify
 
@@ -23,25 +23,40 @@ fmt:
 # 2), and the 8x4x2 sharded stack through a shard crash
 # (crash-during-churn). A change that is meant to keep
 # the simulated numbers passes as is; one that changes them on purpose
-# regenerates the files with the same commands and says why.
+# regenerates the files with `make golden-update` and says why.
 SIM = dune exec bin/newtos_sim.exe --
 # Assert fields of a JSON output: GATE FILE EXPR... (FILE - for stdin).
 GATE = python3 bench/json_gate.py
+# The golden table: each file under test/golden/ and the newtos_sim
+# arguments that produce it. golden-check diffs against it and
+# golden-update regenerates from it.
+GOLDENS = table2.txt ablate.txt coalesce.txt crosscheck.txt scaling.txt \
+	campaign.json churn-listen-pressure.txt fig4.txt verify.json \
+	campaign-pf2.json churn-crash-during-churn.json
+GOLDEN_table2.txt = table2
+GOLDEN_ablate.txt = ablate
+GOLDEN_coalesce.txt = coalesce
+GOLDEN_crosscheck.txt = crosscheck
+GOLDEN_scaling.txt = scaling --duration 0.1
+GOLDEN_campaign.json = campaign --runs 20 --json
+GOLDEN_churn-listen-pressure.txt = churn --scenario listen-pressure
+GOLDEN_fig4.txt = fig4
+GOLDEN_verify.json = verify --json
+GOLDEN_campaign-pf2.json = campaign --runs 4 --pf-shards 2 --json
+GOLDEN_churn-crash-during-churn.json = churn --scenario crash-during-churn \
+	--duration 0.25 --rate 4000 --json
 golden-check: build
-	$(SIM) table2 | diff -u test/golden/table2.txt -
-	$(SIM) ablate | diff -u test/golden/ablate.txt -
-	$(SIM) coalesce | diff -u test/golden/coalesce.txt -
-	$(SIM) crosscheck | diff -u test/golden/crosscheck.txt -
-	$(SIM) scaling --duration 0.1 | diff -u test/golden/scaling.txt -
-	$(SIM) campaign --runs 20 --json | diff -u test/golden/campaign.json -
-	$(SIM) churn --scenario listen-pressure \
-	    | diff -u test/golden/churn-listen-pressure.txt -
-	$(SIM) fig4 | diff -u test/golden/fig4.txt -
-	$(SIM) verify --json | diff -u test/golden/verify.json -
-	$(SIM) campaign --runs 4 --pf-shards 2 --json \
-	    | diff -u test/golden/campaign-pf2.json -
-	$(SIM) churn --scenario crash-during-churn --duration 0.25 --rate 4000 \
-	    --json | diff -u test/golden/churn-crash-during-churn.json -
+	@test "$$(ls test/golden | sort)" = "$$(printf '%s\n' $(GOLDENS) | sort)" \
+	    || { echo "test/golden/ and GOLDENS list different files"; exit 1; }
+	@set -e; $(foreach f,$(GOLDENS), \
+	    echo "golden-check $(f): newtos_sim $(GOLDEN_$(f))"; \
+	    $(SIM) $(GOLDEN_$(f)) | diff -u test/golden/$(f) -;)
+
+golden-update: build
+	@set -e; $(foreach f,$(GOLDENS), \
+	    echo "golden-update $(f): newtos_sim $(GOLDEN_$(f))"; \
+	    $(SIM) $(GOLDEN_$(f)) > test/golden/$(f).new; \
+	    mv test/golden/$(f).new test/golden/$(f);)
 
 # Static channel-graph verification over every shipped configuration
 # (split stack plus all shard/replica combinations): SPSC discipline,

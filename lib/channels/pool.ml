@@ -54,6 +54,24 @@ let with_lock t f =
           Mutex.unlock m)
         f
 
+(* Successful allocs and single frees on this domain since the
+   innermost open [metered] call began. *)
+let ops_key = Domain.DLS.new_key (fun () -> ref 0)
+let count_op () = incr (Domain.DLS.get ops_key)
+
+let metered f =
+  let ops = Domain.DLS.get ops_key in
+  let outer = !ops in
+  ops := 0;
+  match f () with
+  | v ->
+      let n = !ops in
+      ops := outer;
+      (n, v)
+  | exception e ->
+      ops := outer;
+      raise e
+
 let id_counter = ref 0
 
 let fresh_id () =
@@ -104,6 +122,7 @@ let alloc t ~len =
       if Hook.enabled () then
         Hook.emit (Hook.Pool_alloc { pool = t.id; slot; gen = t.gens.(slot) });
       Hook.native_access Hook.N_pool_slot ~id:t.id ~sub:slot ~write:true;
+      count_op ();
       { Rich_ptr.pool = t.id; slot; off = 0; len; gen = t.gens.(slot) }
 
 let check ?(op = `Check) t (p : Rich_ptr.t) =
@@ -180,6 +199,7 @@ let free t p =
   if Hook.enabled () then
     Hook.emit (Hook.Pool_free { pool = t.id; slot; gen = p.Rich_ptr.gen });
   Hook.native_access Hook.N_pool_slot ~id:t.id ~sub:slot ~write:true;
+  count_op ();
   Stack.push slot t.free_list
 
 let free_all t =

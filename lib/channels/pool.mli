@@ -100,3 +100,10 @@ val free_all : t -> unit
 (** Owner side: release every slot (used when the owner restarts and
     reinitializes its pool, Section V-D). Generations advance for the
     slots that were live; resident storage is kept for reuse. *)
+
+val metered : (unit -> 'a) -> int * 'a
+(** [metered f] runs [f] and returns how many pool operations it
+    performed on the calling domain, with [f]'s result. An operation is
+    a successful {!alloc} or a single {!free}, in any pool; {!free_all}
+    is not one. Operations inside a nested [metered] call count only
+    for that call. The server runtime prices its work with it. *)

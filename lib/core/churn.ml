@@ -220,8 +220,7 @@ let run_sharded scenario ~rate ~duration ~shards ~ip_replicas ~pf_shards
           S.kill_shard s 0)
   | Baseline | Syn_flood | Listen_pressure -> ());
   S.run s ~until;
-  (* Let in-flight RPCs and the recovery drain before reading stats —
-     with the verifier attached, far enough that the world quiesces. *)
+  (* Let in-flight RPCs and the recovery drain before reading stats. *)
   S.run s ~until:(until + Time.of_seconds 0.5);
   (* With the FSM checker riding, cross-check every filter shard's
      conntrack confirmation bits against the checker's shadow states
@@ -233,11 +232,6 @@ let run_sharded scenario ~rate ~duration ~shards ~ip_replicas ~pf_shards
           (Printf.sprintf "churn %s: pf shard %d" (scenario_name scenario) i)
         (Pf_engine.conntrack (Pf_srv.engine_of (S.pf_shard s i)))
     done;
-  Option.iter
-    (fun v ->
-      S.run s ~until:(until + Time.of_seconds 0.75);
-      Continuous.end_run ~check_leaks:false v)
-    verify;
   let connect_h = Stats.Hist.create () and request_h = Stats.Hist.create () in
   List.iter
     (fun c ->
@@ -248,37 +242,47 @@ let run_sharded scenario ~rate ~duration ~shards ~ip_replicas ~pf_shards
   let pf = Array.to_list (S.pf_shard_stats s) in
   let sum_pf f = List.fold_left (fun acc p -> acc + f p) 0 pf in
   let completed = sum Apps.Rpc_churn.completed in
-  {
-    (empty_result scenario ~offered_rate:rate ~duration_s:duration) with
-    started = sum Apps.Rpc_churn.started;
-    completed;
-    rpc_errors = sum Apps.Rpc_churn.errors;
-    shed = sum Apps.Rpc_churn.shed;
-    completed_rate = float_of_int completed /. duration;
-    connect = tail_of_hist connect_h;
-    request = tail_of_hist request_h;
-    bulk_goodput_gbps = float_of_int !bulk_received *. 8.0 /. duration /. 1e9;
-    listen_overflows =
-      (let t = ref 0 in
-       for i = 0 to shards - 1 do
-         t := !t + Tcp_srv.listen_overflows (S.tcp_shard s i)
-       done;
-       !t);
-    flood_syns = !flood_syns;
-    conntrack_entries = sum_pf (fun p -> p.S.entries);
-    conntrack_half_open = sum_pf (fun p -> p.S.half_open);
-    evicted_half_open = sum_pf (fun p -> p.S.evicted_half_open);
-    evicted_established = sum_pf (fun p -> p.S.evicted_established);
-    conns_at_kill = !conns_at_kill;
-    shard_restarts =
-      (let t = ref 0 in
-       for i = 0 to shards - 1 do
-         t := !t + S.shard_restarts s i
-       done;
-       !t);
-    steering_violations = S.steering_violations s;
-    checksum_failures = Sink.checksum_failures (S.sink s);
-  }
+  let result =
+    {
+      (empty_result scenario ~offered_rate:rate ~duration_s:duration) with
+      started = sum Apps.Rpc_churn.started;
+      completed;
+      rpc_errors = sum Apps.Rpc_churn.errors;
+      shed = sum Apps.Rpc_churn.shed;
+      completed_rate = float_of_int completed /. duration;
+      connect = tail_of_hist connect_h;
+      request = tail_of_hist request_h;
+      bulk_goodput_gbps = float_of_int !bulk_received *. 8.0 /. duration /. 1e9;
+      listen_overflows =
+        (let t = ref 0 in
+         for i = 0 to shards - 1 do
+           t := !t + Tcp_srv.listen_overflows (S.tcp_shard s i)
+         done;
+         !t);
+      flood_syns = !flood_syns;
+      conntrack_entries = sum_pf (fun p -> p.S.entries);
+      conntrack_half_open = sum_pf (fun p -> p.S.half_open);
+      evicted_half_open = sum_pf (fun p -> p.S.evicted_half_open);
+      evicted_established = sum_pf (fun p -> p.S.evicted_established);
+      conns_at_kill = !conns_at_kill;
+      shard_restarts =
+        (let t = ref 0 in
+         for i = 0 to shards - 1 do
+           t := !t + S.shard_restarts s i
+         done;
+         !t);
+      steering_violations = S.steering_violations s;
+      checksum_failures = Sink.checksum_failures (S.sink s);
+    }
+  in
+  (* The result is read above, at the same simulated time armed or not;
+     the verifier then runs on until the world quiesces. *)
+  Option.iter
+    (fun v ->
+      S.run s ~until:(until + Time.of_seconds 0.75);
+      Continuous.end_run ~check_leaks:false v)
+    verify;
+  result
 
 (* {1 Listen-queue pressure}
 
@@ -351,22 +355,25 @@ let run_listen_pressure ~rate ~duration ~backlog ~accept_interval ~seed
   in
   client (Time.of_seconds 0.01);
   Host.run h ~until:(until + Time.of_seconds 0.5);
+  let result =
+    {
+      (empty_result Listen_pressure ~offered_rate:rate ~duration_s:duration) with
+      started = !started;
+      completed = !established;
+      completed_rate = float_of_int !established /. duration;
+      connect = tail_of_hist connect_h;
+      listen_overflows = Tcp_srv.listen_overflows (Host.tcp_srv h);
+      accepted = !accepted;
+      client_resets = !resets;
+      checksum_failures = Sink.checksum_failures sink;
+    }
+  in
   Option.iter
     (fun v ->
       Host.run h ~until:(until + Time.of_seconds 0.75);
       Continuous.end_run ~check_leaks:false v)
     verify;
-  {
-    (empty_result Listen_pressure ~offered_rate:rate ~duration_s:duration) with
-    started = !started;
-    completed = !established;
-    completed_rate = float_of_int !established /. duration;
-    connect = tail_of_hist connect_h;
-    listen_overflows = Tcp_srv.listen_overflows (Host.tcp_srv h);
-    accepted = !accepted;
-    client_resets = !resets;
-    checksum_failures = Sink.checksum_failures sink;
-  }
+  result
 
 let run ?(scenario = Baseline) ?(rate = 10_000.0) ?(duration = 1.0)
     ?(shards = 8) ?(ip_replicas = 4) ?(pf_shards = 2) ?(bulk_flows = 4)

@@ -57,9 +57,12 @@ type event_peak = {
   ip_util : float;
   pf_util : float;
   drv_util : float;
+  segs_per_unit : float;
 }
 
-let split_peak_event_sim ?(nics = 5) ?(duration = 1.0) ?(coalesce_drivers = false) () =
+(* Also returns the bytes delivered and the pool operations the TCP
+   server was charged. *)
+let split_peak_run ~nics ~duration ~coalesce_drivers () =
   let config =
     { Host.default_config with Host.nics; app_cores = nics; coalesce_drivers }
   in
@@ -84,22 +87,33 @@ let split_peak_event_sim ?(nics = 5) ?(duration = 1.0) ?(coalesce_drivers = fals
     List.fold_left max 0.0 (List.init nics (fun i -> util (Host.C_drv i)))
   in
   let total = Array.fold_left ( + ) 0 totals in
-  {
-    goodput_gbps = float_of_int total *. 8.0 /. duration /. 1e9;
-    capacity_prediction_gbps =
-      (Capacity.evaluate ~nics Capacity.Split_dedicated_sc).Capacity.goodput_gbps;
-    per_link_mbps =
-      Array.to_list
-        (Array.map (fun t -> float_of_int t *. 8.0 /. duration /. 1e6) totals);
-    tcp_util = util Host.C_tcp;
-    ip_util = util Host.C_ip;
-    pf_util = util Host.C_pf;
-    drv_util;
-  }
+  let segs = Newt_stack.Tcp_srv.total_segs_out (Host.tcp_srv h) in
+  let peak =
+    {
+      goodput_gbps = float_of_int total *. 8.0 /. duration /. 1e9;
+      capacity_prediction_gbps =
+        (Capacity.evaluate ~nics Capacity.Split_dedicated_sc).Capacity.goodput_gbps;
+      per_link_mbps =
+        Array.to_list
+          (Array.map (fun t -> float_of_int t *. 8.0 /. duration /. 1e6) totals);
+      tcp_util = util Host.C_tcp;
+      ip_util = util Host.C_ip;
+      pf_util = util Host.C_pf;
+      drv_util;
+      segs_per_unit = float_of_int segs /. (float_of_int total /. 1460.0);
+    }
+  in
+  (total, Newt_stack.Proc.pool_ops (Host.proc_of h Host.C_tcp), peak)
+
+let split_peak_event_sim ?(nics = 5) ?(duration = 1.0) ?(coalesce_drivers = false) () =
+  let _, _, peak = split_peak_run ~nics ~duration ~coalesce_drivers () in
+  peak
 
 (* The single-server topology (Table II line 4), packet level: the same
-   protocol code as the split stack, deployed as one merged server. *)
-let single_server_event_sim ?(nics = 5) ?(duration = 1.0) () =
+   protocol code as the split stack, deployed as one merged server.
+   Also returns the bytes delivered and the pool operations the merged
+   server was charged. *)
+let single_server_run ~nics ~duration () =
   let module Machine = Newt_hw.Machine in
   let module Registry = Newt_channels.Registry in
   let module Sim_chan = Newt_channels.Sim_chan in
@@ -182,7 +196,35 @@ let single_server_event_sim ?(nics = 5) ?(duration = 1.0) () =
   let util =
     Newt_hw.Cpu.utilization stk_core ~now:(Engine.now engine)
   in
-  (float_of_int total *. 8.0 /. duration /. 1e9, util)
+  (total, Proc.pool_ops stk_proc, (float_of_int total *. 8.0 /. duration /. 1e9, util))
+
+let single_server_event_sim ?(nics = 5) ?(duration = 1.0) () =
+  let _, _, r = single_server_run ~nics ~duration () in
+  r
+
+(* {2 Pool operations: charged and modelled} *)
+
+type pool_accounting = { charged_per_unit : float; model_per_segment : float }
+
+let pool_accounting ?(nics = 5) ?(duration = 0.2) stage =
+  let (total, charged), config, label =
+    match stage with
+    | `Split_tcp ->
+        let total, charged, _ = split_peak_run ~nics ~duration ~coalesce_drivers:false () in
+        ((total, charged), Capacity.Split_dedicated_sc, "tcp server")
+    | `Single ->
+        let total, charged, _ = single_server_run ~nics ~duration () in
+        ((total, charged), Capacity.Single_server_sc, "stack server (tcp+ip)")
+  in
+  let stage =
+    List.find
+      (fun s -> s.Capacity.label = label)
+      (Capacity.evaluate config).Capacity.stages
+  in
+  {
+    charged_per_unit = float_of_int charged /. (float_of_int total /. 1460.0);
+    model_per_segment = stage.Capacity.pool_ops_per_segment;
+  }
 
 type minix_result = {
   minix_mbps : float;

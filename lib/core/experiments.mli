@@ -23,6 +23,9 @@ type event_peak = {
   ip_util : float;
   pf_util : float;
   drv_util : float;  (** Busiest driver core. *)
+  segs_per_unit : float;
+      (** Segments the TCP engine emitted per 1460 bytes delivered —
+          1.0 when every segment is full. *)
 }
 
 val split_peak_event_sim :
@@ -38,6 +41,23 @@ val single_server_event_sim : ?nics:int -> ?duration:float -> unit -> float * fl
     same protocol code as the split stack deployed as one merged server
     behind the SYSCALL server. Returns (goodput Gbps, merged-server core
     utilization). *)
+
+(** {2 Pool operations: what a server is charged, what the model counts} *)
+
+type pool_accounting = {
+  charged_per_unit : float;
+      (** Pool operations the stage's server was charged
+          ({!Newt_stack.Proc.pool_ops}) per 1460 bytes delivered. *)
+  model_per_segment : float;
+      (** The {!Newt_stack.Capacity} stage's [pool_ops_per_segment]. *)
+}
+
+val pool_accounting :
+  ?nics:int -> ?duration:float -> [ `Split_tcp | `Single ] -> pool_accounting
+(** Run the split stack ({!split_peak_event_sim}) or the single server
+    ({!single_server_event_sim}) at saturation (default five links,
+    0.2 s) and account for the pool operations of its TCP stage, the
+    split TCP server or the merged stack server, over the whole run. *)
 
 type minix_result = {
   minix_mbps : float;

@@ -24,6 +24,7 @@ type t = {
   pf_base : Time.cycles;
   pf_rule_cost : Time.cycles;
   driver_packet_work : Time.cycles;
+  pool_op : Time.cycles;
   confirm_batch : int;
   syscall_msg_size : int;
   mono_wire_packet_work : Time.cycles;
@@ -57,6 +58,7 @@ let default =
     pf_base = 200;
     pf_rule_cost = 15;
     driver_packet_work = 300;
+    pool_op = 100;
     confirm_batch = 8;
     syscall_msg_size = 64;
     mono_wire_packet_work = 2300;

@@ -86,6 +86,12 @@ type t = {
   driver_packet_work : Time.cycles;
       (** Driver work per packet: fill a descriptor, advance the ring
           tail. The paper notes this is "extremely small". *)
+  pool_op : Time.cycles;
+      (** One [Pool.alloc] or one [Pool.free]: pop or push the free
+          list, bump the slot's generation. Every server charges it for
+          each pool operation it performs, in the cost of the handler
+          or [Proc.exec] that performs it, and the capacity model counts
+          the same operations per segment. *)
   confirm_batch : int;
       (** How many TX completions an in-process ring scan handles per
           event. Cross-domain confirms are per-request messages (the

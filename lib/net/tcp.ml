@@ -503,16 +503,21 @@ and output_data pcb =
   else if pcb.snd_wnd > 0 then stop_persist pcb;
   if unsent > 0 && (not fin_in_flight) && usable > 0 then begin
     let len = min (min unsent usable) seg_limit in
-    (* Avoid silly-window segments: send a short segment only when it
-       flushes the buffer — but never idle the connection with data
-       queued (when nothing is in flight, a sub-MSS window must still
-       be used, or a shrunken window deadlocks the transfer). *)
-    if len >= min pcb.mss seg_limit || len = unsent || fl = 0 then begin
+    (* A short segment is either window-limited (silly-window
+       avoidance holds it) or the buffer's tail (Nagle, RFC 896, holds
+       it while data is in flight, as lwIP's [tcp_do_output_nagle]
+       does). The tail still goes at once when no later write can fill
+       it: the connection is closing, or the send buffer is full. With
+       nothing in flight any short segment goes, so a shrunken window
+       cannot deadlock the transfer. *)
+    let full = len >= min pcb.mss seg_limit in
+    let tail = len = unsent in
+    if full || fl = 0 || (tail && (pcb.close_pending || Bytebuf.available pcb.sndbuf = 0))
+    then begin
       let payload = Bytebuf.peek pcb.sndbuf ~off:sent_data ~len in
-      let push = len = unsent in
       (if pcb.rtt_probe = None then
          pcb.rtt_probe <- Some (pcb.snd_nxt, pcb.t.env.now ()));
-      emit_seg pcb ~seq:pcb.snd_nxt ~payload ~push Tcp_wire.flag_ack;
+      emit_seg pcb ~seq:pcb.snd_nxt ~payload ~push:tail Tcp_wire.flag_ack;
       pcb.delack_pending <- 0;
       pcb.snd_nxt <- Seq32.add pcb.snd_nxt len;
       pcb.snd_max <- Seq32.max pcb.snd_max pcb.snd_nxt;

@@ -1,7 +1,7 @@
 (** A TCP engine: connection table, listeners, the RFC 793 state machine,
     Jacobson/Karn retransmission timing, slow start, congestion
-    avoidance, fast retransmit, delayed ACKs, MSS and window-scale
-    negotiation, and optional TSO-sized output segments.
+    avoidance, fast retransmit, delayed ACKs, Nagle's algorithm, MSS and
+    window-scale negotiation, and optional TSO-sized output segments.
 
     The engine is host-stack agnostic: it is driven through an {!env}
     record providing a clock, one-shot timers and a segment-emission
@@ -130,7 +130,10 @@ val abort : pcb -> unit
 val send : pcb -> Bytes.t -> off:int -> len:int -> int
 (** Queue up to [len] bytes of [data] starting at [off] (the window
     {!Bytebuf.push} takes); returns how many fit in the send buffer.
-    The bytes are copied in, so the caller may reuse or share [data]. *)
+    The bytes are copied in, so the caller may reuse or share [data].
+    Nagle's algorithm (RFC 896) holds a sub-MSS tail of the buffer
+    while data is in flight; the tail goes out once nothing is in
+    flight, when {!close} is pending, or when the send buffer is full. *)
 
 val recv : pcb -> max:int -> Bytes.t
 (** Drain up to [max] bytes of in-order received data. *)

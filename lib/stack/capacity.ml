@@ -30,7 +30,12 @@ let name = function
   | Split_dedicated_sc_tso -> "NewtOS, split stack, dedicated cores + SYSCALL + TSO"
   | Linux_10gbe -> "Linux, 10Gbe interface"
 
-type stage = { label : string; cycles_per_segment : float; capacity_gbps : float }
+type stage = {
+  label : string;
+  cycles_per_segment : float;
+  capacity_gbps : float;
+  pool_ops_per_segment : float;
+}
 
 type result = {
   config : config;
@@ -54,8 +59,45 @@ let msg_send (c : Costs.t) = float_of_int (c.Costs.channel_marshal + c.Costs.cha
 let msg_recv (c : Costs.t) =
   float_of_int (c.Costs.channel_dequeue + c.Costs.channel_demux + c.Costs.cacheline_transfer)
 
-let pool_op = 100.0 (* allocate or free one pool chunk *)
 let fi = float_of_int
+
+(* {2 Pool operations}
+
+   What each stage's server allocates and frees, per (super-)segment it
+   sends and per ACK it receives. The server runtime charges
+   [Costs.pool_op] for each call a server makes (Proc.pool_ops), so
+   these counts must match what the servers do. An ACK arrives per two
+   wire packets. *)
+type pool_ops = { per_super : float; per_ack : float }
+
+(* Split TCP: a header chunk and the payload chunks are allocated per
+   segment and freed at its confirm. *)
+let split_tcp_pool_ops ~mss ~tso_factor =
+  let payload = int_of_float (Float.round (fi mss *. tso_factor)) in
+  let chunk = Tcp_srv.chunk_size in
+  let chunks = 1 + ((payload + chunk - 1) / chunk) in
+  { per_super = fi (2 * chunks); per_ack = 0.0 }
+
+(* Split IP: the merged header is allocated and freed at the driver's
+   confirm; an ACK's receive buffer is freed at the transport's
+   Rx_done. *)
+let split_ip_pool_ops = { per_super = 2.0; per_ack = 1.0 }
+
+(* Driver: each reaped receive descriptor is re-armed with a fresh
+   buffer. *)
+let driver_pool_ops = { per_super = 0.0; per_ack = 1.0 }
+
+(* Single server: the frame is allocated and freed at its completion;
+   an ACK's receive buffer is freed in place. *)
+let single_pool_ops = { per_super = 2.0; per_ack = 1.0 }
+
+let no_pool_ops = { per_super = 0.0; per_ack = 0.0 }
+
+let pool_ops_per_segment ops ~tso_factor =
+  (ops.per_super /. tso_factor) +. (ops.per_ack /. 2.0)
+
+let pool_cycles (c : Costs.t) ops ~tso_factor =
+  fi c.Costs.pool_op *. pool_ops_per_segment ops ~tso_factor
 
 (* A synchronous kernel IPC round trip on a timeshared core: traps are
    cold (the kernel and the peer evict the caches) and each direction
@@ -88,54 +130,52 @@ let app_write_amortized (c : Costs.t) ~segs_per_write ~via_sc =
 
    Per (super-)segment the TCP core pays: the amortized syscall-channel
    traffic, the protocol work, the zero-copy handoff to IP (marshal +
-   enqueue; header-chunk allocation), the per-request transmit confirm
-   (dequeue + demux + request-database match) with the frees of the
-   header and payload chunks, and, per two wire packets, one incoming
-   ACK (relayed by IP as an individual message). *)
-let split_tcp_core (c : Costs.t) ~segs_per_write ~tso_factor =
+   enqueue), the per-request transmit confirm (dequeue + demux +
+   request-database match), the pool operations of
+   [split_tcp_pool_ops], and, per two wire packets, one incoming ACK
+   (relayed by IP as an individual message). *)
+let split_tcp_core (c : Costs.t) ~segs_per_write ~mss ~tso_factor =
   let sc_channel = (msg_recv c +. msg_send c) /. segs_per_write in
   let per_super =
-    fi c.Costs.tcp_segment_work +. msg_send c +. pool_op (* alloc hdr *)
-    +. msg_recv c (* Tx_ip_confirm *)
-    +. (2.0 *. pool_op) (* free hdr + payload chunks *)
+    fi c.Costs.tcp_segment_work +. msg_send c +. msg_recv c (* Tx_ip_confirm *)
   in
   (* ACKs arrive per two *wire* packets regardless of TSO. *)
   let ack = (msg_recv c +. fi c.Costs.tcp_ack_work +. (msg_send c /. 2.0)) /. 2.0 in
-  (sc_channel +. per_super) /. tso_factor +. ack
+  ((sc_channel +. per_super) /. tso_factor)
+  +. ack
+  +. pool_cycles c (split_tcp_pool_ops ~mss ~tso_factor) ~tso_factor
 
-let split_tcp_core_no_sc (c : Costs.t) ~segs_per_write ~tso_factor =
+let split_tcp_core_no_sc (c : Costs.t) ~segs_per_write ~mss ~tso_factor =
   (* The TCP server performs the blocking kernel receive + reply itself;
      kernel entries from the asynchronous event loop run cold. *)
   let syscall_handling =
     fi ((2 * c.Costs.trap_cold) + c.Costs.kipc_kernel_work) /. segs_per_write
   in
-  split_tcp_core c ~segs_per_write ~tso_factor +. syscall_handling
+  split_tcp_core c ~segs_per_write ~mss ~tso_factor +. syscall_handling
 
 (* The IP server core in the split stack: receives the transport
    request, builds the merged header (immutable pools force a private
    copy), filters through PF (round trip), hands the frame to the
-   driver, receives the (batched) driver completions, frees its header
-   chunk and relays a per-request confirm to the transport. Plus the
-   inbound half for ACKs: frame in, filter round trip, delivery to TCP,
-   free on Rx_done. *)
+   driver, receives the (batched) driver completions and relays a
+   per-request confirm to the transport. Plus the inbound half for
+   ACKs: frame in, filter round trip, delivery to TCP, Rx_done. Pool
+   operations: [split_ip_pool_ops]. *)
 let split_ip_core (c : Costs.t) ~tso_factor ~pf =
   let pf_round = if pf then msg_send c +. msg_recv c else 0.0 in
   let tx =
     msg_recv c
     +. fi (c.Costs.ip_tx_work + c.Costs.header_adjust)
-    +. pool_op (* alloc merged header *)
     +. pf_round
     +. msg_send c (* to driver *)
     +. (msg_recv c /. fi c.Costs.confirm_batch) (* batched completions *)
-    +. pool_op (* free header *)
     +. msg_send c (* confirm to transport *)
   in
   let rx_ack =
     (msg_recv c +. fi c.Costs.ip_rx_work +. pf_round +. msg_send c
-    +. msg_recv c (* Rx_done *) +. pool_op)
+    +. msg_recv c (* Rx_done *))
     /. 2.0
   in
-  (tx /. tso_factor) +. rx_ack
+  (tx /. tso_factor) +. rx_ack +. pool_cycles c split_ip_pool_ops ~tso_factor
 
 let pf_core (c : Costs.t) ~tso_factor =
   (* One verdict per outgoing (super-)segment, one per incoming ACK
@@ -149,12 +189,13 @@ let driver_core (c : Costs.t) ~tso_factor =
     +. (msg_send c /. fi c.Costs.confirm_batch)
   in
   let rx_ack = (fi c.Costs.driver_packet_work +. msg_send c) /. 2.0 in
-  (tx /. tso_factor) +. rx_ack
+  (tx /. tso_factor) +. rx_ack +. pool_cycles c driver_pool_ops ~tso_factor
 
 (* The merged single-server stack core: TCP and IP are function calls
    apart — no marshalling, no request tracking, no header-chunk copy
    between them, completions and receive-buffer returns are processed
-   by ring scans. It still talks to the driver servers over channels. *)
+   by ring scans. It still talks to the driver servers over channels.
+   Pool operations: [single_pool_ops]. *)
 let single_server_core (c : Costs.t) ~segs_per_write ~tso_factor =
   let sc_channel = (msg_recv c +. msg_send c) /. segs_per_write in
   let per_super =
@@ -162,14 +203,15 @@ let single_server_core (c : Costs.t) ~segs_per_write ~tso_factor =
     +. fi (c.Costs.ip_tx_work + c.Costs.header_adjust)
     +. msg_send c (* to driver *)
     +. (msg_recv c /. fi c.Costs.confirm_batch)
-    +. pool_op (* free pbuf at completion scan *)
   in
   let ack =
     (msg_recv c +. fi c.Costs.ip_rx_work +. fi c.Costs.tcp_ack_work
     +. (msg_send c /. fi c.Costs.confirm_batch))
     /. 2.0
   in
-  (sc_channel +. per_super) /. tso_factor +. ack
+  ((sc_channel +. per_super) /. tso_factor)
+  +. ack
+  +. pool_cycles c single_pool_ops ~tso_factor
 
 let sc_core (c : Costs.t) ~segs_per_write =
   (* Per application write: the kernel IPC receive ("it pays the
@@ -227,57 +269,49 @@ let evaluate ?(costs = Costs.default) ?nics ?(write_size = 8192) ?(mss = 1460) c
   let nics = Option.value nics ~default:default_nics in
   let gbps_per_nic = match config with Linux_10gbe -> 10.0 | _ -> 1.0 in
   let wire = wire_goodput_gbps ~nics ~gbps_per_nic ~mss in
-  let mk label cycles =
+  let mk ?(pool = no_pool_ops) ?(tso_factor = 1.0) label cycles =
     {
       label;
       cycles_per_segment = cycles;
       capacity_gbps = gbps_of_capacity ~bits_per_segment (cps /. cycles);
+      pool_ops_per_segment = pool_ops_per_segment pool ~tso_factor;
     }
+  in
+  let split_stages ~sc ~tso_factor =
+    let tcp_pool = split_tcp_pool_ops ~mss ~tso_factor in
+    [
+      (if sc then
+         mk ~pool:tcp_pool ~tso_factor "tcp server"
+           (split_tcp_core c ~segs_per_write ~mss ~tso_factor)
+       else
+         mk ~pool:tcp_pool ~tso_factor "tcp server (handles syscalls)"
+           (split_tcp_core_no_sc c ~segs_per_write ~mss ~tso_factor));
+      mk ~pool:split_ip_pool_ops ~tso_factor "ip server"
+        (split_ip_core c ~tso_factor ~pf:true);
+      mk "pf server" (pf_core c ~tso_factor);
+      mk ~pool:driver_pool_ops ~tso_factor "driver server" (driver_core c ~tso_factor);
+    ]
+    @ (if sc then [ mk "syscall server" (sc_core c ~segs_per_write) ] else [])
+    @ [ mk "app core" (app_write_amortized c ~segs_per_write ~via_sc:sc) ]
+  in
+  let single_stages ~tso_factor =
+    [
+      mk ~pool:single_pool_ops ~tso_factor "stack server (tcp+ip)"
+        (single_server_core c ~segs_per_write ~tso_factor);
+      mk ~pool:driver_pool_ops ~tso_factor "driver server" (driver_core c ~tso_factor);
+      mk "syscall server" (sc_core c ~segs_per_write);
+      mk "app core" (app_write_amortized c ~segs_per_write ~via_sc:true);
+    ]
   in
   let stages =
     match config with
     | Minix_sync ->
         [ mk "shared core (app+inet+driver)" (minix_core c ~segs_per_write ~mss ~write_size) ]
-    | Split_dedicated ->
-        [
-          mk "tcp server (handles syscalls)" (split_tcp_core_no_sc c ~segs_per_write ~tso_factor:1.0);
-          mk "ip server" (split_ip_core c ~tso_factor:1.0 ~pf:true);
-          mk "pf server" (pf_core c ~tso_factor:1.0);
-          mk "driver server" (driver_core c ~tso_factor:1.0);
-          mk "app core" (app_write_amortized c ~segs_per_write ~via_sc:false);
-        ]
-    | Split_dedicated_sc ->
-        [
-          mk "tcp server" (split_tcp_core c ~segs_per_write ~tso_factor:1.0);
-          mk "ip server" (split_ip_core c ~tso_factor:1.0 ~pf:true);
-          mk "pf server" (pf_core c ~tso_factor:1.0);
-          mk "driver server" (driver_core c ~tso_factor:1.0);
-          mk "syscall server" (sc_core c ~segs_per_write);
-          mk "app core" (app_write_amortized c ~segs_per_write ~via_sc:true);
-        ]
-    | Single_server_sc ->
-        [
-          mk "stack server (tcp+ip)" (single_server_core c ~segs_per_write ~tso_factor:1.0);
-          mk "driver server" (driver_core c ~tso_factor:1.0);
-          mk "syscall server" (sc_core c ~segs_per_write);
-          mk "app core" (app_write_amortized c ~segs_per_write ~via_sc:true);
-        ]
-    | Single_server_sc_tso ->
-        [
-          mk "stack server (tcp+ip)" (single_server_core c ~segs_per_write ~tso_factor);
-          mk "driver server" (driver_core c ~tso_factor);
-          mk "syscall server" (sc_core c ~segs_per_write);
-          mk "app core" (app_write_amortized c ~segs_per_write ~via_sc:true);
-        ]
-    | Split_dedicated_sc_tso ->
-        [
-          mk "tcp server" (split_tcp_core c ~segs_per_write ~tso_factor);
-          mk "ip server" (split_ip_core c ~tso_factor ~pf:true);
-          mk "pf server" (pf_core c ~tso_factor);
-          mk "driver server" (driver_core c ~tso_factor);
-          mk "syscall server" (sc_core c ~segs_per_write);
-          mk "app core" (app_write_amortized c ~segs_per_write ~via_sc:true);
-        ]
+    | Split_dedicated -> split_stages ~sc:false ~tso_factor:1.0
+    | Split_dedicated_sc -> split_stages ~sc:true ~tso_factor:1.0
+    | Single_server_sc -> single_stages ~tso_factor:1.0
+    | Single_server_sc_tso -> single_stages ~tso_factor
+    | Split_dedicated_sc_tso -> split_stages ~sc:true ~tso_factor
     | Linux_10gbe ->
         let app, softirq = mono_stages c ~write_size:65536 ~mss ~tso_factor in
         [ mk "app core (syscall+copy+tcp)" app; mk "kernel softirq per wire packet" softirq ]

@@ -34,7 +34,16 @@ val all : config list
 
 val name : config -> string
 
-type stage = { label : string; cycles_per_segment : float; capacity_gbps : float }
+type stage = {
+  label : string;
+  cycles_per_segment : float;
+  capacity_gbps : float;
+  pool_ops_per_segment : float;
+      (** [Pool.alloc] and [Pool.free] calls the stage's server makes
+          per segment, each priced at [Costs.pool_op] inside
+          [cycles_per_segment] — the same calls the server charges
+          when it runs. *)
+}
 
 type result = {
   config : config;

@@ -247,13 +247,27 @@ let to_filter t pending =
 
 (* Build the merged Ethernet+IP+L4-header chunk and queue the packet for
    the outgoing filter pass. [l4chain]'s first chunk must be the L4
-   header (with a partial checksum for the NIC to finalize). *)
+   header (with a partial checksum for the NIC to finalize).
+
+   A Local request's chunks (an ICMP reply IP built itself) belong to
+   no transport that would free them at its confirm: IP frees them
+   once the header is copied into the merged one, or when it gives
+   up on the packet. *)
 let start_tx t ~origin ~src ~dst ~proto ~l4chain ~tso =
+  let free_local chunks =
+    match origin with
+    | Local -> List.iter (free_hdr t) chunks
+    | From_tcp _ | From_udp _ -> ()
+  in
+  let fail () =
+    free_local l4chain;
+    confirm_origin t origin false
+  in
   match Ipv4.Route.lookup t.route_table dst with
-  | None -> confirm_origin t origin false
+  | None -> fail ()
   | Some route -> (
       let i = route.Ipv4.Route.iface in
-      if i >= iface_count t then confirm_origin t origin false
+      if i >= iface_count t then fail ()
       else
         let ifc = iface t i in
         let next_hop =
@@ -261,7 +275,7 @@ let start_tx t ~origin ~src ~dst ~proto ~l4chain ~tso =
         in
         let continue dst_mac =
           match l4chain with
-        | [] -> confirm_origin t origin false
+        | [] -> fail ()
         | l4hdr_ptr :: payload_chunks -> (
             match Registry.read t.registry l4hdr_ptr with
             | exception (Pool.Stale_pointer _ | Registry.Unknown_pool _) ->
@@ -269,16 +283,16 @@ let start_tx t ~origin ~src ~dst ~proto ~l4chain ~tso =
                    request waited in our queue: an invalid request, to
                    be ignored (Section IV-A). *)
                 Stats.incr (Proc.stats t.proc) "stale_request";
-                confirm_origin t origin false
+                fail ()
             | l4hdr ->
             let l4hdr_len = Bytes.length l4hdr in
             let total_len = 20 + Rich_ptr.chain_len l4chain in
-            if total_len > 0xffff then confirm_origin t origin false
+            if total_len > 0xffff then fail ()
             else begin
               t.ident <- (t.ident + 1) land 0xffff;
               let hdr_len = 14 + 20 + l4hdr_len in
               match Pool.alloc t.hdr_pool ~len:hdr_len with
-              | exception Pool.Pool_exhausted -> confirm_origin t origin false
+              | exception Pool.Pool_exhausted -> fail ()
               | hdr_ptr ->
                   let hdr = Bytes.create hdr_len in
                   Ethernet.encode_header
@@ -296,6 +310,7 @@ let start_tx t ~origin ~src ~dst ~proto ~l4chain ~tso =
                     hdr ~off:14;
                   Bytes.blit l4hdr 0 hdr 34 l4hdr_len;
                   Pool.write t.hdr_pool hdr_ptr ~src:hdr ~src_off:0;
+                  free_local [ l4hdr_ptr ];
                   let chain = hdr_ptr :: payload_chunks in
                   (* The filter classifies on the IP + L4 header bytes. *)
                   let pkt = Bytes.sub hdr 14 (20 + l4hdr_len) in
@@ -326,7 +341,7 @@ let start_tx t ~origin ~src ~dst ~proto ~l4chain ~tso =
             | ptr ->
                 Pool.write t.hdr_pool ptr ~src:frame ~src_off:0;
                 transmit_frame t ~iface:i ~origin:Local ~hdr:ptr ~chain:[ ptr ] ~tso:false)
-        | `Dropped -> confirm_origin t origin false)
+        | `Dropped -> fail ())
 
 (* {2 Receive path} *)
 

@@ -8,6 +8,7 @@ module Machine = Newt_hw.Machine
 module Costs = Newt_hw.Costs
 module Sim_chan = Newt_channels.Sim_chan
 module Hook = Newt_channels.Hook
+module Pool = Newt_channels.Pool
 
 type handler = Msg.t -> Time.cycles * (unit -> unit)
 
@@ -27,6 +28,7 @@ type t = {
   mutable version : int;
   mutable on_crash : unit -> unit;
   mutable on_restart : fresh:bool -> unit;
+  mutable pool_ops : int;  (* pool operations charged so far *)
   wake_posted : bool Atomic.t;
       (* Native mode: a wake has been posted to the owning domain and
          not yet consumed — dedupes producer-side doorbells. *)
@@ -53,6 +55,7 @@ let create machine ~name ~core ?trace () =
     version = 1;
     on_crash = (fun () -> ());
     on_restart = (fun ~fresh:_ -> ());
+    pool_ops = 0;
     wake_posted = Atomic.make false;
   }
 
@@ -63,6 +66,23 @@ let stats t = t.stats
 let incarnation t = t.incarnation
 let alive t = t.alive
 let responsive t = t.alive && not t.hung
+let pool_ops t = t.pool_ops
+
+(* Pool operations are priced where they happen: every piece of work
+   the runtime runs for a server is metered ({!Pool.metered}), and the
+   [Costs.pool_op] of each operation it performed is charged on the
+   server's core right after it. *)
+let charge_pool t n =
+  if n > 0 then begin
+    t.pool_ops <- t.pool_ops + n;
+    if not (Exec.is_native (Machine.exec t.machine)) then
+      Cpu.exec t.core ~proc:t.pid ~cost:(n * (Machine.costs t.machine).Costs.pool_op) ignore
+  end
+
+(* Crash and restart notifications are recovery, not data-path work:
+   their pool operations are not charged, also when a notification runs
+   inside another server's metered work (DESIGN §3c). *)
+let unmetered f = ignore (Pool.metered f : int * unit)
 
 let record t msg =
   match t.trace with
@@ -86,7 +106,8 @@ let guard t k =
   let inc = t.incarnation in
   fun () ->
     if t.alive && (not t.hung) && t.incarnation = inc then
-      with_actor ~epoch:inc t.name k
+      let n, () = Pool.metered (fun () -> with_actor ~epoch:inc t.name k) in
+      charge_pool t n
 
 let exec t ~cost k =
   if t.alive && not t.hung then Cpu.exec t.core ~proc:t.pid ~cost (guard t k)
@@ -154,15 +175,18 @@ and serve t chan msg handler =
             Hook.Chan_receive { chan; ptr });
         emit_protocol chan msg `Received);
   let costs = Machine.costs t.machine in
-  let work_cost, effect =
-    with_actor ~epoch:t.incarnation t.name (fun () -> handler msg)
+  let n, (work_cost, effect) =
+    Pool.metered (fun () ->
+        with_actor ~epoch:t.incarnation t.name (fun () -> handler msg))
   in
+  t.pool_ops <- t.pool_ops + n;
   Cpu.exec t.core ~proc:t.pid
-    ~cost:(recv_cost costs + work_cost)
+    ~cost:(recv_cost costs + work_cost + (n * costs.Costs.pool_op))
     (let inc = t.incarnation in
      fun () ->
        if t.alive && (not t.hung) && t.incarnation = inc then begin
-         with_actor ~epoch:inc t.name effect;
+         let n, () = Pool.metered (fun () -> with_actor ~epoch:inc t.name effect) in
+         charge_pool t n;
          drain t
        end)
 
@@ -230,7 +254,7 @@ let crash t =
     t.hung <- false;
     t.updating <- false;
     t.draining <- false;
-    with_actor ~epoch:t.incarnation t.name t.on_crash
+    unmetered (fun () -> with_actor ~epoch:t.incarnation t.name t.on_crash)
   end
 
 let hang t =
@@ -247,12 +271,14 @@ let restart t =
   t.hung <- false;
   t.updating <- false;
   t.draining <- false;
-  with_actor ~epoch:t.incarnation t.name (fun () ->
-      t.on_restart ~fresh:false);
+  unmetered (fun () ->
+      with_actor ~epoch:t.incarnation t.name (fun () ->
+          t.on_restart ~fresh:false));
   wake t
 
 let start_fresh t =
-  with_actor ~epoch:t.incarnation t.name (fun () -> t.on_restart ~fresh:true);
+  unmetered (fun () ->
+      with_actor ~epoch:t.incarnation t.name (fun () -> t.on_restart ~fresh:true));
   wake t
 
 (* A restart procedure gone wrong can revive the server on another

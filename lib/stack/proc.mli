@@ -20,7 +20,8 @@ type t
 type handler = Msg.t -> Newt_sim.Time.cycles * (unit -> unit)
 (** Per-message work: (processing cost on the server's core, effect to
     run when the cost has been paid). The runtime separately charges the
-    per-message dequeue/demux/cache-stall costs. *)
+    per-message dequeue/demux/cache-stall costs and the pool operations
+    the work performs ({!pool_ops}). *)
 
 val create :
   Newt_hw.Machine.t ->
@@ -62,6 +63,16 @@ val after : t -> Newt_sim.Time.cycles -> cost:Newt_sim.Time.cycles -> (unit -> u
 
 val wake : t -> unit
 (** Force a drain pass (used after restarts). *)
+
+val pool_ops : t -> int
+(** Pool operations this server has been charged for, across
+    incarnations. The runtime meters every handler, effect and {!exec}
+    or {!after} continuation it runs for the server
+    ({!Newt_channels.Pool.metered}) and charges {!Newt_hw.Costs}'
+    [pool_op] on the server's core for each [Pool.alloc] and
+    [Pool.free] the work performed: operations in a handler's body are
+    added to its cost, those in an effect or continuation are charged
+    right after it. Crash and restart notifications are not charged. *)
 
 val set_send_overhead : (unit -> unit) option -> unit
 (** Process-wide extra work charged on every {!send} — the native

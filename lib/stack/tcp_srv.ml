@@ -477,9 +477,11 @@ let handle_msg t msg =
 
 (* {2 Construction} *)
 
+let chunk_size = 2048
+
 let create comp ~registry ~local_addr ?tcp_config ~save ~load () =
   let machine = Component.machine comp in
-  let pool = Pool.create ~id:(Pool.fresh_id ()) ~slots:8192 ~slot_size:2048 in
+  let pool = Pool.create ~id:(Pool.fresh_id ()) ~slots:8192 ~slot_size:chunk_size in
   Registry.register registry pool;
   let tcp_config = Option.value tcp_config ~default:Tcp.default_config in
   (* A throwaway engine breaks the [t]/[engine] knot; it is replaced

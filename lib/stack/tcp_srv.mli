@@ -24,6 +24,10 @@
 
 type t
 
+val chunk_size : int
+(** Bytes per chunk of the server's pool: a segment's payload takes one
+    chunk per [chunk_size] bytes, next to its header chunk. *)
+
 val create :
   Component.t ->
   registry:Newt_channels.Registry.t ->

@@ -202,6 +202,30 @@ let test_pool_exhaustion () =
   Alcotest.check_raises "exhausted" Pool.Pool_exhausted (fun () ->
       ignore (Pool.alloc p ~len:1))
 
+let test_pool_metered () =
+  let p = Pool.create ~id:7 ~slots:2 ~slot_size:8 in
+  let q = Pool.create ~id:8 ~slots:1 ~slot_size:8 in
+  let n, inner =
+    Pool.metered (fun () ->
+        let a = Pool.alloc p ~len:1 in
+        let b = Pool.alloc p ~len:1 in
+        (* Refused operations are not operations. *)
+        (try ignore (Pool.alloc p ~len:1) with Pool.Pool_exhausted -> ());
+        Pool.free p a;
+        (try Pool.free p a with Pool.Double_free _ -> ());
+        (* A nested metered call keeps its own count. *)
+        let inner, () =
+          Pool.metered (fun () ->
+              Pool.free p b;
+              ignore (Pool.alloc q ~len:1))
+        in
+        inner)
+  in
+  Alcotest.(check int) "two allocs and a free, across pools" 3 n;
+  Alcotest.(check int) "nested call counts its own" 2 inner;
+  Alcotest.(check int) "free_all is not an operation" 0
+    (fst (Pool.metered (fun () -> Pool.free_all q)))
+
 let test_pool_sub_ptr () =
   let p = Pool.create ~id:5 ~slots:1 ~slot_size:32 in
   let ptr = Pool.alloc p ~len:20 in
@@ -827,6 +851,7 @@ let suite =
       test_pool_free_after_crash_reclaim_is_stale);
     ("pool generations on slot reuse", `Quick, test_pool_generation_reuse);
     ("pool exhaustion raises", `Quick, test_pool_exhaustion);
+    ("pool metered counts its own operations", `Quick, test_pool_metered);
     ("pool sub pointers", `Quick, test_pool_sub_ptr);
     ("pool free_all", `Quick, test_pool_free_all);
     ("pool free_all keeps storage and generations", `Quick,

@@ -426,6 +426,63 @@ let test_single_server_beats_split_emergently () =
   Alcotest.(check bool) "both CPU-bound" true
     (split.E.tcp_util > 0.95 && single_util > 0.95)
 
+let test_split_bulk_sends_full_segments () =
+  (* Nagle: the tail of each 8 KiB write waits for the next write
+     instead of leaving as a short segment (5 x 1460 + 892 bytes per
+     write, 1.17 segments per 1460 delivered bytes, without it). *)
+  let r = Newt_core.Experiments.split_peak_event_sim ~duration:0.1 () in
+  let module E = Newt_core.Experiments in
+  Alcotest.(check bool)
+    (Printf.sprintf "<= 1.01 segments per 1460 B delivered (got %.3f)" r.E.segs_per_unit)
+    true
+    (r.E.segs_per_unit <= 1.01)
+
+let test_pool_ops_charged_as_modelled () =
+  (* The runtime charges the TCP stage of each design one
+     [Costs.pool_op] per pool call it makes; the capacity model must
+     count the same calls. *)
+  let module E = Newt_core.Experiments in
+  List.iter
+    (fun (name, stage) ->
+      let a = E.pool_accounting stage in
+      let near what x y = Alcotest.(check bool)
+          (Printf.sprintf "%s: %s (%.3f vs %.3f)" name what x y)
+          true
+          (abs_float (x -. y) <= 0.01 *. y)
+      in
+      near "charged = model" a.E.charged_per_unit a.E.model_per_segment)
+    [ ("split tcp", `Split_tcp); ("single server", `Single) ]
+
+let test_echo_replies_return_their_chunks () =
+  (* IP builds an echo reply in a chunk of its header pool and copies it
+     into the frame's merged header; the chunk must go back to the pool
+     (it used to leak one slot per reply, so a ping every 100 us ran
+     the 8192-slot pool dry in under a second). *)
+  let h = make_host () in
+  let sink = Host.sink h 0 in
+  let replies = ref 0 in
+  for i = 1 to 200 do
+    Host.at h (sec (0.001 *. float_of_int i)) (fun () ->
+        Sink.ping sink ~dst:(Host.local_addr h 0) (fun ~rtt:_ -> incr replies))
+  done;
+  Host.run h ~until:(sec 0.5);
+  Alcotest.(check int) "every ping answered" 200 !replies;
+  Alcotest.(check int) "header pool back to empty" 0
+    (Newt_stack.Ip_srv.hdr_pool_in_use (Host.ip_srv h));
+  (* With no route back, IP gives up on each reply it built: the chunk
+     must go back to the pool on that path too. *)
+  Newt_stack.Ip_srv.clear_routes (Host.ip_srv h);
+  for i = 1 to 50 do
+    Host.at h (sec (0.5 +. (0.001 *. float_of_int i))) (fun () ->
+        Sink.ping sink ~dst:(Host.local_addr h 0) (fun ~rtt:_ -> incr replies))
+  done;
+  Host.run h ~until:(sec 1.0);
+  Alcotest.(check int) "no reply without a route" 200 !replies;
+  Alcotest.(check int) "IP answered them all" 250
+    (Newt_stack.Ip_srv.icmp_echoes_answered (Host.ip_srv h));
+  Alcotest.(check int) "header pool still empty" 0
+    (Newt_stack.Ip_srv.hdr_pool_in_use (Host.ip_srv h))
+
 let test_minix_baseline_emergent () =
   (* Table II line 1, packet by packet: the synchronous single-core
      stack lands two orders of magnitude below the split stack. *)
@@ -886,6 +943,21 @@ let test_churn_crash_recovers_under_verification () =
     (float_of_int r.Churn.completed >= 0.8 *. float_of_int r.Churn.started);
   Alcotest.(check int) "affinity held throughout" 0 r.Churn.steering_violations
 
+let test_churn_verifier_does_not_move_the_result () =
+  (* Arming the continuous verifier runs the world on to quiescence
+     after the run; the reported result must be read before that, at
+     the same simulated time as an unarmed run's. *)
+  let run ?verify () =
+    Churn.run ~scenario:Churn.Crash_during_churn ~duration:0.5 ?verify ()
+  in
+  let unarmed = run () in
+  let armed = run ~verify:(Continuous.create ()) () in
+  Alcotest.(check (pair int int))
+    "conntrack entries (unarmed, armed)"
+    (unarmed.Churn.conntrack_entries, unarmed.Churn.conntrack_half_open)
+    (armed.Churn.conntrack_entries, armed.Churn.conntrack_half_open);
+  Alcotest.(check bool) "armed and unarmed results are equal" true (armed = unarmed)
+
 let test_churn_listen_pressure_stays_bounded () =
   let r =
     Churn.run ~scenario:Churn.Listen_pressure ~rate:1500.0 ~duration:0.3
@@ -1048,6 +1120,15 @@ let suite =
     ( "single server beats split emergently",
       `Slow,
       test_single_server_beats_split_emergently );
+    ( "split bulk sends full segments",
+      `Quick,
+      test_split_bulk_sends_full_segments );
+    ( "pool operations are charged as modelled",
+      `Quick,
+      test_pool_ops_charged_as_modelled );
+    ( "echo replies return their pool chunks",
+      `Quick,
+      test_echo_replies_return_their_chunks );
     ("Minix baseline is emergently slow", `Quick, test_minix_baseline_emergent);
     ("MWAIT halt/poll latency trade-off", `Quick, test_mwait_polling_latency_tradeoff);
     ("udp sendto/recvfrom", `Quick, test_udp_sendto_recvfrom);
@@ -1067,6 +1148,9 @@ let suite =
     ( "churn: shard crash recovers under continuous verification",
       `Quick,
       test_churn_crash_recovers_under_verification );
+    ( "churn: the verifier does not move the result",
+      `Quick,
+      test_churn_verifier_does_not_move_the_result );
     ( "churn: listen pressure stays bounded",
       `Quick,
       test_churn_listen_pressure_stays_bounded );

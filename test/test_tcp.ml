@@ -881,6 +881,106 @@ let test_input_window_ownership () =
   Alcotest.(check string) "the original bytes, in order" "helloworld"
     (Bytes.to_string (Tcp.recv pcb ~max:100))
 
+(* {2 Nagle (RFC 896)} *)
+
+(* A connected pair: A's pcb once established, B draining everything
+   into [received]. *)
+let connected_pair () =
+  let w = make_world () in
+  let received = Buffer.create 4096 in
+  Tcp.listen w.tcp_b ~port:80 ~on_accept:(fun pcb ->
+      Tcp.set_handler pcb (fun ev ->
+          if ev = Tcp.Readable then Buffer.add_bytes received (Tcp.recv pcb ~max:1_000_000)));
+  let pcb = Tcp.connect w.tcp_a ~src:ip_a ~dst:ip_b ~dst_port:80 () in
+  Engine.run ~until:(Time.of_seconds 0.1) w.engine;
+  Alcotest.(check bool) "established" true (Tcp.state pcb = Tcp.Established);
+  w.segs_seen <- [];
+  (w, pcb, received)
+
+(* Payload lengths of A's data segments, oldest first. *)
+let data_lens_from_a w pcb =
+  let port = snd (Tcp.local_addr pcb) in
+  List.rev w.segs_seen
+  |> List.filter_map (fun ((h : Tcp_wire.header), len) ->
+         if h.Tcp_wire.src_port = port && len > 0 then Some len else None)
+
+let write pcb n = Tcp.send pcb (Bytes.make n 'x') ~off:0 ~len:n
+
+let test_nagle_holds_tail_until_flight_empties () =
+  let w, pcb, received = connected_pair () in
+  Alcotest.(check int) "whole write queued" 1960 (write pcb 1960);
+  Alcotest.(check (list int)) "tail held behind the full segment" [ 1460 ]
+    (data_lens_from_a w pcb);
+  (* The receiver delays its ACK of one segment for 40 ms; until it
+     arrives, the tail stays put. *)
+  Engine.run ~until:(Engine.now w.engine + Time.of_seconds 0.02) w.engine;
+  Alcotest.(check (list int)) "still held while 1460 B are in flight" [ 1460 ]
+    (data_lens_from_a w pcb);
+  Alcotest.(check int) "flight" 1460 (Tcp.flight_size pcb);
+  (* The ACK that empties the flight releases the tail: the only ACK B
+     sends before it acknowledges exactly the full segment. *)
+  Engine.run ~until:(Engine.now w.engine + Time.of_seconds 1.0) w.engine;
+  Alcotest.(check (list int)) "both segments sent" [ 1460; 500 ] (data_lens_from_a w pcb);
+  Alcotest.(check int) "all delivered" 1960 (Buffer.length received);
+  Alcotest.(check int) "nothing in flight" 0 (Tcp.flight_size pcb)
+
+let test_nagle_small_write_on_idle_connection () =
+  let w, pcb, _ = connected_pair () in
+  ignore (write pcb 256);
+  Alcotest.(check (list int)) "a 256 B request goes at once" [ 256 ] (data_lens_from_a w pcb)
+
+let test_nagle_flushes_tail_with_fin () =
+  let w, pcb, received = connected_pair () in
+  ignore (write pcb 1960);
+  Alcotest.(check (list int)) "tail held" [ 1460 ] (data_lens_from_a w pcb);
+  Tcp.close pcb;
+  Alcotest.(check (list int)) "close sends the tail at once" [ 1460; 500 ]
+    (data_lens_from_a w pcb);
+  let port = snd (Tcp.local_addr pcb) in
+  (match w.segs_seen with
+  | (h, 0) :: _ when h.Tcp_wire.src_port = port ->
+      Alcotest.(check bool) "and the FIN right behind it" true h.Tcp_wire.flags.Tcp_wire.fin
+  | _ -> Alcotest.fail "no FIN after the tail");
+  Engine.run ~until:(Engine.now w.engine + Time.of_seconds 1.0) w.engine;
+  Alcotest.(check int) "all delivered" 1960 (Buffer.length received)
+
+(* Silly-window avoidance: a slow reader behind an 8 KiB window opens
+   it a little at a time, and the sender must not answer each small
+   opening with a small segment. A short segment goes out only with
+   nothing in flight or as the stream's last (PSH). *)
+let test_silly_window_avoidance () =
+  let config_b = { Tcp.default_config with Tcp.rcv_buf = 8 * 1024; use_wscale = false } in
+  let w = make_world ~config_b () in
+  let received = Buffer.create 4096 in
+  (* The reader takes 700 B every millisecond, whatever arrives. *)
+  Tcp.listen w.tcp_b ~port:80 ~on_accept:(fun pcb ->
+      let rec read () =
+        Buffer.add_bytes received (Tcp.recv pcb ~max:700);
+        ignore (Engine.schedule w.engine (Time.of_micros 1000.0) read)
+      in
+      read ());
+  let total = 100_000 in
+  let pcb, _, _, _ = source_app w ~port:80 ~total in
+  let violations = ref 0 and short = ref 0 in
+  let first_seq = ref None in
+  w.filter <-
+    (fun ~from hdr len ->
+      if from = `A && len > 0 && !first_seq = None then first_seq := Some hdr.Tcp_wire.seq;
+      if from = `A && len > 0 && len < 1460 then begin
+        incr short;
+        let last =
+          Newt_net.Seq32.add hdr.Tcp_wire.seq len
+          = Newt_net.Seq32.add (Option.get !first_seq) total
+        in
+        let flushes = hdr.Tcp_wire.flags.Tcp_wire.psh && last in
+        if Tcp.flight_size pcb > 0 && not flushes then incr violations
+      end;
+      false);
+  Engine.run ~until:(Time.of_seconds 60.0) w.engine;
+  Alcotest.(check int) "all delivered" total (Buffer.length received);
+  Alcotest.(check bool) "the window did open in small steps" true (!short > 0);
+  Alcotest.(check int) "no silly segment with data in flight" 0 !violations
+
 let suite =
   [
     ("three-way handshake", `Quick, test_handshake);
@@ -925,4 +1025,12 @@ let suite =
     test_combined_hostile_wire;
     test_send_windows_match_copies;
     ("input window: the stash owns its copy", `Quick, test_input_window_ownership);
+    ( "nagle: tail held until the flight empties",
+      `Quick,
+      test_nagle_holds_tail_until_flight_empties );
+    ( "nagle: a small write on an idle connection goes at once",
+      `Quick,
+      test_nagle_small_write_on_idle_connection );
+    ("nagle: the tail flushes with the FIN", `Quick, test_nagle_flushes_tail_with_fin);
+    ("silly-window avoidance", `Quick, test_silly_window_avoidance);
   ]
