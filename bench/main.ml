@@ -81,6 +81,22 @@ let test_pool_cycle =
          let p = Pool.alloc pool ~len:1460 in
          Pool.free pool p))
 
+let test_pool_create =
+  (* A stack shard's pool: creation allocates nothing per slot. *)
+  Bechamel.Test.make ~name:"pool create (8192 slots of 2 KiB)"
+    (Bechamel.Staged.stage (fun () ->
+         ignore (Pool.create ~id:0 ~slots:8192 ~slot_size:2048)))
+
+let test_pool_ack_cycle =
+  (* An ACK-sized chunk: its slot holds 60 bytes of storage, not 2 KiB. *)
+  let pool = Pool.create ~id:(Pool.fresh_id ()) ~slots:64 ~slot_size:2048 in
+  let ack = Bytes.make 60 'a' in
+  Bechamel.Test.make ~name:"pool alloc+write+free 60B"
+    (Bechamel.Staged.stage (fun () ->
+         let p = Pool.alloc pool ~len:60 in
+         Pool.write pool p ~src:ack ~src_off:0;
+         Pool.free pool p))
+
 let test_request_db =
   let db = Request_db.create () in
   Bechamel.Test.make ~name:"request db submit+complete"
@@ -282,6 +298,8 @@ let run_bechamel () =
       test_checksum;
       test_tcp_encode;
       test_pool_cycle;
+      test_pool_create;
+      test_pool_ack_cycle;
       test_request_db;
       test_eventq;
       test_eventq_live 200;

@@ -7,16 +7,18 @@ Run from the repository root:
 
 Each workload runs once through perfbench/run.py for one second,
 untraced. The last line of its output is parsed as JSON and must
-report a correct run with no failed operations; the churn workload
-must also stay below HEAP_LIMIT_MB of peak heap. Exits 1 on any
-failure.
+report a correct run with no failed operations and a peak heap below
+the workload's HEAP_LIMIT_MB. Exits 1 on any failure.
 """
 import json
 import subprocess
 import sys
 
 WORKLOADS = ["bulk", "churn", "recovery"]
-HEAP_LIMIT_MB = {"churn": 200.0}
+# One second of each workload at seed 1 peaks at about 11 (churn), 19
+# (bulk) and 9 (recovery) MB; a pool that allocated memory for every
+# slot it could hold would break each bound.
+HEAP_LIMIT_MB = {"churn": 20.0, "bulk": 26.0, "recovery": 12.0}
 
 
 def run(workload):
@@ -33,9 +35,8 @@ def run(workload):
     if result.get("failed") != 0:
         problems.append("failed is %r" % result.get("failed"))
     heap = result["metrics"]["heap_peak_mb"]["value"]
-    limit = HEAP_LIMIT_MB.get(workload)
-    if limit is not None and not heap < limit:
-        problems.append("heap_peak_mb %.1f >= %.0f" % (heap, limit))
+    if not heap < HEAP_LIMIT_MB[workload]:
+        problems.append("heap_peak_mb %.1f >= %.0f" % (heap, HEAP_LIMIT_MB[workload]))
     return problems, heap
 
 

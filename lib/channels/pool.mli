@@ -16,10 +16,15 @@
 
     The slot count is the contract: {!alloc} fails with
     {!Pool_exhausted} exactly when [total_slots] slots are in use.
-    Resident storage grows on use: a slot's bytes are created by its
-    first {!alloc}, and the free list is LIFO, so only as many slots as
-    were ever in use at once ({!resident_slots}) occupy memory.
-    {!free_all} keeps the storage that exists. *)
+    Memory follows use, not capacity. {!create} allocates a few words
+    whatever the slot count. Per-slot metadata (generation, state, free
+    stack entry) grows by doubling as slots are first handed out; the
+    free list is LIFO with slot 0 on top, so only as many slots as were
+    ever in use at once ({!resident_slots}) carry it. A slot's storage
+    is created by the owner's first {!write} and is as long as the
+    furthest byte written, never longer than the slot size
+    ({!resident_bytes}); bytes never written read as zeros. {!free_all}
+    keeps the metadata and storage that exist. *)
 
 type t
 
@@ -43,14 +48,16 @@ val set_default_threadsafe : bool -> unit
     mutex so allocation and free may come from different domains (the
     native runtime's driver fills a pool the IP server frees). Slot
     payloads stay lock-free: slots are owner-disjoint and hand-off is
-    ordered by the SPSC ring publication. A slot's storage is created
-    inside the locked {!alloc}, before its pointer can be published, so
-    a reader on another domain always sees it. Default [false] — simulated
-    runs are single-threaded. *)
+    ordered by the SPSC ring publication. Growing the metadata (in
+    {!alloc}) and creating or growing a slot's storage (in the owner's
+    {!write}) both take the mutex, so neither loses the other's update;
+    both happen before the pointer is published, so a reader on
+    another domain always sees them. Default [false] — simulated runs
+    are single-threaded. *)
 
 val create : id:int -> slots:int -> slot_size:int -> t
 (** [create ~id ~slots ~slot_size] makes a pool of [slots] buffers of
-    [slot_size] bytes each, none of them resident yet. Ids must be
+    [slot_size] bytes each. Nothing per slot is allocated yet. Ids must be
     unique per pool universe (machine); use {!fresh_id} unless
     reproducing a specific id. *)
 
@@ -64,8 +71,14 @@ val free_slots : t -> int
 val in_use : t -> int
 
 val resident_slots : t -> int
-(** Slots whose storage has been created: the high-water mark of
-    {!in_use} over the pool's lifetime. *)
+(** Slots that carry metadata because they were handed out at least
+    once: the high-water mark of {!in_use} over the pool's lifetime.
+    Their storage is counted by {!resident_bytes}. *)
+
+val resident_bytes : t -> int
+(** Bytes of slot storage created so far: for each slot, the furthest
+    byte any {!write} reached. Reads never add to it. Linear in
+    {!resident_slots}. *)
 
 val alloc : t -> len:int -> Rich_ptr.t
 (** Owner side: allocate a slot and return a pointer covering its first
@@ -73,8 +86,10 @@ val alloc : t -> len:int -> Rich_ptr.t
     when [len] exceeds the slot size. *)
 
 val write : t -> Rich_ptr.t -> src:Bytes.t -> src_off:int -> unit
-(** Owner side: fill the chunk behind a live pointer from [src]. Raises
-    {!Stale_pointer} on a dead pointer. Writing is an owner privilege:
+(** Owner side: fill the chunk behind a live pointer from [src],
+    creating or growing the slot's storage to reach the chunk's end.
+    Raises {!Stale_pointer} on a dead pointer and [Invalid_argument]
+    when the chunk ends past the slot size. Writing is an owner privilege:
     this function is deliberately not part of what a consumer gets. *)
 
 val sub_ptr : Rich_ptr.t -> off:int -> len:int -> Rich_ptr.t
@@ -82,7 +97,8 @@ val sub_ptr : Rich_ptr.t -> off:int -> len:int -> Rich_ptr.t
     The result shares the generation, so it dies with the slot. *)
 
 val read : t -> Rich_ptr.t -> Bytes.t
-(** Consumer side: copy the chunk out. Raises {!Stale_pointer}. *)
+(** Consumer side: copy the chunk out; bytes no {!write} reached read
+    as zeros. Raises {!Stale_pointer}. *)
 
 val blit : t -> Rich_ptr.t -> dst:Bytes.t -> dst_off:int -> unit
 (** Consumer side: copy the chunk into [dst] at [dst_off]. *)
@@ -99,7 +115,9 @@ val free : t -> Rich_ptr.t -> unit
 val free_all : t -> unit
 (** Owner side: release every slot (used when the owner restarts and
     reinitializes its pool, Section V-D). Generations advance for the
-    slots that were live; resident storage is kept for reuse. *)
+    slots that were live; metadata and storage are kept for reuse, and
+    allocation starts again from slot 0. The cost is linear in
+    {!resident_slots}, not in the slot count. *)
 
 val metered : (unit -> 'a) -> int * 'a
 (** [metered f] runs [f] and returns how many pool operations it

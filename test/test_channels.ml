@@ -249,10 +249,12 @@ let test_pool_free_all_keeps_storage () =
   let a = Pool.alloc p ~len:4 in
   let b = Pool.alloc p ~len:4 in
   let _c = Pool.alloc p ~len:4 in
+  Pool.write p a ~src:(Bytes.make 4 'a') ~src_off:0;
   Pool.free p b;
   Alcotest.(check int) "three materialised" 3 (Pool.resident_slots p);
   Pool.free_all p;
-  Alcotest.(check int) "storage kept across free_all" 3 (Pool.resident_slots p);
+  Alcotest.(check int) "metadata kept across free_all" 3 (Pool.resident_slots p);
+  Alcotest.(check int) "storage kept across free_all" 4 (Pool.resident_bytes p);
   Alcotest.(check int) "every slot free" 8 (Pool.free_slots p);
   (* Generations survive too: slot 0 went live once, so it comes back
      one generation on, and the pre-reclaim pointer stays dead. *)
@@ -290,6 +292,50 @@ let test_pool_never_allocated_slot () =
   Alcotest.check_raises "double free" (Pool.Double_free ptr) (fun () ->
       Pool.free p ptr);
   Alcotest.(check int) "free list not corrupted" 4 (Pool.free_slots p)
+
+let test_pool_memory_follows_use () =
+  (* Creation costs a few words whatever the slot count; storage is
+     made by writes, sized by how far they reach, and reads never add
+     any. *)
+  let p = Pool.create ~id:24 ~slots:1_000_000 ~slot_size:2048 in
+  let words = Obj.reachable_words (Obj.repr p) in
+  Alcotest.(check bool) (Printf.sprintf "fresh pool is %d words" words) true
+    (words < 100);
+  let ptr = Pool.alloc p ~len:1500 in
+  Alcotest.(check int) "alloc creates no storage" 0 (Pool.resident_bytes p);
+  let ack = Pool.sub_ptr ptr ~off:0 ~len:60 in
+  Pool.write p ack ~src:(Bytes.make 60 'a') ~src_off:0;
+  Alcotest.(check int) "a 60-byte write makes 60 bytes resident" 60
+    (Pool.resident_bytes p);
+  let words = Obj.reachable_words (Obj.repr p) in
+  let whole = Pool.read p ptr in
+  Alcotest.(check string) "never-written bytes read as zeros"
+    (String.make 60 'a' ^ String.make 1440 '\000')
+    (Bytes.to_string whole);
+  let dst = Bytes.make 1500 'x' in
+  Pool.blit p ptr ~dst ~dst_off:0;
+  Alcotest.(check bool) "blit zero-fills too" true (Bytes.equal dst whole);
+  Alcotest.(check string) "a chunk wholly past the storage reads as zeros"
+    (String.make 40 '\000')
+    (Bytes.to_string (Pool.read p (Pool.sub_ptr ptr ~off:100 ~len:40)));
+  Alcotest.(check int) "reads create no storage" 60 (Pool.resident_bytes p);
+  Alcotest.(check int) "reads allocate nothing in the pool" words
+    (Obj.reachable_words (Obj.repr p));
+  Pool.write p ptr ~src:(Bytes.make 1500 'b') ~src_off:0;
+  Alcotest.(check int) "a 1500-byte write grows the storage" 1500
+    (Pool.resident_bytes p);
+  Alcotest.(check string) "grown storage holds the write" (String.make 1500 'b')
+    (Bytes.to_string (Pool.read p ptr));
+  Pool.free p ptr;
+  let again = Pool.alloc p ~len:60 in
+  Pool.write p again ~src:(Bytes.make 60 'c') ~src_off:0;
+  Alcotest.(check int) "a reused slot keeps its storage" 1500
+    (Pool.resident_bytes p);
+  Alcotest.(check int) "one slot ever handed out" 1 (Pool.resident_slots p);
+  Alcotest.check_raises "writes stop at the slot size"
+    (Invalid_argument "Pool.write: chunk exceeds slot size") (fun () ->
+      Pool.write p { again with Rich_ptr.off = 2000; len = 60 }
+        ~src:(Bytes.make 60 'd') ~src_off:0)
 
 let test_chain_len () =
   let mk len = { Rich_ptr.pool = 0; slot = 0; off = 0; len; gen = 0 } in
@@ -759,10 +805,11 @@ let test_pool_invariants =
       !ok)
 
 let test_pool_resident_high_water =
-  (* Storage is created on a slot's first allocation and the free list
-     is LIFO, so resident slots track the high-water mark of live
-     slots — across frees, reuse and wholesale reclaims — and live
-     chunks keep their bytes. *)
+  (* Metadata is created on a slot's first allocation and the free
+     list is LIFO, so resident slots track the high-water mark of live
+     slots — across frees, reuse and wholesale reclaims. Every chunk
+     here is written with 8 bytes, so that is all the storage each
+     resident slot holds, and live chunks keep their bytes. *)
   qtest "pool storage never exceeds the high-water mark"
     QCheck2.Gen.(list_size (int_range 1 300) (int_range 0 99))
     (fun ops ->
@@ -791,10 +838,125 @@ let test_pool_resident_high_water =
           end;
           high := max !high (Pool.in_use p);
           if Pool.resident_slots p <> !high then ok := false;
+          if Pool.resident_bytes p <> 8 * !high then ok := false;
           List.iter
             (fun (ptr, op) ->
               if Pool.read p ptr <> Bytes.make 8 (Char.chr op) then ok := false)
             !live)
+        ops;
+      !ok)
+
+(* Today's pool as it was first written: a [Stack] free list holding
+   every slot, slot 0 on top. The flat free stack must hand out the
+   same slots in the same order and judge every free the same way. *)
+module Stack_pool = struct
+  type reclaim = Never | By_free | By_free_all
+
+  type t = {
+    gens : int array;
+    live : bool array;
+    freed_by : reclaim array;
+    free_list : int Stack.t;
+  }
+
+  let refill t =
+    Stack.clear t.free_list;
+    for i = Array.length t.gens - 1 downto 0 do
+      Stack.push i t.free_list
+    done
+
+  let create slots =
+    let t =
+      {
+        gens = Array.make slots 0;
+        live = Array.make slots false;
+        freed_by = Array.make slots Never;
+        free_list = Stack.create ();
+      }
+    in
+    refill t;
+    t
+
+  let alloc t =
+    Option.map
+      (fun slot ->
+        t.live.(slot) <- true;
+        (slot, t.gens.(slot)))
+      (Stack.pop_opt t.free_list)
+
+  let free t (slot, gen) =
+    if (not t.live.(slot)) && t.gens.(slot) = gen + 1 && t.freed_by.(slot) = By_free
+    then `Double_free
+    else if (not t.live.(slot)) || t.gens.(slot) <> gen then `Stale
+    else begin
+      t.live.(slot) <- false;
+      t.gens.(slot) <- gen + 1;
+      t.freed_by.(slot) <- By_free;
+      Stack.push slot t.free_list;
+      `Freed
+    end
+
+  let free_all t =
+    Array.iteri
+      (fun i live ->
+        if live then begin
+          t.live.(i) <- false;
+          t.gens.(i) <- t.gens.(i) + 1;
+          t.freed_by.(i) <- By_free_all
+        end)
+      t.live;
+    refill t
+
+  let free_slots t = Stack.length t.free_list
+end
+
+let test_pool_matches_stack_free_list =
+  qtest "pool matches a Stack free list"
+    QCheck2.Gen.(
+      pair (int_range 1 40) (list_size (int_range 1 300) (pair (int_range 0 99) nat)))
+    (fun (slots, ops) ->
+      let p = Pool.create ~id:12347 ~slots ~slot_size:16 in
+      let r = Stack_pool.create slots in
+      (* Every pointer ever handed out, so frees can be live, stale or
+         double. *)
+      let handed = ref [||] in
+      let ok = ref true in
+      let expect b = if not b then ok := false in
+      let free ptr =
+        let got =
+          match Pool.free p ptr with
+          | () -> `Freed
+          | exception Pool.Double_free _ -> `Double_free
+          | exception Pool.Stale_pointer _ -> `Stale
+        in
+        expect (got = Stack_pool.free r (ptr.Rich_ptr.slot, ptr.Rich_ptr.gen))
+      in
+      List.iter
+        (fun (op, pick) ->
+          (if op < 50 then
+             match (Pool.alloc p ~len:8, Stack_pool.alloc r) with
+             | ptr, Some (slot, gen) ->
+                 expect (ptr.Rich_ptr.slot = slot && ptr.Rich_ptr.gen = gen);
+                 handed := Array.append !handed [| ptr |]
+             | _, None -> ok := false
+             | exception Pool.Pool_exhausted ->
+                 expect (Stack_pool.alloc r = None && Pool.in_use p = slots)
+           else if op < 80 then begin
+             (* Free a live pointer, if there is one. *)
+             let live = List.filter (Pool.live p) (Array.to_list !handed) in
+             if live <> [] then free (List.nth live (pick mod List.length live))
+           end
+           else if op < 97 then begin
+             (* Free any pointer ever handed out. *)
+             let n = Array.length !handed in
+             if n > 0 then free !handed.(pick mod n)
+           end
+           else begin
+             Stack_pool.free_all r;
+             Pool.free_all p
+           end);
+          expect (Pool.free_slots p = Stack_pool.free_slots r);
+          expect (Pool.in_use p = slots - Stack_pool.free_slots r))
         ops;
       !ok)
 
@@ -858,6 +1020,7 @@ let suite =
       test_pool_free_all_keeps_storage);
     ("pool never-allocated slots still fail loudly", `Quick,
       test_pool_never_allocated_slot);
+    ("pool memory follows use", `Quick, test_pool_memory_follows_use);
     ("rich pointer chain length", `Quick, test_chain_len);
     ("request db matches replies", `Quick, test_request_db_match);
     ("request db abort actions on peer crash", `Quick, test_request_db_abort_actions);
@@ -887,5 +1050,6 @@ let suite =
     ("sim channel teardown and revive", `Quick, test_sim_chan_teardown_revive);
     test_pool_invariants;
     test_pool_resident_high_water;
+    test_pool_matches_stack_free_list;
     test_request_db_invariants;
   ]

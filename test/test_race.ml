@@ -163,11 +163,11 @@ let test_dynamic_lock_orders_accesses () =
     (Race.Dynamic.ok o)
 
 let test_dynamic_pool_first_use_published () =
-  (* A threadsafe pool's slots get their storage on first [alloc], on
-     the allocating domain. The pointer then crosses to the other
-     domain through a ring, which reads the chunk and frees it back —
-     the driver-fills, IP-frees pattern of the native runtime. The
-     storage is created under the pool lock before the pointer is
+  (* A threadsafe pool's slots get their storage on the owner's first
+     [write], on the allocating domain. The pointer then crosses to the
+     other domain through a ring, which reads the chunk and frees it
+     back — the driver-fills, IP-frees pattern of the native runtime.
+     The storage is created under the pool lock before the pointer is
      published, so the detector must stay silent and every byte must
      arrive. *)
   Race.Dynamic.arm ();
@@ -212,6 +212,60 @@ let test_dynamic_pool_first_use_published () =
   Alcotest.(check bool) "every chunk arrived intact" true !intact;
   Alcotest.(check bool) "storage materialised on use" true
     (Pool.resident_slots pool > 0 && Pool.resident_slots pool <= 32);
+  Alcotest.(check int) "storage sized by the writes" (8 * Pool.resident_slots pool)
+    (Pool.resident_bytes pool);
+  Alcotest.(check int) "zero races" 0 (List.length o.Race.Dynamic.races)
+
+let test_dynamic_pool_metadata_grows_under_readers () =
+  (* The owner keeps allocating, so the pool's metadata doubles again
+     and again (16 slots up to 2048) while the other domain reads
+     chunks it already holds: the newest one and one from halfway back.
+     Every read must find its pointer live and its bytes intact, never
+     an index error or a stale pointer from a half-copied array, and
+     the detector must stay silent. *)
+  Race.Dynamic.arm ();
+  Pool.set_default_threadsafe true;
+  let n = 2048 in
+  let pool =
+    Fun.protect
+      ~finally:(fun () -> Pool.set_default_threadsafe false)
+      (fun () -> Pool.create ~id:(Pool.fresh_id ()) ~slots:n ~slot_size:64)
+  in
+  let q = Spsc.create ~id:12 ~capacity:16 () in
+  Race.Dynamic.fence ();
+  let chunk i = Bytes.make (1 + (i mod 64)) (Char.chr (i land 0xff)) in
+  let owner =
+    Domain.spawn (fun () ->
+        for i = 0 to n - 1 do
+          let src = chunk i in
+          let ptr = Pool.alloc pool ~len:(Bytes.length src) in
+          Pool.write pool ptr ~src ~src_off:0;
+          while not (Spsc.try_push q ptr) do
+            Domain.cpu_relax ()
+          done
+        done)
+  in
+  let held = Array.make n None and got = ref 0 and intact = ref true in
+  let reread i =
+    match held.(i) with
+    | Some ptr ->
+        if not (Pool.live pool ptr && Bytes.equal (Pool.read pool ptr) (chunk i))
+        then intact := false
+    | None -> intact := false
+  in
+  while !got < n do
+    match Spsc.try_pop q with
+    | Some ptr ->
+        held.(!got) <- Some ptr;
+        reread !got;
+        reread (!got / 2);
+        incr got
+    | None -> Domain.cpu_relax ()
+  done;
+  Domain.join owner;
+  let o = Race.Dynamic.disarm () in
+  Alcotest.(check bool) "every held chunk read back intact" true !intact;
+  Alcotest.(check int) "every slot handed out" n (Pool.resident_slots pool);
   Alcotest.(check int) "zero races" 0 (List.length o.Race.Dynamic.races)
 
 (* {2 Loop: the post-vs-park lost-wakeup stress} *)
@@ -272,6 +326,8 @@ let suite =
       test_dynamic_lock_orders_accesses);
     ("dynamic: pool slot materialised on one domain, read on the other",
       `Quick, test_dynamic_pool_first_use_published);
+    ("dynamic: pool metadata grows while the other domain reads",
+      `Quick, test_dynamic_pool_metadata_grows_under_readers);
     ("loop: 1M post-vs-park stress, no lost wakeup", `Slow,
       test_loop_post_vs_park_stress);
   ]
