@@ -264,9 +264,8 @@ native-smoke: build
 
 # Benchmark smoke: every perfbench workload once, for one second and
 # untraced. Each run's last JSON line must report `correct` and zero
-# failed operations, and the churn workload must peak below 200 MB of
-# heap (pool slots and socket buffers are allocated on first use; when
-# they were allocated up front it peaked at 1.5 GB).
+# failed operations, and each workload must peak below its heap bound
+# (HEAP_LIMIT_MB in bench/perf_smoke.py).
 perf-smoke: build
 	python3 bench/perf_smoke.py
 

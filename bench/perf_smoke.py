@@ -16,9 +16,12 @@ import sys
 
 WORKLOADS = ["bulk", "churn", "recovery"]
 # One second of each workload at seed 1 peaks at about 11 (churn), 19
-# (bulk) and 9 (recovery) MB; a pool that allocated memory for every
-# slot it could hold would break each bound.
-HEAP_LIMIT_MB = {"churn": 20.0, "bulk": 26.0, "recovery": 12.0}
+# (bulk) and 6.3 (recovery) MB; a pool that allocated memory for every
+# slot it could hold would break each bound. Recovery's saturated link
+# keeps about a hundred frames waiting: were each its own heap block,
+# as before the link reused its buffers, they would be promoted and
+# recovery would peak at 8.7 MB.
+HEAP_LIMIT_MB = {"churn": 20.0, "bulk": 26.0, "recovery": 7.5}
 
 
 def run(workload):
@@ -36,7 +39,7 @@ def run(workload):
         problems.append("failed is %r" % result.get("failed"))
     heap = result["metrics"]["heap_peak_mb"]["value"]
     if not heap < HEAP_LIMIT_MB[workload]:
-        problems.append("heap_peak_mb %.1f >= %.0f" % (heap, HEAP_LIMIT_MB[workload]))
+        problems.append("heap_peak_mb %.1f >= %g" % (heap, HEAP_LIMIT_MB[workload]))
     return problems, heap
 
 

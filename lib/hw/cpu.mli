@@ -4,8 +4,8 @@
     Components do not run OCaml code "on" a core; instead they charge
     cycle costs: [exec core ~proc ~cost k] runs continuation [k] once the
     core has spent [cost] cycles on behalf of process [proc], after all
-    previously queued work. The model captures what the paper cares
-    about:
+    previously queued work, and [charge] spends cycles with nothing to
+    run after them. The model captures what the paper cares about:
 
     - a {b dedicated} core runs a single process: no context switches, no
       cache refills, interrupts handled locally;
@@ -13,7 +13,12 @@
       whenever the process being served changes;
     - an idle core halts (MONITOR/MWAIT) once it has polled for longer
       than the model's poll window; work arriving at a halted core pays
-      the MWAIT wake-up latency. *)
+      the MWAIT wake-up latency.
+
+    The core is a FIFO server in virtual time: the start, switch cost
+    and wake-up of a piece of work are fixed when it is queued, so
+    queued work costs no event of its own. Each [exec] is one engine
+    event, at its completion; a [charge] is none. *)
 
 type t
 
@@ -40,11 +45,19 @@ val exec : t -> proc:int -> cost:Time.cycles -> (unit -> unit) -> unit
     core, if the core was halted, the first queued work additionally
     waits for the MWAIT wake-up latency. *)
 
+val charge : t -> proc:int -> cost:Time.cycles -> unit
+(** [charge core ~proc ~cost] is [exec core ~proc ~cost ignore] without
+    the event: the cycles take their FIFO place, with the same switch
+    cost and wake-up, and delay all later work. A no-op under native
+    execution. *)
+
 val busy : t -> bool
 (** The core currently has queued or running work. *)
 
 val busy_cycles : t -> Time.cycles
-(** Total cycles spent executing work (excluding halts) so far. *)
+(** Total cycles of the work queued so far (excluding halts): work
+    counts from when it is queued, so this includes what is still
+    ahead while the core is {!busy}. *)
 
 val polling_cycles : t -> Time.cycles
 (** Cycles spent awake but idle, polling the queues before halting —
@@ -56,4 +69,5 @@ val utilization : t -> now:Time.cycles -> float
 (** Fraction of time busy since creation. *)
 
 val last_proc : t -> int option
-(** The process whose work the core served most recently. *)
+(** The process whose work was queued most recently: once the core is
+    idle, the one it served last. *)

@@ -5,7 +5,11 @@
     propagation delay. Frames offered while the transmit queue is full,
     or while the link is down (e.g. during the reset a crashed IP server
     forces on the device, Section V-D), are dropped — counted, exactly
-    like a real wire. *)
+    like a real wire.
+
+    A frame waits in one of the direction's reusable buffers, not in a
+    heap block of its own: {!transmit} copies it in, and delivery hands
+    the receiver and every tap a fresh copy that each may keep. *)
 
 type t
 
@@ -34,11 +38,12 @@ val tap : t -> (at:Newt_sim.Time.cycles -> dir:side -> Bytes.t -> unit) -> unit
 
 val transmit : t -> from:side -> Bytes.t -> bool
 (** Offer a frame for transmission; [false] (dropped) when down or the
-    direction's queue is full. *)
+    direction's queue is full. The link copies the frame, so the caller
+    may reuse it at once. *)
 
 val set_up : t -> bool -> unit
 (** Bring the link administratively up or down. Going down flushes the
-    in-flight queues. *)
+    in-flight queues; their buffers stay for reuse. *)
 
 val is_up : t -> bool
 
@@ -50,3 +55,8 @@ val dropped : t -> int
 
 val bytes_carried : t -> int
 (** Total payload bytes delivered, both directions. *)
+
+val ring_slots : t -> from:side -> int
+(** Frame buffers the direction from [side] holds: its occupancy
+    high-water mark rounded up by doubling (at least 16), never more
+    than the queue size. *)

@@ -110,6 +110,7 @@ type t = {
   mutable arp_announce :
     (iface:int -> Addr.Ipv4.t -> Addr.Mac.t -> unit) option;
   mutable buf_return : (Rich_ptr.t -> unit) option;
+  eth_hdr : Bytes.t;  (* scratch for peeking at a received frame's header *)
 }
 
 let pf_peer shard = 100 + shard
@@ -385,14 +386,13 @@ let handle_icmp t ~buf ~l4_bytes ~src ~dst =
   | None -> Stats.incr (Proc.stats t.proc) "icmp.malformed");
   free_rx t buf
 
-let accept_in t ~buf pkt_bytes =
-  (* The inbound packet passed the filter: demultiplex by protocol. *)
-  match Ipv4.decode_header pkt_bytes ~off:0 with
+let accept_in t ~buf frame =
+  (* The inbound packet at offset 14 of [frame] passed the filter:
+     demultiplex it by protocol, in place. *)
+  match Ipv4.payload_at frame ~off:Ethernet.header_size with
   | None -> free_rx t buf
-  | Some ih ->
-      let l4_off_in_pkt = 20 in
-      let l4_len = ih.Ipv4.total_len - 20 in
-      if ih.Ipv4.total_len > Bytes.length pkt_bytes then begin
+  | Some (ih, l4_off, l4_len) ->
+      if ih.Ipv4.total_len > Bytes.length frame - Ethernet.header_size then begin
         (* The header claims more bytes than arrived: a truncated or
            forged datagram (the ping-of-death shape). Drop it. *)
         Stats.incr (Proc.stats t.proc) "ip.truncated";
@@ -404,96 +404,119 @@ let accept_in t ~buf pkt_bytes =
         (* The L4 ports, for shard steering (both TCP and UDP put them
            in the first four header bytes). *)
         let sport, dport =
-          if Bytes.length pkt_bytes >= l4_off_in_pkt + 4 then
-            ( Bytes.get_uint16_be pkt_bytes l4_off_in_pkt,
-              Bytes.get_uint16_be pkt_bytes (l4_off_in_pkt + 2) )
+          if Bytes.length frame >= l4_off + 4 then
+            (Bytes.get_uint16_be frame l4_off, Bytes.get_uint16_be frame (l4_off + 2))
           else (0, 0)
         in
         match ih.Ipv4.protocol with
         | Ipv4.Tcp ->
-            deliver t ~fanout:t.to_tcp ~tag:`Tcp ~buf ~l4_off:(14 + l4_off_in_pkt)
-              ~l4_len ~src ~dst ~sport ~dport
+            deliver t ~fanout:t.to_tcp ~tag:`Tcp ~buf ~l4_off ~l4_len ~src ~dst ~sport
+              ~dport
         | Ipv4.Udp ->
-            deliver t ~fanout:t.to_udp ~tag:`Udp ~buf ~l4_off:(14 + l4_off_in_pkt)
-              ~l4_len ~src ~dst ~sport ~dport
+            deliver t ~fanout:t.to_udp ~tag:`Udp ~buf ~l4_off ~l4_len ~src ~dst ~sport
+              ~dport
         | Ipv4.Icmp ->
-            handle_icmp t ~buf ~l4_bytes:(Bytes.sub pkt_bytes 20 l4_len) ~src ~dst
+            handle_icmp t ~buf ~l4_bytes:(Bytes.sub frame l4_off l4_len) ~src ~dst
         | Ipv4.Unknown _ -> free_rx t buf
       end
 
+(* Under a packet filter an inbound IPv4 frame is not read whole on
+   arrival: a peek at its Ethernet header, then one blit of the first
+   40 bytes of the packet, which is all the filter matches on. The
+   frame is read once it has passed. *)
+let filtered_ipv4 t buf ~len =
+  t.pf <> None
+  && len >= Ethernet.header_size
+  && begin
+       Pool.blit t.rx_pool
+         { buf with Rich_ptr.len = Ethernet.header_size }
+         ~dst:t.eth_hdr ~dst_off:0;
+       match Ethernet.decode_header t.eth_hdr ~off:0 with
+       | Some { Ethernet.ethertype = Ethernet.Ipv4; _ } -> true
+       | Some _ | None -> false
+     end
+
+(* A received frame read whole: ARP, an IPv4 packet no filter screens,
+   or anything else. *)
+let handle_frame t ~arrival ~buf frame =
+  match Ethernet.decode_header frame ~off:0 with
+  | None -> free_rx t buf
+  | Some eh -> (
+      match eh.Ethernet.ethertype with
+      | Ethernet.Arp -> (
+          free_rx t buf;
+          match Arp.decode (Bytes.sub frame 14 (Bytes.length frame - 14)) with
+          | None -> ()
+          | Some arp_pkt ->
+              (* Learn on the arrival interface; answer for any of
+                 our addresses, on the arrival interface with its
+                 MAC (weak host model — the multihomed host is one
+                 node, not a router). *)
+              let ifc = iface t arrival in
+              let owns_target =
+                List.exists
+                  (fun other -> Addr.Ipv4.equal arp_pkt.Arp.target_ip other.cfg.addr)
+                  t.ifaces
+              in
+              let cache_view =
+                (* Answer with the arrival interface's identity. *)
+                if owns_target && arp_pkt.Arp.op = Arp.Request then
+                  Some
+                    {
+                      Arp.op = Arp.Reply;
+                      sender_mac = ifc.cfg.mac;
+                      sender_ip = arp_pkt.Arp.target_ip;
+                      target_mac = arp_pkt.Arp.sender_mac;
+                      target_ip = arp_pkt.Arp.sender_ip;
+                    }
+                else None
+              in
+              ignore (Arp.Cache.input ifc.arp arp_pkt);
+              (* A mapping learned from the wire is worth sharing:
+                 replicated IP servers broadcast it so the sibling
+                 caches converge without extra ARP traffic. *)
+              (match t.arp_announce with
+              | Some f ->
+                  f ~iface:arrival arp_pkt.Arp.sender_ip arp_pkt.Arp.sender_mac
+              | None -> ());
+              (match cache_view with
+              | Some reply ->
+                  let rb = Arp.encode reply in
+                  let f = Bytes.create (14 + Arp.packet_size) in
+                  Ethernet.encode_header
+                    {
+                      Ethernet.dst = arp_pkt.Arp.sender_mac;
+                      src = ifc.cfg.mac;
+                      ethertype = Ethernet.Arp;
+                    }
+                    f ~off:0;
+                  Bytes.blit rb 0 f 14 Arp.packet_size;
+                  (match Pool.alloc t.hdr_pool ~len:(Bytes.length f) with
+                  | exception Pool.Pool_exhausted -> ()
+                  | ptr ->
+                      Pool.write t.hdr_pool ptr ~src:f ~src_off:0;
+                      transmit_frame t ~iface:arrival ~origin:Local ~hdr:ptr
+                        ~chain:[ ptr ] ~tso:false)
+              | None -> ()))
+      | Ethernet.Ipv4 ->
+          (* Only without a filter: under one, an IPv4 frame is not
+             read whole on arrival (see [filtered_ipv4]). *)
+          accept_in t ~buf frame
+      | Ethernet.Unknown _ -> free_rx t buf)
+
 let handle_rx_frame t ~iface:arrival ~buf ~len =
-  match Pool.read t.rx_pool { buf with Rich_ptr.len } with
+  match filtered_ipv4 t buf ~len with
   | exception Pool.Stale_pointer _ -> ()
-  | frame -> (
-      match Ethernet.decode_header frame ~off:0 with
-      | None -> free_rx t buf
-      | Some eh -> (
-          match eh.Ethernet.ethertype with
-          | Ethernet.Arp -> (
-              free_rx t buf;
-              match Arp.decode (Bytes.sub frame 14 (Bytes.length frame - 14)) with
-              | None -> ()
-              | Some arp_pkt ->
-                  (* Learn on the arrival interface; answer for any of
-                     our addresses, on the arrival interface with its
-                     MAC (weak host model — the multihomed host is one
-                     node, not a router). *)
-                  let ifc = iface t arrival in
-                  let owns_target =
-                    List.exists
-                      (fun other -> Addr.Ipv4.equal arp_pkt.Arp.target_ip other.cfg.addr)
-                      t.ifaces
-                  in
-                  let cache_view =
-                    (* Answer with the arrival interface's identity. *)
-                    if owns_target && arp_pkt.Arp.op = Arp.Request then
-                      Some
-                        {
-                          Arp.op = Arp.Reply;
-                          sender_mac = ifc.cfg.mac;
-                          sender_ip = arp_pkt.Arp.target_ip;
-                          target_mac = arp_pkt.Arp.sender_mac;
-                          target_ip = arp_pkt.Arp.sender_ip;
-                        }
-                    else None
-                  in
-                  ignore (Arp.Cache.input ifc.arp arp_pkt);
-                  (* A mapping learned from the wire is worth sharing:
-                     replicated IP servers broadcast it so the sibling
-                     caches converge without extra ARP traffic. *)
-                  (match t.arp_announce with
-                  | Some f ->
-                      f ~iface:arrival arp_pkt.Arp.sender_ip arp_pkt.Arp.sender_mac
-                  | None -> ());
-                  (match cache_view with
-                  | Some reply ->
-                      let rb = Arp.encode reply in
-                      let f = Bytes.create (14 + Arp.packet_size) in
-                      Ethernet.encode_header
-                        {
-                          Ethernet.dst = arp_pkt.Arp.sender_mac;
-                          src = ifc.cfg.mac;
-                          ethertype = Ethernet.Arp;
-                        }
-                        f ~off:0;
-                      Bytes.blit rb 0 f 14 Arp.packet_size;
-                      (match Pool.alloc t.hdr_pool ~len:(Bytes.length f) with
-                      | exception Pool.Pool_exhausted -> ()
-                      | ptr ->
-                          Pool.write t.hdr_pool ptr ~src:f ~src_off:0;
-                          transmit_frame t ~iface:arrival ~origin:Local ~hdr:ptr
-                            ~chain:[ ptr ] ~tso:false)
-                  | None -> ()))
-          | Ethernet.Ipv4 ->
-              let pkt_bytes = Bytes.sub frame 14 (Bytes.length frame - 14) in
-              if t.pf = None then accept_in t ~buf pkt_bytes
-              else begin
-                let pkt =
-                  Bytes.sub pkt_bytes 0 (min (Bytes.length pkt_bytes) 40)
-                in
-                to_filter t (Pf_in { buf = { buf with Rich_ptr.len }; pkt })
-              end
-          | Ethernet.Unknown _ -> free_rx t buf))
+  | true ->
+      let hdr = Ethernet.header_size in
+      let pkt = Bytes.create (min (len - hdr) 40) in
+      let excerpt = { buf with Rich_ptr.off = buf.Rich_ptr.off + hdr; len = Bytes.length pkt } in
+      Pool.blit t.rx_pool excerpt ~dst:pkt ~dst_off:0;
+      to_filter t (Pf_in { buf = { buf with Rich_ptr.len }; pkt })
+  | false -> (
+      match Pool.read t.rx_pool { buf with Rich_ptr.len } with
+      | exception Pool.Stale_pointer _ -> ()
+      | frame -> handle_frame t ~arrival ~buf frame)
 
 (* {2 Message handlers} *)
 
@@ -549,9 +572,7 @@ let handle_msg t ~source msg =
               if pass then begin
                 match Pool.read t.rx_pool buf with
                 | exception Pool.Stale_pointer _ -> ()
-                | frame ->
-                    let pkt_bytes = Bytes.sub frame 14 (Bytes.length frame - 14) in
-                    accept_in t ~buf pkt_bytes
+                | frame -> accept_in t ~buf frame
               end
               else free_rx t buf
           | Some (Drv _) | None ->
@@ -647,6 +668,7 @@ let create comp ~registry ~save ~load () =
       local_queue = 0;
       arp_announce = None;
       buf_return = None;
+      eth_hdr = Bytes.create Ethernet.header_size;
     }
   in
   Component.on_crash comp (fun () ->

@@ -71,12 +71,12 @@ let pool_ops t = t.pool_ops
 (* Pool operations are priced where they happen: every piece of work
    the runtime runs for a server is metered ({!Pool.metered}), and the
    [Costs.pool_op] of each operation it performed is charged on the
-   server's core right after it. *)
+   server's core, in FIFO position right after it ({!Cpu.charge}: no
+   event, no continuation). *)
 let charge_pool t n =
   if n > 0 then begin
     t.pool_ops <- t.pool_ops + n;
-    if not (Exec.is_native (Machine.exec t.machine)) then
-      Cpu.exec t.core ~proc:t.pid ~cost:(n * (Machine.costs t.machine).Costs.pool_op) ignore
+    Cpu.charge t.core ~proc:t.pid ~cost:(n * (Machine.costs t.machine).Costs.pool_op)
   end
 
 (* Crash and restart notifications are recovery, not data-path work:

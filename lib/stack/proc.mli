@@ -72,7 +72,8 @@ val pool_ops : t -> int
     [pool_op] on the server's core for each [Pool.alloc] and
     [Pool.free] the work performed: operations in a handler's body are
     added to its cost, those in an effect or continuation are charged
-    right after it. Crash and restart notifications are not charged. *)
+    right after it ({!Newt_hw.Cpu.charge}, in FIFO order, with no event
+    of their own). Crash and restart notifications are not charged. *)
 
 val set_send_overhead : (unit -> unit) option -> unit
 (** Process-wide extra work charged on every {!send} — the native

@@ -258,6 +258,75 @@ let test_link_down_frees_queue () =
   Engine.run e;
   Alcotest.(check int) "only the new frame delivered" 1 !got
 
+(* The link's frame buffers are reused, so what it takes in must be
+   copied and what it hands out must be the taker's own: the sender and
+   a tap overwrite every frame they touch, and the receiver keeps every
+   frame it is handed, which must not change while later frames pass
+   through the same buffers. A random stream of frames, each stamped
+   with its number, with the link taken down and up mid-stream: the
+   receiver gets the accepted frames minus those the link flushed,
+   intact and in order, [dropped] counts the refused and flushed ones,
+   and the ring never holds more than [queue_frames] buffers. *)
+type link_op = Tx of int | Down | Up
+
+let gen_link_script =
+  let open QCheck2.Gen in
+  let op =
+    frequency
+      [ (12, map (fun len -> Tx len) (int_range 42 1514)); (1, pure Down); (1, pure Up) ]
+  in
+  (* Gaps of 0 send bursts that queue up; 12 us is one full frame. *)
+  let gap = oneof [ pure 0; int_range 0 (Time.of_micros 15.0) ] in
+  pair (int_range 1 40) (list_size (int_range 1 300) (pair gap op))
+
+let link_ring_keeps_the_stream (queue_frames, script) =
+  let e = Engine.create () in
+  let l = Link.create e ~queue_frames () in
+  (* [waiting]: accepted, not yet delivered or flushed, in order. *)
+  let sent = ref [] and waiting = Queue.create () and flushed = ref [] in
+  let got = ref [] and refused = ref 0 and slots_ok = ref true in
+  Link.tap l (fun ~at:_ ~dir:_ frame -> Bytes.fill frame 0 (Bytes.length frame) '\xff');
+  Link.attach l Link.Right (fun frame ->
+      got := frame :: !got;
+      ignore (Queue.take_opt waiting : string option));
+  let step n op =
+    (match op with
+    | Tx len ->
+        let frame = Bytes.init len (fun i -> Char.chr ((n + i) land 0xff)) in
+        Bytes.set_int32_be frame 0 (Int32.of_int n);
+        let s = Bytes.to_string frame in
+        if Link.transmit l ~from:Link.Left frame then begin
+          Bytes.fill frame 0 len '\x00';
+          sent := s :: !sent;
+          Queue.push s waiting
+        end
+        else incr refused
+    | Down ->
+        if Link.is_up l then Queue.iter (fun s -> flushed := s :: !flushed) waiting;
+        Queue.clear waiting;
+        Link.set_up l false
+    | Up -> Link.set_up l true);
+    slots_ok := !slots_ok && Link.ring_slots l ~from:Link.Left <= queue_frames
+  in
+  ignore
+    (List.fold_left
+       (fun (at, n) (gap, op) ->
+         let at = at + gap in
+         ignore (Engine.schedule_at e at (fun () -> step n op) : Engine.handle);
+         (at, n + 1))
+       (0, 0) script
+      : int * int);
+  Engine.run e;
+  let survivors = List.filter (fun s -> not (List.mem s !flushed)) (List.rev !sent) in
+  List.rev_map Bytes.to_string !got = survivors
+  && Link.dropped l = !refused + List.length !flushed
+  && !slots_ok
+
+let test_link_ring_keeps_the_stream =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:200 ~name:"link ring delivers the stream minus flushed frames"
+       gen_link_script link_ring_keeps_the_stream)
+
 let test_link_queue_overflow () =
   let e = Engine.create () in
   let l = Link.create e ~queue_frames:2 () in
@@ -662,6 +731,7 @@ let suite =
     ("link down frees its transmit queue", `Quick, test_link_down_frees_queue);
     ("link queue overflow", `Quick, test_link_queue_overflow);
     ("link is full duplex", `Quick, test_link_full_duplex);
+    test_link_ring_keeps_the_stream;
     ("offload finalizes tcp checksum", `Quick, test_offload_finalizes_tcp_csum);
     ("offload rejects non-ip frames", `Quick, test_offload_rejects_non_ip);
     ("offload rejects a short ip total length", `Quick, test_offload_rejects_short_total_length);
