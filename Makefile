@@ -15,7 +15,7 @@ test:
 fmt:
 	dune build @fmt
 
-# Golden outputs: eleven seeded runs (~50 s) whose output must equal,
+# Golden outputs: eleven seeded runs (~35 s) whose output must equal,
 # byte for byte, the files under test/golden/. Besides the paper's
 # tables, ablations and cross-checks they pin the wiring paths of every
 # stack shape: the channel graph of every shipped configuration

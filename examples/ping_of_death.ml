@@ -78,7 +78,7 @@ let () =
            (legit_ping
               ~src:(Host.sink_addr host 0)
               ~dst:(Host.local_addr host 0)
-              ~dst_mac:(Newt_nic.E1000.mac (Host.nic host 0))
+              ~dst_mac:(Newt_nic.Mq_e1000.mac (Host.nic host 0))
               ~src_mac:(Addr.Mac.of_index 200))));
 
   (* The attack: 200 forged datagrams, lying length fields, at t=1s. *)
@@ -89,7 +89,7 @@ let () =
           forged_frame
             ~src:(Addr.Ipv4.v 66 66 66 (i land 0xff))
             ~dst:(Host.local_addr host 0)
-            ~dst_mac:(Newt_nic.E1000.mac (Host.nic host 0))
+            ~dst_mac:(Newt_nic.Mq_e1000.mac (Host.nic host 0))
             ~src_mac:(Addr.Mac.of_index 666) ~claim_len:65535
         in
         ignore (Link.transmit (Host.link host 0) ~from:Link.Right frame)

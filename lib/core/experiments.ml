@@ -118,7 +118,7 @@ let single_server_run ~nics ~duration () =
   let module Registry = Newt_channels.Registry in
   let module Sim_chan = Newt_channels.Sim_chan in
   let module Link = Newt_nic.Link in
-  let module E1000 = Newt_nic.E1000 in
+  let module Mq = Newt_nic.Mq_e1000 in
   let module Addr = Newt_net.Addr in
   let module Proc = Newt_stack.Proc in
   let module Component = Newt_stack.Component in
@@ -152,8 +152,8 @@ let single_server_run ~nics ~duration () =
     Array.init nics (fun i ->
         let link = Link.create engine () in
         let nic =
-          E1000.create engine ~registry ~link ~side:Link.Left
-            ~mac:(Addr.Mac.of_index (100 + i))
+          Mq.create engine ~registry ~link ~side:Link.Left
+            ~mac:(Addr.Mac.of_index (100 + i)) ~rss:(Newt_nic.Rss.create ~queues:1 ())
             ()
         in
         let drv_comp =
@@ -164,7 +164,7 @@ let single_server_run ~nics ~duration () =
         let tx_chan = chan () and rx_chan = chan () in
         let iface =
           Single.add_iface stk ~addr:(Addr.Ipv4.v 10 0 i 1)
-            ~mac:(E1000.mac nic) ~drv ~tx_chan ~rx_chan
+            ~mac:(Mq.mac nic) ~drv ~tx_chan ~rx_chan
         in
         Single.add_route stk ~prefix:(Addr.Ipv4.v 10 0 i 0) ~bits:24 ~iface
           ~gateway:None;

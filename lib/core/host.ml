@@ -7,7 +7,7 @@ module Sim_chan = Newt_channels.Sim_chan
 module Addr = Newt_net.Addr
 module Tcp = Newt_net.Tcp
 module Link = Newt_nic.Link
-module E1000 = Newt_nic.E1000
+module Mq = Newt_nic.Mq_e1000
 module Rule = Newt_pf.Rule
 module Proc = Newt_stack.Proc
 module Component = Newt_stack.Component
@@ -75,7 +75,7 @@ type t = {
   ip : Ip_srv.t;
   pfs : Pf_srv.t array;
   pf_comps : Component.t array;
-  nics : E1000.t array;
+  nics : Mq.t array;
   links : Link.t array;
   sinks : Sink.t array;
   sc_comp : Component.t;
@@ -167,8 +167,8 @@ let create ?(config = default_config) () =
   in
   let nics =
     Array.init config.nics (fun i ->
-        E1000.create engine ~registry ~link:links.(i) ~side:Link.Left
-          ~mac:(Addr.Mac.of_index (100 + i))
+        Mq.create engine ~registry ~link:links.(i) ~side:Link.Left
+          ~mac:(Addr.Mac.of_index (100 + i)) ~rss:(Newt_nic.Rss.create ~queues:1 ())
           ~reset_time:config.nic_reset_time ())
   in
   let sinks =
@@ -202,8 +202,8 @@ let create ?(config = default_config) () =
     fun ~ip:_ ->
       {
         Topology.iface =
-          { Ip_srv.addr = Addr.Ipv4.v 10 0 i 1; netmask_bits = 24; mac = E1000.mac nics.(i) };
-        hooks = Ip_srv.hooks_of_drv drv;
+          { Ip_srv.addr = Addr.Ipv4.v 10 0 i 1; netmask_bits = 24; mac = Mq.mac nics.(i) };
+        hooks = Drv_srv.hooks drv;
         peer = (Addr.Ipv4.v 10 0 i 2, Addr.Mac.of_index (200 + i));
       }
   in
@@ -297,7 +297,7 @@ let create ?(config = default_config) () =
   Array.iteri
     (fun i c ->
       Component.on_restart c (fun ~fresh:_ ->
-          if broken (C_drv i) then E1000.misconfigure nics.(i)))
+          if broken (C_drv i) then Mq.misconfigure nics.(i)))
     drv_comps;
   (* Supervision with neighbour notifications (Section IV-D). *)
   Topology.supervise stack t.rs;
@@ -379,7 +379,7 @@ let inject t (inj : Fault_inject.injection) =
   | Fault_inject.Hang -> hang_component t comp
   | Fault_inject.Misconfigure_device -> (
       match comp with
-      | C_drv i -> E1000.misconfigure t.nics.(i)
+      | C_drv i -> Mq.misconfigure t.nics.(i)
       | C_tcp | C_udp | C_ip | C_pf -> kill_component t comp)
   | Fault_inject.Broken_recovery ->
       t.broken_next_restart <- comp :: t.broken_next_restart;

@@ -3,7 +3,8 @@
     This is the library's top-level entry point: it builds the machine
     (one dedicated core per OS component, timeshared application cores),
     the full split networking stack of Figure 3 (SYSCALL, TCP, UDP, IP,
-    PF, one driver per NIC), the e1000-style devices and gigabit links,
+    PF, one driver per NIC), one-queue PRO/1000-style devices
+    ({!Newt_nic.Mq_e1000}) and gigabit links,
     an ideal remote host on the far side of every link, the storage
     server, and the reincarnation server supervising every stack
     component with the right neighbour-notification hooks.
@@ -75,7 +76,7 @@ val pf_shard_count : t -> int
 
 val rs : t -> Newt_reliability.Reincarnation.t
 val storage : t -> Newt_reliability.Storage.t
-val nic : t -> int -> Newt_nic.E1000.t
+val nic : t -> int -> Newt_nic.Mq_e1000.t
 val link : t -> int -> Newt_nic.Link.t
 val sink : t -> int -> Newt_stack.Sink.t
 

@@ -48,6 +48,7 @@ type t = {
   mutable irq_scheduled : bool;
   mutable pending_irqs : irq_reason list;
   mutable unsafe : bool;
+  mutable misconfigured : bool;
   mutable link_admin_up : bool;
   (* Flow -> queue journal: the NIC half of the affinity invariant. *)
   flow_queues : (int * int * int * int, int) Hashtbl.t;
@@ -95,22 +96,26 @@ let flow_key (src, sport, dst, dport) =
   let (i1, p1), (i2, p2) = if a <= b then (a, b) else (b, a) in
   (i1, p1, i2, p2)
 
+(* With one queue every frame lands on queue 0 and no flow can move, so
+   the frame is neither parsed nor journalled. *)
 let steer t frame =
-  match classify frame with
-  | None -> 0
-  | Some ((src, sport, dst, dport) as tuple) ->
-      let q = Rss.queue_of t.rss ~src ~sport ~dst ~dport in
-      let key = flow_key tuple in
-      (match Hashtbl.find_opt t.flow_queues key with
-      | None -> Hashtbl.replace t.flow_queues key q
-      | Some q' when q' = q -> ()
-      | Some _ ->
-          t.violations <- t.violations + 1;
-          Hashtbl.replace t.flow_queues key q);
-      q
+  if Array.length t.qs = 1 then 0
+  else
+    match classify frame with
+    | None -> 0
+    | Some ((src, sport, dst, dport) as tuple) ->
+        let q = Rss.queue_of t.rss ~src ~sport ~dst ~dport in
+        let key = flow_key tuple in
+        (match Hashtbl.find_opt t.flow_queues key with
+        | None -> Hashtbl.replace t.flow_queues key q
+        | Some q' when q' = q -> ()
+        | Some _ ->
+            t.violations <- t.violations + 1;
+            Hashtbl.replace t.flow_queues key q);
+        q
 
 let on_rx t frame =
-  if not t.unsafe then begin
+  if (not t.unsafe) && not t.misconfigured then begin
     let qi = steer t frame in
     let q = t.qs.(qi) in
     if q.q_unsafe then t.rx_no_buffer <- t.rx_no_buffer + 1
@@ -163,6 +168,7 @@ let create engine ~registry ~link ~side ~mac ~rss ?(ring_size = 256) ?irq_delay
       irq_scheduled = false;
       pending_irqs = [];
       unsafe = false;
+      misconfigured = false;
       link_admin_up = true;
       flow_queues = Hashtbl.create 64;
       violations = 0;
@@ -180,8 +186,10 @@ let rss t = t.rss
 let set_irq_handler t f = t.irq_handler <- f
 let set_rx_writer t f = t.rx_writer <- Some f
 
-(* Per-queue TX pump onto the shared wire. Retries at roughly the
-   serialization time of one full frame on the configured link rate. *)
+(* Per-queue TX pump onto the shared wire. The link refuses a frame
+   only while its queue is full, and the pump retries it 2 us later: a
+   fixed poll interval, not a frame time (a full-size frame takes 12 us
+   at 1 Gbps and 0.3 us at 40 Gbps). *)
 let rec tx_pump t qi =
   let q = t.qs.(qi) in
   if t.unsafe || q.q_unsafe || not t.link_admin_up then q.tx_active <- false
@@ -250,30 +258,26 @@ let reap_rx t ~queue =
 let tx_ring_free t ~queue = Ring.free_slots t.qs.(queue).tx_ring
 let rx_ring_free t ~queue = Ring.free_slots t.qs.(queue).rx_ring
 let mark_unsafe t = t.unsafe <- true
+let misconfigure t = t.misconfigured <- true
 let mark_queue_unsafe t ~queue = t.qs.(queue).q_unsafe <- true
 
-(* Restart-aware per-queue recovery: reprogramming one queue's rings
-   needs no link renegotiation, so the other queues keep forwarding
-   while a crashed owner reclaims just its slice of the device. *)
-let reset_queue t ~queue =
-  let q = t.qs.(queue) in
+let clear_queue q =
   ignore (Ring.clear q.tx_ring);
   ignore (Ring.clear q.rx_ring);
   Queue.clear q.rx_lens;
   q.tx_active <- false;
   q.q_unsafe <- false
 
+(* Restart-aware per-queue recovery: reprogramming one queue's rings
+   needs no link renegotiation, so the other queues keep forwarding
+   while a crashed owner reclaims just its slice of the device. *)
+let reset_queue t ~queue = clear_queue t.qs.(queue)
+
 let reset t =
-  Array.iter
-    (fun q ->
-      ignore (Ring.clear q.tx_ring);
-      ignore (Ring.clear q.rx_ring);
-      Queue.clear q.rx_lens;
-      q.tx_active <- false;
-      q.q_unsafe <- false)
-    t.qs;
+  Array.iter clear_queue t.qs;
   Hashtbl.reset t.flow_queues;
   t.unsafe <- false;
+  t.misconfigured <- false;
   t.link_admin_up <- false;
   Link.set_up t.link false;
   ignore

@@ -1,18 +1,26 @@
-(** A multi-queue Ethernet device: the e1000 model extended with N
-    TX/RX descriptor-ring pairs and an {!Rss} engine.
+(** The one Ethernet device model: an Intel PRO/1000-style adapter with
+    N TX/RX descriptor-ring pairs and an {!Rss} engine. It does
+    scatter-gather DMA through the pool {!Newt_channels.Registry},
+    checksum offload and TSO on transmit, serializes every queue onto
+    one {!Link} (the shared PHY), and raises moderated interrupts, one
+    reason per queue.
 
-    Received frames are classified (Ethernet/IPv4/L4 ports), hashed
-    through the RSS indirection table and completed on the selected RX
-    queue; non-IP and non-TCP/UDP traffic lands on queue 0. Each queue
-    raises its own interrupt reason, so a driver can fan completions out
-    to per-shard protocol servers without touching the others' cache
-    lines. TX descriptors are posted per queue; all queues serialize
-    onto the same wire (the link models the shared PHY).
+    With one queue ([Rss.create ~queues:1 ()]) it is the paper's
+    PRO/1000 port, as the split stack and the single server drive it.
+    The adapter keeps shadow copies of the ring descriptors, so after
+    the rings' owner crashes the device {b must be reset} before new
+    rings can be armed ({!mark_unsafe} / {!reset}, Section V-D); the
+    reset takes the link down until auto-negotiation completes, the
+    visible gap in Figure 4. A one-queue device puts every frame on
+    queue 0 without parsing it.
 
-    The device keeps a flow→queue journal and counts {e steering
-    violations} — a flow observed on two different queues — which is the
-    NIC half of the flow→shard affinity invariant the scale layer
-    asserts. *)
+    With several queues, TCP/UDP frames are hashed through the RSS
+    indirection table onto an RX queue (other traffic lands on queue
+    0), and one queue can be fenced and reprogrammed while the others
+    keep forwarding ({!mark_queue_unsafe} / {!reset_queue}). The device
+    journals flow→queue and counts {e steering violations}, a flow seen
+    on two queues: the NIC half of the scale layer's affinity
+    invariant. *)
 
 type t
 
@@ -44,7 +52,8 @@ val create :
   ?reset_time:Newt_sim.Time.cycles ->
   unit ->
   t
-(** The queue count is [Rss.queues rss]. *)
+(** The queue count is [Rss.queues rss]. Defaults: 256-descriptor
+    rings, 10 us interrupt moderation, 1.2 s reset time. *)
 
 val mac : t -> Newt_net.Addr.Mac.t
 val queues : t -> int
@@ -52,17 +61,32 @@ val rss : t -> Rss.t
 
 val set_irq_handler : t -> (irq_reason -> unit) -> unit
 val set_rx_writer : t -> (Newt_channels.Rich_ptr.t -> Bytes.t -> unit) -> unit
+(** The DMA-write capability for RX buffers, from the receive pool's
+    owner. *)
 
 val post_tx : t -> queue:int -> tx_desc -> bool
+(** [false] when the ring is full. *)
+
 val doorbell_tx : t -> queue:int -> unit
 val post_rx : t -> queue:int -> rx_desc -> bool
 val reap_tx : t -> queue:int -> tx_desc option
+(** One TX completion: the frame's buffers may now be freed. *)
+
 val reap_rx : t -> queue:int -> rx_completion option
 val tx_ring_free : t -> queue:int -> int
 val rx_ring_free : t -> queue:int -> int
 
 val mark_unsafe : t -> unit
+(** The rings' owner crashed: every queue stops until {!reset}. *)
+
+val misconfigure : t -> unit
+(** A buggy driver programmed the device wrongly: it silently stops
+    receiving (Section VI-B's "slowdown but no crash"). Cleared by
+    {!reset}. *)
+
 val reset : t -> unit
+(** Drops every ring, lifts all fences and the misconfiguration, and
+    bounces the link: [Link_change] when it is back. *)
 
 val mark_queue_unsafe : t -> queue:int -> unit
 (** Fence DMA off for one queue only (the owner of that slice of the
@@ -74,10 +98,11 @@ val reset_queue : t -> queue:int -> unit
     which is what makes replica restart invisible to other shards. *)
 
 val link_up : t -> bool
-
 val tx_packets : t -> int
 val rx_packets : t -> int
 val rx_no_buffer : t -> int
+(** Frames dropped for want of a posted RX descriptor or on a fenced
+    queue. *)
 
 val rx_queue_packets : t -> int array
 (** Per-queue received-frame counters (the imbalance picture). *)

@@ -508,7 +508,7 @@ let run (cfg : config) : result =
   let wire_to_host = chan ~capacity:4096 "drv0.wire_rx" in
   (* {3 The native driver}
 
-     Plays E1000 + Drv_srv in one component: consumes [Drv_tx],
+     Plays the NIC and Drv_srv in one component: consumes [Drv_tx],
      materializes frames (scatter-gather + TSO split + checksum fill,
      the same offload engines the simulated NIC uses) and pushes them
      onto the wire; drains the inbound wire into granted RX-pool
@@ -527,14 +527,11 @@ let run (cfg : config) : result =
     let flush_confirms () =
       match (!pending_confirms, !drv_tx_to_ip) with
       | [], _ | _, None -> ()
-      | [ id ], Some chan ->
-          pending_confirms := [];
-          ignore (Proc.send drv_proc chan (Msg.Drv_tx_confirm { id; ok = true }))
       | ids, Some chan ->
           pending_confirms := [];
           ignore
             (Proc.send drv_proc chan
-               (Msg.Drv_tx_confirm_batch { ids = List.rev ids; ok = true }))
+               (Msg.Drv_tx_confirm { ids = List.rev ids; ok = true }))
     in
     let handle_drv_msg msg =
       match msg with

@@ -357,25 +357,13 @@ let create ?(config = default_config) () =
      with replicas a crash fences only the dead replica's queues. *)
   let driver _ comp =
     let drv = Mq_drv_srv.create comp ~nic () in
-    if r > 1 then Mq_drv_srv.set_replicas drv r;
+    Mq_drv_srv.set_replicas drv r;
     fun ~ip:k ->
       {
         Topology.iface =
           { Ip_srv.addr = Addr.Ipv4.v 10 0 0 1; netmask_bits = 24; mac = Mq.mac nic };
         peer = (Addr.Ipv4.v 10 0 0 2, Addr.Mac.of_index 200);
-        hooks =
-          {
-            Ip_srv.drv_connect = Mq_drv_srv.connect_ip_replica drv ~replica:k;
-            drv_grant_rx_pool = Mq_drv_srv.grant_rx_pool_replica drv ~replica:k;
-            drv_on_ip_crash =
-              (fun () ->
-                if r = 1 then Mq_drv_srv.on_ip_crash drv
-                else Mq_drv_srv.on_ip_replica_crash drv ~replica:k);
-            drv_on_ip_restart =
-              (fun () ->
-                if r = 1 then Mq_drv_srv.on_ip_restart drv
-                else Mq_drv_srv.on_ip_replica_restart drv ~replica:k);
-          };
+        hooks = Mq_drv_srv.hooks drv ~replica:k;
       }
   in
   let stack =

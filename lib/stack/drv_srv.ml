@@ -1,13 +1,13 @@
 module Machine = Newt_hw.Machine
 module Costs = Newt_hw.Costs
-module E1000 = Newt_nic.E1000
+module Mq = Newt_nic.Mq_e1000
 module Sim_chan = Newt_channels.Sim_chan
 module Rich_ptr = Newt_channels.Rich_ptr
 
 type t = {
   comp : Component.t;
   proc : Proc.t;
-  nic : E1000.t;
+  nic : Mq.t;
   mutable tx_to_ip : Msg.t Sim_chan.t option;
   mutable rx_alloc : (unit -> Rich_ptr.t option) option;
   mutable rx_write : (Rich_ptr.t -> Bytes.t -> unit) option;
@@ -27,10 +27,10 @@ let replenish_rx t =
   match (t.rx_alloc, t.rx_write) with
   | Some alloc, Some _ ->
       let rec fill () =
-        if E1000.rx_ring_free t.nic > 0 then
+        if Mq.rx_ring_free t.nic ~queue:0 > 0 then
           match alloc () with
           | Some buf ->
-              if E1000.post_rx t.nic { E1000.buf; rx_cookie = 0 } then fill ()
+              if Mq.post_rx t.nic ~queue:0 { Mq.buf; rx_cookie = 0 } then fill ()
           | None -> ()
       in
       fill ()
@@ -42,9 +42,9 @@ let handle_irq t reason =
   let c = costs t in
   Proc.exec t.proc ~cost:c.Costs.trap_hot (fun () ->
       match reason with
-      | E1000.Tx_done ->
+      | Mq.Tx_done _ ->
           let rec reap () =
-            match E1000.reap_tx t.nic with
+            match Mq.reap_tx t.nic ~queue:0 with
             | None -> ()
             | Some desc ->
                 Proc.exec t.proc
@@ -54,34 +54,34 @@ let handle_irq t reason =
                     | Some chan ->
                         ignore
                           (Proc.send t.proc chan
-                             (Msg.Drv_tx_confirm { id = desc.E1000.tx_cookie; ok = true }))
+                             (Msg.Drv_tx_confirm { ids = [ desc.Mq.tx_cookie ]; ok = true }))
                     | None -> ());
                 reap ()
           in
           reap ()
-      | E1000.Rx_done ->
+      | Mq.Rx_done _ ->
           let rec reap () =
-            match E1000.reap_rx t.nic with
+            match Mq.reap_rx t.nic ~queue:0 with
             | None -> ()
             | Some completion ->
                 Proc.exec t.proc ~cost:c.Costs.driver_packet_work (fun () ->
                     match t.tx_to_ip with
                     | Some chan ->
                         let buf =
-                          { completion.E1000.rx_buf with Rich_ptr.len = completion.E1000.len }
+                          { completion.Mq.rx_buf with Rich_ptr.len = completion.Mq.len }
                         in
                         ignore
                           (Proc.send t.proc chan
-                             (Msg.Rx_frame { buf; len = completion.E1000.len }))
+                             (Msg.Rx_frame { buf; len = completion.Mq.len }))
                     | None -> ());
                 reap ()
           in
           reap ();
           replenish_rx t
-      | E1000.Link_change ->
+      | Mq.Link_change ->
           (* Link came back after a reset: re-arm and resume. *)
           replenish_rx t;
-          E1000.doorbell_tx t.nic)
+          Mq.doorbell_tx t.nic ~queue:0)
 
 let handle_msg t msg =
   let c = costs t in
@@ -91,19 +91,20 @@ let handle_msg t msg =
         fun () ->
           t.tx_accepted <- t.tx_accepted + 1;
           let desc =
-            { E1000.chain; csum_offload; tso; tso_mss; tx_cookie = id }
+            { Mq.chain; csum_offload; tso; tso_mss; tx_cookie = id }
           in
-          if E1000.post_tx t.nic desc then E1000.doorbell_tx t.nic
+          if Mq.post_tx t.nic ~queue:0 desc then Mq.doorbell_tx t.nic ~queue:0
           else begin
             (* TX ring full: refuse, IP keeps the request pending and
                will resubmit (never block, Section IV-A). *)
             match t.tx_to_ip with
             | Some chan ->
-                ignore (Proc.send t.proc chan (Msg.Drv_tx_confirm { id; ok = false }))
+                ignore
+                  (Proc.send t.proc chan (Msg.Drv_tx_confirm { ids = [ id ]; ok = false }))
             | None -> ()
           end )
   | Msg.Tx_ip _ | Msg.Tx_ip_confirm _ | Msg.Filter_req _ | Msg.Filter_verdict _
-  | Msg.Drv_tx_confirm _ | Msg.Drv_tx_confirm_batch _ | Msg.Rx_frame _
+  | Msg.Drv_tx_confirm _ | Msg.Rx_frame _
   | Msg.Rx_deliver _ | Msg.Rx_done _
   | Msg.Sock_req _ | Msg.Sock_reply _ | Msg.Sock_event _ ->
       (* Not ours: a buggy or malicious peer. Ignore (Section IV-A:
@@ -123,11 +124,11 @@ let create comp ~nic () =
       tx_accepted = 0;
     }
   in
-  E1000.set_irq_handler nic (fun reason -> handle_irq t reason);
+  Mq.set_irq_handler nic (fun reason -> handle_irq t reason);
   (* Fresh start after a crash: the device must be reset — "manually
      restarting the driver ... reset the device" (Section VI-B). *)
   Component.on_restart comp ~step:"reset-device" (fun ~fresh:_ ->
-      E1000.reset t.nic);
+      Mq.reset t.nic);
   t
 
 let connect_ip t ~rx_from_ip ~tx_to_ip =
@@ -138,7 +139,7 @@ let connect_ip t ~rx_from_ip ~tx_to_ip =
 let grant_rx_pool t ~alloc ~write =
   t.rx_alloc <- Some alloc;
   t.rx_write <- Some write;
-  E1000.set_rx_writer t.nic (fun buf frame -> write buf frame);
+  Mq.set_rx_writer t.nic (fun buf frame -> write buf frame);
   replenish_rx t
 
 let on_ip_crash t =
@@ -146,10 +147,19 @@ let on_ip_crash t =
      pool: unsafe until reset. *)
   t.rx_alloc <- None;
   t.rx_write <- None;
-  E1000.mark_unsafe t.nic
+  Mq.mark_unsafe t.nic
 
 let on_ip_restart t =
   (* The Intel adapters have no knob to invalidate their shadow RX/TX
      descriptor copies, so the device must be reset — this is what
      causes the visible gap of Figure 4. *)
-  E1000.reset t.nic
+  Mq.reset t.nic
+
+let hooks t =
+  {
+    Ip_srv.drv_connect =
+      (fun ~rx_from_ip ~tx_to_ip -> connect_ip t ~rx_from_ip ~tx_to_ip);
+    drv_grant_rx_pool = (fun ~alloc ~write -> grant_rx_pool t ~alloc ~write);
+    drv_on_ip_crash = (fun () -> on_ip_crash t);
+    drv_on_ip_restart = (fun () -> on_ip_restart t);
+  }

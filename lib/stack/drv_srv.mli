@@ -8,6 +8,11 @@
     whole lifecycle is the generic {!Component} one, plus a device
     reset on restart.
 
+    It drives queue 0 of a one-queue {!Newt_nic.Mq_e1000} (the paper's
+    PRO/1000 port) and confirms each TX completion in a message of its
+    own; {!Mq_drv_srv} serves every queue of a multi-queue device and
+    batches its confirms.
+
     Interrupts reach the driver as kernel messages (Section V-B); here
     the device's irq handler schedules costed work on the driver's
     core.
@@ -21,11 +26,11 @@
 
 type t
 
-val create : Component.t -> nic:Newt_nic.E1000.t -> unit -> t
+val create : Component.t -> nic:Newt_nic.Mq_e1000.t -> unit -> t
 
 val comp : t -> Component.t
 val proc : t -> Proc.t
-val nic : t -> Newt_nic.E1000.t
+val nic : t -> Newt_nic.Mq_e1000.t
 
 val connect_ip :
   t ->
@@ -43,13 +48,12 @@ val grant_rx_pool :
     when exhausted), [write] is the DMA-write capability. The driver
     fills the RX ring. *)
 
-val on_ip_crash : t -> unit
-(** Neighbour-crash procedure: abort in-flight work, mark the device
-    unsafe (its shadow descriptors reference a dead pool). *)
-
-val on_ip_restart : t -> unit
-(** IP is back: reset the device (link bounce) and re-arm RX once the
-    pool has been re-granted. *)
+val hooks : t -> Ip_srv.driver_hooks
+(** What the IP server calls on this driver: {!connect_ip},
+    {!grant_rx_pool} and the neighbour-crash procedure. An IP crash
+    marks the device unsafe (its shadow descriptors reference a dead
+    pool); IP's restart resets the device (link bounce), and RX re-arms
+    once the pool has been re-granted. *)
 
 val tx_accepted : t -> int
 (** Frames accepted from IP over this driver's lifetime. *)

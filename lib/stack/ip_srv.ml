@@ -578,12 +578,9 @@ let handle_msg t ~source msg =
           | Some (Drv _) | None ->
               (* Stale verdict from before a crash: ignore. *)
               Stats.incr (Proc.stats t.proc) "stale_verdict" ))
-  | Msg.Drv_tx_confirm { id; ok } ->
-      (marshal_cost t, fun () -> complete_drv_confirm t id ok)
-  | Msg.Drv_tx_confirm_batch { ids; ok } ->
-      (* One message, many completions: the channel cost is paid once
-         per batch (the driver's amortization), the per-completion
-         bookkeeping still runs for each id. *)
+  | Msg.Drv_tx_confirm { ids; ok } ->
+      (* The channel cost is paid once per message (a batching driver's
+         amortization), the per-completion bookkeeping once per id. *)
       ( marshal_cost t,
         fun () -> List.iter (fun id -> complete_drv_confirm t id ok) ids )
   | Msg.Rx_frame { buf; len } ->
@@ -718,16 +715,6 @@ let add_iface t cfg ~hooks ~tx_chan ~rx_chan =
   hooks.drv_connect ~rx_from_ip:tx_chan ~tx_to_ip:rx_chan;
   grant_pool_to t hooks;
   i
-
-let hooks_of_drv drv =
-  {
-    drv_connect =
-      (fun ~rx_from_ip ~tx_to_ip -> Drv_srv.connect_ip drv ~rx_from_ip ~tx_to_ip);
-    drv_grant_rx_pool =
-      (fun ~alloc ~write -> Drv_srv.grant_rx_pool drv ~alloc ~write);
-    drv_on_ip_crash = (fun () -> Drv_srv.on_ip_crash drv);
-    drv_on_ip_restart = (fun () -> Drv_srv.on_ip_restart drv);
-  }
 
 let connect_pf_sharded t ~steer ~pairs =
   t.pf <-

@@ -47,7 +47,8 @@ val proc : t -> Proc.t
 (** {1 Wiring} *)
 
 (** What IP needs from a driver, abstracted so a multi-queue driver
-    ({!Mq_drv_srv}) can serve an interface just like {!Drv_srv}. *)
+    ({!Mq_drv_srv.hooks}) can serve an interface just like {!Drv_srv}
+    ({!Drv_srv.hooks}). *)
 type driver_hooks = {
   drv_connect :
     rx_from_ip:Msg.t Newt_channels.Sim_chan.t ->
@@ -60,9 +61,6 @@ type driver_hooks = {
   drv_on_ip_crash : unit -> unit;
   drv_on_ip_restart : unit -> unit;
 }
-
-val hooks_of_drv : Drv_srv.t -> driver_hooks
-(** The hooks of a single-queue {!Drv_srv}. *)
 
 val add_iface :
   t ->

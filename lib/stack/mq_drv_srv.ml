@@ -83,7 +83,7 @@ let send_confirms t chan ids =
         in
         let head, rest = take batch [] ids in
         ignore
-          (Proc.send t.proc chan (Msg.Drv_tx_confirm_batch { ids = head; ok = true }));
+          (Proc.send t.proc chan (Msg.Drv_tx_confirm { ids = head; ok = true }));
         go rest
   in
   go ids
@@ -145,11 +145,12 @@ let handle_msg t msg =
           else begin
             match t.replicas.(replica_of_queue t queue).r_tx_to_ip with
             | Some chan ->
-                ignore (Proc.send t.proc chan (Msg.Drv_tx_confirm { id; ok = false }))
+                ignore
+                  (Proc.send t.proc chan (Msg.Drv_tx_confirm { ids = [ id ]; ok = false }))
             | None -> ()
           end )
   | Msg.Tx_ip _ | Msg.Tx_ip_confirm _ | Msg.Filter_req _ | Msg.Filter_verdict _
-  | Msg.Drv_tx_confirm _ | Msg.Drv_tx_confirm_batch _ | Msg.Rx_frame _
+  | Msg.Drv_tx_confirm _ | Msg.Rx_frame _
   | Msg.Rx_deliver _ | Msg.Rx_done _
   | Msg.Sock_req _ | Msg.Sock_reply _ | Msg.Sock_event _ ->
       (0, fun () -> Newt_sim.Stats.incr (Proc.stats t.proc) "invalid_msg")
@@ -189,30 +190,33 @@ let grant_rx_pool_replica t ~replica ~alloc ~write =
   r.r_pool_id <- -1;
   replenish_rx t
 
+(* A crashed replica's queues hold descriptors into its dead pool. With
+   one replica that is the whole device: fence all of it, and take the
+   full link-bouncing reset on restart as the real adapter must
+   (Section V-D). With several, fence and reprogram only the dead
+   replica's queues; the others keep forwarding. *)
 let on_ip_replica_crash t ~replica =
-  (* Fence off just this replica's slice of the device: its queues hold
-     descriptors into the dead pool, the other queues keep forwarding. *)
   let r = t.replicas.(replica) in
   r.r_alloc <- None;
   r.r_write <- None;
   r.r_pool_id <- -1;
-  for queue = 0 to Mq.queues t.nic - 1 do
-    if replica_of_queue t queue = replica then
-      Mq.mark_queue_unsafe t.nic ~queue
-  done
+  if replica_count t = 1 then Mq.mark_unsafe t.nic
+  else
+    for queue = 0 to Mq.queues t.nic - 1 do
+      if replica_of_queue t queue = replica then Mq.mark_queue_unsafe t.nic ~queue
+    done
 
 let on_ip_replica_restart t ~replica =
-  for queue = 0 to Mq.queues t.nic - 1 do
-    if replica_of_queue t queue = replica then Mq.reset_queue t.nic ~queue
-  done
+  if replica_count t = 1 then Mq.reset t.nic
+  else
+    for queue = 0 to Mq.queues t.nic - 1 do
+      if replica_of_queue t queue = replica then Mq.reset_queue t.nic ~queue
+    done
 
-(* {2 Singleton-IP attachment (one replica owning every queue)} *)
-
-let on_ip_crash t =
-  let r = t.replicas.(0) in
-  r.r_alloc <- None;
-  r.r_write <- None;
-  r.r_pool_id <- -1;
-  Mq.mark_unsafe t.nic
-
-let on_ip_restart t = Mq.reset t.nic
+let hooks t ~replica =
+  {
+    Ip_srv.drv_connect = connect_ip_replica t ~replica;
+    drv_grant_rx_pool = grant_rx_pool_replica t ~replica;
+    drv_on_ip_crash = (fun () -> on_ip_replica_crash t ~replica);
+    drv_on_ip_restart = (fun () -> on_ip_replica_restart t ~replica);
+  }

@@ -10,7 +10,7 @@
     - it honours the [queue] field of {!Msg.Drv_tx}, posting each frame
       on the TX ring the sending shard's flows hash to, and replenishes
       every RX ring;
-    - it coalesces TX completions into {!Msg.Drv_tx_confirm_batch}
+    - it coalesces TX completions into {!Msg.Drv_tx_confirm}
       messages of up to {!Newt_hw.Costs.t.confirm_batch} ids, amortizing
       the per-message channel cost IP pays — without this, IP's
       completion handling alone would eat the headroom the shards are
@@ -41,36 +41,13 @@ val nic : t -> Newt_nic.Mq_e1000.t
 val set_replicas : t -> int -> unit
 (** Declare how many IP replicas will attach. *)
 
-val connect_ip_replica :
-  t ->
-  replica:int ->
-  rx_from_ip:Msg.t Newt_channels.Sim_chan.t ->
-  tx_to_ip:Msg.t Newt_channels.Sim_chan.t ->
-  unit
-
-val grant_rx_pool_replica :
-  t ->
-  replica:int ->
-  alloc:(unit -> Newt_channels.Rich_ptr.t option) ->
-  write:(Newt_channels.Rich_ptr.t -> Bytes.t -> unit) ->
-  unit
-
-val on_ip_replica_crash : t -> replica:int -> unit
-(** Fence DMA off for the dead replica's queues only; other queues keep
-    forwarding (this is what makes a replica crash lose only its
-    shard's datagrams). *)
-
-val on_ip_replica_restart : t -> replica:int -> unit
-(** Reprogram the replica's queues without a link bounce; the replica
+val hooks : t -> replica:int -> Ip_srv.driver_hooks
+(** What IP replica [replica] calls on this driver. When one replica
+    owns the device, its crash marks the whole device unsafe and its
+    restart performs the full link-bouncing reset, as the real adapter
+    would. With several, a crash fences DMA off for the dead replica's
+    queues only, so it loses only its shard's datagrams, and the
+    restart reprograms those queues without a link bounce; the replica
     re-grants its pool right after, which re-arms RX. *)
-
-(** {1 Singleton IP}
-
-    One IP server (replica 0) owning every queue: [on_ip_crash] marks
-    the whole device unsafe and [on_ip_restart] performs the full
-    link-bouncing reset, as the real adapter would. *)
-
-val on_ip_crash : t -> unit
-val on_ip_restart : t -> unit
 
 val tx_accepted : t -> int

@@ -49,8 +49,7 @@ type t =
       tso_mss : int;
       queue : int;
     }
-  | Drv_tx_confirm of { id : int; ok : bool }
-  | Drv_tx_confirm_batch of { ids : int list; ok : bool }
+  | Drv_tx_confirm of { ids : int list; ok : bool }
   | Rx_frame of { buf : Newt_channels.Rich_ptr.t; len : int }
   | Rx_deliver of {
       buf : Newt_channels.Rich_ptr.t;
@@ -66,15 +65,13 @@ let ptrs = function
   | Tx_ip { chain; _ } | Drv_tx { chain; _ } -> chain
   | Rx_frame { buf; _ } | Rx_deliver { buf; _ } | Rx_done { buf } -> [ buf ]
   | Tx_ip_confirm _ | Filter_req _ | Filter_verdict _ | Drv_tx_confirm _
-  | Drv_tx_confirm_batch _ | Sock_req _ | Sock_reply _ | Sock_event _ ->
+  | Sock_req _ | Sock_reply _ | Sock_event _ ->
       []
 
 let protocol = function
   | Tx_ip { id; _ } | Filter_req { id; _ } | Drv_tx { id; _ } -> `Req id
-  | Tx_ip_confirm { id; _ } | Filter_verdict { id; _ } | Drv_tx_confirm { id; _ }
-    ->
-      `Conf [ id ]
-  | Drv_tx_confirm_batch { ids; _ } -> `Conf ids
+  | Tx_ip_confirm { id; _ } | Filter_verdict { id; _ } -> `Conf [ id ]
+  | Drv_tx_confirm { ids; _ } -> `Conf ids
   (* Sock_req/Sock_reply ids come from the SYSCALL server's own
      counter, not the request database (a different namespace that
      would alias), and a blocking call may stay pending indefinitely

@@ -88,11 +88,11 @@ type t =
           (** TX queue hint for multi-queue devices (shard affinity);
               single-queue drivers ignore it. *)
     }
-  | Drv_tx_confirm of { id : int; ok : bool }
-  | Drv_tx_confirm_batch of { ids : int list; ok : bool }
-      (** Several completions coalesced into one message — the driver
-          amortizes the per-message channel cost over
-          {!Newt_hw.Costs.t.confirm_batch} completions. *)
+  | Drv_tx_confirm of { ids : int list; ok : bool }
+      (** One or more TX completions. {!Drv_srv} confirms each
+          descriptor alone; {!Mq_drv_srv} coalesces up to
+          {!Newt_hw.Costs.t.confirm_batch} ids into one message,
+          amortizing the per-message channel cost. *)
   (* Driver -> IP: a received frame, in the IP server's receive pool. *)
   | Rx_frame of { buf : Newt_channels.Rich_ptr.t; len : int }
   (* IP -> transport: a received L4 payload (still in the rx pool). *)

@@ -66,7 +66,7 @@ let handle_msg t ~reply_to msg =
               if not pass then t.blocked <- t.blocked + 1;
               ignore (Proc.send t.proc reply_to (Msg.Filter_verdict { id; pass })) ))
   | Msg.Tx_ip _ | Msg.Tx_ip_confirm _ | Msg.Filter_verdict _ | Msg.Drv_tx _
-  | Msg.Drv_tx_confirm _ | Msg.Drv_tx_confirm_batch _ | Msg.Rx_frame _
+  | Msg.Drv_tx_confirm _ | Msg.Rx_frame _
   | Msg.Rx_deliver _ | Msg.Rx_done _
   | Msg.Sock_req _ | Msg.Sock_reply _ | Msg.Sock_event _ ->
       (0, fun () -> Stats.incr (Proc.stats t.proc) "invalid_msg")

@@ -296,19 +296,22 @@ let handle_msg t ~rx_iface msg =
   match msg with
   | Msg.Sock_req { id; sock = sock_id; call } ->
       (c.Costs.channel_demux, fun () -> handle_call t (sock t sock_id) id call)
-  | Msg.Drv_tx_confirm { id; ok = _ } -> (
+  | Msg.Drv_tx_confirm { ids; ok = _ } ->
       (* Completions free in a tight scan: a fraction of the
          cross-domain demux cost. *)
       ( c.Costs.channel_demux / c.Costs.confirm_batch,
         fun () ->
-          match Request_db.complete t.db id with
-          | Some chain -> free_chain t chain
-          | None -> () ))
+          List.iter
+            (fun id ->
+              match Request_db.complete t.db id with
+              | Some chain -> free_chain t chain
+              | None -> ())
+            ids )
   | Msg.Rx_frame { buf; len } ->
       ( c.Costs.ip_rx_work + c.Costs.tcp_ack_work,
         fun () -> handle_rx t ~iface:rx_iface ~buf ~len )
   | Msg.Tx_ip _ | Msg.Tx_ip_confirm _ | Msg.Filter_req _ | Msg.Filter_verdict _
-  | Msg.Drv_tx _ | Msg.Drv_tx_confirm_batch _ | Msg.Rx_deliver _
+  | Msg.Drv_tx _ | Msg.Rx_deliver _
   | Msg.Rx_done _ | Msg.Sock_reply _
   | Msg.Sock_event _ ->
       (0, fun () -> Stats.incr (Proc.stats t.proc) "invalid_msg")

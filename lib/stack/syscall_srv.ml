@@ -181,7 +181,7 @@ let handle_msg t msg =
                   if closed then Hashtbl.remove t.sockets sock_id) ))
   | Msg.Sock_event _ -> (100, fun () -> ())
   | Msg.Tx_ip _ | Msg.Tx_ip_confirm _ | Msg.Filter_req _ | Msg.Filter_verdict _
-  | Msg.Drv_tx _ | Msg.Drv_tx_confirm _ | Msg.Drv_tx_confirm_batch _
+  | Msg.Drv_tx _ | Msg.Drv_tx_confirm _
   | Msg.Rx_frame _ | Msg.Rx_deliver _
   | Msg.Rx_done _ | Msg.Sock_req _ ->
       (0, fun () -> Stats.incr (Proc.stats t.proc) "invalid_msg")

@@ -470,7 +470,7 @@ let handle_msg t msg =
             (fun chan -> ignore (Proc.send t.proc chan (Msg.Rx_done { buf })))
             t.to_ip )
   | Msg.Tx_ip _ | Msg.Filter_req _ | Msg.Filter_verdict _ | Msg.Drv_tx _
-  | Msg.Drv_tx_confirm _ | Msg.Drv_tx_confirm_batch _ | Msg.Rx_frame _
+  | Msg.Drv_tx_confirm _ | Msg.Rx_frame _
   | Msg.Rx_done _ | Msg.Sock_reply _
   | Msg.Sock_event _ ->
       (0, fun () -> Stats.incr (Proc.stats t.proc) "invalid_msg")

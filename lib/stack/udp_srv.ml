@@ -304,7 +304,7 @@ let handle_msg t msg =
       ( c.Costs.udp_segment_work + c.Costs.channel_marshal + c.Costs.channel_enqueue,
         fun () -> handle_rx t buf ~src ~dst )
   | Msg.Tx_ip _ | Msg.Filter_req _ | Msg.Filter_verdict _ | Msg.Drv_tx _
-  | Msg.Drv_tx_confirm _ | Msg.Drv_tx_confirm_batch _ | Msg.Rx_frame _
+  | Msg.Drv_tx_confirm _ | Msg.Rx_frame _
   | Msg.Rx_done _ | Msg.Sock_reply _
   | Msg.Sock_event _ ->
       (0, fun () -> Stats.incr (Proc.stats t.proc) "invalid_msg")

@@ -1,14 +1,16 @@
 (* Tests for the NIC substrate: descriptor rings, the link model, the
    offload engines (checksum finalization, TSO splitting — property
-   tested against the real decoders), and the e1000 device model
-   including its recovery-relevant reset semantics. *)
+   tested against the real decoders), and the e1000 device model: one
+   queue with its recovery-relevant reset semantics, several with
+   per-queue fences and RSS steering. *)
 
 module Engine = Newt_sim.Engine
 module Time = Newt_sim.Time
 module Ring = Newt_nic.Ring
 module Link = Newt_nic.Link
 module Offload = Newt_nic.Offload
-module E1000 = Newt_nic.E1000
+module Mq = Newt_nic.Mq_e1000
+module Rss = Newt_nic.Rss
 module Pool = Newt_channels.Pool
 module Registry = Newt_channels.Registry
 module Rich_ptr = Newt_channels.Rich_ptr
@@ -483,39 +485,53 @@ let test_offload_udp_csum () =
       | None -> Alcotest.fail "bad ip")
   | None -> Alcotest.fail "bad eth"
 
-(* {2 E1000 device} *)
+(* {2 The device model} *)
 
 type dev_world = {
   engine : Engine.t;
   registry : Registry.t;
   pool : Pool.t;
-  dev : E1000.t;
+  dev : Mq.t;
   link : Link.t;
   received_frames : Bytes.t list ref;
 }
 
-let make_dev_world () =
+(* One queue by default: the paper's PRO/1000 port. *)
+let make_dev_world ?(queues = 1) () =
   let engine = Engine.create () in
   let registry = Registry.create () in
   let pool = Pool.create ~id:(Pool.fresh_id ()) ~slots:64 ~slot_size:2048 in
   Registry.register registry pool;
   let link = Link.create engine () in
   let dev =
-    E1000.create engine ~registry ~link ~side:Link.Left ~mac:(Addr.Mac.of_index 1) ()
+    Mq.create engine ~registry ~link ~side:Link.Left ~mac:(Addr.Mac.of_index 1)
+      ~rss:(Rss.create ~queues ()) ()
   in
   let received_frames = ref [] in
   Link.attach link Link.Right (fun f -> received_frames := f :: !received_frames);
   { engine; registry; pool; dev; link; received_frames }
 
-let post_frame w bytes =
+let post_frame ?(queue = 0) w bytes =
   let ptr = Pool.alloc w.pool ~len:(Bytes.length bytes) in
   Pool.write w.pool ptr ~src:bytes ~src_off:0;
   let ok =
-    E1000.post_tx w.dev
-      { E1000.chain = [ ptr ]; csum_offload = false; tso = false; tso_mss = 1460; tx_cookie = 7 }
+    Mq.post_tx w.dev ~queue
+      { Mq.chain = [ ptr ]; csum_offload = false; tso = false; tso_mss = 1460; tx_cookie = 7 }
   in
   Alcotest.(check bool) "posted" true ok;
-  E1000.doorbell_tx w.dev
+  Mq.doorbell_tx w.dev ~queue
+
+(* Give the device a DMA writer into the world's pool and [n] empty
+   buffers on [queue]. *)
+let arm_rx ?(queue = 0) ?(n = 1) w =
+  Mq.set_rx_writer w.dev (fun ptr frame ->
+      Pool.write w.pool { ptr with Rich_ptr.len = Bytes.length frame } ~src:frame ~src_off:0);
+  for _ = 1 to n do
+    let buf = Pool.alloc w.pool ~len:2048 in
+    Alcotest.(check bool) "rx posted" true (Mq.post_rx w.dev ~queue { Mq.buf; rx_cookie = 3 })
+  done
+
+let deliver w frame = ignore (Link.transmit w.link ~from:Link.Right frame)
 
 (* A corrupt IP total length (10, below the IP header's own 20 bytes)
    made the L4 length negative, and the checksum sum raised out of the
@@ -531,9 +547,9 @@ let test_offload_rejects_short_total_length () =
   let ptr = Pool.alloc w.pool ~len:(Bytes.length frame) in
   Pool.write w.pool ptr ~src:frame ~src_off:0;
   ignore
-    (E1000.post_tx w.dev
-       { E1000.chain = [ ptr ]; csum_offload = true; tso = false; tso_mss = 1460; tx_cookie = 1 });
-  E1000.doorbell_tx w.dev;
+    (Mq.post_tx w.dev ~queue:0
+       { Mq.chain = [ ptr ]; csum_offload = true; tso = false; tso_mss = 1460; tx_cookie = 1 });
+  Mq.doorbell_tx w.dev ~queue:0;
   Engine.run w.engine;
   Alcotest.(check (list bytes)) "sent as is" [ sent ] !(w.received_frames)
 
@@ -541,39 +557,37 @@ let test_e1000_tx_path () =
   let w = make_dev_world () in
   post_frame w (Bytes.of_string "a frame on the wire");
   Engine.run w.engine;
-  Alcotest.(check int) "transmitted" 1 (E1000.tx_packets w.dev);
+  Alcotest.(check int) "transmitted" 1 (Mq.tx_packets w.dev);
   (match !(w.received_frames) with
   | [ f ] -> Alcotest.(check string) "content" "a frame on the wire" (Bytes.to_string f)
   | l -> Alcotest.fail (Printf.sprintf "expected 1 frame, got %d" (List.length l)));
   (* Completion is reported so the owner can free the buffers. *)
-  match E1000.reap_tx w.dev with
-  | Some d -> Alcotest.(check int) "cookie returned" 7 d.E1000.tx_cookie
+  match Mq.reap_tx w.dev ~queue:0 with
+  | Some d -> Alcotest.(check int) "cookie returned" 7 d.Mq.tx_cookie
   | None -> Alcotest.fail "no tx completion"
 
 let test_e1000_tx_irq () =
   let w = make_dev_world () in
   let irqs = ref [] in
-  E1000.set_irq_handler w.dev (fun r -> irqs := r :: !irqs);
+  Mq.set_irq_handler w.dev (fun r -> irqs := r :: !irqs);
   post_frame w (Bytes.create 64);
   Engine.run w.engine;
-  Alcotest.(check bool) "tx interrupt raised" true (List.mem E1000.Tx_done !irqs)
+  Alcotest.(check bool) "tx interrupt raised" true (List.mem (Mq.Tx_done 0) !irqs)
 
 let test_e1000_rx_path () =
   let w = make_dev_world () in
   let irqs = ref 0 in
-  E1000.set_irq_handler w.dev (fun r -> if r = E1000.Rx_done then incr irqs);
-  E1000.set_rx_writer w.dev (fun ptr frame ->
-      Pool.write w.pool { ptr with Rich_ptr.len = Bytes.length frame } ~src:frame ~src_off:0);
-  let buf = Pool.alloc w.pool ~len:2048 in
-  Alcotest.(check bool) "rx posted" true (E1000.post_rx w.dev { E1000.buf; rx_cookie = 3 });
+  Mq.set_irq_handler w.dev (fun r -> if r = Mq.Rx_done 0 then incr irqs);
+  arm_rx w;
   ignore (Link.transmit w.link ~from:Link.Right (Bytes.of_string "incoming!"));
   Engine.run w.engine;
   Alcotest.(check int) "rx interrupt" 1 !irqs;
-  match E1000.reap_rx w.dev with
+  match Mq.reap_rx w.dev ~queue:0 with
   | Some completion ->
-      Alcotest.(check int) "length" 9 completion.E1000.len;
+      Alcotest.(check int) "length" 9 completion.Mq.len;
+      Alcotest.(check int) "cookie returned" 3 completion.Mq.cookie;
       let data =
-        Pool.read w.pool { completion.E1000.rx_buf with Rich_ptr.len = completion.E1000.len }
+        Pool.read w.pool { completion.Mq.rx_buf with Rich_ptr.len = completion.Mq.len }
       in
       Alcotest.(check string) "dma'd content" "incoming!" (Bytes.to_string data)
   | None -> Alcotest.fail "no rx completion"
@@ -582,53 +596,59 @@ let test_e1000_rx_no_buffer_drops () =
   let w = make_dev_world () in
   ignore (Link.transmit w.link ~from:Link.Right (Bytes.create 64));
   Engine.run w.engine;
-  Alcotest.(check int) "dropped for lack of descriptors" 1 (E1000.rx_no_buffer w.dev)
+  Alcotest.(check int) "dropped for lack of descriptors" 1 (Mq.rx_no_buffer w.dev)
 
 let test_e1000_reset_bounces_link () =
   let w = make_dev_world () in
   let link_irq = ref false in
-  E1000.set_irq_handler w.dev (fun r -> if r = E1000.Link_change then link_irq := true);
-  E1000.reset w.dev;
-  Alcotest.(check bool) "link down during reset" false (E1000.link_up w.dev);
+  Mq.set_irq_handler w.dev (fun r -> if r = Mq.Link_change then link_irq := true);
+  Mq.reset w.dev;
+  Alcotest.(check bool) "link down during reset" false (Mq.link_up w.dev);
   Engine.run w.engine;
-  Alcotest.(check bool) "link back up" true (E1000.link_up w.dev);
+  Alcotest.(check bool) "link back up" true (Mq.link_up w.dev);
   Alcotest.(check bool) "link-change interrupt" true !link_irq
 
 let test_e1000_unsafe_stops_processing () =
   let w = make_dev_world () in
-  E1000.mark_unsafe w.dev;
+  Mq.mark_unsafe w.dev;
   post_frame w (Bytes.create 64);
   Engine.run w.engine;
-  Alcotest.(check int) "nothing transmitted while unsafe" 0 (E1000.tx_packets w.dev);
-  (* Reset recovers. *)
-  E1000.reset w.dev;
+  Alcotest.(check int) "nothing transmitted while unsafe" 0 (Mq.tx_packets w.dev);
+  (* Reset recovers: once the link is back, a frame goes out. *)
+  Mq.reset w.dev;
   Engine.run w.engine;
-  Alcotest.(check bool) "safe after reset" false (E1000.is_unsafe w.dev)
+  post_frame w (Bytes.create 64);
+  Engine.run w.engine;
+  Alcotest.(check int) "a frame transmits after reset" 1 (Mq.tx_packets w.dev)
 
 let test_e1000_misconfigured_drops_rx () =
   let w = make_dev_world () in
-  E1000.set_rx_writer w.dev (fun ptr frame ->
-      Pool.write w.pool { ptr with Rich_ptr.len = Bytes.length frame } ~src:frame ~src_off:0);
-  let buf = Pool.alloc w.pool ~len:2048 in
-  ignore (E1000.post_rx w.dev { E1000.buf; rx_cookie = 0 });
-  E1000.misconfigure w.dev;
+  arm_rx w;
+  Mq.misconfigure w.dev;
   ignore (Link.transmit w.link ~from:Link.Right (Bytes.create 64));
   Engine.run w.engine;
-  Alcotest.(check int) "misconfigured device receives nothing" 0 (E1000.rx_packets w.dev)
+  Alcotest.(check int) "misconfigured device receives nothing" 0 (Mq.rx_packets w.dev);
+  (* A reset reprograms the device. *)
+  Mq.reset w.dev;
+  Engine.run w.engine;
+  arm_rx w;
+  deliver w (Bytes.create 64);
+  Engine.run w.engine;
+  Alcotest.(check int) "receives again after reset" 1 (Mq.rx_packets w.dev)
 
 let test_e1000_stale_chain_dropped () =
   let w = make_dev_world () in
   let ptr = Pool.alloc w.pool ~len:64 in
   Pool.write w.pool ptr ~src:(Bytes.create 64) ~src_off:0;
   ignore
-    (E1000.post_tx w.dev
-       { E1000.chain = [ ptr ]; csum_offload = false; tso = false; tso_mss = 0; tx_cookie = 1 });
+    (Mq.post_tx w.dev ~queue:0
+       { Mq.chain = [ ptr ]; csum_offload = false; tso = false; tso_mss = 0; tx_cookie = 1 });
   (* The owner crashes and its pool is freed before the DMA happens. *)
   Pool.free w.pool ptr;
-  E1000.doorbell_tx w.dev;
+  Mq.doorbell_tx w.dev ~queue:0;
   Engine.run w.engine;
-  Alcotest.(check int) "frame dropped, not garbage-transmitted" 0 (E1000.tx_packets w.dev);
-  Alcotest.(check bool) "descriptor still completes" true (E1000.reap_tx w.dev <> None)
+  Alcotest.(check int) "frame dropped, not garbage-transmitted" 0 (Mq.tx_packets w.dev);
+  Alcotest.(check bool) "descriptor still completes" true (Mq.reap_tx w.dev ~queue:0 <> None)
 
 let test_e1000_tso_on_the_wire () =
   let w = make_dev_world () in
@@ -639,9 +659,9 @@ let test_e1000_tso_on_the_wire () =
   let ptr = Pool.alloc jumbo ~len:(Bytes.length frame) in
   Pool.write jumbo ptr ~src:frame ~src_off:0;
   ignore
-    (E1000.post_tx w.dev
-       { E1000.chain = [ ptr ]; csum_offload = true; tso = true; tso_mss = 1460; tx_cookie = 1 });
-  E1000.doorbell_tx w.dev;
+    (Mq.post_tx w.dev ~queue:0
+       { Mq.chain = [ ptr ]; csum_offload = true; tso = true; tso_mss = 1460; tx_cookie = 1 });
+  Mq.doorbell_tx w.dev ~queue:0;
   Engine.run w.engine;
   Alcotest.(check int) "split into 3 wire frames" 3 (List.length !(w.received_frames));
   (* Each piece decodes and the payload reassembles. *)
@@ -659,6 +679,75 @@ let test_e1000_tso_on_the_wire () =
       | None -> Alcotest.fail "bad eth")
     (List.rev !(w.received_frames));
   Alcotest.(check bytes) "payload reassembles" payload (Buffer.to_bytes buf)
+
+(* A TCP frame of the flow 10.0.0.1:[sport] -> 10.0.0.2:80. The device
+   steers on the ports and never verifies the checksum. *)
+let flow_frame ~sport =
+  let frame, _, _, _, _ = make_tcp_frame () in
+  Bytes.set_uint16_be frame (Ethernet.header_size + 20) sport;
+  frame
+
+let queue_of_flow w ~sport =
+  Rss.queue_of (Mq.rss w.dev) ~src:(ip 10 0 0 1) ~sport ~dst:(ip 10 0 0 2) ~dport:80
+
+(* The first source port from 5001 up whose flow steers to [queue]. *)
+let rec sport_on w ~queue sport =
+  if queue_of_flow w ~sport = queue then sport else sport_on w ~queue (sport + 1)
+
+let test_mq_queue_fence_spares_others () =
+  let w = make_dev_world ~queues:2 () in
+  arm_rx w ~queue:0 ~n:2;
+  arm_rx w ~queue:1;
+  Mq.mark_queue_unsafe w.dev ~queue:1;
+  post_frame w ~queue:1 (Bytes.create 64);
+  post_frame w ~queue:0 (Bytes.create 64);
+  (* Non-IP traffic lands on queue 0. *)
+  deliver w (Bytes.create 64);
+  deliver w (flow_frame ~sport:(sport_on w ~queue:1 5001));
+  Engine.run w.engine;
+  Alcotest.(check int) "queue 0 transmits" 1 (Mq.tx_packets w.dev);
+  Alcotest.(check (array int)) "queue 0 receives" [| 1; 0 |] (Mq.rx_queue_packets w.dev);
+  Alcotest.(check int) "the fenced queue drops" 1 (Mq.rx_no_buffer w.dev);
+  Mq.reset_queue w.dev ~queue:1;
+  Alcotest.(check bool) "no link bounce" true (Mq.link_up w.dev);
+  post_frame w ~queue:0 (Bytes.create 64);
+  post_frame w ~queue:1 (Bytes.create 64);
+  deliver w (Bytes.create 64);
+  Engine.run w.engine;
+  Alcotest.(check int) "both queues transmit" 3 (Mq.tx_packets w.dev);
+  Alcotest.(check (array int)) "queue 0 still receives" [| 2; 0 |] (Mq.rx_queue_packets w.dev)
+
+let test_mq_rebalance_counts_one_violation () =
+  let w = make_dev_world ~queues:2 () in
+  arm_rx w ~queue:0 ~n:4;
+  arm_rx w ~queue:1 ~n:4;
+  let rss = Mq.rss w.dev in
+  let sport = 5001 in
+  let q = queue_of_flow w ~sport in
+  let bucket =
+    Rss.hash rss ~src:(ip 10 0 0 1) ~sport ~dst:(ip 10 0 0 2) ~dport:80 mod Rss.buckets rss
+  in
+  deliver w (flow_frame ~sport);
+  deliver w (flow_frame ~sport);
+  Engine.run w.engine;
+  Alcotest.(check int) "a steady flow is no violation" 0 (Mq.steering_violations w.dev);
+  Rss.set_bucket rss ~bucket ~queue:(1 - q);
+  deliver w (flow_frame ~sport);
+  deliver w (flow_frame ~sport);
+  Engine.run w.engine;
+  Alcotest.(check int) "the moved flow counts once" 1 (Mq.steering_violations w.dev);
+  Alcotest.(check int) "it lands on its new queue" 2 (Mq.rx_queue_packets w.dev).(1 - q)
+
+let test_mq_one_queue_takes_everything () =
+  let w = make_dev_world () in
+  arm_rx w ~n:9;
+  for sport = 5001 to 5008 do
+    deliver w (flow_frame ~sport)
+  done;
+  deliver w (Bytes.create 64);
+  Engine.run w.engine;
+  Alcotest.(check (array int)) "all on queue 0" [| 9 |] (Mq.rx_queue_packets w.dev);
+  Alcotest.(check int) "no steering violations" 0 (Mq.steering_violations w.dev)
 
 (* {2 Pcap} *)
 
@@ -748,6 +837,9 @@ let suite =
     ("e1000 misconfigured stops receiving", `Quick, test_e1000_misconfigured_drops_rx);
     ("e1000 drops frames with dead buffers", `Quick, test_e1000_stale_chain_dropped);
     ("e1000 TSO produces valid wire frames", `Quick, test_e1000_tso_on_the_wire);
+    ("mq queue fence spares the other queues", `Quick, test_mq_queue_fence_spares_others);
+    ("mq rebalance counts one steering violation", `Quick, test_mq_rebalance_counts_one_violation);
+    ("mq one queue takes every frame", `Quick, test_mq_one_queue_takes_everything);
     ("pcap capture file format", `Quick, test_pcap_capture_format);
     ("pcap timestamps monotonic", `Quick, test_pcap_timestamps_monotonic);
   ]

@@ -270,6 +270,25 @@ let test_arp_learn_broadcast () =
   | Some _ -> ()
   | None -> Alcotest.fail "static peer binding lost after restart"
 
+(* The driver's hooks pick the recovery by how many IP replicas share
+   the device: a sole IP owns it all, so its restart takes the
+   link-bouncing whole-device reset (Section V-D); one of two replicas
+   reprograms only its own queues and the link stays up. *)
+let test_ip_crash_reset_scope () =
+  let link_up_after_crash ~ip_replicas =
+    let s = S.create ~config:{ S.default_config with S.shards = 2; ip_replicas } () in
+    S.at s (Time.of_seconds 0.1) (fun () -> S.kill_ip_replica s (ip_replicas - 1));
+    S.run s ~until:(Time.of_seconds 0.5);
+    Alcotest.(check int) "IP restarted" 1 (S.ip_replica_restarts s (ip_replicas - 1));
+    let up = Mq.link_up (S.nic s) in
+    S.run s ~until:(Time.of_seconds 2.0);
+    Alcotest.(check bool) "link up once the reset is over" true (Mq.link_up (S.nic s));
+    up
+  in
+  Alcotest.(check bool) "sole IP: the link bounces" false (link_up_after_crash ~ip_replicas:1);
+  Alcotest.(check bool) "one of two replicas: no bounce" true
+    (link_up_after_crash ~ip_replicas:2)
+
 let test_ip_replica_crash_isolation () =
   (* Four paced flows, one per shard; shards 0/2 are served by replica
      0 and shards 1/3 by replica 1. Killing replica 1 must not cost the
@@ -597,6 +616,7 @@ let suite =
     ("one shard crashes, the rest keep serving", `Slow, test_shard_crash_recovery);
     ("replicated IP lifts the single-IP plateau", `Slow, test_ip_replication_lifts_plateau);
     ("ARP learn-broadcast converges and survives restart", `Quick, test_arp_learn_broadcast);
+    ("an IP crash resets the device or only its queues", `Quick, test_ip_crash_reset_scope);
     ("one IP replica crashes, the other's shards keep serving", `Slow, test_ip_replica_crash_isolation);
     ("every replica set reports as a plane", `Quick, test_planes_cover_every_replica_set);
     ("sharded PF lifts the single-PF plateau", `Slow, test_pf_sharding_lifts_plateau);
