@@ -2,7 +2,7 @@
 .PHONY: check build test fmt verify verify-protocol verify-continuous \
 	sanitize-smoke bench-smoke churn-smoke native-smoke model-check \
 	model-check-negative race-check fsm-check perf-smoke profile \
-	golden-check golden-update clean
+	golden-check golden-update bench-ledger bench-diff ledger-test clean
 
 check: build test fmt verify
 
@@ -268,6 +268,24 @@ native-smoke: build
 # (HEAP_LIMIT_MB in bench/perf_smoke.py).
 perf-smoke: build
 	python3 bench/perf_smoke.py
+
+# The performance ledger (bench/ledger.py). bench-ledger runs every
+# perfbench workload at seeds 1-3 untraced plus one traced run each,
+# for BENCHMARK.json's run_seconds (~6 min in all), and writes
+# BENCH_<PR>.json: end-to-end medians and quartiles, the per-layer
+# block, the cost-model fingerprint and the commit. PR defaults to one
+# past the newest ledger. bench-diff compares NEW (default: a fresh
+# run) with the newest other ledger under BENCHMARK.json's bounds and
+# exits 1 on a regression beyond a bound; a changed fingerprint is
+# reported as a changed model. ledger-test diffs hand-written ledgers.
+bench-ledger:
+	python3 bench/ledger.py run $(if $(PR),--pr $(PR))
+
+bench-diff:
+	python3 bench/ledger.py diff $(NEW)
+
+ledger-test:
+	python3 bench/test_ledger.py
 
 # Where a bulk run's host CPU goes: a SIGPROF call-stack sampler
 # (ITIMER_PROF, 1 ms of process CPU per sample) around the split Host

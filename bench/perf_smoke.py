@@ -15,13 +15,16 @@ import subprocess
 import sys
 
 WORKLOADS = ["bulk", "churn", "recovery"]
-# One second of each workload at seed 1 peaks at about 11 (churn), 19
-# (bulk) and 6.3 (recovery) MB; a pool that allocated memory for every
-# slot it could hold would break each bound. Recovery's saturated link
-# keeps about a hundred frames waiting: were each its own heap block,
-# as before the link reused its buffers, they would be promoted and
-# recovery would peak at 8.7 MB.
-HEAP_LIMIT_MB = {"churn": 20.0, "bulk": 26.0, "recovery": 7.5}
+# One second of each workload at seed 1 peaks at about 8.8 (churn),
+# 16 (bulk) and 5.7 (recovery) MB; a pool that allocated memory for
+# every slot it could hold would break each bound. Recovery's saturated
+# link keeps about a hundred frames waiting: were each its own heap
+# block, as before the link reused its buffers, they would be promoted
+# and recovery would peak at 8.7 MB. Churn's peak is mostly what a drive
+# promotes: were reaped NIC descriptors still to hold their buffers, or
+# each outstanding request and queued message a block of its own, churn
+# would peak at 11.3 MB.
+HEAP_LIMIT_MB = {"churn": 10.0, "bulk": 26.0, "recovery": 7.5}
 
 
 def run(workload):

@@ -1,0 +1,100 @@
+#!/usr/bin/env python3
+"""Tests for bench/ledger.py's diff on hand-written ledgers.
+
+Run from the repository root:
+
+    python3 bench/test_ledger.py
+"""
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+import unittest
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+import ledger  # noqa: E402
+
+BENCHMARK = {
+    "run_seconds": 24,
+    "workloads": [{"name": "churn"}],
+    "end_to_end": [
+        {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+        {"name": "heap_peak_mb", "unit": "MB", "better": "lower", "bound": 0.2},
+    ],
+    "per_layer": [
+        {"name": "sim.events", "unit": "count", "better": "lower"},
+        {"name": "sim.major_gcs", "unit": "count", "better": "lower"},
+    ],
+}
+
+
+def stat(median):
+    return {"runs": [median] * 3, "median": median, "q1": median, "q3": median}
+
+
+def ledger_file(pr, end_to_end, per_layer):
+    return {
+        "pr": pr, "seconds": 24, "seeds": [1, 2, 3], "traced_seed": 1,
+        "model_fingerprint": "abc", "commit": None, "dirty": False,
+        "workloads": {"churn": {
+            "attempted": 10, "failed": 0,
+            "end_to_end": {k: dict(unit="", **stat(v)) for k, v in end_to_end.items()},
+            "per_layer": {k: {"unit": "", "value": v} for k, v in per_layer.items()},
+        }},
+    }
+
+
+class DiffTest(unittest.TestCase):
+    def diff(self, base, new):
+        """Run ledger.diff in a scratch directory holding BENCHMARK and
+        the two ledgers; return (exit code, printed text)."""
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as d:
+            os.chdir(d)
+            try:
+                for name, body in [("BENCHMARK.json", BENCHMARK),
+                                   ("BENCH_1.json", base), ("BENCH_2.json", new)]:
+                    with open(name, "w") as f:
+                        json.dump(body, f)
+                out = io.StringIO()
+                code = 0
+                with contextlib.redirect_stdout(out):
+                    try:
+                        ledger.diff("BENCH_2.json")
+                    except SystemExit as e:
+                        code = e.code
+                return code, out.getvalue()
+            finally:
+                os.chdir(cwd)
+
+    def test_metric_missing_from_base_is_new(self):
+        base = ledger_file(1, {"wall_s": 1.0}, {"sim.events": 100})
+        new = ledger_file(2, {"wall_s": 1.0, "heap_peak_mb": 9.0},
+                          {"sim.events": 90, "sim.major_gcs": 3})
+        code, text = self.diff(base, new)
+        self.assertEqual(code, 0, text)
+        self.assertRegex(text, r"heap_peak_mb\s+new metric")
+        self.assertRegex(text, r"sim\.major_gcs\s+new metric")
+        self.assertIn("no end-to-end regression", text)
+
+    def test_regression_beyond_bound_exits_1(self):
+        base = ledger_file(1, {"wall_s": 1.0, "heap_peak_mb": 10.0}, {"sim.events": 100})
+        new = ledger_file(2, {"wall_s": 1.0, "heap_peak_mb": 12.5},
+                          {"sim.events": 100, "sim.major_gcs": 3})
+        code, text = self.diff(base, new)
+        self.assertEqual(code, 1, text)
+        self.assertIn("churn heap_peak_mb +25.0%", text)
+
+    def test_gain_is_no_regression(self):
+        base = ledger_file(1, {"wall_s": 1.0, "heap_peak_mb": 10.0}, {"sim.events": 100})
+        new = ledger_file(2, {"wall_s": 0.9, "heap_peak_mb": 7.0},
+                          {"sim.events": 100, "sim.major_gcs": 3})
+        code, text = self.diff(base, new)
+        self.assertEqual(code, 0, text)
+        self.assertRegex(text, r"heap_peak_mb .* better")
+
+
+if __name__ == "__main__":
+    unittest.main()

@@ -13,7 +13,14 @@
 
     Every submit, confirm and abort is mirrored onto the {!Hook} event
     stream ([Req_submit]/[Req_confirm]/[Req_abort]/[Req_reset]) so the
-    dynamic protocol checker can replay the request/confirm contract. *)
+    dynamic protocol checker can replay the request/confirm contract.
+
+    Outstanding requests are kept in flat arrays (an open-addressed
+    table keyed by id), so a waiting request holds no heap block of its
+    own, and a request that completes or aborts is dropped from them:
+    only the first payload the database was ever given stays reachable,
+    as the filler of free slots. A server whose abort action is the same
+    for every request should pass one preallocated closure. *)
 
 type 'a t
 (** A database holding per-request payloads of type ['a]. *)

@@ -1,8 +1,13 @@
 (* Two backings behind one channel type:
 
-   - [Sim]: the historical single-threaded FIFO, used by every
-     discrete-event run. Plain mutable fields, notify only on
-     empty-to-nonempty (the MONITOR/MWAIT model).
+   - [Sim]: the single-threaded FIFO used by every discrete-event
+     run. Plain mutable fields, notify only on empty-to-nonempty (the
+     MONITOR/MWAIT model). Messages wait in a {!Newt_sim.Fifo}, which
+     grows with the occupancy high-water mark (never past the
+     capacity's power of two) and fills every slot a receive or a
+     reset frees with the first message ever sent: a queued message
+     holds no cell of its own, and a received one is not kept
+     reachable.
    - [Ring]: a real {!Spsc_queue} between two OCaml domains, used by the
      native runtime. Counters are atomics, and notify fires on *every*
      successful push — the was-empty optimization is racy across
@@ -10,9 +15,11 @@
      [push] and parks; nobody rings). The consumer-side doorbell
      dedupes, so the extra notifications cost one atomic exchange. *)
 
+module Fifo = Newt_sim.Fifo
+
 type 'a backing =
   | Sim of {
-      q : 'a Queue.t;
+      queue : 'a Fifo.t;
       mutable down : bool;
       mutable sent : int;
       mutable dropped : int;
@@ -40,7 +47,7 @@ let create ?(capacity = 512) ~id () =
   {
     id;
     capacity;
-    backing = Sim { q = Queue.create (); down = false; sent = 0; dropped = 0; max_occ = 0 };
+    backing = Sim { queue = Fifo.create (); down = false; sent = 0; dropped = 0; max_occ = 0 };
     notify = None;
   }
 
@@ -68,16 +75,15 @@ let is_native t = match t.backing with Sim _ -> false | Ring _ -> true
 let send t x =
   match t.backing with
   | Sim s ->
-      if s.down || Queue.length s.q >= t.capacity then begin
+      if s.down || Fifo.length s.queue >= t.capacity then begin
         s.dropped <- s.dropped + 1;
         false
       end
       else begin
-        let was_empty = Queue.is_empty s.q in
-        Queue.push x s.q;
+        let was_empty = Fifo.is_empty s.queue in
+        Fifo.push s.queue x;
         s.sent <- s.sent + 1;
-        let occ = Queue.length s.q in
-        if occ > s.max_occ then s.max_occ <- occ;
+        if Fifo.length s.queue > s.max_occ then s.max_occ <- Fifo.length s.queue;
         if was_empty then Option.iter (fun f -> f ()) t.notify;
         true
       end
@@ -101,22 +107,22 @@ let send t x =
 
 let recv t =
   match t.backing with
-  | Sim s -> if s.down then None else Queue.take_opt s.q
+  | Sim s -> if s.down || Fifo.is_empty s.queue then None else Some (Fifo.pop s.queue)
   | Ring r -> if Atomic.get r.down then None else Spsc_queue.try_pop r.ring
 
 let peek t =
   match t.backing with
-  | Sim s -> if s.down then None else Queue.peek_opt s.q
+  | Sim s -> if s.down || Fifo.is_empty s.queue then None else Some (Fifo.peek s.queue)
   | Ring r -> if Atomic.get r.down then None else Spsc_queue.peek r.ring
 
 let length t =
   match t.backing with
-  | Sim s -> Queue.length s.q
+  | Sim s -> Fifo.length s.queue
   | Ring r -> Spsc_queue.length r.ring
 
 let is_empty t =
   match t.backing with
-  | Sim s -> Queue.is_empty s.q
+  | Sim s -> Fifo.is_empty s.queue
   | Ring r -> Spsc_queue.is_empty r.ring
 
 let set_notify t f = t.notify <- Some f
@@ -125,7 +131,7 @@ let tear_down t =
   match t.backing with
   | Sim s ->
       s.down <- true;
-      Queue.clear s.q
+      Fifo.clear s.queue
   | Ring r ->
       (* Queued elements are abandoned in place: draining a live SPSC
          ring from a third party would violate single-consumer. Native
@@ -136,7 +142,7 @@ let revive t =
   match t.backing with
   | Sim s ->
       s.down <- false;
-      Queue.clear s.q
+      Fifo.clear s.queue
   | Ring r -> Atomic.set r.down false
 
 let is_down t =

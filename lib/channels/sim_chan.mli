@@ -11,7 +11,14 @@
     A channel can be {e torn down} when its creator crashes
     (Section IV-D): sends and receives then fail until the channel is
     re-exported, which resets the queue (in-flight messages are lost,
-    exactly like remapping a fresh shared-memory region). *)
+    exactly like remapping a fresh shared-memory region).
+
+    A simulated channel keeps its queued messages in a
+    {!Newt_sim.Fifo}, an array ring that doubles with the occupancy
+    high-water mark, up to the capacity's power of two. The ring is made
+    on the first send and a message is dropped from it when it is
+    received or the channel is reset: only the first message ever sent
+    stays reachable, as the filler of free slots. *)
 
 type 'a t
 

@@ -1,5 +1,6 @@
 type 'a t = {
   arr : 'a array;
+  dummy : 'a;  (* written over every slot the driver gives back *)
   size : int;
   mutable posted : int;  (* driver wrote a descriptor *)
   mutable taken : int;  (* device consumed it *)
@@ -9,7 +10,7 @@ type 'a t = {
 
 let create ~size ~dummy =
   assert (size > 0);
-  { arr = Array.make size dummy; size; posted = 0; taken = 0; completed = 0; reaped = 0 }
+  { arr = Array.make size dummy; dummy; size; posted = 0; taken = 0; completed = 0; reaped = 0 }
 
 let size t = t.size
 let free_slots t = t.size - (t.posted - t.reaped)
@@ -39,7 +40,12 @@ let device_complete t =
 let reap t =
   if t.completed <= t.reaped then None
   else begin
-    let v = t.arr.(t.reaped mod t.size) in
+    (* Like an e1000 driver cleaning a descriptor: the reaped slot
+       drops its reference, so a finished frame's buffers are not kept
+       alive until the slot is posted again. *)
+    let i = t.reaped mod t.size in
+    let v = t.arr.(i) in
+    t.arr.(i) <- t.dummy;
     t.reaped <- t.reaped + 1;
     Some v
   end
@@ -49,6 +55,7 @@ let clear t =
   for i = t.posted - 1 downto t.reaped do
     leftovers := t.arr.(i mod t.size) :: !leftovers
   done;
+  Array.fill t.arr 0 t.size t.dummy;
   t.posted <- 0;
   t.taken <- 0;
   t.completed <- 0;

@@ -15,7 +15,8 @@ type 'a t
 
 val create : size:int -> dummy:'a -> 'a t
 (** [size] descriptors, initially all free. [dummy] fills unused
-    slots. *)
+    slots: {!reap} and {!clear} write it over every slot they free, so
+    the ring never keeps a finished descriptor's payload reachable. *)
 
 val size : 'a t -> int
 
@@ -40,8 +41,11 @@ val device_complete : 'a t -> unit
 (** Device side: mark the oldest taken descriptor done. *)
 
 val reap : 'a t -> 'a option
-(** Driver side: collect the oldest done descriptor, freeing its slot. *)
+(** Driver side: collect the oldest done descriptor, freeing its slot.
+    The slot is overwritten with the ring's [dummy] (as a driver drops
+    its buffer reference when it cleans a descriptor). *)
 
 val clear : 'a t -> 'a list
 (** Drop all descriptors (device reset); returns the payloads that were
-    still in the ring, in order, so the owner can account for them. *)
+    still in the ring, in order, so the owner can account for them.
+    Every slot is reset to [dummy]. *)

@@ -99,6 +99,10 @@ type t = {
       (* Receive-pool frames lent to a transport shard, by slot. *)
   mutable resubmit_pf : pending list;
   mutable resubmit_drv : pending list;
+  hold_for_pf : pending Newt_channels.Request_db.abort;
+  hold_for_drv : pending Newt_channels.Request_db.abort;
+      (* The abort actions of every filter and driver request: hold the
+         packet for resubmission. One closure each per server. *)
   mutable ident : int;
   mutable packets_forwarded : int;
   mutable icmp_echoes : int;
@@ -175,7 +179,7 @@ let transmit_frame t ~iface:i ~origin ~hdr ~chain ~tso =
   else begin
     let id =
       Component.Db.submit t.db ~peer:(drv_peer i) ~payload:p
-        ~abort:(fun _ pending -> t.resubmit_drv <- pending :: t.resubmit_drv)
+        ~abort:t.hold_for_drv
     in
     t.packets_forwarded <- t.packets_forwarded + 1;
     let sent =
@@ -236,7 +240,7 @@ let to_filter t pending =
       else begin
         let id =
           Component.Db.submit t.db ~peer:(pf_peer shard) ~payload:pending
-            ~abort:(fun _ p -> t.resubmit_pf <- p :: t.resubmit_pf)
+            ~abort:t.hold_for_pf
         in
         if not (Proc.send t.proc pf.pf_chans.(shard) (Msg.Filter_req { id; dir; pkt }))
         then begin
@@ -641,7 +645,7 @@ let create comp ~registry ~save ~load () =
   Registry.register registry hdr_pool;
   Component.register_pool comp rx_pool;
   Component.register_pool comp hdr_pool;
-  let t =
+  let rec t =
     {
       comp;
       proc = Component.proc comp;
@@ -659,6 +663,8 @@ let create comp ~registry ~save ~load () =
       held_bufs = Hashtbl.create 128;
       resubmit_pf = [];
       resubmit_drv = [];
+      hold_for_pf = (fun _ p -> t.resubmit_pf <- p :: t.resubmit_pf);
+      hold_for_drv = (fun _ p -> t.resubmit_drv <- p :: t.resubmit_drv);
       ident = 0;
       packets_forwarded = 0;
       icmp_echoes = 0;

@@ -46,6 +46,8 @@ type t = {
   mutable ifaces : iface list;
   route_table : Ipv4.Route.table;
   db : Rich_ptr.chain Request_db.t;  (* in-flight frames at the drivers *)
+  release : Rich_ptr.chain Request_db.abort;
+      (* Every frame's abort action (its driver crashed): free it. *)
   mutable tcp : Tcp.t;
   mutable to_sc : Msg.t Sim_chan.t option;
   sockets : (Msg.socket_id, socket) Hashtbl.t;
@@ -69,8 +71,7 @@ let transmit_frame t ~iface:i frame_bytes ~tso =
   | ptr ->
       Pool.write t.pool ptr ~src:frame_bytes ~src_off:0;
       let id =
-        Request_db.submit t.db ~peer:i ~payload:[ ptr ] ~abort:(fun _ chain ->
-            free_chain t chain)
+        Request_db.submit t.db ~peer:i ~payload:[ ptr ] ~abort:t.release
       in
       let sent =
         Proc.send t.proc (iface t i).tx
@@ -323,7 +324,7 @@ let create machine ~proc ~registry ~local_addr ?tcp_config () =
   let rx_pool = Pool.create ~id:(Pool.fresh_id ()) ~slots:4096 ~slot_size:2048 in
   Registry.register registry pool;
   Registry.register registry rx_pool;
-  let t =
+  let rec t =
     {
       machine;
       proc;
@@ -334,6 +335,7 @@ let create machine ~proc ~registry ~local_addr ?tcp_config () =
       ifaces = [];
       route_table = Ipv4.Route.create ();
       db = Request_db.create ();
+      release = (fun _ chain -> free_chain t chain);
       tcp =
         Tcp.create
           {

@@ -56,6 +56,11 @@ type t = {
   sockets : (Msg.socket_id, socket) Hashtbl.t;
   mutable select_pending : (int * Msg.socket_id list) option;
   mutable resubmit : inflight list;
+  requeue : inflight Newt_channels.Request_db.abort;
+      (* Every segment's abort action: IP crashed, so hold the segment
+         for resubmission under a new id once IP returns; the data stays
+         allocated until the new id confirms. One closure per server,
+         not one per segment. *)
   mutable ip_up : bool;
   mutable resubmitted : int;
   mutable src_select : Addr.Ipv4.t -> Addr.Ipv4.t;
@@ -98,10 +103,7 @@ let submit_packet t (pkt : inflight) =
     | None -> free_chain t pkt.chain
     | Some chan ->
         let id =
-          Component.Db.submit t.db ~peer:ip_peer ~payload:pkt ~abort:(fun _ p ->
-              (* IP crashed: resubmit under a new id once it returns;
-                 the data stays allocated until the new id confirms. *)
-              t.resubmit <- p :: t.resubmit)
+          Component.Db.submit t.db ~peer:ip_peer ~payload:pkt ~abort:t.requeue
         in
         let sent =
           Proc.send t.proc chan
@@ -495,7 +497,7 @@ let create comp ~registry ~local_addr ?tcp_config ~save ~load () =
         random = (fun _ -> 0);
       }
   in
-  let t =
+  let rec t =
     {
       comp;
       proc = Component.proc comp;
@@ -512,6 +514,7 @@ let create comp ~registry ~local_addr ?tcp_config ~save ~load () =
       sockets = Hashtbl.create 64;
       select_pending = None;
       resubmit = [];
+      requeue = (fun _ p -> t.resubmit <- p :: t.resubmit);
       ip_up = true;
       resubmitted = 0;
       src_select = (fun _ -> local_addr);

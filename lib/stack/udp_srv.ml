@@ -42,6 +42,8 @@ type t = {
   mutable select_pending : (int * Msg.socket_id list) option;
   mutable next_ephemeral : int;
   mutable resubmit : inflight list;
+  requeue : inflight Newt_channels.Request_db.abort;
+      (* Every datagram's abort action: hold it for resubmission. *)
   mutable ip_up : bool;
   mutable src_select : Addr.Ipv4.t -> Addr.Ipv4.t;
   mutable datagrams_in : int;
@@ -134,8 +136,7 @@ let submit_packet t pkt =
     | None -> free_chain t pkt.chain
     | Some chan ->
         let id =
-          Component.Db.submit t.db ~peer:ip_peer ~payload:pkt ~abort:(fun _ p ->
-              t.resubmit <- p :: t.resubmit)
+          Component.Db.submit t.db ~peer:ip_peer ~payload:pkt ~abort:t.requeue
         in
         if
           not
@@ -312,7 +313,7 @@ let handle_msg t msg =
 let create comp ~registry ~local_addr ~save ~load () =
   let pool = Pool.create ~id:(Pool.fresh_id ()) ~slots:2048 ~slot_size:2048 in
   Registry.register registry pool;
-  let t =
+  let rec t =
     {
       comp;
       proc = Component.proc comp;
@@ -328,6 +329,7 @@ let create comp ~registry ~local_addr ~save ~load () =
       select_pending = None;
       next_ephemeral = 49152;
       resubmit = [];
+      requeue = (fun _ p -> t.resubmit <- p :: t.resubmit);
       ip_up = true;
       src_select = (fun _ -> local_addr);
       datagrams_in = 0;

@@ -996,6 +996,300 @@ let test_request_db_invariants =
         ops;
       !ok && Request_db.outstanding db = Hashtbl.length live)
 
+(* {2 Request_db against a Hashtbl model}
+
+   The model keeps the contract in the plainest form: one table entry
+   per outstanding request, sorted by submission order when aborts or
+   [iter] need it. Payloads are fresh blocks known to the model only by
+   their key, so the test can also check that the database lets go of
+   every payload that completed or aborted. *)
+
+type db_abort = Plain | Resubmit of int | Nested of int
+type db_op = Submit of int * db_abort | Complete of int | Peek of int | Abort_peer of int
+
+module Db_model = struct
+  type entry = { peer : int; key : int; seq : int; abort : db_abort }
+
+  type t = {
+    db : int;
+    table : (int, entry) Hashtbl.t;
+    mutable next_id : int;
+    mutable next_seq : int;
+    mutable sweeping : bool;
+    mutable deferred : int list;
+    mutable events : Hook.event list;  (* newest first *)
+    mutable nested : int list;  (* what re-entrant abort_peer calls returned *)
+  }
+
+  let create ~db ~first_id =
+    {
+      db;
+      table = Hashtbl.create 16;
+      next_id = first_id;
+      next_seq = 0;
+      sweeping = false;
+      deferred = [];
+      events = [];
+      nested = [];
+    }
+
+  let emit t ev = t.events <- ev :: t.events
+
+  let submit t ~peer ~key ~abort =
+    let id = t.next_id in
+    t.next_id <- id + 1;
+    Hashtbl.replace t.table id { peer; key; seq = t.next_seq; abort };
+    t.next_seq <- t.next_seq + 1;
+    emit t (Hook.Req_submit { db = t.db; id; peer });
+    id
+
+  let complete t id =
+    let found = Hashtbl.find_opt t.table id in
+    Hashtbl.remove t.table id;
+    emit t (Hook.Req_confirm { db = t.db; id; known = found <> None });
+    Option.map (fun e -> e.key) found
+
+  let peek t id = Option.map (fun e -> e.key) (Hashtbl.find_opt t.table id)
+
+  let in_order t =
+    Hashtbl.fold (fun id e acc -> (id, e) :: acc) t.table []
+    |> List.sort (fun (_, a) (_, b) -> compare a.seq b.seq)
+
+  let rec abort_peer t ~peer =
+    if t.sweeping then begin
+      t.deferred <- t.deferred @ [ peer ];
+      0
+    end
+    else begin
+      t.sweeping <- true;
+      Fun.protect
+        ~finally:(fun () ->
+          t.sweeping <- false;
+          t.deferred <- [])
+        (fun () ->
+          let rec drain depth n =
+            match t.deferred with
+            | [] -> n
+            | p :: rest ->
+                if depth >= 64 then raise (Request_db.Abort_cycle { db = t.db; peer = p; depth });
+                t.deferred <- rest;
+                drain (depth + 1) (n + sweep t ~peer:p)
+          in
+          drain 1 (sweep t ~peer))
+    end
+
+  and sweep t ~peer =
+    let doomed = List.filter (fun (_, e) -> e.peer = peer) (in_order t) in
+    List.iter (fun (id, _) -> Hashtbl.remove t.table id) doomed;
+    List.iter
+      (fun (id, e) ->
+        emit t (Hook.Req_abort { db = t.db; id; peer });
+        match e.abort with
+        | Plain -> ()
+        | Resubmit q -> ignore (submit t ~peer:q ~key:e.key ~abort:Plain)
+        | Nested q -> t.nested <- abort_peer t ~peer:q :: t.nested)
+      doomed;
+    List.length doomed
+
+  let outstanding_to t ~peer =
+    Hashtbl.fold (fun _ e n -> if e.peer = peer then n + 1 else n) t.table 0
+end
+
+let gen_db_ops =
+  QCheck2.Gen.(
+    let peer = int_range 0 3 in
+    let abort =
+      frequency
+        [ (3, pure Plain); (1, map (fun q -> Resubmit q) peer); (1, map (fun q -> Nested q) peer) ]
+    in
+    list_size (int_range 1 150)
+      (frequency
+         [
+           (4, map2 (fun p a -> Submit (p, a)) peer abort);
+           (3, map (fun i -> Complete i) nat);
+           (1, map (fun i -> Peek i) nat);
+           (1, map (fun p -> Abort_peer p) peer);
+         ]))
+
+let request_db_matches_model ops =
+  (* Ids come from one process-wide counter: the next one is one past
+     a throwaway database's. *)
+  let first_id =
+    Request_db.submit (Request_db.create ()) ~peer:0 ~payload:() ~abort:(fun _ _ -> ()) + 1
+  in
+  let db = Request_db.create () in
+  let model = Db_model.create ~db:(Request_db.db_id db) ~first_id in
+  let seen = ref [] and nested = ref [] in
+  let token =
+    Hook.add (fun ~actor:_ ev ->
+        match ev with
+        | Hook.Req_submit { db = d; _ } | Req_confirm { db = d; _ } | Req_abort { db = d; _ }
+          when d = Request_db.db_id db ->
+            seen := ev :: !seen
+        | _ -> ())
+  in
+  let payloads = Weak.create 1024 in
+  let next_key = ref 0 in
+  let fresh_payload () =
+    let k = !next_key in
+    incr next_key;
+    let p = ref k in
+    Weak.set payloads k (Some p);
+    p
+  in
+  let rec real_abort = function
+    | Plain -> fun _ _ -> ()
+    | Resubmit q ->
+        fun _ p -> ignore (Request_db.submit db ~peer:q ~payload:p ~abort:(real_abort Plain))
+    | Nested q -> fun _ _ -> nested := Request_db.abort_peer db ~peer:q :: !nested
+  in
+  let handed = ref [] in
+  let pick i =
+    let ids = Array.of_list !handed in
+    let n = Array.length ids in
+    if i mod (n + 1) = n then -1 else ids.(i mod (n + 1))
+  in
+  let ok = ref true in
+  let expect b = if not b then ok := false in
+  let step op =
+    match op with
+    | Submit (peer, abort) ->
+        let payload = fresh_payload () in
+        let id = Request_db.submit db ~peer ~payload ~abort:(real_abort abort) in
+        expect (id = Db_model.submit model ~peer ~key:!payload ~abort);
+        handed := id :: !handed
+    | Complete i ->
+        let id = pick i in
+        expect (Option.map ( ! ) (Request_db.complete db id) = Db_model.complete model id)
+    | Peek i ->
+        let id = pick i in
+        expect (Option.map ( ! ) (Request_db.peek db id) = Db_model.peek model id)
+    | Abort_peer peer ->
+        let outcome f =
+          match f () with
+          | n -> Ok n
+          | exception Request_db.Abort_cycle c -> Error (c.peer, c.depth)
+        in
+        expect
+          (outcome (fun () -> Request_db.abort_peer db ~peer)
+          = outcome (fun () -> Db_model.abort_peer model ~peer))
+  in
+  let check_state () =
+    expect (!seen = model.events);
+    expect (!nested = model.nested);
+    expect (Request_db.outstanding db = Hashtbl.length model.table);
+    for peer = 0 to 3 do
+      expect (Request_db.outstanding_to db ~peer = Db_model.outstanding_to model ~peer)
+    done;
+    let real = ref [] in
+    Request_db.iter db (fun id ~peer p -> real := (id, peer, !p) :: !real);
+    expect
+      (List.rev !real
+      = List.map (fun (id, e) -> (id, e.Db_model.peer, e.key)) (Db_model.in_order model))
+  in
+  Fun.protect
+    ~finally:(fun () -> Hook.remove token)
+    (fun () ->
+      List.iter
+        (fun op ->
+          step op;
+          check_state ())
+        ops);
+  (* A request that completed or aborted leaves nothing reachable from
+     the database; only its first payload stays, as its filler. *)
+  Gc.full_major ();
+  let live = Hashtbl.fold (fun _ e acc -> e.Db_model.key :: acc) model.table [] in
+  for k = 1 to !next_key - 1 do
+    expect (Weak.check payloads k = List.mem k live)
+  done;
+  ignore (Sys.opaque_identity db);
+  !ok
+
+let test_request_db_matches_model =
+  qtest "request db matches a Hashtbl model" gen_db_ops request_db_matches_model
+
+(* {2 Sim_chan against Stdlib.Queue} *)
+
+type chan_op = Send | Recv | Peek_msg | Tear_down | Revive
+
+let gen_chan_script =
+  QCheck2.Gen.(
+    pair (int_range 1 40)
+      (list_size (int_range 1 300)
+         (frequency
+            [
+              (6, pure Send);
+              (4, pure Recv);
+              (1, pure Peek_msg);
+              (1, pure Tear_down);
+              (1, pure Revive);
+            ])))
+
+let sim_chan_matches_queue (capacity, ops) =
+  let c = Sim_chan.create ~capacity ~id:0 () in
+  let q = Queue.create () in
+  let down = ref false and sent = ref 0 and dropped = ref 0 and max_occ = ref 0 in
+  let wakes = ref 0 and model_wakes = ref 0 in
+  Sim_chan.set_notify c (fun () -> incr wakes);
+  let messages = Weak.create 512 in
+  let next_key = ref 0 and first_accepted = ref (-1) in
+  let ok = ref true in
+  let expect b = if not b then ok := false in
+  let step = function
+    | Send ->
+        let k = !next_key in
+        incr next_key;
+        let m = ref k in
+        Weak.set messages k (Some m);
+        let accept = (not !down) && Queue.length q < capacity in
+        expect (Sim_chan.send c m = accept);
+        if accept then begin
+          if Queue.is_empty q then incr model_wakes;
+          Queue.push k q;
+          incr sent;
+          max_occ := max !max_occ (Queue.length q);
+          if !first_accepted < 0 then first_accepted := k
+        end
+        else incr dropped
+    | Recv ->
+        let want = if !down then None else Queue.take_opt q in
+        expect (Option.map ( ! ) (Sim_chan.recv c) = want)
+    | Peek_msg ->
+        let want = if !down then None else Queue.peek_opt q in
+        expect (Option.map ( ! ) (Sim_chan.peek c) = want)
+    | Tear_down ->
+        Sim_chan.tear_down c;
+        down := true;
+        Queue.clear q
+    | Revive ->
+        Sim_chan.revive c;
+        down := false;
+        Queue.clear q
+  in
+  List.iter
+    (fun op ->
+      step op;
+      expect (Sim_chan.length c = Queue.length q);
+      expect (Sim_chan.is_empty c = Queue.is_empty q);
+      expect (Sim_chan.is_down c = !down);
+      expect (Sim_chan.sent_total c = !sent);
+      expect (Sim_chan.dropped_total c = !dropped);
+      expect (Sim_chan.max_occupancy c = !max_occ);
+      expect (!wakes = !model_wakes))
+    ops;
+  (* A received, refused or flushed message is not kept reachable; the
+     first accepted one stays, as the ring's filler. *)
+  Gc.full_major ();
+  let queued = List.of_seq (Queue.to_seq q) in
+  for k = 0 to !next_key - 1 do
+    if k <> !first_accepted then expect (Weak.check messages k = List.mem k queued)
+  done;
+  ignore (Sys.opaque_identity c);
+  !ok
+
+let test_sim_chan_matches_queue =
+  qtest "sim channel matches a Stdlib.Queue" gen_chan_script sim_chan_matches_queue
+
 let suite =
   [
     ("spsc push/pop", `Quick, test_spsc_basic);
@@ -1052,4 +1346,6 @@ let suite =
     test_pool_resident_high_water;
     test_pool_matches_stack_free_list;
     test_request_db_invariants;
+    test_request_db_matches_model;
+    test_sim_chan_matches_queue;
   ]

@@ -66,6 +66,46 @@ let test_ring_wraparound () =
     Alcotest.(check (option int)) "reap" (Some i) (Ring.reap r)
   done
 
+(* A descriptor the driver has reaped, or that a reset cleared, must
+   not keep its payload reachable: a finished TX frame's buffers are
+   garbage once reaped, not 256 posts later when the slot is reused. *)
+let test_ring_drops_finished_descriptors () =
+  let r = Ring.create ~size:8 ~dummy:(ref (-1)) in
+  let weak = Weak.create 8 in
+  let post_fresh lo hi =
+    for i = lo to hi do
+      let block = ref i in
+      Weak.set weak i (Some block);
+      Alcotest.(check bool) "post" true (Ring.post r block)
+    done
+  in
+  let check_collected what lo hi =
+    Gc.full_major ();
+    for i = lo to hi do
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: block %d collected" what i)
+        false (Weak.check weak i)
+    done
+  in
+  post_fresh 0 4;
+  for _ = 0 to 4 do
+    ignore (Ring.device_take r);
+    Ring.device_complete r;
+    ignore (Ring.reap r)
+  done;
+  check_collected "reaped" 0 4;
+  (* One reaped, one taken by the device, one still posted: a reset
+     returns the last two and must drop every slot. *)
+  post_fresh 5 7;
+  for _ = 5 to 6 do
+    ignore (Ring.device_take r)
+  done;
+  Ring.device_complete r;
+  ignore (Ring.reap r);
+  Alcotest.(check int) "leftovers" 2 (List.length (Ring.clear r));
+  check_collected "cleared" 5 7;
+  Alcotest.(check int) "ring empty after clear" 8 (Ring.free_slots r)
+
 let test_ring_reap_after_complete_across_wrap () =
   (* Batched take/complete/reap rounds on a tiny ring: completions and
      reaps repeatedly cross the index wrap, and reap order must stay
@@ -807,6 +847,8 @@ let suite =
     ("ring full/reap interplay", `Quick, test_ring_full);
     ("ring clear returns leftovers (reset)", `Quick, test_ring_clear_returns_leftovers);
     ("ring index wraparound", `Quick, test_ring_wraparound);
+    ("ring drops reaped and cleared descriptors", `Quick,
+      test_ring_drops_finished_descriptors);
     ( "ring batched reap-after-complete across wrap",
       `Quick,
       test_ring_reap_after_complete_across_wrap );

@@ -2,6 +2,7 @@
 
 module Time = Newt_sim.Time
 module Eventq = Newt_sim.Eventq
+module Fifo = Newt_sim.Fifo
 module Engine = Newt_sim.Engine
 module Rng = Newt_sim.Rng
 module Stats = Newt_sim.Stats
@@ -561,6 +562,57 @@ let test_trace_bounded () =
   Alcotest.(check string) "oldest kept is 3" "3"
     (match es with e :: _ -> e.Newt_sim.Trace.message | [] -> "?")
 
+(* Fifo against Stdlib.Queue: the same values in the same order through
+   growth and wrap-around, and a popped or cleared value is not kept
+   reachable (except the first one pushed, the ring's filler). *)
+type fifo_op = Push | Pop | Peek | Clear
+
+let fifo_matches_queue ops =
+  let f = Fifo.create () and q = Queue.create () in
+  let values = Weak.create (List.length ops) in
+  let ok = ref true in
+  let expect b = if not b then ok := false in
+  List.iteri
+    (fun k op ->
+      (match op with
+      | Push ->
+          let v = ref k in
+          Weak.set values k (Some v);
+          Fifo.push f v;
+          Queue.push k q
+      | Pop -> (
+          let want = Queue.take_opt q in
+          match Fifo.pop f with
+          | v -> expect (Some !v = want)
+          | exception Invalid_argument _ -> expect (want = None))
+      | Peek -> (
+          match Fifo.peek f with
+          | v -> expect (Queue.peek_opt q = Some !v)
+          | exception Invalid_argument _ -> expect (Queue.is_empty q))
+      | Clear ->
+          Fifo.clear f;
+          Queue.clear q);
+      expect (Fifo.length f = Queue.length q);
+      expect (Fifo.is_empty f = Queue.is_empty q))
+    ops;
+  Gc.full_major ();
+  let queued = List.of_seq (Queue.to_seq q) in
+  let first = List.find_index (( = ) Push) ops in
+  List.iteri
+    (fun k _ ->
+      if Weak.check values k && Some k <> first then expect (List.mem k queued))
+    ops;
+  ignore (Sys.opaque_identity f);
+  !ok
+
+let test_fifo_model =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"fifo matches a Stdlib.Queue"
+       QCheck2.Gen.(
+         list_size (int_range 1 200)
+           (frequency [ (6, pure Push); (4, pure Pop); (1, pure Peek); (1, pure Clear) ]))
+       fifo_matches_queue)
+
 let suite =
   [
     ("eventq pops in time order", `Quick, test_eventq_order);
@@ -574,6 +626,7 @@ let suite =
       test_engine_until_skips_cancelled );
     ("engine run ~until leaves the clock at until", `Quick, test_engine_until_clock);
     test_engine_model;
+    test_fifo_model;
     ( "engine cancelled and fired thunks are collectable",
       `Quick,
       test_engine_cancelled_thunk_collectable );
