@@ -270,13 +270,14 @@ perf-smoke: build
 	python3 bench/perf_smoke.py
 
 # The performance ledger (bench/ledger.py). bench-ledger runs every
-# perfbench workload at seeds 1-3 untraced plus one traced run each,
-# for BENCHMARK.json's run_seconds (~6 min in all), and writes
-# BENCH_<PR>.json: end-to-end medians and quartiles, the per-layer
-# block, the cost-model fingerprint and the commit. PR defaults to one
-# past the newest ledger. bench-diff compares NEW (default: a fresh
-# run) with the newest other ledger under BENCHMARK.json's bounds and
-# exits 1 on a regression beyond a bound; a changed fingerprint is
+# perfbench workload at seeds 1-3, untraced and traced, for
+# BENCHMARK.json's run_seconds (~9 min in all), and writes
+# BENCH_<PR>.json: end-to-end and per-layer medians and quartiles, the
+# cost-model fingerprint and the commit. PR defaults to one past the
+# newest ledger. bench-diff compares NEW (default: a fresh run) with
+# the newest other ledger under BENCHMARK.json's bounds and exits 1 on
+# a regression beyond a bound; a per-layer change inside either side's
+# quartiles is marked within spread, and a changed fingerprint is
 # reported as a changed model. ledger-test diffs hand-written ledgers.
 bench-ledger:
 	python3 bench/ledger.py run $(if $(PR),--pr $(PR))

@@ -6,15 +6,14 @@ Run from the repository root:
     python3 bench/ledger.py run [--pr N]
     python3 bench/ledger.py diff [NEW]
 
-`run` runs perfbench/run.py on every workload of BENCHMARK.json, once
-untraced per seed 1, 2 and 3 (the end-to-end metrics) and once traced
-at seed 1 (the per-layer metrics), each for BENCHMARK.json's
-run_seconds, so every ledger is made with the same settings. It writes
-BENCH_<N>.json (default N: one past the newest ledger in the repository
-root) holding, per workload,
-every end-to-end metric's runs, median and quartiles, the traced run's
-per-layer block, and the cost-model fingerprint and commit the runs
-were made on. A run that reports `correct: false` or exits non-zero
+`run` runs perfbench/run.py on every workload of BENCHMARK.json,
+untraced (the end-to-end metrics) and traced (the per-layer metrics)
+once per seed 1, 2 and 3, each for BENCHMARK.json's run_seconds, so
+every ledger is made with the same settings. It writes BENCH_<N>.json
+(default N: one past the newest ledger in the repository root) holding,
+per workload, every end-to-end and per-layer metric's runs, median and
+quartiles, and the cost-model fingerprint and commit the runs were made
+on. A run that reports `correct: false` or exits non-zero
 aborts the ledger.
 
 `diff` compares NEW (a ledger file; by default a fresh `run` written to
@@ -27,6 +26,9 @@ any regressed. A metric whose run-to-run spread (interquartile range
 over median) exceeds its bound on either side is marked unresolved. A
 changed cost-model fingerprint is reported as a changed model: the
 simulated numbers then measure a different model, not a faster stack.
+A changed per-layer median is printed, marked "within spread" when
+it lies inside the other side's quartile range (a ledger from before
+per-layer quartiles holds one traced value: its range is that value).
 """
 import argparse
 import glob
@@ -101,8 +103,8 @@ def run(pr=None, out=None):
     workloads = {}
     for wl in [w["name"] for w in bench["workloads"]]:
         untraced = [perfbench(wl, s, seconds, False) for s in SEEDS]
-        traced = perfbench(wl, SEEDS[0], seconds, True)
-        fingerprints.update(r["fingerprint"] for r in untraced + [traced])
+        traced = [perfbench(wl, s, seconds, True) for s in SEEDS]
+        fingerprints.update(r["fingerprint"] for r in untraced + traced)
         workloads[wl] = {
             "attempted": sum(r["attempted"] for r in untraced),
             "failed": sum(r["failed"] for r in untraced),
@@ -112,14 +114,15 @@ def run(pr=None, out=None):
                 for m in bench["end_to_end"]
             },
             "per_layer": {
-                m["name"]: {"unit": m["unit"], "value": traced["metrics"][m["name"]]["value"]}
+                m["name"]: dict(unit=m["unit"], **summary(
+                    [r["metrics"][m["name"]]["value"] for r in traced]))
                 for m in bench["per_layer"]
             },
         }
     if len(fingerprints) != 1:
         sys.exit("ledger: the cost model changed between runs: %s" % sorted(fingerprints))
     ledger = dict(
-        pr=pr, seconds=seconds, seeds=SEEDS, traced_seed=SEEDS[0],
+        pr=pr, seconds=seconds, seeds=SEEDS,
         model_fingerprint=fingerprints.pop(),
         machine={"cpus": os.cpu_count(), "platform": platform.platform()},
         workloads=workloads, **commit())
@@ -132,6 +135,11 @@ def run(pr=None, out=None):
 
 def spread(s):
     return (s["q3"] - s["q1"]) / abs(s["median"]) if s["median"] else 0.0
+
+
+def quartiles(s):
+    """(q1, median, q3) of a metric, or of an older ledger's one value."""
+    return (s["q1"], s["median"], s["q3"]) if "median" in s else (s["value"],) * 3
 
 
 def diff(new_path=None):
@@ -180,13 +188,16 @@ def diff(new_path=None):
                 m["name"], b["median"], n["median"], 100 * change,
                 b["q1"], b["q3"], n["q1"], n["q3"], verdict))
         for m in bench["per_layer"]:
-            b = bw["per_layer"].get(m["name"], {}).get("value")
-            n = nw["per_layer"][m["name"]]["value"]
-            if b is None:
+            if m["name"] not in bw["per_layer"]:
                 print("  . %-36s new metric" % m["name"])
-            elif b != n:
+                continue
+            b1, b, b3 = quartiles(bw["per_layer"][m["name"]])
+            n1, n, n3 = quartiles(nw["per_layer"][m["name"]])
+            if b != n:
                 change = "%+.2f%%" % (100 * (n - b) / abs(b)) if b else ""
-                print("  . %-36s %12.6g -> %-12.6g %s" % (m["name"], b, n, change))
+                within = b1 <= n <= b3 or n1 <= b <= n3
+                print("  . %-36s %12.6g -> %-12.6g %s%s" % (
+                    m["name"], b, n, change, "  within spread" if within else ""))
     if regressions:
         print("bench-diff: %d regression(s): %s" % (len(regressions), "; ".join(regressions)))
         sys.exit(1)

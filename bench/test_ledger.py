@@ -35,13 +35,19 @@ def stat(median):
 
 
 def ledger_file(pr, end_to_end, per_layer):
+    """Per-layer values are single traced values (a ledger from before
+    per-layer quartiles) or (q1, median, q3) triples."""
+    def layer(v):
+        if isinstance(v, tuple):
+            return {"unit": "", "runs": list(v), "q1": v[0], "median": v[1], "q3": v[2]}
+        return {"unit": "", "value": v}
     return {
-        "pr": pr, "seconds": 24, "seeds": [1, 2, 3], "traced_seed": 1,
+        "pr": pr, "seconds": 24, "seeds": [1, 2, 3],
         "model_fingerprint": "abc", "commit": None, "dirty": False,
         "workloads": {"churn": {
             "attempted": 10, "failed": 0,
             "end_to_end": {k: dict(unit="", **stat(v)) for k, v in end_to_end.items()},
-            "per_layer": {k: {"unit": "", "value": v} for k, v in per_layer.items()},
+            "per_layer": {k: layer(v) for k, v in per_layer.items()},
         }},
     }
 
@@ -94,6 +100,18 @@ class DiffTest(unittest.TestCase):
         code, text = self.diff(base, new)
         self.assertEqual(code, 0, text)
         self.assertRegex(text, r"heap_peak_mb .* better")
+
+    def test_per_layer_change_inside_quartiles_is_within_spread(self):
+        # The new median lies inside the base's quartile range for
+        # sim.events, outside both ranges for sim.major_gcs; the base is
+        # a single-value ledger for the second case, which still diffs.
+        e2e = {"wall_s": 1.0, "heap_peak_mb": 10.0}
+        base = ledger_file(1, e2e, {"sim.events": (90, 100, 110), "sim.major_gcs": 3})
+        new = ledger_file(2, e2e, {"sim.events": (96, 104, 120), "sim.major_gcs": (5, 6, 7)})
+        code, text = self.diff(base, new)
+        self.assertEqual(code, 0, text)
+        self.assertRegex(text, r"sim\.events\s+100 -> 104\s+\+4\.00%  within spread")
+        self.assertRegex(text, r"sim\.major_gcs\s+3 -> 6\s+\+100\.00%\n")
 
 
 if __name__ == "__main__":

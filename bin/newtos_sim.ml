@@ -34,51 +34,23 @@ let print_trace name (t : E.crash_trace) ~paper_note =
     t.E.duplicate_segments t.E.sender_retransmits t.E.lost_segments
     t.E.component_restarts
 
-(* Run [f] with the pool-ownership sanitizer watching, then print its
-   verdict.  Any violation fails the invocation so CI can gate on it. *)
-let with_sanitizer ?(quiet = false) enabled f =
-  if not enabled then f ()
-  else begin
-    V.Sanitizer.install ();
-    Fun.protect ~finally:V.Sanitizer.uninstall f;
-    let report = V.Sanitizer.report ~title:"pool-ownership sanitizer" () in
-    if not quiet then begin
-      print_string (V.Report.to_string report);
-      print_newline ()
-    end;
-    if not (V.Report.ok report) then exit 1
-  end
-
-(* Run [f] with the dynamic channel-protocol checker replaying the
-   request/confirm contract, then print its verdict.  [drained] closes
-   the trace strictly (a quiesced tail: open obligations are
-   violations).  Under --verify-continuous the per-run aggregation has
-   already absorbed and reset the checker's state, so this outer report
+(* Run [f] with a dynamic checker installed, then print its verdict
+   (unless [quiet]). Any violation fails the invocation so CI can gate
+   on it. [drained] closes the protocol checker's trace strictly (a
+   quiesced tail: open obligations are violations). Under
+   --verify-continuous the per-run aggregation has already absorbed and
+   reset the protocol and TCP checkers' state, so their outer report
    only carries whatever the aggregator did not claim. *)
-let with_protocol ?(quiet = false) ?(drained = false) enabled f =
+let with_checker ?(quiet = false) ?drained kind enabled f =
   if not enabled then f ()
   else begin
-    V.Protocol.install ();
-    Fun.protect ~finally:V.Protocol.uninstall f;
-    V.Protocol.finish ~drained ();
-    let report = V.Protocol.report ~title:"channel-protocol checker" () in
-    if not quiet then begin
-      print_string (V.Report.to_string report);
-      print_newline ()
-    end;
-    if not (V.Report.ok report) then exit 1
-  end
-
-(* Run [f] with the TCP conformance checker riding the simulator's TCP
-   hook chain, then print its verdict.  Under --verify-continuous the
-   per-run aggregation absorbs and resets the checker's state, so this
-   outer report only carries whatever the aggregator did not claim. *)
-let with_tcpfsm ?(quiet = false) enabled f =
-  if not enabled then f ()
-  else begin
-    V.Tcpfsm.install ();
-    Fun.protect ~finally:V.Tcpfsm.uninstall f;
-    let report = V.Tcpfsm.report ~title:"tcp-fsm conformance checker" () in
+    let title =
+      match kind with
+      | V.Checker.Sanitizer -> "pool-ownership sanitizer"
+      | V.Checker.Protocol -> "channel-protocol checker"
+      | V.Checker.Tcpfsm -> "tcp-fsm conformance checker"
+    in
+    let (), report = V.Checker.checked ?drained kind ~title f in
     if not quiet then begin
       print_string (V.Report.to_string report);
       print_newline ()
@@ -131,27 +103,31 @@ let with_continuous ?(quiet = false) enabled f =
     if not (V.Continuous.ok v) then exit 1
   end
 
-let print_fig4 seed sanitize protocol verify_continuous tcp_fsm sample =
-  with_sample sample (fun () ->
-      with_tcpfsm tcp_fsm (fun () ->
-          with_sanitizer sanitize (fun () ->
-              with_protocol ~drained:true protocol (fun () ->
-                  with_continuous verify_continuous (fun verify ->
-                      let t = E.figure_ip_crash ~seed ?verify () in
-                      print_trace "Figure 4 — bitrate across an IP server crash (at t=4s)" t
-                        ~paper_note:
-                          "paper: gap of ~2s while the link resets, one retransmission, full recovery")))))
+(* The checkers a run's flags arm, outermost first: hook sampling, the
+   TCP checker, the sanitizer, the protocol checker, and the continuous
+   aggregator handed to the experiment. *)
+let armed ?quiet ?drained ?(tcp_fsm = false) ?(sample = 1) ~sanitize ~protocol
+    verify_continuous f =
+  with_sample sample @@ fun () ->
+  with_checker ?quiet Tcpfsm tcp_fsm @@ fun () ->
+  with_checker ?quiet Sanitizer sanitize @@ fun () ->
+  with_checker ?quiet ?drained Protocol protocol @@ fun () ->
+  with_continuous ?quiet verify_continuous f
 
-let print_fig5 seed sanitize protocol verify_continuous tcp_fsm sample =
-  with_sample sample (fun () ->
-      with_tcpfsm tcp_fsm (fun () ->
-          with_sanitizer sanitize (fun () ->
-              with_protocol ~drained:true protocol (fun () ->
-                  with_continuous verify_continuous (fun verify ->
-                      let t = E.figure_pf_crash ~seed ?verify () in
-                      print_trace "Figure 5 — bitrate across two packet filter crashes (t=6s, t=12s)" t
-                        ~paper_note:
-                          "paper: crashes almost not noticeable, no packets lost, 1024 rules recovered")))))
+let print_figure fig seed sanitize protocol verify_continuous tcp_fsm sample =
+  armed ~drained:true ~tcp_fsm ~sample ~sanitize ~protocol verify_continuous
+  @@ fun verify ->
+  match fig with
+  | `Fig4 ->
+      print_trace "Figure 4 — bitrate across an IP server crash (at t=4s)"
+        (E.figure_ip_crash ~seed ?verify ())
+        ~paper_note:
+          "paper: gap of ~2s while the link resets, one retransmission, full recovery"
+  | `Fig5 ->
+      print_trace "Figure 5 — bitrate across two packet filter crashes (t=6s, t=12s)"
+        (E.figure_pf_crash ~seed ?verify ())
+        ~paper_note:
+          "paper: crashes almost not noticeable, no packets lost, 1024 rules recovered"
 
 let campaign_json runs (c : E.campaign) verify =
   let pf_shard (p : E.pf_shard_totals) =
@@ -207,13 +183,10 @@ let print_campaign_tables runs c =
 let print_campaign runs seed sanitize protocol verify_continuous break_recovery
     pf_shards json sample =
   check_sizes "campaign" (Newt_scale.Topology.validate ~pf_shards ());
-  with_sample sample @@ fun () ->
-  with_sanitizer ~quiet:json sanitize @@ fun () ->
   (* Not [~drained]: a campaign world can end frozen (reboot cases), so
      only hard violations gate here; the per-run obligation accounting
      happens inside --verify-continuous, which skips frozen runs. *)
-  with_protocol ~quiet:json protocol @@ fun () ->
-  with_continuous ~quiet:json verify_continuous @@ fun verify ->
+  armed ~quiet:json ~sample ~sanitize ~protocol verify_continuous @@ fun verify ->
   let c = E.fault_campaign ~runs ~seed ?verify ?break_recovery ~pf_shards () in
   if json then print_json (campaign_json runs c verify)
   else print_campaign_tables runs c
@@ -332,9 +305,7 @@ let print_scaling sanitize protocol verify_continuous shard_counts ip_replicas
            ~pf_shards:(max 1 (min pf_shards n))
            ()))
     shard_counts;
-  with_sanitizer sanitize @@ fun () ->
-  with_protocol protocol @@ fun () ->
-  with_continuous verify_continuous @@ fun verify ->
+  armed ~sanitize ~protocol verify_continuous @@ fun verify ->
   print_endline "Scaling — N transport shards behind a multi-queue NIC";
   print_endline "------------------------------------------------------";
   let r =
@@ -466,40 +437,28 @@ let print_churn scenario rate duration shards ip_replicas pf_shards bulk_flows
   (* --break-tcp implies the checker: a planted bug that nothing judges
      would be a silently green sabotage run. *)
   let fsm_wanted = tcp_fsm || break_tcp <> None in
-  with_sample sample @@ fun () ->
-  with_sanitizer ~quiet:json sanitize @@ fun () ->
-  with_protocol ~quiet:json protocol @@ fun () ->
-  with_continuous ~quiet:json verify_continuous @@ fun verify ->
+  armed ~quiet:json ~sample ~sanitize ~protocol verify_continuous @@ fun verify ->
   let results =
     List.map
       (fun s ->
-        (* One checker lifetime per scenario: each run is a fresh world
-           reusing the same addresses, so shadow PCBs must not leak
-           from one run into the next. *)
-        if fsm_wanted then begin
-          V.Tcpfsm.install ();
-          V.Tcpfsm.reset ()
-        end;
-        let r =
+        let run () =
           Ch.run ~scenario:s ~rate ~duration ~shards ~ip_replicas ~pf_shards
             ~bulk_flows ~workers ~payload ~flood_rate ~conntrack_total
             ~backlog ~seed ?verify ?break_tcp ()
         in
-        let fsm =
-          if fsm_wanted then
-            Some
-              ( V.Tcpfsm.report
-                  ~title:
-                    (Printf.sprintf "tcp-fsm over churn %s"
-                       (Ch.scenario_name s))
-                  (),
-                V.Tcpfsm.verdict_json () )
-          else None
-        in
-        (r, fsm))
+        (* One checker lifetime per scenario: each run is a fresh world
+           reusing the same addresses, so shadow PCBs must not leak
+           from one run into the next. *)
+        if not fsm_wanted then (run (), None)
+        else
+          let r, rep =
+            V.Checker.checked Tcpfsm
+              ~title:(Printf.sprintf "tcp-fsm over churn %s" (Ch.scenario_name s))
+              run
+          in
+          (r, Some (rep, V.Tcpfsm.verdict_json ())))
       scenarios
   in
-  if fsm_wanted then V.Tcpfsm.uninstall ();
   if json then print_json (List (List.map churn_json results))
   else
     List.iter
@@ -533,13 +492,20 @@ let print_verdict json combined human =
   let code = V.Report.exit_code combined in
   if code <> 0 then exit code
 
+(* One checker's report over one run. *)
+let replay ?drained kind title run =
+  snd (V.Checker.checked ?drained kind ~title (fun () -> ignore (run ())))
+
 (* verify --protocol: replay the request/confirm contract over the two
    figure fault runs (an IP crash, a double PF crash) and demand a
    clean close — every obligation confirmed or aborted, stale confirms
    absorbed, nothing dropped on a stranded requester. *)
+
 let print_verify_protocol json =
-  let r_ip, _ = E.protocol_ip_crash () in
-  let r_pf, _ = E.protocol_pf_crash () in
+  (* Both figure runs stop their traffic a second before the end and run
+     past it: the tail is drained. *)
+  let r_ip = replay ~drained:true Protocol "protocol-checked IP-crash run" E.figure_ip_crash in
+  let r_pf = replay ~drained:true Protocol "protocol-checked PF-crash run" E.figure_pf_crash in
   let combined =
     V.Report.merge ~title:"dynamic channel-protocol contract" [ r_ip; r_pf ]
   in
@@ -560,28 +526,12 @@ let print_verify_protocol json =
    plus the paper's Table I crash semantics. *)
 let print_verify_tcpfsm json =
   let lint = V.Tcpfsm.lint_table () in
-  let replay title f =
-    V.Tcpfsm.install ();
-    V.Tcpfsm.reset ();
-    f ();
-    let r = V.Tcpfsm.report ~title () in
-    V.Tcpfsm.uninstall ();
-    r
-  in
-  let r_fig4 =
-    replay "tcp-fsm over fig4 (IP crash)" (fun () ->
-        ignore (E.figure_ip_crash ~seed:42 ()))
-  in
-  let r_fig5 =
-    replay "tcp-fsm over fig5 (double PF crash)" (fun () ->
-        ignore (E.figure_pf_crash ~seed:42 ()))
-  in
+  let r_fig4 = replay Tcpfsm "tcp-fsm over fig4 (IP crash)" (E.figure_ip_crash ~seed:42) in
+  let r_fig5 = replay Tcpfsm "tcp-fsm over fig5 (double PF crash)" (E.figure_pf_crash ~seed:42) in
   let r_churn =
-    replay "tcp-fsm over churn (shard crash, flood on)" (fun () ->
-        ignore
-          (Ch.run ~scenario:Ch.Crash_during_churn ~rate:2_000.0 ~duration:0.4
-             ~shards:4 ~ip_replicas:2 ~pf_shards:2 ~workers:4
-             ~flood_rate:5_000.0 ~seed:42 ()))
+    replay Tcpfsm "tcp-fsm over churn (shard crash, flood on)"
+      (Ch.run ~scenario:Ch.Crash_during_churn ~rate:2_000.0 ~duration:0.4 ~shards:4
+         ~ip_replicas:2 ~pf_shards:2 ~workers:4 ~flood_rate:5_000.0 ~seed:42)
   in
   let combined =
     V.Report.merge ~title:"tcp conformance" [ lint; r_fig4; r_fig5; r_churn ]
@@ -743,13 +693,10 @@ let print_crossval domains seconds json skip_unsupported allow_oversub =
 (* The mcheck subcommand: exhaustive (component × labeled recovery
    step) crash-point search over the chosen configurations. *)
 let print_mcheck json config budget seed break_recovery =
+  let search s = (s.E.name, E.mcheck ?budget s) in
   let outcomes =
-    (if config = `Sharded then []
-     else [ ("split stack", E.mcheck_split ?budget ~seed ?break_recovery ()) ])
-    @
-    if config = `Split then []
-    else
-      [ ("sharded N=2 r=2 pf=2", E.mcheck_sharded ?budget ?break_recovery ()) ]
+    (if config = `Sharded then [] else [ search (E.split_search ~seed ?break_recovery ()) ])
+    @ if config = `Split then [] else [ search (E.sharded_search ?break_recovery ()) ]
   in
   if json then
     print_json (List (List.map (fun (t, o) -> V.Mcheck.to_json ~title:t o) outcomes))
@@ -845,39 +792,26 @@ let break_tcp_arg =
     & info [ "break-tcp" ] ~docv:"MODE" ~doc)
 
 let break_recovery =
+  let planes = [ ("tcp", `Tcp); ("udp", `Udp); ("ip", `Ip); ("pf", `Pf); ("drv", `Drv) ]
+  and kinds =
+    [ ("wrong-core", Newt_core.Scenario.Wrong_core);
+      ("skip-republish", Newt_core.Scenario.Skip_republish) ]
+  in
   let parse s =
-    let comp_of = function
-      | "tcp" -> Ok Newt_core.Host.C_tcp
-      | "udp" -> Ok Newt_core.Host.C_udp
-      | "ip" -> Ok Newt_core.Host.C_ip
-      | "pf" -> Ok Newt_core.Host.C_pf
-      | "drv" -> Ok (Newt_core.Host.C_drv 0)
-      | c -> Error (`Msg (Printf.sprintf "unknown component %S" c))
-    in
-    let kind_of = function
-      | "wrong-core" -> Ok Newt_core.Host.Wrong_core
-      | "skip-republish" -> Ok Newt_core.Host.Skip_republish
-      | k -> Error (`Msg (Printf.sprintf "unknown sabotage %S" k))
+    let lookup what table x =
+      match List.assoc_opt x table with
+      | Some v -> Ok v
+      | None -> Error (`Msg (Printf.sprintf "unknown %s %S" what x))
     in
     match String.split_on_char ':' s with
     | [ c; k ] -> (
-        match (comp_of c, kind_of k) with
+        match (lookup "component" planes c, lookup "sabotage" kinds k) with
         | Ok c, Ok k -> Ok (c, k)
         | (Error _ as e), _ | _, (Error _ as e) -> e)
     | _ -> Error (`Msg "expected COMPONENT:KIND, e.g. ip:wrong-core")
   in
-  let print ppf (c, k) =
-    Format.fprintf ppf "%s:%s"
-      (match c with
-      | Newt_core.Host.C_tcp -> "tcp"
-      | Newt_core.Host.C_udp -> "udp"
-      | Newt_core.Host.C_ip -> "ip"
-      | Newt_core.Host.C_pf -> "pf"
-      | Newt_core.Host.C_drv _ -> "drv")
-      (match k with
-      | Newt_core.Host.Wrong_core -> "wrong-core"
-      | Newt_core.Host.Skip_republish -> "skip-republish")
-  in
+  let name table v = fst (List.find (fun (_, x) -> x = v) table) in
+  let print ppf (c, k) = Format.fprintf ppf "%s:%s" (name planes c) (name kinds k) in
   let doc =
     "Sabotage the named component's recovery in every run \
      (COMPONENT:KIND; components tcp, udp, ip, pf, drv; kinds wrong-core, \
@@ -909,17 +843,16 @@ let table2_cmd =
   Cmd.v (Cmd.info "table2" ~doc:"Reproduce Table II (peak outgoing TCP throughput)")
     Term.(const print_table2 $ const ())
 
-let fig4_cmd =
-  Cmd.v (Cmd.info "fig4" ~doc:"Reproduce Figure 4 (IP server crash bitrate trace)")
+let figure_cmd name fig doc =
+  Cmd.v (Cmd.info name ~doc)
     Term.(
-      const print_fig4 $ seed $ sanitize $ protocol_flag $ verify_continuous
+      const (print_figure fig) $ seed $ sanitize $ protocol_flag $ verify_continuous
       $ tcp_fsm_flag $ verify_sample)
 
+let fig4_cmd = figure_cmd "fig4" `Fig4 "Reproduce Figure 4 (IP server crash bitrate trace)"
+
 let fig5_cmd =
-  Cmd.v (Cmd.info "fig5" ~doc:"Reproduce Figure 5 (packet filter crash bitrate trace)")
-    Term.(
-      const print_fig5 $ seed $ sanitize $ protocol_flag $ verify_continuous
-      $ tcp_fsm_flag $ verify_sample)
+  figure_cmd "fig5" `Fig5 "Reproduce Figure 5 (packet filter crash bitrate trace)"
 
 let campaign_pf_shards =
   let doc =

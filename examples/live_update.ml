@@ -1,5 +1,7 @@
-(* Live update: replace the UDP server while the system carries TCP
-   traffic — the MS11-083 scenario the paper opens with (Section V):
+(* Live-update pause: pause the UDP server for 50 ms while the system
+   carries TCP traffic — the traffic side of the MS11-083 scenario the
+   paper opens with (Section V). No code is swapped and no state moves
+   (ROADMAP item 15):
 
      "In November 2011, Microsoft announced a critical vulnerability in
       the UDP part of Windows networking stack... In this respect,
@@ -35,7 +37,7 @@ let () =
   in
 
   Host.at host (Time.of_seconds 2.0) (fun () ->
-      print_endline ">>> t=2.0s: live-updating the UDP server (patched version)";
+      print_endline ">>> t=2.0s: pausing the UDP server for a live update";
       Host.live_update host Host.C_udp);
 
   Host.run host ~until:(Time.of_seconds 5.5);
@@ -47,14 +49,14 @@ let () =
         (String.make (int_of_float (mbps /. 25.0)) '#'))
     (Series.mbps series ~upto:(Time.of_seconds 5.0) ());
 
-  Printf.printf "UDP server code version: %d (v1 -> v2, no crash, no restart)\n"
+  Printf.printf "UDP server version counter: %d (bumped by the pause; no crash, no restart)\n"
     (Newt_stack.Proc.version (Host.proc_of host Host.C_udp));
   Printf.printf
     "DNS resolver: %d/%d queries answered, %d socket reopens, longest outage %d \
-     queries — the swap queued its messages and nothing was lost\n"
+     queries — the pause queued its messages and nothing was lost\n"
     (Apps.Dns_client.answered dns) (Apps.Dns_client.queries dns)
     (Apps.Dns_client.socket_reopens dns)
     (Apps.Dns_client.max_consecutive_failures dns);
   print_endline
-    "TCP never noticed: the new version inherited the address space and the \
-     channels stayed established (Section V)."
+    "TCP never noticed: the server kept its state and its channels stayed \
+     established through the pause (Section V)."

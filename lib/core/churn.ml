@@ -8,8 +8,6 @@ module Sink = Newt_stack.Sink
 module Tcp_srv = Newt_stack.Tcp_srv
 module Apps = Newt_sockets.Apps
 module Socket_api = Newt_sockets.Socket_api
-module Static = Newt_verify.Static
-module Continuous = Newt_verify.Continuous
 module Tcpfsm = Newt_verify.Tcpfsm
 module Pf_srv = Newt_stack.Pf_srv
 module Pf_engine = Newt_pf.Pf_engine
@@ -160,7 +158,15 @@ let run_sharded scenario ~rate ~duration ~shards ~ip_replicas ~pf_shards
       conntrack_total;
     }
   in
-  let s = S.create ~config () in
+  let until = Time.of_seconds duration in
+  let w =
+    Scenario.lower ?verify
+      (Scenario.v (Scenario.Sharded config)
+         ~title:(Printf.sprintf "churn %s" (scenario_name scenario))
+         ~flows:(List.init bulk_flows (fun i -> Scenario.flow ~port:(5001 + i) until))
+         ~horizon:(until + Time.of_seconds 0.5))
+  in
+  let s = Scenario.net w in
   (* Sabotage arming rides every shard's incarnations: Ack_from_closed
      bites on flood traffic to unbound ports, Stale_established on the
      shard kill below. *)
@@ -170,31 +176,7 @@ let run_sharded scenario ~rate ~duration ~shards ~ip_replicas ~pf_shards
         Tcp_srv.set_break_tcp (S.tcp_shard s i) (Some mode)
       done)
     break_tcp;
-  Option.iter
-    (fun v ->
-      S.on_reincarnated s (fun comp ->
-          Continuous.recheck v (fun () ->
-              Static.check
-                ~directory:(S.directory s)
-                ~sharding:(Experiments.sharded_spec s)
-                ~title:
-                  (Printf.sprintf "churn %s: after %s restart"
-                     (scenario_name scenario)
-                     (Newt_stack.Component.name comp))
-                (S.components s))))
-    verify;
   Sink.serve_tcp_echo (S.sink s) ~port:echo_port;
-  let bulk_received = ref 0 in
-  for i = 0 to bulk_flows - 1 do
-    Sink.sink_tcp (S.sink s) ~port:(5001 + i) ~on_bytes:(fun ~at:_ n ->
-        bulk_received := !bulk_received + n)
-  done;
-  let until = Time.of_seconds duration in
-  let _ =
-    List.init bulk_flows (fun i ->
-        Apps.Iperf.start (S.machine s) ~sc:(S.sc s) ~app:(S.app s)
-          ~dst:(S.sink_addr s) ~port:(5001 + i) ~until ())
-  in
   let pace = Time.of_seconds (float_of_int workers /. rate) in
   let churners =
     List.init workers (fun _ ->
@@ -219,9 +201,9 @@ let run_sharded scenario ~rate ~duration ~shards ~ip_replicas ~pf_shards
             Tcp.connection_count (Tcp_srv.engine (S.tcp_shard s 0));
           S.kill_shard s 0)
   | Baseline | Syn_flood | Listen_pressure -> ());
-  S.run s ~until;
-  (* Let in-flight RPCs and the recovery drain before reading stats. *)
-  S.run s ~until:(until + Time.of_seconds 0.5);
+  (* Past [until], so in-flight RPCs and the recovery drain before the
+     stats are read. *)
+  Scenario.run w;
   (* With the FSM checker riding, cross-check every filter shard's
      conntrack confirmation bits against the checker's shadow states
      before the verdict is absorbed. *)
@@ -241,6 +223,7 @@ let run_sharded scenario ~rate ~duration ~shards ~ip_replicas ~pf_shards
   let sum f = List.fold_left (fun acc c -> acc + f c) 0 churners in
   let pf = Array.to_list (S.pf_shard_stats s) in
   let sum_pf f = List.fold_left (fun acc p -> acc + f p) 0 pf in
+  let sum_shards f = List.fold_left (fun acc i -> acc + f i) 0 (List.init shards Fun.id) in
   let completed = sum Apps.Rpc_churn.completed in
   let result =
     {
@@ -252,36 +235,24 @@ let run_sharded scenario ~rate ~duration ~shards ~ip_replicas ~pf_shards
       completed_rate = float_of_int completed /. duration;
       connect = tail_of_hist connect_h;
       request = tail_of_hist request_h;
-      bulk_goodput_gbps = float_of_int !bulk_received *. 8.0 /. duration /. 1e9;
-      listen_overflows =
-        (let t = ref 0 in
-         for i = 0 to shards - 1 do
-           t := !t + Tcp_srv.listen_overflows (S.tcp_shard s i)
-         done;
-         !t);
+      bulk_goodput_gbps =
+        float_of_int (List.fold_left ( + ) 0 (List.init bulk_flows (Scenario.received w)))
+        *. 8.0 /. duration /. 1e9;
+      listen_overflows = sum_shards (fun i -> Tcp_srv.listen_overflows (S.tcp_shard s i));
       flood_syns = !flood_syns;
       conntrack_entries = sum_pf (fun p -> p.S.entries);
       conntrack_half_open = sum_pf (fun p -> p.S.half_open);
       evicted_half_open = sum_pf (fun p -> p.S.evicted_half_open);
       evicted_established = sum_pf (fun p -> p.S.evicted_established);
       conns_at_kill = !conns_at_kill;
-      shard_restarts =
-        (let t = ref 0 in
-         for i = 0 to shards - 1 do
-           t := !t + S.shard_restarts s i
-         done;
-         !t);
+      shard_restarts = sum_shards (S.shard_restarts s);
       steering_violations = S.steering_violations s;
       checksum_failures = Sink.checksum_failures (S.sink s);
     }
   in
   (* The result is read above, at the same simulated time armed or not;
      the verifier then runs on until the world quiesces. *)
-  Option.iter
-    (fun v ->
-      S.run s ~until:(until + Time.of_seconds 0.75);
-      Continuous.end_run ~check_leaks:false v)
-    verify;
+  Scenario.close ?verify w ~until:(until + Time.of_seconds 0.75) ~check_leaks:false;
   result
 
 (* {1 Listen-queue pressure}
@@ -295,19 +266,13 @@ let listen_port = 2222
 
 let run_listen_pressure ~rate ~duration ~backlog ~accept_interval ~seed
     ?verify () =
-  let config = { Host.default_config with Host.seed } in
-  let h = Host.create ~config () in
-  Option.iter
-    (fun v ->
-      Host.on_reincarnated h (fun comp ->
-          Continuous.recheck v (fun () ->
-              Static.check
-                ~directory:(Host.directory h)
-                ~title:
-                  (Printf.sprintf "churn listen-pressure: after %s restart"
-                     (Newt_stack.Component.name comp))
-                (Host.components h))))
-    verify;
+  let until = Time.of_seconds duration in
+  let w =
+    Scenario.lower ?verify
+      (Scenario.v (Scenario.Split { Host.default_config with Host.seed })
+         ~title:"churn listen-pressure" ~horizon:(until + Time.of_seconds 0.5))
+  in
+  let h = Scenario.net w in
   let sc = Host.sc h and app = Host.app h in
   let accepted = ref 0 in
   (* The slow server: listen with a small backlog, accept one
@@ -331,7 +296,6 @@ let run_listen_pressure ~rate ~duration ~backlog ~accept_interval ~seed
   let sink = Host.sink h 0 in
   let connect_h = Stats.Hist.create () in
   let started = ref 0 and established = ref 0 and resets = ref 0 in
-  let until = Time.of_seconds duration in
   let pace = Time.of_seconds (1.0 /. rate) in
   let rec client at =
     if at < until then
@@ -354,7 +318,7 @@ let run_listen_pressure ~rate ~duration ~backlog ~accept_interval ~seed
           client (at + pace))
   in
   client (Time.of_seconds 0.01);
-  Host.run h ~until:(until + Time.of_seconds 0.5);
+  Scenario.run w;
   let result =
     {
       (empty_result Listen_pressure ~offered_rate:rate ~duration_s:duration) with
@@ -368,11 +332,7 @@ let run_listen_pressure ~rate ~duration ~backlog ~accept_interval ~seed
       checksum_failures = Sink.checksum_failures sink;
     }
   in
-  Option.iter
-    (fun v ->
-      Host.run h ~until:(until + Time.of_seconds 0.75);
-      Continuous.end_run ~check_leaks:false v)
-    verify;
+  Scenario.close ?verify w ~until:(until + Time.of_seconds 0.75) ~check_leaks:false;
   result
 
 let run ?(scenario = Baseline) ?(rate = 10_000.0) ?(duration = 1.0)

@@ -9,9 +9,8 @@ module Sink = Newt_stack.Sink
 module Capacity = Newt_stack.Capacity
 module Fault_inject = Newt_reliability.Fault_inject
 module Apps = Newt_sockets.Apps
-module Static = Newt_verify.Static
 module Continuous = Newt_verify.Continuous
-module Sanitizer = Newt_verify.Sanitizer
+module Checker = Newt_verify.Checker
 module Protocol = Newt_verify.Protocol
 module Mcheck = Newt_verify.Mcheck
 module Component = Newt_stack.Component
@@ -63,22 +62,17 @@ type event_peak = {
 (* Also returns the bytes delivered and the pool operations the TCP
    server was charged. *)
 let split_peak_run ~nics ~duration ~coalesce_drivers () =
-  let config =
-    { Host.default_config with Host.nics; app_cores = nics; coalesce_drivers }
+  let until = Time.of_seconds duration in
+  let w =
+    Scenario.lower
+      (Scenario.v
+         (Scenario.Split { Host.default_config with Host.nics; app_cores = nics; coalesce_drivers })
+         ~flows:(List.init nics (fun link -> Scenario.flow ~link ~port:5001 until))
+         ~horizon:until)
   in
-  let h = Host.create ~config () in
-  let totals = Array.make nics 0 in
-  for i = 0 to nics - 1 do
-    let peer = Host.sink h i in
-    Sink.sink_tcp peer ~port:5001 ~on_bytes:(fun ~at:_ n ->
-        totals.(i) <- totals.(i) + n)
-  done;
-  let _ =
-    List.init nics (fun i ->
-        Apps.Iperf.start (Host.machine h) ~sc:(Host.sc h) ~app:(Host.app h)
-          ~dst:(Host.sink_addr h i) ~port:5001 ~until:(Time.of_seconds duration) ())
-  in
-  Host.run h ~until:(Time.of_seconds duration);
+  Scenario.run w;
+  let h = Scenario.net w in
+  let totals = Array.init nics (Scenario.received w) in
   let now = Engine.now (Host.engine h) in
   let util comp =
     Newt_hw.Cpu.utilization (Newt_stack.Proc.core (Host.proc_of h comp)) ~now
@@ -262,26 +256,6 @@ let minix_event_sim ?(duration = 2.0) () =
       Minix.bytes_sent mx = !received && Sink.checksum_failures sink = 0;
   }
 
-(* {1 Continuous verification}
-
-   When an experiment is handed a [Continuous.t], the static
-   channel-graph checker re-runs against the LIVE topology after every
-   reincarnation — re-derived from the Pubsub directory and each
-   component's republished exports, so a recovery that comes up on the
-   wrong core or loses a republish is caught the moment it happens, not
-   at wiring time. *)
-
-let attach_continuous v h ~title =
-  Host.on_reincarnated h (fun comp ->
-      Continuous.recheck v (fun () ->
-          Static.check
-            ~directory:(Host.directory h)
-            ~title:
-              (Printf.sprintf "%s: after %s restart %d" title
-                 (Newt_stack.Component.name comp)
-                 (Newt_stack.Component.incarnation comp))
-            (Host.components h)))
-
 (* {1 Figures 4 and 5} *)
 
 type crash_trace = {
@@ -298,51 +272,40 @@ let crash_run ?nic_reset ?verify ~seed ~rules ~protect_port ~crashes ~component
     if rules <= 2 then [ Newt_pf.Rule.pass_all ]
     else Pf_engine.generate_ruleset (Rng.create (seed + 1)) ~n:rules ~protect_port
   in
-  let config = { Host.default_config with Host.seed; pf_rules = rule_list } in
-  let config =
-    match nic_reset with
-    | Some r -> { config with Host.nic_reset_time = r }
-    | None -> config
-  in
-  let h = Host.create ~config () in
-  Option.iter (fun v -> attach_continuous v h ~title:"crash run") verify;
-  let sink = Host.sink h 0 in
-  let series = Series.create ~bin_width:(Time.of_seconds 0.1) in
-  Sink.sink_tcp sink ~port:protect_port ~on_bytes:(fun ~at n -> Series.add series at n);
-  let iperf =
-    Apps.Iperf.start (Host.machine h) ~sc:(Host.sc h) ~app:(Host.app h)
-      ~dst:(Host.sink_addr h 0) ~port:protect_port
-      ~until:(Time.of_seconds (duration -. 1.0))
-      ()
-  in
-  List.iter
-    (fun at -> Host.at h (Time.of_seconds at) (fun () -> Host.kill_component h component))
-    crashes;
+  let default = Host.default_config in
+  let nic_reset_time = Option.value nic_reset ~default:default.Host.nic_reset_time in
+  let config = { default with Host.seed; pf_rules = rule_list; nic_reset_time } in
   (* Run past the end so in-flight data drains and losses would show;
      with the verifier attached, half a second further still so the
      leak check reads a quiesced stack. *)
-  Host.run h ~until:(Time.of_seconds (duration +. 1.0));
-  Option.iter
-    (fun v ->
-      Host.run h ~until:(Time.of_seconds (duration +. 1.5));
-      Continuous.end_run ~check_leaks:true v)
-    verify;
+  let w =
+    Scenario.lower ?verify
+      (Scenario.v (Scenario.Split config) ~title:"crash run"
+         ~flows:[ Scenario.flow ~port:protect_port (Time.of_seconds (duration -. 1.0)) ]
+         ~kills:(List.map (fun at -> (Time.of_seconds at, component)) crashes)
+         ~horizon:(Time.of_seconds (duration +. 1.0)))
+  in
+  Scenario.run w;
+  Scenario.close ?verify w ~until:(Time.of_seconds (duration +. 1.5)) ~check_leaks:true;
+  let h = Scenario.net w in
+  let sink = Host.sink h 0 in
   let received = Sink.tcp_bytes_received sink in
-  let sent = Apps.Iperf.bytes_sent iperf in
+  let sent = Apps.Iperf.bytes_sent (Scenario.iperf w 0) in
   let sink_stats = Tcp.stats (Sink.tcp sink) in
   let sender_stats = Tcp.stats (Newt_stack.Tcp_srv.engine (Host.tcp_srv h)) in
   {
-    points = Series.mbps series ~upto:(Time.of_seconds duration) ();
+    points = Series.mbps (Scenario.bitrate w) ~upto:(Time.of_seconds duration) ();
     duplicate_segments = sink_stats.Tcp.dup_segs_in;
     sender_retransmits = sender_stats.Tcp.retransmits;
     lost_segments = (max 0 (sent - received) + 1459) / 1460;
-    component_restarts = Host.restarts_of h component;
+    component_restarts =
+      Reincarnation.restarts_of (Scenario.rs w) (Scenario.component w component);
   }
 
 let figure_ip_crash ?(seed = 42) ?(crash_at = 4.0) ?(duration = 10.0) ?nic_reset
     ?verify () =
   crash_run ?nic_reset ?verify ~seed ~rules:0 ~protect_port:5001
-    ~crashes:[ crash_at ] ~component:Host.C_ip ~duration ()
+    ~crashes:[ crash_at ] ~component:"ip" ~duration ()
 
 (* How long the Figure 4 outage lasts, from the crash until the bitrate
    is back above the threshold. *)
@@ -382,7 +345,7 @@ let nic_reset_sweep ?(seed = 42) () =
 let figure_pf_crash ?(seed = 42) ?(rules = 1024) ?(crash_at = [ 6.0; 12.0 ])
     ?(duration = 18.0) ?verify () =
   crash_run ?verify ~seed ~rules ~protect_port:5001 ~crashes:crash_at
-    ~component:Host.C_pf ~duration ()
+    ~component:"pf" ~duration ()
 
 (* {1 The fault-injection campaign} *)
 
@@ -424,16 +387,19 @@ let campaign_run ?verify ?break_recovery ?(pf_shards = 1) ~seed
   let rules =
     Pf_engine.generate_ruleset (Rng.create (seed + 1)) ~n:64 ~protect_port:22
   in
-  let config =
-    { Host.default_config with Host.seed; pf_rules = rules; pf_shards }
+  let w =
+    Scenario.build ?verify
+      (Scenario.v
+         (Scenario.Split { Host.default_config with Host.seed; pf_rules = rules; pf_shards })
+         ~title:"campaign run"
+         ~flows:
+           [ Scenario.flow ~port:5001 ~pace:(Time.of_seconds 0.02) (Time.of_seconds 9.5) ]
+         ~horizon:(Time.of_seconds 10.0) ?break_recovery)
   in
-  let h = Host.create ~config () in
-  Option.iter (fun v -> attach_continuous v h ~title:"campaign run") verify;
-  Option.iter (fun (comp, kind) -> Host.sabotage h comp kind) break_recovery;
+  let h = Scenario.net w in
   let sink = Host.sink h 0 in
   Sink.serve_tcp_echo sink ~port:22;
   Sink.serve_dns sink ~zone:(fun _ -> Some (Host.sink_addr h 0)) ();
-  Sink.sink_tcp sink ~port:5001 ~on_bytes:(fun ~at:_ _ -> ());
   (* The stress workload of Section VI-B: a TCP connection and periodic
      DNS queries; plus the inbound SSH-like listener on the host. *)
   Apps.Echo_listener.start (Host.sc h) ~app:(Host.app h) ~port:22;
@@ -445,11 +411,9 @@ let campaign_run ?verify ?break_recovery ?(pf_shards = 1) ~seed
     Apps.Dns_client.start (Host.machine h) ~sc:(Host.sc h) ~app:(Host.app h)
       ~dst:(Host.sink_addr h 0) ~timeout:(Time.of_seconds 0.5) ()
   in
-  let _iperf =
-    Apps.Iperf.start (Host.machine h) ~sc:(Host.sc h) ~app:(Host.app h)
-      ~dst:(Host.sink_addr h 0) ~port:5001 ~pace:(Time.of_seconds 0.02)
-      ~until:(Time.of_seconds 9.5) ()
-  in
+  (* The paced iperf starts after the other apps, which take the first
+     app cores and pids. *)
+  Scenario.start w;
   Host.at h (Time.of_seconds 2.0) (fun () -> Host.inject h inj);
   (* Probe inbound reachability after recovery settles. *)
   let reachable_auto = ref false in
@@ -470,15 +434,11 @@ let campaign_run ?verify ?break_recovery ?(pf_shards = 1) ~seed
             reachable_manual := ok));
   let ssh_ok_at_8s = ref 0 in
   Host.at h (Time.of_seconds 8.0) (fun () -> ssh_ok_at_8s := Apps.Ssh_session.exchanges_ok ssh);
-  Host.run h ~until:(Time.of_seconds 10.0);
+  Scenario.run w;
   (* With the verifier attached, let the run's tail drain (iperf ends
      at 9.5 s) so the end-of-run leak accounting reads a quiesced
      stack; a frozen world never drains, so skip its leak check. *)
-  Option.iter
-    (fun v ->
-      Host.run h ~until:(Time.of_seconds 11.0);
-      Continuous.end_run ~check_leaks:(not (Host.frozen h)) v)
-    verify;
+  Scenario.close ?verify w ~until:(Time.of_seconds 11.0) ~check_leaks:(not (Host.frozen h));
   let frozen = Host.frozen h in
   let ssh_survived =
     (not (Apps.Ssh_session.broken ssh))
@@ -534,27 +494,18 @@ let fault_campaign ?(runs = 100) ?(seed = 2) ?verify ?break_recovery
   (* Per-PF-shard counters, summed over the campaign's runs: under the
      random kill load every shard must keep issuing verdicts — a silent
      shard is a partition that never saw traffic. *)
-  let np =
-    match results with (_, c) :: _ -> Array.length c | [] -> 0
+  let add a b =
+    {
+      a with
+      verdicts = a.verdicts + b.verdicts;
+      blocked_packets = a.blocked_packets + b.blocked_packets;
+      conntrack_expired = a.conntrack_expired + b.conntrack_expired;
+    }
   in
   let pf_counters =
-    Array.init np (fun j ->
-        List.fold_left
-          (fun acc (_, cs) ->
-            {
-              acc with
-              verdicts = acc.verdicts + cs.(j).verdicts;
-              blocked_packets = acc.blocked_packets + cs.(j).blocked_packets;
-              conntrack_expired =
-                acc.conntrack_expired + cs.(j).conntrack_expired;
-            })
-          {
-            pf_shard = j;
-            verdicts = 0;
-            blocked_packets = 0;
-            conntrack_expired = 0;
-          }
-          results)
+    match List.map snd results with
+    | [] -> [||]
+    | first :: rest -> List.fold_left (Array.map2 add) first rest
   in
   let count p = List.length (List.filter p outcomes) in
   let target_is target o =
@@ -595,8 +546,12 @@ type latency_point = {
 let mwait_latency_ablation ?(seed = 42) () =
   let measure poll_window =
     let costs = { Costs.default with Costs.poll_window } in
-    let config = { Host.default_config with Host.seed; costs } in
-    let h = Host.create ~config () in
+    let w =
+      Scenario.lower
+        (Scenario.v (Scenario.Split { Host.default_config with Host.seed; costs })
+           ~horizon:(Time.of_seconds 1.2))
+    in
+    let h = Scenario.net w in
     let sink = Host.sink h 0 in
     let rtts = ref [] in
     (* Space the pings out so every server goes idle in between. *)
@@ -605,7 +560,7 @@ let mwait_latency_ablation ?(seed = 42) () =
           Sink.ping sink ~dst:(Host.local_addr h 0) (fun ~rtt ->
               rtts := rtt :: !rtts))
     done;
-    Host.run h ~until:(Time.of_seconds 1.2);
+    Scenario.run w;
     let n = List.length !rtts in
     let mean =
       if n = 0 then 0.0
@@ -679,29 +634,6 @@ let driver_coalescing ?(costs = Costs.default) () =
 
 (* {1 Scaling curve — N transport shards behind a multi-queue NIC} *)
 
-let sharded_spec s =
-  let module S = Newt_scale.Sharded_stack in
-  let module T = Newt_scale.Topology in
-  let topo = S.topology s in
-  let id producer consumer =
-    Newt_channels.Sim_chan.id (S.channel s (T.key topo ~producer ~consumer))
-  in
-  let owner i = topo.T.ip.(T.owner topo i) in
-  let matrix f = Array.map (fun ip -> Array.map (f ip) topo.T.pf) topo.T.ip in
-  {
-    Newt_verify.Static.shards = Array.length topo.T.tcp;
-    replicas = Array.length topo.T.ip;
-    rss_table = Newt_nic.Rss.table (Newt_scale.Shard_map.rss (S.shard_map s));
-    shard_to_ip = Array.mapi (fun i tcp -> id tcp (owner i)) topo.T.tcp;
-    ip_to_shard = Array.mapi (fun i tcp -> id (owner i) tcp) topo.T.tcp;
-    replica_names = topo.T.ip;
-    shard_names = topo.T.tcp;
-    pf_shards = Array.length topo.T.pf;
-    pf_names = topo.T.pf;
-    ip_to_pf = matrix (fun ip pf -> id ip pf);
-    pf_to_ip = matrix (fun ip pf -> id pf ip);
-  }
-
 type scaling_point = {
   shards : int;
   ip_replicas : int;
@@ -738,41 +670,23 @@ let scaling_curve ?(shard_counts = [ 1; 2; 4; 8 ]) ?(ip_replicas = 1)
         pf_rules = (if np = 0 then None else Some [ Newt_pf.Rule.pass_all ]);
       }
     in
-    let s = S.create ~config () in
-    Option.iter
-      (fun v ->
-        S.on_reincarnated s (fun comp ->
-            Continuous.recheck v (fun () ->
-                Static.check
-                  ~directory:(S.directory s)
-                  ~sharding:(sharded_spec s)
-                  ~title:
-                    (Printf.sprintf "scaling N=%d r=%d: after %s restart" n r
-                       (Newt_stack.Component.name comp))
-                  (S.components s))))
-      verify;
-    let total = ref 0 in
-    for i = 0 to flows - 1 do
-      Sink.sink_tcp (S.sink s) ~port:(5001 + i) ~on_bytes:(fun ~at:_ b ->
-          total := !total + b)
-    done;
-    let _ =
-      List.init flows (fun i ->
-          Apps.Iperf.start (S.machine s) ~sc:(S.sc s) ~app:(S.app s)
-            ~dst:(S.sink_addr s) ~port:(5001 + i)
-            ~until:(Time.of_seconds duration) ())
+    let until = Time.of_seconds duration in
+    let w =
+      Scenario.lower ?verify
+        (Scenario.v (Scenario.Sharded config)
+           ~title:(Printf.sprintf "scaling N=%d r=%d" n r)
+           ~flows:(List.init flows (fun i -> Scenario.flow ~port:(5001 + i) until))
+           ~horizon:until)
     in
-    S.run s ~until:(Time.of_seconds duration);
-    Option.iter
-      (fun v ->
-        S.run s ~until:(Time.of_seconds (duration +. 0.25));
-        Continuous.end_run ~check_leaks:false v)
-      verify;
+    Scenario.run w;
+    Scenario.close ?verify w ~until:(Time.of_seconds (duration +. 0.25)) ~check_leaks:false;
+    let s = Scenario.net w in
+    let total = List.fold_left ( + ) 0 (List.init flows (Scenario.received w)) in
     {
       shards = n;
       ip_replicas = r;
       pf_shards = np;
-      goodput_gbps = float_of_int !total *. 8.0 /. duration /. 1e9;
+      goodput_gbps = float_of_int total *. 8.0 /. duration /. 1e9;
       per_shard = S.shard_stats s;
       per_pf_shard = S.pf_shard_stats s;
       imbalance = S.imbalance_ratio s;
@@ -789,13 +703,8 @@ let scaling_curve ?(shard_counts = [ 1; 2; 4; 8 ]) ?(ip_replicas = 1)
    configuration} *)
 
 let verify_configs ?(max_shards = 8) () =
-  let module S = Newt_scale.Sharded_stack in
-  let split =
-    let h = Host.create () in
-    Newt_verify.Static.check
-      ~directory:(Host.directory h)
-      ~title:"split stack" (Host.components h)
-  in
+  let check title stack = Scenario.check (Scenario.build (Scenario.v stack)) ~title in
+  let split = check "split stack" (Scenario.Split Host.default_config) in
   let sharded =
     List.concat_map
       (fun n ->
@@ -803,22 +712,13 @@ let verify_configs ?(max_shards = 8) () =
           (fun (r, pf) ->
             if r > n || pf > n then None
             else
-              let config =
-                {
-                  S.default_config with
-                  S.shards = n;
-                  ip_replicas = r;
-                  pf_shards = pf;
-                  pf_rules = Some [ Newt_pf.Rule.pass_all ];
-                }
-              in
-              let s = S.create ~config () in
               Some
-                (Newt_verify.Static.check
-                   ~directory:(S.directory s)
-                   ~sharding:(sharded_spec s)
-                   ~title:(Printf.sprintf "sharded N=%d r=%d pf=%d" n r pf)
-                   (S.components s)))
+                (check
+                   (Printf.sprintf "sharded N=%d r=%d pf=%d" n r pf)
+                   (Scenario.Sharded
+                      { Newt_scale.Sharded_stack.default_config with
+                        shards = n; ip_replicas = r; pf_shards = pf;
+                        pf_rules = Some [ Newt_pf.Rule.pass_all ] })))
           [ (1, 1); (2, 1); (1, 2); (2, 2) ])
       (List.init max_shards (fun i -> i + 1))
   in
@@ -827,43 +727,6 @@ let verify_configs ?(max_shards = 8) () =
 let verify_all ?max_shards () =
   Newt_verify.Report.merge ~title:"all stack configurations"
     (verify_configs ?max_shards ())
-
-(* {1 Sanitized fault run — the ownership sanitizer across a crash} *)
-
-let sanitized_ip_crash ?seed ?crash_at ?duration () =
-  Newt_verify.Sanitizer.install ();
-  Fun.protect
-    ~finally:(fun () -> Newt_verify.Sanitizer.uninstall ())
-    (fun () ->
-      let trace = figure_ip_crash ?seed ?crash_at ?duration () in
-      let report =
-        Newt_verify.Sanitizer.report ~title:"sanitized IP-crash run" ()
-      in
-      (report, trace))
-
-(* {1 Protocol-checked fault runs — the dynamic request/confirm
-   contract across crashes} *)
-
-let protocol_crash_run ~title run =
-  Protocol.install ();
-  Fun.protect
-    ~finally:(fun () -> Protocol.uninstall ())
-    (fun () ->
-      let trace = run () in
-      (* Both figure runs stop their traffic a second before the end
-         and run past it, so the tail is drained: still-open
-         obligations are genuine violations, not in-flight work. *)
-      Protocol.finish ~drained:true ();
-      let report = Protocol.report ~title () in
-      (report, trace))
-
-let protocol_ip_crash ?seed ?crash_at ?duration () =
-  protocol_crash_run ~title:"protocol-checked IP-crash run" (fun () ->
-      figure_ip_crash ?seed ?crash_at ?duration ())
-
-let protocol_pf_crash ?seed ?rules ?crash_at ?duration () =
-  protocol_crash_run ~title:"protocol-checked PF-crash run" (fun () ->
-      figure_pf_crash ?seed ?rules ?crash_at ?duration ())
 
 (* {1 Recovery model checking — exhaustive crash-point search}
 
@@ -876,233 +739,109 @@ let protocol_pf_crash ?seed ?rules ?crash_at ?duration () =
    and the protocol checker; the protocol event ring is the
    counterexample trace. *)
 
-let host_component_of_name = function
-  | "tcp" -> Some Host.C_tcp
-  | "udp" -> Some Host.C_udp
-  | "ip" -> Some Host.C_ip
-  | "pf" -> Some Host.C_pf
-  | name when String.length name > 3 && String.sub name 0 3 = "drv" ->
-      Option.map
-        (fun i -> Host.C_drv i)
-        (int_of_string_opt (String.sub name 3 (String.length name - 3)))
-  | _ -> None
+type 'w crash_search = {
+  name : string;
+  load : 'w Scenario.t;
+  kill_at : Time.cycles;
+  planes : Scenario.plane list;
+  drained : bool;
+}
 
-let split_crash_points () =
-  let h = Host.create () in
-  List.filter_map
-    (fun c ->
-      let name = Component.name c in
-      (* Only components the fault injector can kill (the SYSCALL
-         server is not part of the restart story, Section V-D). *)
-      if host_component_of_name name = None then None
-      else Some (name, Component.recovery_steps c))
-    (Host.components h)
-
-let violation ~check ~(case : Mcheck.case) detail =
+let split_search ?(seed = 42) ?break_recovery () =
   {
-    Newt_verify.Report.check;
-    subject = Printf.sprintf "%s crashed after step %S" case.Mcheck.component case.Mcheck.step;
-    culprit = case.Mcheck.component;
-    detail;
+    name = "split stack";
+    (* A short device reset keeps each of the 16 cases cheap while
+       still exercising the driver-reset recovery step. *)
+    load =
+      Scenario.v
+        (Scenario.Split
+           { Host.default_config with Host.seed; nic_reset_time = Time.of_seconds 0.2 })
+        ~title:"mcheck"
+        ~flows:[ Scenario.flow ~port:5001 (Time.of_seconds 2.2) ]
+        ~horizon:(Time.of_seconds 3.4) ?break_recovery;
+    kill_at = Time.of_seconds 0.6;
+    (* Every killable component: the SYSCALL server is not part of the
+       restart story (Section V-D). *)
+    planes = [ `Tcp; `Udp; `Ip; `Pf; `Drv ];
+    drained = true;
   }
 
-(* Shared verdict logic: read the world's health, close the verifier
-   run, and attach the protocol trace as the counterexample. *)
-let judge ~(case : Mcheck.case) ~alive ~armed_left ~check_leaks v =
-  let trace = Protocol.trace () in
-  Continuous.end_run ~check_leaks v;
-  let extra =
-    (if alive then []
-     else
-       [
-         violation ~check:"no-convergence" ~case
-           "component not back to responsive after the mid-recovery crash";
-       ])
-    @
-    match armed_left with
-    | None -> []
-    | Some step ->
+let sharded_search ?break_recovery () =
+  {
+    name = "sharded N=2 r=2 pf=2";
+    load =
+      Scenario.v
+        (Scenario.Sharded
+           { Newt_scale.Sharded_stack.default_config with
+             shards = 2; ip_replicas = 2; pf_shards = 2; pf_rules = Some [ Newt_pf.Rule.pass_all ] })
+        ~title:"mcheck N=2 r=2 pf=2"
+        ~flows:(List.init 4 (fun i -> Scenario.flow ~port:(5001 + i) (Time.of_seconds 0.8)))
+        ~horizon:(Time.of_seconds 1.5) ?break_recovery;
+    kill_at = Time.of_seconds 0.3;
+    planes = [ `Tcp; `Ip; `Pf ];
+    drained = false;
+  }
+
+let crash_points search =
+  let probe = Scenario.build search.load in
+  List.concat_map
+    (fun plane ->
+      List.map
+        (fun name ->
+          (name, Component.recovery_steps (Scenario.component probe name)))
+        (Array.to_list (Scenario.members probe plane)))
+    search.planes
+
+let mcheck_case search (case : Mcheck.case) =
+  Checker.bracket [ Checker.Protocol; Checker.Sanitizer ] (fun () ->
+      let v = Continuous.create () in
+      let w =
+        Scenario.lower ~verify:v
+          { search.load with kills = [ (search.kill_at, case.Mcheck.component) ] }
+      in
+      let comp = Scenario.component w case.Mcheck.component in
+      Component.arm_crash_after comp ~step:case.Mcheck.step;
+      Scenario.run w;
+      (* A drained tail also gates leaks and open obligations; the
+         sharded multi-flow tail is not guaranteed to drain in its short
+         window, so there convergence, re-checks and hard protocol
+         violations gate alone. *)
+      let alive =
+        if search.drained then Reincarnation.alive_check (Scenario.rs w)
+        else List.for_all Component.alive (Scenario.components w)
+      in
+      (* The protocol event ring is the counterexample trace. *)
+      let trace = Protocol.trace () in
+      Continuous.end_run ~check_leaks:(search.drained && alive) v;
+      let fail check detail =
         [
-          violation ~check:"crash-point-not-reached" ~case
-            (Printf.sprintf
-               "armed injector for step %S never fired during recovery" step);
-        ]
-  in
-  let viols =
-    extra @ (Continuous.report ~title:"mcheck case" v).Newt_verify.Report.violations
-  in
-  let converged = viols = [] in
-  {
-    Mcheck.case;
-    converged;
-    violations = (if converged then [] else viols);
-    trace = (if converged then [] else trace);
-  }
-
-let with_checkers f =
-  Protocol.install ();
-  Sanitizer.install ();
-  Fun.protect
-    ~finally:(fun () ->
-      Sanitizer.uninstall ();
-      Protocol.uninstall ();
-      Sanitizer.reset ();
-      Protocol.reset ())
-    f
-
-let mcheck_split ?budget ?(seed = 42) ?break_recovery () =
-  let cases = Mcheck.enumerate (split_crash_points ()) in
-  with_checkers (fun () ->
-      let run (case : Mcheck.case) =
-        let target =
-          match host_component_of_name case.Mcheck.component with
-          | Some c -> c
-          | None -> invalid_arg "mcheck_split: unkillable component"
-        in
-        (* A short device reset keeps each of the ~16 cases cheap while
-           still exercising the driver-reset recovery step. *)
-        let config =
           {
-            Host.default_config with
-            Host.seed;
-            nic_reset_time = Time.of_seconds 0.2;
-          }
-        in
-        let h = Host.create ~config () in
-        let v = Continuous.create () in
-        attach_continuous v h ~title:"mcheck";
-        Option.iter (fun (c, k) -> Host.sabotage h c k) break_recovery;
-        let sink = Host.sink h 0 in
-        Sink.sink_tcp sink ~port:5001 ~on_bytes:(fun ~at:_ _ -> ());
-        let _iperf =
-          Apps.Iperf.start (Host.machine h) ~sc:(Host.sc h) ~app:(Host.app h)
-            ~dst:(Host.sink_addr h 0) ~port:5001
-            ~until:(Time.of_seconds 2.2) ()
-        in
-        let comp = Host.comp_of h target in
-        Component.arm_crash_after comp ~step:case.Mcheck.step;
-        Host.at h (Time.of_seconds 0.6) (fun () -> Host.kill_component h target);
-        (* Past the traffic's end so the tail drains and the leak check
-           reads a quiesced stack. *)
-        Host.run h ~until:(Time.of_seconds 3.4);
-        let alive = Reincarnation.alive_check (Host.rs h) in
-        judge ~case ~alive ~armed_left:(Component.armed_crash comp)
-          ~check_leaks:alive v
+            Newt_verify.Report.check;
+            subject =
+              Printf.sprintf "%s crashed after step %S" case.Mcheck.component case.Mcheck.step;
+            culprit = case.Mcheck.component;
+            detail;
+          };
+        ]
       in
-      Mcheck.search ?budget ~cases ~run ())
+      let viols =
+        (if alive then []
+         else fail "no-convergence" "component not back to responsive after the mid-recovery crash")
+        @ (match Component.armed_crash comp with
+          | None -> []
+          | Some step ->
+              fail "crash-point-not-reached"
+                (Printf.sprintf "armed injector for step %S never fired during recovery" step))
+        @ (Continuous.report ~title:"mcheck case" v).Newt_verify.Report.violations
+      in
+      let converged = viols = [] in
+      {
+        Mcheck.case;
+        converged;
+        violations = (if converged then [] else viols);
+        trace = (if converged then [] else trace);
+      })
 
-(* The {!Host.sabotage} defects, transplanted onto the sharded stack:
-   the same two recovery lies, installed on member 0 of the victim's
-   replica set (the negative control for the sharded re-checks). *)
-let sabotage_sharded s (comp : Host.component) (kind : Host.sabotage) =
-  let module S = Newt_scale.Sharded_stack in
-  let victim =
-    match comp with
-    | Host.C_tcp -> (S.tcp_components s).(0)
-    | Host.C_ip -> (S.ip_components s).(0)
-    | Host.C_pf ->
-        if S.pf_shard_count s = 0 then
-          invalid_arg "sabotage_sharded: this stack runs without a filter"
-        else (S.pf_components s).(0)
-    | _ -> invalid_arg "sabotage_sharded: only tcp, ip and pf supported"
-  in
-  match kind with
-  | Host.Wrong_core ->
-      (* Land the reincarnated server on a core that already runs a
-         component it shares a channel with, so the core-affinity
-         re-check must flag it. *)
-      let occupied =
-        Component.core
-          (if comp = Host.C_ip then (S.tcp_components s).(0)
-           else (S.ip_components s).(0))
-      in
-      Component.on_restarted victim (fun () -> Component.migrate victim occupied)
-  | Host.Skip_republish ->
-      Component.on_restarted victim (fun () ->
-          match Component.exports victim with
-          | (key, _) :: _ ->
-              Newt_channels.Pubsub.publish (S.directory s) ~key
-                ~creator:(Component.pid victim) ~chan_id:(-1)
-          | [] -> ())
-
-let mcheck_sharded ?budget ?(shards = 2) ?(ip_replicas = 2) ?(pf_shards = 2)
-    ?break_recovery () =
-  let module S = Newt_scale.Sharded_stack in
-  let pf_shards = min pf_shards shards in
-  let config =
-    {
-      S.default_config with
-      S.shards;
-      ip_replicas;
-      pf_shards;
-      pf_rules = Some [ Newt_pf.Rule.pass_all ];
-    }
-  in
-  let labelled comps =
-    Array.to_list
-      (Array.map
-         (fun c -> (Component.name c, Component.recovery_steps c))
-         comps)
-  in
-  let cases =
-    let probe = S.create ~config () in
-    Mcheck.enumerate
-      (labelled (S.tcp_components probe)
-      @ labelled (S.ip_components probe)
-      @ labelled (S.pf_components probe))
-  in
-  with_checkers (fun () ->
-      let run (case : Mcheck.case) =
-        let s = S.create ~config () in
-        Option.iter (fun (c, k) -> sabotage_sharded s c k) break_recovery;
-        let v = Continuous.create () in
-        S.on_reincarnated s (fun comp ->
-            Continuous.recheck v (fun () ->
-                Static.check ~directory:(S.directory s)
-                  ~sharding:(sharded_spec s)
-                  ~title:
-                    (Printf.sprintf "mcheck N=%d r=%d pf=%d: after %s restart"
-                       shards ip_replicas pf_shards (Component.name comp))
-                  (S.components s)));
-        let find arr =
-          let found = ref None in
-          Array.iteri
-            (fun i c ->
-              if Component.name c = case.Mcheck.component then found := Some i)
-            arr;
-          !found
-        in
-        let comp, kill =
-          match find (S.tcp_components s) with
-          | Some i -> ((S.tcp_components s).(i), fun () -> S.kill_shard s i)
-          | None -> (
-              match find (S.ip_components s) with
-              | Some i ->
-                  ((S.ip_components s).(i), fun () -> S.kill_ip_replica s i)
-              | None -> (
-                  match find (S.pf_components s) with
-                  | Some i ->
-                      ((S.pf_components s).(i), fun () -> S.kill_pf_shard s i)
-                  | None -> invalid_arg "mcheck_sharded: unknown component"))
-        in
-        let flows = 4 in
-        for i = 0 to flows - 1 do
-          Sink.sink_tcp (S.sink s) ~port:(5001 + i) ~on_bytes:(fun ~at:_ _ -> ())
-        done;
-        let _ =
-          List.init flows (fun i ->
-              Apps.Iperf.start (S.machine s) ~sc:(S.sc s) ~app:(S.app s)
-                ~dst:(S.sink_addr s) ~port:(5001 + i)
-                ~until:(Time.of_seconds 0.8) ())
-        in
-        Component.arm_crash_after comp ~step:case.Mcheck.step;
-        S.at s (Time.of_seconds 0.3) kill;
-        S.run s ~until:(Time.of_seconds 1.5);
-        let alive = List.for_all Component.alive (S.components s) in
-        (* The multi-flow tail is not guaranteed to drain in the short
-           window, so no leak/obligation accounting here — convergence,
-           re-checks and hard protocol violations still gate. *)
-        judge ~case ~alive ~armed_left:(Component.armed_crash comp)
-          ~check_leaks:false v
-      in
-      Mcheck.search ?budget ~cases ~run ())
+let mcheck ?budget search =
+  let cases = Mcheck.enumerate (crash_points search) in
+  Mcheck.search ?budget ~cases ~run:(mcheck_case search) ()

@@ -172,7 +172,7 @@ val fault_campaign :
   ?runs:int ->
   ?seed:int ->
   ?verify:Newt_verify.Continuous.t ->
-  ?break_recovery:Host.component * Host.sabotage ->
+  ?break_recovery:Scenario.plane * Scenario.sabotage ->
   ?pf_shards:int ->
   unit ->
   campaign
@@ -185,7 +185,7 @@ val fault_campaign :
     post-restart topology after each reincarnation and closes with
     [Continuous.end_run] (leak-checked unless the run ended frozen).
     [break_recovery] installs a deliberate recovery defect
-    ({!Host.sabotage}) on the named component in every run — the
+    ({!Scenario.sabotage}) on the plane's first member in every run — the
     continuous checker, not the traffic, is what must catch it.
     [pf_shards] (default 1) runs every host with a sharded packet
     filter; the per-shard verdict totals land in [pf_counters]. *)
@@ -271,10 +271,6 @@ val scaling_curve :
 
 (** {1 Stack verifier} *)
 
-val sharded_spec : Newt_scale.Sharded_stack.t -> Newt_verify.Static.sharding
-(** The sharding-affinity description of a wired sharded host, for
-    {!Newt_verify.Static.check}. *)
-
 val verify_configs : ?max_shards:int -> unit -> Newt_verify.Report.t list
 (** Wire every shipped stack configuration — the split single-instance
     stack plus every sharded variant (N = 1..[max_shards] shards × 1
@@ -286,84 +282,44 @@ val verify_all : ?max_shards:int -> unit -> Newt_verify.Report.t
 (** {!verify_configs} merged into one report; [Report.ok] of the result
     is the CI gate. *)
 
-val sanitized_ip_crash :
-  ?seed:int ->
-  ?crash_at:float ->
-  ?duration:float ->
-  unit ->
-  Newt_verify.Report.t * crash_trace
-(** {!figure_ip_crash} with the pool-ownership sanitizer installed for
-    the whole run, crash and recovery included. Returns the sanitizer's
-    report (expected: zero violations, some stale-pointer observations)
-    alongside the usual trace. *)
-
-val protocol_ip_crash :
-  ?seed:int ->
-  ?crash_at:float ->
-  ?duration:float ->
-  unit ->
-  Newt_verify.Report.t * crash_trace
-(** {!figure_ip_crash} with the dynamic channel-protocol checker
-    ({!Newt_verify.Protocol}) replaying the whole run, crash and
-    recovery included, and the tail treated as drained (iperf stops a
-    second before the end). Expected: zero violations — every request
-    confirmed or aborted, stale confirms absorbed, no dropped confirm
-    while its requester was still pending. *)
-
-val protocol_pf_crash :
-  ?seed:int ->
-  ?rules:int ->
-  ?crash_at:float list ->
-  ?duration:float ->
-  unit ->
-  Newt_verify.Report.t * crash_trace
-(** {!figure_pf_crash} under the protocol checker, as in
-    {!protocol_ip_crash}: the double filter crash must leave no open
-    obligations. *)
-
 (** {1 Recovery model checking — exhaustive crash-point search} *)
 
-val split_crash_points : unit -> (string * string list) list
-(** The split stack's (component × labeled recovery steps) space:
-    every killable component of a {!Host} with its
+(** A search over one configuration: [load] under every crash point of
+    the [planes]' members, each killed at [kill_at]. A [drained] load's
+    liveness is {!Newt_reliability.Reincarnation.alive_check}, and a
+    live world is also judged for leaks and open obligations; otherwise
+    every component must be alive and leaks are not judged. *)
+type 'w crash_search = {
+  name : string;
+  load : 'w Scenario.t;
+  kill_at : Newt_sim.Time.cycles;
+  planes : Scenario.plane list;
+  drained : bool;
+}
+
+val split_search :
+  ?seed:int -> ?break_recovery:Scenario.plane * Scenario.sabotage -> unit -> Host.t crash_search
+(** The split stack under one flow: every component but the SYSCALL
+    server, 16 crash points. *)
+
+val sharded_search :
+  ?break_recovery:Scenario.plane * Scenario.sabotage ->
+  unit ->
+  Newt_scale.Sharded_stack.t crash_search
+(** N=2 shards × r=2 IP replicas × pf=2 PF shards under four flows:
+    every TCP shard, IP replica and PF shard, 24 crash points. *)
+
+val crash_points : 'w crash_search -> (string * string list) list
+(** Each crash-point component of a probe world, with its
     {!Newt_stack.Component.recovery_steps}. *)
 
-val mcheck_split :
-  ?budget:float ->
-  ?seed:int ->
-  ?break_recovery:Host.component * Host.sabotage ->
-  unit ->
-  Newt_verify.Mcheck.outcome
-(** Model-check the split stack's recovery: for every crash point of
-    {!split_crash_points}, boot a fresh host under an iperf load, kill
-    the component at 0.6 s with the one-shot injector armed so it dies
-    again right after the named recovery step, and judge convergence —
-    reincarnation reports every component responsive, the continuous
-    verifier (static re-checks, sanitizer, leak accounting on the
-    drained tail) is clean, and the protocol checker holds no open
-    obligations. [break_recovery] sabotages a component's recovery
-    ({!Host.sabotage}) in every case; the affected crash points must
-    then surface as counterexamples carrying the protocol event trace.
-    [budget] caps the search in CPU seconds (remaining cases are
-    reported as skipped). *)
+val mcheck_case : 'w crash_search -> Newt_verify.Mcheck.case -> Newt_verify.Mcheck.verdict
+(** Under the protocol checker and the sanitizer, boot the load, kill
+    the case's component with the one-shot injector armed so it dies
+    again right after the case's recovery step, and judge convergence:
+    alive, continuous verifier clean, no protocol violation. A
+    counterexample carries the protocol event trace. *)
 
-val mcheck_sharded :
-  ?budget:float ->
-  ?shards:int ->
-  ?ip_replicas:int ->
-  ?pf_shards:int ->
-  ?break_recovery:Host.component * Host.sabotage ->
-  unit ->
-  Newt_verify.Mcheck.outcome
-(** The same search over a sharded stack (default N=2 shards × r=2 IP
-    replicas × pf=2 PF shards, capped at [min pf_shards shards]): every
-    TCP shard, IP replica and PF shard crashed at every labeled
-    recovery step — for a PF shard that includes its rules replay and
-    conntrack re-track steps — under a multi-flow load, with the
-    sharded topology (including RSS affinity and the PF partition)
-    re-checked after each restart. [break_recovery] transplants the
-    {!Host.sabotage} defect onto member 0 of the named component's
-    replica set (tcp, ip or pf) — the sabotaged crash points must
-    surface as counterexamples. The short multi-flow tail is not
-    guaranteed to drain, so leak/obligation accounting is off;
-    convergence, re-checks and hard protocol violations still gate. *)
+val mcheck : ?budget:float -> 'w crash_search -> Newt_verify.Mcheck.outcome
+(** {!mcheck_case} over {!crash_points}; cases past the [budget] (CPU
+    seconds) are reported as skipped. *)

@@ -308,32 +308,6 @@ let create ?(config = default_config) () =
 
 let on_reincarnated t f = Reincarnation.set_on_reincarnated t.rs f
 
-type sabotage = Wrong_core | Skip_republish
-
-let sabotage t comp kind =
-  let c = comp_of t comp in
-  match kind with
-  | Wrong_core ->
-      (* Recovery brings the server up on a core that already runs
-         another component — the core-affinity re-check must flag it.
-         Land on IP's core (every server has a channel with IP), or on
-         TCP's when the victim is IP itself. *)
-      let victim_core =
-        Component.core (comp_of t (if comp = C_ip then C_tcp else C_ip))
-      in
-      Component.on_restarted c (fun () -> Component.migrate c victim_core)
-  | Skip_republish ->
-      (* Recovery loses the republish: overwrite the first export with
-         a dangling chan_id, so directory lookups no longer match the
-         wired channel. A pure metadata lie — peers keep their attached
-         endpoints, so only the republish re-check can catch it. *)
-      Component.on_restarted c (fun () ->
-          match Component.exports c with
-          | (key, _) :: _ ->
-              Newt_channels.Pubsub.publish t.directory ~key
-                ~creator:(Component.pid c) ~chan_id:(-1)
-          | [] -> ())
-
 (* {2 Faults} *)
 
 let kill_component t comp = Reincarnation.kill t.rs (comp_of t comp)
@@ -350,9 +324,8 @@ let component_of_injection (inj : Fault_inject.injection) =
   component_of_target inj.Fault_inject.target
 
 let live_update t comp =
-  (* Graceful replacement (Section V): quiesce, swap, resume. The
-     component's continuously-persisted state carries over; channels
-     stay established; messages queue during the swap. *)
+  (* A pause, not a replacement: stop draining for 50 ms, then bump
+     the version counter. Channels stay established; messages queue. *)
   let p = proc_of t comp in
   Proc.begin_update p;
   ignore

@@ -124,17 +124,6 @@ val on_reincarnated : t -> (Newt_stack.Component.t -> unit) -> unit
     with exports republished and neighbours notified — the point where
     the continuous verifier re-checks the live topology. *)
 
-type sabotage = Wrong_core | Skip_republish
-
-val sabotage : t -> component -> sabotage -> unit
-(** Deliberately break the component's recovery procedure, for
-    verifier regression tests: [Wrong_core] makes every future restart
-    bring the server up on another component's core (trips the
-    core-affinity re-check); [Skip_republish] makes it lose the
-    directory republish of its first export (trips the republish
-    re-check). Both are metadata-level breaks the traffic-level
-    campaign outcomes cannot see — only the continuous checker can. *)
-
 (** {1 Faults} *)
 
 val kill_component : t -> component -> unit
@@ -152,13 +141,11 @@ val inject : t -> Newt_reliability.Fault_inject.injection -> unit
     hang that freezes the system (reboot necessary). *)
 
 val live_update : t -> component -> unit
-(** Replace the component by a new version on the fly: "since the
-    restarted component can easily be a newer or patched version of the
-    original code, the same mechanism allows us to update on the fly
-    many core OS components" (Section I). The component shuts down
-    (its continuously-persisted state is current), and the new
-    incarnation inherits the channels; other traffic is unaffected —
-    the UDP-update-under-TCP-traffic scenario of Section V. *)
+(** Pause the component's message service for 50 ms, then bump its
+    {!Newt_stack.Proc.version}. No code is swapped and no state moves:
+    channels stay established and messages queue through the pause,
+    so other traffic is unaffected (the traffic side of Section V's
+    UDP-update-under-TCP scenario). *)
 
 val crash_storage : t -> unit
 (** Crash the storage server: its contents vanish and "every other

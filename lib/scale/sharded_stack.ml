@@ -166,7 +166,7 @@ let app t =
   t.next_app_pid <- pid + 1;
   { Syscall_srv.app_core = core; app_pid = pid }
 
-let on_reincarnated t f = Reincarnation.set_on_reincarnated t.rs f
+let rs t = t.rs
 let kill_shard t i = Replica_set.kill t.tcp_set i
 let shard_restarts t i = Replica_set.restarts t.tcp_set i
 let kill_ip_replica t k = Replica_set.kill t.ip_set k

@@ -147,11 +147,10 @@ val at : t -> Newt_sim.Time.cycles -> (unit -> unit) -> unit
 
 (** {1 Faults} *)
 
-val on_reincarnated : t -> (Newt_stack.Component.t -> unit) -> unit
-(** Post-recovery callback on the sharded stack's reincarnation server
-    — fires once a crashed shard or replica is fully back (restarted,
-    republished, neighbours notified), where the continuous verifier
-    re-checks the live sharded topology. *)
+val rs : t -> Newt_reliability.Reincarnation.t
+(** The reincarnation server supervising every member; its
+    post-recovery callback is where the continuous verifier re-checks
+    the live sharded topology. *)
 
 val kill_shard : t -> int -> unit
 (** Crash TCP shard [i]; the reincarnation server recovers it. *)

@@ -91,25 +91,25 @@ val responsive : t -> bool
 val crash : t -> unit
 (** Stop everything; queued continuations die with the incarnation. *)
 
-(** {2 Live update (Section V)}
+(** {2 Live-update pause (Section V)}
 
-    A graceful replacement is very different from a crash: the
-    component announces the update, quiesces, saves its state, and the
-    new version {e inherits the old version's address space, so the
-    channels remain established}. Messages arriving during the swap
-    simply queue; nothing is aborted or resubmitted. *)
+    The graceful half of a live update, without the update: the
+    component stops draining its channels and resumes with the same
+    state and incarnation, so the channels remain established.
+    Messages arriving meanwhile simply queue; nothing is aborted or
+    resubmitted. No code is swapped and no state moves. *)
 
 val begin_update : t -> unit
 (** Quiesce: stop draining channels. The server still answers
     heartbeats (the reincarnation server knows about the update). *)
 
 val finish_update : t -> unit
-(** The new version takes over: bump the code version, resume draining
-    whatever queued during the swap. State and incarnation are
-    preserved — the update is invisible to neighbours. *)
+(** Bump the version counter and resume draining whatever queued
+    during the pause. State and incarnation are preserved — the pause
+    is invisible to neighbours. *)
 
 val version : t -> int
-(** Code version, bumped by each live update. *)
+(** Bumped by each {!finish_update}. *)
 
 val updating : t -> bool
 

@@ -499,7 +499,7 @@ let test_continuous_catches_broken_recovery () =
   let v = Newt_verify.Continuous.create () in
   ignore
     (E.fault_campaign ~runs:3 ~seed:2 ~verify:v
-       ~break_recovery:(Newt_core.Host.C_ip, Newt_core.Host.Wrong_core) ());
+       ~break_recovery:(`Ip, Newt_core.Scenario.Wrong_core) ());
   Alcotest.(check bool) "wrong-core recovery fails the campaign" false
     (Newt_verify.Continuous.ok v);
   let t = Newt_verify.Continuous.totals v in
@@ -510,7 +510,7 @@ let test_continuous_catches_broken_recovery () =
   let v2 = Newt_verify.Continuous.create () in
   ignore
     (E.fault_campaign ~runs:3 ~seed:2 ~verify:v2
-       ~break_recovery:(Newt_core.Host.C_tcp, Newt_core.Host.Skip_republish) ());
+       ~break_recovery:(`Tcp, Newt_core.Scenario.Skip_republish) ());
   Alcotest.(check bool) "skipped republish fails the campaign" false
     (Newt_verify.Continuous.ok v2)
 
@@ -763,7 +763,7 @@ let test_mcheck_split_crash_point_space () =
   (* The split stack's search space: every killable component of a
      probe host (the supervisor itself is not a crash point), each with
      the built-in steps bracketing its labeled recovery procedure. *)
-  let specs = E.split_crash_points () in
+  let specs = E.crash_points (E.split_search ()) in
   Alcotest.(check (list string)) "killable components"
     [ "drv0"; "ip"; "pf"; "tcp"; "udp" ]
     (List.sort compare (List.map fst specs));
@@ -777,10 +777,39 @@ let test_mcheck_split_crash_point_space () =
   Alcotest.(check int) "sixteen crash points" 16
     (List.length (Mcheck.enumerate specs))
 
+(* One crash point of each configuration through the unified runner:
+   a clean recovery converges; a recovery sabotaged onto an occupied
+   core does not, and the split counterexample carries its protocol
+   trace. *)
+let test_mcheck_unified_crash_points () =
+  let verdict search component step =
+    E.mcheck_case search { Mcheck.component; step }
+  in
+  let clean = verdict (E.split_search ()) "udp" "republish-exports" in
+  Alcotest.(check bool) "a clean recovery converges" true clean.Mcheck.converged;
+  let broken =
+    verdict
+      (E.split_search ~break_recovery:(`Ip, Newt_core.Scenario.Wrong_core) ())
+      "ip" "republish-exports"
+  in
+  Alcotest.(check bool) "split ip:wrong-core does not converge" false
+    broken.Mcheck.converged;
+  Alcotest.(check bool) "with a counterexample trace" true (broken.Mcheck.trace <> []);
+  let sharded =
+    verdict
+      (E.sharded_search ~break_recovery:(`Pf, Newt_core.Scenario.Wrong_core) ())
+      "pf0" "republish-exports"
+  in
+  Alcotest.(check bool) "sharded pf:wrong-core does not converge" false
+    sharded.Mcheck.converged
+
 (* --- sanitizer: a real fault-injected run ------------------------- *)
 
 let test_sanitized_crash_run_clean () =
-  let report, trace = E.sanitized_ip_crash ~duration:3.0 ~crash_at:1.5 () in
+  let trace, report =
+    Newt_verify.Checker.checked Sanitizer ~title:"sanitized IP-crash run" (fun () ->
+        E.figure_ip_crash ~duration:3.0 ~crash_at:1.5 ())
+  in
   Alcotest.(check bool)
     (Printf.sprintf "no violations in a crash-recovery run:\n%s"
        (Report.to_string report))
@@ -1061,6 +1090,8 @@ let suite =
       test_mcheck_budget_skips_never_drops);
     ("mcheck: split-stack crash-point space", `Quick,
       test_mcheck_split_crash_point_space);
+    ("mcheck: unified runner, clean and sabotaged points", `Slow,
+      test_mcheck_unified_crash_points);
     ("tcp-fsm: tables lint clean", `Quick, test_tcpfsm_lint_clean);
     ("tcp-fsm: lint catches deleted rules", `Quick,
       test_tcpfsm_lint_catches_deleted_rules);
