@@ -2,7 +2,8 @@
 .PHONY: check build test fmt verify verify-protocol verify-continuous \
 	sanitize-smoke bench-smoke churn-smoke native-smoke model-check \
 	model-check-negative race-check fsm-check perf-smoke profile \
-	golden-check golden-update bench-ledger bench-diff ledger-test clean
+	golden-check golden-update bench-ledger bench-diff ledger-test \
+	build-check clean
 
 check: build test fmt verify
 
@@ -14,6 +15,21 @@ test:
 
 fmt:
 	dune build @fmt
+
+# The default build is the build that ships (dune-workspace: the release
+# profile, with dev's flags restated). Fail if it compiles a lib/ module
+# with -opaque (no call across a module boundary would inline), if it
+# lost dev's warnings-as-errors spec, or if the dev profile no longer
+# builds clean (it builds in its own directory, so the default build
+# is not rebuilt after it).
+DEV_WARNINGS = @1..3@5..28@30..39@43@46..47@49..57@61..62-40
+build-check:
+	@rules="$$(dune rules -r @lib/all)" || exit 1; \
+	    ! printf '%s\n' "$$rules" | grep -q -x -e ' *-opaque' \
+	    || { echo "build-check: the default build passes -opaque to lib/"; exit 1; }
+	@dune printenv . | grep -q -F -e '$(DEV_WARNINGS)' \
+	    || { echo "build-check: the default build lacks -w $(DEV_WARNINGS)"; exit 1; }
+	dune build --profile dev --build-dir _build_dev
 
 # Golden outputs: eleven seeded runs (~35 s) whose output must equal,
 # byte for byte, the files under test/golden/. Besides the paper's

@@ -12,9 +12,11 @@ once per seed 1, 2 and 3, each for BENCHMARK.json's run_seconds, so
 every ledger is made with the same settings. It writes BENCH_<N>.json
 (default N: one past the newest ledger in the repository root) holding,
 per workload, every end-to-end and per-layer metric's runs, median and
-quartiles, and the cost-model fingerprint and commit the runs were made
-on. A run that reports `correct: false` or exits non-zero
-aborts the ledger.
+quartiles, the cost-model fingerprint and commit the runs were made
+on, and the build they ran: the flags and ocamlopt_flags of the
+profile perfbench builds in (`dune printenv`) and whether any lib/
+module is compiled with -opaque (`dune rules`). A run that reports
+`correct: false` or exits non-zero aborts the ledger.
 
 `diff` compares NEW (a ledger file; by default a fresh `run` written to
 _bench_new.json) with the newest BENCH_<N>.json other than NEW. A
@@ -26,6 +28,8 @@ any regressed. A metric whose run-to-run spread (interquartile range
 over median) exceeds its bound on either side is marked unresolved. A
 changed cost-model fingerprint is reported as a changed model: the
 simulated numbers then measure a different model, not a faster stack.
+A changed (or, in the base, unrecorded) build is reported the same
+way: the wall times then measure a different compilation.
 A changed per-layer median is printed, marked "within spread" when
 it lies inside the other side's quartile range (a ledger from before
 per-layer quartiles holds one traced value: its range is that value).
@@ -36,6 +40,7 @@ import json
 import os
 import platform
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -69,6 +74,39 @@ def commit():
     return {"commit": head, "dirty": bool(dirty)}
 
 
+ENV_FIELD = re.compile(r"\((flags|ocamlopt_flags)\s*\(([^()]*)\)\)")
+
+
+def printenv_flags(text):
+    """The flags and ocamlopt_flags of `dune printenv .`'s output."""
+    return {k: v.split() for k, v in ENV_FIELD.findall(text)}
+
+
+def build():
+    """How perfbench/run.py's `dune build --root .` compiles the stack:
+    the profile's flags, and whether any lib/ module gets -opaque (which
+    stops every call across a module boundary from being inlined)."""
+    dune = shutil.which("dune")
+    if dune is None:
+        return None
+
+    def out(*args):
+        return subprocess.run([dune] + list(args) + ["--root", "."],
+                              stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                              text=True, check=True).stdout
+    record = printenv_flags(out("printenv", "."))
+    record["lib_opaque"] = "-opaque" in out("rules", "-r", "@lib/all").split()
+    return record
+
+
+def describe_build(b):
+    if b is None:
+        return "unrecorded"
+    return "%s-opaque, flags %s, ocamlopt_flags %s" % (
+        "" if b["lib_opaque"] else "no ", " ".join(b.get("flags", [])),
+        " ".join(b.get("ocamlopt_flags", [])))
+
+
 def perfbench(workload, seed, seconds, trace):
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds),
@@ -99,6 +137,7 @@ def run(pr=None, out=None):
     if pr is None:
         pr = ledgers()[-1][0] + 1 if ledgers() else 0
     out = out or "BENCH_%d.json" % pr
+    built = build()
     fingerprints = set()
     workloads = {}
     for wl in [w["name"] for w in bench["workloads"]]:
@@ -123,7 +162,7 @@ def run(pr=None, out=None):
         sys.exit("ledger: the cost model changed between runs: %s" % sorted(fingerprints))
     ledger = dict(
         pr=pr, seconds=seconds, seeds=SEEDS,
-        model_fingerprint=fingerprints.pop(),
+        model_fingerprint=fingerprints.pop(), build=built,
         machine={"cpus": os.cpu_count(), "platform": platform.platform()},
         workloads=workloads, **commit())
     with open(out, "w") as f:
@@ -160,6 +199,10 @@ def diff(new_path=None):
         print("bench-diff: the cost model changed (%s -> %s): simulated metrics "
               "measure a different model, not a faster stack" % (
                   base["model_fingerprint"], new["model_fingerprint"]))
+    if base.get("build") != new.get("build"):
+        print("bench-diff: the build changed (%s -> %s): wall times measure a "
+              "different compilation, not only a different stack" % (
+                  describe_build(base.get("build")), describe_build(new.get("build"))))
     regressions = []
     for wl, nw in new["workloads"].items():
         bw = base["workloads"].get(wl)

@@ -34,9 +34,15 @@ def stat(median):
     return {"runs": [median] * 3, "median": median, "q1": median, "q3": median}
 
 
-def ledger_file(pr, end_to_end, per_layer):
+DEV_BUILD = {"flags": ["-w", "@1..3", "-strict-sequence"], "ocamlopt_flags": ["-g"],
+             "lib_opaque": True}
+RELEASE_BUILD = dict(DEV_BUILD, lib_opaque=False)
+
+
+def ledger_file(pr, end_to_end, per_layer, build=RELEASE_BUILD):
     """Per-layer values are single traced values (a ledger from before
-    per-layer quartiles) or (q1, median, q3) triples."""
+    per-layer quartiles) or (q1, median, q3) triples. build=None leaves
+    the build unrecorded, as in a ledger from before build records."""
     def layer(v):
         if isinstance(v, tuple):
             return {"unit": "", "runs": list(v), "q1": v[0], "median": v[1], "q3": v[2]}
@@ -44,6 +50,7 @@ def ledger_file(pr, end_to_end, per_layer):
     return {
         "pr": pr, "seconds": 24, "seeds": [1, 2, 3],
         "model_fingerprint": "abc", "commit": None, "dirty": False,
+        **({} if build is None else {"build": build}),
         "workloads": {"churn": {
             "attempted": 10, "failed": 0,
             "end_to_end": {k: dict(unit="", **stat(v)) for k, v in end_to_end.items()},
@@ -112,6 +119,28 @@ class DiffTest(unittest.TestCase):
         self.assertEqual(code, 0, text)
         self.assertRegex(text, r"sim\.events\s+100 -> 104\s+\+4\.00%  within spread")
         self.assertRegex(text, r"sim\.major_gcs\s+3 -> 6\s+\+100\.00%\n")
+
+    def test_changed_build_is_reported(self):
+        e2e = {"wall_s": 1.0, "heap_peak_mb": 10.0}
+        same = self.diff(ledger_file(1, e2e, {}), ledger_file(2, e2e, {}))[1]
+        self.assertNotIn("build changed", same)
+        code, text = self.diff(ledger_file(1, e2e, {}, build=DEV_BUILD),
+                               ledger_file(2, e2e, {}, build=RELEASE_BUILD))
+        self.assertEqual(code, 0, text)
+        self.assertIn("the build changed (-opaque, flags -w @1..3 -strict-sequence, "
+                      "ocamlopt_flags -g -> no -opaque,", text)
+        self.assertIn("wall times measure a different compilation", text)
+        text = self.diff(ledger_file(1, e2e, {}, build=None), ledger_file(2, e2e, {}))[1]
+        self.assertIn("the build changed (unrecorded -> no -opaque", text)
+
+
+class BuildTest(unittest.TestCase):
+    def test_printenv_flags(self):
+        text = ("(flags\n (-w\n  @1..3@5..28-40\n  -strict-sequence))\n"
+                "(ocamlc_flags (-g))\n(ocamlopt_flags (-g))\n(c_flags (-O2))\n")
+        self.assertEqual(ledger.printenv_flags(text), {
+            "flags": ["-w", "@1..3@5..28-40", "-strict-sequence"],
+            "ocamlopt_flags": ["-g"]})
 
 
 if __name__ == "__main__":

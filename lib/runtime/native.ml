@@ -562,9 +562,11 @@ let run (cfg : config) : result =
       | _ -> (0, fun () -> ())
     in
     let rec arm () =
-      Proc.after drv_proc (Time.of_micros 500.) ~cost:0 (fun () ->
-          flush_confirms ();
-          arm ())
+      ignore
+        (Proc.after drv_proc (Time.of_micros 500.) ~cost:0 (fun () ->
+             flush_confirms ();
+             arm ())
+          : unit -> unit)
     in
     arm_confirm_flush := arm;
     (* Inbound wire -> driver. *)

@@ -85,10 +85,12 @@ let sweep_period engine =
    snapshots the table (with last-seen times) to the storage server,
    so a restart does not resurrect idle entries as freshly-seen. *)
 let rec arm_sweep t =
-  Proc.after t.proc (sweep_period t.engine) ~cost:200 (fun () ->
-      t.expired <- t.expired + Pf_engine.sweep t.engine ~now:(now t);
-      persist_conntrack t;
-      arm_sweep t)
+  ignore
+    (Proc.after t.proc (sweep_period t.engine) ~cost:200 (fun () ->
+         t.expired <- t.expired + Pf_engine.sweep t.engine ~now:(now t);
+         persist_conntrack t;
+         arm_sweep t)
+      : unit -> unit)
 
 let create comp ~save ~load ?max_entries ?(owns = fun _ -> true) () =
   let t =

@@ -114,13 +114,10 @@ let exec t ~cost k =
 
 let after t delay ~cost k =
   let inc = t.incarnation in
-  let (_cancel : unit -> unit) =
-    Exec.schedule (Machine.exec t.machine) ~core:(Cpu.id t.core) delay
-      (fun () ->
-        if t.alive && (not t.hung) && t.incarnation = inc then
-          Cpu.exec t.core ~proc:t.pid ~cost (guard t k))
-  in
-  ()
+  Exec.schedule (Machine.exec t.machine) ~core:(Cpu.id t.core) delay
+    (fun () ->
+      if t.alive && (not t.hung) && t.incarnation = inc then
+        Cpu.exec t.core ~proc:t.pid ~cost (guard t k))
 
 let emit_transfers chan msg mk =
   if Hook.enabled () then

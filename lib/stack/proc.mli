@@ -57,9 +57,14 @@ val send : t -> Msg.t Newt_channels.Sim_chan.t -> Msg.t -> bool
 val exec : t -> cost:Newt_sim.Time.cycles -> (unit -> unit) -> unit
 (** Run work on the server's core, guarded by liveness+incarnation. *)
 
-val after : t -> Newt_sim.Time.cycles -> cost:Newt_sim.Time.cycles -> (unit -> unit) -> unit
+val after :
+  t -> Newt_sim.Time.cycles -> cost:Newt_sim.Time.cycles -> (unit -> unit) -> unit -> unit
 (** Timer: like {!exec} after a delay. The continuation is dropped if
-    the server crashed or restarted in between. *)
+    the server crashed or restarted in between. Returns the timer's
+    cancel thunk ({!Newt_sim.Exec.schedule}): a timeout whose operation
+    finished first should be cancelled, or it stays queued, holding
+    whatever its continuation captured, and costs [cost] on the core
+    when it fires. Cancelling a fired timer is a no-op. *)
 
 val wake : t -> unit
 (** Force a drain pass (used after restarts). *)

@@ -37,6 +37,7 @@ type socket = {
   mutable backlog : int;
   accept_q : Tcp.pcb Queue.t;
   mutable op : pending_op;
+  mutable op_timer : unit -> unit;  (* cancels [op]'s timeout *)
   mutable dead : bool;  (* reset/closed *)
 }
 
@@ -55,6 +56,7 @@ type t = {
   mutable to_sc : Msg.t Sim_chan.t option;
   sockets : (Msg.socket_id, socket) Hashtbl.t;
   mutable select_pending : (int * Msg.socket_id list) option;
+  mutable select_timer : unit -> unit;  (* cancels its timeout *)
   mutable resubmit : inflight list;
   requeue : inflight Newt_channels.Request_db.abort;
       (* Every segment's abort action: IP crashed, so hold the segment
@@ -198,6 +200,7 @@ let sock t id =
           backlog = 0;
           accept_q = Queue.create ();
           op = P_none;
+          op_timer = ignore;
           dead = false;
         }
       in
@@ -208,6 +211,21 @@ let reply t req result =
   match t.to_sc with
   | Some chan -> ignore (Proc.send t.proc chan (Msg.Sock_reply { id = req; result }))
   | None -> ()
+
+(* A blocked operation or select is over: cancel its timeout, so the
+   timer neither stays queued (holding the socket) until it would have
+   fired nor charges the core when it does, and answer the caller. *)
+let finish t s req result =
+  s.op <- P_none;
+  s.op_timer ();
+  s.op_timer <- ignore;
+  reply t req result
+
+let finish_select t req result =
+  t.select_pending <- None;
+  t.select_timer ();
+  t.select_timer <- ignore;
+  reply t req result
 
 let persist_listeners t =
   let listeners =
@@ -240,10 +258,7 @@ let check_select t =
             | None -> true)
           watch
       in
-      if ready <> [] then begin
-        t.select_pending <- None;
-        reply t req (Msg.Ok_ready ready)
-      end
+      if ready <> [] then finish_select t req (Msg.Ok_ready ready)
 
 (* Try to complete a blocked operation after a TCP event. *)
 let rec progress t s =
@@ -251,57 +266,34 @@ let rec progress t s =
   | P_none -> ()
   | P_connect { req } -> (
       match s.pcb with
-      | Some pcb when Tcp.state pcb = Tcp.Established ->
-          s.op <- P_none;
-          reply t req Msg.Ok_unit
+      | Some pcb when Tcp.state pcb = Tcp.Established -> finish t s req Msg.Ok_unit
       | Some _ -> ()
-      | None ->
-          s.op <- P_none;
-          reply t req (Msg.Err "connection failed"))
+      | None -> finish t s req (Msg.Err "connection failed"))
   | P_accept { req; new_sock } -> (
       match Queue.take_opt s.accept_q with
       | Some pcb ->
-          s.op <- P_none;
           let child = sock t new_sock in
           child.pcb <- Some pcb;
           attach_handler t child pcb;
-          reply t req (Msg.Ok_accepted new_sock)
+          finish t s req (Msg.Ok_accepted new_sock)
       | None -> ())
   | P_recv { req; max } -> (
       match s.pcb with
       | Some pcb ->
-          if Tcp.recv_available pcb > 0 then begin
-            s.op <- P_none;
-            reply t req (Msg.Ok_data (Tcp.recv pcb ~max))
-          end
-          else if Tcp.recv_eof pcb then begin
-            s.op <- P_none;
-            reply t req Msg.Ok_eof
-          end
-          else if s.dead then begin
-            s.op <- P_none;
-            reply t req (Msg.Err "connection reset")
-          end
-      | None ->
-          s.op <- P_none;
-          reply t req (Msg.Err "not connected"))
+          if Tcp.recv_available pcb > 0 then
+            finish t s req (Msg.Ok_data (Tcp.recv pcb ~max))
+          else if Tcp.recv_eof pcb then finish t s req Msg.Ok_eof
+          else if s.dead then finish t s req (Msg.Err "connection reset")
+      | None -> finish t s req (Msg.Err "not connected"))
   | P_send ({ req; data; _ } as ps) -> (
       match s.pcb with
       | Some pcb ->
           let remaining = Bytes.length data - ps.off in
           if remaining > 0 then
             ps.off <- ps.off + Tcp.send pcb data ~off:ps.off ~len:remaining;
-          if ps.off >= Bytes.length data then begin
-            s.op <- P_none;
-            reply t req (Msg.Ok_sent ps.off)
-          end
-          else if s.dead then begin
-            s.op <- P_none;
-            reply t req (Msg.Err "connection reset")
-          end
-      | None ->
-          s.op <- P_none;
-          reply t req (Msg.Err "not connected"))
+          if ps.off >= Bytes.length data then finish t s req (Msg.Ok_sent ps.off)
+          else if s.dead then finish t s req (Msg.Err "connection reset")
+      | None -> finish t s req (Msg.Err "not connected"))
 
 and attach_handler t s pcb =
   Tcp.set_handler pcb (fun ev ->
@@ -382,13 +374,13 @@ let handle_call t s req (call : Msg.sock_call) =
       | P_none ->
           s.op <- P_recv { req; max };
           progress t s;
-          if timeout > 0 then
-            Proc.after t.proc timeout ~cost:100 (fun () ->
-                match s.op with
-                | P_recv { req = r; _ } when r = req ->
-                    s.op <- P_none;
-                    reply t req (Msg.Err "timeout")
-                | P_recv _ | P_none | P_connect _ | P_accept _ | P_send _ -> ())
+          if timeout > 0 && s.op <> P_none then
+            s.op_timer <-
+              Proc.after t.proc timeout ~cost:100 (fun () ->
+                  match s.op with
+                  | P_recv { req = r; _ } when r = req ->
+                      finish t s req (Msg.Err "timeout")
+                  | P_recv _ | P_none | P_connect _ | P_accept _ | P_send _ -> ())
       | P_connect _ | P_accept _ | P_recv _ | P_send _ ->
           reply t req (Msg.Err "operation pending"))
   | Msg.Call_accept { new_sock } ->
@@ -412,12 +404,11 @@ let handle_call t s req (call : Msg.sock_call) =
           t.select_pending <- Some (req, watch);
           check_select t;
           if t.select_pending <> None && timeout > 0 then
-            Proc.after t.proc timeout ~cost:100 (fun () ->
-                match t.select_pending with
-                | Some (r, _) when r = req ->
-                    t.select_pending <- None;
-                    reply t req (Msg.Ok_ready [])
-                | Some _ | None -> ()))
+            t.select_timer <-
+              Proc.after t.proc timeout ~cost:100 (fun () ->
+                  match t.select_pending with
+                  | Some (r, _) when r = req -> finish_select t req (Msg.Ok_ready [])
+                  | Some _ | None -> ()))
   | Msg.Call_sendto _ -> reply t req (Msg.Err "not a datagram socket")
   | Msg.Call_recvfrom _ -> reply t req (Msg.Err "not a datagram socket")
   | Msg.Call_close ->
@@ -513,6 +504,7 @@ let create comp ~registry ~local_addr ?tcp_config ~save ~load () =
       to_sc = None;
       sockets = Hashtbl.create 64;
       select_pending = None;
+      select_timer = ignore;
       resubmit = [];
       requeue = (fun _ p -> t.resubmit <- p :: t.resubmit);
       ip_up = true;
@@ -533,7 +525,9 @@ let create comp ~registry ~local_addr ?tcp_config ~save ~load () =
       let st = Tcp.stats t.engine in
       Component.archive_add comp "tcp.segs_out" st.Tcp.segs_out;
       Component.archive_add comp "tcp.bytes_out" st.Tcp.bytes_out;
+      (* The dead incarnation's timers are guarded ({!Proc.after}). *)
       t.select_pending <- None;
+      t.select_timer <- ignore;
       (* Sabotage capture: the stale-Established bug needs the dead
          incarnation's connections to resurrect after restart. *)
       if t.break_tcp = Some Tcp.Stale_established then

@@ -24,6 +24,7 @@ type socket = {
   mutable peer : (Addr.Ipv4.t * int) option;
   rxq : (Addr.Ipv4.t * int * Bytes.t) Queue.t;
   mutable op : pending_op;
+  mutable op_timer : unit -> unit;  (* cancels [op]'s timeout *)
 }
 
 type t = {
@@ -40,6 +41,7 @@ type t = {
   sockets : (Msg.socket_id, socket) Hashtbl.t;
   (* At most one select outstanding per calling process instance. *)
   mutable select_pending : (int * Msg.socket_id list) option;
+  mutable select_timer : unit -> unit;  (* cancels its timeout *)
   mutable next_ephemeral : int;
   mutable resubmit : inflight list;
   requeue : inflight Newt_channels.Request_db.abort;
@@ -69,11 +71,14 @@ let persist t =
   in
   t.save "sockets" (Marshal.to_string (List.sort compare socks) [])
 
+let new_socket id ~bound_port ~peer =
+  { sock_id = id; bound_port; peer; rxq = Queue.create (); op = P_none; op_timer = ignore }
+
 let sock t id =
   match Hashtbl.find_opt t.sockets id with
   | Some s -> s
   | None ->
-      let s = { sock_id = id; bound_port = 0; peer = None; rxq = Queue.create (); op = P_none } in
+      let s = new_socket id ~bound_port:0 ~peer:None in
       Hashtbl.add t.sockets id s;
       persist t;
       s
@@ -87,6 +92,20 @@ let reply t req result =
   match t.to_sc with
   | Some chan -> ignore (Proc.send t.proc chan (Msg.Sock_reply { id = req; result }))
   | None -> ()
+
+(* A blocked receive or select is over: cancel its timeout (see
+   [Tcp_srv.finish]) and answer the caller. *)
+let finish t s req result =
+  s.op <- P_none;
+  s.op_timer ();
+  s.op_timer <- ignore;
+  reply t req result
+
+let finish_select t req result =
+  t.select_pending <- None;
+  t.select_timer ();
+  t.select_timer <- ignore;
+  reply t req result
 
 let socket_readable s = not (Queue.is_empty s.rxq)
 
@@ -102,10 +121,7 @@ let check_select t =
             | None -> true (* a vanished socket reads as ready-with-error *))
           watch
       in
-      if ready <> [] then begin
-        t.select_pending <- None;
-        reply t req (Msg.Ok_ready ready)
-      end
+      if ready <> [] then finish_select t req (Msg.Ok_ready ready)
 
 let progress t s =
   match s.op with
@@ -113,20 +129,18 @@ let progress t s =
   | P_recv { req; max } -> (
       match Queue.take_opt s.rxq with
       | Some (_src, _port, data) ->
-          s.op <- P_none;
           let data =
             if Bytes.length data > max then Bytes.sub data 0 max else data
           in
-          reply t req (Msg.Ok_data data)
+          finish t s req (Msg.Ok_data data)
       | None -> ())
   | P_recvfrom { req; max } -> (
       match Queue.take_opt s.rxq with
       | Some (src, src_port, data) ->
-          s.op <- P_none;
           let data =
             if Bytes.length data > max then Bytes.sub data 0 max else data
           in
-          reply t req (Msg.Ok_data_from { data; src; src_port })
+          finish t s req (Msg.Ok_data_from { data; src; src_port })
       | None -> ())
 
 let submit_packet t pkt =
@@ -229,26 +243,26 @@ let handle_call t s req (call : Msg.sock_call) =
       | P_none ->
           s.op <- P_recvfrom { req; max };
           progress t s;
-          if timeout > 0 then
-            Proc.after t.proc timeout ~cost:100 (fun () ->
-                match s.op with
-                | P_recvfrom { req = r; _ } when r = req ->
-                    s.op <- P_none;
-                    reply t req (Msg.Err "timeout")
-                | P_recvfrom _ | P_recv _ | P_none -> ())
+          if timeout > 0 && s.op <> P_none then
+            s.op_timer <-
+              Proc.after t.proc timeout ~cost:100 (fun () ->
+                  match s.op with
+                  | P_recvfrom { req = r; _ } when r = req ->
+                      finish t s req (Msg.Err "timeout")
+                  | P_recvfrom _ | P_recv _ | P_none -> ())
       | P_recv _ | P_recvfrom _ -> reply t req (Msg.Err "operation pending"))
   | Msg.Call_recv { max; timeout } ->
       (match s.op with
       | P_none ->
           s.op <- P_recv { req; max };
           progress t s;
-          if timeout > 0 then
-            Proc.after t.proc timeout ~cost:100 (fun () ->
-                match s.op with
-                | P_recv { req = r; _ } when r = req ->
-                    s.op <- P_none;
-                    reply t req (Msg.Err "timeout")
-                | P_recv _ | P_recvfrom _ | P_none -> ())
+          if timeout > 0 && s.op <> P_none then
+            s.op_timer <-
+              Proc.after t.proc timeout ~cost:100 (fun () ->
+                  match s.op with
+                  | P_recv { req = r; _ } when r = req ->
+                      finish t s req (Msg.Err "timeout")
+                  | P_recv _ | P_recvfrom _ | P_none -> ())
       | P_recv _ | P_recvfrom _ -> reply t req (Msg.Err "operation pending"))
   | Msg.Call_select { watch; timeout } ->
       (match t.select_pending with
@@ -257,12 +271,11 @@ let handle_call t s req (call : Msg.sock_call) =
           t.select_pending <- Some (req, watch);
           check_select t;
           if t.select_pending <> None && timeout > 0 then
-            Proc.after t.proc timeout ~cost:100 (fun () ->
-                match t.select_pending with
-                | Some (r, _) when r = req ->
-                    t.select_pending <- None;
-                    reply t req (Msg.Ok_ready [])
-                | Some _ | None -> ()))
+            t.select_timer <-
+              Proc.after t.proc timeout ~cost:100 (fun () ->
+                  match t.select_pending with
+                  | Some (r, _) when r = req -> finish_select t req (Msg.Ok_ready [])
+                  | Some _ | None -> ()))
   | Msg.Call_shutdown -> reply t req (Msg.Err "udp cannot shutdown")
   | Msg.Call_listen _ -> reply t req (Msg.Err "udp cannot listen")
   | Msg.Call_accept _ -> reply t req (Msg.Err "udp cannot accept")
@@ -327,6 +340,7 @@ let create comp ~registry ~local_addr ~save ~load () =
       to_sc = None;
       sockets = Hashtbl.create 32;
       select_pending = None;
+      select_timer = ignore;
       next_ephemeral = 49152;
       resubmit = [];
       requeue = (fun _ p -> t.resubmit <- p :: t.resubmit);
@@ -338,7 +352,9 @@ let create comp ~registry ~local_addr ~save ~load () =
   in
   Component.register_pool comp pool;
   Component.on_crash comp (fun () ->
+      (* The dead incarnation's timers are guarded ({!Proc.after}). *)
       t.select_pending <- None;
+      t.select_timer <- ignore;
       Hashtbl.reset t.sockets;
       t.resubmit <- []);
   Component.on_restart comp ~step:"reload-sockets" (fun ~fresh:_ ->
@@ -356,8 +372,7 @@ let create comp ~registry ~local_addr ~save ~load () =
               (* Not via [sock]: its eager persist would overwrite the
                  saved blob with a half-restored table — fatal at the
                  next crash. *)
-              Hashtbl.replace t.sockets id
-                { sock_id = id; bound_port; peer; rxq = Queue.create (); op = P_none })
+              Hashtbl.replace t.sockets id (new_socket id ~bound_port ~peer))
             socks);
       (* Re-persist the fully restored table. *)
       persist t);

@@ -589,6 +589,52 @@ let test_select_timeout () =
   Host.run h ~until:(sec 1.0);
   Alcotest.(check bool) "select times out cleanly" true (!result = `Timeout)
 
+(* A timed call that completes cancels its timeout: when the reply
+   reaches the application, the engine holds exactly the events it holds
+   when the same call is made with no timeout. [call conn ~timeout k]
+   makes the call on a socket connected to the peer's echo service
+   (UDP port 7 or TCP port 22) after "ping" was sent; [settle] runs the
+   call only once the echo has been queued, so it completes at once. *)
+let pending_when_done ~tcp ~settle call ~timeout =
+  let h = make_host () in
+  let peer = Host.sink h 0 in
+  Sink.serve_udp peer ~port:7 (fun q -> Some q);
+  Sink.serve_tcp_echo peer ~port:22;
+  let at_done = ref None in
+  let open_socket = if tcp then Socket_api.tcp_socket else Socket_api.udp_socket in
+  open_socket (Host.sc h) (Host.app h) (fun conn ->
+      Socket_api.connect conn ~dst:(Host.sink_addr h 0) ~port:(if tcp then 22 else 7)
+        (fun _ ->
+          Socket_api.send conn (Bytes.of_string "ping") (fun _ ->
+              let go () =
+                call conn ~timeout (fun () ->
+                    at_done := Some (Newt_sim.Engine.pending (Host.engine h)))
+              in
+              if settle then Host.at h (sec 0.2) go else go ())));
+  Host.run h ~until:(sec 0.4);
+  match !at_done with
+  | Some n -> n
+  | None -> Alcotest.fail "the call never completed"
+
+let test_finished_calls_cancel_their_timeouts () =
+  let recv conn ~timeout k = Socket_api.recv conn ~max:100 ~timeout (fun _ -> k ()) in
+  let recvfrom conn ~timeout k = Socket_api.recvfrom conn ~max:100 ~timeout (fun _ -> k ()) in
+  let select conn ~timeout k = Socket_api.select [ conn ] ~timeout (fun _ -> k ()) in
+  List.iter
+    (fun (name, tcp, settle, call) ->
+      let untimed = pending_when_done ~tcp ~settle call ~timeout:0 in
+      let timed = pending_when_done ~tcp ~settle call ~timeout:(sec 2.0) in
+      Alcotest.(check int) (name ^ ": no timer left queued") untimed timed)
+    [
+      ("udp recv", false, false, recv);
+      ("udp recv of queued data", false, true, recv);
+      ("udp recvfrom", false, false, recvfrom);
+      ("udp select", false, false, select);
+      ("tcp recv", true, false, recv);
+      ("tcp recv of queued data", true, true, recv);
+      ("tcp select", true, false, select);
+    ]
+
 let test_select_survives_transport_crash () =
   (* The scenario that forced reboots in the paper: a fault while
      processes wait in select. The asynchronous select rides the crash:
@@ -1160,6 +1206,9 @@ let suite =
     ("udp sendto/recvfrom", `Quick, test_udp_sendto_recvfrom);
     ("select wakes on the ready socket", `Quick, test_select_wakes_on_ready_socket);
     ("select timeout", `Quick, test_select_timeout);
+    ( "finished socket calls cancel their timeouts",
+      `Quick,
+      test_finished_calls_cancel_their_timeouts );
     ( "select survives a transport crash",
       `Quick,
       test_select_survives_transport_crash );

@@ -137,7 +137,7 @@ let test_proc_timer_dies_with_incarnation () =
   let core = Machine.add_dedicated_core m in
   let p = Proc.create m ~name:"srv" ~core () in
   let fired = ref false in
-  Proc.after p 1000 ~cost:10 (fun () -> fired := true);
+  ignore (Proc.after p 1000 ~cost:10 (fun () -> fired := true) : unit -> unit);
   Proc.crash p;
   Proc.restart p;
   Engine.run e;
