@@ -3,7 +3,7 @@
 	sanitize-smoke bench-smoke churn-smoke native-smoke model-check \
 	model-check-negative race-check fsm-check perf-smoke profile \
 	golden-check golden-update bench-ledger bench-diff ledger-test \
-	build-check clean
+	build-check exports-check clean
 
 check: build test fmt verify
 
@@ -30,6 +30,22 @@ build-check:
 	@dune printenv . | grep -q -F -e '$(DEV_WARNINGS)' \
 	    || { echo "build-check: the default build lacks -w $(DEV_WARNINGS)"; exit 1; }
 	dune build --profile dev --build-dir _build_dev
+
+# The interface lint (tools/exports): every value a lib/ module exports
+# is used outside that module, and every optional argument of one is
+# passed by some call site; exports and optional arguments only test/
+# uses are listed. Then the lint's own check: on the fixture under
+# tools/exports/fixture (a planted unused value, a planted never-passed
+# optional argument, and one case of each way a use resolves) it must
+# exit 1 with exactly the report in expected.txt. @check builds the
+# .cmt files of the executables.
+exports-check: build
+	dune build @check
+	cd _build/default && ./tools/exports/exports.exe
+	@cd _build/default/tools/exports/fixture; \
+	    ../exports.exe > $(CURDIR)/_build/exports-fixture.txt; \
+	    test $$? -eq 1 || { echo "exports-check: the fixture run did not exit 1"; exit 1; }
+	diff -u tools/exports/fixture/expected.txt _build/exports-fixture.txt
 
 # Golden outputs: eleven seeded runs (~35 s) whose output must equal,
 # byte for byte, the files under test/golden/. Besides the paper's
@@ -91,9 +107,10 @@ verify-protocol: build
 # after every labeled recovery step (split stack and sharded N=2 r=2
 # pf=2, PF shards included),
 # re-crashing during recovery, and require convergence plus clean
-# continuous/protocol checkers at every crash point. The wall-clock
-# budget (CPU seconds per configuration) keeps CI bounded; skipped
-# points are reported, never silently dropped.
+# continuous/protocol checkers at every crash point. The budget, in
+# seconds of process CPU time per configuration (Mcheck.search reads
+# Sys.time), keeps CI bounded; skipped points are reported, never
+# silently dropped.
 MCHECK_BUDGET ?= 240
 model-check: build
 	dune exec bin/newtos_sim.exe -- mcheck --json --budget $(MCHECK_BUDGET)

@@ -208,7 +208,6 @@ let emit ev =
         match subject_hash ev with None -> true | Some h -> keep sim h mask
       then List.iter (fun (_, f) -> f ~actor:!current ev) listeners
 
-let actor () = !current
 let epoch () = !current_epoch
 
 let with_actor ?epoch name f =

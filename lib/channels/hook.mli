@@ -270,9 +270,6 @@ val emit : event -> unit
 (** Deliver a simulator event, with the current actor, to every
     simulator listener, unless its subject is sampled out. *)
 
-val actor : unit -> string option
-(** The identity currently being charged, if inside {!with_actor}. *)
-
 val epoch : unit -> int
 (** The restart epoch (the actor's incarnation number) the current
     bracket was opened with; 0 outside any bracket or when the bracket

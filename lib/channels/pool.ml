@@ -110,7 +110,6 @@ let create ~id ~slots ~slot_size =
 
 let id t = t.id
 let slot_size t = t.slot_size
-let total_slots t = t.slots
 let free_slots t = t.nfree + t.slots - t.fresh
 let in_use t = t.fresh - t.nfree
 let resident_slots t = t.high

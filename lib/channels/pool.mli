@@ -15,7 +15,7 @@
     to still-live data or fail loudly.
 
     The slot count is the contract: {!alloc} fails with
-    {!Pool_exhausted} exactly when [total_slots] slots are in use.
+    {!Pool_exhausted} exactly when all [slots] slots are in use.
     Memory follows use, not capacity. {!create} allocates a few words
     whatever the slot count. Per-slot metadata (generation, state, free
     stack entry) grows by doubling as slots are first handed out; the
@@ -66,7 +66,6 @@ val fresh_id : unit -> int
 
 val id : t -> int
 val slot_size : t -> int
-val total_slots : t -> int
 val free_slots : t -> int
 val in_use : t -> int
 

@@ -75,5 +75,3 @@ let replay_prefix t ~prefix f =
 let subscribe_prefix t ~prefix f =
   t.prefix_subscribers <- t.prefix_subscribers @ [ (prefix, f) ];
   replay_prefix t ~prefix f
-
-let unsubscribe_all t ~key = Hashtbl.remove t.subscribers key

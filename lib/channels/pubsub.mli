@@ -48,6 +48,3 @@ val replay_prefix :
     republished key takes the position of its latest publication), so a
     re-warming replica converges to the same state the live peers built
     up incrementally. *)
-
-val unsubscribe_all : t -> key:string -> unit
-(** Drop all subscriptions on a key (used in tests). *)

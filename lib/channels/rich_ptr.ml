@@ -2,10 +2,3 @@ type t = { pool : int; slot : int; off : int; len : int; gen : int }
 type chain = t list
 
 let chain_len chain = List.fold_left (fun acc p -> acc + p.len) 0 chain
-
-let pp ppf p =
-  Format.fprintf ppf "pool%d[%d.%d +%d @%d]" p.pool p.slot p.gen p.off p.len
-
-let equal a b =
-  a.pool = b.pool && a.slot = b.slot && a.off = b.off && a.len = b.len
-  && a.gen = b.gen

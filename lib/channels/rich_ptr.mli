@@ -20,7 +20,3 @@ type chain = t list
 
 val chain_len : chain -> int
 (** Total byte length of a chain. *)
-
-val pp : Format.formatter -> t -> unit
-
-val equal : t -> t -> bool

@@ -70,8 +70,6 @@ let create_native ?(capacity = 512) ~id () =
 
 let id t = t.id
 let capacity t = t.capacity
-let is_native t = match t.backing with Sim _ -> false | Ring _ -> true
-
 let send t x =
   match t.backing with
   | Sim s ->

@@ -32,8 +32,6 @@ val create_native : ?capacity:int -> id:int -> unit -> 'a t
     successful send — cross-domain, the was-empty test is racy, so the
     consumer-side doorbell dedupes instead. *)
 
-val is_native : 'a t -> bool
-
 val id : 'a t -> int
 val capacity : 'a t -> int
 

@@ -263,9 +263,9 @@ let run_sharded scenario ~rate ~duration ~shards ~ip_replicas ~pf_shards
    backlog: arrivals beyond the queue must be refused (RST, counted) —
    the pre-fix server queued them without bound. *)
 let listen_port = 2222
+let accept_interval = Time.of_seconds 0.005
 
-let run_listen_pressure ~rate ~duration ~backlog ~accept_interval ~seed
-    ?verify () =
+let run_listen_pressure ~rate ~duration ~backlog ~seed ?verify () =
   let until = Time.of_seconds duration in
   let w =
     Scenario.lower ?verify
@@ -338,9 +338,8 @@ let run_listen_pressure ~rate ~duration ~backlog ~accept_interval ~seed
 let run ?(scenario = Baseline) ?(rate = 10_000.0) ?(duration = 1.0)
     ?(shards = 8) ?(ip_replicas = 4) ?(pf_shards = 2) ?(bulk_flows = 4)
     ?(workers = 8) ?(payload = 256) ?(flood_rate = 20_000.0)
-    ?(conntrack_total = 8192) ?(backlog = 16)
-    ?(accept_interval = Time.of_seconds 0.005) ?(seed = 42) ?verify
-    ?break_tcp () =
+    ?(conntrack_total = 8192) ?(backlog = 16) ?(seed = 42) ?verify ?break_tcp
+    () =
   match scenario with
   | Baseline | Syn_flood | Crash_during_churn ->
       run_sharded scenario ~rate ~duration ~shards ~ip_replicas ~pf_shards
@@ -348,6 +347,6 @@ let run ?(scenario = Baseline) ?(rate = 10_000.0) ?(duration = 1.0)
         ?verify ?break_tcp ()
   | Listen_pressure ->
       run_listen_pressure ~rate:(Float.min rate 2000.0) ~duration ~backlog
-        ~accept_interval ~seed ?verify ()
+        ~seed ?verify ()
 
 let all_scenarios = [ Baseline; Syn_flood; Crash_during_churn; Listen_pressure ]

@@ -92,7 +92,6 @@ val run :
   ?flood_rate:float ->
   ?conntrack_total:int ->
   ?backlog:int ->
-  ?accept_interval:Newt_sim.Time.cycles ->
   ?seed:int ->
   ?verify:Newt_verify.Continuous.t ->
   ?break_tcp:Newt_net.Tcp.sabotage ->

@@ -34,10 +34,10 @@ let paper_value = function
   | Capacity.Split_dedicated_sc_tso -> "5+"
   | Capacity.Linux_10gbe -> "8.4"
 
-let table_ii ?costs () =
+let table_ii () =
   List.map
     (fun config ->
-      let r = Capacity.evaluate ?costs config in
+      let r = Capacity.evaluate config in
       {
         label = Capacity.name config;
         paper_gbps = paper_value config;
@@ -192,15 +192,16 @@ let single_server_run ~nics ~duration () =
   in
   (total, Proc.pool_ops stk_proc, (float_of_int total *. 8.0 /. duration /. 1e9, util))
 
-let single_server_event_sim ?(nics = 5) ?(duration = 1.0) () =
-  let _, _, r = single_server_run ~nics ~duration () in
+let single_server_event_sim ?(duration = 1.0) () =
+  let _, _, r = single_server_run ~nics:5 ~duration () in
   r
 
 (* {2 Pool operations: charged and modelled} *)
 
 type pool_accounting = { charged_per_unit : float; model_per_segment : float }
 
-let pool_accounting ?(nics = 5) ?(duration = 0.2) stage =
+let pool_accounting stage =
+  let nics = 5 and duration = 0.2 in
   let (total, charged), config, label =
     match stage with
     | `Split_tcp ->
@@ -308,13 +309,13 @@ let figure_ip_crash ?(seed = 42) ?(crash_at = 4.0) ?(duration = 10.0) ?nic_reset
     ~crashes:[ crash_at ] ~component:"ip" ~duration ()
 
 (* How long the Figure 4 outage lasts, from the crash until the bitrate
-   is back above the threshold. *)
-let recovery_gap ?(threshold_mbps = 800.0) ~crash_at (t : crash_trace) =
+   is back above 800 Mbps. *)
+let recovery_gap ~crash_at (t : crash_trace) =
   (* First bin after the crash where the bitrate is back. *)
   let recovered = ref None in
   Array.iter
     (fun (time, mbps) ->
-      if !recovered = None && time > crash_at && mbps >= threshold_mbps then
+      if !recovered = None && time > crash_at && mbps >= 800.0 then
         recovered := Some time)
     t.points;
   match !recovered with Some time -> time -. crash_at | None -> infinity
@@ -325,14 +326,14 @@ type reset_sweep_point = {
   duplicates : int;
 }
 
-let nic_reset_sweep ?(seed = 42) () =
+let nic_reset_sweep () =
   (* "We believe that restart-aware hardware would allow less
      disruptive recovery" (Section V-D): sweep the device reset time
      and measure the Figure 4 outage. *)
   List.map
     (fun reset_s ->
       let t =
-        figure_ip_crash ~seed ~nic_reset:(Time.of_seconds reset_s) ~duration:8.0
+        figure_ip_crash ~nic_reset:(Time.of_seconds reset_s) ~duration:8.0
           ~crash_at:2.0 ()
       in
       {
@@ -601,10 +602,10 @@ type coalescing_result = {
   sustainable : bool;
 }
 
-let driver_coalescing ?(costs = Costs.default) () =
+let driver_coalescing () =
   (* At the full 5-NIC TSO rate (Table II line 6), compute the load on a
      driver core serving k NICs. *)
-  let r = Capacity.evaluate ~costs Capacity.Split_dedicated_sc_tso in
+  let r = Capacity.evaluate Capacity.Split_dedicated_sc_tso in
   let total_gbps = r.Capacity.goodput_gbps in
   let segments_per_sec = total_gbps *. 1e9 /. (1460.0 *. 8.0) in
   let cycles_per_seg =
@@ -651,8 +652,7 @@ type scaling_result = {
 }
 
 let scaling_curve ?(shard_counts = [ 1; 2; 4; 8 ]) ?(ip_replicas = 1)
-    ?(pf_shards = 0) ?(flows = 8) ?(duration = 0.5) ?(link_gbps = 40.0) ?verify
-    () =
+    ?(pf_shards = 0) ?(flows = 8) ?(duration = 0.5) ?verify () =
   let module S = Newt_scale.Sharded_stack in
   let run_point n =
     (* A point can't use more IP replicas (or PF shards) than it has
@@ -665,7 +665,7 @@ let scaling_curve ?(shard_counts = [ 1; 2; 4; 8 ]) ?(ip_replicas = 1)
         S.default_config with
         S.shards = n;
         ip_replicas = r;
-        link_gbps;
+        link_gbps = 40.0;
         pf_shards = max 1 np;
         pf_rules = (if np = 0 then None else Some [ Newt_pf.Rule.pass_all ]);
       }
@@ -724,9 +724,9 @@ let verify_configs ?(max_shards = 8) () =
   in
   split :: sharded
 
-let verify_all ?max_shards () =
+let verify_all () =
   Newt_verify.Report.merge ~title:"all stack configurations"
-    (verify_configs ?max_shards ())
+    (verify_configs ())
 
 (* {1 Recovery model checking — exhaustive crash-point search}
 

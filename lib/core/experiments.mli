@@ -11,7 +11,7 @@ type table2_row = {
   bottleneck : string;
 }
 
-val table_ii : ?costs:Newt_hw.Costs.t -> unit -> table2_row list
+val table_ii : unit -> table2_row list
 
 (** {1 Cross-validation: the event-driven stack at peak load} *)
 
@@ -36,8 +36,9 @@ val split_peak_event_sim :
     first, IP has headroom despite handling each packet three times,
     and the drivers are nearly idle. *)
 
-val single_server_event_sim : ?nics:int -> ?duration:float -> unit -> float * float
-(** The single-server topology (Table II line 4) at packet level: the
+val single_server_event_sim : ?duration:float -> unit -> float * float
+(** The single-server topology (Table II line 4) at packet level, with
+    five 1 Gbps links: the
     same protocol code as the split stack deployed as one merged server
     behind the SYSCALL server. Returns (goodput Gbps, merged-server core
     utilization). *)
@@ -52,11 +53,10 @@ type pool_accounting = {
       (** The {!Newt_stack.Capacity} stage's [pool_ops_per_segment]. *)
 }
 
-val pool_accounting :
-  ?nics:int -> ?duration:float -> [ `Split_tcp | `Single ] -> pool_accounting
+val pool_accounting : [ `Split_tcp | `Single ] -> pool_accounting
 (** Run the split stack ({!split_peak_event_sim}) or the single server
-    ({!single_server_event_sim}) at saturation (default five links,
-    0.2 s) and account for the pool operations of its TCP stage, the
+    ({!single_server_event_sim}) at saturation (five links, 0.2 s)
+    and account for the pool operations of its TCP stage, the
     split TCP server or the merged stack server, over the whole run. *)
 
 type minix_result = {
@@ -101,17 +101,13 @@ val figure_ip_crash :
     reincarnation, and the run tail is extended so the quiesced world
     can be leak-checked ([Continuous.end_run ~check_leaks:true]). *)
 
-val recovery_gap : ?threshold_mbps:float -> crash_at:float -> crash_trace -> float
-(** Seconds from the crash until the bitrate is back above the
-    threshold. *)
-
 type reset_sweep_point = {
   reset_time_s : float;  (** Device reset / link retraining time. *)
   outage_s : float;  (** Resulting Figure 4 outage. *)
   duplicates : int;
 }
 
-val nic_reset_sweep : ?seed:int -> unit -> reset_sweep_point list
+val nic_reset_sweep : unit -> reset_sweep_point list
 (** The paper's "restart-aware hardware would allow less disruptive
     recovery" (Section V-D), quantified: the outage tracks the device
     reset time, not the software restart. *)
@@ -218,7 +214,7 @@ type coalescing_result = {
   sustainable : bool;
 }
 
-val driver_coalescing : ?costs:Newt_hw.Costs.t -> unit -> coalescing_result list
+val driver_coalescing : unit -> coalescing_result list
 (** Per-driver-count utilization: even one driver for all five NICs is
     nowhere near saturation ("the work done by the drivers is extremely
     small"). *)
@@ -251,13 +247,12 @@ val scaling_curve :
   ?pf_shards:int ->
   ?flows:int ->
   ?duration:float ->
-  ?link_gbps:float ->
   ?verify:Newt_verify.Continuous.t ->
   unit ->
   scaling_result
 (** Run [flows] parallel iperf streams (default 8) against a
     {!Newt_scale.Sharded_stack} at each shard count (default 1, 2, 4, 8)
-    over a fat link (default 40 Gbps): aggregate goodput scales with the
+    over a 40 Gbps link: aggregate goodput scales with the
     shard count until another stage (IP, the wire) saturates, while one
     instance is pinned at the single-server ceiling. [ip_replicas]
     (default 1) replicates the IP server as well — each point is capped
@@ -278,7 +273,7 @@ val verify_configs : ?max_shards:int -> unit -> Newt_verify.Report.t list
     the static channel-graph checker (including the PF partition
     checks) over each. *)
 
-val verify_all : ?max_shards:int -> unit -> Newt_verify.Report.t
+val verify_all : unit -> Newt_verify.Report.t
 (** {!verify_configs} merged into one report; [Report.ok] of the result
     is the CI gate. *)
 

@@ -94,7 +94,6 @@ let engine t = t.engine
 let machine t = t.machine
 let sc t = t.sc
 let tcp_srv t = t.tcp
-let udp_srv t = t.udp
 let ip_srv t = t.ip
 let pf_srv t = t.pfs.(0)
 let pf_shard_srv t j = t.pfs.(j)
@@ -368,9 +367,9 @@ let restarts_of t comp = Reincarnation.restarts_of t.rs (comp_of t comp)
 
 (* {2 Probes} *)
 
-let probe_reachable t ?(via = 0) ~port ~timeout k =
-  let sink = t.sinks.(via) in
-  let pcb = Sink.connect sink ~dst:(local_addr t via) ~dst_port:port in
+let probe_reachable t ~port ~timeout k =
+  let sink = t.sinks.(0) in
+  let pcb = Sink.connect sink ~dst:(local_addr t 0) ~dst_port:port in
   let answered = ref false in
   Tcp.set_handler pcb (fun ev ->
       match ev with

@@ -66,7 +66,6 @@ val engine : t -> Newt_sim.Engine.t
 val machine : t -> Newt_hw.Machine.t
 val sc : t -> Newt_stack.Syscall_srv.t
 val tcp_srv : t -> Newt_stack.Tcp_srv.t
-val udp_srv : t -> Newt_stack.Udp_srv.t
 val ip_srv : t -> Newt_stack.Ip_srv.t
 val pf_srv : t -> Newt_stack.Pf_srv.t
 (** PF shard 0 (the only one by default). *)
@@ -79,9 +78,6 @@ val storage : t -> Newt_reliability.Storage.t
 val nic : t -> int -> Newt_nic.Mq_e1000.t
 val link : t -> int -> Newt_nic.Link.t
 val sink : t -> int -> Newt_stack.Sink.t
-
-val comp_of : t -> component -> Newt_stack.Component.t
-(** The generic component-server core behind a stack component. *)
 
 val proc_of : t -> component -> Newt_stack.Proc.t
 
@@ -129,9 +125,6 @@ val on_reincarnated : t -> (Newt_stack.Component.t -> unit) -> unit
 val kill_component : t -> component -> unit
 (** Crash it; the reincarnation server recovers it. *)
 
-val hang_component : t -> component -> unit
-(** Stop it from making progress; heartbeats catch and reset it. *)
-
 val component_of_injection : Newt_reliability.Fault_inject.injection -> component
 (** Which component a drawn fault lands in. *)
 
@@ -164,8 +157,8 @@ val restarts_of : t -> component -> int
 (** {1 Probes} *)
 
 val probe_reachable :
-  t -> ?via:int -> port:int -> timeout:Newt_sim.Time.cycles -> (bool -> unit) -> unit
-(** From the peer on link [via] (default 0), try to open a TCP
+  t -> port:int -> timeout:Newt_sim.Time.cycles -> (bool -> unit) -> unit
+(** From the peer on link 0, try to open a TCP
     connection to the host — the paper's "reachable from outside"
     criterion. The callback fires with the outcome after at most
     [timeout]. *)

@@ -24,7 +24,6 @@ let add_core t kind =
 
 let add_dedicated_core t = add_core t Cpu.Dedicated
 let add_timeshared_core t = add_core t Cpu.Timeshared
-let cores t = List.rev t.cores
 let core_count t = t.next_id
 
 let ipi t ~to_core k =

@@ -25,9 +25,6 @@ val add_dedicated_core : t -> Cpu.t
 val add_timeshared_core : t -> Cpu.t
 (** Allocate a fresh timeshared core (for applications). *)
 
-val cores : t -> Cpu.t list
-(** All cores, in allocation order. *)
-
 val core_count : t -> int
 
 val ipi : t -> to_core:Cpu.t -> (unit -> unit) -> unit

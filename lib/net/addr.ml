@@ -29,13 +29,8 @@ module Ipv4 = struct
         | _ -> None)
     | _ -> None
 
-  let pp ppf t = Format.pp_print_string ppf (to_string t)
   let equal = Int32.equal
   let compare = Int32.compare
-  let hash t = Hashtbl.hash t
-  let any = 0l
-  let broadcast = 0xffffffffl
-
   let in_prefix ~prefix ~bits a =
     assert (bits >= 0 && bits <= 32);
     if bits = 0 then true
@@ -61,8 +56,6 @@ module Mac = struct
 
   let to_string t =
     String.concat ":" (List.map (Printf.sprintf "%02x") (Array.to_list (to_octets t)))
-
-  let pp ppf t = Format.pp_print_string ppf (to_string t)
 
   let of_index i =
     (* 02:xx:xx:xx:xx:xx — locally administered, unicast. *)

@@ -14,16 +14,8 @@ module Ipv4 : sig
   (** Parse dotted-quad notation. *)
 
   val to_string : t -> string
-  val pp : Format.formatter -> t -> unit
   val equal : t -> t -> bool
   val compare : t -> t -> int
-  val hash : t -> int
-
-  val any : t
-  (** 0.0.0.0, the wildcard address. *)
-
-  val broadcast : t
-  (** 255.255.255.255. *)
 
   val in_prefix : prefix:t -> bits:int -> t -> bool
   (** [in_prefix ~prefix ~bits a] tests whether [a] falls inside the
@@ -47,7 +39,6 @@ module Mac : sig
 
   val broadcast : t
   val equal : t -> t -> bool
-  val pp : Format.formatter -> t -> unit
   val to_string : t -> string
 
   val of_index : int -> t

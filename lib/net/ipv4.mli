@@ -8,8 +8,6 @@
 
 type protocol = Icmp | Tcp | Udp | Unknown of int
 
-val protocol_code : protocol -> int
-
 type header = {
   src : Addr.Ipv4.t;
   dst : Addr.Ipv4.t;
@@ -18,9 +16,6 @@ type header = {
   ident : int;
   total_len : int;  (** Header plus payload, bytes. *)
 }
-
-val header_size : int
-(** 20 bytes; we never emit options. *)
 
 val encode_header : header -> Bytes.t -> off:int -> unit
 (** Write a 20-byte header with a correct header checksum. *)

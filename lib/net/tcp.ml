@@ -209,9 +209,7 @@ let stats t = t.stats
 let state pcb = pcb.state
 let set_handler pcb f = pcb.handler <- f
 let local_addr pcb = (pcb.local_ip, pcb.local_port)
-let remote_addr pcb = (pcb.remote_ip, pcb.remote_port)
 let effective_mss pcb = pcb.mss
-let cwnd pcb = pcb.cwnd
 let srtt pcb = if pcb.srtt = 0 then None else Some (pcb.srtt / 8)
 
 let key_of pcb : conn_key =
@@ -1097,10 +1095,7 @@ let input_segment t ~src ~dst b ~off ~len =
 (* {2 Introspection and crash support} *)
 
 let flight_size pcb = flight pcb
-let snd_window pcb = pcb.snd_wnd
-let rtx_armed pcb = pcb.rtx_cancel <> None
 let ooo_count pcb = List.length pcb.ooo
-let snd_unacked pcb = pcb.snd_una
 let snd_next pcb = pcb.snd_nxt
 let rcv_next pcb = pcb.rcv_nxt
 

@@ -180,17 +180,8 @@ val set_handler : pcb -> (event -> unit) -> unit
 val flight_size : pcb -> int
 (** Bytes (and FIN) sent but not yet cumulatively acknowledged. *)
 
-val snd_window : pcb -> int
-(** The peer's advertised (scaled) window. *)
-
-val rtx_armed : pcb -> bool
-(** Whether the retransmission timer is running. *)
-
 val ooo_count : pcb -> int
 (** Out-of-order segments buffered on the receive side. *)
-
-val snd_unacked : pcb -> int
-(** Oldest unacknowledged sequence number. *)
 
 val snd_next : pcb -> int
 (** Next sequence number to send. *)
@@ -199,9 +190,7 @@ val rcv_next : pcb -> int
 (** Next expected receive sequence number. *)
 
 val local_addr : pcb -> Addr.Ipv4.t * int
-val remote_addr : pcb -> Addr.Ipv4.t * int
 val effective_mss : pcb -> int
-val cwnd : pcb -> int
 val srtt : pcb -> int option
 (** Smoothed RTT estimate in cycles, once at least one sample exists. *)
 

@@ -7,14 +7,6 @@ let flag_syn_ack = { flag_none with syn = true; ack = true }
 let flag_fin_ack = { flag_none with fin = true; ack = true }
 let flag_rst = { flag_none with rst = true }
 
-let pp_flags ppf f =
-  let tags =
-    List.filter_map
-      (fun (b, s) -> if b then Some s else None)
-      [ (f.syn, "SYN"); (f.ack, "ACK"); (f.fin, "FIN"); (f.rst, "RST"); (f.psh, "PSH") ]
-  in
-  Format.pp_print_string ppf (String.concat "|" (if tags = [] then [ "-" ] else tags))
-
 type header = {
   src_port : int;
   dst_port : int;

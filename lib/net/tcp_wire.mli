@@ -4,13 +4,11 @@
 
 type flags = { syn : bool; ack : bool; fin : bool; rst : bool; psh : bool }
 
-val flag_none : flags
 val flag_syn : flags
 val flag_ack : flags
 val flag_syn_ack : flags
 val flag_fin_ack : flags
 val flag_rst : flags
-val pp_flags : Format.formatter -> flags -> unit
 
 type header = {
   src_port : int;
@@ -22,9 +20,6 @@ type header = {
   mss : int option;  (** MSS option (SYN segments). *)
   wscale : int option;  (** Window-scale option (SYN segments). *)
 }
-
-val header_size : header -> int
-(** 20 bytes plus any options, padded to a multiple of 4. *)
 
 val encode :
   src:Addr.Ipv4.t ->

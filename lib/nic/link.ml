@@ -15,7 +15,6 @@ let other = function Left -> Right | Right -> Left
 type direction = {
   from : side;
   mutable busy_until : Time.cycles;
-  mutable tx_frames : int;
   mutable receiver : Bytes.t -> unit;
   wire : Engine.lane;
   mutable bufs : Bytes.t array;
@@ -35,7 +34,6 @@ type t = {
   mutable up : bool;
   mutable taps : (at:Time.cycles -> dir:side -> Bytes.t -> unit) list;
   mutable dropped : int;
-  mutable bytes_carried : int;
 }
 
 (* The frame at the head has landed: take it off the ring and hand the
@@ -46,8 +44,6 @@ let deliver t d =
   let buf = d.bufs.(i) in
   d.first <- (if i + 1 = Array.length d.bufs then 0 else i + 1);
   d.count <- d.count - 1;
-  d.tx_frames <- d.tx_frames + 1;
-  t.bytes_carried <- t.bytes_carried + len;
   if t.taps <> [] then begin
     let at = Engine.now t.engine in
     List.iter (fun tap -> tap ~at ~dir:d.from (Bytes.sub buf 0 len)) t.taps
@@ -62,7 +58,6 @@ let create engine ?(bandwidth_bps = 1_000_000_000) ?propagation ?(queue_frames =
     {
       from;
       busy_until = 0;
-      tx_frames = 0;
       receiver = (fun _ -> ());
       wire = Engine.lane engine;
       bufs = [||];
@@ -84,7 +79,6 @@ let create engine ?(bandwidth_bps = 1_000_000_000) ?propagation ?(queue_frames =
       up = true;
       taps = [];
       dropped = 0;
-      bytes_carried = 0;
     }
   in
   t.left_to_right.deliver <- (fun () -> deliver t t.left_to_right);
@@ -164,7 +158,5 @@ let set_up t up =
   t.up <- up
 
 let is_up t = t.up
-let tx_frames t ~from = (dir t from).tx_frames
 let dropped t = t.dropped
-let bytes_carried t = t.bytes_carried
 let ring_slots t ~from = Array.length (dir t from).bufs

@@ -15,8 +15,6 @@ type t
 
 type side = Left | Right
 
-val other : side -> side
-
 val create :
   Newt_sim.Engine.t ->
   ?bandwidth_bps:int ->
@@ -47,14 +45,8 @@ val set_up : t -> bool -> unit
 
 val is_up : t -> bool
 
-val tx_frames : t -> from:side -> int
-(** Frames successfully serialized from [side]. *)
-
 val dropped : t -> int
 (** Frames dropped (down or queue overflow), both directions. *)
-
-val bytes_carried : t -> int
-(** Total payload bytes delivered, both directions. *)
 
 val ring_slots : t -> from:side -> int
 (** Frame buffers the direction from [side] holds: its occupancy

@@ -41,7 +41,6 @@ type t = {
   mac : Addr.Mac.t;
   rss : Rss.t;
   qs : queue array;
-  irq_delay : Time.cycles;
   reset_time : Time.cycles;
   mutable irq_handler : irq_reason -> unit;
   mutable rx_writer : (Rich_ptr.t -> Bytes.t -> unit) option;
@@ -58,13 +57,17 @@ type t = {
   mutable rx_no_buffer : int;
 }
 
+(* Descriptors per ring, and the interrupt moderation delay. *)
+let ring_size = 256
+let irq_delay = Time.of_micros 10.0
+
 let raise_irq t reason =
   if not (List.mem reason t.pending_irqs) then
     t.pending_irqs <- reason :: t.pending_irqs;
   if not t.irq_scheduled then begin
     t.irq_scheduled <- true;
     ignore
-      (Engine.schedule t.engine t.irq_delay (fun () ->
+      (Engine.schedule t.engine irq_delay (fun () ->
            t.irq_scheduled <- false;
            let irqs = List.rev t.pending_irqs in
            t.pending_irqs <- [];
@@ -134,11 +137,7 @@ let on_rx t frame =
             raise_irq t (Rx_done qi))
   end
 
-let create engine ~registry ~link ~side ~mac ~rss ?(ring_size = 256) ?irq_delay
-    ?reset_time () =
-  let irq_delay =
-    match irq_delay with Some d -> d | None -> Time.of_micros 10.0
-  in
+let create engine ~registry ~link ~side ~mac ~rss ?reset_time () =
   let reset_time =
     match reset_time with Some r -> r | None -> Time.of_seconds 1.2
   in
@@ -161,7 +160,6 @@ let create engine ~registry ~link ~side ~mac ~rss ?(ring_size = 256) ?irq_delay
       mac;
       rss;
       qs = Array.init (Rss.queues rss) (fun _ -> mk_queue ());
-      irq_delay;
       reset_time;
       irq_handler = (fun _ -> ());
       rx_writer = None;
@@ -255,7 +253,6 @@ let reap_rx t ~queue =
       in
       Some { rx_buf = desc.buf; len; cookie = desc.rx_cookie }
 
-let tx_ring_free t ~queue = Ring.free_slots t.qs.(queue).tx_ring
 let rx_ring_free t ~queue = Ring.free_slots t.qs.(queue).rx_ring
 let mark_unsafe t = t.unsafe <- true
 let misconfigure t = t.misconfigured <- true

@@ -47,13 +47,12 @@ val create :
   side:Link.side ->
   mac:Newt_net.Addr.Mac.t ->
   rss:Rss.t ->
-  ?ring_size:int ->
-  ?irq_delay:Newt_sim.Time.cycles ->
   ?reset_time:Newt_sim.Time.cycles ->
   unit ->
   t
-(** The queue count is [Rss.queues rss]. Defaults: 256-descriptor
-    rings, 10 us interrupt moderation, 1.2 s reset time. *)
+(** The queue count is [Rss.queues rss]. Rings hold 256 descriptors,
+    interrupts are moderated to one per 10 us, and [reset_time]
+    defaults to 1.2 s. *)
 
 val mac : t -> Newt_net.Addr.Mac.t
 val queues : t -> int
@@ -73,7 +72,6 @@ val reap_tx : t -> queue:int -> tx_desc option
 (** One TX completion: the frame's buffers may now be freed. *)
 
 val reap_rx : t -> queue:int -> rx_completion option
-val tx_ring_free : t -> queue:int -> int
 val rx_ring_free : t -> queue:int -> int
 
 val mark_unsafe : t -> unit

@@ -7,10 +7,6 @@
     into small ones)". Both operate on complete Ethernet frames (as the
     device sees them after DMA gather). *)
 
-val l4_csum_offset : Bytes.t -> int option
-(** Byte offset of the TCP/UDP checksum field of an IPv4 frame, or
-    [None] for frames without an offloadable L4 checksum. *)
-
 val finalize_l4_checksum : Bytes.t -> bool
 (** Complete, in place, a partial L4 checksum left by the transport
     layer ({!Newt_net.Tcp_wire.encode} with [~partial_csum:true]).

@@ -2,13 +2,14 @@ module Time = Newt_sim.Time
 
 type record = { at : Time.cycles; frame : Bytes.t }
 
-type t = { snaplen : int; mutable records : record list (* newest first *) }
+type t = { mutable records : record list (* newest first *) }
 
-let create ?(snaplen = 65535) () = { snaplen; records = [] }
+let snaplen = 65535
+let create () = { records = [] }
 
 let record t ~at frame =
   let frame =
-    if Bytes.length frame > t.snaplen then Bytes.sub frame 0 t.snaplen else frame
+    if Bytes.length frame > snaplen then Bytes.sub frame 0 snaplen else frame
   in
   t.records <- { at; frame } :: t.records
 
@@ -35,7 +36,7 @@ let to_bytes t =
   le16 buf 4 (* version 2.4 *);
   le32 buf 0 (* thiszone *);
   le32 buf 0 (* sigfigs *);
-  le32 buf t.snaplen;
+  le32 buf snaplen;
   le32 buf 1 (* LINKTYPE_ETHERNET *);
   List.iter
     (fun r ->

@@ -10,15 +10,12 @@
 
 type t
 
-val create : ?snaplen:int -> unit -> t
-(** An empty capture buffer (default snaplen 65535). *)
+val create : unit -> t
+(** An empty capture buffer (snaplen 65535). *)
 
 val attach : t -> Link.t -> unit
 (** Start capturing a link (both directions). A capture may observe
     several links. *)
-
-val record : t -> at:Newt_sim.Time.cycles -> Bytes.t -> unit
-(** Record one frame by hand. *)
 
 val frames : t -> int
 

@@ -12,7 +12,6 @@ let create ~size ~dummy =
   assert (size > 0);
   { arr = Array.make size dummy; dummy; size; posted = 0; taken = 0; completed = 0; reaped = 0 }
 
-let size t = t.size
 let free_slots t = t.size - (t.posted - t.reaped)
 let pending t = t.posted - t.taken
 let completed_unreaped t = t.completed - t.reaped

@@ -18,8 +18,6 @@ val create : size:int -> dummy:'a -> 'a t
     slots: {!reap} and {!clear} write it over every slot they free, so
     the ring never keeps a finished descriptor's payload reachable. *)
 
-val size : 'a t -> int
-
 val free_slots : 'a t -> int
 (** Descriptors the driver can still post. *)
 

@@ -109,13 +109,11 @@ let last_seen t flow =
 let confirmed t flow =
   Option.map (fun e -> e.confirmed) (Hashtbl.find_opt t.table flow)
 
-let remove t flow = Hashtbl.remove t.table flow
 let size t = Hashtbl.length t.table
 
 let half_open_count t =
   Hashtbl.fold (fun _ e n -> if e.confirmed then n else n + 1) t.table 0
 
-let capacity t = t.max_entries
 let evicted_half_open t = t.ev_half_open
 let evicted_established t = t.ev_established
 

@@ -68,15 +68,10 @@ val confirmed : t -> flow -> bool option
 (** Whether the tracked entry has been confirmed by two-way traffic
     ([None] when untracked). *)
 
-val remove : t -> flow -> unit
-
 val size : t -> int
 
 val half_open_count : t -> int
 (** How many tracked entries are still unconfirmed (O(n)). *)
-
-val capacity : t -> int
-(** The [max_entries] cap. *)
 
 val evicted_half_open : t -> int
 (** Running count of capacity evictions that hit a half-open entry. *)

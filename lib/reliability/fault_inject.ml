@@ -18,13 +18,6 @@ let target_name = function
   | T_pf -> "PF"
   | T_drv _ -> "Driver"
 
-let effect_name = function
-  | Crash -> "crash"
-  | Hang -> "hang"
-  | Misconfigure_device -> "device misconfiguration"
-  | Broken_recovery -> "crash with broken recovery"
-  | Sync_hang -> "hang in synchronous select path"
-
 (* Table III: which component the run's crash lands in. *)
 let component_weights = [ (25, `Tcp); (10, `Udp); (24, `Ip); (25, `Pf); (16, `Drv) ]
 

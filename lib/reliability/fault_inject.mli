@@ -38,12 +38,5 @@ type effect_class =
 type injection = { target : target; effect : effect_class }
 
 val target_name : target -> string
-val effect_name : effect_class -> string
-
-val draw : Newt_sim.Rng.t -> ndrv:int -> injection
-(** One campaign run's observable failure: component by Table III
-    weights (TCP 25, UDP 10, IP 24, PF 25, DRV 16), effect by the
-    calibrated class propensities. [ndrv] spreads driver faults over
-    the driver instances. *)
 
 val draw_many : Newt_sim.Rng.t -> ndrv:int -> runs:int -> injection list

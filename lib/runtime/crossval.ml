@@ -48,7 +48,8 @@ let rank l =
   (* Names sorted by decreasing value. *)
   List.map fst (List.sort (fun (_, a) (_, b) -> compare b a) l)
 
-let run ?(seed = 42) ~domains ~seconds () =
+let run ~domains ~seconds () =
+  let seed = 42 in
   (* {2 Simulator side: the Table II channel-cost ablation} *)
   let base = Costs.default in
   let kipc =

@@ -29,7 +29,7 @@ type t = {
   checks : check list;
 }
 
-val run : ?seed:int -> domains:int -> seconds:float -> unit -> t
+val run : domains:int -> seconds:float -> unit -> t
 (** Four native runs (base, kipc, copy, poll) of [seconds] each plus
     the capacity-model and latency-ablation evaluations. *)
 

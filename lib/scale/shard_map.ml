@@ -2,9 +2,9 @@ module Rss = Newt_nic.Rss
 
 type t = { rss : Rss.t; mutable port_cursor : int }
 
-let create ?seed ~shards ?buckets () =
+let create ?seed ~shards () =
   if shards <= 0 then invalid_arg "Shard_map.create: shards must be positive";
-  { rss = Rss.create ?seed ~queues:shards ?buckets (); port_cursor = 0 }
+  { rss = Rss.create ?seed ~queues:shards (); port_cursor = 0 }
 
 let shards t = Rss.queues t.rss
 let rss t = t.rss

@@ -15,11 +15,8 @@
 
 type t
 
-val create : ?seed:int -> shards:int -> ?buckets:int -> unit -> t
-(** [shards] steering targets behind a [buckets]-entry indirection
-    table (default 128). *)
-
-val shards : t -> int
+val create : ?seed:int -> shards:int -> unit -> t
+(** [shards] steering targets behind a 128-entry indirection table. *)
 
 val rss : t -> Newt_nic.Rss.t
 (** The underlying RSS engine — hand this same value to the NIC so the

@@ -102,9 +102,7 @@ type t = {
   ip_set : Ip_srv.t Replica_set.t;
   pf_set : Pf_srv.t Replica_set.t option;
   nic : Mq.t;
-  link : Link.t;
   sink : Sink.t;
-  publish_pf_rules : Rule.t list -> unit;
   (* Violations seen by IP's half of the affinity journal (the NIC keeps
      its own) — one journal for all replicas: shard affinity implies
      replica affinity. *)
@@ -114,22 +112,15 @@ type t = {
 
 let engine t = t.engine
 let machine t = t.machine
-let config t = t.config
 let sc t = t.stack.Topology.sc
 let tcp_shard t i = Replica_set.srv t.tcp_set i
-let udp_shard t i = Replica_set.srv t.udp_set i
-let ip_srv t = Replica_set.srv t.ip_set 0
 let ip_replica t k = Replica_set.srv t.ip_set k
-let ip_replica_count t = Replica_set.size t.ip_set
 let nic t = t.nic
-let link t = t.link
 let sink t = t.sink
 let shard_map t = t.sm
 let directory t = t.directory
 let topology t = t.stack.Topology.topology
 let channel t key = Topology.chan t.stack key
-let tcp_components t = Replica_set.comps t.tcp_set
-let ip_components t = Replica_set.comps t.ip_set
 let pf_components t =
   match t.pf_set with Some s -> Replica_set.comps s | None -> [||]
 
@@ -142,7 +133,6 @@ let pf_of t =
   | None -> invalid_arg "Sharded_stack: no packet filter configured"
 
 let pf_shard t j = Replica_set.srv (pf_of t) j
-let set_pf_rules t rules = t.publish_pf_rules rules
 
 let components t =
   (Syscall_srv.comp (sc t) :: Array.to_list (pf_components t))
@@ -537,9 +527,7 @@ let create ?(config = default_config) () =
     ip_set;
     pf_set;
     nic;
-    link;
     sink;
-    publish_pf_rules;
     ip_violations;
     next_app_pid = 10_000;
   }

@@ -83,15 +83,10 @@ val create : ?config:config -> unit -> t
 
 val engine : t -> Newt_sim.Engine.t
 val machine : t -> Newt_hw.Machine.t
-val config : t -> config
 val sc : t -> Newt_stack.Syscall_srv.t
 val tcp_shard : t -> int -> Newt_stack.Tcp_srv.t
-val udp_shard : t -> int -> Newt_stack.Udp_srv.t
-val ip_srv : t -> Newt_stack.Ip_srv.t
-(** Replica 0 (the only one when [ip_replicas = 1]). *)
 
 val ip_replica : t -> int -> Newt_stack.Ip_srv.t
-val ip_replica_count : t -> int
 
 val pf_shard : t -> int -> Newt_stack.Pf_srv.t
 (** PF shard [j]. Raises when the stack runs without a filter. *)
@@ -104,14 +99,7 @@ val directory : t -> Newt_channels.Pubsub.t
     publications (keys under ["arp."]) and the PF ruleset broadcast
     (key ["pf.rules"]). *)
 
-val set_pf_rules : t -> Newt_pf.Rule.t list -> unit
-(** Install a new ruleset on {e every} PF shard: persisted once in the
-    shared namespace, announced through the directory, applied by each
-    shard's subscription (and replayed by restarted shards). No-op
-    without a filter. *)
-
 val nic : t -> Newt_nic.Mq_e1000.t
-val link : t -> Newt_nic.Link.t
 val sink : t -> Newt_stack.Sink.t
 val shard_map : t -> Shard_map.t
 
@@ -120,12 +108,6 @@ val shard_map : t -> Shard_map.t
 val components : t -> Newt_stack.Component.t list
 (** Every component server of the host: SYSCALL, filter shards (if
     any), driver, transport shards, IP replicas. *)
-
-val tcp_components : t -> Newt_stack.Component.t array
-val ip_components : t -> Newt_stack.Component.t array
-
-val pf_components : t -> Newt_stack.Component.t array
-(** Empty when the stack runs without a filter. *)
 
 val topology : t -> Topology.t
 (** The stack's declared graph: [tcp0..], [udp0..], the IP replicas

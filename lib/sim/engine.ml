@@ -127,12 +127,9 @@ let step t =
     true
   end
 
-let run ?until ?(max_events = max_int) t =
+let run ?until t =
   let stop = Option.value until ~default:max_int in
-  let due () = (not (Eventq.is_empty t.queue)) && Eventq.min_time t.queue <= stop in
-  let fired = ref 0 in
-  while !fired < max_events && due () do
-    ignore (step t : bool);
-    incr fired
+  while (not (Eventq.is_empty t.queue)) && Eventq.min_time t.queue <= stop do
+    ignore (step t : bool)
   done;
-  if until <> None && not (due ()) then t.clock <- max t.clock stop
+  if until <> None then t.clock <- max t.clock stop

@@ -69,12 +69,11 @@ val clear_lane : lane -> int
     there were. Their thunks are released, and the next event may be
     at any time [>= now t]. *)
 
-val run : ?until:Time.cycles -> ?max_events:int -> t -> unit
+val run : ?until:Time.cycles -> t -> unit
 (** [run t] executes events in (time, scheduling order) until the queue
-    is empty, the next event lies past [until], or [max_events] events
-    have fired. Events later than [until] remain queued. Unless
-    [max_events] left an event at or before [until] unfired, a run with
-    [until] leaves the clock at [max (now t) until]. *)
+    is empty or the next event lies past [until]. Events later than
+    [until] remain queued. A run with [until] leaves the clock at
+    [max (now t) until]. *)
 
 val step : t -> bool
 (** Execute the single earliest event. Returns [false] when the queue was

@@ -29,10 +29,6 @@ let float t bound =
 
 let bool t = Int64.logand (next_int64 t) 1L = 1L
 
-let pick t arr =
-  assert (Array.length arr > 0);
-  arr.(int t (Array.length arr))
-
 let weighted t choices =
   let total = List.fold_left (fun acc (w, _) -> acc + w) 0 choices in
   assert (total > 0);
@@ -42,8 +38,3 @@ let weighted t choices =
     | (w, v) :: rest -> if roll < acc + w then v else go (acc + w) rest
   in
   go 0 choices
-
-let exponential t mean =
-  let u = float t 1.0 in
-  (* Avoid log 0; u is in [0,1). *)
-  -.mean *. log (1.0 -. u)

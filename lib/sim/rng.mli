@@ -23,13 +23,6 @@ val float : t -> float -> float
 val bool : t -> bool
 (** Fair coin flip. *)
 
-val pick : t -> 'a array -> 'a
-(** [pick t arr] draws a uniform element. Requires non-empty [arr]. *)
-
 val weighted : t -> (int * 'a) list -> 'a
 (** [weighted t choices] draws one of the values with probability
     proportional to its integer weight. Requires a positive total weight. *)
-
-val exponential : t -> float -> float
-(** [exponential t mean] draws from an exponential distribution with the
-    given mean; used for jittered inter-arrival times. *)

@@ -15,8 +15,6 @@ let add s at v =
   | Some r -> r := !r + v
   | None -> Hashtbl.add s.table bin (ref v)
 
-let bin_width s = s.width
-
 let bins s ?upto () =
   let last = match upto with Some c -> c / s.width | None -> s.last_bin in
   Array.init (last + 1) (fun i ->

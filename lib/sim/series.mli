@@ -13,8 +13,6 @@ val create : bin_width:Time.cycles -> t
 val add : t -> Time.cycles -> int -> unit
 (** [add s at v] accumulates [v] into the bin containing time [at]. *)
 
-val bin_width : t -> Time.cycles
-
 val bins : t -> ?upto:Time.cycles -> unit -> (float * int) array
 (** [bins s ~upto ()] returns one entry per bin from time 0 to [upto]
     (default: the last touched bin), as (bin start in seconds, sum).

@@ -66,7 +66,6 @@ module Hist = struct
     t.counts.(i) <- t.counts.(i) + 1
 
   let count t = t.total
-  let sum t = t.sum
   let mean t = if t.total = 0 then None else Some (t.sum /. float_of_int t.total)
 
   let merge ~into src =
@@ -190,7 +189,3 @@ let percentile t name p =
 let counters t =
   Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t.counters []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let clear t =
-  Hashtbl.reset t.counters;
-  Hashtbl.reset t.samples

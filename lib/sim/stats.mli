@@ -20,7 +20,6 @@ module Hist : sig
   (** O(1): bump the bucket holding the value. *)
 
   val count : t -> int
-  val sum : t -> float
   val mean : t -> float option
 
   val merge : into:t -> t -> unit
@@ -70,6 +69,3 @@ val percentile : t -> string -> float -> float option
 
 val counters : t -> (string * int) list
 (** All counters, sorted by name. *)
-
-val clear : t -> unit
-(** Forget everything. *)

@@ -19,14 +19,8 @@ val of_seconds : float -> cycles
 val of_micros : float -> cycles
 (** [of_micros us] is the duration of [us] microseconds in cycles. *)
 
-val of_nanos : float -> cycles
-(** [of_nanos ns] is the duration of [ns] nanoseconds in cycles. *)
-
 val to_seconds : cycles -> float
 (** [to_seconds c] converts a cycle count back to seconds. *)
 
 val to_millis : cycles -> float
 (** [to_millis c] converts a cycle count to milliseconds. *)
-
-val pp : Format.formatter -> cycles -> unit
-(** Pretty-print a time as seconds with millisecond precision. *)

@@ -14,9 +14,3 @@ let entries t = List.of_seq (Queue.to_seq t.q)
 
 let find t ~subsystem =
   List.filter (fun e -> String.equal e.subsystem subsystem) (entries t)
-
-let pp ppf t =
-  List.iter
-    (fun e ->
-      Format.fprintf ppf "[%a] %-10s %s@." Time.pp e.at e.subsystem e.message)
-    (entries t)

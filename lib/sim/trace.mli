@@ -18,5 +18,3 @@ val entries : t -> entry list
 
 val find : t -> subsystem:string -> entry list
 (** Entries from one subsystem, oldest first. *)
-
-val pp : Format.formatter -> t -> unit

@@ -130,17 +130,19 @@ module Ssh_session = struct
     app : Sc.app;
     dst : Addr.Ipv4.t;
     port : int;
-    period : Time.cycles;
-    io_timeout : Time.cycles;
     mutable exchanges_ok : int;
     mutable broken : bool;
-    mutable connected : bool;
     mutable seq : int;
   }
 
+  (* One exchange every [period]. The I/O timeout is generous: IP and
+     driver crashes take the link down for over a second; TCP rides it
+     out and the session survives. *)
+  let period = Time.of_seconds 0.2
+  let io_timeout = Time.of_seconds 4.0
+
   let exchanges_ok t = t.exchanges_ok
   let broken t = t.broken
-  let connected t = t.connected
 
   let rec exchange t conn =
     if not t.broken then begin
@@ -148,28 +150,18 @@ module Ssh_session = struct
       let payload = Bytes.of_string (Printf.sprintf "keystroke-%06d" t.seq) in
       Socket_api.send conn payload (fun send_result ->
           match send_result with
-          | `Error _ ->
-              t.broken <- true;
-              t.connected <- false
+          | `Error _ -> t.broken <- true
           | `Sent _ ->
-              Socket_api.recv conn ~max:1024 ~timeout:t.io_timeout (fun recv_result ->
+              Socket_api.recv conn ~max:1024 ~timeout:io_timeout (fun recv_result ->
                   match recv_result with
                   | `Data _ ->
                       t.exchanges_ok <- t.exchanges_ok + 1;
-                      sched t.machine t.app t.period (fun () ->
+                      sched t.machine t.app period (fun () ->
                           exchange t conn)
-                  | `Timeout | `Eof | `Error _ ->
-                      t.broken <- true;
-                      t.connected <- false))
+                  | `Timeout | `Eof | `Error _ -> t.broken <- true))
     end
 
-  let start machine ~sc ~app ~dst ~port ?period ?io_timeout () =
-    let period = match period with Some p -> p | None -> Time.of_seconds 0.2 in
-    let io_timeout =
-      (* Generous: IP and driver crashes take the link down for over a
-         second; TCP rides it out and the session survives. *)
-      match io_timeout with Some x -> x | None -> Time.of_seconds 4.0
-    in
+  let start machine ~sc ~app ~dst ~port () =
     let t =
       {
         machine;
@@ -177,20 +169,15 @@ module Ssh_session = struct
         app;
         dst;
         port;
-        period;
-        io_timeout;
         exchanges_ok = 0;
         broken = false;
-        connected = false;
         seq = 0;
       }
     in
     Socket_api.tcp_socket sc app (fun conn ->
         Socket_api.connect conn ~dst ~port (fun result ->
             match result with
-            | `Ok ->
-                t.connected <- true;
-                exchange t conn
+            | `Ok -> exchange t conn
             | `Error _ -> t.broken <- true));
     t
 end
@@ -213,7 +200,6 @@ module Rpc_churn = struct
     pace : Time.cycles;
     until : Time.cycles;
     payload : int;
-    max_outstanding : int;
     connect_hist : Stats.Hist.t;
     request_hist : Stats.Hist.t;
     mutable started : int;
@@ -275,15 +261,16 @@ module Rpc_churn = struct
                         in
                         await 0)))
 
+  let max_outstanding = 256
+
   let rec tick t =
     if now t < t.until then begin
-      if t.outstanding >= t.max_outstanding then t.shed <- t.shed + 1
+      if t.outstanding >= max_outstanding then t.shed <- t.shed + 1
       else rpc t;
       sched t.machine t.app t.pace (fun () -> tick t)
     end
 
-  let start machine ~sc ~app ~dst ~port ~pace ?(payload = 256)
-      ?(max_outstanding = 256) ~until () =
+  let start machine ~sc ~app ~dst ~port ~pace ?(payload = 256) ~until () =
     (* A zero pace would reschedule the tick at the same instant
        forever, and simulated time would never reach [until]. *)
     if pace <= 0 then invalid_arg "Rpc_churn.start: pace must be positive";
@@ -297,7 +284,6 @@ module Rpc_churn = struct
         pace;
         until;
         payload;
-        max_outstanding;
         connect_hist = Stats.Hist.create ();
         request_hist = Stats.Hist.create ();
         started = 0;
@@ -314,7 +300,6 @@ end
 module Dns_client = struct
   type t = {
     machine : Machine.t;
-    period : Time.cycles;
     timeout : Time.cycles;
     mutable queries : int;
     mutable answered : int;
@@ -325,9 +310,10 @@ module Dns_client = struct
 
   let queries t = t.queries
   let answered t = t.answered
-  let consecutive_failures t = t.consecutive_failures
   let max_consecutive_failures t = t.max_consecutive_failures
   let socket_reopens t = t.socket_reopens
+
+  let period = Time.of_seconds 0.25
 
   let rec query_loop t sc app dst port conn =
     t.queries <- t.queries + 1;
@@ -376,16 +362,15 @@ module Dns_client = struct
             await 8)
 
   and schedule_next t sc app dst port conn =
-    sched t.machine app t.period (fun () ->
+    sched t.machine app period (fun () ->
         query_loop t sc app dst port conn)
 
-  let start machine ~sc ~app ~dst ?(port = 53) ?period ?timeout () =
-    let period = match period with Some p -> p | None -> Time.of_seconds 0.25 in
+  let start machine ~sc ~app ~dst ?timeout () =
+    let port = 53 in
     let timeout = match timeout with Some x -> x | None -> Time.of_seconds 1.0 in
     let t =
       {
         machine;
-        period;
         timeout;
         queries = 0;
         answered = 0;

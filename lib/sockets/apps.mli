@@ -50,16 +50,12 @@ module Ssh_session : sig
     app:Newt_stack.Syscall_srv.app ->
     dst:Newt_net.Addr.Ipv4.t ->
     port:int ->
-    ?period:Newt_sim.Time.cycles ->
-    ?io_timeout:Newt_sim.Time.cycles ->
     unit ->
     t
 
   val exchanges_ok : t -> int
   val broken : t -> bool
   (** The session observed a reset/error and is dead. *)
-
-  val connected : t -> bool
 end
 
 module Rpc_churn : sig
@@ -73,7 +69,6 @@ module Rpc_churn : sig
     port:int ->
     pace:Newt_sim.Time.cycles ->
     ?payload:int ->
-    ?max_outstanding:int ->
     until:Newt_sim.Time.cycles ->
     unit ->
     t
@@ -82,7 +77,7 @@ module Rpc_churn : sig
       cycle against [dst:port], regardless of how earlier RPCs are
       faring — so stack-side queueing shows up as tail latency, not as
       a reduced offered rate. Starts are shed (and counted) only past
-      [max_outstanding] (default 256) concurrent RPCs. Raises
+      256 concurrent RPCs. Raises
       [Invalid_argument] unless [pace > 0]. *)
 
   val started : t -> int
@@ -90,8 +85,7 @@ module Rpc_churn : sig
   val errors : t -> int
 
   val shed : t -> int
-  (** RPCs not started because [max_outstanding] were already in
-      flight — nonzero means the measured percentiles undercount the
+  (** RPCs not started because 256 were already in flight — nonzero means the measured percentiles undercount the
       would-be tail. *)
 
   val outstanding : t -> int
@@ -111,15 +105,12 @@ module Dns_client : sig
     sc:Newt_stack.Syscall_srv.t ->
     app:Newt_stack.Syscall_srv.app ->
     dst:Newt_net.Addr.Ipv4.t ->
-    ?port:int ->
-    ?period:Newt_sim.Time.cycles ->
     ?timeout:Newt_sim.Time.cycles ->
     unit ->
     t
 
   val queries : t -> int
   val answered : t -> int
-  val consecutive_failures : t -> int
   val max_consecutive_failures : t -> int
   val socket_reopens : t -> int
   (** Stays 0 when UDP crashes are transparent (Section V-D). *)

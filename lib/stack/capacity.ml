@@ -260,9 +260,10 @@ let mono_stages (c : Costs.t) ~write_size ~mss ~tso_factor =
 
 (* {2 Evaluation} *)
 
-let evaluate ?(costs = Costs.default) ?nics ?(write_size = 8192) ?(mss = 1460) config =
+let evaluate ?(costs = Costs.default) ?nics ?(mss = 1460) config =
   let c = costs in
   let bits_per_segment = float_of_int (mss * 8) in
+  let write_size = 8192 in
   let segs_per_write = float_of_int write_size /. float_of_int mss in
   let tso_factor = 64000.0 /. float_of_int mss in
   let default_nics = match config with Linux_10gbe -> 1 | _ -> 5 in

@@ -55,7 +55,6 @@ type result = {
 val evaluate :
   ?costs:Newt_hw.Costs.t ->
   ?nics:int ->
-  ?write_size:int ->
   ?mss:int ->
   config ->
   result

@@ -151,8 +151,6 @@ let proc t = t.proc
 let name t = Proc.name t.proc
 let pid t = Proc.pid t.proc
 let core t = Proc.core t.proc
-let stats t = Proc.stats t.proc
-let directory t = t.directory
 let alive t = Proc.alive t.proc
 let responsive t = Proc.responsive t.proc
 let incarnation t = Proc.incarnation t.proc
@@ -204,12 +202,7 @@ module Db = struct
 
   let submit t ~peer ~payload ~abort = Request_db.submit t.db ~peer ~payload ~abort
   let complete t id = Request_db.complete t.db id
-  let peek t id = Request_db.peek t.db id
   let abort_peer t ~peer = Request_db.abort_peer t.db ~peer
-  let outstanding t = Request_db.outstanding t.db
-  let outstanding_to t ~peer = Request_db.outstanding_to t.db ~peer
-  let iter t f = Request_db.iter t.db f
-  let id t = Request_db.db_id t.db
 end
 
 let create_db t =

@@ -67,8 +67,6 @@ val proc : t -> Proc.t
 val name : t -> string
 val pid : t -> int
 val core : t -> Cpu.t
-val stats : t -> Stats.t
-val directory : t -> Pubsub.t option
 
 (** {1 Heartbeat surface}
 
@@ -197,19 +195,10 @@ module Db : sig
     'a t -> peer:int -> payload:'a -> abort:'a Newt_channels.Request_db.abort -> int
 
   val complete : 'a t -> int -> 'a option
-  val peek : 'a t -> int -> 'a option
 
   val abort_peer : 'a t -> peer:int -> int
   (** Run the abort action of (and drop) every request submitted
       against [peer]; returns how many were aborted. *)
-
-  val outstanding : 'a t -> int
-  val outstanding_to : 'a t -> peer:int -> int
-  val iter : 'a t -> (int -> peer:int -> 'a -> unit) -> unit
-
-  val id : 'a t -> int
-  (** {!Newt_channels.Request_db.db_id} of the current incarnation's
-      database. *)
 end
 
 val create_db : t -> 'a Db.t

@@ -11,13 +11,7 @@ type t = {
   mutable tx_to_ip : Msg.t Sim_chan.t option;
   mutable rx_alloc : (unit -> Rich_ptr.t option) option;
   mutable rx_write : (Rich_ptr.t -> Bytes.t -> unit) option;
-  mutable tx_accepted : int;
 }
-
-let comp t = t.comp
-let proc t = t.proc
-let nic t = t.nic
-let tx_accepted t = t.tx_accepted
 
 let costs t = Machine.costs (Component.machine t.comp)
 
@@ -89,7 +83,6 @@ let handle_msg t msg =
   | Msg.Drv_tx { id; chain; csum_offload; tso; tso_mss; queue = _ } ->
       ( c.Costs.driver_packet_work,
         fun () ->
-          t.tx_accepted <- t.tx_accepted + 1;
           let desc =
             { Mq.chain; csum_offload; tso; tso_mss; tx_cookie = id }
           in
@@ -121,7 +114,6 @@ let create comp ~nic () =
       tx_to_ip = None;
       rx_alloc = None;
       rx_write = None;
-      tx_accepted = 0;
     }
   in
   Mq.set_irq_handler nic (fun reason -> handle_irq t reason);

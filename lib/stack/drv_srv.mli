@@ -28,10 +28,6 @@ type t
 
 val create : Component.t -> nic:Newt_nic.Mq_e1000.t -> unit -> t
 
-val comp : t -> Component.t
-val proc : t -> Proc.t
-val nic : t -> Newt_nic.Mq_e1000.t
-
 val connect_ip :
   t ->
   rx_from_ip:Msg.t Newt_channels.Sim_chan.t ->
@@ -54,6 +50,3 @@ val hooks : t -> Ip_srv.driver_hooks
     marks the device unsafe (its shadow descriptors reference a dead
     pool); IP's restart resets the device (link bounce), and RX re-arms
     once the pool has been re-granted. *)
-
-val tx_accepted : t -> int
-(** Frames accepted from IP over this driver's lifetime. *)

@@ -121,7 +121,6 @@ let pf_peer shard = 100 + shard
 let drv_peer iface = 10 + iface
 
 let comp t = t.comp
-let proc t = t.proc
 let costs t = Machine.costs (Component.machine t.comp)
 let routes t = Ipv4.Route.entries t.route_table
 let rx_pool_in_use t = Pool.in_use t.rx_pool

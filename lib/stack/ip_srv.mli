@@ -42,7 +42,6 @@ val create :
   t
 
 val comp : t -> Component.t
-val proc : t -> Proc.t
 
 (** {1 Wiring} *)
 

@@ -27,7 +27,6 @@ type t = {
   addr : Addr.Ipv4.t;
   my_mac : Addr.Mac.t;
   peer_mac : Addr.Mac.t;
-  write_size : int;
   mutable tcp : Tcp.t;
   mutable ident : int;
   tx_queue : Bytes.t Queue.t;
@@ -173,7 +172,7 @@ let on_rx t frame =
                   | Some _ | None -> ())
               | Some { Ethernet.ethertype = Ethernet.Unknown _; _ } | None -> ())))
 
-let create machine ~link ~addr ~peer_mac ?(write_size = 8192) () =
+let create machine ~link ~addr ~peer_mac () =
   let core = Machine.add_timeshared_core machine in
   let t =
     {
@@ -183,7 +182,6 @@ let create machine ~link ~addr ~peer_mac ?(write_size = 8192) () =
       addr;
       my_mac = Addr.Mac.of_index 0x9999;
       peer_mac;
-      write_size;
       tcp =
         Tcp.create
           {
@@ -207,6 +205,9 @@ let create machine ~link ~addr ~peer_mac ?(write_size = 8192) () =
 
 (* {2 The application} *)
 
+(* The application's write granularity. *)
+let write_size = 8192
+
 let start_iperf t ~dst ~port ~until =
   t.running <- true;
   let c = costs t in
@@ -217,9 +218,9 @@ let start_iperf t ~dst ~port ~until =
          INET queues it into the socket's send buffer. *)
       sendrec t ~proc:app_pid (fun () ->
           Cpu.exec t.core ~proc:inet_pid
-            ~cost:(Costs.copy_cost c t.write_size)
+            ~cost:(Costs.copy_cost c write_size)
             (fun () ->
-              let accepted = Tcp.send pcb (Bytes.make t.write_size 'm') ~off:0 ~len:t.write_size in
+              let accepted = Tcp.send pcb (Bytes.make write_size 'm') ~off:0 ~len:write_size in
               t.bytes_sent <- t.bytes_sent + accepted;
               if accepted > 0 then pump ()
               (* Buffer full: the app blocks until space frees. *)))

@@ -28,12 +28,10 @@ val create :
   link:Newt_nic.Link.t ->
   addr:Newt_net.Addr.Ipv4.t ->
   peer_mac:Newt_net.Addr.Mac.t ->
-  ?write_size:int ->
   unit ->
   t
 (** Builds the shared core and the three processes; attaches to the
-    host side of [link]. [write_size] (default 8 KiB) is the
-    application's write granularity. *)
+    host side of [link]. The application writes 8 KiB at a time. *)
 
 val start_iperf :
   t -> dst:Newt_net.Addr.Ipv4.t -> port:int -> until:Newt_sim.Time.cycles -> unit

@@ -22,13 +22,8 @@ type t = {
   proc : Proc.t;
   nic : Mq.t;
   mutable replicas : replica array;  (* queue q belongs to replica q mod n *)
-  mutable tx_accepted : int;
 }
 
-let comp t = t.comp
-let proc t = t.proc
-let nic t = t.nic
-let tx_accepted t = t.tx_accepted
 let costs t = Machine.costs (Component.machine t.comp)
 let replica_count t = Array.length t.replicas
 let replica_of_queue t queue = queue mod replica_count t
@@ -138,7 +133,6 @@ let handle_msg t msg =
   | Msg.Drv_tx { id; chain; csum_offload; tso; tso_mss; queue } ->
       ( c.Costs.driver_packet_work,
         fun () ->
-          t.tx_accepted <- t.tx_accepted + 1;
           let queue = queue mod Mq.queues t.nic in
           let desc = { Mq.chain; csum_offload; tso; tso_mss; tx_cookie = id } in
           if Mq.post_tx t.nic ~queue desc then Mq.doorbell_tx t.nic ~queue
@@ -162,7 +156,6 @@ let create comp ~nic () =
       proc = Component.proc comp;
       nic;
       replicas = [| fresh_replica () |];
-      tx_accepted = 0;
     }
   in
   Mq.set_irq_handler nic (fun reason -> handle_irq t reason);

@@ -25,10 +25,6 @@ type t
 
 val create : Component.t -> nic:Newt_nic.Mq_e1000.t -> unit -> t
 
-val comp : t -> Component.t
-val proc : t -> Proc.t
-val nic : t -> Newt_nic.Mq_e1000.t
-
 (** {1 Replicated-IP attachment}
 
     Queue [q] of the device is owned by IP replica [q mod n] where [n]
@@ -49,5 +45,3 @@ val hooks : t -> replica:int -> Ip_srv.driver_hooks
     queues only, so it loses only its shard's datagrams, and the
     restart reprograms those queues without a link bounce; the replica
     re-grants its pool right after, which re-arms RX. *)
-
-val tx_accepted : t -> int

@@ -25,7 +25,6 @@ type t = {
 let now t = Newt_sim.Exec.now (Machine.exec (Component.machine t.comp))
 
 let comp t = t.comp
-let proc t = t.proc
 let engine_of t = t.engine
 let verdicts_issued t = t.verdicts
 let blocked t = t.blocked

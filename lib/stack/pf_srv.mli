@@ -38,7 +38,6 @@ val create :
     slice and never resurrects a sibling's entries. *)
 
 val comp : t -> Component.t
-val proc : t -> Proc.t
 val engine_of : t -> Newt_pf.Pf_engine.t
 
 val connect_ip :

@@ -273,11 +273,6 @@ let restart t =
           t.on_restart ~fresh:false));
   wake t
 
-let start_fresh t =
-  unmetered (fun () ->
-      with_actor ~epoch:t.incarnation t.name (fun () -> t.on_restart ~fresh:true));
-  wake t
-
 (* A restart procedure gone wrong can revive the server on another
    component's core (Section VI-B territory); the continuous checker is
    what should notice. *)
@@ -291,4 +286,3 @@ let finish_update t =
   wake t
 
 let version t = t.version
-let updating t = t.updating

@@ -66,9 +66,6 @@ val after :
     whatever its continuation captured, and costs [cost] on the core
     when it fires. Cancelling a fired timer is a no-op. *)
 
-val wake : t -> unit
-(** Force a drain pass (used after restarts). *)
-
 val pool_ops : t -> int
 (** Pool operations this server has been charged for, across
     incarnations. The runtime meters every handler, effect and {!exec}
@@ -116,8 +113,6 @@ val finish_update : t -> unit
 val version : t -> int
 (** Bumped by each {!finish_update}. *)
 
-val updating : t -> bool
-
 val hang : t -> unit
 (** Keep the process alive but stop it from making progress. *)
 
@@ -132,6 +127,3 @@ val set_on_restart : t -> (fresh:bool -> unit) -> unit
 
 val restart : t -> unit
 (** Bump the incarnation, mark alive, run the restart hook. *)
-
-val start_fresh : t -> unit
-(** First boot: run the restart hook with [fresh:true]. *)

@@ -55,8 +55,6 @@ type t = {
   rng : Rng.t;
 }
 
-let proc t = t.proc
-let engine t = t.tcp
 let costs t = Machine.costs t.machine
 let iface t i = List.nth t.ifaces i
 
@@ -138,8 +136,8 @@ let emit t ~src ~dst (hdr : Tcp_wire.header) ~payload =
               transmit_frame t ~iface:i frame ~tso:false
           | `Dropped -> ()))
 
-let make_tcp ?config t =
-  Tcp.create ?config
+let make_tcp t =
+  Tcp.create
     {
       Tcp.now = (fun () -> Engine.now (Machine.engine t.machine));
       set_timer =
@@ -319,7 +317,7 @@ let handle_msg t ~rx_iface msg =
 
 (* {2 Construction} *)
 
-let create machine ~proc ~registry ~local_addr ?tcp_config () =
+let create machine ~proc ~registry ~local_addr () =
   let pool = Pool.create ~id:(Pool.fresh_id ()) ~slots:8192 ~slot_size:2048 in
   let rx_pool = Pool.create ~id:(Pool.fresh_id ()) ~slots:4096 ~slot_size:2048 in
   Registry.register registry pool;
@@ -350,7 +348,7 @@ let create machine ~proc ~registry ~local_addr ?tcp_config () =
       rng = Rng.split (Engine.rng (Machine.engine machine));
     }
   in
-  t.tcp <- make_tcp ?config:tcp_config t;
+  t.tcp <- make_tcp t;
   t
 
 let add_iface t ~addr ~mac ~drv ~tx_chan ~rx_chan =

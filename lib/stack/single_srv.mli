@@ -24,11 +24,8 @@ val create :
   proc:Proc.t ->
   registry:Newt_channels.Registry.t ->
   local_addr:Newt_net.Addr.Ipv4.t ->
-  ?tcp_config:Newt_net.Tcp.config ->
   unit ->
   t
-
-val proc : t -> Proc.t
 
 val add_iface :
   t ->
@@ -55,5 +52,3 @@ val connect_sc :
   from_sc:Msg.t Newt_channels.Sim_chan.t ->
   to_sc:Msg.t Newt_channels.Sim_chan.t ->
   unit
-
-val engine : t -> Newt_net.Tcp.t

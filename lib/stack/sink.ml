@@ -32,17 +32,14 @@ type t = {
     (int, src:Addr.Ipv4.t -> src_port:int -> Bytes.t -> Bytes.t option) Hashtbl.t;
   mutable ident : int;
   mutable tcp_bytes : int;
-  mutable frames : int;
   mutable csum_failures : int;
   mutable next_ping : int;
   pings : (int, int * (rtt:Time.cycles -> unit)) Hashtbl.t;
       (* seq -> (sent-at, callback) *)
 }
 
-let addr t = t.addr
 let tcp t = t.tcp
 let tcp_bytes_received t = t.tcp_bytes
-let frames_received t = t.frames
 let checksum_failures t = t.csum_failures
 
 let send_frame t ~dst_mac ~payload ~ethertype =
@@ -74,7 +71,10 @@ let send_ip ?src t ~dst ~proto ~payload =
             ~ethertype:Ethernet.Arp
       | `Dropped -> ())
 
-let make_tcp t tcp_config =
+let tcp_config =
+  { Tcp.default_config with Tcp.snd_buf = 512 * 1024; rcv_buf = 512 * 1024 }
+
+let make_tcp t =
   Tcp.create ~config:tcp_config
     {
       Tcp.now = t.io.io_now;
@@ -140,7 +140,6 @@ let handle_ipv4 t frame ~off =
         | Ipv4.Unknown _ -> ())
 
 let handle_frame t frame =
-  t.frames <- t.frames + 1;
   match Ethernet.decode_header frame ~off:0 with
   | None -> ()
   | Some eh -> (
@@ -157,12 +156,7 @@ let handle_frame t frame =
       | Ethernet.Ipv4 -> handle_ipv4 t frame ~off:Ethernet.header_size
       | Ethernet.Unknown _ -> ())
 
-let create_io io ~addr ~mac ?tcp_config () =
-  let tcp_config =
-    match tcp_config with
-    | Some c -> c
-    | None -> { Tcp.default_config with Tcp.snd_buf = 512 * 1024; rcv_buf = 512 * 1024 }
-  in
+let create_io io ~addr ~mac () =
   let t =
     {
       io;
@@ -175,14 +169,13 @@ let create_io io ~addr ~mac ?tcp_config () =
       pings = Hashtbl.create 8;
       ident = 0;
       tcp_bytes = 0;
-      frames = 0;
       csum_failures = 0;
     }
   in
-  t.tcp <- make_tcp t tcp_config;
+  t.tcp <- make_tcp t;
   t
 
-let create engine ~link ~side ~addr ~mac ?tcp_config () =
+let create engine ~link ~side ~addr ~mac () =
   let rng = Rng.split (Engine.rng engine) in
   let io =
     {
@@ -195,7 +188,7 @@ let create engine ~link ~side ~addr ~mac ?tcp_config () =
       io_random = (fun bound -> Rng.int rng bound);
     }
   in
-  let t = create_io io ~addr ~mac ?tcp_config () in
+  let t = create_io io ~addr ~mac () in
   Link.attach link side (fun frame -> handle_frame t frame);
   t
 
@@ -224,8 +217,8 @@ let send_udp t ~dst ~dst_port ~src_port payload =
   let dg = Udp.encode ~src:t.addr ~dst { Udp.src_port; dst_port } ~payload in
   send_ip t ~dst ~proto:Ipv4.Udp ~payload:dg
 
-let serve_dns t ?(port = 53) ~zone () =
-  serve_udp t ~port (fun payload ->
+let serve_dns t ~zone () =
+  serve_udp t ~port:53 (fun payload ->
       match Newt_net.Dns.decode payload with
       | Some q when not q.Newt_net.Dns.is_response ->
           let addr =

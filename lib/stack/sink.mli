@@ -23,7 +23,6 @@ val create_io :
   io ->
   addr:Newt_net.Addr.Ipv4.t ->
   mac:Newt_net.Addr.Mac.t ->
-  ?tcp_config:Newt_net.Tcp.config ->
   unit ->
   t
 (** A sink over an arbitrary [io] backend — the native runtime's peer
@@ -39,11 +38,9 @@ val create :
   side:Newt_nic.Link.side ->
   addr:Newt_net.Addr.Ipv4.t ->
   mac:Newt_net.Addr.Mac.t ->
-  ?tcp_config:Newt_net.Tcp.config ->
   unit ->
   t
 
-val addr : t -> Newt_net.Addr.Ipv4.t
 val tcp : t -> Newt_net.Tcp.t
 
 val sink_tcp :
@@ -67,9 +64,8 @@ val send_udp :
   t -> dst:Newt_net.Addr.Ipv4.t -> dst_port:int -> src_port:int -> Bytes.t -> unit
 (** Send an unsolicited datagram from the sink. *)
 
-val serve_dns :
-  t -> ?port:int -> zone:(string -> Newt_net.Addr.Ipv4.t option) -> unit -> unit
-(** A DNS server on [port] (default 53): answers A queries from [zone]
+val serve_dns : t -> zone:(string -> Newt_net.Addr.Ipv4.t option) -> unit -> unit
+(** A DNS server on port 53: answers A queries from [zone]
     with real RFC 1035 messages (NXDomain when the zone has no entry). *)
 
 val serve_tcp_echo : t -> port:int -> unit
@@ -103,7 +99,6 @@ val ping :
     e.g. the MWAIT wake-up ablation). *)
 
 val tcp_bytes_received : t -> int
-val frames_received : t -> int
 val checksum_failures : t -> int
 (** TCP/UDP/IP checksum validation failures observed — should stay 0
     on a healthy stack. *)

@@ -64,7 +64,6 @@ type t = {
          allocated until the new id confirms. One closure per server,
          not one per segment. *)
   mutable ip_up : bool;
-  mutable resubmitted : int;
   mutable src_select : Addr.Ipv4.t -> Addr.Ipv4.t;
   mutable port_select :
     src:Addr.Ipv4.t ->
@@ -79,11 +78,8 @@ type t = {
 
 let ip_peer = 1
 let comp t = t.comp
-let proc t = t.proc
 let costs t = Machine.costs (Component.machine t.comp)
 let engine t = t.engine
-let pool_in_use t = Pool.in_use t.pool
-let segments_resubmitted t = t.resubmitted
 
 (* Totals that survive restarts: the live engine plus what crash hooks
    banked from dead incarnations (the shard-stats fix). *)
@@ -508,7 +504,6 @@ let create comp ~registry ~local_addr ?tcp_config ~save ~load () =
       resubmit = [];
       requeue = (fun _ p -> t.resubmit <- p :: t.resubmit);
       ip_up = true;
-      resubmitted = 0;
       src_select = (fun _ -> local_addr);
       port_select = (fun ~src:_ ~dst:_ ~dst_port:_ -> `Any);
       break_tcp = None;
@@ -611,10 +606,7 @@ let on_ip_restart t =
   Proc.exec t.proc ~cost:(costs t).Costs.tcp_segment_work (fun () ->
       List.iter
         (fun pkt ->
-          if Registry.chain_live t.registry pkt.chain then begin
-            t.resubmitted <- t.resubmitted + 1;
-            submit_packet t pkt
-          end)
+          if Registry.chain_live t.registry pkt.chain then submit_packet t pkt)
         pkts)
 
 let repersist t = persist_listeners t

@@ -39,7 +39,6 @@ val create :
   t
 
 val comp : t -> Component.t
-val proc : t -> Proc.t
 
 val set_src_select : t -> (Newt_net.Addr.Ipv4.t -> Newt_net.Addr.Ipv4.t) -> unit
 (** Source-address selection for active opens on a multihomed host
@@ -91,9 +90,6 @@ val on_ip_restart : t -> unit
 
 val repersist : t -> unit
 (** Save the listening sockets again (after a storage-server crash). *)
-
-val segments_resubmitted : t -> int
-val pool_in_use : t -> int
 
 val total_segs_out : t -> int
 val total_bytes_out : t -> int

@@ -48,7 +48,6 @@ type t = {
       (* Every datagram's abort action: hold it for resubmission. *)
   mutable ip_up : bool;
   mutable src_select : Addr.Ipv4.t -> Addr.Ipv4.t;
-  mutable datagrams_in : int;
   mutable datagrams_out : int;
 }
 
@@ -56,10 +55,7 @@ let ip_peer = 1
 let max_rxq = 64
 
 let comp t = t.comp
-let proc t = t.proc
 let costs t = Machine.costs (Component.machine t.comp)
-let open_socket_count t = Hashtbl.length t.sockets
-let datagrams_in t = t.datagrams_in
 let datagrams_out t = t.datagrams_out
 
 let free_chain t chain =
@@ -294,7 +290,6 @@ let handle_rx t buf ~src ~dst =
           match find_by_port t h.Udp.dst_port with
           | None -> Stats.incr (Proc.stats t.proc) "no_socket"
           | Some s ->
-              t.datagrams_in <- t.datagrams_in + 1;
               if Queue.length s.rxq < max_rxq then
                 Queue.push (src, h.Udp.src_port, payload) s.rxq;
               progress t s;
@@ -307,7 +302,14 @@ let handle_msg t msg =
   let c = costs t in
   match msg with
   | Msg.Sock_req { id; sock = sock_id; call } ->
-      (c.Costs.channel_demux, fun () -> handle_call t (sock t sock_id) id call)
+      (* A send builds and checksums a datagram: the same protocol work
+         as a datagram received. *)
+      let work =
+        match call with
+        | Msg.Call_send _ | Msg.Call_sendto _ -> c.Costs.udp_segment_work
+        | _ -> 0
+      in
+      (c.Costs.channel_demux + work, fun () -> handle_call t (sock t sock_id) id call)
   | Msg.Tx_ip_confirm { id; ok = _ } -> (
       ( 100,
         fun () ->
@@ -346,7 +348,6 @@ let create comp ~registry ~local_addr ~save ~load () =
       requeue = (fun _ p -> t.resubmit <- p :: t.resubmit);
       ip_up = true;
       src_select = (fun _ -> local_addr);
-      datagrams_in = 0;
       datagrams_out = 0;
     }
   in

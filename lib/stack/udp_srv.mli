@@ -25,7 +25,6 @@ val create :
   t
 
 val comp : t -> Component.t
-val proc : t -> Proc.t
 
 val set_src_select : t -> (Newt_net.Addr.Ipv4.t -> Newt_net.Addr.Ipv4.t) -> unit
 (** Source-address selection on a multihomed host. *)
@@ -50,6 +49,4 @@ val on_ip_restart : t -> unit
 val repersist : t -> unit
 (** Save the socket table again (after a storage-server crash). *)
 
-val open_socket_count : t -> int
-val datagrams_in : t -> int
 val datagrams_out : t -> int

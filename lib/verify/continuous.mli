@@ -45,9 +45,6 @@ type counters = {
   tcpfsm_overhead_cycles : int;  (** {!Tcpfsm.overhead_cycles}. *)
 }
 
-val zero : counters
-val add : counters -> counters -> counters
-
 type t
 
 val create : unit -> t

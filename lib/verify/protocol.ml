@@ -330,9 +330,6 @@ let bump name =
 let count name =
   match Hashtbl.find_opt counters name with Some n -> n | None -> 0
 
-let counts () =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) counters [] |> List.sort compare
-
 let conv_of id =
   match Hashtbl.find_opt convs id with
   | Some c -> c

@@ -97,9 +97,6 @@ val finish : ?drained:bool -> unit -> unit
 
 val violations : unit -> Report.violation list
 
-val counts : unit -> (string * int) list
-(** All named counters, sorted. *)
-
 val count : string -> int
 (** One counter (0 if never bumped): ["requests"], ["confirms"],
     ["aborts"], ["owner-deaths"], ["stale-confirms"], ["req-msgs"],

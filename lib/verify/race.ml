@@ -234,7 +234,6 @@ module Dynamic = struct
     mutable events : int;
     mutable accesses : int;  (* N_access events delivered *)
     base : int * int;  (* the hook's native (seen, kept) at arming *)
-    max_reports : int;
     sample : int;
     trace : (int * int * Hook.nevent) array;  (* ring buffer *)
     mutable trace_n : int;
@@ -243,9 +242,12 @@ module Dynamic = struct
   let trace_cap = 256
   let trace_tail = 96
 
+  (* Races past this many are counted as suppressed, not reported. *)
+  let max_reports = 16
+
   let dummy_event = Hook.N_spawn_fence
 
-  let make_state ~max_reports ~labels =
+  let make_state ~labels =
     {
       mu = Mutex.create ();
       labels;
@@ -263,7 +265,6 @@ module Dynamic = struct
       events = 0;
       accesses = 0;
       base = Hook.counts Hook.Native;
-      max_reports;
       sample = Hook.sample ();
       trace = Array.make trace_cap (0, 0, dummy_event);
       trace_n = 0;
@@ -324,7 +325,7 @@ module Dynamic = struct
     Array.init n (fun i -> s.trace.((first + i) mod trace_cap))
 
   let add_race s ~check ~loc ~ring ~first ~second =
-    if s.n_races >= s.max_reports then s.suppressed <- s.suppressed + 1
+    if s.n_races >= max_reports then s.suppressed <- s.suppressed + 1
     else begin
       s.n_races <- s.n_races + 1;
       s.races <-
@@ -480,9 +481,9 @@ module Dynamic = struct
 
   let token : Hook.token option ref = ref None
 
-  let arm ?(max_reports = 16) ?(labels = default_labels) () =
+  let arm ?(labels = default_labels) () =
     Option.iter Hook.remove !token;
-    let s = make_state ~max_reports ~labels in
+    let s = make_state ~labels in
     st := Some s;
     (* Register the arming thread as tid 0 = "main". *)
     Mutex.lock s.mu;
@@ -493,7 +494,6 @@ module Dynamic = struct
         (Hook.native_add (fun ev ->
              match !st with Some s -> on_event s ev | None -> ()))
 
-  let armed () = !st <> None
   let fence () = Hook.native_emit Hook.N_spawn_fence
 
   type access_view = {

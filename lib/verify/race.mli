@@ -94,8 +94,6 @@ module Dynamic : sig
       native runtime passes its ring/loop naming so counterexamples
       read like the topology. *)
 
-  val default_labels : labels
-
   type access_view = {
     who : string;  (** Domain label ("main", "loop0 tcp+pf", …). *)
     what : string;  (** "ring push", "pool write", … *)
@@ -132,15 +130,13 @@ module Dynamic : sig
             [Sanitizer.overhead_cycles]. *)
   }
 
-  val arm : ?max_reports:int -> ?labels:labels -> unit -> unit
+  val arm : ?labels:labels -> unit -> unit
   (** Register the detector as a native hook listener (replacing its
       previous registration, if any) and reset all state. The hook's
       sampling period ({!Newt_channels.Hook.set_sample}) governs which
       locations are checked, ring elements included; clock joins are
       never sampled (sampling can hide a race, never invent one). Call
       from the spawning thread before wiring. *)
-
-  val armed : unit -> bool
 
   val fence : unit -> unit
   (** Emit the spawn fence: wiring is done, loops are about to spawn.

@@ -34,10 +34,6 @@ val merge : title:string -> t list -> t
 (** Concatenate several reports (e.g. static + sanitizer) under one
     title; per-check subject counts of the same check name are summed. *)
 
-val pp : Format.formatter -> t -> unit
-(** Readable multi-line rendering: one line per check with its subject
-    count, then one block per violation. *)
-
 val to_string : t -> string
 
 val violation_json : violation -> Newt_sim.Json.t

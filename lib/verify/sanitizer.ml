@@ -174,8 +174,6 @@ let leaks () =
     slots []
   |> List.sort compare
 
-let pool_owner pool = Hashtbl.find_opt owners pool
-
 let who = function Some a -> a | None -> "unattributed"
 
 let describe = function

@@ -98,9 +98,6 @@ val leaks : unit -> leak list
     run has quiesced; buffers legitimately in flight count until their
     consumer frees them. *)
 
-val pool_owner : int -> string option
-(** The component that registered the pool, if the sanitizer saw it. *)
-
 val describe : violation -> Report.violation
 val describe_leak : leak -> Report.violation
 

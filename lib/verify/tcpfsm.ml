@@ -662,8 +662,6 @@ let segment_count () = !seg_events
 let transition_count () = !trans_events
 let event_count () = !seg_events + !trans_events
 let overhead_cycles () = event_count () * cycles_per_event
-let tracked_connections () = with_lock (fun () -> Hashtbl.length shadow)
-
 let state_of ~lip ~lport ~rip ~rport =
   with_lock (fun () -> state_of_key (lip, lport, rip, rport))
 

@@ -33,10 +33,6 @@
 
 type seg_class = Syn | Syn_ack | Fin | Rst | Ack | Data
 
-val classify : Newt_channels.Hook.tcp_flags -> seg_class
-(** Flag-precedence classification: RST > SYN-ACK > SYN > FIN > data
-    > bare ACK. *)
-
 val seg_rule_count : int
 (** Number of rules in the segment table (for {!lint_dropping}
     sweeps). *)
@@ -75,18 +71,10 @@ val reset : unit -> unit
 val violations : unit -> Report.violation list
 val segment_count : unit -> int
 val transition_count : unit -> int
-val event_count : unit -> int
 
 val overhead_cycles : unit -> int
-(** Model-cycle cost had the checker run inline (events ×
-    {!cycles_per_event}), for the continuous checker's overhead
-    accounting. *)
-
-val cycles_per_event : int
-
-val tracked_connections : unit -> int
-(** Live shadow PCBs (transitions to Closed retire their entry, so
-    this tracks live connections, not connections ever seen). *)
+(** Model-cycle cost had the checker run inline (a fixed cost per
+    event), for the continuous checker's overhead accounting. *)
 
 val state_of :
   lip:int32 -> lport:int -> rip:int32 -> rport:int -> Newt_net.Tcp.state

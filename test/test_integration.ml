@@ -546,6 +546,27 @@ let test_udp_sendto_recvfrom () =
       Alcotest.(check int) "source port reported" 7 src_port
   | None -> Alcotest.fail "no recvfrom reply"
 
+(* A datagram sent pays the UDP server the same protocol work as one
+   received: one sendto on an idle stack costs the UDP core at least
+   [udp_segment_work] between the call and its reply. *)
+let test_udp_send_pays_protocol_work () =
+  let h = make_host () in
+  let core = Newt_stack.Proc.core (Host.proc_of h Host.C_udp) in
+  let charged = ref None in
+  Socket_api.udp_socket (Host.sc h) (Host.app h) (fun conn ->
+      let before = Newt_hw.Cpu.busy_cycles core in
+      Socket_api.sendto conn (Bytes.of_string "datagram")
+        ~dst:(Host.sink_addr h 0) ~port:7 (fun _ ->
+          charged := Some (Newt_hw.Cpu.busy_cycles core - before)));
+  Host.run h ~until:(sec 0.1);
+  match !charged with
+  | Some c ->
+      let work = Newt_hw.Costs.default.Newt_hw.Costs.udp_segment_work in
+      Alcotest.(check bool)
+        (Printf.sprintf "sendto charged %d >= %d cycles" c work)
+        true (c >= work)
+  | None -> Alcotest.fail "sendto never replied"
+
 (* The asynchronous select of the paper's future work (the synchronous
    one caused its only reboot-class failures). *)
 let test_select_wakes_on_ready_socket () =
@@ -1204,6 +1225,7 @@ let suite =
     ("Minix baseline is emergently slow", `Quick, test_minix_baseline_emergent);
     ("MWAIT halt/poll latency trade-off", `Quick, test_mwait_polling_latency_tradeoff);
     ("udp sendto/recvfrom", `Quick, test_udp_sendto_recvfrom);
+    ("udp send pays protocol work", `Quick, test_udp_send_pays_protocol_work);
     ("select wakes on the ready socket", `Quick, test_select_wakes_on_ready_socket);
     ("select timeout", `Quick, test_select_timeout);
     ( "finished socket calls cancel their timeouts",

@@ -1,0 +1,6 @@
+(** Used only as a functor argument. *)
+
+type t = int
+
+val equal : t -> t -> bool
+val hash : t -> int
