@@ -18,15 +18,18 @@ fmt:
 
 # The default build is the build that ships (dune-workspace: the release
 # profile, with dev's flags restated). Fail if it compiles a lib/ module
-# with -opaque (no call across a module boundary would inline), if it
-# lost dev's warnings-as-errors spec, or if the dev profile no longer
-# builds clean (it builds in its own directory, so the default build
-# is not rebuilt after it).
-DEV_WARNINGS = @1..3@5..28@30..39@43@46..47@49..57@61..62-40
+# with -opaque (no call across a module boundary would inline), if its
+# ocamlopt flags lack -inline 200 (the per-event helpers would stay
+# calls), if it lost dev's warnings-as-errors spec, or if the dev
+# profile no longer builds clean (it builds in its own directory, so
+# the default build is not rebuilt after it).
+DEV_WARNINGS = @1..3@5..28@30..39@43@46..47@49..57@61..62@69-40
 build-check:
 	@rules="$$(dune rules -r @lib/all)" || exit 1; \
 	    ! printf '%s\n' "$$rules" | grep -q -x -e ' *-opaque' \
 	    || { echo "build-check: the default build passes -opaque to lib/"; exit 1; }
+	@dune printenv . | grep -A1 -e '^(ocamlopt_flags' | grep -q -e '-inline 200\b' \
+	    || { echo "build-check: the default build's ocamlopt_flags lack -inline 200"; exit 1; }
 	@dune printenv . | grep -q -F -e '$(DEV_WARNINGS)' \
 	    || { echo "build-check: the default build lacks -w $(DEV_WARNINGS)"; exit 1; }
 	dune build --profile dev --build-dir _build_dev

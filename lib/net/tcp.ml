@@ -156,12 +156,10 @@ type pcb = {
   mutable persist_cancel : (unit -> unit) option;
   mutable persist_backoff : int;  (* multiplier on the persist interval *)
   (* Receive side. *)
-  mutable irs : Seq32.t;
   mutable rcv_nxt : Seq32.t;
   rcvbuf : Bytebuf.t;
   mutable ooo : (Seq32.t * Bytes.t) list;  (* sorted by seq *)
   mutable rcv_fin : bool;
-  mutable eof_delivered : bool;
   mutable delack_pending : int;
   mutable delack_cancel : (unit -> unit) option;
   mutable timewait_cancel : (unit -> unit) option;
@@ -305,12 +303,10 @@ let new_pcb t ~local_ip ~local_port ~remote_ip ~remote_port ~state =
     rtx_cancel = None;
     persist_cancel = None;
     persist_backoff = 1;
-    irs = 0;
     rcv_nxt = 0;
     rcvbuf = Bytebuf.create ~capacity:t.config.rcv_buf;
     ooo = [];
     rcv_fin = false;
-    eof_delivered = false;
     delack_pending = 0;
     delack_cancel = None;
     timewait_cancel = None;
@@ -900,7 +896,6 @@ let handle_syn_sent pcb (hdr : Tcp_wire.header) =
   else if hdr.Tcp_wire.flags.Tcp_wire.syn && hdr.Tcp_wire.flags.Tcp_wire.ack then begin
     if hdr.Tcp_wire.ack = pcb.snd_nxt then begin
       negotiate_from_syn pcb hdr;
-      pcb.irs <- hdr.Tcp_wire.seq;
       pcb.rcv_nxt <- Seq32.add hdr.Tcp_wire.seq 1;
       pcb.snd_una <- hdr.Tcp_wire.ack;
       (* SYN-ACK window is unscaled. *)
@@ -921,7 +916,6 @@ let handle_syn_sent pcb (hdr : Tcp_wire.header) =
   else if hdr.Tcp_wire.flags.Tcp_wire.syn then begin
     (* Simultaneous open. *)
     negotiate_from_syn pcb hdr;
-    pcb.irs <- hdr.Tcp_wire.seq;
     pcb.rcv_nxt <- Seq32.add hdr.Tcp_wire.seq 1;
     set_state pcb rx Syn_received;
     emit_seg pcb ~seq:pcb.iss Tcp_wire.flag_syn_ack
@@ -938,7 +932,6 @@ let handle_listener t listener ~src ~dst (hdr : Tcp_wire.header) =
     pcb.snd_una <- pcb.iss;
     pcb.snd_nxt <- Seq32.add pcb.iss 1;
     pcb.snd_max <- pcb.snd_nxt;
-    pcb.irs <- hdr.Tcp_wire.seq;
     pcb.rcv_nxt <- Seq32.add hdr.Tcp_wire.seq 1;
     (* SYN window is unscaled. *)
     pcb.snd_wnd <- hdr.Tcp_wire.window;

@@ -42,12 +42,15 @@ val pending : t -> int
 (** {1 Lanes}
 
     A lane carries events whose times never decrease, such as the
-    frames one direction of a link delivers in FIFO order. Only the
-    lane's earliest event sits in the engine's queue; the rest wait in
-    a ring behind it. Each event reserves its sequence number when it
-    is scheduled, so it fires at exactly the point in the (time,
-    scheduling order) sequence that {!schedule_at} would have given
-    it, and each is still one {!step}. *)
+    frames one direction of a link delivers in FIFO order. Lane events
+    wait in a ring per lane and never enter the queue of {!schedule}'s
+    events: the engine keeps its non-empty lanes in a heap of their
+    own, keyed by each lane's earliest event, and a lane event
+    allocates nothing. Each event takes its sequence number from the
+    same counter as {!schedule_at} when it is scheduled, so it fires at
+    exactly the point in the (time, scheduling order) sequence that
+    {!schedule_at} would have given it, and each is still one
+    {!step}. *)
 
 type lane
 

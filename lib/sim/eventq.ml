@@ -123,9 +123,8 @@ let ticket t =
   t.next_seq <- seq + 1;
   seq
 
-let push_ticket t at seq value =
-  if seq < 0 || seq >= t.next_seq then
-    invalid_arg "Eventq.push_ticket: sequence number not issued yet";
+let push t at value =
+  let seq = ticket t in
   if t.size = Array.length t.time then grow t;
   let id = t.ids.(t.size) in
   let e = { id; value; owner = t } in
@@ -133,8 +132,6 @@ let push_ticket t at seq value =
   t.size <- t.size + 1;
   sift_up t (t.size - 1) at seq id;
   e
-
-let push t at value = push_ticket t at (ticket t) value
 
 (* Empty slot [i]: its entry's id is freed and parks at the slot the
    heap gives up; the last key fills the hole and sifts whichever way
@@ -153,8 +150,6 @@ let delete t i =
     else sift_down t i at seq moved
   end
 
-let detached t = t.filler
-
 let remove e =
   let t = e.owner in
   if e.id >= 0 && t.entries.(e.id) == e then delete t t.slot.(e.id)
@@ -162,6 +157,10 @@ let remove e =
 let min_time t =
   if t.size = 0 then invalid_arg "Eventq.min_time: empty queue";
   t.time.(0)
+
+let min_seq t =
+  if t.size = 0 then invalid_arg "Eventq.min_seq: empty queue";
+  t.seq.(0)
 
 let pop t =
   if t.size = 0 then invalid_arg "Eventq.pop: empty queue";

@@ -1,13 +1,13 @@
 (** Priority queue of timed events.
 
     An indexed binary min-heap keyed by (time, sequence number). The
-    sequence number is assigned at {!push} (or reserved earlier with
-    {!ticket}) and makes the order of simultaneous events
-    deterministic: events pushed first pop first. Each queued entry's
-    heap slot is tracked, so {!remove} takes it out in O(log n) and the
-    heap holds only entries that are still due: a removed or popped
-    entry leaves no slot behind, and the queue keeps no reference to
-    its value. Sifts move flat ints only; an entry's value is written
+    sequence number is assigned at {!push} (or taken by {!ticket} for
+    an event kept outside the queue) and makes the order of
+    simultaneous events deterministic: events pushed first pop first.
+    Each queued entry's heap slot is tracked, so {!remove} takes it out
+    in O(log n) and the heap holds only entries that are still due: a
+    removed or popped entry leaves no slot behind, and the queue keeps
+    no reference to its value. Sifts move flat ints only; an entry's value is written
     once when pushed and once when it leaves. *)
 
 type 'a t
@@ -29,20 +29,11 @@ val push : 'a t -> Time.cycles -> 'a -> 'a entry
 (** [push q at v] queues [v] at absolute time [at]. *)
 
 val ticket : 'a t -> int
-(** [ticket q] reserves the next sequence number, exactly the one a
-    {!push} made now would get. A value queued later under it with
-    {!push_ticket} pops as if it had been pushed at the time of the
-    ticket. *)
-
-val push_ticket : 'a t -> Time.cycles -> int -> 'a -> 'a entry
-(** [push_ticket q at seq v] queues [v] at absolute time [at] under
-    the reserved sequence number [seq]. Raises [Invalid_argument] if
-    [seq] has not been issued yet. Each ticket is meant to be used at
-    most once. *)
-
-val detached : 'a t -> 'a entry
-(** An entry of the queue that is never queued, so {!remove} ignores
-    it: the initial value of a field that will hold an entry. *)
+(** [ticket q] takes the next sequence number, exactly the one a
+    {!push} made now would get; the push after it gets the one after.
+    An event kept outside the queue under this number (as
+    {!Engine}'s lane events are) orders against the queue's entries
+    as if it had been pushed now. *)
 
 val remove : 'a entry -> unit
 (** Take the entry out of its queue. A no-op if it was already popped
@@ -50,6 +41,11 @@ val remove : 'a entry -> unit
 
 val min_time : 'a t -> Time.cycles
 (** Time of the earliest entry. Raises [Invalid_argument] when empty. *)
+
+val min_seq : 'a t -> int
+(** Sequence number of the earliest entry, which breaks a tie with an
+    event kept outside the queue at {!min_time}. Raises
+    [Invalid_argument] when empty. *)
 
 val pop : 'a t -> 'a
 (** Remove the earliest entry and return its value. Raises

@@ -126,10 +126,7 @@ end
 module Ssh_session = struct
   type t = {
     machine : Machine.t;
-    sc : Sc.t;
     app : Sc.app;
-    dst : Addr.Ipv4.t;
-    port : int;
     mutable exchanges_ok : int;
     mutable broken : bool;
     mutable seq : int;
@@ -165,10 +162,7 @@ module Ssh_session = struct
     let t =
       {
         machine;
-        sc;
         app;
-        dst;
-        port;
         exchanges_ok = 0;
         broken = false;
         seq = 0;

@@ -31,7 +31,6 @@ type socket = {
 type iface = {
   addr : Addr.Ipv4.t;
   mac : Addr.Mac.t;
-  drv : Drv_srv.t;
   tx : Msg.t Sim_chan.t;
   arp : Arp.Cache.t;
 }
@@ -39,7 +38,6 @@ type iface = {
 type t = {
   machine : Machine.t;
   proc : Proc.t;
-  registry : Registry.t;
   local_addr : Addr.Ipv4.t;
   pool : Pool.t;  (* whole frames, built in place *)
   rx_pool : Pool.t;
@@ -326,7 +324,6 @@ let create machine ~proc ~registry ~local_addr () =
     {
       machine;
       proc;
-      registry;
       local_addr;
       pool;
       rx_pool;
@@ -354,7 +351,7 @@ let create machine ~proc ~registry ~local_addr () =
 let add_iface t ~addr ~mac ~drv ~tx_chan ~rx_chan =
   let i = List.length t.ifaces in
   t.ifaces <-
-    t.ifaces @ [ { addr; mac; drv; tx = tx_chan; arp = Arp.Cache.create ~my_mac:mac ~my_ip:addr () } ];
+    t.ifaces @ [ { addr; mac; tx = tx_chan; arp = Arp.Cache.create ~my_mac:mac ~my_ip:addr () } ];
   Proc.add_rx t.proc rx_chan (handle_msg t ~rx_iface:i);
   Drv_srv.connect_ip drv ~rx_from_ip:tx_chan ~tx_to_ip:rx_chan;
   Drv_srv.grant_rx_pool drv

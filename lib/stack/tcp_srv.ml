@@ -45,7 +45,6 @@ type t = {
   comp : Component.t;
   proc : Proc.t;
   registry : Registry.t;
-  local_addr : Addr.Ipv4.t;
   tcp_config : Tcp.config;
   save : string -> string -> unit;
   load : string -> string option;
@@ -489,7 +488,6 @@ let create comp ~registry ~local_addr ?tcp_config ~save ~load () =
       comp;
       proc = Component.proc comp;
       registry;
-      local_addr;
       tcp_config;
       save;
       load;

@@ -32,8 +32,8 @@ type leak = {
 
 (* Shadow state for one live slot. *)
 type slot_state = {
-  mutable allocator : string option;
-  mutable alloc_epoch : int;  (* the allocator's incarnation *)
+  allocator : string option;
+  alloc_epoch : int;  (* the allocator's incarnation *)
   mutable holder : string option;
   mutable in_flight : int;  (* queued channel messages referencing it *)
 }

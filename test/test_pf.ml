@@ -318,6 +318,104 @@ let make_pf_srv ?max_entries ?owns () =
   in
   (e, comp, srv)
 
+(* Table order. Eviction picks the first of equally cold entries in
+   the flow table's fold order, so that order decides which flows a
+   capped, crash-recovered filter still tracks. It must stay the order
+   of a generic [Hashtbl] of the same initial size: random inserts,
+   refreshes, expiries, evictions (caps of 8 to 200 over 300 flows,
+   many entries equally cold) and export/import round trips run
+   against a mirror in one that applies the same eviction rule, and
+   the tracked flows must match after every operation. A table that
+   folds in another order (a [Hashtbl.Make] with a cheaper hash, say)
+   fails it. *)
+type ct_op =
+  | Ct_add of int * bool  (** flow index, confirmed *)
+  | Ct_touch of int
+  | Ct_tick
+  | Ct_expire of int  (** ttl *)
+  | Ct_reimport
+
+type ct_mirror = { mutable m_seen : int; mutable m_confirmed : bool }
+
+let ct_universe =
+  Array.init 300 (fun i ->
+      {
+        Conntrack.proto = (if i mod 7 = 0 then Conntrack.Ct_udp else Conntrack.Ct_tcp);
+        local_ip = ip 10 0 (i mod 3) 1;
+        local_port = 1024 + (i * 37 mod 500);
+        remote_ip = ip 10 1 0 (i mod 5);
+        remote_port = 80 + (i mod 4);
+      })
+
+let conntrack_matches_generic_table (cap, ops) =
+  let ct = Conntrack.create ~max_entries:cap () in
+  let m = Hashtbl.create 64 in
+  let now = ref 0 in
+  let evict () =
+    let victim =
+      Hashtbl.fold
+        (fun f e acc ->
+          match acc with
+          | Some (_, best) when best.m_confirmed && not e.m_confirmed -> Some (f, e)
+          | Some (_, best) when best.m_confirmed = e.m_confirmed && e.m_seen < best.m_seen ->
+              Some (f, e)
+          | Some _ -> acc
+          | None -> Some (f, e))
+        m None
+    in
+    Option.iter (fun (f, _) -> Hashtbl.remove m f) victim
+  in
+  let add ~now ~confirmed f =
+    match Hashtbl.find_opt m f with
+    | Some e ->
+        e.m_seen <- now;
+        if confirmed then e.m_confirmed <- true
+    | None ->
+        if Hashtbl.length m >= cap then evict ();
+        Hashtbl.replace m f { m_seen = now; m_confirmed = confirmed }
+  in
+  let listing () =
+    Hashtbl.fold (fun f e acc -> (f, e.m_seen, e.m_confirmed) :: acc) m [] |> List.sort compare
+  in
+  List.for_all
+    (fun op ->
+      (match op with
+      | Ct_add (i, confirmed) ->
+          Conntrack.insert ct ~now:!now ~confirmed ct_universe.(i);
+          add ~now:!now ~confirmed ct_universe.(i)
+      | Ct_touch i ->
+          let f = ct_universe.(i) in
+          ignore (Conntrack.seen ct ~now:!now f : bool);
+          Option.iter (fun e -> e.m_seen <- !now) (Hashtbl.find_opt m f)
+      | Ct_tick -> incr now
+      | Ct_expire ttl ->
+          ignore (Conntrack.expire ct ~now:!now ~ttl : int);
+          Hashtbl.filter_map_inplace (fun _ e -> if !now - e.m_seen > ttl then None else Some e) m
+      | Ct_reimport ->
+          let saved = Conntrack.export ct in
+          Conntrack.import ct saved;
+          let mine = listing () in
+          Hashtbl.reset m;
+          List.iter (fun (f, seen, confirmed) -> add ~now:seen ~confirmed f) mine);
+      Conntrack.export ct = listing ())
+    ops
+
+let test_conntrack_table_order =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:200 ~name:"conntrack evicts in a generic table's fold order"
+       QCheck2.Gen.(
+         pair (int_range 8 200)
+           (list_size (int_range 1 600)
+              (frequency
+                 [
+                   (8, map2 (fun i c -> Ct_add (i, c)) (int_range 0 299) bool);
+                   (2, map (fun i -> Ct_touch i) (int_range 0 299));
+                   (2, pure Ct_tick);
+                   (1, map (fun ttl -> Ct_expire ttl) (int_range 0 6));
+                   (1, pure Ct_reimport);
+                 ])))
+       conntrack_matches_generic_table)
+
 let test_pf_srv_partitioned_recovery () =
   (* A shard owning only even local ports: its restart must re-track
      exactly its own slice — from the snapshot (last-seen preserved, so
@@ -413,6 +511,7 @@ let suite =
     ( "conntrack import keeps the expiry clock",
       `Quick,
       test_conntrack_import_keeps_expiry_clock );
+    test_conntrack_table_order;
     ( "pf shard recovery re-tracks only its own slice",
       `Quick,
       test_pf_srv_partitioned_recovery );

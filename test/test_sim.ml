@@ -305,6 +305,268 @@ let test_engine_model =
        QCheck2.Gen.(list_size (int_range 1 120) gen_op)
        engine_matches_model)
 
+(* Differential test: the engine against the single-queue engine it
+   replaced, kept here as the oracle. In the oracle every pending
+   event, lane event or not, is one entry of one ordered queue keyed
+   by (time, seq), with seq from one counter; a lane is only a count
+   and a last time. The engine keeps lanes in a heap of their own and
+   must still fire the same events in the same order at the same
+   clock, with equal [pending] and [lane_length] after every
+   operation. Scripts mix [schedule], [schedule_at], [cancel],
+   [schedule_lane] on four lanes (delays of 0-2 make same-time ties
+   between lanes and with timers common), [clear_lane], [run ~until]
+   and [step], and thunks that schedule, cancel and clear from inside
+   the event loop. *)
+module Oracle = struct
+  module Q = Map.Make (struct
+    type t = int * int
+
+    let compare = compare
+  end)
+
+  type t = {
+    mutable clock : int;
+    mutable next_seq : int;
+    mutable queue : (int option * (unit -> unit)) Q.t;
+    counts : int array;
+    last : int array;
+  }
+
+  let create lanes =
+    {
+      clock = 0;
+      next_seq = 0;
+      queue = Q.empty;
+      counts = Array.make lanes 0;
+      last = Array.make lanes 0;
+    }
+
+  let push t at lane f =
+    let key = (at, t.next_seq) in
+    t.next_seq <- t.next_seq + 1;
+    t.queue <- Q.add key (lane, f) t.queue;
+    key
+
+  let schedule_at t at f = push t at None f
+  let cancel t key = t.queue <- Q.remove key t.queue
+
+  let schedule_lane t l at f =
+    if at < t.last.(l) then invalid_arg "Oracle.schedule_lane";
+    t.last.(l) <- at;
+    t.counts.(l) <- t.counts.(l) + 1;
+    ignore (push t at (Some l) f : int * int)
+
+  let clear_lane t l =
+    t.queue <- Q.filter (fun _ (lane, _) -> lane <> Some l) t.queue;
+    let n = t.counts.(l) in
+    t.counts.(l) <- 0;
+    t.last.(l) <- 0;
+    n
+
+  let step_until t stop =
+    match Q.min_binding_opt t.queue with
+    | Some (((at, _) as key), (lane, f)) when at <= stop ->
+        t.queue <- Q.remove key t.queue;
+        t.clock <- at;
+        Option.iter (fun l -> t.counts.(l) <- t.counts.(l) - 1) lane;
+        f ();
+        true
+    | Some _ | None -> false
+
+  let pending t = Q.cardinal t.queue
+end
+
+(* One simulator under test, as closures, so a script runs the same
+   way on the engine and on the oracle. *)
+type 'h sim = {
+  now : unit -> int;
+  schedule : int -> (unit -> unit) -> 'h;
+  schedule_at : int -> (unit -> unit) -> 'h;
+  cancel : 'h -> unit;
+  schedule_lane : int -> int -> (unit -> unit) -> unit;
+  clear_lane : int -> int;
+  lane_length : int -> int;
+  pending : unit -> int;
+  step : unit -> bool;
+  run_until : int -> unit;
+}
+
+let diff_lanes = 4
+
+let engine_sim () =
+  let e = Engine.create () in
+  let lanes = Array.init diff_lanes (fun _ -> Engine.lane e) in
+  {
+    now = (fun () -> Engine.now e);
+    schedule = Engine.schedule e;
+    schedule_at = (fun at f -> Engine.schedule_at e at f);
+    cancel = Engine.cancel;
+    schedule_lane = (fun l at f -> Engine.schedule_lane lanes.(l) at f);
+    clear_lane = (fun l -> Engine.clear_lane lanes.(l));
+    lane_length = (fun l -> Engine.lane_length lanes.(l));
+    pending = (fun () -> Engine.pending e);
+    step = (fun () -> Engine.step e);
+    run_until = (fun until -> Engine.run ~until e);
+  }
+
+let oracle_sim () =
+  let o = Oracle.create diff_lanes in
+  {
+    now = (fun () -> o.Oracle.clock);
+    schedule = (fun d f -> Oracle.schedule_at o (o.Oracle.clock + d) f);
+    schedule_at = Oracle.schedule_at o;
+    cancel = Oracle.cancel o;
+    schedule_lane = Oracle.schedule_lane o;
+    clear_lane = Oracle.clear_lane o;
+    lane_length = (fun l -> o.Oracle.counts.(l));
+    pending = (fun () -> Oracle.pending o);
+    step = (fun () -> Oracle.step_until o max_int);
+    run_until =
+      (fun until ->
+        while Oracle.step_until o until do
+          ()
+        done;
+        o.Oracle.clock <- max o.Oracle.clock until);
+  }
+
+(* What a thunk does when it fires. *)
+type deed =
+  | Nothing
+  | Kill of int  (** cancel the event with this id (mod the count) *)
+  | Later of int * deed  (** schedule a timer [d] from now *)
+  | Later_lane of int * int * deed  (** schedule on lane [l], [d] past its last *)
+  | Wipe of int  (** clear a lane *)
+  | Both of deed * deed
+
+type script_op =
+  | Timer of int * deed  (** [schedule] [d] from now *)
+  | Timer_at of int * deed  (** [schedule_at] now + [d] *)
+  | On_lane of int * int * deed
+  | Cancel_id of int
+  | Clear_id of int
+  | Step_once
+  | Run_for of int  (** [run ~until:(now + d)] *)
+
+let gen_script =
+  QCheck2.Gen.(
+    let lane = int_range 0 (diff_lanes - 1) and d = int_range 0 2 in
+    let deed =
+      fix
+        (fun self depth ->
+          let leaf = [ (3, pure Nothing); (2, map (fun k -> Kill k) (int_range 0 63)); (1, map (fun l -> Wipe l) lane) ] in
+          if depth = 0 then frequency leaf
+          else
+            frequency
+              (leaf
+              @ [
+                  (2, map2 (fun d k -> Later (d, k)) d (self (depth - 1)));
+                  (3, map3 (fun l d k -> Later_lane (l, d, k)) lane d (self (depth - 1)));
+                  (1, map2 (fun a b -> Both (a, b)) (self (depth - 1)) (self (depth - 1)));
+                ]))
+        2
+    in
+    let op =
+      frequency
+        [
+          (3, map2 (fun d k -> Timer (d, k)) d deed);
+          (2, map2 (fun d k -> Timer_at (d, k)) d deed);
+          (6, map3 (fun l d k -> On_lane (l, d, k)) lane d deed);
+          (2, map (fun k -> Cancel_id k) (int_range 0 63));
+          (1, map (fun l -> Clear_id l) lane);
+          (5, pure Step_once);
+          (1, map (fun d -> Run_for d) (int_range 0 3));
+        ]
+    in
+    list_size (int_range 1 150) op)
+
+let rec print_deed = function
+  | Nothing -> "-"
+  | Kill k -> Printf.sprintf "kill %d" k
+  | Later (d, k) -> Printf.sprintf "later +%d (%s)" d (print_deed k)
+  | Later_lane (l, d, k) -> Printf.sprintf "lane %d +%d (%s)" l d (print_deed k)
+  | Wipe l -> Printf.sprintf "wipe %d" l
+  | Both (a, b) -> Printf.sprintf "%s & %s" (print_deed a) (print_deed b)
+
+let print_script_op = function
+  | Timer (d, k) -> Printf.sprintf "Timer(+%d, %s)" d (print_deed k)
+  | Timer_at (d, k) -> Printf.sprintf "Timer_at(+%d, %s)" d (print_deed k)
+  | On_lane (l, d, k) -> Printf.sprintf "On_lane(%d, +%d, %s)" l d (print_deed k)
+  | Cancel_id k -> Printf.sprintf "Cancel %d" k
+  | Clear_id l -> Printf.sprintf "Clear %d" l
+  | Step_once -> "Step"
+  | Run_for d -> Printf.sprintf "Run_for %d" d
+
+(* Run a script and return what an observer sees, newest first: each
+   firing (id, clock), each clear's count, and after every operation
+   the clock, [pending] and every [lane_length]. Lane times are [d]
+   past the later of the clock and the lane's last time, tracked here
+   the same way on both sides. *)
+let observe (sim : 'h sim) script =
+  let seen = ref [] in
+  let handles = ref [||] in
+  let last = Array.make diff_lanes 0 in
+  let note x = seen := x :: !seen in
+  let snapshot () =
+    note (sim.now () :: sim.pending () :: List.init diff_lanes sim.lane_length)
+  in
+  let rec act = function
+    | Nothing -> ()
+    | Kill k -> kill k
+    | Later (d, k) -> add (`Delay d) k
+    | Later_lane (l, d, k) -> add (`Lane (l, d)) k
+    | Wipe l -> wipe l
+    | Both (a, b) ->
+        act a;
+        act b
+  and kill k =
+    let n = Array.length !handles in
+    if n > 0 then Option.iter sim.cancel !handles.(k mod n)
+  and wipe l =
+    note [ -1; l; sim.clear_lane l ];
+    last.(l) <- 0
+  and add where deed =
+    let id = Array.length !handles in
+    let thunk () =
+      note [ -2; id; sim.now () ];
+      act deed
+    in
+    let handle =
+      match where with
+      | `Delay d -> Some (sim.schedule d thunk)
+      | `At at -> Some (sim.schedule_at at thunk)
+      | `Lane (l, d) ->
+          let at = max (sim.now ()) last.(l) + d in
+          last.(l) <- at;
+          sim.schedule_lane l at thunk;
+          None
+    in
+    handles := Array.append !handles [| handle |]
+  in
+  List.iter
+    (fun op ->
+      (match op with
+      | Timer (d, k) -> add (`Delay d) k
+      | Timer_at (d, k) -> add (`At (sim.now () + d)) k
+      | On_lane (l, d, k) -> add (`Lane (l, d)) k
+      | Cancel_id k -> kill k
+      | Clear_id l -> wipe l
+      | Step_once -> note [ -3; Bool.to_int (sim.step ()) ]
+      | Run_for d -> sim.run_until (sim.now () + d));
+      snapshot ())
+    script;
+  while sim.step () do
+    snapshot ()
+  done;
+  snapshot ();
+  !seen
+
+let test_engine_differential =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:500 ~name:"engine matches the single-queue engine"
+       ~print:(fun ops -> String.concat "; " (List.map print_script_op ops))
+       gen_script
+       (fun script -> observe (engine_sim ()) script = observe (oracle_sim ()) script))
+
 let test_engine_cancelled_thunk_collectable () =
   (* A cancelled event leaves the queue: nothing in the engine keeps its
      thunk, or what the thunk captures, reachable. The same holds for a
@@ -626,6 +888,7 @@ let suite =
       test_engine_until_skips_cancelled );
     ("engine run ~until leaves the clock at until", `Quick, test_engine_until_clock);
     test_engine_model;
+    test_engine_differential;
     test_fifo_model;
     ( "engine cancelled and fired thunks are collectable",
       `Quick,

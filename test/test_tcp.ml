@@ -384,6 +384,81 @@ let test_established_tuples_for_conntrack () =
       Alcotest.(check int) "remote port" 80 rport
   | l -> Alcotest.fail (Printf.sprintf "expected 1 tuple, got %d" (List.length l)))
 
+(* Table order. Crash recovery re-tracks [established_tuples] in the
+   order the connection table folds, so that order must stay the one
+   a generic [Hashtbl] gives. Random resurrections (established),
+   active opens (SYN_SENT, in the table but not listed), aborts and
+   whole-engine crashes run against a mirror in a generic [Hashtbl]
+   (same initial size, same inserts and removals in the same order),
+   past the table's first resize; the listing must equal the mirror's
+   fold after every call. A table that folds in another order (a
+   [Hashtbl.Make] with a cheaper hash, say) fails it. *)
+type conn_op =
+  | Resurrect of int list
+  | Open of int
+  | Abort_nth of int
+  | Crash
+
+let tuple_universe =
+  Array.init 400 (fun i ->
+      (Addr.Ipv4.v 10 0 (i mod 2) 1, 1024 + i, Addr.Ipv4.v 10 9 (i mod 3) 2, if i mod 5 = 0 then 443 else 80))
+
+let connections_list_in_generic_table_order ops =
+  let env =
+    {
+      Tcp.now = (fun () -> 0);
+      set_timer = (fun _ _ () -> ());
+      emit = (fun ~src:_ ~dst:_ _ ~payload:_ -> ());
+      random = (fun _ -> 0);
+    }
+  in
+  let tcp = Tcp.create env in
+  let m = Hashtbl.create 64 in
+  let opened = ref [] in
+  List.for_all
+    (fun op ->
+      (match op with
+      | Resurrect idx ->
+          let tuples = List.map (fun i -> tuple_universe.(i)) idx in
+          Tcp.resurrect tcp tuples;
+          List.iter (fun k -> if not (Hashtbl.mem m k) then Hashtbl.replace m k true) tuples
+      | Open i ->
+          let ((lip, lp, rip, rp) as k) = tuple_universe.(i) in
+          if not (Hashtbl.mem m k) then begin
+            opened := (k, Tcp.connect tcp ~src:lip ~dst:rip ~dst_port:rp ~src_port:lp ()) :: !opened;
+            Hashtbl.replace m k false
+          end
+      | Abort_nth n -> (
+          match !opened with
+          | [] -> ()
+          | l ->
+              let k, pcb = List.nth l (n mod List.length l) in
+              Tcp.abort pcb;
+              Hashtbl.remove m k;
+              opened := List.filter (fun (k', _) -> k' <> k) l)
+      | Crash ->
+          Tcp.shutdown_all tcp;
+          Hashtbl.reset m;
+          opened := []);
+      Tcp.established_tuples tcp
+      = Hashtbl.fold (fun k established acc -> if established then k :: acc else acc) m []
+      && Tcp.connection_count tcp = Hashtbl.length m)
+    ops
+
+let test_connection_table_order =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:100 ~name:"connections list in a generic table's fold order"
+       QCheck2.Gen.(
+         list_size (int_range 1 300)
+           (frequency
+              [
+                (40, map (fun l -> Resurrect l) (list_size (int_range 1 8) (int_range 0 399)));
+                (12, map (fun i -> Open i) (int_range 0 399));
+                (7, map (fun n -> Abort_nth n) (int_range 0 99));
+                (1, pure Crash);
+              ]))
+       connections_list_in_generic_table_order)
+
 let test_duplicate_listen_rejected () =
   let w = make_world () in
   Tcp.listen w.tcp_b ~port:80 ~on_accept:(fun _ -> ());
@@ -997,6 +1072,7 @@ let suite =
     ("tcp server crash resets connections", `Quick, test_shutdown_all_kills_connections);
     ("listening sockets serialize and restore", `Quick, test_listening_state_is_serializable);
     ("established tuples exported for conntrack", `Quick, test_established_tuples_for_conntrack);
+    test_connection_table_order;
     ("duplicate listen rejected", `Quick, test_duplicate_listen_rejected);
     ( "zero-window probe recovers a lost update",
       `Quick,
