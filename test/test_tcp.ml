@@ -1072,7 +1072,6 @@ let suite =
     ("tcp server crash resets connections", `Quick, test_shutdown_all_kills_connections);
     ("listening sockets serialize and restore", `Quick, test_listening_state_is_serializable);
     ("established tuples exported for conntrack", `Quick, test_established_tuples_for_conntrack);
-    test_connection_table_order;
     ("duplicate listen rejected", `Quick, test_duplicate_listen_rejected);
     ( "zero-window probe recovers a lost update",
       `Quick,
@@ -1109,4 +1108,5 @@ let suite =
       test_nagle_small_write_on_idle_connection );
     ("nagle: the tail flushes with the FIN", `Quick, test_nagle_flushes_tail_with_fin);
     ("silly-window avoidance", `Quick, test_silly_window_avoidance);
+    test_connection_table_order;
   ]
