@@ -1,11 +1,14 @@
-# Tier-1 gate: what CI runs on every PR.
+# The local gate for a refactor: build, tests, formatting, the static
+# verifier, the interface lint and the golden outputs. CI runs these and
+# more (.github/workflows/ci.yml: smoke runs, the checkers, the model
+# check).
 .PHONY: check build test fmt verify verify-protocol verify-continuous \
 	sanitize-smoke bench-smoke churn-smoke native-smoke model-check \
 	model-check-negative race-check fsm-check perf-smoke profile \
 	golden-check golden-update bench-ledger bench-diff ledger-test \
 	build-check exports-check clean
 
-check: build test fmt verify
+check: build test fmt verify exports-check golden-check
 
 build:
 	dune build

@@ -74,7 +74,7 @@ type pool_ops = { per_super : float; per_ack : float }
    segment and freed at its confirm. *)
 let split_tcp_pool_ops ~mss ~tso_factor =
   let payload = int_of_float (Float.round (fi mss *. tso_factor)) in
-  let chunk = Tcp_srv.chunk_size in
+  let chunk = Transport.chunk_size in
   let chunks = 1 + ((payload + chunk - 1) / chunk) in
   { per_super = fi (2 * chunks); per_ack = 0.0 }
 
@@ -112,15 +112,11 @@ let gbps_of_capacity ~bits_per_segment segs_per_sec = segs_per_sec *. bits_per_s
 (* {2 Per-stage cycles-per-segment for each configuration} *)
 
 (* Cost of the application write path, amortized per segment. *)
-let app_write_amortized (c : Costs.t) ~segs_per_write ~via_sc =
+let app_write_amortized (c : Costs.t) ~segs_per_write =
   (* One sendrec to the SYSCALL (or TCP) server per write. The app core
      is timeshared, but in the NewtOS configurations it only runs iperf,
      so traps are warm. *)
-  let per_write =
-    if via_sc then fi (Costs.kipc_sendrec_cost c ~cold:false)
-    else fi (Costs.kipc_sendrec_cost c ~cold:false)
-  in
-  per_write /. segs_per_write
+  fi (Costs.kipc_sendrec_cost c ~cold:false) /. segs_per_write
 
 (* The TCP server core in the split stack. [sc] = SYSCALL server
    present; without it the TCP server itself performs the kernel IPC
@@ -293,7 +289,7 @@ let evaluate ?(costs = Costs.default) ?nics ?(mss = 1460) config =
       mk ~pool:driver_pool_ops ~tso_factor "driver server" (driver_core c ~tso_factor);
     ]
     @ (if sc then [ mk "syscall server" (sc_core c ~segs_per_write) ] else [])
-    @ [ mk "app core" (app_write_amortized c ~segs_per_write ~via_sc:sc) ]
+    @ [ mk "app core" (app_write_amortized c ~segs_per_write) ]
   in
   let single_stages ~tso_factor =
     [
@@ -301,7 +297,7 @@ let evaluate ?(costs = Costs.default) ?nics ?(mss = 1460) config =
         (single_server_core c ~segs_per_write ~tso_factor);
       mk ~pool:driver_pool_ops ~tso_factor "driver server" (driver_core c ~tso_factor);
       mk "syscall server" (sc_core c ~segs_per_write);
-      mk "app core" (app_write_amortized c ~segs_per_write ~via_sc:true);
+      mk "app core" (app_write_amortized c ~segs_per_write);
     ]
   in
   let stages =

@@ -15,19 +15,6 @@ module Ipv4 = Newt_net.Ipv4
 module Tcp = Newt_net.Tcp
 module Tcp_wire = Newt_net.Tcp_wire
 
-type pending_op =
-  | P_none
-  | P_connect of { req : int }
-  | P_recv of { req : int; max : int }
-  | P_send of { req : int; data : Bytes.t; mutable off : int }
-
-type socket = {
-  sock_id : Msg.socket_id;
-  mutable pcb : Tcp.pcb option;
-  mutable op : pending_op;
-  mutable dead : bool;
-}
-
 type iface = {
   addr : Addr.Ipv4.t;
   mac : Addr.Mac.t;
@@ -47,8 +34,7 @@ type t = {
   release : Rich_ptr.chain Request_db.abort;
       (* Every frame's abort action (its driver crashed): free it. *)
   mutable tcp : Tcp.t;
-  mutable to_sc : Msg.t Sim_chan.t option;
-  sockets : (Msg.socket_id, socket) Hashtbl.t;
+  socks : Tcp_srv.sockets Lazy.t;  (* over [tcp], once it is built *)
   mutable ident : int;
   rng : Rng.t;
 }
@@ -157,102 +143,6 @@ let src_for t dst =
       (iface t route.Ipv4.Route.iface).addr
   | Some _ | None -> t.local_addr
 
-(* {2 Socket calls (TCP only — the single-server measurement runs
-   iperf, Table II line 4)} *)
-
-let sock t id =
-  match Hashtbl.find_opt t.sockets id with
-  | Some s -> s
-  | None ->
-      let s = { sock_id = id; pcb = None; op = P_none; dead = false } in
-      Hashtbl.add t.sockets id s;
-      s
-
-let reply t req result =
-  match t.to_sc with
-  | Some chan -> ignore (Proc.send t.proc chan (Msg.Sock_reply { id = req; result }))
-  | None -> ()
-
-let progress t s =
-  match s.op with
-  | P_none -> ()
-  | P_connect { req } -> (
-      match s.pcb with
-      | Some pcb when Tcp.state pcb = Tcp.Established ->
-          s.op <- P_none;
-          reply t req Msg.Ok_unit
-      | Some _ -> ()
-      | None ->
-          s.op <- P_none;
-          reply t req (Msg.Err "connection failed"))
-  | P_recv { req; max } -> (
-      match s.pcb with
-      | Some pcb ->
-          if Tcp.recv_available pcb > 0 then begin
-            s.op <- P_none;
-            reply t req (Msg.Ok_data (Tcp.recv pcb ~max))
-          end
-          else if Tcp.recv_eof pcb then begin
-            s.op <- P_none;
-            reply t req Msg.Ok_eof
-          end
-          else if s.dead then begin
-            s.op <- P_none;
-            reply t req (Msg.Err "connection reset")
-          end
-      | None ->
-          s.op <- P_none;
-          reply t req (Msg.Err "not connected"))
-  | P_send ({ req; data; _ } as ps) -> (
-      match s.pcb with
-      | Some pcb ->
-          let remaining = Bytes.length data - ps.off in
-          if remaining > 0 then
-            ps.off <- ps.off + Tcp.send pcb data ~off:ps.off ~len:remaining;
-          if ps.off >= Bytes.length data then begin
-            s.op <- P_none;
-            reply t req (Msg.Ok_sent ps.off)
-          end
-          else if s.dead then begin
-            s.op <- P_none;
-            reply t req (Msg.Err "connection reset")
-          end
-      | None ->
-          s.op <- P_none;
-          reply t req (Msg.Err "not connected"))
-
-let attach_handler t s pcb =
-  Tcp.set_handler pcb (fun ev ->
-      match ev with
-      | Tcp.Connected | Tcp.Readable | Tcp.Writable -> progress t s
-      | Tcp.Accepted -> ()
-      | Tcp.Closed_normally | Tcp.Reset ->
-          s.dead <- true;
-          progress t s)
-
-let handle_call t s req (call : Msg.sock_call) =
-  match call with
-  | Msg.Call_socket -> reply t req (Msg.Ok_socket s.sock_id)
-  | Msg.Call_connect { dst; dst_port } ->
-      let pcb = Tcp.connect t.tcp ~src:(src_for t dst) ~dst ~dst_port () in
-      s.pcb <- Some pcb;
-      s.op <- P_connect { req };
-      attach_handler t s pcb;
-      progress t s
-  | Msg.Call_send { data } ->
-      s.op <- P_send { req; data; off = 0 };
-      progress t s
-  | Msg.Call_recv { max; timeout = _ } ->
-      s.op <- P_recv { req; max };
-      progress t s
-  | Msg.Call_close ->
-      (match s.pcb with Some pcb -> Tcp.close pcb | None -> ());
-      s.dead <- true;
-      reply t req Msg.Ok_unit
-  | Msg.Call_bind _ | Msg.Call_listen _ | Msg.Call_accept _ | Msg.Call_sendto _
-  | Msg.Call_recvfrom _ | Msg.Call_select _ | Msg.Call_shutdown ->
-      reply t req (Msg.Err "not supported by the single-server harness")
-
 (* {2 Receive} *)
 
 let handle_rx t ~iface:i ~buf ~len =
@@ -292,7 +182,8 @@ let handle_msg t ~rx_iface msg =
   let c = costs t in
   match msg with
   | Msg.Sock_req { id; sock = sock_id; call } ->
-      (c.Costs.channel_demux, fun () -> handle_call t (sock t sock_id) id call)
+      ( c.Costs.channel_demux,
+        fun () -> Tcp_srv.sock_call (Lazy.force t.socks) id sock_id call )
   | Msg.Drv_tx_confirm { ids; ok = _ } ->
       (* Completions free in a tight scan: a fraction of the
          cross-domain demux cost. *)
@@ -339,8 +230,8 @@ let create machine ~proc ~registry ~local_addr () =
             emit = (fun ~src:_ ~dst:_ _ ~payload:_ -> ());
             random = (fun _ -> 0);
           };
-      to_sc = None;
-      sockets = Hashtbl.create 32;
+      socks =
+        lazy (Tcp_srv.sockets proc t.tcp ~src_select:(src_for t) ~save:(fun _ _ -> ()));
       ident = 0;
       rng = Rng.split (Engine.rng (Machine.engine machine));
     }
@@ -371,5 +262,5 @@ let add_route t ~prefix ~bits ~iface ~gateway =
 let add_neighbor t ~iface:i addr mac = Arp.Cache.insert (iface t i).arp addr mac
 
 let connect_sc t ~from_sc ~to_sc =
-  t.to_sc <- Some to_sc;
+  Tcp_srv.reply_to (Lazy.force t.socks) to_sc;
   Proc.add_rx t.proc from_sc (handle_msg t ~rx_iface:0)

@@ -14,8 +14,8 @@
     ring scan.
 
     The same protocol engines ({!Newt_net.Tcp}, ARP, the IPv4 codec)
-    run here as in the split servers — the decomposition is deployment
-    configuration, not code. *)
+    and socket calls ({!Tcp_srv.sockets}) run here as in the split
+    servers — the decomposition is deployment configuration, not code. *)
 
 type t
 

@@ -20,13 +20,10 @@
     The listener reload and the engine swap are {!Component} lifecycle
     hooks; the crash hook also banks the dying engine's counters into
     the component archive so {!total_segs_out}/{!total_bytes_out} stay
-    exact across restarts. *)
+    exact across restarts. The socket front and the IP half are
+    {!Transport}'s. *)
 
 type t
-
-val chunk_size : int
-(** Bytes per chunk of the server's pool: a segment's payload takes one
-    chunk per [chunk_size] bytes, next to its header chunk. *)
 
 val create :
   Component.t ->
@@ -103,3 +100,21 @@ val socket_count : t -> int
 val listen_overflows : t -> int
 (** Connections refused (RST) because their listener's accept queue
     was at its backlog cap when the handshake completed. *)
+
+(** {1 Socket calls on their own}
+
+    The server's socket calls over an engine, without its IP half: what
+    {!Single_srv} runs over its in-process IP path. *)
+
+type sockets
+
+val sockets :
+  Proc.t ->
+  Newt_net.Tcp.t ->
+  src_select:(Newt_net.Addr.Ipv4.t -> Newt_net.Addr.Ipv4.t) ->
+  save:(string -> string -> unit) ->
+  sockets
+(** [save] stores the listening sockets. *)
+
+val reply_to : sockets -> Msg.t Newt_channels.Sim_chan.t -> unit
+val sock_call : sockets -> int -> Msg.socket_id -> Msg.sock_call -> unit

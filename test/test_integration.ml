@@ -1182,6 +1182,73 @@ let test_saturated_wire_promotes_little () =
     true
     (promoted < 0.6 *. payload_words)
 
+(* A datagram to port 0 names no socket: an unbound socket waiting in
+   recv times out instead of receiving it. *)
+let test_udp_port_zero_reaches_no_socket () =
+  let h = make_host () in
+  let peer = Host.sink h 0 in
+  let result = ref `Nothing in
+  Socket_api.udp_socket (Host.sc h) (Host.app h) (fun conn ->
+      Socket_api.recv conn ~max:100 ~timeout:(sec 0.5) (fun r ->
+          result := match r with `Timeout -> `Timeout | `Data _ -> `Data | _ -> `Other));
+  Host.at h (sec 0.2) (fun () ->
+      Sink.send_udp peer ~dst:(Host.local_addr h 0) ~dst_port:0 ~src_port:7
+        (Bytes.of_string "stray"));
+  Host.run h ~until:(sec 1.0);
+  Alcotest.(check bool) "the unbound socket timed out" true (!result = `Timeout)
+
+(* With every ephemeral port bound, a sendto from an unbound socket is
+   refused instead of leaving from port 0. The bound sockets are loaded
+   from the storage server by a UDP restart: binding 16384 sockets one
+   call at a time re-saves the growing table at each call. *)
+let test_udp_ephemeral_ports_exhausted () =
+  let h = make_host () in
+  let result = ref None in
+  Socket_api.udp_socket (Host.sc h) (Host.app h) (fun conn ->
+      Host.at h (sec 0.5) (fun () ->
+          let bound =
+            List.init 16384 (fun i -> (1_000_000 + i, 49152 + i, None))
+          in
+          let table : (int * int * (Newt_net.Addr.Ipv4.t * int) option) list =
+            List.sort compare ((Socket_api.sock_id conn, 0, None) :: bound)
+          in
+          Newt_reliability.Storage.put (Host.storage h) ~owner:"udp" ~key:"sockets"
+            (Marshal.to_string table []);
+          Host.kill_component h Host.C_udp);
+      Host.at h (sec 1.0) (fun () ->
+          Socket_api.sendto conn (Bytes.of_string "datagram") ~dst:(Host.sink_addr h 0)
+            ~port:7 (fun r -> result := Some r)));
+  Host.run h ~until:(sec 1.5);
+  Alcotest.(check int) "udp restarted" 1 (Host.restarts_of h Host.C_udp);
+  match !result with
+  | Some (`Error e) -> Alcotest.(check string) "sendto refused" "ephemeral ports exhausted" e
+  | Some (`Sent n) -> Alcotest.failf "sendto sent %d bytes from port 0" n
+  | None -> Alcotest.fail "sendto never replied"
+
+(* A datagram sent while IP is down is held and resubmitted when IP is
+   back: the peer receives it exactly once. *)
+let test_udp_datagram_survives_ip_crash () =
+  let h = make_host () in
+  let peer = Host.sink h 0 in
+  let got = ref [] in
+  Sink.serve_udp_full peer ~port:7 (fun ~src:_ ~src_port:_ q ->
+      got := Bytes.to_string q :: !got;
+      None);
+  let sent = ref false in
+  Socket_api.udp_socket (Host.sc h) (Host.app h) (fun conn ->
+      Socket_api.connect conn ~dst:(Host.sink_addr h 0) ~port:7 (fun _ ->
+          Host.at h (sec 1.0) (fun () -> Host.kill_component h Host.C_ip);
+          (* The restart comes 120 ms after the kill. *)
+          Host.at h (sec 1.02) (fun () ->
+              Socket_api.send conn (Bytes.of_string "while ip is down") (fun r ->
+                  sent := r = `Sent 16))));
+  Host.run h ~until:(sec 1.1);
+  Alcotest.(check (list string)) "nothing delivered while ip is down" [] !got;
+  Host.run h ~until:(sec 3.0);
+  Alcotest.(check bool) "the send was accepted" true !sent;
+  Alcotest.(check int) "ip restarted" 1 (Host.restarts_of h Host.C_ip);
+  Alcotest.(check (list string)) "delivered exactly once" [ "while ip is down" ] !got
+
 let suite =
   [
     ("bulk TCP reaches gigabit wire speed", `Quick, test_bulk_throughput_near_wire);
@@ -1272,4 +1339,8 @@ let suite =
     ("bulk data path allocates no payload copies", `Quick,
       test_bulk_allocates_no_payload_copies);
     ("saturated wire promotes few payload words", `Quick, test_saturated_wire_promotes_little);
+    ("udp datagram to port 0 reaches no socket", `Quick, test_udp_port_zero_reaches_no_socket);
+    ("udp sendto with every ephemeral port bound", `Quick, test_udp_ephemeral_ports_exhausted);
+    ("udp datagram sent while ip is down arrives once", `Quick,
+      test_udp_datagram_survives_ip_crash);
   ]
