@@ -161,20 +161,20 @@ let transmit t ~src ~dst ~tso hdr payload ~off =
      reverse; on exhaustion the ones already taken are freed. *)
   let slot = Pool.slot_size t.pool in
   let rec chunks b off acc =
-    if off >= Bytes.length b then Some acc
+    if off >= Bytes.length b then acc
     else
       let len = min slot (Bytes.length b - off) in
       match Pool.alloc t.pool ~len with
-      | exception Pool.Pool_exhausted ->
+      | exception (Pool.Pool_exhausted as e) ->
           free_chain t acc;
-          None
+          raise e
       | ptr ->
           Pool.write t.pool ptr ~src:b ~src_off:off;
           chunks b (off + len) (ptr :: acc)
   in
-  match Option.bind (chunks hdr 0 []) (chunks payload off) with
-  | None -> false
-  | Some rev ->
+  match chunks payload off (chunks hdr 0 []) with
+  | exception Pool.Pool_exhausted -> false
+  | rev ->
       submit t { chain = List.rev rev; src; dst; tso };
       true
 
