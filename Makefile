@@ -329,9 +329,9 @@ ledger-test:
 
 # Where a bulk run's host CPU goes: a SIGPROF call-stack sampler
 # (ITIMER_PROF, 1 ms of process CPU per sample) around the split Host
-# with five saturated 1 Gbps NICs. Prints the top inclusive frames and
-# the top self frames (innermost OCaml frame per sample) as one JSON
-# line.
+# with five saturated 1 Gbps NICs, the 0.3 s span repeated until it
+# has at least 2,000 samples. Prints the top inclusive frames and the
+# top self frames (innermost OCaml frame per sample) as one JSON line.
 profile: build
 	dune exec bench/main.exe -- profile
 

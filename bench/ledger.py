@@ -33,6 +33,10 @@ way: the wall times then measure a different compilation.
 A changed per-layer median is printed, marked "within spread" when
 it lies inside the other side's quartile range (a ledger from before
 per-layer quartiles holds one traced value: its range is that value).
+Each workload's first line is its exact work line: sim.events is
+deterministic per seed, so it is compared seed by seed, "identical on
+seeds 1-3" or each differing seed's counts. A move there is simulated
+work, not noise. It is a report line only, never a regression.
 """
 import argparse
 import glob
@@ -181,6 +185,29 @@ def quartiles(s):
     return (s["q1"], s["median"], s["q3"]) if "median" in s else (s["value"],) * 3
 
 
+def seed_list(seeds):
+    """'1-3' for a run of consecutive seeds, else '1, 5'."""
+    if len(seeds) > 1 and seeds == list(range(seeds[0], seeds[-1] + 1)):
+        return "%d-%d" % (seeds[0], seeds[-1])
+    return ", ".join(str(s) for s in seeds)
+
+
+def work_line(base, new, bw, nw):
+    """The exact work line: sim.events of each seed both ledgers ran."""
+    b = bw["per_layer"].get("sim.events", {})
+    n = nw["per_layer"].get("sim.events", {})
+    if "runs" not in b or "runs" not in n:
+        return "  = sim.events: not recorded per seed in both ledgers"
+    bs = dict(zip(base["seeds"], b["runs"]))
+    ns = dict(zip(new["seeds"], n["runs"]))
+    common = [s for s in new["seeds"] if s in bs]
+    moved = [s for s in common if bs[s] != ns[s]]
+    if not moved:
+        return "  = sim.events identical on seeds %s" % seed_list(common)
+    return "  = sim.events differs: " + ", ".join(
+        "seed %d %.12g -> %.12g" % (s, bs[s], ns[s]) for s in moved)
+
+
 def diff(new_path=None):
     new_path = new_path or run(out="_bench_new.json")
     older = [p for _, p in ledgers() if os.path.abspath(p) != os.path.abspath(new_path)]
@@ -210,6 +237,7 @@ def diff(new_path=None):
             print("%s: new workload" % wl)
             continue
         print(wl)
+        print(work_line(base, new, bw, nw))
         b_fail = bw["failed"] / bw["attempted"] if bw["attempted"] else 0.0
         n_fail = nw["failed"] / nw["attempted"] if nw["attempted"] else 0.0
         if n_fail > b_fail:

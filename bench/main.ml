@@ -379,19 +379,27 @@ let print_micro_hook () =
    time spent in the GC or in C code is charged to the OCaml frame
    that called it, not listed on its own. The run is the benchmark's
    bulk shape: the split Host, five 1 Gbps NICs, one saturating iperf
-   per NIC, 0.3 s simulated. This file's own frames (the sampler and
-   the driver) are left out. *)
+   per NIC, 0.3 s simulated. One such span gives a few hundred samples, too
+   few to rank the frames below the top ten, so the span is run again,
+   on a fresh Host, until the samples reach [min_samples]; only the
+   runs are sampled, not the set-ups. This file's own frames (the
+   sampler and the loop around the runs) are left out. *)
+let min_samples = 2000
+
 let print_profile () =
   let module Host = Newt_core.Host in
   let module Sink = Newt_stack.Sink in
   let nics = 5 and port = 5001 and until = Newt_sim.Time.of_seconds 0.3 in
-  let h = Host.create ~config:{ Host.default_config with Host.nics; app_cores = nics } () in
-  for i = 0 to nics - 1 do
-    Sink.sink_tcp (Host.sink h i) ~port ~on_bytes:(fun ~at:_ _ -> ());
-    ignore
-      (Newt_sockets.Apps.Iperf.start (Host.machine h) ~sc:(Host.sc h) ~app:(Host.app h)
-         ~dst:(Host.sink_addr h i) ~port ~until ())
-  done;
+  let bulk () =
+    let h = Host.create ~config:{ Host.default_config with Host.nics; app_cores = nics } () in
+    for i = 0 to nics - 1 do
+      Sink.sink_tcp (Host.sink h i) ~port ~on_bytes:(fun ~at:_ _ -> ());
+      ignore
+        (Newt_sockets.Apps.Iperf.start (Host.machine h) ~sc:(Host.sc h) ~app:(Host.app h)
+           ~dst:(Host.sink_addr h i) ~port ~until ())
+    done;
+    h
+  in
   let hits = Hashtbl.create 512 and self = Hashtbl.create 512 and samples = ref 0 in
   let bump tbl f = Hashtbl.replace tbl f (1 + Option.value ~default:0 (Hashtbl.find_opt tbl f)) in
   let frame slot =
@@ -418,9 +426,14 @@ let print_profile () =
     ignore (Unix.setitimer Unix.ITIMER_PROF { Unix.it_interval = s; it_value = s })
   in
   Sys.set_signal Sys.sigprof (Sys.Signal_handle sample);
-  timer 0.001;
-  Host.run h ~until;
-  timer 0.0;
+  let spans = ref 0 in
+  while !samples < min_samples do
+    let h = bulk () in
+    incr spans;
+    timer 0.001;
+    Host.run h ~until;
+    timer 0.0
+  done;
   Sys.set_signal Sys.sigprof Sys.Signal_default;
   let top tbl key =
     Hashtbl.fold (fun f n acc -> (f, n) :: acc) tbl []
@@ -435,7 +448,7 @@ let print_profile () =
     (Obj
        [ ( "profile",
            Obj
-             [ ("workload", String "bulk"); ("interval_ms", Int 1);
+             [ ("workload", String "bulk"); ("interval_ms", Int 1); ("spans", Int !spans);
                ("samples", Int !samples); ("frames", List (top hits "inclusive"));
                ("self", List (top self "self")) ] ) ])
 

@@ -134,6 +134,21 @@ class DiffTest(unittest.TestCase):
         self.assertIn("the build changed (unrecorded -> no -opaque", text)
 
 
+    def test_exact_work_line(self):
+        # sim.events per seed: identical, one seed moved, or a base
+        # from before per-layer runs, which holds no per-seed counts.
+        e2e = {"wall_s": 1.0, "heap_peak_mb": 10.0}
+        base = ledger_file(1, e2e, {"sim.events": (100, 200, 300)})
+        same = self.diff(base, ledger_file(2, e2e, {"sim.events": (100, 200, 300)}))[1]
+        self.assertIn("= sim.events identical on seeds 1-3", same)
+        code, text = self.diff(base, ledger_file(2, e2e, {"sim.events": (100, 205, 300)}))
+        self.assertEqual(code, 0, text)
+        self.assertIn("= sim.events differs: seed 2 200 -> 205\n", text)
+        text = self.diff(ledger_file(1, e2e, {"sim.events": 200}),
+                         ledger_file(2, e2e, {"sim.events": (100, 200, 300)}))[1]
+        self.assertIn("= sim.events: not recorded per seed in both ledgers", text)
+
+
 class BuildTest(unittest.TestCase):
     def test_printenv_flags(self):
         text = ("(flags\n (-w\n  @1..3@5..28-40\n  -strict-sequence))\n"

@@ -48,43 +48,52 @@ exception Pool_exhausted
 let threadsafe_default = ref false
 let set_default_threadsafe b = threadsafe_default := b
 
-let with_lock t f =
-  match t.lock with
-  | None -> f ()
-  | Some m ->
-      Mutex.lock m;
-      (* Two separate race-hook events, not one: the acquire is
-         recorded after [Mutex.lock] and the release just before
-         [Mutex.unlock], so slot accesses made inside the critical
-         section are covered by the release edge. A single combined
-         event at entry would release the holder's clock before those
-         accesses and cross-domain slot reuse (free on the owner,
-         alloc on the grantee) would look like a race. *)
+(* [locked t m f] runs [f] holding the pool's mutex. The lock-free
+   paths of [alloc] and [free] call their bodies directly, so a
+   simulated run builds no closure per operation. *)
+let locked t m f =
+  Mutex.lock m;
+  (* Two separate race-hook events, not one: the acquire is
+     recorded after [Mutex.lock] and the release just before
+     [Mutex.unlock], so slot accesses made inside the critical
+     section are covered by the release edge. A single combined
+     event at entry would release the holder's clock before those
+     accesses and cross-domain slot reuse (free on the owner,
+     alloc on the grantee) would look like a race. *)
+  if Hook.native_enabled () then
+    Hook.native_emit (Hook.N_lock { lock = t.id; acquire = true });
+  Fun.protect
+    ~finally:(fun () ->
       if Hook.native_enabled () then
-        Hook.native_emit (Hook.N_lock { lock = t.id; acquire = true });
-      Fun.protect
-        ~finally:(fun () ->
-          if Hook.native_enabled () then
-            Hook.native_emit (Hook.N_lock { lock = t.id; acquire = false });
-          Mutex.unlock m)
-        f
+        Hook.native_emit (Hook.N_lock { lock = t.id; acquire = false });
+      Mutex.unlock m)
+    f
+
+let with_lock t f = match t.lock with None -> f () | Some m -> locked t m f
 
 (* Successful allocs and single frees on this domain since the
-   innermost open [metered] call began. *)
+   innermost open meter ([meter_open] or [metered]) began. *)
 let ops_key = Domain.DLS.new_key (fun () -> ref 0)
 let count_op () = incr (Domain.DLS.get ops_key)
 
-let metered f =
+let meter_open () =
   let ops = Domain.DLS.get ops_key in
   let outer = !ops in
   ops := 0;
+  outer
+
+let meter_close outer =
+  let ops = Domain.DLS.get ops_key in
+  let n = !ops in
+  ops := outer;
+  n
+
+let metered f =
+  let outer = meter_open () in
   match f () with
-  | v ->
-      let n = !ops in
-      ops := outer;
-      (n, v)
+  | v -> (meter_close outer, v)
   | exception e ->
-      ops := outer;
+      ignore (meter_close outer : int);
       raise e
 
 let id_counter = ref 0
@@ -133,11 +142,7 @@ let grow_meta t =
       free = extend m.free 0;
     }
 
-let alloc t ~len =
-  if len > t.slot_size then
-    invalid_arg
-      (Printf.sprintf "Pool.alloc: len %d exceeds slot size %d" len t.slot_size);
-  with_lock t @@ fun () ->
+let alloc_slot t len =
   let slot =
     if t.nfree > 0 then begin
       t.nfree <- t.nfree - 1;
@@ -159,6 +164,14 @@ let alloc t ~len =
   Hook.native_access Hook.N_pool_slot ~id:t.id ~sub:slot ~write:true;
   count_op ();
   { Rich_ptr.pool = t.id; slot; off = 0; len; gen }
+
+let alloc t ~len =
+  if len > t.slot_size then
+    invalid_arg
+      (Printf.sprintf "Pool.alloc: len %d exceeds slot size %d" len t.slot_size);
+  match t.lock with
+  | None -> alloc_slot t len
+  | Some m -> locked t m (fun () -> alloc_slot t len)
 
 let is_live m (p : Rich_ptr.t) =
   let slot = p.Rich_ptr.slot in
@@ -230,8 +243,7 @@ let read t p =
 
 let blit t p ~dst ~dst_off = copy_out t p dst dst_off
 
-let free t p =
-  with_lock t @@ fun () ->
+let free_slot t p =
   let m = t.meta and slot = p.Rich_ptr.slot in
   (* A pointer whose slot was reclaimed by a plain [free] and not since
      reallocated: this very allocation was already freed once. Calling
@@ -256,6 +268,11 @@ let free t p =
   count_op ();
   m.free.(t.nfree) <- slot;
   t.nfree <- t.nfree + 1
+
+let free t p =
+  match t.lock with
+  | None -> free_slot t p
+  | Some m -> locked t m (fun () -> free_slot t p)
 
 let free_all t =
   with_lock t @@ fun () ->

@@ -53,7 +53,8 @@ val set_default_threadsafe : bool -> unit
     {!write}) both take the mutex, so neither loses the other's update;
     both happen before the pointer is published, so a reader on
     another domain always sees them. Default [false] — simulated runs
-    are single-threaded. *)
+    are single-threaded, and a pool without the mutex allocates nothing
+    in {!alloc} or {!free} beyond the pointer {!alloc} returns. *)
 
 val create : id:int -> slots:int -> slot_size:int -> t
 (** [create ~id ~slots ~slot_size] makes a pool of [slots] buffers of
@@ -122,5 +123,19 @@ val metered : (unit -> 'a) -> int * 'a
 (** [metered f] runs [f] and returns how many pool operations it
     performed on the calling domain, with [f]'s result. An operation is
     a successful {!alloc} or a single {!free}, in any pool; {!free_all}
-    is not one. Operations inside a nested [metered] call count only
-    for that call. The server runtime prices its work with it. *)
+    is not one. Operations inside a nested meter ([metered] or
+    {!meter_open}) count only for that meter. Recovery notifications
+    that must not be charged run under it and drop the count. *)
+
+val meter_open : unit -> int
+(** Start a meter without a closure: the operations counted from here
+    on belong to it. Returns the enclosing meter's count so far, which
+    the matching {!meter_close} restores. Meters nest as {!metered}
+    calls do, and every open must be closed on every path, also when
+    the metered work raises. The server runtime prices each message
+    hand-off with it. *)
+
+val meter_close : int -> int
+(** [meter_close outer] ends the innermost meter, returning the
+    operations it counted, and gives the enclosing meter back its count
+    [outer] (the value of the matching {!meter_open}). *)

@@ -30,8 +30,15 @@ val read : t -> Rich_ptr.t -> Bytes.t
     {!Pool.Stale_pointer}. *)
 
 val gather : t -> Rich_ptr.chain -> Bytes.t
-(** Materialize a chunk chain into contiguous bytes — what a
+(** Materialize a chunk chain into fresh contiguous bytes — what a
     scatter-gather DMA engine does when serializing a frame. *)
+
+val gather_into : t -> Rich_ptr.chain -> Bytes.t -> unit
+(** [gather_into t chain dst] writes the chain's bytes at the start of
+    [dst], which must hold {!Rich_ptr.chain_len} bytes: the same bytes
+    {!gather} returns, into a buffer the caller lends (a link's ring
+    slot). Raises as {!read} does, after writing the chunks before the
+    failing one. *)
 
 val chain_live : t -> Rich_ptr.chain -> bool
 (** All chunks of the chain resolve to live slots. *)

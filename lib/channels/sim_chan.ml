@@ -108,6 +108,23 @@ let recv t =
   | Sim s -> if s.down || Fifo.is_empty s.queue then None else Some (Fifo.pop s.queue)
   | Ring r -> if Atomic.get r.down then None else Spsc_queue.try_pop r.ring
 
+let ready t =
+  match t.backing with
+  | Sim s -> not (s.down || Fifo.is_empty s.queue)
+  | Ring r -> not (Atomic.get r.down || Spsc_queue.is_empty r.ring)
+
+let take t =
+  match t.backing with
+  | Sim s ->
+      if s.down || Fifo.is_empty s.queue then invalid_arg "Sim_chan.take: not ready";
+      Fifo.pop s.queue
+  | Ring r -> (
+      (* Only this consumer pops, so what [ready] saw is still there,
+         even if another domain tore the channel down since. *)
+      match Spsc_queue.try_pop r.ring with
+      | Some x -> x
+      | None -> invalid_arg "Sim_chan.take: not ready")
+
 let peek t =
   match t.backing with
   | Sim s -> if s.down || Fifo.is_empty s.queue then None else Some (Fifo.peek s.queue)

@@ -43,6 +43,14 @@ val send : 'a t -> 'a -> bool
 val recv : 'a t -> 'a option
 (** Non-blocking receive; [None] when empty or torn down. *)
 
+val ready : 'a t -> bool
+(** A {!recv} would return a message: the channel is up and not empty. *)
+
+val take : 'a t -> 'a
+(** The consumer's receive without an option: the message {!recv}
+    would return. Call it only after {!ready} returned [true] on the
+    consumer side; otherwise it raises [Invalid_argument]. *)
+
 val peek : 'a t -> 'a option
 
 val length : 'a t -> int

@@ -218,9 +218,10 @@ let key_of pcb : conn_key =
    Every state transition and every segment crossing the engine is
    mirrored to the [Hook] TCP family so the FSM conformance checker
    ([Newt_verify.Tcpfsm]) can replay them against its rule table. All
-   emissions are guarded by [Hook.tcp_enabled] so an unarmed run pays
-   one branch per site. Events are local-oriented: [lip]/[lport] is
-   always this engine's end. *)
+   emissions are guarded by [Hook.tcp_enabled], and the event's flags
+   record is built behind that guard, so an unarmed run pays one branch
+   per site and allocates nothing. Events are local-oriented:
+   [lip]/[lport] is always this engine's end. *)
 
 module Hook = Newt_channels.Hook
 
@@ -254,9 +255,16 @@ let set_state pcb cause to_ =
   hook_transition pcb ~from_:pcb.state ~to_ cause;
   pcb.state <- to_
 
-let hook_seg ~tx ~lip ~lport ~rip ~rport flags =
+(* The cause of a transition a received segment makes. Only an armed
+   run reads a cause, so an unarmed one gets a constant instead of a
+   record per segment. *)
+let rx_cause (f : Tcp_wire.flags) ~payload_len =
+  if Hook.tcp_enabled () then Hook.T_rx (hook_flags f ~payload_len) else Hook.T_api
+
+let hook_seg ~tx ~lip ~lport ~rip ~rport f ~payload_len =
   if Hook.tcp_enabled () then begin
     let lip = Addr.Ipv4.to_int32 lip and rip = Addr.Ipv4.to_int32 rip in
+    let flags = hook_flags f ~payload_len in
     Hook.tcp_emit
       (if tx then Hook.T_seg_tx { lip; lport; rip; rport; flags }
        else Hook.T_seg_rx { lip; lport; rip; rport; flags })
@@ -348,8 +356,7 @@ let emit_seg pcb ?(payload = Bytes.empty) ?(push = false) ~seq (flags : Tcp_wire
   t.stats.segs_out <- t.stats.segs_out + 1;
   t.stats.bytes_out <- t.stats.bytes_out + Bytes.length payload;
   hook_seg ~tx:true ~lip:pcb.local_ip ~lport:pcb.local_port ~rip:pcb.remote_ip
-    ~rport:pcb.remote_port
-    (hook_flags hdr.Tcp_wire.flags ~payload_len:(Bytes.length payload));
+    ~rport:pcb.remote_port hdr.Tcp_wire.flags ~payload_len:(Bytes.length payload);
   t.env.emit ~src:pcb.local_ip ~dst:pcb.remote_ip hdr ~payload
 
 let emit_rst t ~src ~dst ~src_port ~dst_port ~seq ~ack ~with_ack =
@@ -368,8 +375,8 @@ let emit_rst t ~src ~dst ~src_port ~dst_port ~seq ~ack ~with_ack =
   in
   t.stats.rsts_out <- t.stats.rsts_out + 1;
   t.stats.segs_out <- t.stats.segs_out + 1;
-  hook_seg ~tx:true ~lip:src ~lport:src_port ~rip:dst ~rport:dst_port
-    (hook_flags flags ~payload_len:0);
+  hook_seg ~tx:true ~lip:src ~lport:src_port ~rip:dst ~rport:dst_port flags
+    ~payload_len:0;
   t.env.emit ~src ~dst hdr ~payload:Bytes.empty
 
 let ack_now pcb =
@@ -834,7 +841,7 @@ let rec process_payload pcb (hdr : Tcp_wire.header) payload ~off ~len =
       if fin_in_order && not pcb.rcv_fin then begin
         pcb.rcv_fin <- true;
         pcb.rcv_nxt <- Seq32.add pcb.rcv_nxt 1;
-        let rx_fin = Hook.T_rx (hook_flags hdr.Tcp_wire.flags ~payload_len:len) in
+        let rx_fin = rx_cause hdr.Tcp_wire.flags ~payload_len:len in
         (match pcb.state with
         | Established -> set_state pcb rx_fin Close_wait
         | Fin_wait_1 ->
@@ -884,7 +891,7 @@ let negotiate_from_syn pcb (hdr : Tcp_wire.header) =
       pcb.rcv_wscale <- 0
 
 let handle_syn_sent pcb (hdr : Tcp_wire.header) =
-  let rx = Hook.T_rx (hook_flags hdr.Tcp_wire.flags ~payload_len:0) in
+  let rx = rx_cause hdr.Tcp_wire.flags ~payload_len:0 in
   if hdr.Tcp_wire.flags.Tcp_wire.rst then begin
     if hdr.Tcp_wire.flags.Tcp_wire.ack && hdr.Tcp_wire.ack = pcb.snd_nxt then begin
       pcb.t.stats.rsts_in <- pcb.t.stats.rsts_in + 1;
@@ -939,7 +946,7 @@ let handle_listener t listener ~src ~dst (hdr : Tcp_wire.header) =
     pcb.snd_wl2 <- 0;
     Hashtbl.replace t.conns (key_of pcb) pcb;
     hook_transition pcb ~from_:Closed ~to_:Syn_received
-      (Hook.T_rx (hook_flags hdr.Tcp_wire.flags ~payload_len:0));
+      (rx_cause hdr.Tcp_wire.flags ~payload_len:0);
     (* Remember the acceptor so establishment can hand the pcb over. *)
     pcb.handler <-
       (fun ev ->
@@ -955,7 +962,7 @@ let handle_listener t listener ~src ~dst (hdr : Tcp_wire.header) =
       ~with_ack:(not hdr.Tcp_wire.flags.Tcp_wire.ack)
 
 let handle_synchronized pcb (hdr : Tcp_wire.header) payload ~off ~len =
-  let rx = Hook.T_rx (hook_flags hdr.Tcp_wire.flags ~payload_len:len) in
+  let rx = rx_cause hdr.Tcp_wire.flags ~payload_len:len in
   if hdr.Tcp_wire.flags.Tcp_wire.rst then begin
     pcb.t.stats.rsts_in <- pcb.t.stats.rsts_in + 1;
     let h = pcb.handler in
@@ -1020,8 +1027,7 @@ let input t ~src ~dst (hdr : Tcp_wire.header) ~payload ~off ~len =
     invalid_arg "Tcp.input";
   t.stats.segs_in <- t.stats.segs_in + 1;
   hook_seg ~tx:false ~lip:dst ~lport:hdr.Tcp_wire.dst_port ~rip:src
-    ~rport:hdr.Tcp_wire.src_port
-    (hook_flags hdr.Tcp_wire.flags ~payload_len:len);
+    ~rport:hdr.Tcp_wire.src_port hdr.Tcp_wire.flags ~payload_len:len;
   let key = (dst, hdr.Tcp_wire.dst_port, src, hdr.Tcp_wire.src_port) in
   match Hashtbl.find_opt t.conns key with
   | Some pcb -> (
@@ -1065,8 +1071,7 @@ let input t ~src ~dst (hdr : Tcp_wire.header) ~payload ~off ~len =
                 in
                 t.stats.segs_out <- t.stats.segs_out + 1;
                 hook_seg ~tx:true ~lip:dst ~lport:hdr.Tcp_wire.dst_port ~rip:src
-                  ~rport:hdr.Tcp_wire.src_port
-                  (hook_flags Tcp_wire.flag_ack ~payload_len:0);
+                  ~rport:hdr.Tcp_wire.src_port Tcp_wire.flag_ack ~payload_len:0;
                 t.env.emit ~src:dst ~dst:src hdr' ~payload:Bytes.empty
             | Some Stale_established | None ->
                 emit_rst t ~src:dst ~dst:src ~src_port:hdr.Tcp_wire.dst_port

@@ -8,8 +8,11 @@
     like a real wire.
 
     A frame waits in one of the direction's reusable buffers, not in a
-    heap block of its own: {!transmit} copies it in, and delivery hands
-    the receiver and every tap a fresh copy that each may keep. *)
+    heap block of its own: {!transmit} copies it in, or a sender writes
+    it in place ({!slot}, {!commit}). A landed frame is lent to the
+    receiver for its callback, not given: the bytes are valid until the
+    callback returns, and a receiver that keeps a frame copies it. Every
+    tap gets a copy of its own, which it may keep. *)
 
 type t
 
@@ -26,7 +29,10 @@ val create :
     (a typical NIC ring's worth of buffering). *)
 
 val attach : t -> side -> (Bytes.t -> unit) -> unit
-(** Install the receive callback of the endpoint on [side]. *)
+(** Install the receive callback of the endpoint on [side]. The frame
+    it gets is the link's own buffer, lent for the call: the callback
+    may read it, and may transmit on either direction meanwhile (its
+    frame stays intact), but must copy what it keeps. *)
 
 val tap : t -> (at:Newt_sim.Time.cycles -> dir:side -> Bytes.t -> unit) -> unit
 (** Install a passive monitor that sees every delivered frame with its
@@ -38,6 +44,23 @@ val transmit : t -> from:side -> Bytes.t -> bool
 (** Offer a frame for transmission; [false] (dropped) when down or the
     direction's queue is full. The link copies the frame, so the caller
     may reuse it at once. *)
+
+val accepts : t -> from:side -> bool
+(** Whether {!transmit} from [side] would take a frame now: the link is
+    up and the direction's queue has room. Counts nothing. *)
+
+val slot : t -> from:side -> len:int -> Bytes.t
+(** The buffer, exactly [len] bytes, that the next frame from [side]
+    occupies in the direction's ring: a sender that can build the frame
+    in place (a NIC's gather DMA) writes it there and then calls
+    {!commit}, and the frame is never copied. Call it only while
+    {!accepts} holds; otherwise it raises [Invalid_argument]. A slot
+    left uncommitted is simply rewritten by the next frame. *)
+
+val commit : t -> from:side -> unit
+(** Send the frame written into the buffer the last {!slot} from [side]
+    returned, exactly as {!transmit} would send a copy of it. Nothing
+    may transmit from [side] between the {!slot} and its [commit]. *)
 
 val set_up : t -> bool -> unit
 (** Bring the link administratively up or down. Going down flushes the

@@ -5,6 +5,12 @@
     one {!Link} (the shared PHY), and raises moderated interrupts, one
     reason per queue.
 
+    Buffers are lent, not copied, where the device can: a non-TSO
+    frame the link accepts is gathered straight into the link's ring
+    slot and its checksum finalized there ({!Link.slot}), and a
+    received frame, which the link only lends for its callback, is
+    copied once, into the RX buffer the pool's owner posted.
+
     With one queue ([Rss.create ~queues:1 ()]) it is the paper's
     PRO/1000 port, as the split stack and the single server drive it.
     The adapter keeps shadow copies of the ring descriptors, so after
@@ -61,12 +67,18 @@ val rss : t -> Rss.t
 val set_irq_handler : t -> (irq_reason -> unit) -> unit
 val set_rx_writer : t -> (Newt_channels.Rich_ptr.t -> Bytes.t -> unit) -> unit
 (** The DMA-write capability for RX buffers, from the receive pool's
-    owner. *)
+    owner. The frame it is given is lent by the link for the call: the
+    writer copies it into the buffer and keeps nothing else. *)
 
 val post_tx : t -> queue:int -> tx_desc -> bool
 (** [false] when the ring is full. *)
 
 val doorbell_tx : t -> queue:int -> unit
+(** Start the queue's TX pump if it is idle. The pump takes each posted
+    descriptor in turn; one the link would refuse, and a TSO one, is
+    gathered into fresh frames when taken, and a refused frame is
+    retried with those bytes 2 us later. *)
+
 val post_rx : t -> queue:int -> rx_desc -> bool
 val reap_tx : t -> queue:int -> tx_desc option
 (** One TX completion: the frame's buffers may now be freed. *)

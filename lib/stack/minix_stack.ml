@@ -200,7 +200,9 @@ let create machine ~link ~addr ~peer_mac () =
     }
   in
   t.tcp <- make_tcp t;
-  Link.attach link Link.Left (fun frame -> on_rx t frame);
+  (* The link lends its frame for the callback; INET reads it later,
+     in a continuation, so it takes a copy here. *)
+  Link.attach link Link.Left (fun frame -> on_rx t (Bytes.copy frame));
   t
 
 (* {2 The application} *)

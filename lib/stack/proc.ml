@@ -19,7 +19,12 @@ type t = {
   mutable core : Cpu.t;
   stats : Stats.t;
   trace : Trace.t option;
-  mutable rx : (Msg.t Sim_chan.t * handler ref) array;  (* service order *)
+  mutable chans : Msg.t Sim_chan.t array;  (* receive channels, by registration *)
+  mutable handlers : handler array;  (* [handlers.(i)] serves [chans.(i)] *)
+  mutable order : int array;
+      (* Service order: indices into [chans], next to serve first. An
+         [int array], so moving a served channel to the back writes no
+         pointer. *)
   mutable alive : bool;
   mutable hung : bool;
   mutable updating : bool;
@@ -46,7 +51,9 @@ let create machine ~name ~core ?trace () =
     core;
     stats = Stats.create ();
     trace;
-    rx = [||];
+    chans = [||];
+    handlers = [||];
+    order = [||];
     alive = true;
     hung = false;
     updating = false;
@@ -69,7 +76,8 @@ let responsive t = t.alive && not t.hung
 let pool_ops t = t.pool_ops
 
 (* Pool operations are priced where they happen: every piece of work
-   the runtime runs for a server is metered ({!Pool.metered}), and the
+   the runtime runs for a server is metered ({!Pool.meter_open} and
+   {!Pool.meter_close} around it, no closure and no tuple), and the
    [Costs.pool_op] of each operation it performed is charged on the
    server's core, in FIFO position right after it ({!Cpu.charge}: no
    event, no continuation). *)
@@ -101,13 +109,21 @@ let with_actor ~epoch name k =
 
 (* All work a server runs is bracketed with its identity, so pool and
    channel operations it performs are attributed to it by the
-   sanitizer hook. *)
+   sanitizer hook, and metered: its pool operations are charged right
+   after it. A meter is closed also when the work raises, so the
+   enclosing meter keeps its count. *)
+let run_metered t ~epoch k =
+  let outer = Pool.meter_open () in
+  match with_actor ~epoch t.name k with
+  | () -> charge_pool t (Pool.meter_close outer)
+  | exception e ->
+      ignore (Pool.meter_close outer : int);
+      raise e
+
 let guard t k =
   let inc = t.incarnation in
   fun () ->
-    if t.alive && (not t.hung) && t.incarnation = inc then
-      let n, () = Pool.metered (fun () -> with_actor ~epoch:inc t.name k) in
-      charge_pool t n
+    if t.alive && (not t.hung) && t.incarnation = inc then run_metered t ~epoch:inc k
 
 let exec t ~cost k =
   if t.alive && not t.hung then Cpu.exec t.core ~proc:t.pid ~cost (guard t k)
@@ -144,48 +160,60 @@ let emit_protocol chan msg way =
 let recv_cost c =
   c.Costs.channel_dequeue + c.Costs.channel_demux + c.Costs.cacheline_transfer
 
+(* Round-robin: serve the first channel with a message and move it
+   to the back of the service order, so no channel starves. *)
 let rec drain t =
   if t.alive && (not t.hung) && not t.updating then begin
-    (* Round-robin: serve the first channel with a message and move it
-       to the back, in place, so no channel starves. *)
-    let rx = t.rx in
-    let n = Array.length rx in
-    let rec find i =
-      if i = n then t.draining <- false
-      else
-        let ((chan, handler) as entry) = rx.(i) in
-        match Sim_chan.recv chan with
-        | Some msg ->
-            Array.blit rx (i + 1) rx i (n - 1 - i);
-            rx.(n - 1) <- entry;
-            serve t chan msg !handler
-        | None -> find (i + 1)
-    in
-    find 0
+    let order = t.order in
+    let n = Array.length order in
+    let i = ref 0 in
+    while !i < n && not (Sim_chan.ready t.chans.(order.(!i))) do
+      incr i
+    done;
+    if !i = n then t.draining <- false
+    else begin
+      let c = order.(!i) in
+      for k = !i to n - 2 do
+        order.(k) <- order.(k + 1)
+      done;
+      order.(n - 1) <- c;
+      let chan = t.chans.(c) in
+      serve t chan (Sim_chan.take chan) t.handlers.(c)
+    end
   end
   else t.draining <- false
 
+(* The handler's body is metered on its own: its pool operations join
+   its cost. The effect runs when that cost is paid, metered again and
+   charged after it, and then the server drains on. *)
 and serve t chan msg handler =
   if Hook.enabled () then
     Hook.with_actor ~epoch:t.incarnation t.name (fun () ->
         emit_transfers chan msg (fun ~chan ~ptr ->
             Hook.Chan_receive { chan; ptr });
         emit_protocol chan msg `Received);
-  let costs = Machine.costs t.machine in
-  let n, (work_cost, effect) =
-    Pool.metered (fun () ->
-        with_actor ~epoch:t.incarnation t.name (fun () -> handler msg))
-  in
-  t.pool_ops <- t.pool_ops + n;
-  Cpu.exec t.core ~proc:t.pid
-    ~cost:(recv_cost costs + work_cost + (n * costs.Costs.pool_op))
-    (let inc = t.incarnation in
-     fun () ->
-       if t.alive && (not t.hung) && t.incarnation = inc then begin
-         let n, () = Pool.metered (fun () -> with_actor ~epoch:inc t.name effect) in
-         charge_pool t n;
-         drain t
-       end)
+  let outer = Pool.meter_open () in
+  match
+    (* [with_actor] spelled out: its thunk would be a closure per
+       message on a disarmed run. *)
+    if Hook.enabled () then
+      Hook.with_actor ~epoch:t.incarnation t.name (fun () -> handler msg)
+    else handler msg
+  with
+  | exception e ->
+      ignore (Pool.meter_close outer : int);
+      raise e
+  | work_cost, effect ->
+      let n = Pool.meter_close outer in
+      let costs = Machine.costs t.machine and inc = t.incarnation in
+      t.pool_ops <- t.pool_ops + n;
+      Cpu.exec t.core ~proc:t.pid
+        ~cost:(recv_cost costs + work_cost + (n * costs.Costs.pool_op))
+        (fun () ->
+          if t.alive && (not t.hung) && t.incarnation = inc then begin
+            run_metered t ~epoch:inc effect;
+            drain t
+          end)
 
 let wake t =
   if t.alive && (not t.hung) && (not t.updating) && not t.draining then begin
@@ -210,10 +238,13 @@ let notify t =
   else wake t
 
 let add_rx t chan handler =
-  (match Array.find_opt (fun (c, _) -> c == chan) t.rx with
-  | Some (_, href) -> href := handler
+  (match Array.find_index (fun c -> c == chan) t.chans with
+  | Some i -> t.handlers.(i) <- handler
   | None ->
-      t.rx <- Array.append t.rx [| (chan, ref handler) |];
+      let i = Array.length t.chans in
+      t.chans <- Array.append t.chans [| chan |];
+      t.handlers <- Array.append t.handlers [| handler |];
+      t.order <- Array.append t.order [| i |];
       Sim_chan.set_notify chan (fun () -> notify t));
   if not (Sim_chan.is_empty chan) then notify t
 

@@ -70,12 +70,18 @@ val pool_ops : t -> int
 (** Pool operations this server has been charged for, across
     incarnations. The runtime meters every handler, effect and {!exec}
     or {!after} continuation it runs for the server
-    ({!Newt_channels.Pool.metered}) and charges {!Newt_hw.Costs}'
-    [pool_op] on the server's core for each [Pool.alloc] and
-    [Pool.free] the work performed: operations in a handler's body are
-    added to its cost, those in an effect or continuation are charged
-    right after it ({!Newt_hw.Cpu.charge}, in FIFO order, with no event
-    of their own). Crash and restart notifications are not charged. *)
+    ({!Newt_channels.Pool.meter_open}/{!Newt_channels.Pool.meter_close},
+    which build no closure, so a message hand-off allocates nothing of
+    the runtime's own) and charges {!Newt_hw.Costs}' [pool_op] on the
+    server's core for each [Pool.alloc] and [Pool.free] the work
+    performed: operations in a handler's body are added to its cost,
+    those in an effect or continuation are charged right after it
+    ({!Newt_hw.Cpu.charge}, in FIFO order, with no event of their own).
+    Operations inside a nested serve (a send that wakes another server
+    at once) count only for that server; crash and restart
+    notifications are not charged ({!Newt_channels.Pool.metered}). A
+    handler that raises is charged nothing, and the enclosing meter
+    keeps its count. *)
 
 val set_send_overhead : (unit -> unit) option -> unit
 (** Process-wide extra work charged on every {!send} — the native

@@ -24,6 +24,9 @@ type t = {
   load : string -> string option;
   ip : Transport.ip;
   front : socket Transport.front;
+  ports : (int, socket list) Hashtbl.t;
+      (* Port index: the sockets of the table bound to each port; no
+         entry for port 0 or for a port nobody binds. *)
   mutable next_ephemeral : int;
   mutable src_select : Addr.Ipv4.t -> Addr.Ipv4.t;
   mutable datagrams_out : int;
@@ -56,13 +59,40 @@ let sock t id =
       persist t;
       s
 
-(* Port 0 is no port: it names no socket, bound or not. *)
+(* Every change of a socket's port, or of the table, goes through
+   [set_port] or [index_all], so the index holds exactly the bound
+   sockets of the table. *)
+let set_port t s port =
+  let old = s.bound_port in
+  if old <> 0 then begin
+    match List.filter (fun s' -> s' != s) (Hashtbl.find t.ports old) with
+    | [] -> Hashtbl.remove t.ports old
+    | rest -> Hashtbl.replace t.ports old rest
+  end;
+  s.bound_port <- port;
+  if port <> 0 then
+    Hashtbl.replace t.ports port
+      (s :: Option.value (Hashtbl.find_opt t.ports port) ~default:[])
+
+let index_all t =
+  Hashtbl.reset t.ports;
+  Hashtbl.iter
+    (fun _ s ->
+      let port = s.bound_port in
+      s.bound_port <- 0;
+      set_port t s port)
+    (Transport.sockets t.front)
+
+(* Port 0 is no port: it names no socket, bound or not. Two sockets
+   may bind one port; then the table's fold picks, as it always has. *)
 let find_by_port t port =
-  if port = 0 then None
-  else
-    Hashtbl.fold
-      (fun _ s acc -> if s.bound_port = port then Some s else acc)
-      (Transport.sockets t.front) None
+  match Hashtbl.find_opt t.ports port with
+  | None -> None
+  | Some [ s ] -> Some s
+  | Some _ ->
+      Hashtbl.fold
+        (fun _ s acc -> if s.bound_port = port then Some s else acc)
+        (Transport.sockets t.front) None
 
 (* Bind an unbound socket to a free ephemeral port; false when every
    one is taken. *)
@@ -72,8 +102,8 @@ let bind_ephemeral t s =
     &&
     let port = t.next_ephemeral in
     t.next_ephemeral <- (if port >= 65535 then 49152 else port + 1);
-    if find_by_port t port = None then begin
-      s.bound_port <- port;
+    if not (Hashtbl.mem t.ports port) then begin
+      set_port t s port;
       persist t;
       true
     end
@@ -116,7 +146,7 @@ let handle_call t s req (call : Msg.sock_call) =
   match call with
   | Msg.Call_socket -> reply (Msg.Ok_socket s.sock_id)
   | Msg.Call_bind { port } ->
-      s.bound_port <- port;
+      set_port t s port;
       persist t;
       reply Msg.Ok_unit
   | Msg.Call_connect { dst; dst_port } ->
@@ -138,6 +168,7 @@ let handle_call t s req (call : Msg.sock_call) =
   | Msg.Call_listen _ -> reply (Msg.Err "udp cannot listen")
   | Msg.Call_accept _ -> reply (Msg.Err "udp cannot accept")
   | Msg.Call_close ->
+      set_port t s 0;
       Hashtbl.remove (Transport.sockets t.front) s.sock_id;
       persist t;
       reply Msg.Ok_unit
@@ -185,12 +216,15 @@ let create comp ~registry ~local_addr ~save ~load () =
       load;
       ip;
       front = Transport.front proc ~size:32 ~readable:(fun s -> not (Queue.is_empty s.rxq));
+      ports = Hashtbl.create 32;
       next_ephemeral = 49152;
       src_select = (fun _ -> local_addr);
       datagrams_out = 0;
     }
   in
-  Component.on_crash comp (fun () -> Transport.reset t.front);
+  Component.on_crash comp (fun () ->
+      Transport.reset t.front;
+      Hashtbl.reset t.ports);
   Component.on_restart comp ~step:"reload-sockets" (fun ~fresh:_ ->
       (* "It is easy to recreate the sockets after the crash"
          (Section V-D): the 4-tuples come back from the storage
@@ -208,6 +242,7 @@ let create comp ~registry ~local_addr ~save ~load () =
                  next crash. *)
               Hashtbl.replace (Transport.sockets t.front) id (new_socket id ~bound_port ~peer))
             socks);
+      index_all t;
       (* Re-persist the fully restored table. *)
       persist t);
   t

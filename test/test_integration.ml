@@ -1249,6 +1249,37 @@ let test_udp_datagram_survives_ip_crash () =
   Alcotest.(check int) "ip restarted" 1 (Host.restarts_of h Host.C_ip);
   Alcotest.(check (list string)) "delivered exactly once" [ "while ip is down" ] !got
 
+(* Sockets may share a UDP port (bind does not refuse a bound port).
+   Four sockets bind port 7000 and one of them moves to 7001; each
+   waits in one recv. A datagram to 7000 reaches the socket a fold over
+   the socket table picks, the one it reached before the server kept a
+   port index, and a datagram to 7001 reaches the socket that moved. *)
+let test_udp_shared_port_reaches_one_socket () =
+  let h = make_host () in
+  let peer = Host.sink h 0 in
+  let got = Array.make 4 "-" in
+  let rec open_all i k =
+    if i = 4 then k ()
+    else
+      Socket_api.udp_socket (Host.sc h) (Host.app h) (fun conn ->
+          Socket_api.bind conn ~port:7000 (fun _ ->
+              let listen () =
+                Socket_api.recv conn ~max:100 ~timeout:(sec 1.0) (fun r ->
+                    match r with `Data d -> got.(i) <- Bytes.to_string d | _ -> ())
+              in
+              if i = 1 then Socket_api.bind conn ~port:7001 (fun _ -> listen ()) else listen ();
+              open_all (i + 1) k))
+  in
+  open_all 0 (fun () -> ());
+  List.iter
+    (fun (at, port, msg) ->
+      Host.at h (sec at) (fun () ->
+          Sink.send_udp peer ~dst:(Host.local_addr h 0) ~dst_port:port ~src_port:9
+            (Bytes.of_string msg)))
+    [ (0.2, 7000, "one"); (0.25, 7000, "two"); (0.3, 7001, "three") ];
+  Host.run h ~until:(sec 1.5);
+  Alcotest.(check (array string)) "who got what" [| "-"; "three"; "one"; "-" |] got
+
 let suite =
   [
     ("bulk TCP reaches gigabit wire speed", `Quick, test_bulk_throughput_near_wire);
@@ -1343,4 +1374,6 @@ let suite =
     ("udp sendto with every ephemeral port bound", `Quick, test_udp_ephemeral_ports_exhausted);
     ("udp datagram sent while ip is down arrives once", `Quick,
       test_udp_datagram_survives_ip_crash);
+    ("udp datagram to a shared port reaches one socket", `Quick,
+      test_udp_shared_port_reaches_one_socket);
   ]

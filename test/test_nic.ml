@@ -301,10 +301,10 @@ let test_link_down_frees_queue () =
   Alcotest.(check int) "only the new frame delivered" 1 !got
 
 (* The link's frame buffers are reused, so what it takes in must be
-   copied and what it hands out must be the taker's own: the sender and
-   a tap overwrite every frame they touch, and the receiver keeps every
-   frame it is handed, which must not change while later frames pass
-   through the same buffers. A random stream of frames, each stamped
+   copied and what a tap gets must be the tap's own: the sender and a
+   tap overwrite every frame they touch. The receiver's frame is lent
+   for its callback, so it keeps a copy of every frame it is handed,
+   which must equal what was sent. A random stream of frames, each stamped
    with its number, with the link taken down and up mid-stream: the
    receiver gets the accepted frames minus those the link flushed,
    intact and in order, [dropped] counts the refused and flushed ones,
@@ -329,7 +329,7 @@ let link_ring_keeps_the_stream (queue_frames, script) =
   let got = ref [] and refused = ref 0 and slots_ok = ref true in
   Link.tap l (fun ~at:_ ~dir:_ frame -> Bytes.fill frame 0 (Bytes.length frame) '\xff');
   Link.attach l Link.Right (fun frame ->
-      got := frame :: !got;
+      got := Bytes.copy frame :: !got;
       ignore (Queue.take_opt waiting : string option));
   let step n op =
     (match op with
@@ -548,7 +548,7 @@ let make_dev_world ?(queues = 1) () =
       ~rss:(Rss.create ~queues ()) ()
   in
   let received_frames = ref [] in
-  Link.attach link Link.Right (fun f -> received_frames := f :: !received_frames);
+  Link.attach link Link.Right (fun f -> received_frames := Bytes.copy f :: !received_frames);
   { engine; registry; pool; dev; link; received_frames }
 
 let post_frame ?(queue = 0) w bytes =
@@ -841,6 +841,118 @@ let test_pcap_timestamps_monotonic () =
     Alcotest.(check bool) "monotonic timestamps" true (ts (i + 1) > ts i)
   done
 
+(* {2 Lent frames and gather into the wire} *)
+
+(* The link lends a landed frame to its receiver for the callback. A
+   receiver that answers on the same direction while it holds the
+   frame, by a copying transmit or by writing a slot in place, must
+   still read its own frame intact: with one buffer per direction both
+   answers land in the very slot the frame was lent from. *)
+let test_link_lent_frame_survives_a_transmit () =
+  let e = Engine.create () in
+  let l = Link.create e ~queue_frames:1 () in
+  let frame c = Bytes.make 64 c in
+  let seen = ref [] in
+  Link.attach l Link.Right (fun f ->
+      let mine = Bytes.to_string f in
+      (match mine.[0] with
+      | 'a' -> Alcotest.(check bool) "copy accepted" true (Link.transmit l ~from:Link.Left (frame 'b'))
+      | 'b' ->
+          Alcotest.(check bool) "slot accepted" true (Link.accepts l ~from:Link.Left);
+          Bytes.fill (Link.slot l ~from:Link.Left ~len:64) 0 64 'c';
+          Link.commit l ~from:Link.Left
+      | _ -> ());
+      Alcotest.(check string) "own frame intact after answering" mine (Bytes.to_string f);
+      seen := mine.[0] :: !seen);
+  Alcotest.(check bool) "first accepted" true (Link.transmit l ~from:Link.Left (frame 'a'));
+  Engine.run e;
+  Alcotest.(check (list char)) "every frame, in order" [ 'a'; 'b'; 'c' ] (List.rev !seen);
+  Alcotest.(check int) "nothing dropped" 0 (Link.dropped l)
+
+(* The device gathers a descriptor's chain straight into the link's
+   slot and finalizes its checksum there: on random chains (TCP, UDP
+   and non-IP frames, cut into chunks at random offsets of their pool
+   slots, offload on or off) the wire carries exactly what
+   [Registry.gather] followed by [Offload.finalize_l4_checksum] makes.
+   Several frames of one length pass through the same slot, so a byte
+   the gather failed to write would show the previous frame. *)
+let gen_tx_frames =
+  let open QCheck2.Gen in
+  let frame =
+    let* kind = int_range 0 2 in
+    let* body = int_range 0 600 in
+    let* stamp = int_bound 0xffffff in
+    let* cuts = list_size (int_range 0 4) (int_range 1 700) in
+    let* pad = int_range 0 8 in
+    let* csum = bool in
+    return (kind, body, stamp, cuts, pad, csum)
+  in
+  list_size (int_range 1 8) frame
+
+let tx_frame_bytes (kind, body, stamp, _, _, _) =
+  let src = ip 10 0 0 1 and dst = ip 10 0 0 2 in
+  let f =
+    match kind with
+    | 0 ->
+        let f, _, _, _, _ = make_tcp_frame ~payload_len:(body + 4) () in
+        f
+    | 1 ->
+        let payload = Bytes.make (body + 4) 'u' in
+        let dg =
+          Udp.encode_partial_csum ~src ~dst { Udp.src_port = 53; dst_port = 4000 } ~payload
+        in
+        let pkt =
+          Ipv4.packet
+            { Ipv4.src; dst; protocol = Ipv4.Udp; ttl = 64; ident = 1; total_len = 0 }
+            ~payload:dg
+        in
+        Ethernet.frame
+          { Ethernet.dst = Addr.Mac.of_index 2; src = Addr.Mac.of_index 1; ethertype = Ethernet.Ipv4 }
+          ~payload:pkt
+    | _ -> Bytes.make (body + 18) 'r'
+  in
+  (* The last four bytes are payload in every kind: stamp them. *)
+  Bytes.set_int32_be f (Bytes.length f - 4) (Int32.of_int stamp);
+  f
+
+let gather_into_slot_matches_gather frames =
+  let w = make_dev_world () in
+  let expected =
+    List.mapi
+      (fun i ((_, _, _, cuts, pad, csum) as spec) ->
+        let f = tx_frame_bytes spec in
+        let len = Bytes.length f in
+        let bounds =
+          List.sort_uniq compare (0 :: len :: List.filter (fun c -> c < len) cuts)
+        in
+        let rec chunks = function
+          | a :: (b :: _ as rest) ->
+              let whole = Pool.alloc w.pool ~len:(pad + b - a) in
+              let src = Bytes.make (pad + b - a) '\xee' in
+              Bytes.blit f a src pad (b - a);
+              Pool.write w.pool whole ~src ~src_off:0;
+              Pool.sub_ptr whole ~off:pad ~len:(b - a) :: chunks rest
+          | [ _ ] | [] -> []
+        in
+        let chain = chunks bounds in
+        let want = Registry.gather w.registry chain in
+        if csum then ignore (Offload.finalize_l4_checksum want : bool);
+        ignore
+          (Mq.post_tx w.dev ~queue:0
+             { Mq.chain; csum_offload = csum; tso = false; tso_mss = 1460; tx_cookie = i }
+            : bool);
+        want)
+      frames
+  in
+  Mq.doorbell_tx w.dev ~queue:0;
+  Engine.run w.engine;
+  List.rev !(w.received_frames) = expected
+
+let test_gather_into_slot =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:200 ~name:"gather into the link slot equals gather then finalize"
+       gen_tx_frames gather_into_slot_matches_gather)
+
 let suite =
   [
     ("ring descriptor lifecycle", `Quick, test_ring_lifecycle);
@@ -884,4 +996,7 @@ let suite =
     ("mq one queue takes every frame", `Quick, test_mq_one_queue_takes_everything);
     ("pcap capture file format", `Quick, test_pcap_capture_format);
     ("pcap timestamps monotonic", `Quick, test_pcap_timestamps_monotonic);
+    ("link lent frame survives a transmit in its callback", `Quick,
+      test_link_lent_frame_survives_a_transmit);
+    test_gather_into_slot;
   ]

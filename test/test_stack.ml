@@ -388,6 +388,123 @@ let test_ip_shard_crash_frees_only_its_frames () =
   Alcotest.(check bool) "shard 0's frames live" true (List.for_all (live rig) (rig.lent ~shard:0));
   Alcotest.(check bool) "shard 1's frames dead" false (List.exists (live rig) (rig.lent ~shard:1))
 
+(* {2 Metering pool operations}
+
+   The runtime meters each handler body, effect and continuation with
+   an open/close counter. The oracle is the closure-based rule of
+   [Pool.metered], run over a shadow counter that every pool operation
+   of the script also bumps: a meter counts the operations made while
+   it is the innermost one, a nested meter's operations count only
+   there, and a meter left by an exception gives its enclosing meter
+   its count back. Random scripts on three servers nest serves inside
+   effects (a send wakes the receiver at once), crash and restart
+   servers from effects (their notifications make pool operations that
+   are never charged, and a restart drains synchronously), and raise
+   from handlers (a server whose handler raised stays stuck until a
+   restart, as it does in the stack); each server's [Proc.pool_ops] must equal the
+   oracle's sum over its bodies and effects. *)
+
+exception Boom
+
+type job = {
+  body : int;  (* alloc/free pairs in the handler's body *)
+  effect : int;  (* and in its effect *)
+  raises : bool;  (* the body raises after its operations *)
+  restart : int option;  (* the effect crashes and restarts this server *)
+  sends : (int * job) list;  (* the effect sends these, in order *)
+}
+
+let gen_job =
+  let open QCheck2.Gen in
+  fix
+    (fun self depth ->
+      let* body = int_bound 3 in
+      let* effect = int_bound 3 in
+      let* raises = frequency [ (1, pure true); (7, pure false) ] in
+      let* restart = frequency [ (1, map Option.some (int_bound 2)); (6, pure None) ] in
+      let* sends =
+        if depth = 0 then pure []
+        else list_size (int_bound 2) (pair (int_bound 2) (self (depth - 1)))
+      in
+      return { body; effect; raises; restart; sends })
+    3
+
+let metering_matches_the_closure_oracle top =
+  let e, m = make_world () in
+  let pool = Pool.create ~id:(Pool.fresh_id ()) ~slots:16 ~slot_size:64 in
+  let shadow = ref 0 in
+  let ops n =
+    for _ = 1 to n do
+      Pool.free pool (Pool.alloc pool ~len:8);
+      shadow := !shadow + 2
+    done
+  in
+  let oracle f =
+    let outer = !shadow in
+    shadow := 0;
+    match f () with
+    | v ->
+        let n = !shadow in
+        shadow := outer;
+        (n, v)
+    | exception ex ->
+        shadow := outer;
+        raise ex
+  in
+  let procs =
+    Array.init 3 (fun i ->
+        Proc.create m ~name:(Printf.sprintf "p%d" i) ~core:(Machine.add_dedicated_core m) ())
+  in
+  let chans = Array.init 3 (fun i -> Sim_chan.create ~id:(i + 1) ()) in
+  let jobs = Array.init 3 (fun _ -> Queue.create ()) in
+  let expected = Array.make 3 0 in
+  let rec send (q, job) =
+    Queue.push job jobs.(q);
+    match Sim_chan.send chans.(q) dummy_msg with
+    | sent -> assert sent
+    | exception Boom -> ()
+  and handler p _ =
+    let job = Queue.pop jobs.(p) in
+    let n, r =
+      oracle (fun () ->
+          ops job.body;
+          if job.raises then raise Boom;
+          ( 10,
+            fun () ->
+              let n, () =
+                oracle (fun () ->
+                    ops job.effect;
+                    Option.iter
+                      (fun q ->
+                        Proc.crash procs.(q);
+                        try Proc.restart procs.(q) with Boom -> ())
+                      job.restart;
+                    List.iter send job.sends)
+              in
+              expected.(p) <- expected.(p) + n ))
+    in
+    expected.(p) <- expected.(p) + n;
+    r
+  in
+  Array.iteri
+    (fun p proc ->
+      Proc.set_on_crash proc (fun () -> ignore (oracle (fun () -> ops 1)));
+      Proc.set_on_restart proc (fun ~fresh:_ -> ignore (oracle (fun () -> ops 2)));
+      Proc.add_rx proc chans.(p) (handler p))
+    procs;
+  List.iter send top;
+  (* A handler served by the drain that follows an effect raises out
+     of the engine's event: the run goes on past it. *)
+  let rec run () = match Engine.run e with () -> () | exception Boom -> run () in
+  run ();
+  Array.for_all2 (fun proc want -> Proc.pool_ops proc = want) procs expected
+
+let test_metering_matches_the_closure_oracle =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"proc metering matches the closure-based meter"
+       QCheck2.Gen.(list_size (int_range 1 6) (pair (int_bound 2) gen_job))
+       metering_matches_the_closure_oracle)
+
 let suite =
   [
     ("proc drains channel messages", `Quick, test_proc_drains_messages);
@@ -409,4 +526,5 @@ let suite =
     ("ip rx_done frees exactly its frame", `Quick, test_ip_rx_done_frees_exactly_its_frame);
     ("ip ignores a stale-generation rx_done", `Quick, test_ip_stale_rx_done_ignored);
     ("ip shard crash frees only its frames", `Quick, test_ip_shard_crash_frees_only_its_frames);
+    test_metering_matches_the_closure_oracle;
   ]
