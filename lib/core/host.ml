@@ -1,9 +1,7 @@
 module Engine = Newt_sim.Engine
 module Time = Newt_sim.Time
-module Trace = Newt_sim.Trace
 module Machine = Newt_hw.Machine
 module Registry = Newt_channels.Registry
-module Sim_chan = Newt_channels.Sim_chan
 module Addr = Newt_net.Addr
 module Tcp = Newt_net.Tcp
 module Link = Newt_nic.Link
@@ -40,8 +38,6 @@ type config = {
   pf_shards : int;
   tcp_config : Tcp.config option;
   nic_reset_time : Time.cycles;
-  heartbeat_period : Time.cycles;
-  restart_delay : Time.cycles;
   app_cores : int;
   coalesce_drivers : bool;
 }
@@ -55,8 +51,6 @@ let default_config =
     pf_shards = 1;
     tcp_config = None;
     nic_reset_time = Time.of_seconds 1.2;
-    heartbeat_period = Component.Defaults.heartbeat_period;
-    restart_delay = Component.Defaults.restart_delay;
     app_cores = 2;
     coalesce_drivers = false;
   }
@@ -65,7 +59,6 @@ type t = {
   topology : Topology.t;
   engine : Engine.t;
   machine : Machine.t;
-  trace : Trace.t;
   directory : Newt_channels.Pubsub.t;
   storage : Storage.t;
   rs : Reincarnation.t;
@@ -106,7 +99,6 @@ let sink t i = t.sinks.(i)
 let frozen t = t.frozen
 
 let directory t = t.directory
-let trace t = t.trace
 
 let comp_of t comp =
   match List.find_opt (fun (c, _) -> c = comp) t.comps with
@@ -141,15 +133,6 @@ let at t when_ f =
 
 (* {2 Construction} *)
 
-let chan_ids = ref 0
-
-(* Queue slots are cheap shared memory; size them so a full multi-flow
-   congestion-window burst (5 links x ~256 KiB of 1460-byte segments)
-   never overflows a channel — a drop costs the flow an RTO. *)
-let chan _key =
-  incr chan_ids;
-  Sim_chan.create ~capacity:8192 ~id:!chan_ids ()
-
 let create ?(config = default_config) () =
   (match Topology.validate ~pf_shards:config.pf_shards () with
   | Ok () -> ()
@@ -157,7 +140,6 @@ let create ?(config = default_config) () =
   let engine = Engine.create ~seed:config.seed () in
   let machine = Machine.create ~costs:config.costs engine in
   let registry = Registry.create () in
-  let trace = Trace.create () in
   let directory = Newt_channels.Pubsub.create () in
   let storage = Storage.create () in
   (* Devices, links and remote peers. *)
@@ -210,45 +192,26 @@ let create ?(config = default_config) () =
     Newt_scale.Shard_map.create ~seed:config.seed ~shards:config.pf_shards ()
   in
   let stack =
-    Topology.build topo machine ~registry ~directory ~trace ~core
+    Topology.build topo machine ~registry ~directory ~core
       ~store:(fun name -> Storage.owner_view storage ~owner:name)
       ~local_addr:(Addr.Ipv4.v 10 0 0 1) ?tcp_config:config.tcp_config
       ~steer_pf:(Newt_scale.Shard_map.shard_of pf_map)
-      ~chan ~driver ()
+      ~rules:config.pf_rules ~driver ()
   in
   let app_cores = Array.init config.app_cores (fun _ -> Machine.add_timeshared_core machine) in
   let tcp_srv = stack.Topology.tcps.(0)
   and udp_srv = stack.Topology.udps.(0)
   and ip_srv = stack.Topology.ips.(0)
   and pf_srvs = stack.Topology.pfs in
-  (* Multihoming: transports pick the source address of the interface
-     the route uses. *)
-  let src_select dst =
-    match Ip_srv.src_addr_for ip_srv dst with
-    | Some a -> a
-    | None -> Addr.Ipv4.v 10 0 0 1
-  in
-  Tcp_srv.set_src_select tcp_srv src_select;
-  Udp_srv.set_src_select udp_srv src_select;
-  (* The filter configuration — one ruleset on every shard. *)
-  Array.iter
-    (fun pf ->
-      Pf_srv.set_rules pf config.pf_rules;
-      Pf_srv.set_conntrack_sources pf
-        ~tcp:(fun () -> Tcp_srv.conntrack_flows tcp_srv)
-        ~udp:(fun () -> Udp_srv.conntrack_flows udp_srv))
-    pf_srvs;
   let drv_comps = stack.Topology.drvs in
   let t =
     {
       topology = topo;
       engine;
       machine;
-      trace;
       directory;
       storage;
-      rs = Reincarnation.create machine ~heartbeat_period:config.heartbeat_period
-          ~restart_delay:config.restart_delay ();
+      rs = Reincarnation.create machine ();
       sc = stack.Topology.sc;
       tcp = tcp_srv;
       udp = udp_srv;

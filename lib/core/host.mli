@@ -36,8 +36,6 @@ type config = {
   nic_reset_time : Newt_sim.Time.cycles;
       (** Link retraining time after a device reset (the Figure 4
           gap). *)
-  heartbeat_period : Newt_sim.Time.cycles;
-  restart_delay : Newt_sim.Time.cycles;
   app_cores : int;
   coalesce_drivers : bool;
       (** Run all drivers on one dedicated core (Section VI-A: "to
@@ -48,8 +46,9 @@ type config = {
 }
 
 val default_config : config
-(** Seed 42, 1 NIC, pass-all filter, 1.2 s NIC reset, 100 ms
-    heartbeats, 120 ms restarts, 2 app cores. *)
+(** Seed 42, 1 NIC, pass-all filter, 1.2 s NIC reset, 2 app cores.
+    The reincarnation server keeps its defaults (100 ms heartbeats,
+    120 ms restarts). *)
 
 type t
 
@@ -90,10 +89,6 @@ val directory : t -> Newt_channels.Pubsub.t
     (["tcp.to_ip"], ["drv0.to_ip"], ...) at boot, and re-published by
     the reincarnation machinery when its consumer restarts — late
     subscribers see current publications. *)
-
-val trace : t -> Newt_sim.Trace.t
-(** The bounded event log: crash / hang / restart records from every
-    server. *)
 
 val local_addr : t -> int -> Newt_net.Addr.Ipv4.t
 (** The host's address on interface [i] (10.0.[i].1). *)

@@ -14,10 +14,9 @@ type packet = {
   target_ip : Addr.Ipv4.t;
 }
 
-val packet_size : int
-(** 28 bytes for IPv4-over-Ethernet ARP. *)
-
 val encode : packet -> Bytes.t
+(** The 28-byte IPv4-over-Ethernet ARP packet. *)
+
 val decode : Bytes.t -> packet option
 
 module Cache : sig

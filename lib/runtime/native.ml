@@ -14,9 +14,7 @@ module Proc = Newt_stack.Proc
 module Component = Newt_stack.Component
 module Msg = Newt_stack.Msg
 module Ip_srv = Newt_stack.Ip_srv
-module Pf_srv = Newt_stack.Pf_srv
 module Tcp_srv = Newt_stack.Tcp_srv
-module Udp_srv = Newt_stack.Udp_srv
 module Syscall_srv = Newt_stack.Syscall_srv
 module Sink = Newt_stack.Sink
 module Storage = Newt_reliability.Storage
@@ -49,14 +47,12 @@ type config = {
   domains : int;
   seconds : float;
   seed : int;
-  chan_capacity : int;
   write_size : int;
   spin_budget : int;
   never_park : bool;
   confirm_batch : int;  (** Driver TX confirms coalesced per message. *)
   overhead : overhead;  (** Channel-cost ablation (cross-validation). *)
   ping_period : float;  (** Seconds between ICMP echo probes. *)
-  port : int;
   race : bool;  (** Arm the happens-before race detector. *)
   break_race : break_race option;  (** Inject a deliberate race. *)
   tcp_fsm : bool;  (** Arm the TCP conformance checker. *)
@@ -68,14 +64,12 @@ let default_config =
     domains = 2;
     seconds = 2.0;
     seed = 42;
-    chan_capacity = 8192;
     write_size = 8192;
     spin_budget = 2_000;
     never_park = false;
     confirm_batch = 8;
     overhead = No_overhead;
     ping_period = 0.002;
-    port = 5001;
     race = false;
     break_race = None;
     tcp_fsm = false;
@@ -486,7 +480,7 @@ let run (cfg : config) : result =
   let chan ?capacity name =
     incr chan_ids;
     ring_names := (!chan_ids, name) :: !ring_names;
-    let capacity = Option.value capacity ~default:cfg.chan_capacity in
+    let capacity = Option.value capacity ~default:8192 in
     let c = Sim_chan.create_native ~capacity ~id:!chan_ids () in
     ring_stats :=
       !ring_stats
@@ -623,25 +617,14 @@ let run (cfg : config) : result =
       ~store:(fun name -> Storage.owner_view (Storage.create ()) ~owner:name)
       ~local_addr:host_addr
       ~chan:(fun key -> chan key)
-      ~driver ()
+      ~rules:[ Rule.pass_all ] ~driver ()
   in
   let sc_srv = stack.Topology.sc
   and tcp_srv = stack.Topology.tcps.(0)
-  and udp_srv = stack.Topology.udps.(0)
   and ip_srv = stack.Topology.ips.(0) in
   (* Sabotage: Ack_from_closed plants the engine-level bug now; the
      Stale_established crash-and-resurrect is scheduled below. *)
   Tcp_srv.set_break_tcp tcp_srv cfg.break_tcp;
-  let src_select dst =
-    match Ip_srv.src_addr_for ip_srv dst with
-    | Some a -> a
-    | None -> host_addr
-  in
-  Tcp_srv.set_src_select tcp_srv src_select;
-  Udp_srv.set_src_select udp_srv src_select;
-  (* Conntrack snapshots would read the transports' tables from the
-     PF domain; natively the sweep runs with no sources instead. *)
-  Pf_srv.set_rules stack.Topology.pfs.(0) [ Rule.pass_all ];
   (* {3 The peer host} *)
   let peer_rng = Rng.split (Engine.rng engine) in
   let peer_io =
@@ -667,12 +650,13 @@ let run (cfg : config) : result =
   in
   Sim_chan.set_notify wire_to_peer (doorbell peer_loop drain_wire_tx);
   (* {3 Workload: iperf-style bulk + the split-stack ping path} *)
+  let iperf_port = 5001 in
   let tcp_bytes = ref 0 in
-  Sink.sink_tcp peer ~port:cfg.port ~on_bytes:(fun ~at:_ n ->
+  Sink.sink_tcp peer ~port:iperf_port ~on_bytes:(fun ~at:_ n ->
       tcp_bytes := !tcp_bytes + n);
   let app = { Syscall_srv.app_core; app_pid = 10_000 } in
   let iperf =
-    Apps.Iperf.start machine ~sc:sc_srv ~app ~dst:peer_addr ~port:cfg.port
+    Apps.Iperf.start machine ~sc:sc_srv ~app ~dst:peer_addr ~port:iperf_port
       ~write_size:cfg.write_size
       ~until:(Time.of_seconds cfg.seconds)
       ()

@@ -29,14 +29,12 @@ type config = {
   domains : int;
   seconds : float;
   seed : int;
-  chan_capacity : int;
   write_size : int;
   spin_budget : int;
   never_park : bool;
   confirm_batch : int;  (** Driver TX confirms coalesced per message. *)
   overhead : overhead;  (** Channel-cost ablation (cross-validation). *)
   ping_period : float;  (** Seconds between ICMP echo probes. *)
-  port : int;
   race : bool;
       (** Arm {!Newt_verify.Race.Dynamic} around the run. It checks the
           locations the hook's sampling period keeps

@@ -1,6 +1,4 @@
 module Engine = Newt_sim.Engine
-module Time = Newt_sim.Time
-module Trace = Newt_sim.Trace
 module Machine = Newt_hw.Machine
 module Cpu = Newt_hw.Cpu
 module Registry = Newt_channels.Registry
@@ -27,35 +25,25 @@ module Reincarnation = Newt_reliability.Reincarnation
 
 type config = {
   seed : int;
-  costs : Newt_hw.Costs.t;
   shards : int;
-  udp_shards : int;
   ip_replicas : int;
   pf_shards : int;
   link_gbps : float;
   pf_rules : Rule.t list option;
   tcp_config : Tcp.config option;
   conntrack_total : int;
-  nic_reset_time : Time.cycles;
-  heartbeat_period : Time.cycles;
-  restart_delay : Time.cycles;
 }
 
 let default_config =
   {
     seed = 42;
-    costs = Newt_hw.Costs.default;
     shards = 4;
-    udp_shards = 1;
     ip_replicas = 1;
     pf_shards = 1;
     link_gbps = 40.0;
     pf_rules = None;
     tcp_config = None;
     conntrack_total = 65536;
-    nic_reset_time = Time.of_seconds 1.2;
-    heartbeat_period = Component.Defaults.heartbeat_period;
-    restart_delay = Component.Defaults.restart_delay;
   }
 
 
@@ -81,13 +69,6 @@ let mac_of_int v =
   Addr.Mac.of_octets (Array.init 6 (fun i -> (v lsr ((5 - i) * 8)) land 0xFF))
 
 let arp_key ~iface addr = Printf.sprintf "arp.%d.%s" iface (Addr.Ipv4.to_string addr)
-
-(* The PF ruleset rides the directory the same way: a publication under
-   this key is the "new configuration" broadcast — the blob itself
-   lives in the shared storage namespace, the [chan_id] carries a
-   version counter. Every PF shard applies it on publish and replays it
-   on restart. *)
-let pf_rules_key = "pf.rules"
 
 type t = {
   config : config;
@@ -261,7 +242,7 @@ let rebalance t =
 let topology_of config =
   {
     Topology.tcp = Topology.indexed "tcp" config.shards;
-    udp = Topology.indexed "udp" config.udp_shards;
+    udp = [| "udp0" |];
     ip = Topology.members "ip" config.ip_replicas;
     pf =
       (match config.pf_rules with
@@ -272,20 +253,17 @@ let topology_of config =
 
 let create ?(config = default_config) () =
   (match
-     Topology.validate ~shards:config.shards ~udp_shards:config.udp_shards
-       ~ip_replicas:config.ip_replicas ~pf_shards:config.pf_shards ()
+     Topology.validate ~shards:config.shards ~ip_replicas:config.ip_replicas
+       ~pf_shards:config.pf_shards ()
    with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Sharded_stack: " ^ msg));
   let engine = Engine.create ~seed:config.seed () in
-  let machine = Machine.create ~costs:config.costs engine in
+  let machine = Machine.create engine in
   let registry = Registry.create () in
-  let trace = Trace.create () in
   let directory = Pubsub.create () in
   let storage = Storage.create () in
-  let n = config.shards
-  and nu = config.udp_shards
-  and r = config.ip_replicas in
+  let n = config.shards and r = config.ip_replicas in
   let topo = topology_of config in
   let sm = Shard_map.create ~seed:config.seed ~shards:n () in
   (* One fat wire, a multi-queue device on our side, an ideal peer on
@@ -297,23 +275,11 @@ let create ?(config = default_config) () =
   in
   let nic =
     Mq.create engine ~registry ~link ~side:Link.Left
-      ~mac:(Addr.Mac.of_index 100) ~rss:(Shard_map.rss sm)
-      ~reset_time:config.nic_reset_time ()
+      ~mac:(Addr.Mac.of_index 100) ~rss:(Shard_map.rss sm) ()
   in
   let sink =
     Sink.create engine ~link ~side:Link.Right ~addr:(Addr.Ipv4.v 10 0 0 2)
       ~mac:(Addr.Mac.of_index 200) ()
-  in
-  (* Every member gets a storage namespace of its own; the PF ruleset is
-     one shared configuration blob, the conntrack snapshot is per
-     shard. *)
-  let pf_shared_save, pf_shared_load = Storage.owner_view storage ~owner:"pf" in
-  let store name =
-    let save, load = Storage.owner_view storage ~owner:name in
-    if Array.mem name topo.Topology.pf then
-      ( (fun k v -> if k = "rules" then pf_shared_save k v else save k v),
-        fun k -> if k = "rules" then pf_shared_load k else load k )
-    else (save, load)
   in
   (* The shared steering function, with IP's half of the affinity
      journal wrapped around it. The partition functions of the
@@ -332,14 +298,6 @@ let create ?(config = default_config) () =
         Hashtbl.replace steer_journal key s);
     s
   in
-  let steer_udp ~src ~sport ~dst ~dport =
-    Shard_map.shard_of sm ~src ~sport ~dst ~dport mod nu
-  in
-  let chan_ids = ref 0 in
-  let chan _key =
-    incr chan_ids;
-    Sim_chan.create ~capacity:8192 ~id:!chan_ids ()
-  in
   (* The interface: one MQ driver serving all queues, fanning RX
      completions out to the replica that owns each queue (queue [q]
      belongs to replica [q mod r]). With a single instance the whole
@@ -357,11 +315,13 @@ let create ?(config = default_config) () =
       }
   in
   let stack =
-    Topology.build topo machine ~registry ~directory ~trace ~store
+    Topology.build topo machine ~registry ~directory
+      ~store:(fun name -> Storage.owner_view storage ~owner:name)
       ~local_addr:(Addr.Ipv4.v 10 0 0 1) ?tcp_config:config.tcp_config
-      ~conntrack_total:config.conntrack_total ~steer_tcp ~steer_udp
+      ~conntrack_total:config.conntrack_total ~steer_tcp
       ~steer_pf:(Shard_map.shard_of sm) ~order:[ `Sc; `Ip; `Pf; `Drv; `Tcp; `Udp ]
-      ~chan ~driver ()
+      ~rules:(Option.value config.pf_rules ~default:[])
+      ~driver ()
   in
   let sc_srv = stack.Topology.sc in
   let tcps = stack.Topology.tcps in
@@ -389,54 +349,17 @@ let create ?(config = default_config) () =
       Replica_set.set_load pfs (fun srv ->
           float_of_int (Pf_srv.verdicts_issued srv)))
     pf_set;
-  (* PF rules ride the channel directory as a versioned broadcast: the
-     blob is saved once in the shared namespace, every shard applies it
-     on publish, and a reincarnated shard replays the publication (its
-     own restore-state hook reads the same shared blob, so the replay
-     is the belt to that suspender). Conntrack recovery reads the union
-     of the transports' connection tables, filtered by each shard's
-     ownership predicate. *)
-  let pf_rule_version = ref 0 in
-  let publish_pf_rules rules =
-    pf_shared_save "rules" (Marshal.to_string (rules : Rule.t list) []);
-    incr pf_rule_version;
-    Pubsub.publish directory ~key:pf_rules_key ~creator:(-1)
-      ~chan_id:!pf_rule_version
-  in
-  Array.iter
-    (fun pf ->
-      Pf_srv.set_conntrack_sources pf
-        ~tcp:(fun () -> Array.to_list tcps |> List.concat_map Tcp_srv.conntrack_flows)
-        ~udp:(fun () ->
-          Array.to_list stack.Topology.udps |> List.concat_map Udp_srv.conntrack_flows);
-      let apply = function
-        | `Published _ -> (
-            match pf_shared_load "rules" with
-            | Some blob ->
-                Pf_engine.set_rules (Pf_srv.engine_of pf)
-                  (Marshal.from_string blob 0 : Rule.t list)
-            | None -> ())
-        | `Gone -> ()
-      in
-      Pubsub.subscribe_prefix directory ~prefix:pf_rules_key apply;
-      Component.on_restart (Pf_srv.comp pf) ~step:"replay-rules" (fun ~fresh:_ ->
-          Pubsub.replay_prefix directory ~prefix:pf_rules_key apply))
-    stack.Topology.pfs;
-  Option.iter publish_pf_rules config.pf_rules;
-  (* New sockets round-robin over the shards; the chosen shard then
+  (* New TCP sockets round-robin over the shards; the chosen shard then
      picks a source port that hashes back to itself, so any placement
-     preserves flow affinity. *)
-  let next_tcp_sock = ref 0 and next_udp_sock = ref 0 in
+     preserves flow affinity. UDP has the one shard. *)
+  let next_tcp_sock = ref 0 in
   Syscall_srv.set_placement sc_srv (fun ~transport ->
       match transport with
       | `Tcp ->
           let s = !next_tcp_sock mod n in
           incr next_tcp_sock;
           s
-      | `Udp ->
-          let s = !next_udp_sock mod nu in
-          incr next_udp_sock;
-          s);
+      | `Udp -> 0);
   (* Shard affinity for active opens: shard [i] only uses source ports
      that the RSS table maps to queue [i], skipping ports its engine
      already has bound to the same destination; exhaustion of the whole
@@ -504,10 +427,7 @@ let create ?(config = default_config) () =
   in
   Array.iter (fun ip -> Ip_srv.set_buf_return ip return_buf) ips;
   (* Supervision: every plane's members recover independently. *)
-  let rs =
-    Reincarnation.create machine ~heartbeat_period:config.heartbeat_period
-      ~restart_delay:config.restart_delay ()
-  in
+  let rs = Reincarnation.create machine () in
   Topology.supervise stack rs;
   Replica_set.attach tcp_set rs;
   Replica_set.attach udp_set rs;

@@ -33,9 +33,9 @@
     cap of [total/np] each and its own TTL sweep). Every IP replica
     holds a channel pair to every PF shard and steers each packet —
     both directions — from its IP header, so a flow's packets always
-    meet the same conntrack partition. Rules are one shared
-    configuration, broadcast to all shards through the channel
-    directory and replayed on restart. Killing one shard
+    meet the same conntrack partition. Every shard holds the one
+    ruleset in its own storage namespace and reloads it on restart,
+    as the unsharded filter does. Killing one shard
     ({!kill_pf_shard}) holds only its own flows' packets while the
     reincarnation server brings it back; recovery re-tracks {e only}
     that shard's slice of the transports' connection tables — the
@@ -43,9 +43,7 @@
 
 type config = {
   seed : int;
-  costs : Newt_hw.Costs.t;
   shards : int;  (** TCP server replicas. *)
-  udp_shards : int;
   ip_replicas : int;
       (** IP server instances; must satisfy
           [1 <= ip_replicas <= shards]. 1 reproduces the single-IP
@@ -68,14 +66,11 @@ type config = {
           [conntrack_total / pf_shards], so N shards hold the same
           total state as one. The adversarial churn scenarios shrink
           it to force eviction within a short run. *)
-  nic_reset_time : Newt_sim.Time.cycles;
-  heartbeat_period : Newt_sim.Time.cycles;
-  restart_delay : Newt_sim.Time.cycles;
 }
 
 val default_config : config
-(** 4 TCP shards, 1 UDP shard, 1 IP instance, 1 PF shard, 40 Gbps, no
-    filter, seed 42. *)
+(** 4 TCP shards, 1 IP instance, 1 PF shard, 40 Gbps, no filter,
+    seed 42. *)
 
 type t
 
@@ -96,8 +91,7 @@ val pf_shard_count : t -> int
 
 val directory : t -> Newt_channels.Pubsub.t
 (** The channel directory, which also carries the ARP learn-broadcast
-    publications (keys under ["arp."]) and the PF ruleset broadcast
-    (key ["pf.rules"]). *)
+    publications (keys under ["arp."]). *)
 
 val nic : t -> Newt_nic.Mq_e1000.t
 val sink : t -> Newt_stack.Sink.t
@@ -110,7 +104,7 @@ val components : t -> Newt_stack.Component.t list
     any), driver, transport shards, IP replicas. *)
 
 val topology : t -> Topology.t
-(** The stack's declared graph: [tcp0..], [udp0..], the IP replicas
+(** The stack's declared graph: [tcp0..], [udp0], the IP replicas
     (["ip"] alone when unreplicated), the PF shards (none without a
     filter) and the one ["mqdrv"] driver. *)
 

@@ -22,11 +22,9 @@ type t = {
 let indexed base n = Array.init n (Printf.sprintf "%s%d" base)
 let members base n = if n = 1 then [| base |] else indexed base n
 
-let validate ?shards ?(udp_shards = 1) ?(ip_replicas = 1) ~pf_shards () =
+let validate ?shards ?(ip_replicas = 1) ~pf_shards () =
   let tcp = Option.value shards ~default:1 in
   if tcp < 1 then Error (Printf.sprintf "shards must be positive (got %d)" tcp)
-  else if udp_shards < 1 then
-    Error (Printf.sprintf "udp_shards must be positive (got %d)" udp_shards)
   else if ip_replicas < 1 || ip_replicas > tcp then
     Error
       (Printf.sprintf "need 1 <= ip_replicas <= shards (got %d and %d)"
@@ -117,14 +115,25 @@ let subnet (cfg : Ip_srv.iface_config) =
   let mask = if bits = 0 then 0l else Int32.shift_left (-1l) (32 - bits) in
   Addr.Ipv4.of_int32 (Int32.logand (Addr.Ipv4.to_int32 cfg.Ip_srv.addr) mask)
 
-let build topo machine ~registry ?directory ?trace
+(* Queue slots are cheap shared memory; size them so a full multi-flow
+   congestion-window burst (5 links x ~256 KiB of 1460-byte segments)
+   never overflows a channel — a drop costs the flow an RTO. Ids count
+   from 1 in matrix order, within each world. *)
+let sim_chans () =
+  let ids = ref 0 in
+  fun _key ->
+    incr ids;
+    Sim_chan.create ~capacity:8192 ~id:!ids ()
+
+let build topo machine ~registry ?directory
     ?(core = fun _ -> Machine.add_dedicated_core machine) ~store ~local_addr
     ?tcp_config ?(conntrack_total = 65536) ?(steer_tcp = member_zero)
-    ?(steer_udp = member_zero) ?(steer_pf = member_zero)
-    ?(order : plane list = [ `Sc; `Tcp; `Udp; `Ip; `Pf; `Drv ]) ~chan ~driver () =
+    ?(steer_pf = member_zero)
+    ?(order : plane list = [ `Sc; `Tcp; `Udp; `Ip; `Pf; `Drv ])
+    ?(chan = sim_chans ()) ~rules ~driver () =
   let comps = Hashtbl.create 32 in
   let comp name =
-    let c = Component.create machine ~name ~core:(core name) ?directory ?trace () in
+    let c = Component.create machine ~name ~core:(core name) ?directory () in
     Hashtbl.replace comps name c;
     c
   in
@@ -245,7 +254,7 @@ let build topo machine ~registry ?directory ?trace
   transport `Tcp topo.tcp ~steer:steer_tcp (fun i ~to_ip ~from_ip ~from_sc ~to_sc ->
       Tcp_srv.connect_ip tcps.(i) ~to_ip ~from_ip;
       Tcp_srv.connect_sc tcps.(i) ~from_sc ~to_sc);
-  transport `Udp topo.udp ~steer:steer_udp (fun i ~to_ip ~from_ip ~from_sc ~to_sc ->
+  transport `Udp topo.udp ~steer:member_zero (fun i ~to_ip ~from_ip ~from_sc ~to_sc ->
       Udp_srv.connect_ip udps.(i) ~to_ip ~from_ip;
       Udp_srv.connect_sc udps.(i) ~from_sc ~to_sc);
   (* Interfaces: IP replica [k]'s interface [d] is driver [d]. *)
@@ -265,6 +274,26 @@ let build topo machine ~registry ?directory ?trace
           Ip_srv.add_neighbor ip ~iface peer_addr peer_mac)
         topo.drv)
     ips;
+  (* Multihoming: a transport picks the source address of the interface
+     its IP replica's route uses. *)
+  let src_select k dst =
+    Option.value (Ip_srv.src_addr_for ips.(k) dst) ~default:local_addr
+  in
+  Array.iteri (fun i tcp -> Tcp_srv.set_src_select tcp (src_select (owner topo i))) tcps;
+  Array.iteri (fun i udp -> Udp_srv.set_src_select udp (src_select (owner topo i))) udps;
+  (* The filter configuration: one ruleset, saved by every shard in its
+     own storage namespace, where restore-state finds it; a restarted
+     shard re-tracks its slice of every transport member's flows. *)
+  let flows conntrack_flows plane () =
+    List.concat_map conntrack_flows (Array.to_list plane)
+  in
+  Array.iter
+    (fun pf ->
+      Pf_srv.set_rules pf rules;
+      Pf_srv.set_conntrack_sources pf
+        ~tcp:(flows Tcp_srv.conntrack_flows tcps)
+        ~udp:(flows Udp_srv.conntrack_flows udps))
+    pfs;
   { topology = topo; sc; tcps; udps; ips; pfs; drvs; chans }
 
 (* {2 Supervision} *)

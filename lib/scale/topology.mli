@@ -31,7 +31,6 @@ val indexed : string -> int -> string array
 
 val validate :
   ?shards:int ->
-  ?udp_shards:int ->
   ?ip_replicas:int ->
   pf_shards:int ->
   unit ->
@@ -97,17 +96,16 @@ val build :
   Newt_hw.Machine.t ->
   registry:Newt_channels.Registry.t ->
   ?directory:Newt_channels.Pubsub.t ->
-  ?trace:Newt_sim.Trace.t ->
   ?core:(string -> Newt_hw.Cpu.t) ->
   store:(string -> (string -> string -> unit) * (string -> string option)) ->
   local_addr:Newt_net.Addr.Ipv4.t ->
   ?tcp_config:Newt_net.Tcp.config ->
   ?conntrack_total:int ->
   ?steer_tcp:steer ->
-  ?steer_udp:steer ->
   ?steer_pf:steer ->
   ?order:plane list ->
-  chan:(string -> Newt_stack.Msg.t Newt_channels.Sim_chan.t) ->
+  ?chan:(string -> Newt_stack.Msg.t Newt_channels.Sim_chan.t) ->
+  rules:Newt_pf.Rule.t list ->
   driver:(int -> Newt_stack.Component.t -> ip:int -> attachment) ->
   unit ->
   stack
@@ -117,12 +115,24 @@ val build :
     channels in {!channels} order, then the wiring. Creation allocates
     core, process, pool and request-database ids, which counterexample
     traces print, so a lowering keeps the order its traces were
-    recorded in. [driver d comp] makes driver [d]'s server on its
-    component; the result is asked once per IP replica for that
-    replica's interface. The steering functions pick a member from a
-    flow (default: member 0); PF shard [j] owns the flows with
-    [steer_pf mod |pf| = j] and caps its conntrack partition at
-    [conntrack_total / |pf|] (default 65536). *)
+    recorded in. [chan key] makes each channel (default: a simulated
+    channel of 8192 slots, ids counted from 1 in {!channels} order, so
+    every world numbers its channels alike). [driver d comp] makes
+    driver [d]'s server on its component; the result is asked once per
+    IP replica for that replica's interface. [steer_tcp] picks a TCP
+    shard from a flow (default: shard 0; UDP is always member 0); PF
+    shard [j] owns the flows with [steer_pf mod |pf| = j] and caps its
+    conntrack partition at [conntrack_total / |pf|] (default 65536).
+
+    The wiring every lowering shares comes last: each transport
+    selects its source address from its IP replica's routes (falling
+    back to [local_addr]); every PF shard is given [rules]
+    ({!Newt_stack.Pf_srv.set_rules}, which saves them in the shard's
+    own storage namespace, where its restore-state step reloads them)
+    and the conntrack sources of every transport member. Those sources
+    are read only by PF's restore-state step, which an unsupervised
+    stack (the native run) never reaches. None of this creates a
+    process, pool or request database. *)
 
 val supervise : stack -> Newt_reliability.Reincarnation.t -> unit
 (** Watch every member (planes in the order tcp, udp, ip, pf, drv):

@@ -1,6 +1,5 @@
 module Time = Newt_sim.Time
 module Stats = Newt_sim.Stats
-module Trace = Newt_sim.Trace
 module Cpu = Newt_hw.Cpu
 module Machine = Newt_hw.Machine
 module Sim_chan = Newt_channels.Sim_chan
@@ -123,8 +122,8 @@ let generic_restart t ~fresh =
       t.restarted_hooks
   with Crashed_mid_recovery -> ()
 
-let create machine ~name ~core ?directory ?trace () =
-  let proc = Proc.create machine ~name ~core ?trace () in
+let create machine ~name ~core ?directory () =
+  let proc = Proc.create machine ~name ~core () in
   let t =
     {
       machine;

@@ -29,7 +29,6 @@
 
 module Time = Newt_sim.Time
 module Stats = Newt_sim.Stats
-module Trace = Newt_sim.Trace
 module Cpu = Newt_hw.Cpu
 module Machine = Newt_hw.Machine
 module Sim_chan = Newt_channels.Sim_chan
@@ -52,7 +51,6 @@ val create :
   name:string ->
   core:Cpu.t ->
   ?directory:Pubsub.t ->
-  ?trace:Trace.t ->
   unit ->
   t
 (** Create the component's process on [core] and install the generic

@@ -334,12 +334,11 @@ let start_tx t ~origin ~src ~dst ~proto ~l4chain ~tso =
         | `Wait ->
             (* First waiter sends the ARP request. *)
             let req = Arp.Cache.request_for ifc.arp next_hop in
-            let arp_bytes = Arp.encode req in
-            let frame = Bytes.create (14 + Arp.packet_size) in
-            Ethernet.encode_header
-              { Ethernet.dst = Addr.Mac.broadcast; src = ifc.cfg.mac; ethertype = Ethernet.Arp }
-              frame ~off:0;
-            Bytes.blit arp_bytes 0 frame 14 Arp.packet_size;
+            let frame =
+              Ethernet.frame
+                { Ethernet.dst = Addr.Mac.broadcast; src = ifc.cfg.mac; ethertype = Ethernet.Arp }
+                ~payload:(Arp.encode req)
+            in
             (match Pool.alloc t.hdr_pool ~len:(Bytes.length frame) with
             | exception Pool.Pool_exhausted -> ()
             | ptr ->
@@ -484,16 +483,15 @@ let handle_frame t ~arrival ~buf frame =
               | None -> ());
               (match cache_view with
               | Some reply ->
-                  let rb = Arp.encode reply in
-                  let f = Bytes.create (14 + Arp.packet_size) in
-                  Ethernet.encode_header
-                    {
-                      Ethernet.dst = arp_pkt.Arp.sender_mac;
-                      src = ifc.cfg.mac;
-                      ethertype = Ethernet.Arp;
-                    }
-                    f ~off:0;
-                  Bytes.blit rb 0 f 14 Arp.packet_size;
+                  let f =
+                    Ethernet.frame
+                      {
+                        Ethernet.dst = arp_pkt.Arp.sender_mac;
+                        src = ifc.cfg.mac;
+                        ethertype = Ethernet.Arp;
+                      }
+                      ~payload:(Arp.encode reply)
+                  in
                   (match Pool.alloc t.hdr_pool ~len:(Bytes.length f) with
                   | exception Pool.Pool_exhausted -> ()
                   | ptr ->

@@ -2,7 +2,6 @@ module Engine = Newt_sim.Engine
 module Exec = Newt_sim.Exec
 module Time = Newt_sim.Time
 module Stats = Newt_sim.Stats
-module Trace = Newt_sim.Trace
 module Cpu = Newt_hw.Cpu
 module Machine = Newt_hw.Machine
 module Costs = Newt_hw.Costs
@@ -18,7 +17,6 @@ type t = {
   pid : int;
   mutable core : Cpu.t;
   stats : Stats.t;
-  trace : Trace.t option;
   mutable chans : Msg.t Sim_chan.t array;  (* receive channels, by registration *)
   mutable handlers : handler array;  (* [handlers.(i)] serves [chans.(i)] *)
   mutable order : int array;
@@ -41,7 +39,7 @@ type t = {
 
 let next_pid = ref 100
 
-let create machine ~name ~core ?trace () =
+let create machine ~name ~core () =
   let pid = !next_pid in
   incr next_pid;
   {
@@ -50,7 +48,6 @@ let create machine ~name ~core ?trace () =
     pid;
     core;
     stats = Stats.create ();
-    trace;
     chans = [||];
     handlers = [||];
     order = [||];
@@ -91,14 +88,6 @@ let charge_pool t n =
    their pool operations are not charged, also when a notification runs
    inside another server's metered work (DESIGN §3c). *)
 let unmetered f = ignore (Pool.metered f : int * unit)
-
-let record t msg =
-  match t.trace with
-  | Some tr ->
-      Trace.record tr
-        ~at:(Exec.now (Machine.exec t.machine))
-        ~subsystem:t.name msg
-  | None -> ()
 
 (* The verification hooks mutate listener-chain globals and are only
    installed by the single-threaded simulator harnesses; skip the
@@ -277,7 +266,6 @@ let set_on_restart t f = t.on_restart <- f
 
 let crash t =
   if t.alive then begin
-    record t "CRASH";
     t.alive <- false;
     t.hung <- false;
     t.updating <- false;
@@ -287,13 +275,11 @@ let crash t =
 
 let hang t =
   if t.alive then begin
-    record t "HANG";
     t.hung <- true;
     t.draining <- false
   end
 
 let restart t =
-  record t "RESTART";
   t.incarnation <- t.incarnation + 1;
   t.alive <- true;
   t.hung <- false;

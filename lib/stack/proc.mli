@@ -27,7 +27,6 @@ val create :
   Newt_hw.Machine.t ->
   name:string ->
   core:Newt_hw.Cpu.t ->
-  ?trace:Newt_sim.Trace.t ->
   unit ->
   t
 

@@ -112,11 +112,11 @@ let emit t ~src ~dst (hdr : Tcp_wire.header) ~payload =
           | `Hit mac -> continue mac
           | `Wait ->
               let req = Arp.Cache.request_for ifc.arp next_hop in
-              let frame = Bytes.create (14 + Arp.packet_size) in
-              Ethernet.encode_header
-                { Ethernet.dst = Addr.Mac.broadcast; src = ifc.mac; ethertype = Ethernet.Arp }
-                frame ~off:0;
-              Bytes.blit (Arp.encode req) 0 frame 14 Arp.packet_size;
+              let frame =
+                Ethernet.frame
+                  { Ethernet.dst = Addr.Mac.broadcast; src = ifc.mac; ethertype = Ethernet.Arp }
+                  ~payload:(Arp.encode req)
+              in
               transmit_frame t ~iface:i frame ~tso:false
           | `Dropped -> ()))
 
@@ -156,11 +156,11 @@ let handle_rx t ~iface:i ~buf ~len =
           | Some p -> (
               match Arp.Cache.input ifc.arp p with
               | Some arp_reply ->
-                  let f = Bytes.create (14 + Arp.packet_size) in
-                  Ethernet.encode_header
-                    { Ethernet.dst = p.Arp.sender_mac; src = ifc.mac; ethertype = Ethernet.Arp }
-                    f ~off:0;
-                  Bytes.blit (Arp.encode arp_reply) 0 f 14 Arp.packet_size;
+                  let f =
+                    Ethernet.frame
+                      { Ethernet.dst = p.Arp.sender_mac; src = ifc.mac; ethertype = Ethernet.Arp }
+                      ~payload:(Arp.encode arp_reply)
+                  in
                   transmit_frame t ~iface:i f ~tso:false
               | None -> ())
           | None -> ())

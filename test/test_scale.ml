@@ -581,7 +581,6 @@ let test_topology_validate () =
   rejected "no IP replica" (Topology.validate ~shards:1 ~ip_replicas:0 ~pf_shards:1 ());
   rejected "no TCP shard" (Topology.validate ~shards:0 ~ip_replicas:0 ~pf_shards:0 ());
   rejected "no PF shard" (Topology.validate ~pf_shards:0 ());
-  rejected "no UDP shard" (Topology.validate ~shards:2 ~udp_shards:0 ~pf_shards:1 ());
   rejected "more IP replicas than shards"
     (Topology.validate ~shards:2 ~ip_replicas:3 ~pf_shards:1 ());
   rejected "more PF shards than shards"
@@ -599,6 +598,60 @@ let test_topology_validate () =
       ignore (Host.create ~config:{ Host.default_config with Host.pf_shards = 0 } ()));
   raises "Sharded_stack.create" (fun () ->
       ignore (S.create ~config:{ S.default_config with S.shards = 0 } ()))
+
+let test_topology_channel_ids_per_world () =
+  (* Channel ids are numbered from the channel matrix inside each
+     world, so a host built after another in the same process gives
+     every channel the id the first one gave it. *)
+  let ids () =
+    let h = Host.create () in
+    List.map
+      (fun (sp : Topology.spec) ->
+        match Pubsub.lookup (Host.directory h) ~key:sp.key with
+        | Some p -> (sp.key, p.Pubsub.chan_id)
+        | None -> Alcotest.failf "%s is not published" sp.key)
+      (Topology.channels (Host.topology h))
+  in
+  let first = ids () in
+  Alcotest.(check (list (pair string int))) "the second host's ids" first (ids ());
+  Alcotest.(check (list int)) "numbered from 1 in matrix order"
+    (List.init (List.length first) (fun i -> i + 1))
+    (List.map snd first)
+
+let test_pf_shard_restart_keeps_ruleset () =
+  (* The one ruleset lives in each PF shard's own storage namespace:
+     a killed shard reloads it at restore-state, and its sibling keeps
+     it untouched. *)
+  let rules =
+    [
+      {
+        Rule.block_all with
+        Rule.quick = true;
+        proto = Rule.Match_tcp;
+        dst_port = Rule.Port 9;
+      };
+      Rule.pass_all;
+    ]
+  in
+  let s =
+    S.create
+      ~config:{ S.default_config with S.shards = 2; pf_shards = 2; pf_rules = Some rules }
+      ()
+  in
+  let rules_of j = Pf_engine.rules (Pf_srv.engine_of (S.pf_shard s j)) in
+  let lost = ref [] in
+  S.at s (Time.of_seconds 0.1) (fun () ->
+      S.kill_pf_shard s 0;
+      lost := rules_of 0);
+  S.run s ~until:(Time.of_seconds 0.6);
+  Alcotest.(check int) "the crash emptied the killed shard's rules" 0 (List.length !lost);
+  Alcotest.(check int) "killed pf shard restarted once" 1 (S.pf_shard_restarts s 0);
+  for j = 0 to 1 do
+    Alcotest.(check bool)
+      (Printf.sprintf "pf shard %d holds the ruleset" j)
+      true
+      (rules_of j = rules)
+  done
 
 let suite =
   [
@@ -624,4 +677,7 @@ let suite =
     ("topology: host exports are the channel matrix", `Quick, test_topology_contract_host);
     ("topology: sharded exports are the channel matrix", `Quick, test_topology_contract_sharded);
     ("topology: out-of-range plane sizes are rejected", `Quick, test_topology_validate);
+    ("topology: each host numbers its channels alike", `Quick,
+      test_topology_channel_ids_per_world);
+    ("a restarted PF shard keeps the ruleset", `Quick, test_pf_shard_restart_keeps_ruleset);
   ]

@@ -814,16 +814,6 @@ let test_stats_series_migrates_to_hist () =
   Alcotest.(check (option (float 1e-9))) "min exact" (Some 1.0)
     (Stats.percentile st "lat" 0.0)
 
-let test_trace_bounded () =
-  let t = Newt_sim.Trace.create ~capacity:3 () in
-  for i = 1 to 5 do
-    Newt_sim.Trace.record t ~at:i ~subsystem:"x" (string_of_int i)
-  done;
-  let es = Newt_sim.Trace.entries t in
-  Alcotest.(check int) "bounded" 3 (List.length es);
-  Alcotest.(check string) "oldest kept is 3" "3"
-    (match es with e :: _ -> e.Newt_sim.Trace.message | [] -> "?")
-
 (* Fifo against Stdlib.Queue: the same values in the same order through
    growth and wrap-around, and a popped or cleared value is not kept
    reachable (except the first one pushed, the ring's filler). *)
@@ -915,5 +905,4 @@ let suite =
       test_stats_series_migrates_to_hist );
     ("series bins by time", `Quick, test_series_binning);
     ("series converts to Mbps", `Quick, test_series_mbps);
-    ("trace log is bounded", `Quick, test_trace_bounded);
   ]

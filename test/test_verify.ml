@@ -777,6 +777,24 @@ let test_mcheck_split_crash_point_space () =
   Alcotest.(check int) "sixteen crash points" 16
     (List.length (Mcheck.enumerate specs))
 
+let test_mcheck_sharded_crash_point_space () =
+  (* The sharded stack's search space (N=2 r=2 pf=2): every TCP shard,
+     IP replica and PF shard. A PF shard's recovery is its restore-state
+     step, which reloads the ruleset from the shard's own storage,
+     between the built-in steps. *)
+  let specs = E.crash_points (E.sharded_search ()) in
+  Alcotest.(check (list string)) "killable members"
+    [ "ip0"; "ip1"; "pf0"; "pf1"; "tcp0"; "tcp1" ]
+    (List.sort compare (List.map fst specs));
+  List.iter
+    (fun pf ->
+      Alcotest.(check (list string)) (pf ^ " recovery steps")
+        [ "revive-channels"; "restore-state"; "republish-exports" ]
+        (List.assoc pf specs))
+    [ "pf0"; "pf1" ];
+  Alcotest.(check int) "twenty-two crash points" 22
+    (List.length (Mcheck.enumerate specs))
+
 (* One crash point of each configuration through the unified runner:
    a clean recovery converges; a recovery sabotaged onto an occupied
    core does not, and the split counterexample carries its protocol
@@ -1103,4 +1121,6 @@ let suite =
       test_tcpfsm_sampling_keeps_whole_connections);
     ("tcp-fsm: JSON verdict lists violations oldest first", `Quick,
       test_tcpfsm_verdict_order_matches_report);
+    ("mcheck: sharded crash-point space", `Quick,
+      test_mcheck_sharded_crash_point_space);
   ]
